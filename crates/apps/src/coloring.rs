@@ -10,7 +10,7 @@
 //! adjacent vertices recolor simultaneously and can livelock forever.
 //! Run it with [`AsyncGas`](gp_engine::AsyncGas).
 
-use gp_core::VertexId;
+use gp_core::{PartitionSet, VertexId};
 use gp_engine::{ApplyInfo, Direction, InitInfo, VertexProgram};
 
 /// The Simple Coloring vertex program.
@@ -19,7 +19,9 @@ pub struct Coloring;
 
 impl VertexProgram for Coloring {
     type State = u32;
-    type Accum = Vec<u32>;
+    /// The neighbors' colors as a bitset (inline up to color 255, heap
+    /// beyond): `merge` is a word-wise OR, with no allocation per edge.
+    type Accum = PartitionSet;
 
     fn name(&self) -> &'static str {
         "Coloring"
@@ -41,30 +43,27 @@ impl VertexProgram for Coloring {
         true
     }
 
-    fn gather(&self, _: VertexId, _: VertexId, color: &u32, _: InitInfo) -> Vec<u32> {
-        vec![*color]
+    fn gather(&self, _: VertexId, _: VertexId, color: &u32, _: InitInfo) -> PartitionSet {
+        PartitionSet::singleton(*color)
     }
 
-    fn merge(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-        a.extend(b);
+    fn merge(&self, mut a: PartitionSet, b: PartitionSet) -> PartitionSet {
+        a.union_with(&b);
         a
     }
 
-    fn apply(&self, _: VertexId, old: &u32, acc: Option<Vec<u32>>, _: ApplyInfo) -> u32 {
-        let mut taken = acc.unwrap_or_default();
-        taken.sort_unstable();
-        taken.dedup();
-        if taken.binary_search(old).is_err() {
+    fn apply(&self, _: VertexId, old: &u32, acc: Option<PartitionSet>, _: ApplyInfo) -> u32 {
+        let taken = acc.unwrap_or_default();
+        if !taken.contains(*old) {
             return *old; // already conflict-free — stay put
         }
-        // Smallest color absent from the sorted neighbor set.
+        // Smallest color absent from the (ascending) neighbor set.
         let mut mex = 0u32;
-        for &c in &taken {
-            if c == mex {
-                mex += 1;
-            } else if c > mex {
+        for c in taken.iter() {
+            if c != mex {
                 break;
             }
+            mex += 1;
         }
         mex
     }
@@ -139,6 +138,23 @@ mod tests {
         // Greedy never needs more than max-degree + 1 colors.
         let max_deg = g.degrees().max_degree();
         assert!(color_count(&colors) <= max_deg as usize + 1);
+    }
+
+    #[test]
+    fn clique_wider_than_the_inline_bitset_is_colored() {
+        // 300 mutually adjacent vertices need 300 colors, so accumulators
+        // spill past the bitset's inline width.
+        let n = 300u64;
+        let g = EdgeList::from_pairs(
+            (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect(),
+        );
+        let (colors, report) = run_async(&g);
+        assert!(report.converged);
+        assert!(is_proper_coloring(&g, &colors));
+        assert_eq!(color_count(&colors), n as usize);
+        assert!(colors.iter().any(|&c| c >= gp_core::pset::INLINE_BITS));
     }
 
     #[test]

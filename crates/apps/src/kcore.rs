@@ -101,11 +101,23 @@ pub fn decompose(
     k_min: u32,
     k_max: u32,
 ) -> KCoreResult {
+    let layout = gp_engine::Layout::build(graph, assignment, engine.config.spec.machines);
+    decompose_on(engine, &layout, assignment, k_min, k_max)
+}
+
+/// [`decompose`] on a prepared `layout` of `assignment`, shared by every k.
+pub fn decompose_on(
+    engine: &gp_engine::SyncGas,
+    layout: &gp_engine::Layout,
+    assignment: &gp_partition::Assignment,
+    k_min: u32,
+    k_max: u32,
+) -> KCoreResult {
     assert!(k_min <= k_max, "k_min must not exceed k_max");
     let mut core_sizes = Vec::new();
     let mut reports = Vec::new();
     for k in k_min..=k_max {
-        let (alive, report) = engine.run(graph, assignment, &KCore::new(k));
+        let (alive, report) = engine.run_on(layout, assignment, &KCore::new(k));
         core_sizes.push((k, alive.iter().filter(|&&a| a).count() as u64));
         reports.push(report);
     }

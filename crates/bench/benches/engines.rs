@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks: engine superstep throughput per engine kind,
 //! and the cost of building the compute-side structures (CSR, replica
-//! table) from an assignment.
+//! table, and the fused `Layout` holding both) from an assignment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gp_apps::{PageRank, Wcc};
 use gp_cluster::ClusterSpec;
 use gp_core::CsrGraph;
-use gp_engine::{EngineConfig, HybridGas, Pregel, PregelConfig, ReplicaTable, SyncGas};
+use gp_engine::{EngineConfig, HybridGas, Layout, Pregel, PregelConfig, ReplicaTable, SyncGas};
 use gp_gen::barabasi_albert;
 use gp_partition::{PartitionContext, Strategy};
 
@@ -61,6 +61,9 @@ fn bench_structures(c: &mut Criterion) {
     });
     group.bench_function("replica-table-build", |b| {
         b.iter(|| ReplicaTable::build(&graph, &assignment).num_vertices())
+    });
+    group.bench_function("layout-build", |b| {
+        b.iter(|| Layout::build(&graph, &assignment, 9).csr().num_edges())
     });
     group.finish();
 }

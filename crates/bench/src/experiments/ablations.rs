@@ -296,7 +296,7 @@ pub fn ablation_chunking(scale: f64, seed: u64) -> Vec<Table> {
 /// the engine models exactly that.)
 pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
     use gp_apps::PageRank;
-    use gp_engine::{EngineConfig, SyncGas};
+    use gp_engine::{EngineConfig, Layout, SyncGas};
     let spec = ClusterSpec::ec2_25();
     let mut t = Table::new(
         "Ablation — PowerGraph gather (delta) caching, PageRank(30) (UK-web analogue, EC2-25)",
@@ -319,19 +319,13 @@ pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
             .assignment;
         let gm =
             |r: &gp_engine::ComputeReport| r.steps.iter().map(|s| s.gather_messages).sum::<u64>();
+        let layout = Layout::build(&graph, &assignment, spec.machines);
+        let program = PageRank::fixed_with_tolerance(30, 1e-3);
         let off = SyncGas::new(EngineConfig::new(spec.clone()))
-            .run(
-                &graph,
-                &assignment,
-                &PageRank::fixed_with_tolerance(30, 1e-3),
-            )
+            .run_on(&layout, &assignment, &program)
             .1;
         let on = SyncGas::new(EngineConfig::new(spec.clone()).with_delta_caching(true))
-            .run(
-                &graph,
-                &assignment,
-                &PageRank::fixed_with_tolerance(30, 1e-3),
-            )
+            .run_on(&layout, &assignment, &program)
             .1;
         t.row(vec![
             strategy.label().to_string(),

@@ -6,7 +6,7 @@ use gp_cluster::{ClusterSpec, CostRates};
 use gp_core::{EdgeList, VertexId};
 use gp_engine::{
     base_memory_per_machine, AsyncGas, CommsConfig, ComputeReport, ElasticConfig, EngineConfig,
-    HybridGas, Pregel, PregelConfig, SyncGas,
+    HybridGas, Layout, Pregel, PregelConfig, SyncGas,
 };
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
@@ -206,8 +206,17 @@ pub struct Pipeline {
     pub threads: u32,
     telemetry: TelemetrySink,
     graphs: HashMap<Dataset, EdgeList>,
-    partitions: HashMap<(Dataset, Strategy, u32, u32), PartitionOutcome>,
+    /// SSSP source of each dataset (its highest-out-degree vertex), found
+    /// the first time an SSSP job runs on it.
+    sssp_sources: HashMap<Dataset, VertexId>,
+    partitions: HashMap<PartitionKey, PartitionOutcome>,
+    /// Engine layout of each cached partitioning, built by the first job
+    /// that computes on it. The key's loader count is the machine count.
+    layouts: HashMap<PartitionKey, Layout>,
 }
+
+/// (dataset, strategy, partitions, loaders).
+type PartitionKey = (Dataset, Strategy, u32, u32);
 
 impl Pipeline {
     /// New pipeline at the given dataset scale.
@@ -218,7 +227,9 @@ impl Pipeline {
             threads: 1,
             telemetry: TelemetrySink::Disabled,
             graphs: HashMap::new(),
+            sssp_sources: HashMap::new(),
             partitions: HashMap::new(),
+            layouts: HashMap::new(),
         }
     }
 
@@ -392,11 +403,29 @@ impl Pipeline {
         elastic: ElasticConfig,
     ) -> JobResult {
         let (ingress_report, ingress_seconds) = self.ingress(dataset, strategy, spec, engine);
-        let partitions = engine.partitions(spec);
-        let outcome = &self.partitions[&(dataset, strategy, partitions, spec.machines)];
+        let key = (dataset, strategy, engine.partitions(spec), spec.machines);
+        let graph = &self.graphs[&dataset];
+        let outcome = &self.partitions[&key];
         let assignment = &outcome.assignment;
         let state_bytes = outcome.state_bytes;
-        let graph = &self.graphs[&dataset];
+        let layout = self
+            .layouts
+            .entry(key)
+            .or_insert_with(|| Layout::build(graph, assignment, spec.machines));
+        let sssp = |undirected: bool| {
+            let source = *self.sssp_sources.entry(dataset).or_insert_with(|| {
+                let deg = graph.degrees();
+                (0..graph.num_vertices())
+                    .map(VertexId)
+                    .max_by_key(|&v| deg.out_degree(v))
+                    .unwrap_or(VertexId(0))
+            });
+            if undirected {
+                Sssp::undirected(source)
+            } else {
+                Sssp::directed(source)
+            }
+        };
         let telemetry = &self.telemetry;
         if telemetry.is_enabled() {
             // The trace starts at ingress: one cluster-track span for the
@@ -438,15 +467,15 @@ impl Pipeline {
         let reports: Vec<ComputeReport> = match (engine, app) {
             (EngineKind::PowerGraph, App::Coloring) | (EngineKind::PowerLyra, App::Coloring) => {
                 let e = AsyncGas::new(config.clone());
-                vec![e.run(graph, assignment, &Coloring).1]
+                vec![e.run_on(layout, assignment, &Coloring).1]
             }
             (EngineKind::PowerGraph, _) => {
                 let e = SyncGas::new(config.clone());
-                run_app_sync(&e, graph, assignment, app)
+                run_app_sync(&e, layout, assignment, app, sssp)
             }
             (EngineKind::PowerLyra, _) => {
                 let e = HybridGas::new(config.clone());
-                run_app_hybrid(&e, graph, assignment, app)
+                run_app_hybrid(&e, layout, assignment, app, sssp)
             }
             (
                 EngineKind::GraphX {
@@ -458,7 +487,7 @@ impl Pipeline {
                 let pcfg =
                     PregelConfig::new(config.clone()).with_executor_memory(executor_memory_bytes);
                 let e = Pregel::new(pcfg);
-                match run_app_pregel(&e, graph, assignment, app) {
+                match run_app_pregel(&e, layout, assignment, app, sssp) {
                     Ok(reports) => reports,
                     Err(_) => {
                         return JobResult {
@@ -555,39 +584,35 @@ impl Pipeline {
 
 fn run_app_sync(
     e: &SyncGas,
-    g: &EdgeList,
+    l: &Layout,
     a: &gp_partition::Assignment,
     app: App,
+    sssp: impl FnOnce(bool) -> Sssp,
 ) -> Vec<ComputeReport> {
     match app {
-        App::PageRankFixed(n) => vec![e.run(g, a, &PageRank::fixed(n)).1],
-        App::PageRankConv => vec![e.run(g, a, &PageRank::to_convergence()).1],
-        App::Wcc => vec![e.run(g, a, &Wcc).1],
-        App::Sssp { undirected } => {
-            let prog = sssp_prog(g, undirected);
-            vec![e.run(g, a, &prog).1]
-        }
-        App::KCore { k_min, k_max } => gp_apps::kcore::decompose(e, g, a, k_min, k_max).reports,
+        App::PageRankFixed(n) => vec![e.run_on(l, a, &PageRank::fixed(n)).1],
+        App::PageRankConv => vec![e.run_on(l, a, &PageRank::to_convergence()).1],
+        App::Wcc => vec![e.run_on(l, a, &Wcc).1],
+        App::Sssp { undirected } => vec![e.run_on(l, a, &sssp(undirected)).1],
+        App::KCore { k_min, k_max } => gp_apps::kcore::decompose_on(e, l, a, k_min, k_max).reports,
         App::Coloring => unreachable!("coloring runs on the async engine"),
     }
 }
 
 fn run_app_hybrid(
     e: &HybridGas,
-    g: &EdgeList,
+    l: &Layout,
     a: &gp_partition::Assignment,
     app: App,
+    sssp: impl FnOnce(bool) -> Sssp,
 ) -> Vec<ComputeReport> {
     match app {
-        App::PageRankFixed(n) => vec![e.run(g, a, &PageRank::fixed(n)).1],
-        App::PageRankConv => vec![e.run(g, a, &PageRank::to_convergence()).1],
-        App::Wcc => vec![e.run(g, a, &Wcc).1],
-        App::Sssp { undirected } => {
-            let prog = sssp_prog(g, undirected);
-            vec![e.run(g, a, &prog).1]
-        }
+        App::PageRankFixed(n) => vec![e.run_on(l, a, &PageRank::fixed(n)).1],
+        App::PageRankConv => vec![e.run_on(l, a, &PageRank::to_convergence()).1],
+        App::Wcc => vec![e.run_on(l, a, &Wcc).1],
+        App::Sssp { undirected } => vec![e.run_on(l, a, &sssp(undirected)).1],
         App::KCore { k_min, k_max } => (k_min..=k_max)
-            .map(|k| e.run(g, a, &gp_apps::KCore::new(k)).1)
+            .map(|k| e.run_on(l, a, &gp_apps::KCore::new(k)).1)
             .collect(),
         App::Coloring => unreachable!("coloring runs on the async engine"),
     }
@@ -595,42 +620,25 @@ fn run_app_hybrid(
 
 fn run_app_pregel(
     e: &Pregel,
-    g: &EdgeList,
+    l: &Layout,
     a: &gp_partition::Assignment,
     app: App,
+    sssp: impl FnOnce(bool) -> Sssp,
 ) -> Result<Vec<ComputeReport>, gp_engine::pregel::PregelOom> {
     Ok(match app {
-        App::PageRankFixed(n) => vec![e.run(g, a, &PageRank::fixed(n))?.1],
-        App::PageRankConv => vec![e.run(g, a, &PageRank::to_convergence())?.1],
-        App::Wcc => vec![e.run(g, a, &Wcc)?.1],
-        App::Sssp { undirected } => {
-            let prog = sssp_prog(g, undirected);
-            vec![e.run(g, a, &prog)?.1]
-        }
+        App::PageRankFixed(n) => vec![e.run_on(l, a, &PageRank::fixed(n))?.1],
+        App::PageRankConv => vec![e.run_on(l, a, &PageRank::to_convergence())?.1],
+        App::Wcc => vec![e.run_on(l, a, &Wcc)?.1],
+        App::Sssp { undirected } => vec![e.run_on(l, a, &sssp(undirected))?.1],
         App::KCore { k_min, k_max } => {
             let mut reports = Vec::new();
             for k in k_min..=k_max {
-                reports.push(e.run(g, a, &gp_apps::KCore::new(k))?.1);
+                reports.push(e.run_on(l, a, &gp_apps::KCore::new(k))?.1);
             }
             reports
         }
-        App::Coloring => vec![e.run(g, a, &Coloring)?.1],
+        App::Coloring => vec![e.run_on(l, a, &Coloring)?.1],
     })
-}
-
-/// SSSP sourced at the highest-out-degree vertex, so the frontier reaches a
-/// meaningful portion of every dataset analogue.
-fn sssp_prog(g: &EdgeList, undirected: bool) -> Sssp {
-    let deg = g.degrees();
-    let source = (0..g.num_vertices())
-        .map(VertexId)
-        .max_by_key(|&v| deg.out_degree(v))
-        .unwrap_or(VertexId(0));
-    if undirected {
-        Sssp::undirected(source)
-    } else {
-        Sssp::directed(source)
-    }
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ use gp_elastic::{
     ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan, RepairPolicy, SchedulePolicy, TenantJob,
     TenantScheduler,
 };
-use gp_engine::{CommsConfig, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
+use gp_engine::{CommsConfig, EngineConfig, HybridGas, Layout, Pregel, PregelConfig, SyncGas};
 use gp_fault::{recovery_cost, CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
 use gp_gen::{classify, Dataset, DegreeAnalysis, PowerLawStreamParams};
 use gp_partition::{IngressReport, PartitionContext, Strategy};
@@ -1616,7 +1616,8 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
                 let rc = recovery_cost(&assignment, *machine, &spec, &rates);
                 let program = PageRank::fixed(*steps);
                 let clean_config = EngineConfig::new(spec.clone()).with_threads(*threads);
-                let (_, clean) = SyncGas::new(clean_config).run(&graph, &assignment, &program);
+                let layout = Layout::build(&graph, &assignment, spec.machines);
+                let (_, clean) = SyncGas::new(clean_config).run_on(&layout, &assignment, &program);
                 let mut plan = FaultPlan::uniform_flaky(*loss_rate, spec.machines, *steps);
                 plan.push(FaultEvent {
                     superstep: *crash_at,
@@ -1628,7 +1629,8 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
                     .with_fault_plan(plan)
                     .with_checkpoint(policy)
                     .with_comms(comms_config(*loss_rate, *speculate));
-                let (_, faulted) = SyncGas::new(faulted_config).run(&graph, &assignment, &program);
+                let (_, faulted) =
+                    SyncGas::new(faulted_config).run_on(&layout, &assignment, &program);
                 t.row(vec![
                     strategy.label().to_string(),
                     format!("{:.2}", assignment.replication_factor()),

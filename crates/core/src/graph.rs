@@ -293,41 +293,59 @@ impl CsrGraph {
 
     /// Build from a slice of edges over a dense vertex space `0..num_vertices`.
     pub fn from_edges(edges: &[Edge], num_vertices: u64) -> Self {
-        let n = num_vertices as usize;
-        let mut out_counts = vec![0u64; n + 1];
-        let mut in_counts = vec![0u64; n + 1];
-        for e in edges {
-            out_counts[e.src.index() + 1] += 1;
-            in_counts[e.dst.index() + 1] += 1;
+        /// A borrowed slice as an edge source; `as_edge_slice` keeps
+        /// [`CsrGraph::from_source`] on its copy-free path.
+        struct Slice<'a>(&'a [Edge], u64);
+        impl crate::source::StreamingEdges for Slice<'_> {
+            fn num_vertices(&self) -> u64 {
+                self.1
+            }
+            fn num_edges(&self) -> usize {
+                self.0.len()
+            }
+            fn read_edges(&self, start: usize, buf: &mut [Edge]) -> usize {
+                let end = (start + buf.len()).min(self.0.len());
+                let n = end.saturating_sub(start);
+                buf[..n].copy_from_slice(&self.0[start..end]);
+                n
+            }
+            fn as_edge_slice(&self) -> Option<&[Edge]> {
+                Some(self.0)
+            }
         }
-        for i in 0..n {
-            out_counts[i + 1] += out_counts[i];
-            in_counts[i + 1] += in_counts[i];
-        }
-        let mut out_targets = vec![VertexId(0); edges.len()];
-        let mut in_sources = vec![VertexId(0); edges.len()];
-        let mut out_cursor = out_counts.clone();
-        let mut in_cursor = in_counts.clone();
-        for e in edges {
-            let oc = &mut out_cursor[e.src.index()];
-            out_targets[*oc as usize] = e.dst;
-            *oc += 1;
-            let ic = &mut in_cursor[e.dst.index()];
-            in_sources[*ic as usize] = e.src;
-            *ic += 1;
+        Self::from_source(&Slice(edges, num_vertices))
+    }
+
+    /// Assemble from finished adjacency arrays, for builders that fill them
+    /// in a sweep of their own (the engine's fused layout build). Row `v` of
+    /// `out_targets` is `out_offsets[v]..out_offsets[v + 1]`, likewise for
+    /// the in-side. Panics unless both offset arrays have `num_vertices + 1`
+    /// non-decreasing entries from 0 to the edge count.
+    pub fn from_parts(
+        num_vertices: u64,
+        out_offsets: Vec<u64>,
+        out_targets: Vec<VertexId>,
+        in_offsets: Vec<u64>,
+        in_sources: Vec<VertexId>,
+    ) -> Self {
+        assert_eq!(out_targets.len(), in_sources.len(), "edge count differs");
+        for (offsets, rows) in [(&out_offsets, &out_targets), (&in_offsets, &in_sources)] {
+            assert_eq!(offsets.len() as u64, num_vertices + 1, "one offset per row");
+            assert_eq!(offsets[0], 0, "offsets start at 0");
+            assert_eq!(offsets[offsets.len() - 1], rows.len() as u64);
+            assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets decrease");
         }
         CsrGraph {
             num_vertices,
-            out_offsets: out_counts,
+            out_offsets,
             out_targets,
-            in_offsets: in_counts,
+            in_offsets,
             in_sources,
         }
     }
 
-    /// Build from any edge source in two streaming counting passes —
-    /// identical layout to [`CsrGraph::from_edges`] over the same edges
-    /// (insertion order within each adjacency row), but never holds a
+    /// Build from any edge source in two streaming counting passes
+    /// (insertion order within each adjacency row). Never holds a
     /// `Vec<Edge>`: peak extra memory is the CSR arrays themselves.
     pub fn from_source(source: &dyn crate::source::StreamingEdges) -> Self {
         let num_vertices = source.num_vertices();

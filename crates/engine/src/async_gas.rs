@@ -13,10 +13,12 @@
 //! Coloring deviates from the Fig 5.3/5.4 trend lines (and occasionally
 //! "hangs" in the real system).
 
-use crate::program::{ApplyInfo, InitInfo, VertexProgram};
-use crate::replicas::ReplicaTable;
+use crate::accounting::{Accountant, GatherPolicy, Update};
+use crate::gas::{gather_neighbors, init_vertices, mark_neighbors};
+use crate::layout::Layout;
+use crate::program::{ApplyInfo, VertexProgram};
 use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
-use gp_core::{CsrGraph, EdgeList, Splitmix64, VertexId};
+use gp_core::{EdgeList, Splitmix64, VertexId};
 use gp_partition::Assignment;
 
 /// PowerGraph's asynchronous engine.
@@ -52,21 +54,21 @@ impl AsyncGas {
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let csr = CsrGraph::from_edge_list(graph);
-        let table = ReplicaTable::build(graph, assignment);
+        let layout = Layout::build(graph, assignment, self.config.spec.machines);
+        self.run_on(&layout, assignment, program)
+    }
+
+    /// [`AsyncGas::run`] on a prepared `layout` of `assignment`.
+    pub fn run_on<P: VertexProgram>(
+        &self,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+    ) -> (Vec<P::State>, ComputeReport) {
+        let csr = layout.csr();
         let n = csr.num_vertices() as usize;
         let machines = self.config.spec.machines as usize;
-        let info = |v: VertexId| InitInfo {
-            num_vertices: csr.num_vertices(),
-            out_degree: csr.out_degree(v),
-            in_degree: csr.in_degree(v),
-        };
-        let mut states: Vec<P::State> = (0..n)
-            .map(|v| program.init(VertexId(v as u64), info(VertexId(v as u64))))
-            .collect();
-        let mut active: Vec<bool> = (0..n)
-            .map(|v| program.initially_active(VertexId(v as u64)))
-            .collect();
+        let (mut states, mut active) = init_vertices(program, csr);
         let gdir = program.gather_direction();
         let sdir = program.scatter_direction();
         let cap = program.max_supersteps().min(self.config.max_supersteps);
@@ -74,11 +76,17 @@ impl AsyncGas {
             * self.config.spec.work_units_per_s
             * self.efficiency;
         let mut rng = Splitmix64::new(self.schedule_seed);
+        let mut accountant =
+            Accountant::new(&self.config, program, GatherPolicy::AllMirrors, layout);
 
         let mut steps = Vec::new();
         let mut converged = false;
+        let mut order: Vec<usize> = Vec::new();
+        let mut updates: Vec<Update> = Vec::new();
+        let mut next_active = vec![false; n];
         for round in 0..cap {
-            let mut order: Vec<usize> = (0..n).filter(|&v| active[v]).collect();
+            order.clear();
+            order.extend((0..n).filter(|&v| active[v]));
             if order.is_empty() {
                 converged = true;
                 break;
@@ -88,38 +96,15 @@ impl AsyncGas {
                 let j = rng.next_below(i as u64 + 1) as usize;
                 order.swap(i, j);
             }
-            let mut next_active = vec![false; n];
-            let mut updates = 0u64;
-            // Per-update flags for the accounting replay: (vertex, changed,
-            // scatters). The semantic pass itself must stay sequential —
-            // each update commits immediately and the next one reads it —
-            // so only the cost accounting is parallelized, by replaying
-            // these flags machine-sharded after the round.
-            let mut records: Vec<(usize, bool, bool)> = Vec::with_capacity(order.len());
+            next_active.fill(false);
 
+            // The semantic pass must stay sequential — each update commits
+            // immediately and the next one reads it — so costs are tallied
+            // from the update sequence after the round.
             for &vi in &order {
                 let v = VertexId(vi as u64);
-                updates += 1;
                 // Async gather reads *current* states.
-                let mut acc: Option<P::Accum> = None;
-                if gdir.includes_in() {
-                    for u in csr.in_neighbors(v) {
-                        let g = program.gather(v, u, &states[u.index()], info(u));
-                        acc = Some(match acc {
-                            Some(a) => program.merge(a, g),
-                            None => g,
-                        });
-                    }
-                }
-                if gdir.includes_out() {
-                    for u in csr.out_neighbors(v) {
-                        let g = program.gather(v, u, &states[u.index()], info(u));
-                        acc = Some(match acc {
-                            Some(a) => program.merge(a, g),
-                            None => g,
-                        });
-                    }
-                }
+                let acc = gather_neighbors(program, csr, &states, v, gdir);
                 let new = program.apply(
                     v,
                     &states[vi],
@@ -141,89 +126,15 @@ impl AsyncGas {
                 // Initial scatter in round 0 mirrors the synchronous engines.
                 let scatters = changed || round == 0;
                 if scatters && program.activates_on_change() {
-                    if sdir.includes_out() {
-                        for u in csr.out_neighbors(v) {
-                            next_active[u.index()] = true;
-                        }
-                    }
-                    if sdir.includes_in() {
-                        for u in csr.in_neighbors(v) {
-                            next_active[u.index()] = true;
-                        }
-                    }
+                    mark_neighbors(csr, v, sdir, &mut next_active);
                 }
-                records.push((vi, changed, scatters));
+                updates.push(Update::new(vi, false, changed, scatters));
             }
-
-            // Accounting replay in update order, machine-sharded: the
-            // statement sequence mirrors the original interleaved loop.
-            let tallies =
-                crate::sharding::shard_tallies(&self.config, machines, |t, owned, cnt| {
-                    for &(vi, changed, scatters) in &records {
-                        let v = VertexId(vi as u64);
-                        let reps = table.replicas(v);
-                        let master = table.master_of(v);
-                        let master_machine = self.config.machine_of(master.0);
-                        for r in reps {
-                            let local = (if gdir.includes_in() { r.local_in } else { 0 })
-                                + (if gdir.includes_out() { r.local_out } else { 0 });
-                            let m = self.config.machine_of(r.partition.0);
-                            if owned(m) {
-                                t.work[m] += self.config.gather_work * local as f64;
-                            }
-                            if r.partition != master {
-                                if cnt {
-                                    t.gather_messages += 1;
-                                }
-                                if m != master_machine {
-                                    if owned(master_machine) {
-                                        t.in_bytes[master_machine] +=
-                                            program.accum_wire_bytes() as f64;
-                                    }
-                                    if owned(m) {
-                                        t.out_bytes[m] += program.accum_wire_bytes() as f64;
-                                    }
-                                }
-                            }
-                        }
-                        if owned(master_machine) {
-                            t.work[master_machine] += self.config.apply_work;
-                        }
-                        if changed {
-                            for r in reps {
-                                if r.partition != master {
-                                    if cnt {
-                                        t.sync_messages += 1;
-                                    }
-                                    let m = self.config.machine_of(r.partition.0);
-                                    if m != master_machine {
-                                        if owned(m) {
-                                            t.in_bytes[m] += program.state_wire_bytes() as f64;
-                                        }
-                                        if owned(master_machine) {
-                                            t.out_bytes[master_machine] +=
-                                                program.state_wire_bytes() as f64;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if scatters {
-                            for r in reps {
-                                let local_s = (if sdir.includes_in() { r.local_in } else { 0 })
-                                    + (if sdir.includes_out() { r.local_out } else { 0 });
-                                let m = self.config.machine_of(r.partition.0);
-                                if owned(m) {
-                                    t.work[m] += self.config.scatter_work * local_s as f64;
-                                }
-                            }
-                        }
-                    }
-                });
+            let tallies = accountant.tally(&mut updates);
 
             // No barrier: time = serialized-lock overhead + pipelined work
             // and traffic.
-            let wall = updates as f64 * self.lock_overhead_s / machines as f64
+            let wall = order.len() as f64 * self.lock_overhead_s / machines as f64
                 + tallies.work.iter().sum::<f64>() / compute_rate
                 + tallies.in_bytes.iter().sum::<f64>()
                     / (machines as f64 * self.config.spec.bandwidth_bytes_per_s);
@@ -237,16 +148,13 @@ impl AsyncGas {
                 machine_out_bytes: tallies.out_bytes,
                 wall_seconds: wall,
             });
-            active = next_active;
+            std::mem::swap(&mut active, &mut next_active);
         }
         if !converged {
-            converged = (0..n).all(|v| !active[v]);
+            converged = active.iter().all(|&a| !a);
         }
         let mut report = ComputeReport::new(program.name(), "async-gas", steps, converged);
-        crate::fault_hook::apply_fault_model(&mut report, &self.config, assignment);
-        crate::elastic_hook::apply_elastic_model(&mut report, &self.config, assignment);
-        crate::comms_hook::apply_comms_model(&mut report, &self.config);
-        crate::telemetry_hook::record_compute_telemetry(&self.config, &report);
+        crate::finish(&mut report, &self.config, assignment);
         (states, report)
     }
 }
@@ -254,7 +162,7 @@ impl AsyncGas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Direction;
+    use crate::program::{Direction, InitInfo};
     use gp_cluster::ClusterSpec;
     use gp_partition::{PartitionContext, Strategy};
 

@@ -14,11 +14,12 @@
 //! replicas that actually hold gather-direction edges send partial
 //! aggregates; PowerGraph's engine makes *every* mirror participate.
 
-use crate::gas::{run_gas_loop, GatherPolicy};
+use crate::accounting::GatherPolicy;
+use crate::gas::{barrier_wall, run_sync_loop};
+use crate::layout::Layout;
 use crate::program::VertexProgram;
-use crate::replicas::ReplicaTable;
 use crate::report::{ComputeReport, EngineConfig};
-use gp_core::{CsrGraph, EdgeList};
+use gp_core::EdgeList;
 use gp_partition::Assignment;
 
 /// PowerLyra's hybrid (differentiated) engine.
@@ -53,22 +54,28 @@ impl HybridGas {
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let csr = CsrGraph::from_edge_list(graph);
-        let table = ReplicaTable::build(graph, assignment);
-        let (states, mut report) = run_gas_loop(
+        let layout = Layout::build(graph, assignment, self.config.spec.machines);
+        self.run_on(&layout, assignment, program)
+    }
+
+    /// [`HybridGas::run`] on a prepared `layout` of `assignment`.
+    pub fn run_on<P: VertexProgram>(
+        &self,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+    ) -> (Vec<P::State>, ComputeReport) {
+        let (states, mut report, _) = run_sync_loop(
             &self.config,
-            &csr,
-            &table,
+            layout,
             program,
             GatherPolicy::LocalAware {
                 threshold: self.threshold,
             },
             "hybrid-gas",
+            |tallies, _| barrier_wall(&self.config, tallies),
         );
-        crate::fault_hook::apply_fault_model(&mut report, &self.config, assignment);
-        crate::elastic_hook::apply_elastic_model(&mut report, &self.config, assignment);
-        crate::comms_hook::apply_comms_model(&mut report, &self.config);
-        crate::telemetry_hook::record_compute_telemetry(&self.config, &report);
+        crate::finish(&mut report, &self.config, assignment);
         (states, report)
     }
 }

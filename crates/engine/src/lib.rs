@@ -26,19 +26,22 @@
 //! Execution is *semantically* sequential and deterministic — vertex state
 //! lives in one array, exactly as if every mirror were perfectly synced —
 //! while network/memory/time are *accounted* against the distributed layout
-//! described by the [`gp_partition::Assignment`].
+//! described by the [`gp_partition::Assignment`], prepared once per
+//! partitioning as a [`Layout`]: an engine's `run` builds one and calls its
+//! `run_on`, which callers with several jobs on one partitioning use directly.
 
+pub(crate) mod accounting;
 pub mod async_gas;
 pub mod comms_hook;
 pub mod elastic_hook;
 pub mod fault_hook;
 pub mod gas;
 pub mod hybrid;
+pub mod layout;
 pub mod pregel;
 pub mod program;
 pub mod replicas;
 pub mod report;
-pub(crate) mod sharding;
 pub mod telemetry_hook;
 
 pub use async_gas::AsyncGas;
@@ -50,6 +53,7 @@ pub use gp_elastic::{ElasticConfig, ElasticPlan, ElasticRates, RepairPolicy};
 pub use gp_net::{CommsConfig, RetryPolicy, SpeculationPolicy};
 pub use gp_par::ParConfig;
 pub use hybrid::HybridGas;
+pub use layout::Layout;
 pub use pregel::{ExecutorMemoryModel, PlacementCase, Pregel, PregelConfig};
 pub use program::{ApplyInfo, Direction, InitInfo, VertexProgram};
 pub use replicas::ReplicaTable;
@@ -57,3 +61,17 @@ pub use report::{
     base_memory_per_machine, monitor_run, ComputeReport, EngineConfig, SuperstepStats,
 };
 pub use telemetry_hook::record_compute_telemetry;
+
+/// The post-passes every engine applies to its clean report, in order:
+/// faults and checkpoints, elasticity, the comms protocols, then the trace
+/// of the timeline that results.
+pub(crate) fn finish(
+    report: &mut ComputeReport,
+    config: &EngineConfig,
+    assignment: &gp_partition::Assignment,
+) {
+    apply_fault_model(report, config, assignment);
+    apply_elastic_model(report, config, assignment);
+    apply_comms_model(report, config);
+    record_compute_telemetry(config, report);
+}

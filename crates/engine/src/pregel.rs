@@ -20,10 +20,12 @@
 //!   OOM, then fails the job (the three cases of §9.2.4, Fig 9.4), with GC
 //!   overhead growing as memory tightens.
 
-use crate::program::{ApplyInfo, InitInfo, VertexProgram};
-use crate::replicas::ReplicaTable;
-use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
-use gp_core::{CsrGraph, EdgeList, VertexId};
+use crate::accounting::{GatherPolicy, MachineTallies};
+use crate::gas::run_sync_loop;
+use crate::layout::Layout;
+use crate::program::VertexProgram;
+use crate::report::{ComputeReport, EngineConfig};
+use gp_core::EdgeList;
 use gp_partition::Assignment;
 
 /// GraphX-specific tunables on top of [`EngineConfig`].
@@ -183,6 +185,17 @@ impl Pregel {
         assignment: &Assignment,
         program: &P,
     ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
+        let layout = Layout::build(graph, assignment, self.config.base.spec.machines);
+        self.run_on(&layout, assignment, program)
+    }
+
+    /// [`Pregel::run`] on a prepared `layout` of `assignment`.
+    pub fn run_on<P: VertexProgram>(
+        &self,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+    ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
         let memory = self.memory_model();
         let graph_bytes = self.graph_bytes(assignment);
         let placement = memory.placement(graph_bytes);
@@ -199,215 +212,39 @@ impl Pregel {
             _ => 0.0,
         };
 
-        let csr = CsrGraph::from_edge_list(graph);
-        let table = ReplicaTable::build(graph, assignment);
-        let n = csr.num_vertices() as usize;
         let cfg = &self.config.base;
-        let machines = cfg.spec.machines as usize;
-        let partitions = assignment.num_partitions();
-        let info = |v: VertexId| InitInfo {
-            num_vertices: csr.num_vertices(),
-            out_degree: csr.out_degree(v),
-            in_degree: csr.in_degree(v),
-        };
-        let mut states: Vec<P::State> = (0..n)
-            .map(|v| program.init(VertexId(v as u64), info(VertexId(v as u64))))
-            .collect();
-        let mut active: Vec<bool> = (0..n)
-            .map(|v| program.initially_active(VertexId(v as u64)))
-            .collect();
-        let gdir = program.gather_direction();
-        let sdir = program.scatter_direction();
-        let cap = program.max_supersteps().min(cfg.max_supersteps);
+        let machines = cfg.spec.machines as f64;
         let compute_rate = cfg.spec.compute_threads() as f64 * cfg.spec.work_units_per_s;
         let per_iter_overhead = self.config.iteration_overhead_s
-            + self.config.task_overhead_s * partitions as f64 / cfg.spec.machines as f64;
-
-        let mut steps = Vec::new();
-        let mut converged = false;
-        for superstep in 0..cap {
-            let actives: Vec<usize> = (0..n).filter(|&v| active[v]).collect();
-            if actives.is_empty() {
-                converged = true;
-                break;
-            }
-            // --- Phase 1: semantic pass over frozen states, chunk-parallel
-            // (same deterministic scheme as the GAS engines: ordered
-            // per-chunk records, OR-merged activation bitmaps).
-            let chunks = gp_par::map_chunks(&cfg.par, actives.len(), |_, range| {
-                let mut records: Vec<(usize, P::State, bool)> = Vec::with_capacity(range.len());
-                let mut chunk_active = vec![false; n];
-                for &vi in &actives[range] {
-                    let v = VertexId(vi as u64);
-                    let mut acc: Option<P::Accum> = None;
-                    if gdir.includes_in() {
-                        for u in csr.in_neighbors(v) {
-                            let g = program.gather(v, u, &states[u.index()], info(u));
-                            acc = Some(match acc {
-                                Some(a) => program.merge(a, g),
-                                None => g,
-                            });
-                        }
-                    }
-                    if gdir.includes_out() {
-                        for u in csr.out_neighbors(v) {
-                            let g = program.gather(v, u, &states[u.index()], info(u));
-                            acc = Some(match acc {
-                                Some(a) => program.merge(a, g),
-                                None => g,
-                            });
-                        }
-                    }
-                    let new = program.apply(
-                        v,
-                        &states[vi],
-                        acc,
-                        ApplyInfo {
-                            superstep,
-                            out_degree: csr.out_degree(v),
-                            in_degree: csr.in_degree(v),
-                        },
-                    );
-                    let changed = new != states[vi];
-                    // Superstep-0 initial messages, as in Pregel.
-                    if (changed || superstep == 0) && program.activates_on_change() {
-                        if sdir.includes_out() {
-                            for u in csr.out_neighbors(v) {
-                                chunk_active[u.index()] = true;
-                            }
-                        }
-                        if sdir.includes_in() {
-                            for u in csr.in_neighbors(v) {
-                                chunk_active[u.index()] = true;
-                            }
-                        }
-                    }
-                    if program.self_reactivates(&new) {
-                        chunk_active[vi] = true;
-                    }
-                    records.push((vi, new, changed));
-                }
-                (records, chunk_active)
-            });
-            let mut records: Vec<(usize, P::State, bool)> = Vec::with_capacity(actives.len());
-            let mut next_active = vec![false; n];
-            for (chunk_records, chunk_active) in chunks {
-                records.extend(chunk_records);
-                for (na, ca) in next_active.iter_mut().zip(&chunk_active) {
-                    *na = *na || *ca;
-                }
-            }
-
-            // --- Phase 2: accounting replay, machine-sharded.
-            let mut tallies = crate::sharding::shard_tallies(cfg, machines, |t, owned, cnt| {
-                for rec in &records {
-                    let (vi, changed) = (rec.0, rec.2);
-                    let v = VertexId(vi as u64);
-                    let reps = table.replicas(v);
-                    let master = table.master_of(v);
-                    let master_machine = cfg.machine_of(master.0);
-                    for r in reps {
-                        let local_gather = (if gdir.includes_in() { r.local_in } else { 0 })
-                            + (if gdir.includes_out() { r.local_out } else { 0 });
-                        let m = cfg.machine_of(r.partition.0);
-                        if owned(m) {
-                            t.work[m] += cfg.gather_work * local_gather as f64;
-                        }
-                        // GraphX's aggregateMessages: edge partitions with
-                        // gather-direction edges emit one pre-aggregated
-                        // message per destination vertex.
-                        if local_gather > 0 && r.partition != master {
-                            if cnt {
-                                t.gather_messages += 1;
-                            }
-                            if m != master_machine {
-                                if owned(master_machine) {
-                                    t.in_bytes[master_machine] += program.accum_wire_bytes() as f64;
-                                }
-                                if owned(m) {
-                                    t.out_bytes[m] += program.accum_wire_bytes() as f64;
-                                }
-                            }
-                        }
-                    }
-                    if owned(master_machine) {
-                        t.work[master_machine] += cfg.apply_work;
-                    }
-                    if changed {
-                        // Ship the new attribute to every replica (routing
-                        // table).
-                        for r in reps {
-                            if r.partition == master {
-                                continue;
-                            }
-                            if cnt {
-                                t.sync_messages += 1;
-                            }
-                            let m = cfg.machine_of(r.partition.0);
-                            if m != master_machine {
-                                if owned(m) {
-                                    t.in_bytes[m] += program.state_wire_bytes() as f64;
-                                }
-                                if owned(master_machine) {
-                                    t.out_bytes[master_machine] +=
-                                        program.state_wire_bytes() as f64;
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-
-            // --- Phase 3: commit.
-            let mut any_changed = false;
-            for (vi, new, changed) in records {
-                if changed {
-                    states[vi] = new;
-                    any_changed = true;
-                }
-            }
+            + self.config.task_overhead_s * assignment.num_partitions() as f64 / machines;
+        let step_wall = |tallies: &mut MachineTallies, active: usize| {
             // Join overhead: the vertex RDD is co-joined with edge partitions
             // every iteration, over active vertices.
-            let join = self.config.join_work_per_vertex * actives.len() as f64;
+            let join = self.config.join_work_per_vertex * active as f64;
             for w in tallies.work.iter_mut() {
-                *w += join / machines as f64;
+                *w += join / machines;
             }
-            let wall = (tallies.work.iter().copied().fold(0.0, f64::max) / compute_rate) * gc
+            (tallies.work.iter().copied().fold(0.0, f64::max) / compute_rate) * gc
                 + tallies.in_bytes.iter().copied().fold(0.0, f64::max)
                     / cfg.spec.bandwidth_bytes_per_s
-                + per_iter_overhead;
-            steps.push(SuperstepStats {
-                superstep,
-                active_vertices: actives.len() as u64,
-                gather_messages: tallies.gather_messages,
-                sync_messages: tallies.sync_messages,
-                machine_work: tallies.work,
-                machine_in_bytes: tallies.in_bytes,
-                machine_out_bytes: tallies.out_bytes,
-                wall_seconds: wall,
-            });
-            active = if program.always_active() {
-                vec![true; n]
-            } else {
-                next_active
-            };
-            if !any_changed && superstep > 0 && !program.always_active() {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            converged = (0..n).all(|v| !active[v]);
-        }
+                + per_iter_overhead
+        };
+        let (states, mut report, frontier_empty) = run_sync_loop(
+            cfg,
+            layout,
+            program,
+            GatherPolicy::EdgePartitions,
+            "pregel",
+            step_wall,
+        );
+        // A job that drains its frontier on its last allowed iteration
+        // still finished.
+        report.converged |= frontier_empty;
         // Charge the placement retries to the first iteration.
-        if let Some(first) = steps.first_mut() {
+        if let Some(first) = report.steps.first_mut() {
             first.wall_seconds += placement_penalty_s;
         }
-        let mut report = ComputeReport::new(program.name(), "pregel", steps, converged);
-        crate::fault_hook::apply_fault_model(&mut report, cfg, assignment);
-        crate::elastic_hook::apply_elastic_model(&mut report, cfg, assignment);
-        crate::comms_hook::apply_comms_model(&mut report, cfg);
-        crate::telemetry_hook::record_compute_telemetry(cfg, &report);
+        crate::finish(&mut report, cfg, assignment);
         Ok((states, report))
     }
 }
@@ -415,8 +252,9 @@ impl Pregel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Direction;
+    use crate::program::{ApplyInfo, Direction, InitInfo};
     use gp_cluster::ClusterSpec;
+    use gp_core::VertexId;
     use gp_partition::{PartitionContext, Strategy};
 
     struct MinLabel;

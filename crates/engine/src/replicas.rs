@@ -6,7 +6,7 @@
 //! hold the edges, partial aggregates flow from replica partitions to
 //! masters, and state sync flows back.
 
-use gp_core::{EdgeList, PartitionId, VertexId};
+use gp_core::{CsrGraph, EdgeList, PartitionId, VertexId};
 use gp_partition::Assignment;
 
 /// One vertex image on one partition.
@@ -29,49 +29,10 @@ pub struct ReplicaTable {
 }
 
 impl ReplicaTable {
-    /// Build from a graph and its assignment.
-    ///
-    /// The per-edge slot lookup uses the assignment's replica bitsets:
-    /// `replica_slot` is a popcount *rank* over at most four words, O(1)
-    /// per endpoint, replacing the former double binary search. Counts land
-    /// directly in a flat image-indexed table (the assignment's frozen CSR
-    /// layout), so the build allocates three arrays total instead of one
-    /// `Vec` per vertex.
+    /// Build from a graph and its assignment: [`sweep`] without the
+    /// adjacency arrays.
     pub fn build(graph: &EdgeList, assignment: &Assignment) -> Self {
-        let n = graph.num_vertices() as usize;
-        // Per-image (local_in, local_out) counts, flat in CSR image order.
-        let mut counts = vec![(0u32, 0u32); assignment.total_images()];
-        for (i, e) in graph.edges().iter().enumerate() {
-            let p = assignment.edge_partition(i);
-            let src_slot = assignment.replica_offset(e.src) + assignment.replica_slot(e.src, p);
-            counts[src_slot].1 += 1;
-            let dst_slot = assignment.replica_offset(e.dst) + assignment.replica_slot(e.dst, p);
-            counts[dst_slot].0 += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut entries = Vec::with_capacity(counts.len());
-        offsets.push(0u64);
-        for v in 0..n {
-            let v = VertexId(v as u64);
-            let base = assignment.replica_offset(v);
-            for (slot, &p) in assignment.replicas(v).iter().enumerate() {
-                let (li, lo) = counts[base + slot];
-                entries.push(ReplicaEntry {
-                    partition: PartitionId(p),
-                    local_in: li,
-                    local_out: lo,
-                });
-            }
-            offsets.push(entries.len() as u64);
-        }
-        let masters = (0..n)
-            .map(|v| assignment.master_of(VertexId(v as u64)))
-            .collect();
-        ReplicaTable {
-            offsets,
-            entries,
-            masters,
-        }
+        sweep::<false>(graph, assignment).0
     }
 
     /// Replica entries of `v`.
@@ -98,6 +59,126 @@ impl ReplicaTable {
     pub fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
     }
+
+    /// Total number of vertex images.
+    pub fn total_images(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// The fused layout sweep: one degree-count pass, one fill pass that
+/// carries each edge's partition into adjacency order, then a sequential
+/// per-vertex pass that counts a row's partitions in a `P`-wide scratch and
+/// emits the vertex's entries in the assignment's sorted replica order — no
+/// per-edge lookup into the replica sets. With `ADJACENCY` the fill pass
+/// also writes neighbor ids and the CSR comes back; without, the graph is
+/// `None` and only the table is built. Partition ids travel as one byte
+/// per edge endpoint up to 256 partitions, so the side arrays stay small
+/// and cache-resident.
+pub(crate) fn sweep<const ADJACENCY: bool>(
+    graph: &EdgeList,
+    assignment: &Assignment,
+) -> (ReplicaTable, Option<CsrGraph>) {
+    if assignment.num_partitions() <= 256 {
+        sweep_tagged::<ADJACENCY, u8>(graph, assignment)
+    } else {
+        sweep_tagged::<ADJACENCY, u32>(graph, assignment)
+    }
+}
+
+fn sweep_tagged<const ADJACENCY: bool, T: Copy + Default + TryFrom<u32> + Into<u32>>(
+    graph: &EdgeList,
+    assignment: &Assignment,
+) -> (ReplicaTable, Option<CsrGraph>) {
+    let edges = graph.edges();
+    let parts = assignment.edge_partitions();
+    assert_eq!(parts.len(), edges.len(), "one partition per edge");
+    assert_eq!(assignment.num_vertices(), graph.num_vertices());
+    let n = graph.num_vertices() as usize;
+
+    let mut out_offsets = vec![0u64; n + 1];
+    let mut in_offsets = vec![0u64; n + 1];
+    for e in edges {
+        out_offsets[e.src.index() + 1] += 1;
+        in_offsets[e.dst.index() + 1] += 1;
+    }
+    for i in 0..n {
+        out_offsets[i + 1] += out_offsets[i];
+        in_offsets[i + 1] += in_offsets[i];
+    }
+
+    // Fill, using each row's offset as its cursor: afterwards `offsets[v]`
+    // is the *end* of row v, and shifting up by one restores the starts.
+    let adjacency_len = if ADJACENCY { edges.len() } else { 0 };
+    let mut out_targets = vec![VertexId(0); adjacency_len];
+    let mut in_sources = vec![VertexId(0); adjacency_len];
+    let mut out_parts = vec![T::default(); edges.len()];
+    let mut in_parts = vec![T::default(); edges.len()];
+    for (e, &p) in edges.iter().zip(parts) {
+        let tag = T::try_from(p.0).unwrap_or_else(|_| panic!("{p} is not a partition"));
+        let oc = &mut out_offsets[e.src.index()];
+        out_parts[*oc as usize] = tag;
+        if ADJACENCY {
+            out_targets[*oc as usize] = e.dst;
+        }
+        *oc += 1;
+        let ic = &mut in_offsets[e.dst.index()];
+        in_parts[*ic as usize] = tag;
+        if ADJACENCY {
+            in_sources[*ic as usize] = e.src;
+        }
+        *ic += 1;
+    }
+    for offsets in [&mut out_offsets, &mut in_offsets] {
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+    }
+
+    // (local_in, local_out) of the current vertex per partition; zeroed
+    // again as each entry is emitted.
+    let mut local = vec![(0u32, 0u32); assignment.num_partitions() as usize];
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut entries = Vec::with_capacity(assignment.total_images());
+    offsets.push(0u64);
+    for v in 0..n {
+        for &p in &out_parts[out_offsets[v] as usize..out_offsets[v + 1] as usize] {
+            local[p.into() as usize].1 += 1;
+        }
+        for &p in &in_parts[in_offsets[v] as usize..in_offsets[v + 1] as usize] {
+            local[p.into() as usize].0 += 1;
+        }
+        entries.extend(assignment.replicas(VertexId(v as u64)).iter().map(|&p| {
+            let (local_in, local_out) = std::mem::take(&mut local[p as usize]);
+            ReplicaEntry {
+                partition: PartitionId(p),
+                local_in,
+                local_out,
+            }
+        }));
+        offsets.push(entries.len() as u64);
+    }
+    debug_assert!(
+        local.iter().all(|&c| c == (0, 0)),
+        "an edge sits on a partition that holds no replica of its endpoint"
+    );
+    let masters = (0..n)
+        .map(|v| assignment.master_of(VertexId(v as u64)))
+        .collect();
+    let table = ReplicaTable {
+        offsets,
+        entries,
+        masters,
+    };
+    let csr = ADJACENCY.then(|| {
+        CsrGraph::from_parts(
+            graph.num_vertices(),
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
+        )
+    });
+    (table, csr)
 }
 
 #[cfg(test)]

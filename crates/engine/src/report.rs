@@ -146,13 +146,6 @@ impl EngineConfig {
     pub fn elastic_model_active(&self) -> bool {
         !self.elastic.is_disabled()
     }
-
-    /// Machine hosting partition `p` (round-robin fold, exact identity when
-    /// partitions == machines as in PowerGraph/PowerLyra).
-    #[inline]
-    pub fn machine_of(&self, partition: u32) -> usize {
-        (partition % self.spec.machines) as usize
-    }
 }
 
 /// Metrics for one synchronous superstep (or async epoch).
@@ -473,14 +466,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(c[0] < c[1]);
         assert!((c[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn machine_of_folds_partitions() {
-        let cfg = EngineConfig::new(ClusterSpec::local_9());
-        assert_eq!(cfg.machine_of(3), 3);
-        assert_eq!(cfg.machine_of(9), 0);
-        assert_eq!(cfg.machine_of(13), 4);
     }
 
     #[test]

@@ -83,13 +83,6 @@ pub fn record_compute_telemetry(config: &EngineConfig, report: &ComputeReport) {
     // them out with `csv_without_prefix(.., "par.")` when comparing.
     if config.par.is_parallel() {
         telemetry.gauge_set("par.threads", config.par.effective_threads() as f64);
-        let shards = config
-            .par
-            .effective_threads()
-            .min(config.spec.machines as usize)
-            .max(1);
-        telemetry.counter_add("par.accounting_shards", shards as u64);
-        telemetry.counter_add("par.sharded_supersteps", report.supersteps() as u64);
     }
     if report.supersteps_replayed > 0 {
         telemetry.counter_add(

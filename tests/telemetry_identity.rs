@@ -208,8 +208,6 @@ fn thread_count_changes_artifacts_only_by_par_entries() {
     let csv4 = sink4.metrics_csv();
     assert!(csv4.contains("par.threads"), "{csv4}");
     assert!(csv4.contains("par.ingress_chunks"), "{csv4}");
-    assert!(csv4.contains("par.accounting_shards"), "{csv4}");
-    assert!(csv4.contains("par.sharded_supersteps"), "{csv4}");
     assert_eq!(
         csv1,
         csv_without_prefix(&csv4, "par."),
