@@ -1,8 +1,8 @@
 //! Measures multi-threaded ingress throughput — edges/second at 1, 2 and
 //! 4 threads on a synthetic power-law graph — for one stateless strategy
-//! (Random: the pure-function assignment path), the sequential stateful
-//! baselines (HDRF and Oblivious at window 0: the greedy per-loader-state
-//! path), the windowed speculative stateful paths (HDRF-par and
+//! (Random: the pure-function assignment path), the one-edge-at-a-time
+//! stateful baselines (HDRF and Oblivious at window 0: each loader's
+//! kernel driven edge by edge), the same kernels windowed (HDRF-par and
 //! Oblivious-par at window 4096: parallel scoring + sequential conflict
 //! repair), and the adaptive controller (HDRF-auto at `--window auto`),
 //! and writes the results to `BENCH_ingress.json` in the working
@@ -14,12 +14,12 @@
 //!   `BENCH_ingress.json` must appear in this run's sweep. A label that
 //!   silently drops out of the bench is a FAILURE, not a skip — that is
 //!   how a parallel path quietly stops being measured.
-//! - **Any host:** windowed HDRF at 1 thread (fixed window and `auto`)
-//!   must be at least as fast as sequential HDRF at 1 thread — the
-//!   speculate/repair machinery and the lane-unrolled scorer must pay for
-//!   themselves even before parallelism enters. Oblivious-par, whose
-//!   scorer is too cheap to hide the window bookkeeping, carries a 0.75x
-//!   regression bound instead of parity.
+//! - **Any host:** windowed ingress at 1 thread (HDRF-par, HDRF-auto,
+//!   Oblivious-par) must stay above 0.60x of its own window-0 row. Both
+//!   windows run the same scoring kernel, so at one thread speculation is
+//!   extra work by construction (every conflicted edge is scored twice,
+//!   plus stamp and buffer bookkeeping); the floor bounds that overhead, it
+//!   does not promise a win.
 //! - **≥ 4 cores:** 4-thread ingress must be at least as fast as 1-thread
 //!   for every sweep (including stateless Random, whose shard merge is the
 //!   reduction tree), and windowed HDRF at 4 threads — fixed window and
@@ -89,8 +89,9 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let prior = committed_labels("BENCH_ingress.json");
     let graph = gp_gen::barabasi_albert(VERTICES, EDGES_PER_VERTEX as u32, 1);
-    // (label, strategy, window): window 0 is the sequential kernel, window
-    // >= 2 the speculative one, WINDOW_AUTO the adaptive controller.
+    // (label, strategy, window): window 0 drives the kernel one edge at a
+    // time, window >= 2 speculates a window at a time on the same kernel,
+    // WINDOW_AUTO lets the adaptive controller size the windows.
     let plans: [(&str, Strategy, u32); 6] = [
         ("Random", Strategy::Random, 0),
         ("HDRF", Strategy::Hdrf, 0),
@@ -198,32 +199,32 @@ fn main() {
                 .find(|(l, _, _)| *l == label)
                 .map(|(_, _, r)| r[2].1)
         };
-        // Single-thread overhead gate, valid on any host: the windowed HDRF
-        // kernel at 1 thread must not lose to its own sequential baseline —
-        // the frozen-aggregate snapshot and lane-unrolled scorer must pay
-        // for the speculate/repair bookkeeping outright. A 2% measurement
-        // allowance keeps timer jitter from flapping the gate; real
-        // speculation overhead shows up far larger. Oblivious's scorer is a
-        // handful of set probes, too cheap to amortize window bookkeeping
-        // at parity, so its pair only carries a 0.75x regression bound.
-        for (windowed, baseline, floor) in [
-            ("HDRF-par", "HDRF", 0.98),
-            ("HDRF-auto", "HDRF", 0.98),
-            ("Oblivious-par", "Oblivious", 0.75),
+        // Single-thread overhead gate, valid on any host. Window 0 and
+        // window W run the same kernel, so at one thread the windowed rows
+        // can only lose: a repaired edge is scored twice and every edge
+        // pays the stamp/buffer bookkeeping. By CPU time the ratio is
+        // 0.68-0.82x for all three rows (EXPERIMENTS.md "One kernel per
+        // stateful strategy"); the floor sits under that band so the
+        // overhead cannot grow unnoticed.
+        const FLOOR: f64 = 0.60;
+        for (windowed, baseline) in [
+            ("HDRF-par", "HDRF"),
+            ("HDRF-auto", "HDRF"),
+            ("Oblivious-par", "Oblivious"),
         ] {
             let (Some(w1), Some(b1)) = (one_thread(windowed), one_thread(baseline)) else {
                 continue;
             };
-            if w1 < floor * b1 {
+            if w1 < FLOOR * b1 {
                 eprintln!(
                     "par-smoke FAILED [{windowed}]: windowed ingress at 1 thread ({w1:.0} \
-                     edges/s) is under {floor}x sequential {baseline} ({b1:.0} edges/s)"
+                     edges/s) is under {FLOOR}x window-0 {baseline} ({b1:.0} edges/s)"
                 );
                 failed = true;
             } else {
                 println!(
                     "par-smoke OK [{windowed}]: 1-thread windowed {w1:.0} edges/s vs {b1:.0} \
-                     sequential ({:.2}x, floor {floor}x)",
+                     at window 0 ({:.2}x, floor {FLOOR}x)",
                     w1 / b1
                 );
             }

@@ -90,11 +90,11 @@ pub enum Command {
         /// Ingress worker threads (0 = all cores). Output is byte-identical
         /// at any value.
         threads: u32,
-        /// Speculative ingress window for stateful strategies (0/1 =
-        /// sequential kernel; >= 2 = windowed speculative, quality-parity
-        /// rather than byte-identity with window 0, still byte-identical
-        /// across thread counts; `gp_partition::WINDOW_AUTO`, CLI "auto" =
-        /// adaptive controller).
+        /// Speculative ingress window for stateful strategies (0/1 = the
+        /// kernel one edge at a time; >= 2 = the same kernel a window at a
+        /// time, quality-parity rather than byte-identity with window 0,
+        /// still byte-identical across thread counts;
+        /// `gp_partition::WINDOW_AUTO`, CLI "auto" = adaptive controller).
         window: u32,
         out: Option<String>,
     },
@@ -832,8 +832,8 @@ byte-identical at any thread count — parallelism only changes speed.
 stateful strategies (hdrf, oblivious, hybrid, hybrid-ginger): edges are cut
 into W-edge windows, workers score each window in parallel against a
 read-only snapshot, and a sequential repair pass re-scores only the edges
-whose inputs changed. W of 0 (default) or 1 runs the exact sequential
-kernels; W >= 2 trades byte-identity with the sequential kernel for speed
+whose inputs changed. W of 0 (default) or 1 runs the same kernel one edge
+at a time; W >= 2 trades byte-identity with that one-edge drive for speed
 while staying within 5% on replication factor and balance — and remains
 byte-identical across thread counts at a fixed W. `--window auto` sizes
 windows adaptively: they grow geometrically while the repair rate stays

@@ -13,12 +13,12 @@
 //!   churn-replay suite.
 //! * **Stateful heuristics** (Oblivious, HDRF, Hybrid, H-Ginger, Chunking)
 //!   depend on the order and sharding of the batch stream, which a live
-//!   stream cannot reproduce. Their incremental variants run the loader-0
-//!   decision rule over the live stream — the same scoring code, single
-//!   shard — and are *quality-parity* approximations: `is_exact()` is
-//!   `false`, and the serve-level tests gate replication factor and edge
-//!   balance to within 5% of a batch re-partition instead of demanding
-//!   byte equality.
+//!   stream cannot reproduce. Oblivious and HDRF run loader 0's
+//!   `WindowKernel` one edge at a time over the live stream — the very
+//!   step batch ingress runs at `window <= 1`, single shard — and are
+//!   *quality-parity* approximations: `is_exact()` is `false`, and the
+//!   serve-level tests gate replication factor and edge balance to within
+//!   5% of a batch re-partition instead of demanding byte equality.
 //!
 //! Deletes call [`IncrementalPartitioner::retire`], which decays whatever
 //! running state the heuristic keeps (partition loads, degree counters).
@@ -26,14 +26,16 @@
 //! concern handled by the serving layer's refcounts, mirroring how deployed
 //! systems keep mirrors warm until a rebalance reclaims them.
 
+use crate::partitioner::CostModel;
+use crate::speculative::{ScoreScratch, WindowKernel};
 use crate::strategies::bicut::bicut_edge;
 use crate::strategies::constrained::{grid_edge, pds_edge};
 use crate::strategies::hash::{
     asym_random_edge, one_d_edge, one_d_target_edge, random_edge, two_d_edge,
 };
-use crate::strategies::hdrf::HdrfLoader;
+use crate::strategies::hdrf::HdrfWindowKernel;
 use crate::strategies::hybrid::hybrid_edge;
-use crate::strategies::oblivious::{oblivious_choose, GreedyState};
+use crate::strategies::oblivious::ObliviousWindowKernel;
 use crate::strategies::{FavoriteSide, Pds, TwoD};
 use crate::strategy::Strategy;
 use gp_core::{Edge, PartitionId};
@@ -41,10 +43,11 @@ use gp_core::{Edge, PartitionId};
 /// A partitioner that assigns one edge at a time and can unwind deletes.
 ///
 /// `assign` takes the edge's position in the lifetime stream (`index`,
-/// counting every insert since serving began — only Chunking uses it) and
-/// must be called in stream order for the stateful heuristics to be
-/// meaningful. Implementations are `Send` so a serving loop can live on a
-/// worker thread.
+/// counting every insert since serving began — it picks Chunking's chunk
+/// and keys the greedy kernels' tie-break RNG) and must be called in
+/// stream order for the stateful heuristics to be meaningful.
+/// Implementations are `Send` so a serving loop can live on a worker
+/// thread.
 pub trait IncrementalPartitioner: Send {
     /// Short name matching the batch partitioner's figure label.
     fn name(&self) -> &'static str;
@@ -102,71 +105,41 @@ impl IncrementalPartitioner for Stateless {
     }
 }
 
-/// Incremental Oblivious: the loader-0 greedy state fed by the live stream.
-struct IncrementalOblivious {
-    state: GreedyState,
+/// Incremental Oblivious / HDRF: loader 0's kernel fed by the live stream,
+/// one [`WindowKernel::step`] per insert.
+struct IncrementalGreedy<K> {
+    name: &'static str,
+    kernel: K,
+    scratch: ScoreScratch,
 }
 
-impl IncrementalPartitioner for IncrementalOblivious {
+impl<K: WindowKernel> IncrementalGreedy<K> {
+    fn boxed(name: &'static str, kernel: K) -> Box<Self> {
+        let scratch = ScoreScratch::new(kernel.greedy().load.len());
+        Box::new(IncrementalGreedy {
+            name,
+            kernel,
+            scratch,
+        })
+    }
+}
+
+impl<K: WindowKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
     fn name(&self) -> &'static str {
-        "Oblivious"
+        self.name
     }
 
-    fn assign(&mut self, _index: u64, e: Edge) -> PartitionId {
-        let p = oblivious_choose(&mut self.state, e);
-        self.state.commit(e, p);
-        p
-    }
-
-    fn retire(&mut self, _e: Edge, p: PartitionId) {
-        let load = &mut self.state.load[p.index()];
-        *load = load.saturating_sub(1);
-        self.state.assigned = self.state.assigned.saturating_sub(1);
-    }
-
-    fn warm(&mut self, e: Edge, p: PartitionId) {
-        self.state.commit(e, p);
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
-    fn state_bytes(&self) -> u64 {
-        self.state.state_bytes()
-    }
-}
-
-/// Incremental HDRF: the loader-0 HDRF scorer fed by the live stream.
-struct IncrementalHdrf {
-    loader: HdrfLoader,
-}
-
-impl IncrementalPartitioner for IncrementalHdrf {
-    fn name(&self) -> &'static str {
-        "HDRF"
-    }
-
-    fn assign(&mut self, _index: u64, e: Edge) -> PartitionId {
-        let p = self.loader.choose(e);
-        self.loader.greedy.commit(e, p);
-        p
+    fn assign(&mut self, index: u64, e: Edge) -> PartitionId {
+        self.kernel.step(e, index as usize, &mut self.scratch)
     }
 
     fn retire(&mut self, e: Edge, p: PartitionId) {
-        let load = &mut self.loader.greedy.load[p.index()];
-        *load = load.saturating_sub(1);
-        self.loader.greedy.assigned = self.loader.greedy.assigned.saturating_sub(1);
-        // Partial degrees shrink with the graph so θ keeps tracking the
-        // live degree distribution.
-        for v in [e.src, e.dst] {
-            let d = &mut self.loader.partial_degree[v.index()];
-            *d = d.saturating_sub(1);
-        }
+        self.kernel.retire(e, p);
     }
 
     fn warm(&mut self, e: Edge, p: PartitionId) {
-        self.loader.warm(e, p);
+        self.kernel.greedy_mut().commit_priced(e, p);
+        self.kernel.end_window(std::slice::from_ref(&e));
     }
 
     fn is_exact(&self) -> bool {
@@ -174,7 +147,7 @@ impl IncrementalPartitioner for IncrementalHdrf {
     }
 
     fn state_bytes(&self) -> u64 {
-        self.loader.state_bytes()
+        self.kernel.state_bytes()
     }
 }
 
@@ -331,14 +304,16 @@ impl Strategy {
                 let ds = Pds::difference_set(order).expect("difference set exists for prime order");
                 stateless("PDS", Box::new(move |e| pds_edge(e, seed, &ds, p)))
             }
-            // Stateful heuristics run the loader-0 decision rule (same
-            // seed derivation as batch loader 0) over the live stream.
-            Strategy::Oblivious => Box::new(IncrementalOblivious {
-                state: GreedyState::new(p, num_vertices, seed ^ 0x0b11),
-            }),
-            Strategy::Hdrf => Box::new(IncrementalHdrf {
-                loader: HdrfLoader::new(p, num_vertices, seed ^ 0x4d5f, 1.0),
-            }),
+            // Stateful heuristics run loader 0's kernel (same seed
+            // derivation as batch loader 0) over the live stream.
+            Strategy::Oblivious => IncrementalGreedy::boxed(
+                "Oblivious",
+                ObliviousWindowKernel::new(p, num_vertices, seed ^ 0x0b11, &CostModel::default()),
+            ),
+            Strategy::Hdrf => IncrementalGreedy::boxed(
+                "HDRF",
+                HdrfWindowKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0, &CostModel::default()),
+            ),
             Strategy::Hybrid => Box::new(IncrementalHybrid {
                 name: "Hybrid",
                 in_deg: vec![0; num_vertices as usize],

@@ -74,27 +74,20 @@ pub struct PartitionContext {
     /// ordered-reduction rule.
     pub par: ParConfig,
     /// Speculative-ingress window, in edges, for the stateful strategies.
-    /// `0` (the default) and `1` keep the exact sequential greedy kernels.
-    /// `window >= 2` switches HDRF, Oblivious and H-Ginger's refinement
-    /// phase to the windowed speculative kernel (`crate::speculative`):
-    /// the output is a pure function of `(graph, seed, partitions,
-    /// loaders, window)` — still independent of `par.threads` — but sits
-    /// within a *quality-parity* envelope of the sequential kernel (RF and
-    /// balance within 5%) rather than being byte-identical to it, because
-    /// conflict repair legitimately changes tie-break draw order.
+    /// `0` (the default) and `1` drive the greedy kernels one edge at a
+    /// time. `window >= 2` scores HDRF, Oblivious and H-Ginger's refinement
+    /// phase a window at a time against a frozen snapshot
+    /// (`crate::speculative`): the output is a pure function of `(graph,
+    /// seed, partitions, loaders, window)` — still independent of
+    /// `par.threads` — but sits within a *quality-parity* envelope of the
+    /// one-edge drive (RF and balance within 5%) rather than being
+    /// byte-identical to it, because state is frozen per window.
     /// [`gp_partition::WINDOW_AUTO`](crate::WINDOW_AUTO) (CLI: `--window
     /// auto`) selects adaptive sizing: the window grows while the repair
     /// rate stays low and shrinks on conflict storms, with the schedule
     /// derived purely from committed-edge counts — so it too is
     /// bit-identical at every thread count.
     pub window: u32,
-    /// Whether windowed loader blocks may overlap on the bounded two-stage
-    /// block pipeline (block `N+1` speculates while block `N`'s repair
-    /// walk commits). On by default; results are byte-identical either way
-    /// — each block is a pure function of its own edge range and outputs
-    /// fold in block order — so the knob exists only for the overlap
-    /// on/off identity gate and for single-threaded debugging.
-    pub overlap: bool,
 }
 
 impl PartitionContext {
@@ -110,7 +103,6 @@ impl PartitionContext {
             telemetry: TelemetrySink::Disabled,
             par: ParConfig::default(),
             window: 0,
-            overlap: true,
         }
     }
 
@@ -143,17 +135,10 @@ impl PartitionContext {
     }
 
     /// Set the speculative-ingress window (edges per window; `0` = off,
-    /// i.e. the exact sequential greedy kernels;
-    /// [`crate::WINDOW_AUTO`] = adaptive). See [`Self::window`].
+    /// i.e. one edge at a time; [`crate::WINDOW_AUTO`] = adaptive). See
+    /// [`Self::window`].
     pub fn with_window(mut self, window: u32) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Enable or disable overlapped loader blocks on the windowed path.
-    /// Output is byte-identical either way; see [`Self::overlap`].
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
         self
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! HDRF and Oblivious assign each edge by scoring it against state mutated
 //! by every previous edge — an inherently sequential loop that caps ingress
-//! at ~4.4M edges/s while the stateless hash families stream at 50M+. This
+//! at ~6M edges/s while the stateless hash families stream at 40M+. This
 //! module breaks that wall with *bounded speculation*:
 //!
 //! 1. **Window.** Each loader's edge block is cut into windows — fixed
@@ -34,13 +34,23 @@
 //!    insensitive to how the window was chunked.
 //!
 //! Loader blocks themselves overlap through [`gp_par::pipeline_ordered`]
-//! (see [`partition_windowed_blocks`]): each block is a pure function of
-//! its own edge range — own kernel, own stamp set, own window schedule —
-//! so while block `N`'s repair walk commits, block `N+1`'s windows are
-//! already being scored on another worker. Results concatenate strictly in
-//! block order, which is why the overlap knob cannot change a single byte.
+//! (see [`partition_blocks`]): each block is a pure function of its own
+//! edge range — own kernel, own stamp set, own window schedule — so while
+//! block `N`'s repair walk commits, block `N+1`'s windows are already being
+//! scored on another worker. Results concatenate strictly in block order,
+//! so scheduling cannot change a single byte.
 //!
 //! ## Determinism and the quality-parity contract
+//!
+//! Each rule is implemented once, as a [`WindowKernel`]. *Sequential*
+//! ingress (`window <= 1`) is the window-1 drive of that kernel
+//! ([`run_sequential`], one [`WindowKernel::step`] per edge), which is also
+//! the serving-time assign step. A window only changes *when* state is
+//! frozen, never which function scores: at `W = 1` the snapshot is the live
+//! state, so [`run_windowed`] at `W = 1` commits byte-for-byte what the
+//! sequential drive commits (tested below) — the drive just skips the
+//! stamp set, chunk dispatch and per-window buffers one edge cannot
+//! amortize.
 //!
 //! The committed output is a pure function of `(graph, seed, partitions,
 //! loaders, window)`: window boundaries (fixed *or* adaptive — the
@@ -49,17 +59,17 @@
 //! independent of `--threads`, so any thread count yields byte-identical
 //! placements — `threads == 1` simply runs the speculation loop inline.
 //!
-//! The output is **not** byte-identical to the sequential kernel (`window
-//! == 0`): repaired edges legitimately re-draw tie-breaks, degree counters
-//! are frozen per window (an edge's θ sees previous windows plus its own
-//! endpoints, not same-window predecessors), and pure balance drift within
-//! a window is deliberately not treated as a conflict. Those deviations are
-//! bounded by the window length and gated by the `stateful_parity` suite:
-//! replication factor and balance within 5% of the sequential kernel, and
-//! `window <= 1` dispatches to the sequential code path, byte-identical by
-//! construction.
+//! `window >= 2` output is **not** byte-identical to `window <= 1`: degree
+//! counters are frozen per window (an edge's θ sees previous windows plus
+//! its own endpoints, not same-window predecessors), and pure balance drift
+//! within a window is deliberately not treated as a conflict. Those
+//! deviations are bounded by the window length and gated by the
+//! `stateful_parity` suite: replication factor and balance within 5% of the
+//! window-1 drive.
 
-use crate::partitioner::{loader_ranges, PartitionContext};
+use crate::assignment::Assignment;
+use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome};
+use crate::strategies::oblivious::GreedyState;
 use gp_core::{
     for_each_edge, DegreeTable, Edge, PartitionId, PartitionSet, Splitmix64, StreamingEdges,
     VertexId,
@@ -249,9 +259,9 @@ impl StampSet {
 
 /// The per-edge tie-break RNG of the windowed kernels: a fresh
 /// [`Splitmix64`] keyed by `(loader seed, stream index)`. Giving every edge
-/// its own stream (instead of the sequential kernel's single shared stream)
-/// is what lets speculation and repair score the same edge identically no
-/// matter which worker — or which pass — evaluates it.
+/// its own stream is what lets speculation, repair, the sequential drive
+/// and the serving step score the same edge identically no matter which
+/// worker — or which pass — evaluates it.
 #[inline]
 pub(crate) fn edge_rng(seed: u64, global_idx: usize) -> Splitmix64 {
     Splitmix64::new(gp_core::hash_u64(global_idx as u64, seed))
@@ -283,20 +293,15 @@ pub fn sharded_degree_table(graph: &dyn StreamingEdges, par: &ParConfig) -> Degr
 /// f64 multiply/add plus a branchless capacity select, so on targets with
 /// 256-bit vectors (`target_feature = "avx2"`) LLVM lowers each 4-lane
 /// group to single `vmulpd`/`vaddpd`/`vblendvpd` instructions; elsewhere
-/// the identical code stays scalar-safe — and because vector mul/add round
-/// exactly like their scalar IEEE-754 counterparts, both lowerings are
-/// bit-identical.
-#[cfg(target_feature = "avx2")]
-pub(crate) const SCORE_LANES: usize = 4;
-/// Scalar-safe fallback: the same 4-wide loop shape, lowered to scalar ops.
-#[cfg(not(target_feature = "avx2"))]
+/// the identical code lowers to scalar ops — and because vector mul/add
+/// round exactly like their scalar IEEE-754 counterparts, both lowerings
+/// are bit-identical.
 pub(crate) const SCORE_LANES: usize = 4;
 
 /// Least-loaded partition over all partitions, ties broken uniformly with
-/// `rng` (one draw over ascending order) — the pure-function analogue of
-/// `GreedyState::least_loaded_all` for snapshot scoring. The min/tie
-/// reduction runs in [`SCORE_LANES`]-wide unrolled lanes; min and tie-count
-/// are order-insensitive, and the final pick scans ascending, so the result
+/// `rng` (one draw over ascending order). The min/tie reduction runs in
+/// [`SCORE_LANES`]-wide unrolled lanes; min and tie-count are
+/// order-insensitive, and the final pick scans ascending, so the result
 /// matches the scalar loop exactly.
 pub(crate) fn least_loaded_all(loads: &[u64], rng: &mut Splitmix64) -> PartitionId {
     let mut lane_min = [u64::MAX; SCORE_LANES];
@@ -329,8 +334,7 @@ pub(crate) fn least_loaded_all(loads: &[u64], rng: &mut Splitmix64) -> Partition
 }
 
 /// Least-loaded partition among a non-empty candidate set, ties broken
-/// uniformly with `rng` over ascending bit order — the pure-function
-/// analogue of `GreedyState::least_loaded_in`.
+/// uniformly with `rng` over ascending bit order.
 pub(crate) fn least_loaded_in(
     loads: &[u64],
     candidates: &PartitionSet,
@@ -366,8 +370,8 @@ pub(crate) fn least_loaded_in(
 /// membership is two shifts off the replica-bitset words, the capacity
 /// constraint is a select to `-inf` — and the best/tie scan walks the
 /// filled buffer in ascending partition order with the same `1e-12`
-/// epsilon as the sequential kernel. Returns `None` when every partition
-/// is at capacity (caller falls back to least-loaded).
+/// epsilon. When every partition is at capacity (transient at tiny loads)
+/// it falls back to the least-loaded one, as Oblivious does.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hdrf_score(
     loads: &[u64],
@@ -381,7 +385,7 @@ pub(crate) fn hdrf_score(
     min_load: f64,
     rng: &mut Splitmix64,
     scores: &mut [f64],
-) -> Option<PartitionId> {
+) -> PartitionId {
     let p = loads.len();
     debug_assert_eq!(scores.len(), p);
     const EPS: f64 = 1.0;
@@ -424,9 +428,9 @@ pub(crate) fn hdrf_score(
         scores[j] = lane(j);
         j += 1;
     }
-    // Best score and tie count over the filled buffer (ascending order,
-    // same epsilon as the sequential kernel). `NaN <= eps` is false, so
-    // an all-at-capacity buffer (best stays -inf) leaves `tied == 0`.
+    // Best score and tie count over the filled buffer (ascending order).
+    // `NaN <= eps` is false, so an all-at-capacity buffer (best stays -inf)
+    // leaves `tied == 0`.
     let mut best_score = f64::NEG_INFINITY;
     let mut tied = 0u64;
     for &score in scores.iter() {
@@ -438,14 +442,14 @@ pub(crate) fn hdrf_score(
         }
     }
     if tied == 0 {
-        return None;
+        return least_loaded_all(loads, rng);
     }
     let pick = rng.next_below(tied);
     let mut seen = 0;
     for (m, &score) in scores.iter().enumerate() {
         if (score - best_score).abs() <= 1e-12 {
             if seen == pick {
-                return Some(PartitionId(m as u32));
+                return PartitionId(m as u32);
             }
             seen += 1;
         }
@@ -454,9 +458,9 @@ pub(crate) fn hdrf_score(
 }
 
 /// Oblivious's Appendix-A case analysis as a pure function of the visible
-/// state — the snapshot-scoring analogue of `oblivious_choose`. The
-/// intersection/union cases are word-wise AND/OR over the bitset words and
-/// the least-loaded fallbacks run the lane-unrolled min reduction.
+/// state. The intersection/union cases are word-wise AND/OR over the
+/// bitset words and the least-loaded fallbacks run the lane-unrolled min
+/// reduction.
 pub(crate) fn oblivious_score(
     loads: &[u64],
     capacity: u64,
@@ -483,19 +487,23 @@ pub(crate) fn oblivious_score(
     }
 }
 
-/// One strategy's view of the windowed driver: pure scoring functions over
-/// the committed state (frozen-snapshot and live variants), a capacity
-/// guard, a commit, and a deferred end-of-window degree merge.
+/// One stateful strategy's scoring rule, the only implementation of it: a
+/// per-loader [`GreedyState`] plus pure scoring functions over it
+/// (frozen-snapshot and live variants) and a deferred end-of-window degree
+/// merge. Batch ingress at every window and the serving-time assign step
+/// all reach the rule through this trait.
 pub(crate) trait WindowKernel: Sync {
-    /// Number of partitions scored (sizes the [`ScoreScratch`]).
-    fn partitions(&self) -> usize;
+    /// The replica sets, loads and work tally the rule scores against; the
+    /// drivers commit placements into it.
+    fn greedy(&self) -> &GreedyState;
+    fn greedy_mut(&mut self) -> &mut GreedyState;
 
     /// Called once per window, before any speculation: cache whatever load
     /// aggregates the frozen-state score reads (max/min load, capacity).
     /// The committed state does not change between here and the repair
     /// walk, so the cache equals a per-edge recomputation — it just lifts
     /// two O(p) scans per edge out of the speculation hot loop.
-    fn begin_window(&mut self) {}
+    fn begin_window(&mut self);
 
     /// Score edge `e` (stream index `idx`) against the window-start
     /// snapshot. Must be a pure read: it is called concurrently by
@@ -503,56 +511,79 @@ pub(crate) trait WindowKernel: Sync {
     /// [`Self::begin_window`].
     fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId;
 
-    /// Score edge `e` against the live mid-window state (the repair
-    /// re-score for conflicted edges). Same pure function as
-    /// [`Self::score_frozen`], but all aggregates are recomputed from the
-    /// live loads.
+    /// Score edge `e` against the live state (the repair re-score for
+    /// conflicted edges, and every edge of the window-1 drive). Same pure
+    /// function as [`Self::score_frozen`], but all aggregates are
+    /// recomputed from the live loads.
     fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId;
-
-    /// True when the live load of `p` disqualifies a speculative placement.
-    fn over_capacity(&self, p: PartitionId) -> bool;
-
-    /// Commit `e -> p`: loads, replica sets, work accounting.
-    fn apply(&mut self, e: Edge, p: PartitionId);
 
     /// Fold the committed window's endpoint touches into deferred state
     /// (degree counters), called after the whole window has committed —
     /// degree counters are frozen for the duration of a window by design.
     fn end_window(&mut self, _edges: &[Edge]) {}
 
-    /// Simulated work units burned by this loader so far.
-    fn work(&self) -> f64;
+    /// Window 1 for one edge: score against the live state, commit, fold.
+    /// This is the sequential ingress step and the serving assign step.
+    #[inline]
+    fn step(&mut self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
+        let p = self.score_live(e, idx, scratch);
+        self.greedy_mut().commit_priced(e, p);
+        self.end_window(std::slice::from_ref(&e));
+        p
+    }
 
-    /// Peak strategy-private state estimate for ingress memory accounting.
-    fn state_bytes(&self, num_vertices: u64, stats: &SpecStats) -> u64;
+    /// Unwind a served delete of `e` from `p`: decay loads (and degree
+    /// counters) so later placements see the smaller graph.
+    fn retire(&mut self, _e: Edge, p: PartitionId) {
+        self.greedy_mut().retire(p);
+    }
+
+    /// Strategy-private state estimate for ingress memory accounting,
+    /// excluding whatever windowing machinery the driver allocates.
+    fn state_bytes(&self) -> u64 {
+        self.greedy().state_bytes()
+    }
+}
+
+/// Drive one loader block one edge at a time — window 1 of the kernel,
+/// without the stamp set, chunk dispatch and per-window buffers of
+/// [`run_windowed`] — appending placements to `parts` in stream order.
+pub(crate) fn run_sequential<K: WindowKernel>(
+    graph: &dyn StreamingEdges,
+    block: Range<usize>,
+    kernel: &mut K,
+    parts: &mut Vec<PartitionId>,
+) {
+    let mut scratch = ScoreScratch::new(kernel.greedy().load.len());
+    let mut idx = block.start;
+    for_each_edge(graph, block, |e| {
+        parts.push(kernel.step(e, idx, &mut scratch));
+        idx += 1;
+    });
 }
 
 /// Drive one loader block through the windowed speculate/repair/merge
-/// cycle, appending placements to `parts` in stream order. `window` is the
-/// raw context value — a fixed size or [`WINDOW_AUTO`].
-#[allow(clippy::too_many_arguments)] // one slot per piece of per-block state
+/// cycle, appending placements to `parts` in stream order. `ctx.window` is
+/// a fixed size or [`WINDOW_AUTO`].
 pub(crate) fn run_windowed<K: WindowKernel>(
     graph: &dyn StreamingEdges,
     block: Range<usize>,
-    window: u32,
-    par: &ParConfig,
+    ctx: &PartitionContext,
     kernel: &mut K,
-    stamp: &mut StampSet,
     parts: &mut Vec<PartitionId>,
-    stats: &mut SpecStats,
-) {
-    debug_assert!(
-        window >= 2,
-        "window <= 1 dispatches to the sequential kernel"
-    );
-    let mut ctl = WindowController::new(window);
+) -> SpecStats {
+    debug_assert!(ctx.window >= 1, "a window holds at least one edge");
+    let partitions = kernel.greedy().load.len();
+    let mut stats = SpecStats::default();
+    let mut stamp = StampSet::new(graph.num_vertices() as usize);
+    let mut ctl = WindowController::new(ctx.window);
     let slice = graph.as_edge_slice();
     // Reused across windows: the spill buffer for non-memory sources (the
     // in-memory fast path scores straight off the stream's slice) and the
     // speculative-choice buffer the workers fill in place.
     let mut buf: Vec<Edge> = Vec::new();
     let mut spec: Vec<PartitionId> = Vec::new();
-    let mut repair_scratch = ScoreScratch::new(kernel.partitions());
+    let mut repair_scratch = ScoreScratch::new(partitions);
     let mut start = block.start;
     while start < block.end {
         let end = (start + ctl.current()).min(block.end);
@@ -573,8 +604,8 @@ pub(crate) fn run_windowed<K: WindowKernel>(
         spec.clear();
         spec.resize(edges.len(), PartitionId(0));
         let k: &K = kernel;
-        gp_par::fill_chunks(par, &mut spec, |_, r, out| {
-            let mut scratch = ScoreScratch::new(k.partitions());
+        gp_par::fill_chunks(&ctx.par, &mut spec, |_, r, out| {
+            let mut scratch = ScoreScratch::new(partitions);
             for (slot, i) in out.iter_mut().zip(r) {
                 *slot = k.score_frozen(edges[i], wrange.start + i, &mut scratch);
             }
@@ -589,14 +620,14 @@ pub(crate) fn run_windowed<K: WindowKernel>(
             let e = edges[i];
             let clean = !stamp.contains(e.src)
                 && !stamp.contains(e.dst)
-                && !kernel.over_capacity(provisional);
+                && !kernel.greedy().over_capacity(provisional);
             let p = if clean {
                 provisional
             } else {
                 repaired += 1;
                 kernel.score_live(e, wrange.start + i, &mut repair_scratch)
             };
-            kernel.apply(e, p);
+            kernel.greedy_mut().commit_priced(e, p);
             stamp.mark(e.src);
             stamp.mark(e.dst);
             parts.push(p);
@@ -608,52 +639,58 @@ pub(crate) fn run_windowed<K: WindowKernel>(
         stats.speculated += committed as u64 - repaired;
         stats.repaired += repaired;
         stats.max_window = stats.max_window.max(committed as u64);
-        ctl.observe(committed, repaired, stats);
+        ctl.observe(committed, repaired, &mut stats);
         start = end;
     }
+    stats
 }
 
-/// Run every loader block of a windowed stateful strategy and fold the
-/// results in block order: the shared driver behind HDRF's and Oblivious's
-/// `window >= 2` paths. Each block is a pure function of its own edge
-/// range — own kernel (from `make_kernel`), own stamp set, own window
-/// schedule — so when the context enables overlap and real threads are
-/// available, blocks run on the bounded two-stage
-/// [`gp_par::pipeline_ordered`]: block `N+1` speculates while block `N`'s
-/// repair walk commits and its output is folded. Consumption order is
-/// block order either way, which is why `overlap` on/off (and any thread
-/// count) produces byte-identical placements.
-pub(crate) fn partition_windowed_blocks<K, F>(
+/// Run every loader block of a stateful strategy and freeze the outcome:
+/// the whole of HDRF's and Oblivious's `partition`. Each block is a pure
+/// function of its own edge range — own kernel (from `make_kernel`), own
+/// window schedule — driven one edge at a time for `window <= 1` and
+/// through speculate/repair otherwise. Sequential blocks all run at once on
+/// the ordered pool; windowed blocks, whose parallelism lives inside each
+/// window, go through the bounded two-stage [`gp_par::pipeline_ordered`]
+/// (block `N+1` speculates while block `N`'s repair walk commits).
+/// Consumption order is block order either way, so no schedule or thread
+/// count changes a byte.
+pub(crate) fn partition_blocks<K, F>(
+    name: &'static str,
     graph: &dyn StreamingEdges,
     ctx: &PartitionContext,
     make_kernel: F,
-) -> (Vec<PartitionId>, Vec<f64>, u64, SpecStats)
+) -> PartitionOutcome
 where
     K: WindowKernel,
     F: Fn(usize) -> K + Sync,
 {
-    let blocks = loader_ranges(graph.num_edges(), ctx.num_loaders);
-    let n = graph.num_vertices() as usize;
+    let n = graph.num_vertices();
     let run_block = |i: usize, block: Range<usize>| {
         let mut kernel = make_kernel(i);
-        let mut stamp = StampSet::new(n);
         let mut parts = Vec::with_capacity(block.len());
         let mut stats = SpecStats::default();
-        run_windowed(
-            graph,
-            block,
-            ctx.window,
-            &ctx.par,
-            &mut kernel,
-            &mut stamp,
-            &mut parts,
-            &mut stats,
-        );
-        let bytes = kernel.state_bytes(graph.num_vertices(), &stats);
-        (parts, kernel.work(), bytes, stats)
+        let mut bytes = 0;
+        if ctx.window <= 1 {
+            run_sequential(graph, block, &mut kernel, &mut parts);
+        } else {
+            stats = run_windowed(graph, block, ctx, &mut kernel, &mut parts);
+            // The windowing machinery: the edge/choice buffer (16 + 4 bytes
+            // per buffered edge, sized by the largest window actually cut)
+            // and the per-vertex stamp table.
+            bytes = stats.max_window * 20 + n * 4;
+        }
+        bytes += kernel.state_bytes();
+        (parts, kernel.greedy().work, bytes, stats)
     };
+    let run_block = &run_block;
+    let tasks: Vec<_> = loader_ranges(graph.num_edges(), ctx.num_loaders)
+        .into_iter()
+        .enumerate()
+        .map(|(i, block)| move || run_block(i, block))
+        .collect();
     let mut parts = Vec::with_capacity(graph.num_edges());
-    let mut loader_work = Vec::with_capacity(blocks.len());
+    let mut loader_work = Vec::with_capacity(tasks.len());
     let mut state_bytes = 0u64;
     let mut stats = SpecStats::default();
     let mut consume =
@@ -663,20 +700,29 @@ where
             state_bytes = state_bytes.max(bytes);
             stats.absorb(block_stats);
         };
-    if ctx.overlap && ctx.par.is_parallel() && blocks.len() > 1 {
-        let run_block = &run_block;
-        let tasks: Vec<_> = blocks
+    if ctx.window <= 1 {
+        gp_par::run_ordered(ctx.par.effective_threads(), tasks)
             .into_iter()
-            .enumerate()
-            .map(|(i, block)| move || run_block(i, block))
-            .collect();
-        gp_par::pipeline_ordered(PIPELINE_DEPTH, tasks, |_, r| consume(r));
+            .for_each(consume);
     } else {
-        for (i, block) in blocks.into_iter().enumerate() {
-            consume(run_block(i, block));
-        }
+        let depth = PIPELINE_DEPTH.min(ctx.par.effective_threads());
+        gp_par::pipeline_ordered(depth, tasks, |_, r| consume(r));
     }
-    (parts, loader_work, state_bytes, stats)
+    let outcome = PartitionOutcome {
+        assignment: Assignment::from_edge_partitions_par(
+            graph,
+            parts,
+            ctx.num_partitions,
+            ctx.seed,
+            &ctx.par,
+        ),
+        loader_work,
+        passes: 1,
+        state_bytes,
+    };
+    crate::strategies::record_ingress_telemetry(name, graph, &outcome, ctx);
+    crate::strategies::record_speculation_telemetry(ctx, &stats);
+    outcome
 }
 
 #[cfg(test)]
@@ -718,25 +764,70 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// The executable meaning of "sequential is window 1": driving a block
+    /// through [`run_windowed`] at `W = 1` commits exactly what
+    /// [`run_sequential`] commits — placements, work and every piece of
+    /// kernel state — for both rules, one loader and nine.
     #[test]
-    fn pure_least_loaded_matches_greedy_state() {
-        use crate::strategies::oblivious::GreedyState;
-        let loads = vec![3u64, 1, 1, 5];
-        let mut st = GreedyState::new(4, 8, 99);
-        st.load = loads.clone();
-        let mut rng = Splitmix64::new(99);
-        // Same seed, same draw sequence, same tie order.
-        assert_eq!(least_loaded_all(&loads, &mut rng), st.least_loaded_all());
-        let cands = {
-            let mut s = PartitionSet::new();
-            s.insert(0);
-            s.insert(3);
-            s
+    fn window_one_equals_the_sequential_drive() {
+        use crate::partitioner::CostModel;
+        use crate::strategies::hdrf::HdrfWindowKernel;
+        use crate::strategies::oblivious::ObliviousWindowKernel;
+
+        fn check<K: WindowKernel>(
+            graph: &EdgeList,
+            loaders: u32,
+            make: impl Fn(usize) -> K,
+            same_extra: impl Fn(&K, &K) -> bool,
+        ) {
+            let ctx = PartitionContext::new(9).with_window(1);
+            let blocks = loader_ranges(graph.num_edges(), loaders);
+            for (i, block) in blocks.into_iter().enumerate() {
+                let (mut seq, mut win) = (make(i), make(i));
+                let (mut seq_parts, mut win_parts) = (Vec::new(), Vec::new());
+                run_sequential(graph, block.clone(), &mut seq, &mut seq_parts);
+                let stats = run_windowed(graph, block.clone(), &ctx, &mut win, &mut win_parts);
+                assert_eq!(stats.windows, block.len() as u64);
+                assert_eq!(stats.max_window, u64::from(!block.is_empty()));
+                assert_eq!(seq_parts, win_parts, "loader {i}/{loaders}: placements");
+                let (a, b) = (seq.greedy(), win.greedy());
+                assert_eq!(a.work.to_bits(), b.work.to_bits(), "loader {i}: work");
+                assert_eq!(a.load, b.load);
+                assert_eq!(a.assigned, b.assigned);
+                assert_eq!(a.a, b.a, "loader {i}: replica sets");
+                assert_eq!(seq.state_bytes(), win.state_bytes());
+                assert!(same_extra(&seq, &win), "loader {i}: degree counters");
+            }
+        }
+
+        let road = gp_gen::RoadNetworkParams {
+            width: 30,
+            height: 30,
+            ..Default::default()
         };
-        assert_eq!(
-            least_loaded_in(&loads, &cands, &mut rng),
-            st.least_loaded_in(&cands)
-        );
+        let graphs = [
+            gp_gen::erdos_renyi(800, 6_000, 3),
+            gp_gen::barabasi_albert(1_500, 6, 7),
+            gp_gen::road_network(&road, 5),
+        ];
+        let cost = CostModel::default();
+        for g in &graphs {
+            let n = g.num_vertices();
+            for loaders in [1u32, 9] {
+                check(
+                    g,
+                    loaders,
+                    |i| HdrfWindowKernel::new(9, n, 11 ^ (0x4d5f + i as u64), 1.0, &cost),
+                    |a, b| a.partial_degree == b.partial_degree,
+                );
+                check(
+                    g,
+                    loaders,
+                    |i| ObliviousWindowKernel::new(9, n, 11 ^ (0x0b11 + i as u64), &cost),
+                    |_, _| true,
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!
 //! Like Oblivious, distributed ingress gives each loader its own state.
 
-use crate::assignment::Assignment;
-use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome, Partitioner};
-use crate::speculative::{self, edge_rng, ScoreScratch, SpecStats, WindowKernel};
+use crate::partitioner::{CostModel, PartitionContext, PartitionOutcome, Partitioner};
+use crate::speculative::{self, edge_rng, ScoreScratch, WindowKernel};
 use crate::strategies::oblivious::GreedyState;
-use gp_core::{for_each_edge, Edge, PartitionId, StreamingEdges};
+use gp_core::{Edge, PartitionId, StreamingEdges};
 
 /// HDRF streaming partitioner with tunable balance weight `λ`.
 #[derive(Debug, Clone)]
@@ -51,8 +50,16 @@ impl Hdrf {
     }
 }
 
-pub(crate) struct HdrfLoader {
-    pub(crate) greedy: GreedyState,
+/// HDRF's [`WindowKernel`] — the one implementation of the Appendix-B rule,
+/// scored through the pure [`speculative::hdrf_score`] function with
+/// per-edge RNGs. Degree counters are frozen for the duration of a window
+/// (each edge sees previous windows plus its own endpoint bump) and advance
+/// via the end-of-window merge; at window 1 that is Appendix B's
+/// increment-then-score order exactly. Load aggregates (max/min/capacity)
+/// are cached once per window: committed state is frozen during
+/// speculation, so the cache equals a per-edge recomputation.
+pub(crate) struct HdrfWindowKernel {
+    greedy: GreedyState,
     /// Partial degree counters δ (Appendix B), dense vertex-indexed — the
     /// ids are `0..n` already, so a flat table beats hashing on every edge.
     pub(crate) partial_degree: Vec<u64>,
@@ -60,49 +67,198 @@ pub(crate) struct HdrfLoader {
     /// historical per-entry map accounting: 40 bytes per touched vertex).
     touched: u64,
     lambda: f64,
-    /// Reusable tie buffer for the score loop (no per-edge allocation).
-    tied: Vec<u32>,
+    seed: u64,
+    /// `(max load, min load, capacity)` as of the window start.
+    frozen: (f64, f64, u64),
 }
 
-impl HdrfLoader {
-    pub(crate) fn new(num_partitions: u32, num_vertices: u64, seed: u64, lambda: f64) -> Self {
-        HdrfLoader {
-            greedy: GreedyState::new(num_partitions, num_vertices, seed),
-            partial_degree: vec![0; num_vertices as usize],
+impl HdrfWindowKernel {
+    pub(crate) fn new(
+        partitions: u32,
+        vertices: u64,
+        seed: u64,
+        lambda: f64,
+        cost: &CostModel,
+    ) -> Self {
+        HdrfWindowKernel {
+            greedy: GreedyState::new(partitions, vertices, cost),
+            partial_degree: vec![0; vertices as usize],
             touched: 0,
             lambda,
-            tied: Vec::with_capacity(num_partitions as usize),
+            seed,
+            frozen: (0.0, 0.0, 0),
         }
     }
 
-    pub(crate) fn choose(&mut self, e: Edge) -> PartitionId {
-        // Update partial degrees first (Appendix B: counters are incremented
-        // when the edge is processed, then used for θ).
-        for v in [e.src, e.dst] {
-            let d = &mut self.partial_degree[v.index()];
-            if *d == 0 {
-                self.touched += 1;
-            }
-            *d += 1;
-        }
-        let du = self.partial_degree[e.src.index()] as f64;
-        let dv = self.partial_degree[e.dst.index()] as f64;
-        let theta_u = du / (du + dv);
-        let theta_v = dv / (du + dv);
+    /// θ uses the frozen counters plus this edge's own contribution
+    /// (Appendix B: counters are incremented when the edge is processed,
+    /// then used for θ). A self-loop bumps its single endpoint twice.
+    #[inline]
+    fn thetas(&self, e: Edge) -> (f64, f64) {
+        let bump = if e.src == e.dst { 2 } else { 1 };
+        let du = (self.partial_degree[e.src.index()] + bump) as f64;
+        let dv = (self.partial_degree[e.dst.index()] + bump) as f64;
+        (du / (du + dv), dv / (du + dv))
+    }
 
-        let au = self.greedy.replicas(e.src).clone();
-        let av = self.greedy.replicas(e.dst).clone();
+    /// The load aggregates the score reads: `(max load, min load, capacity)`.
+    #[inline]
+    fn aggregates(&self) -> (f64, f64, u64) {
         let loads = &self.greedy.load;
         let max_load = *loads.iter().max().expect("partitions > 0") as f64;
         let min_load = *loads.iter().min().expect("partitions > 0") as f64;
-        const EPS: f64 = 1.0;
+        (max_load, min_load, self.greedy.capacity())
+    }
 
+    #[inline]
+    fn score_with(
+        &self,
+        e: Edge,
+        idx: usize,
+        (max_load, min_load, capacity): (f64, f64, u64),
+        scratch: &mut ScoreScratch,
+    ) -> PartitionId {
+        let (theta_u, theta_v) = self.thetas(e);
+        speculative::hdrf_score(
+            &self.greedy.load,
+            capacity,
+            self.greedy.replicas(e.src),
+            self.greedy.replicas(e.dst),
+            theta_u,
+            theta_v,
+            self.lambda,
+            max_load,
+            min_load,
+            &mut edge_rng(self.seed, idx),
+            scratch.scores(),
+        )
+    }
+}
+
+impl WindowKernel for HdrfWindowKernel {
+    fn greedy(&self) -> &GreedyState {
+        &self.greedy
+    }
+
+    fn greedy_mut(&mut self) -> &mut GreedyState {
+        &mut self.greedy
+    }
+
+    fn begin_window(&mut self) {
+        self.frozen = self.aggregates();
+    }
+
+    fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
+        self.score_with(e, idx, self.frozen, scratch)
+    }
+
+    // Two callers (the repair walk and `step`), so LLVM no longer inlines it
+    // by itself; the repair walk re-scores ~90% of a power-law window here.
+    #[inline]
+    fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
+        self.score_with(e, idx, self.aggregates(), scratch)
+    }
+
+    fn end_window(&mut self, edges: &[Edge]) {
+        // Fold the committed window's endpoint touches into the degree
+        // counters: elementwise integer addition, insensitive to how the
+        // window was chunked.
+        for e in edges {
+            for v in [e.src, e.dst] {
+                let d = &mut self.partial_degree[v.index()];
+                if *d == 0 {
+                    self.touched += 1;
+                }
+                *d += 1;
+            }
+        }
+    }
+
+    fn retire(&mut self, e: Edge, p: PartitionId) {
+        self.greedy.retire(p);
+        // Partial degrees shrink with the graph so θ keeps tracking the
+        // live degree distribution.
+        for v in [e.src, e.dst] {
+            let d = &mut self.partial_degree[v.index()];
+            *d = d.saturating_sub(1);
+        }
+    }
+
+    fn state_bytes(&self) -> u64 {
+        self.greedy.state_bytes() + 40 * self.touched
+    }
+}
+
+impl Partitioner for Hdrf {
+    fn name(&self) -> &'static str {
+        "HDRF"
+    }
+
+    fn partition(
+        &mut self,
+        graph: &dyn StreamingEdges,
+        ctx: &PartitionContext,
+    ) -> PartitionOutcome {
+        // As with Oblivious, per-loader state is independent: block
+        // boundaries and per-block seeds depend only on `num_loaders`.
+        let lambda = self.lambda;
+        speculative::partition_blocks(self.name(), graph, ctx, |i| {
+            HdrfWindowKernel::new(
+                ctx.num_partitions,
+                graph.num_vertices(),
+                ctx.seed ^ (0x4d5f + i as u64),
+                lambda,
+                &ctx.cost,
+            )
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strategies::hash::Random;
+    use crate::strategies::oblivious::Oblivious;
+    use gp_core::Splitmix64;
+
+    fn centralized(p: u32) -> PartitionContext {
+        PartitionContext::new(p).with_loaders(1)
+    }
+
+    fn kernel(partitions: u32, vertices: u64, lambda: f64) -> HdrfWindowKernel {
+        HdrfWindowKernel::new(partitions, vertices, 1, lambda, &CostModel::default())
+    }
+
+    /// Commit `e -> p` the way every drive does: loads and replica sets,
+    /// then the deferred degree fold.
+    fn commit(k: &mut HdrfWindowKernel, e: Edge, p: PartitionId) {
+        k.greedy.commit_priced(e, p);
+        k.end_window(&[e]);
+    }
+
+    /// The plain scalar Appendix-B scorer — the body of the sequential
+    /// `choose` this crate carried before the kernels were unified, with
+    /// the tie-break stream passed in. Kept as the oracle for
+    /// [`speculative::hdrf_score`]: branchy per-partition loop, explicit
+    /// tie list, at-capacity partitions skipped rather than scored `-inf`.
+    fn oracle_choose(k: &HdrfWindowKernel, e: Edge, rng: &mut Splitmix64) -> PartitionId {
+        // Counters are incremented when the edge is processed, then used.
+        let degree = |v: gp_core::VertexId| {
+            let own = [e.src, e.dst].iter().filter(|&&w| w == v).count() as u64;
+            (k.partial_degree[v.index()] + own) as f64
+        };
+        let (du, dv) = (degree(e.src), degree(e.dst));
+        let theta_u = du / (du + dv);
+        let theta_v = dv / (du + dv);
+        let (au, av) = (k.greedy.replicas(e.src), k.greedy.replicas(e.dst));
+        let loads = &k.greedy.load;
+        let max_load = *loads.iter().max().unwrap() as f64;
+        let min_load = *loads.iter().min().unwrap() as f64;
+        const EPS: f64 = 1.0;
         let mut best_score = f64::NEG_INFINITY;
-        self.tied.clear();
-        let capacity = self.greedy.capacity();
+        let mut tied: Vec<u32> = Vec::new();
+        let capacity = k.greedy.capacity();
         for m in 0..loads.len() as u32 {
-            // Capacity constraint, as in PowerGraph's greedy ingress: a
-            // partition over the balance cap is not a candidate.
             if loads[m as usize] >= capacity {
                 continue;
             }
@@ -118,321 +274,92 @@ impl HdrfLoader {
             };
             let c_rep = g_u + g_v;
             let c_bal = (max_load - loads[m as usize] as f64) / (EPS + max_load - min_load);
-            let score = c_rep + self.lambda * c_bal;
+            let score = c_rep + k.lambda * c_bal;
             if score > best_score + 1e-12 {
                 best_score = score;
-                self.tied.clear();
-                self.tied.push(m);
+                tied.clear();
+                tied.push(m);
             } else if (score - best_score).abs() <= 1e-12 {
-                self.tied.push(m);
+                tied.push(m);
             }
         }
-        if self.tied.is_empty() {
-            // Everything at capacity (can only happen transiently at tiny
-            // loads): fall back to least loaded.
-            return self.greedy.least_loaded_all();
+        if tied.is_empty() {
+            // Everything at capacity: least loaded overall.
+            let min = *loads.iter().min().unwrap();
+            tied = (0..loads.len() as u32)
+                .filter(|&m| loads[m as usize] == min)
+                .collect();
         }
-        let pick = self.greedy.rng.next_below(self.tied.len() as u64) as usize;
-        PartitionId(self.tied[pick])
+        PartitionId(tied[rng.next_below(tied.len() as u64) as usize])
     }
 
-    /// Absorb an already-placed edge without making a decision: degree
-    /// counters and greedy state advance exactly as if `choose` had picked
-    /// `p`. Used to warm serving-time state from a batch-partitioned base.
-    pub(crate) fn warm(&mut self, e: Edge, p: PartitionId) {
-        for v in [e.src, e.dst] {
-            let d = &mut self.partial_degree[v.index()];
-            if *d == 0 {
-                self.touched += 1;
-            }
-            *d += 1;
-        }
-        self.greedy.commit(e, p);
-    }
-
-    pub(crate) fn state_bytes(&self) -> u64 {
-        self.greedy.state_bytes() + 40 * self.touched
-    }
-}
-
-/// HDRF's [`WindowKernel`]: the same per-loader state as [`HdrfLoader`],
-/// scored through the pure [`speculative::hdrf_score`] function with
-/// per-edge RNGs. Degree counters are frozen for the duration of a window
-/// (each edge sees previous windows plus its own endpoint bump) and advance
-/// via the end-of-window merge — the documented quality-parity deviation
-/// from the sequential kernel. Load aggregates (max/min/capacity) are
-/// cached once per window: committed state is frozen during speculation,
-/// so the cache equals a per-edge recomputation.
-struct HdrfWindowKernel {
-    greedy: GreedyState,
-    partial_degree: Vec<u64>,
-    touched: u64,
-    lambda: f64,
-    seed: u64,
-    frozen_max: f64,
-    frozen_min: f64,
-    frozen_capacity: u64,
-    parse_edge: f64,
-    heuristic_base: f64,
-    heuristic_per_candidate: f64,
-}
-
-impl HdrfWindowKernel {
-    fn new(ctx: &PartitionContext, num_vertices: u64, seed: u64, lambda: f64) -> Self {
-        HdrfWindowKernel {
-            greedy: GreedyState::new(ctx.num_partitions, num_vertices, seed),
-            partial_degree: vec![0; num_vertices as usize],
-            touched: 0,
-            lambda,
-            seed,
-            frozen_max: 0.0,
-            frozen_min: 0.0,
-            frozen_capacity: 0,
-            parse_edge: ctx.cost.parse_edge,
-            heuristic_base: ctx.cost.heuristic_base,
-            heuristic_per_candidate: ctx.cost.heuristic_per_candidate,
-        }
-    }
-
-    /// θ uses the frozen counters plus this edge's own contribution,
-    /// mirroring the sequential kernel's increment-then-score order. A
-    /// self-loop bumps its single endpoint twice there, so it does here.
-    #[inline]
-    fn thetas(&self, e: Edge) -> (f64, f64) {
-        let bump = if e.src == e.dst { 2 } else { 1 };
-        let du = (self.partial_degree[e.src.index()] + bump) as f64;
-        let dv = (self.partial_degree[e.dst.index()] + bump) as f64;
-        (du / (du + dv), dv / (du + dv))
-    }
-
-    #[inline]
-    fn score_with(
-        &self,
-        e: Edge,
-        idx: usize,
-        max_load: f64,
-        min_load: f64,
-        capacity: u64,
-        scratch: &mut ScoreScratch,
-    ) -> PartitionId {
-        let mut rng = edge_rng(self.seed, idx);
-        let (theta_u, theta_v) = self.thetas(e);
-        match speculative::hdrf_score(
-            &self.greedy.load,
-            capacity,
-            self.greedy.replicas(e.src),
-            self.greedy.replicas(e.dst),
-            theta_u,
-            theta_v,
-            self.lambda,
-            max_load,
-            min_load,
-            &mut rng,
-            scratch.scores(),
-        ) {
-            Some(p) => p,
-            // Everything at capacity (transient at tiny loads).
-            None => speculative::least_loaded_all(&self.greedy.load, &mut rng),
-        }
-    }
-}
-
-impl WindowKernel for HdrfWindowKernel {
-    fn partitions(&self) -> usize {
-        self.greedy.load.len()
-    }
-
-    fn begin_window(&mut self) {
-        let loads = &self.greedy.load;
-        self.frozen_max = *loads.iter().max().expect("partitions > 0") as f64;
-        self.frozen_min = *loads.iter().min().expect("partitions > 0") as f64;
-        self.frozen_capacity = self.greedy.capacity();
-    }
-
-    fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_with(
-            e,
-            idx,
-            self.frozen_max,
-            self.frozen_min,
-            self.frozen_capacity,
-            scratch,
-        )
-    }
-
-    fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        let loads = &self.greedy.load;
-        let max_load = *loads.iter().max().expect("partitions > 0") as f64;
-        let min_load = *loads.iter().min().expect("partitions > 0") as f64;
-        self.score_with(e, idx, max_load, min_load, self.greedy.capacity(), scratch)
-    }
-
-    fn over_capacity(&self, p: PartitionId) -> bool {
-        self.greedy.load[p.index()] >= self.greedy.capacity()
-    }
-
-    fn apply(&mut self, e: Edge, p: PartitionId) {
-        let candidates = self.greedy.replicas(e.src).len() + self.greedy.replicas(e.dst).len();
-        self.greedy.work += self.parse_edge
-            + self.heuristic_base
-            + self.heuristic_per_candidate * candidates as f64;
-        self.greedy.commit(e, p);
-    }
-
-    fn end_window(&mut self, edges: &[Edge]) {
-        // Fold the committed window's endpoint touches into the degree
-        // counters. Elementwise integer addition over the same endpoint
-        // multiset the old per-chunk shards carried — byte-identical to the
-        // ordered shard merge, without materializing any shard vectors.
-        for e in edges {
-            for v in [e.src, e.dst] {
-                let d = &mut self.partial_degree[v.index()];
-                if *d == 0 {
-                    self.touched += 1;
+    /// Pick-for-pick agreement of the lane kernel with the scalar oracle on
+    /// random committed states: λ ∈ {0, 1, 4}, self-loops in both the
+    /// committed and the probed edges, and 300 partitions so hub replica
+    /// sets spill past the four inline bitset words.
+    #[test]
+    fn lane_scorer_agrees_with_the_scalar_oracle() {
+        const N: u64 = 60;
+        for lambda in [0.0, 1.0, 4.0] {
+            for partitions in [2u32, 9, 300] {
+                let mut k = kernel(partitions, N, lambda);
+                let mut scratch = ScoreScratch::new(partitions as usize);
+                let mut rng = Splitmix64::new(u64::from(partitions) ^ lambda.to_bits());
+                let mut spilled = false;
+                for i in 0..4_000u64 {
+                    // Small hub set so replica sets grow wide; one edge in
+                    // ten a self-loop.
+                    let u = rng.next_below(N / 10);
+                    let v = rng.next_below(N);
+                    let e = Edge::new(u, if rng.next_below(10) == 0 { u } else { v });
+                    let got = k.score_live(e, i as usize, &mut scratch);
+                    let want = oracle_choose(&k, e, &mut edge_rng(k.seed, i as usize));
+                    assert_eq!(got, want, "λ={lambda} p={partitions} edge {i} ({e:?})");
+                    // Mostly follow the rule, sometimes scatter, so states
+                    // are ones no greedy run alone would reach.
+                    let p = if rng.next_below(3) == 0 {
+                        PartitionId(rng.next_below(u64::from(partitions)) as u32)
+                    } else {
+                        got
+                    };
+                    commit(&mut k, e, p);
+                    spilled |= k.greedy.replicas(e.src).words().len() > 4;
                 }
-                *d += 1;
+                assert_eq!(spilled, partitions == 300, "heap-spilled sets exercised");
             }
         }
     }
 
-    fn work(&self) -> f64 {
-        self.greedy.work
-    }
-
-    fn state_bytes(&self, num_vertices: u64, stats: &SpecStats) -> u64 {
-        // Loader state plus the windowing machinery: the edge/choice buffer
-        // (16 + 4 bytes per buffered edge, sized by the largest window
-        // actually cut) and the per-vertex stamp table.
-        self.greedy.state_bytes() + 40 * self.touched + stats.max_window * 20 + num_vertices * 4
-    }
-}
-
-impl Hdrf {
-    /// The `window >= 2` ingress path: per-loader windowed speculation on
-    /// the shared block driver — loader blocks overlap on the bounded
-    /// two-stage pipeline when the context allows, and parallelism also
-    /// lives inside each window's speculation pass.
-    fn partition_windowed(
-        &self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> PartitionOutcome {
-        let lambda = self.lambda;
-        let (parts, loader_work, state_bytes, stats) =
-            speculative::partition_windowed_blocks(graph, ctx, |i| {
-                HdrfWindowKernel::new(
-                    ctx,
-                    graph.num_vertices(),
-                    ctx.seed ^ (0x4d5f + i as u64),
-                    lambda,
-                )
-            });
-        let outcome = PartitionOutcome {
-            assignment: Assignment::from_edge_partitions_par(
-                graph,
-                parts,
-                ctx.num_partitions,
-                ctx.seed,
-                &ctx.par,
-            ),
-            loader_work,
-            passes: 1,
-            state_bytes,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        super::record_speculation_telemetry(ctx, &stats);
-        outcome
-    }
-}
-
-impl Partitioner for Hdrf {
-    fn name(&self) -> &'static str {
-        "HDRF"
-    }
-
-    fn partition(
-        &mut self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> PartitionOutcome {
-        if ctx.window >= 2 {
-            return self.partition_windowed(graph, ctx);
+    /// Every partition at capacity: the kernel falls back to least-loaded,
+    /// exactly as the oracle does.
+    #[test]
+    fn all_at_capacity_falls_back_to_least_loaded() {
+        let mut k = kernel(5, 16, 1.0);
+        commit(&mut k, Edge::new(0u64, 1u64), PartitionId(3));
+        k.greedy.load = vec![9, 7, 8, 7, 9];
+        k.greedy.assigned = 0; // capacity 4: everything is over it
+        let mut scratch = ScoreScratch::new(5);
+        let mut picks = std::collections::BTreeSet::new();
+        for idx in 0..64 {
+            let e = Edge::new(0u64, 1u64);
+            let got = k.score_live(e, idx, &mut scratch);
+            assert_eq!(got, oracle_choose(&k, e, &mut edge_rng(k.seed, idx)));
+            picks.insert(got.0);
         }
-        let blocks = loader_ranges(graph.num_edges(), ctx.num_loaders);
-        let lambda = self.lambda;
-        // Per-loader state is independent; run the loaders on the bounded
-        // ordered pool. As with Oblivious, block boundaries and per-block
-        // seeds depend only on `num_loaders`, so any `--threads N` yields
-        // byte-identical placements.
-        let tasks: Vec<_> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(i, block)| {
-                move || {
-                    let mut loader = HdrfLoader::new(
-                        ctx.num_partitions,
-                        graph.num_vertices(),
-                        ctx.seed ^ (0x4d5f + i as u64),
-                        lambda,
-                    );
-                    let mut parts = Vec::with_capacity(block.len());
-                    for_each_edge(graph, block, |e| {
-                        let candidates = loader.greedy.replicas(e.src).len()
-                            + loader.greedy.replicas(e.dst).len();
-                        loader.greedy.work += ctx.cost.parse_edge
-                            + ctx.cost.heuristic_base
-                            + ctx.cost.heuristic_per_candidate * candidates as f64;
-                        let p = loader.choose(e);
-                        loader.greedy.commit(e, p);
-                        parts.push(p);
-                    });
-                    (parts, loader.greedy.work, loader.state_bytes())
-                }
-            })
-            .collect();
-        let results = gp_par::run_ordered(ctx.par.effective_threads(), tasks);
-        let mut parts = Vec::with_capacity(graph.num_edges());
-        let mut loader_work = Vec::with_capacity(results.len());
-        let mut state_bytes = 0u64;
-        for (block_parts, work, bytes) in results {
-            parts.extend(block_parts);
-            loader_work.push(work);
-            state_bytes = state_bytes.max(bytes);
-        }
-        let outcome = PartitionOutcome {
-            assignment: Assignment::from_edge_partitions_par(
-                graph,
-                parts,
-                ctx.num_partitions,
-                ctx.seed,
-                &ctx.par,
-            ),
-            loader_work,
-            passes: 1,
-            state_bytes,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        outcome
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::strategies::hash::Random;
-    use crate::strategies::oblivious::Oblivious;
-
-    fn centralized(p: u32) -> PartitionContext {
-        PartitionContext::new(p).with_loaders(1)
+        assert_eq!(
+            picks.into_iter().collect::<Vec<_>>(),
+            vec![1, 3],
+            "only the two least-loaded partitions, and both of them"
+        );
     }
 
     #[test]
     fn repeated_edge_stays_put() {
-        let mut l = HdrfLoader::new(4, 128, 1, 1.0);
+        let mut k = kernel(4, 128, 1.0);
+        let mut scratch = ScoreScratch::new(4);
         let e = Edge::new(0u64, 1u64);
-        let p1 = l.choose(e);
-        l.greedy.commit(e, p1);
-        let p2 = l.choose(e);
+        let p1 = k.step(e, 0, &mut scratch);
+        let p2 = k.step(e, 1, &mut scratch);
         assert_eq!(p1, p2, "co-located endpoints dominate the score");
     }
 
@@ -441,19 +368,13 @@ mod tests {
         // u is a hub (high partial degree), w is fresh. A new edge (u, w)
         // joining them where u lives on p0 and w on p1: HDRF should prefer
         // keeping LOW-degree w intact (place on p1, replicating hub u).
-        let mut l = HdrfLoader::new(2, 128, 1, 0.0); // no balance term
-                                                     // Build hub u = 0 on p0.
+        let mut k = kernel(2, 128, 0.0); // no balance term
+        k.greedy.balance_slack = 100.0; // nor a capacity cap: degrees decide
         for i in 10..30u64 {
-            let e = Edge::new(0u64, i);
-            l.choose(e);
-            l.greedy.commit(e, PartitionId(0));
+            commit(&mut k, Edge::new(0u64, i), PartitionId(0)); // hub u = 0 on p0
         }
-        // w = 99 placed once on p1.
-        let ew = Edge::new(99u64, 50u64);
-        l.choose(ew);
-        l.greedy.commit(ew, PartitionId(1));
-        // Now the contested edge.
-        let p = l.choose(Edge::new(0u64, 99u64));
+        commit(&mut k, Edge::new(99u64, 50u64), PartitionId(1)); // w = 99 on p1
+        let p = k.score_live(Edge::new(0u64, 99u64), 21, &mut ScoreScratch::new(2));
         assert_eq!(
             p,
             PartitionId(1),

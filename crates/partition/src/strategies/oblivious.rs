@@ -19,19 +19,16 @@
 //! heuristic. With `num_loaders == 1` you get the idealized centralized
 //! variant.
 
-use crate::assignment::Assignment;
-use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome, Partitioner};
-use crate::speculative::{self, edge_rng, ScoreScratch, SpecStats, WindowKernel};
-use gp_core::{
-    for_each_edge, Edge, PartitionId, PartitionSet, Splitmix64, StreamingEdges, VertexId,
-};
+use crate::partitioner::{CostModel, PartitionContext, PartitionOutcome, Partitioner};
+use crate::speculative::{self, edge_rng, ScoreScratch, WindowKernel};
+use gp_core::{Edge, PartitionId, PartitionSet, StreamingEdges, VertexId};
 
 /// Oblivious greedy vertex-cut partitioner.
 #[derive(Debug, Default, Clone)]
 pub struct Oblivious;
 
 /// Per-loader greedy state shared by Oblivious and HDRF: replica sets known
-/// to this loader, per-partition edge loads, and a tie-break PRNG.
+/// to this loader and per-partition edge loads.
 ///
 /// Replica sets are a dense vertex-indexed table of [`PartitionSet`]
 /// bitsets (vertex ids are `0..n` by construction), so the per-edge hot
@@ -42,8 +39,6 @@ pub(crate) struct GreedyState {
     pub a: Vec<PartitionSet>,
     /// Edges this loader has assigned to each partition.
     pub load: Vec<u64>,
-    /// Tie-break PRNG.
-    pub rng: Splitmix64,
     /// Simulated work units burned by this loader.
     pub work: f64,
     /// Edges assigned so far (drives the capacity cap).
@@ -57,18 +52,23 @@ pub(crate) struct GreedyState {
     /// the historical per-vertex-list accounting (32 bytes per touched
     /// vertex + 4 per replica entry) so ingress memory reports are stable.
     replica_bytes: u64,
+    /// Simulated work per decision: parse + fixed heuristic cost, plus
+    /// `candidate_cost` per replica of either endpoint (Appendix A).
+    edge_cost: f64,
+    candidate_cost: f64,
 }
 
 impl GreedyState {
-    pub fn new(num_partitions: u32, num_vertices: u64, seed: u64) -> Self {
+    pub fn new(num_partitions: u32, num_vertices: u64, cost: &CostModel) -> Self {
         GreedyState {
             a: vec![PartitionSet::new(); num_vertices as usize],
             load: vec![0; num_partitions as usize],
-            rng: Splitmix64::new(seed),
             work: 0.0,
             assigned: 0,
             balance_slack: 1.1,
             replica_bytes: 0,
+            edge_cost: cost.parse_edge + cost.heuristic_base,
+            candidate_cost: cost.heuristic_per_candidate,
         }
     }
 
@@ -76,6 +76,12 @@ impl GreedyState {
     #[inline]
     pub fn capacity(&self) -> u64 {
         (self.balance_slack * self.assigned as f64 / self.load.len() as f64) as u64 + 4
+    }
+
+    /// True when `p` is at or over the capacity cap.
+    #[inline]
+    pub fn over_capacity(&self, p: PartitionId) -> bool {
+        self.load[p.index()] >= self.capacity()
     }
 
     /// Partitions this loader has placed `v` on.
@@ -96,49 +102,19 @@ impl GreedyState {
         }
     }
 
-    /// Least-loaded partition over all partitions, ties broken uniformly at
-    /// random (one PRNG draw, matching the historical candidate-list code).
-    pub fn least_loaded_all(&mut self) -> PartitionId {
-        let min = *self.load.iter().min().expect("partitions > 0");
-        let tied = self.load.iter().filter(|&&l| l == min).count() as u64;
-        let pick = self.rng.next_below(tied);
-        let mut seen = 0;
-        for (c, &l) in self.load.iter().enumerate() {
-            if l == min {
-                if seen == pick {
-                    return PartitionId(c as u32);
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("pick < tied count")
+    /// [`Self::commit`] plus the decision's simulated work, priced from the
+    /// replica sets as they stood when the edge was scored.
+    pub fn commit_priced(&mut self, e: Edge, p: PartitionId) {
+        let candidates = self.replicas(e.src).len() + self.replicas(e.dst).len();
+        self.work += self.edge_cost + self.candidate_cost * candidates as f64;
+        self.commit(e, p);
     }
 
-    /// Least-loaded partition among the candidate set, ties broken
-    /// uniformly at random. Candidates iterate in ascending order (bit
-    /// scan), so tie-breaking is identical to the historical sorted-list
-    /// scan. The set must be non-empty.
-    pub fn least_loaded_in(&mut self, candidates: &PartitionSet) -> PartitionId {
-        let min = candidates
-            .iter()
-            .map(|c| self.load[c as usize])
-            .min()
-            .expect("non-empty candidate set");
-        let tied = candidates
-            .iter()
-            .filter(|&c| self.load[c as usize] == min)
-            .count() as u64;
-        let pick = self.rng.next_below(tied);
-        let mut seen = 0;
-        for c in candidates.iter() {
-            if self.load[c as usize] == min {
-                if seen == pick {
-                    return PartitionId(c);
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("pick < tied count")
+    /// Unwind a served delete from `p`. Replica sets never shrink here.
+    pub fn retire(&mut self, p: PartitionId) {
+        let load = &mut self.load[p.index()];
+        *load = load.saturating_sub(1);
+        self.assigned = self.assigned.saturating_sub(1);
     }
 
     /// Approximate bytes of loader state (for ingress memory accounting).
@@ -147,82 +123,46 @@ impl GreedyState {
     }
 }
 
-/// Appendix A's case analysis, shared with HDRF's candidate enumeration.
-/// The preferred candidate set is overridden by the global least-loaded
-/// machine when every preferred machine is at capacity.
-pub(crate) fn oblivious_choose(state: &mut GreedyState, e: Edge) -> PartitionId {
-    // Inline bitset copies (no heap traffic for ≤256 partitions); the
-    // intersection/union cases are word-wise AND/OR.
-    let au = state.replicas(e.src).clone();
-    let av = state.replicas(e.dst).clone();
-    let inter = au.intersection(&av);
-    let choice = if !inter.is_empty() {
-        // Case 1: replicas of both already co-located somewhere.
-        state.least_loaded_in(&inter)
-    } else if au.is_empty() && av.is_empty() {
-        // Case 3: fresh edge.
-        state.least_loaded_all()
-    } else if av.is_empty() {
-        // Case 2: only u placed.
-        state.least_loaded_in(&au)
-    } else if au.is_empty() {
-        // Case 2 (symmetric): only v placed.
-        state.least_loaded_in(&av)
-    } else {
-        // Case 4: both placed, disjoint — least loaded in the union.
-        state.least_loaded_in(&au.union(&av))
-    };
-    if state.load[choice.index()] >= state.capacity() {
-        state.least_loaded_all()
-    } else {
-        choice
-    }
-}
-
-/// Oblivious's [`WindowKernel`]: same per-loader [`GreedyState`], scored
-/// through the pure [`speculative::oblivious_score`] case analysis with
-/// per-edge RNGs. Oblivious has no degree state, so the kernel needs no
-/// shards — windows only freeze the replica sets and loads it scores
-/// against.
-struct ObliviousWindowKernel {
+/// Oblivious's [`WindowKernel`]: a per-loader [`GreedyState`] scored through
+/// the pure [`speculative::oblivious_score`] case analysis with per-edge
+/// RNGs. Oblivious has no degree state — windows only freeze the replica
+/// sets and loads it scores against.
+pub(crate) struct ObliviousWindowKernel {
     greedy: GreedyState,
     seed: u64,
     /// Capacity cap as of the window start. The committed state is frozen
     /// during speculation, so the cache equals a per-edge recomputation.
     frozen_capacity: u64,
-    parse_edge: f64,
-    heuristic_base: f64,
-    heuristic_per_candidate: f64,
 }
 
 impl ObliviousWindowKernel {
-    fn new(ctx: &PartitionContext, num_vertices: u64, seed: u64) -> Self {
+    pub(crate) fn new(partitions: u32, vertices: u64, seed: u64, cost: &CostModel) -> Self {
         ObliviousWindowKernel {
-            greedy: GreedyState::new(ctx.num_partitions, num_vertices, seed),
+            greedy: GreedyState::new(partitions, vertices, cost),
             seed,
             frozen_capacity: 0,
-            parse_edge: ctx.cost.parse_edge,
-            heuristic_base: ctx.cost.heuristic_base,
-            heuristic_per_candidate: ctx.cost.heuristic_per_candidate,
         }
     }
 
     #[inline]
     fn score_at(&self, e: Edge, idx: usize, capacity: u64) -> PartitionId {
-        let mut rng = edge_rng(self.seed, idx);
         speculative::oblivious_score(
             &self.greedy.load,
             capacity,
             self.greedy.replicas(e.src),
             self.greedy.replicas(e.dst),
-            &mut rng,
+            &mut edge_rng(self.seed, idx),
         )
     }
 }
 
 impl WindowKernel for ObliviousWindowKernel {
-    fn partitions(&self) -> usize {
-        self.greedy.load.len()
+    fn greedy(&self) -> &GreedyState {
+        &self.greedy
+    }
+
+    fn greedy_mut(&mut self) -> &mut GreedyState {
+        &mut self.greedy
     }
 
     fn begin_window(&mut self) {
@@ -236,59 +176,6 @@ impl WindowKernel for ObliviousWindowKernel {
     fn score_live(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
         self.score_at(e, idx, self.greedy.capacity())
     }
-
-    fn over_capacity(&self, p: PartitionId) -> bool {
-        self.greedy.load[p.index()] >= self.greedy.capacity()
-    }
-
-    fn apply(&mut self, e: Edge, p: PartitionId) {
-        let candidates = self.greedy.replicas(e.src).len() + self.greedy.replicas(e.dst).len();
-        self.greedy.work += self.parse_edge
-            + self.heuristic_base
-            + self.heuristic_per_candidate * candidates as f64;
-        self.greedy.commit(e, p);
-    }
-
-    fn work(&self) -> f64 {
-        self.greedy.work
-    }
-
-    fn state_bytes(&self, num_vertices: u64, stats: &SpecStats) -> u64 {
-        self.greedy.state_bytes() + stats.max_window * 20 + num_vertices * 4
-    }
-}
-
-impl Oblivious {
-    /// The `window >= 2` ingress path; see [`crate::speculative`].
-    fn partition_windowed(
-        &self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> PartitionOutcome {
-        let (parts, loader_work, state_bytes, stats) =
-            speculative::partition_windowed_blocks(graph, ctx, |i| {
-                ObliviousWindowKernel::new(
-                    ctx,
-                    graph.num_vertices(),
-                    ctx.seed ^ (0x0b11 + i as u64),
-                )
-            });
-        let outcome = PartitionOutcome {
-            assignment: Assignment::from_edge_partitions_par(
-                graph,
-                parts,
-                ctx.num_partitions,
-                ctx.seed,
-                &ctx.par,
-            ),
-            loader_work,
-            passes: 1,
-            state_bytes,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        super::record_speculation_telemetry(ctx, &stats);
-        outcome
-    }
 }
 
 impl Partitioner for Oblivious {
@@ -301,68 +188,24 @@ impl Partitioner for Oblivious {
         graph: &dyn StreamingEdges,
         ctx: &PartitionContext,
     ) -> PartitionOutcome {
-        if ctx.window >= 2 {
-            return self.partition_windowed(graph, ctx);
-        }
-        let blocks = loader_ranges(graph.num_edges(), ctx.num_loaders);
         // Loaders are independent by design (each is "oblivious" to the
-        // others), so they can run on real parallel threads. The determinism
-        // unit is the *block* — block boundaries and per-block seeds depend
-        // only on `num_loaders`, never on the thread count — so the bounded
-        // ordered pool returns byte-identical results at any `--threads N`.
-        let tasks: Vec<_> = blocks
-            .into_iter()
-            .enumerate()
-            .map(|(i, block)| {
-                move || {
-                    let mut state = GreedyState::new(
-                        ctx.num_partitions,
-                        graph.num_vertices(),
-                        ctx.seed ^ (0x0b11 + i as u64),
-                    );
-                    let mut parts = Vec::with_capacity(block.len());
-                    for_each_edge(graph, block, |e| {
-                        let candidates = state.replicas(e.src).len() + state.replicas(e.dst).len();
-                        state.work += ctx.cost.parse_edge
-                            + ctx.cost.heuristic_base
-                            + ctx.cost.heuristic_per_candidate * candidates as f64;
-                        let p = oblivious_choose(&mut state, e);
-                        state.commit(e, p);
-                        parts.push(p);
-                    });
-                    (parts, state.work, state.state_bytes())
-                }
-            })
-            .collect();
-        let results = gp_par::run_ordered(ctx.par.effective_threads(), tasks);
-        let mut parts = Vec::with_capacity(graph.num_edges());
-        let mut loader_work = Vec::with_capacity(results.len());
-        let mut state_bytes = 0u64;
-        for (block_parts, work, bytes) in results {
-            parts.extend(block_parts);
-            loader_work.push(work);
-            state_bytes = state_bytes.max(bytes);
-        }
-        let outcome = PartitionOutcome {
-            assignment: Assignment::from_edge_partitions_par(
-                graph,
-                parts,
+        // others): block boundaries and per-block seeds depend only on
+        // `num_loaders`, never on the thread count.
+        speculative::partition_blocks(self.name(), graph, ctx, |i| {
+            ObliviousWindowKernel::new(
                 ctx.num_partitions,
-                ctx.seed,
-                &ctx.par,
-            ),
-            loader_work,
-            passes: 1,
-            state_bytes,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        outcome
+                graph.num_vertices(),
+                ctx.seed ^ (0x0b11 + i as u64),
+                &ctx.cost,
+            )
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp_core::Splitmix64;
 
     fn ctx(p: u32) -> PartitionContext {
         PartitionContext::new(p)
@@ -372,28 +215,133 @@ mod tests {
         PartitionContext::new(p).with_loaders(1)
     }
 
+    fn kernel(partitions: u32, vertices: u64) -> ObliviousWindowKernel {
+        ObliviousWindowKernel::new(partitions, vertices, 1, &CostModel::default())
+    }
+
+    fn score(k: &ObliviousWindowKernel, e: Edge) -> PartitionId {
+        k.score_live(e, 0, &mut ScoreScratch::new(0))
+    }
+
+    /// Scalar least-loaded among `candidates` (ascending), one tie-break
+    /// draw — the oracle for the lane-unrolled / bit-scan reductions.
+    fn oracle_least_loaded(
+        loads: &[u64],
+        candidates: impl Iterator<Item = u32>,
+        rng: &mut Splitmix64,
+    ) -> PartitionId {
+        let candidates: Vec<u32> = candidates.collect();
+        let min = candidates.iter().map(|&c| loads[c as usize]).min().unwrap();
+        let tied: Vec<u32> = candidates
+            .into_iter()
+            .filter(|&c| loads[c as usize] == min)
+            .collect();
+        PartitionId(tied[rng.next_below(tied.len() as u64) as usize])
+    }
+
+    /// Appendix A's four-case analysis, written out plainly — the body of
+    /// the sequential `oblivious_choose` this crate carried before the
+    /// kernels were unified, with the tie-break stream passed in. Kept as
+    /// the oracle for [`speculative::oblivious_score`].
+    fn oracle_choose(state: &GreedyState, e: Edge, rng: &mut Splitmix64) -> PartitionId {
+        let all = 0..state.load.len() as u32;
+        let (au, av) = (state.replicas(e.src), state.replicas(e.dst));
+        let inter = au.intersection(av);
+        let choice = if !inter.is_empty() {
+            // Case 1: replicas of both already co-located somewhere.
+            oracle_least_loaded(&state.load, inter.iter(), rng)
+        } else if au.is_empty() && av.is_empty() {
+            // Case 3: fresh edge.
+            oracle_least_loaded(&state.load, all.clone(), rng)
+        } else if av.is_empty() {
+            // Case 2: only u placed.
+            oracle_least_loaded(&state.load, au.iter(), rng)
+        } else if au.is_empty() {
+            // Case 2 (symmetric): only v placed.
+            oracle_least_loaded(&state.load, av.iter(), rng)
+        } else {
+            // Case 4: both placed, disjoint — least loaded in the union.
+            oracle_least_loaded(&state.load, au.union(av).iter(), rng)
+        };
+        if state.load[choice.index()] >= state.capacity() {
+            oracle_least_loaded(&state.load, all, rng)
+        } else {
+            choice
+        }
+    }
+
+    /// Pick-for-pick agreement of the kernel with the four-case oracle on
+    /// random committed states, including self-loops and 300 partitions
+    /// (replica sets heap-spilled past the four inline words).
+    #[test]
+    fn kernel_agrees_with_the_four_case_oracle() {
+        const N: u64 = 60;
+        for partitions in [2u32, 9, 300] {
+            let mut k = kernel(partitions, N);
+            let mut scratch = ScoreScratch::new(0);
+            let mut rng = Splitmix64::new(u64::from(partitions));
+            let mut spilled = false;
+            for i in 0..4_000u64 {
+                let u = rng.next_below(N / 10);
+                let v = rng.next_below(N);
+                let e = Edge::new(u, if rng.next_below(10) == 0 { u } else { v });
+                let got = k.score_live(e, i as usize, &mut scratch);
+                let want = oracle_choose(&k.greedy, e, &mut edge_rng(k.seed, i as usize));
+                assert_eq!(got, want, "p={partitions} edge {i} ({e:?})");
+                // Mostly follow the rule, sometimes scatter, so all four
+                // cases and the capacity override keep firing.
+                let p = if rng.next_below(3) == 0 {
+                    PartitionId(rng.next_below(u64::from(partitions)) as u32)
+                } else {
+                    got
+                };
+                k.greedy.commit_priced(e, p);
+                spilled |= k.greedy.replicas(e.src).words().len() > 4;
+            }
+            assert_eq!(spilled, partitions == 300, "heap-spilled sets exercised");
+        }
+    }
+
+    /// Every partition at capacity: the preferred set is overridden by the
+    /// global least-loaded machine, in the kernel as in the oracle.
+    #[test]
+    fn all_at_capacity_falls_back_to_least_loaded() {
+        let mut k = kernel(5, 16);
+        k.greedy.commit(Edge::new(0u64, 1u64), PartitionId(0));
+        k.greedy.load = vec![9, 7, 8, 7, 9];
+        k.greedy.assigned = 0; // capacity 4: everything is over it
+        let mut picks = std::collections::BTreeSet::new();
+        for idx in 0..64 {
+            let e = Edge::new(0u64, 1u64);
+            let got = k.score_live(e, idx, &mut ScoreScratch::new(0));
+            let want = oracle_choose(&k.greedy, e, &mut edge_rng(k.seed, idx));
+            assert_eq!(got, want);
+            picks.insert(got.0);
+        }
+        assert_eq!(picks.into_iter().collect::<Vec<_>>(), vec![1, 3]);
+    }
+
     #[test]
     fn case1_places_in_intersection() {
-        let mut s = GreedyState::new(4, 128, 1);
-        s.commit(Edge::new(0u64, 1u64), PartitionId(2));
+        let mut k = kernel(4, 128);
+        k.greedy.commit(Edge::new(0u64, 1u64), PartitionId(2));
         // Both 0 and 1 live on p2 only; the next (0,1)-ish edge must go there.
-        let p = oblivious_choose(&mut s, Edge::new(0u64, 1u64));
-        assert_eq!(p, PartitionId(2));
+        assert_eq!(score(&k, Edge::new(0u64, 1u64)), PartitionId(2));
     }
 
     #[test]
     fn case2_follows_the_placed_endpoint() {
-        let mut s = GreedyState::new(4, 128, 1);
-        s.commit(Edge::new(0u64, 1u64), PartitionId(3));
-        let p = oblivious_choose(&mut s, Edge::new(0u64, 9u64));
+        let mut k = kernel(4, 128);
+        k.greedy.commit(Edge::new(0u64, 1u64), PartitionId(3));
+        let p = score(&k, Edge::new(0u64, 9u64));
         assert_eq!(p, PartitionId(3), "new edge should join u's only replica");
     }
 
     #[test]
     fn case3_balances_fresh_edges() {
-        let mut s = GreedyState::new(2, 128, 1);
-        s.load = vec![5, 0];
-        let p = oblivious_choose(&mut s, Edge::new(10u64, 11u64));
+        let mut k = kernel(2, 128);
+        k.greedy.load = vec![5, 0];
+        let p = score(&k, Edge::new(10u64, 11u64));
         assert_eq!(
             p,
             PartitionId(1),
@@ -403,12 +351,11 @@ mod tests {
 
     #[test]
     fn case4_uses_least_loaded_in_union() {
-        let mut s = GreedyState::new(4, 128, 1);
-        s.commit(Edge::new(0u64, 5u64), PartitionId(0));
-        s.commit(Edge::new(1u64, 6u64), PartitionId(2));
-        s.load[0] = 10; // make p2 the lighter of {0, 2}
-        let p = oblivious_choose(&mut s, Edge::new(0u64, 1u64));
-        assert_eq!(p, PartitionId(2));
+        let mut k = kernel(4, 128);
+        k.greedy.commit(Edge::new(0u64, 5u64), PartitionId(0));
+        k.greedy.commit(Edge::new(1u64, 6u64), PartitionId(2));
+        k.greedy.load[0] = 10; // make p2 the lighter of {0, 2}
+        assert_eq!(score(&k, Edge::new(0u64, 1u64)), PartitionId(2));
     }
 
     #[test]
