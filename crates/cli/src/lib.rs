@@ -2081,6 +2081,45 @@ mod tests {
     }
 
     #[test]
+    fn run_refuses_a_partition_file_with_a_hostile_header() {
+        let path = temp_graph_named("hostile-header");
+        let pfile = std::env::temp_dir()
+            .join("distgraph-cli-test")
+            .join("hostile-parts.txt")
+            .to_string_lossy()
+            .to_string();
+        let (code, text) = run_to_string(&Command::Partition {
+            path: path.clone(),
+            strategy: Strategy::Grid,
+            parts: 16,
+            seed: 1,
+            threads: 1,
+            window: 0,
+            out: Some(pfile.clone()),
+        });
+        assert_eq!(code, 0, "{text}");
+        // The header used to size a per-partition table: 4e9 × 8 bytes.
+        let saved = std::fs::read_to_string(&pfile).unwrap();
+        let hostile = saved.replacen("partitions 16", "partitions 4000000000", 1);
+        std::fs::write(&pfile, hostile).unwrap();
+        let (code, text) = run_to_string(&Command::Run {
+            path,
+            app: AppChoice::PageRank,
+            strategy: Strategy::Grid,
+            parts: 16,
+            seed: 1,
+            system: SystemChoice::PowerGraph,
+            partition_file: Some(pfile.clone()),
+            threads: 1,
+            window: 0,
+        });
+        // `fail`'s code, like every other load error; not an abort.
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains(&format!("cannot load {pfile}")), "{text}");
+        assert!(text.contains("4000000000"), "{text}");
+    }
+
+    #[test]
     fn run_works_on_all_three_systems() {
         let path = temp_graph_named("run");
         for system in [

@@ -72,17 +72,46 @@ pub fn read_edge_list(path: impl AsRef<Path>) -> Result<LoadedGraph> {
     parse_edge_list(std::fs::File::open(path)?)
 }
 
+/// Append the decimal digits of `x` to `buf`: the bytes `x.to_string()`
+/// would produce, without the `String`. Every text writer in the repo that
+/// emits one number per edge or per id formats through this.
+#[inline]
+pub fn push_decimal(buf: &mut Vec<u8>, mut x: u64) {
+    if x < 100 {
+        // Partition ids — the bulk of a partition file — land here, and
+        // whether one has one digit or two is a coin flip per id. So no
+        // branch on it: write two bytes, keep one or both.
+        let (tens, ones) = (b'0' + (x / 10) as u8, b'0' + (x % 10) as u8);
+        let two = x >= 10;
+        let len = buf.len();
+        buf.extend_from_slice(&[if two { tens } else { ones }, ones]);
+        buf.truncate(len + 1 + two as usize);
+        return;
+    }
+    // u64::MAX has 20 digits; fill from the back, least significant first.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while x > 0 {
+        at -= 1;
+        digits[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
 /// Write a graph as a plain-text edge list (dense ids, one edge per line).
 pub fn write_edge_list<W: Write>(graph: &EdgeList, mut writer: W) -> Result<()> {
-    let mut buf = String::new();
+    let mut line = Vec::with_capacity(2 * 20 + 2);
     for e in graph.edges() {
-        buf.clear();
-        buf.push_str(&e.src.0.to_string());
-        buf.push('\t');
-        buf.push_str(&e.dst.0.to_string());
-        buf.push('\n');
-        writer.write_all(buf.as_bytes())?;
+        line.clear();
+        push_decimal(&mut line, e.src.0);
+        line.push(b'\t');
+        push_decimal(&mut line, e.dst.0);
+        line.push(b'\n');
+        writer.write_all(&line)?;
     }
+    // A `BufWriter` passed by value would swallow its last write error on drop.
+    writer.flush()?;
     Ok(())
 }
 
@@ -175,6 +204,39 @@ mod tests {
         assert_eq!(loaded.graph.num_edges(), g.num_edges());
         assert_eq!(loaded.graph.num_vertices(), g.num_vertices());
         assert_eq!(loaded.graph.edges(), g.edges());
+    }
+
+    #[test]
+    fn push_decimal_matches_to_string() {
+        let edges = [u32::MAX as u64, u64::MAX];
+        for x in (0..=1_000).chain(edges) {
+            let mut buf = b"x".to_vec();
+            push_decimal(&mut buf, x);
+            assert_eq!(buf, format!("x{x}").into_bytes());
+        }
+    }
+
+    /// The formatter `write_edge_list` used before `push_decimal`.
+    fn write_edge_list_oracle(graph: &EdgeList) -> Vec<u8> {
+        let mut out = String::new();
+        for e in graph.edges() {
+            out.push_str(&e.src.0.to_string());
+            out.push('\t');
+            out.push_str(&e.dst.0.to_string());
+            out.push('\n');
+        }
+        out.into_bytes()
+    }
+
+    #[test]
+    fn write_edge_list_bytes_match_the_old_formatter() {
+        // Ids cross 9 -> 10 and 99 -> 100 on both sides of the tab.
+        let pairs: Vec<(u64, u64)> = (0..=101).map(|v| (v, 101 - v)).collect();
+        for g in [EdgeList::from_pairs(pairs), EdgeList::from_pairs(vec![])] {
+            let mut buf = Vec::new();
+            write_edge_list(&g, &mut buf).unwrap();
+            assert_eq!(buf, write_edge_list_oracle(&g));
+        }
     }
 
     #[test]

@@ -246,6 +246,12 @@ impl Assignment {
         self.masters[v.index()]
     }
 
+    /// All per-vertex masters, indexed by vertex id.
+    #[inline]
+    pub fn masters(&self) -> &[PartitionId] {
+        &self.masters
+    }
+
     /// Override master placement (used by Hybrid, which co-locates a
     /// low-degree vertex's master with its in-edges, §6.2.1). Each master
     /// must be one of the vertex's replicas.

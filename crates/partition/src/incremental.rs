@@ -29,14 +29,14 @@
 use crate::partitioner::CostModel;
 use crate::speculative::{ScoreScratch, WindowKernel};
 use crate::strategies::bicut::bicut_edge;
-use crate::strategies::constrained::{grid_edge, pds_edge};
+use crate::strategies::constrained::{grid_edge, pds_edge, PdsTable};
 use crate::strategies::hash::{
     asym_random_edge, one_d_edge, one_d_target_edge, random_edge, two_d_edge,
 };
 use crate::strategies::hdrf::HdrfWindowKernel;
 use crate::strategies::hybrid::hybrid_edge;
 use crate::strategies::oblivious::ObliviousWindowKernel;
-use crate::strategies::{FavoriteSide, Pds, TwoD};
+use crate::strategies::{FavoriteSide, TwoD};
 use crate::strategy::Strategy;
 use gp_core::{Edge, PartitionId};
 
@@ -296,13 +296,8 @@ impl Strategy {
                 )
             }
             Strategy::Pds => {
-                let order = Pds::order_for(p).unwrap_or_else(|| {
-                    panic!(
-                        "PDS requires p^2+p+1 machines for prime p (7, 13, 31, 57, ...), got {p}"
-                    )
-                });
-                let ds = Pds::difference_set(order).expect("difference set exists for prime order");
-                stateless("PDS", Box::new(move |e| pds_edge(e, seed, &ds, p)))
+                let table = PdsTable::new(p);
+                stateless("PDS", Box::new(move |e| pds_edge(e, seed, &table)))
             }
             // Stateful heuristics run loader 0's kernel (same seed
             // derivation as batch loader 0) over the live stream.

@@ -8,7 +8,6 @@
 //! (`gp-cluster`) converts them to simulated seconds.
 
 use crate::partitioner::PartitionOutcome;
-use gp_core::VertexId;
 use gp_par::ParConfig;
 use std::ops::Range;
 
@@ -63,19 +62,11 @@ impl IngressReport {
     /// partitions outnumber loaders (GraphX).
     pub fn from_outcome(strategy: &'static str, outcome: &PartitionOutcome, loaders: u32) -> Self {
         let a = &outcome.assignment;
-        let num_parts = a.num_partitions().max(1) as u64;
         let loaders = loaders.max(1) as u64;
         // A loader hosts `num_parts / loaders` partitions; an edge read by a
         // loader stays local iff its partition is one the loader hosts.
         let local_fraction = 1.0 / loaders as f64;
         let shipped = (a.num_edges() as f64 * (1.0 - local_fraction)).round() as u64;
-        let replicas: u64 = (0..a.num_vertices())
-            .map(|v| a.replica_count(VertexId(v)) as u64)
-            .sum();
-        let masters: u64 = (0..a.num_vertices())
-            .map(|v| u64::from(a.replica_count(VertexId(v)) > 0))
-            .sum();
-        let _ = num_parts;
         IngressReport {
             strategy,
             loader_work: outcome.loader_work.clone(),
@@ -83,8 +74,8 @@ impl IngressReport {
             state_bytes: outcome.state_bytes,
             volumes: IngressVolumes {
                 edges_shipped: shipped,
-                replicas_created: replicas,
-                mirrors_created: replicas - masters,
+                replicas_created: a.total_images() as u64,
+                mirrors_created: a.total_mirrors(),
             },
             replication_factor: a.replication_factor(),
             edge_imbalance: a.balance().imbalance,

@@ -25,31 +25,104 @@ use gp_core::{hash_canonical_edge, hash_vertex, Edge, PartitionId, StreamingEdge
 pub(crate) fn grid_edge(e: Edge, seed: u64, p: u32, side: u64, virtual_n: u64) -> PartitionId {
     let mu = hash_vertex(e.src, seed) % virtual_n;
     let mv = hash_vertex(e.dst, seed) % virtual_n;
-    let su = Grid::constraint_set(mu, side);
-    let sv = Grid::constraint_set(mv, side);
-    let inter: Vec<u64> = su
-        .iter()
-        .copied()
-        .filter(|x| sv.binary_search(x).is_ok())
-        .collect();
-    debug_assert!(!inter.is_empty(), "grid constraint sets always intersect");
-    let pick = hash_canonical_edge(e.src, e.dst, seed ^ 0x6161) as usize % inter.len();
-    PartitionId((inter[pick] % p as u64) as u32)
+    let h = hash_canonical_edge(e.src, e.dst, seed ^ 0x6161);
+    PartitionId((grid_pick(mu, mv, side, h) % p as u64) as u32)
+}
+
+/// The `h`-th cell (modulo the intersection's size) of `S(mu) ∩ S(mv)` in
+/// ascending cell-index order, where `S(m)` is the row plus the column of
+/// cell `m` in a `side × side` grid. The intersection has a closed form in
+/// each of the four ways two cells can relate, so no set is ever built.
+#[inline]
+fn grid_pick(mu: u64, mv: u64, side: u64, h: u64) -> u64 {
+    let (r1, c1) = (mu / side, mu % side);
+    let (r2, c2) = (mv / side, mv % side);
+    match (r1 == r2, c1 == c2) {
+        // The two opposite corners of the rectangle the cells span.
+        (false, false) => {
+            let (a, b) = (r1 * side + c2, r2 * side + c1);
+            if h.is_multiple_of(2) {
+                a.min(b)
+            } else {
+                a.max(b)
+            }
+        }
+        // Shared row: each column crosses it inside the row itself.
+        (true, false) => r1 * side + h % side,
+        // Shared column, likewise.
+        (false, true) => (h % side) * side + c1,
+        // Same cell: its whole cross. Ascending order is the column cells
+        // above the row, the row, then the column cells below it.
+        (true, true) => {
+            let k = h % (2 * side - 1);
+            if k < r1 {
+                k * side + c1
+            } else if k < r1 + side {
+                r1 * side + (k - r1)
+            } else {
+                (k - side + 1) * side + c1
+            }
+        }
+    }
+}
+
+/// What [`pds_edge`] needs of one PDS order: the sorted difference set and,
+/// for every non-zero residue `r`, the unique member `d_i` with
+/// `d_i − d_j ≡ r (mod n)` — the projective-plane property that makes two
+/// distinct constraint sets meet in exactly one machine.
+pub(crate) struct PdsTable {
+    n: u32,
+    /// Ascending, as [`Pds::difference_set`] builds it.
+    ds: Vec<u32>,
+    /// `first[r] = d_i`; slot 0 is unused.
+    first: Vec<u32>,
+}
+
+impl PdsTable {
+    /// The table for `n = p² + p + 1` machines; panics on any other count.
+    pub(crate) fn new(n: u32) -> Self {
+        let p = Pds::order_for(n).unwrap_or_else(|| {
+            panic!("PDS requires p^2+p+1 machines for prime p (7, 13, 31, 57, ...), got {n}")
+        });
+        let ds = Pds::difference_set(p).expect("difference set exists for prime order");
+        debug_assert!(ds.is_sorted());
+        let mut first = vec![0u32; n as usize];
+        for &di in &ds {
+            for &dj in &ds {
+                first[((di + n - dj) % n) as usize] = di;
+            }
+        }
+        PdsTable { n, ds, first }
+    }
 }
 
 /// PDS's per-edge assignment — shared by the batch and incremental paths.
-/// `ds` is the difference set for the order whose `p² + p + 1 = n`.
-pub(crate) fn pds_edge(e: Edge, seed: u64, ds: &[u32], n: u32) -> PartitionId {
-    let su = Pds::constraint_set(hash_vertex(e.src, seed), ds, n);
-    let sv = Pds::constraint_set(hash_vertex(e.dst, seed), ds, n);
-    let inter: Vec<u64> = su
-        .iter()
-        .copied()
-        .filter(|x| sv.binary_search(x).is_ok())
-        .collect();
-    debug_assert!(!inter.is_empty(), "PDS lines always intersect");
-    let pick = hash_canonical_edge(e.src, e.dst, seed ^ 0x9d5) as usize % inter.len();
-    PartitionId(inter[pick] as u32)
+pub(crate) fn pds_edge(e: Edge, seed: u64, table: &PdsTable) -> PartitionId {
+    let a = (hash_vertex(e.src, seed) % table.n as u64) as u32;
+    let b = (hash_vertex(e.dst, seed) % table.n as u64) as u32;
+    let h = hash_canonical_edge(e.src, e.dst, seed ^ 0x9d5);
+    PartitionId(pds_pick(table, a, b, h))
+}
+
+/// The `h`-th machine (modulo the intersection's size) common to the lines
+/// of base residues `a` and `b`, in ascending order.
+#[inline]
+fn pds_pick(table: &PdsTable, a: u32, b: u32, h: u64) -> u32 {
+    let (n, ds) = (table.n, &table.ds);
+    if a != b {
+        // a + d_i ≡ b + d_j  ⇔  d_i − d_j ≡ b − a: one solution, no choice.
+        return (a + table.first[((b + n - a) % n) as usize]) % n;
+    }
+    // Same line: all p + 1 of its machines. The members with a + d ≥ n wrap
+    // below every unwrapped one, and both runs keep the order of `ds`.
+    let k = (h % ds.len() as u64) as usize;
+    let unwrapped = ds.partition_point(|&d| d < n - a);
+    let wrapped = ds.len() - unwrapped;
+    if k < wrapped {
+        a + ds[unwrapped + k] - n
+    } else {
+        a + ds[k - wrapped]
+    }
 }
 
 /// Grid (constrained) partitioning.
@@ -79,7 +152,9 @@ impl Grid {
     }
 
     /// Constraint set of the machine with index `m` in a `side × side` grid:
-    /// all machines in its row and column.
+    /// all machines in its row and column. The oracle [`grid_pick`] is
+    /// tested against.
+    #[cfg(test)]
     fn constraint_set(m: u64, side: u64) -> Vec<u64> {
         let (row, col) = (m / side, m % side);
         let mut set: Vec<u64> = (0..side).map(|c| row * side + c).collect();
@@ -158,6 +233,9 @@ impl Pds {
         }
     }
 
+    /// Constraint set of a vertex hash, sorted: the oracle [`pds_edge`] is
+    /// tested against.
+    #[cfg(test)]
     fn constraint_set(v_hash: u64, ds: &[u32], n: u32) -> Vec<u64> {
         let base = v_hash % n as u64;
         let mut set: Vec<u64> = ds.iter().map(|&d| (base + d as u64) % n as u64).collect();
@@ -235,12 +313,9 @@ impl Partitioner for Pds {
         ctx: &PartitionContext,
     ) -> PartitionOutcome {
         let n = ctx.num_partitions;
-        let p = Pds::order_for(n).unwrap_or_else(|| {
-            panic!("PDS requires p^2+p+1 machines for prime p (7, 13, 31, 57, ...), got {n}")
-        });
-        let ds = Pds::difference_set(p).expect("difference set exists for prime order");
+        let table = PdsTable::new(n);
         let assignment = assign_stateless_par(graph, n, ctx.seed, &ctx.par, |e| {
-            pds_edge(e, ctx.seed, &ds, n)
+            pds_edge(e, ctx.seed, &table)
         });
         let outcome = PartitionOutcome {
             assignment,
@@ -315,6 +390,59 @@ mod tests {
         assert_eq!(s, vec![1, 3, 4, 5, 7]);
     }
 
+    /// `grid_pick` as it was before the closed form: build both constraint
+    /// sets, intersect, index.
+    fn grid_pick_oracle(mu: u64, mv: u64, side: u64, h: u64) -> u64 {
+        let su = Grid::constraint_set(mu, side);
+        let sv = Grid::constraint_set(mv, side);
+        let inter: Vec<u64> = su
+            .iter()
+            .copied()
+            .filter(|x| sv.binary_search(x).is_ok())
+            .collect();
+        inter[h as usize % inter.len()]
+    }
+
+    #[test]
+    fn grid_closed_form_matches_the_set_intersection() {
+        for side in 1..=6u64 {
+            let n = side * side;
+            for mu in 0..n {
+                for mv in 0..n {
+                    for h in 0..4 * side {
+                        assert_eq!(
+                            grid_pick(mu, mv, side, h),
+                            grid_pick_oracle(mu, mv, side, h),
+                            "side {side}, cells {mu},{mv}, h {h}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resilient_grid_edge_matches_the_oracle_on_non_square_counts() {
+        let g = gp_gen::erdos_renyi(300, 3_000, 8);
+        for p in [2u32, 3, 10, 15] {
+            let side = (p as f64).sqrt().ceil() as u64;
+            let virtual_n = side * side;
+            for seed in [0u64, 42] {
+                for &e in g.edges() {
+                    let mu = hash_vertex(e.src, seed) % virtual_n;
+                    let mv = hash_vertex(e.dst, seed) % virtual_n;
+                    let h = hash_canonical_edge(e.src, e.dst, seed ^ 0x6161);
+                    let want = (grid_pick_oracle(mu, mv, side, h) % p as u64) as u32;
+                    assert_eq!(
+                        grid_edge(e, seed, p, side, virtual_n),
+                        PartitionId(want),
+                        "p {p}, seed {seed}, edge {e:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn grid_rf_beats_random_on_heavy_tailed() {
         // The core Fig 5.6 observation.
@@ -380,6 +508,32 @@ mod tests {
                 let sb = Pds::constraint_set(b, &ds, n);
                 let inter = sa.iter().filter(|x| sb.contains(x)).count();
                 assert_eq!(inter, 1, "machines {a},{b}");
+            }
+        }
+    }
+
+    #[test]
+    fn pds_table_matches_the_set_intersection() {
+        for n in [7u32, 13, 31, 57] {
+            let table = PdsTable::new(n);
+            let picks = 2 * table.ds.len() as u64;
+            for a in 0..n {
+                for b in 0..n {
+                    let sa = Pds::constraint_set(a as u64, &table.ds, n);
+                    let sb = Pds::constraint_set(b as u64, &table.ds, n);
+                    let inter: Vec<u64> = sa
+                        .iter()
+                        .copied()
+                        .filter(|x| sb.binary_search(x).is_ok())
+                        .collect();
+                    for h in 0..picks {
+                        assert_eq!(
+                            pds_pick(&table, a, b, h) as u64,
+                            inter[h as usize % inter.len()],
+                            "n {n}, bases {a},{b}, h {h}"
+                        );
+                    }
+                }
             }
         }
     }
