@@ -4,7 +4,7 @@
 //! partition-reuse scenario quantified.
 
 use crate::experiments::secs;
-use crate::pipeline::{App, EngineKind, Pipeline};
+use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, CostRates, Table};
 use gp_gen::Dataset;
 use gp_partition::strategies::{BiCut, Chunking, Hdrf, Hybrid, Oblivious};
@@ -131,9 +131,21 @@ pub fn ablation_engines(scale: f64, seed: u64) -> Vec<Table> {
     ] {
         for app in [App::PageRankFixed(10), App::Wcc] {
             let mut p1 = Pipeline::new(scale, seed);
-            let sync = p1.run(Dataset::UkWeb, strategy, &spec, EngineKind::PowerGraph, app);
+            let sync = p1.run(&Scenario::new(
+                Dataset::UkWeb,
+                strategy,
+                &spec,
+                EngineKind::PowerGraph,
+                app,
+            ));
             let mut p2 = Pipeline::new(scale, seed);
-            let hybrid = p2.run(Dataset::UkWeb, strategy, &spec, EngineKind::PowerLyra, app);
+            let hybrid = p2.run(&Scenario::new(
+                Dataset::UkWeb,
+                strategy,
+                &spec,
+                EngineKind::PowerLyra,
+                app,
+            ));
             let saving = 1.0 - hybrid.mean_net_in_bytes / sync.mean_net_in_bytes.max(1.0);
             t.row(vec![
                 strategy.label().to_string(),
@@ -167,7 +179,13 @@ pub fn ablation_reuse(scale: f64, seed: u64) -> Vec<Table> {
     );
     for strategy in [Strategy::Grid, Strategy::Hdrf] {
         let mut pipeline = Pipeline::new(scale, seed);
-        let job = pipeline.run(Dataset::UkWeb, strategy, &spec, EngineKind::PowerGraph, app);
+        let job = pipeline.run(&Scenario::new(
+            Dataset::UkWeb,
+            strategy,
+            &spec,
+            EngineKind::PowerGraph,
+            app,
+        ));
         let single = job.total_seconds();
         let repartition = jobs as f64 * single;
         // Reuse: pay ingress once, then only a (cheap) reload plus compute.

@@ -9,7 +9,7 @@
 //! shorter rollbacks.
 
 use crate::experiments::{gb, secs};
-use crate::pipeline::{App, EngineKind, JobResult, Pipeline};
+use crate::pipeline::{App, EngineKind, JobResult, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, CostRates, Table};
 use gp_fault::{recovery_cost, CheckpointPolicy, FaultPlan, FaultRates};
 use gp_gen::Dataset;
@@ -28,27 +28,23 @@ const DEAD_MACHINE: u32 = 0;
 /// Superstep at which the single-crash scenario strikes.
 const CRASH_STEP: u32 = 10;
 
-/// Run the single-crash scenario for one strategy: PageRank(20) on UK-web /
-/// EC2-16, one crash at superstep [`CRASH_STEP`], checkpoint every 4 steps.
+/// The job chapters 10 and 11 perturb: PageRank(`steps`) on UK-web / EC2-16
+/// under PowerGraph.
+pub fn pagerank_job(strategy: Strategy, steps: u32) -> Scenario {
+    let (spec, app) = (ClusterSpec::ec2_16(), App::PageRankFixed(steps));
+    Scenario::new(Dataset::UkWeb, strategy, &spec, EngineKind::PowerGraph, app)
+}
+
+/// Run the single-crash scenario for one strategy: PageRank(20) with one
+/// crash at superstep [`CRASH_STEP`], checkpoint every 4 steps.
 fn crash_job(pipeline: &mut Pipeline, strategy: Strategy, faulted: bool) -> JobResult {
-    let spec = ClusterSpec::ec2_16();
-    let (plan, policy) = if faulted {
-        (
-            FaultPlan::crash_at(CRASH_STEP, DEAD_MACHINE),
-            CheckpointPolicy::every(4),
-        )
+    let clean = pagerank_job(strategy, 20);
+    pipeline.run(&if faulted {
+        let crash = FaultPlan::crash_at(CRASH_STEP, DEAD_MACHINE);
+        clean.with_faults(crash, CheckpointPolicy::every(4))
     } else {
-        (FaultPlan::none(), CheckpointPolicy::disabled())
-    };
-    pipeline.run_with_faults(
-        Dataset::UkWeb,
-        strategy,
-        &spec,
-        EngineKind::PowerGraph,
-        App::PageRankFixed(20),
-        plan,
-        policy,
-    )
+        clean
+    })
 }
 
 /// Table 10.1 — recovery cost by strategy after a single machine crash.
@@ -137,15 +133,7 @@ pub fn ch10_interval(scale: f64, seed: u64) -> Vec<Table> {
             } else {
                 CheckpointPolicy::every(interval)
             };
-            let job = pipeline.run_with_faults(
-                Dataset::UkWeb,
-                strategy,
-                &spec,
-                EngineKind::PowerGraph,
-                App::PageRankFixed(HORIZON),
-                plan,
-                policy,
-            );
+            let job = pipeline.run(&pagerank_job(strategy, HORIZON).with_faults(plan, policy));
             walls[ri].push(job.compute_seconds);
             row.push(secs(job.compute_seconds));
         }

@@ -11,13 +11,12 @@
 //! of the slow machine's work on the least-loaded peer bounds the stall by
 //! the clone's runtime instead of the straggler's slowdown factor.
 
-use crate::experiments::ch10::CH10_STRATEGIES;
+use crate::experiments::ch10::{pagerank_job, CH10_STRATEGIES};
 use crate::experiments::{gb, secs};
-use crate::pipeline::{App, EngineKind, JobResult, Pipeline};
-use gp_cluster::{ClusterSpec, Table};
+use crate::pipeline::{JobResult, Pipeline};
+use gp_cluster::Table;
 use gp_engine::CommsConfig;
 use gp_fault::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
-use gp_gen::Dataset;
 use gp_partition::Strategy;
 
 /// Per-link loss rates swept in Table 11.1 (0 = clean network).
@@ -26,16 +25,11 @@ pub const LOSS_RATES: [f64; 5] = [0.0, 0.02, 0.05, 0.1, 0.2];
 const HORIZON: u32 = 20;
 
 fn lossy_job(pipeline: &mut Pipeline, strategy: Strategy, loss: f64) -> JobResult {
-    let spec = ClusterSpec::ec2_16();
-    pipeline.run_with_comms(
-        Dataset::UkWeb,
-        strategy,
-        &spec,
-        EngineKind::PowerGraph,
-        App::PageRankFixed(HORIZON),
-        FaultPlan::uniform_flaky(loss, spec.machines, HORIZON),
-        CheckpointPolicy::disabled(),
-        CommsConfig::reliable(),
+    let job = pagerank_job(strategy, HORIZON);
+    let flaky = FaultPlan::uniform_flaky(loss, job.spec.machines, HORIZON);
+    pipeline.run(
+        &job.with_faults(flaky, CheckpointPolicy::disabled())
+            .with_comms(CommsConfig::reliable()),
     )
 }
 
@@ -95,16 +89,10 @@ fn straggler_plan() -> FaultPlan {
 }
 
 fn straggler_job(pipeline: &mut Pipeline, strategy: Strategy, comms: CommsConfig) -> JobResult {
-    let spec = ClusterSpec::ec2_16();
-    pipeline.run_with_comms(
-        Dataset::UkWeb,
-        strategy,
-        &spec,
-        EngineKind::PowerGraph,
-        App::PageRankFixed(HORIZON),
-        straggler_plan(),
-        CheckpointPolicy::disabled(),
-        comms,
+    pipeline.run(
+        &pagerank_job(strategy, HORIZON)
+            .with_faults(straggler_plan(), CheckpointPolicy::disabled())
+            .with_comms(comms),
     )
 }
 
@@ -131,13 +119,7 @@ pub fn ch11_speculation(scale: f64, seed: u64) -> Vec<Table> {
         ],
     );
     for strategy in CH10_STRATEGIES {
-        let clean = pipeline.run(
-            Dataset::UkWeb,
-            strategy,
-            &ClusterSpec::ec2_16(),
-            EngineKind::PowerGraph,
-            App::PageRankFixed(HORIZON),
-        );
+        let clean = pipeline.run(&pagerank_job(strategy, HORIZON));
         let wait = straggler_job(&mut pipeline, strategy, CommsConfig::disabled());
         let spec = straggler_job(
             &mut pipeline,

@@ -14,12 +14,11 @@
 //! masters evacuate to surviving replicas, below the threshold the job
 //! falls back to checkpoint recovery and replay.
 
-use crate::{App, EngineKind, JobResult, Pipeline};
+use crate::{App, EngineKind, JobResult, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
 use gp_elastic::{
     ElasticConfig, ElasticPlan, RepairPolicy, SchedulePolicy, TenantJob, TenantScheduler,
 };
-use gp_engine::CommsConfig;
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -55,29 +54,6 @@ fn app_label(app: App) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn elastic_run(
-    p: &mut Pipeline,
-    dataset: Dataset,
-    spec: &ClusterSpec,
-    strategy: Strategy,
-    app: App,
-    checkpoint: CheckpointPolicy,
-    elastic: ElasticConfig,
-) -> JobResult {
-    p.run_with_elastic(
-        dataset,
-        strategy,
-        spec,
-        EngineKind::PowerGraph,
-        app,
-        FaultPlan::none(),
-        checkpoint,
-        CommsConfig::disabled(),
-        elastic,
-    )
-}
-
 /// Table 13.1 + 13.2 — the scale-out dilemma and tenant scheduling.
 ///
 /// Expectations for 13.1: with most of a long job ahead of the event,
@@ -106,34 +82,24 @@ pub fn ch13_elasticity(scale: f64, seed: u64) -> Vec<Table> {
     );
     for strategy in ELASTIC_STRATEGIES {
         for app in ELASTIC_APPS {
-            let plan = || ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K);
-            let ride = elastic_run(
-                &mut p,
+            let job = Scenario::new(
                 Dataset::LiveJournal,
-                &spec,
                 strategy,
-                app,
-                CheckpointPolicy::disabled(),
-                ElasticConfig::new(plan()).with_repair(RepairPolicy::NeverRepartition),
-            );
-            let repart = elastic_run(
-                &mut p,
-                Dataset::LiveJournal,
                 &spec,
-                strategy,
+                EngineKind::PowerGraph,
                 app,
-                CheckpointPolicy::disabled(),
-                ElasticConfig::new(plan()).with_repair(RepairPolicy::AlwaysRepartition),
             );
-            let cost_based = elastic_run(
-                &mut p,
-                Dataset::LiveJournal,
-                &spec,
-                strategy,
-                app,
-                CheckpointPolicy::disabled(),
-                ElasticConfig::new(plan()),
-            );
+            let scale_out =
+                ElasticConfig::new(ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K));
+            let mut run = |repair: RepairPolicy| {
+                p.run(
+                    &job.clone()
+                        .with_elastic(scale_out.clone().with_repair(repair)),
+                )
+            };
+            let ride = run(RepairPolicy::NeverRepartition);
+            let repart = run(RepairPolicy::AlwaysRepartition);
+            let cost_based = run(RepairPolicy::default());
             let winner = if repart.compute_seconds < ride.compute_seconds {
                 "re-partition"
             } else {
@@ -168,20 +134,20 @@ pub fn ch13_elasticity(scale: f64, seed: u64) -> Vec<Table> {
 fn tenant_table(scale: f64, seed: u64) -> Table {
     let spec = ClusterSpec::local_9();
     let mut p = Pipeline::new(scale, seed);
-    let long = p.run(
+    let long = p.run(&Scenario::new(
         Dataset::LiveJournal,
         Strategy::Grid,
         &spec,
         EngineKind::PowerGraph,
         App::PageRankFixed(12),
-    );
-    let short = p.run(
+    ));
+    let short = p.run(&Scenario::new(
         Dataset::LiveJournal,
         Strategy::Hdrf,
         &spec,
         EngineKind::PowerGraph,
         App::Wcc,
-    );
+    ));
     // The short job arrives once the long one is a couple of supersteps in.
     let arrival = long.cumulative_seconds.get(1).copied().unwrap_or(0.0);
     let jobs = |short_arrival: f64| {
@@ -223,7 +189,7 @@ fn tenant_table(scale: f64, seed: u64) -> Table {
 
 /// A tenant job whose step walls and per-step traffic replay a solo
 /// pipeline run.
-fn tenant_job(name: &str, arrival_s: f64, solo: &JobResult) -> TenantJob {
+pub fn tenant_job(name: &str, arrival_s: f64, solo: &JobResult) -> TenantJob {
     let mut walls = Vec::with_capacity(solo.cumulative_seconds.len());
     let mut prev = 0.0;
     for &c in &solo.cumulative_seconds {
@@ -245,15 +211,15 @@ fn tenant_job(name: &str, arrival_s: f64, solo: &JobResult) -> TenantJob {
 pub fn ch13_preemption(scale: f64, seed: u64) -> Vec<Table> {
     let spec = ClusterSpec::local_9();
     let mut p = Pipeline::new(scale, seed);
-    let clean = elastic_run(
-        &mut p,
+    let job = Scenario::new(
         Dataset::RoadNetCa,
-        &spec,
         Strategy::Grid,
+        &spec,
+        EngineKind::PowerGraph,
         App::Sssp { undirected: true },
-        CheckpointPolicy::every(4),
-        ElasticConfig::disabled(),
-    );
+    )
+    .with_faults(FaultPlan::none(), CheckpointPolicy::every(4));
+    let clean = p.run(&job);
     let mut t = Table::new(
         format!(
             "Table 13.3 — Machine {PREEMPT_MACHINE} preempted at superstep {PREEMPT_STEP} \
@@ -270,15 +236,8 @@ pub fn ch13_preemption(scale: f64, seed: u64) -> Vec<Table> {
         ],
     );
     for w in WARNING_WINDOWS {
-        let r = elastic_run(
-            &mut p,
-            Dataset::RoadNetCa,
-            &spec,
-            Strategy::Grid,
-            App::Sssp { undirected: true },
-            CheckpointPolicy::every(4),
-            ElasticConfig::new(ElasticPlan::preempt_at(PREEMPT_STEP, PREEMPT_MACHINE, w)),
-        );
+        let preempt = ElasticPlan::preempt_at(PREEMPT_STEP, PREEMPT_MACHINE, w);
+        let r = p.run(&job.clone().with_elastic(ElasticConfig::new(preempt)));
         let outcome = if r.evacuations > 0 {
             "evacuated"
         } else {

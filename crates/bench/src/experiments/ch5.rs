@@ -1,7 +1,7 @@
 //! Chapter 5 experiments — PowerGraph.
 
 use crate::experiments::{gb, secs};
-use crate::pipeline::{App, EngineKind, Pipeline};
+use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use crate::{linear_fit, pearson};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::{Dataset, DegreeAnalysis};
@@ -36,7 +36,13 @@ fn rf_scatter(
     for app in App::paper_set() {
         let mut points = Vec::new();
         for strategy in PG_STRATEGIES {
-            let job = pipeline.run(Dataset::UkWeb, strategy, &spec, EngineKind::PowerGraph, app);
+            let job = pipeline.run(&Scenario::new(
+                Dataset::UkWeb,
+                strategy,
+                &spec,
+                EngineKind::PowerGraph,
+                app,
+            ));
             let y = metric(&job);
             t.row(vec![
                 app.label().to_string(),
@@ -206,20 +212,20 @@ pub fn table5_1(scale: f64, seed: u64) -> Vec<Table> {
         ],
     );
     for strategy in [Strategy::Grid, Strategy::Hdrf] {
-        let pr = pipeline.run(
+        let pr = pipeline.run(&Scenario::new(
             Dataset::UkWeb,
             strategy,
             &spec,
             EngineKind::PowerGraph,
             App::PageRankConv,
-        );
-        let kc = pipeline.run(
+        ));
+        let kc = pipeline.run(&Scenario::new(
             Dataset::UkWeb,
             strategy,
             &spec,
             EngineKind::PowerGraph,
             App::kcore_paper(),
-        );
+        ));
         t.row(vec![
             strategy.label().to_string(),
             secs(pr.ingress_seconds),

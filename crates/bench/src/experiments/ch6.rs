@@ -1,7 +1,7 @@
 //! Chapter 6 experiments — PowerLyra.
 
 use crate::experiments::{gb, secs};
-use crate::pipeline::{App, EngineKind, Pipeline};
+use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use crate::{linear_fit, pearson};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::Dataset;
@@ -47,7 +47,13 @@ fn rf_scatter_with_hybrid_deviation(
             .map(|&s| {
                 (
                     s,
-                    pipeline.run(Dataset::UkWeb, s, &spec, EngineKind::PowerLyra, app),
+                    pipeline.run(&Scenario::new(
+                        Dataset::UkWeb,
+                        s,
+                        &spec,
+                        EngineKind::PowerLyra,
+                        app,
+                    )),
                 )
             })
             .collect();
@@ -127,13 +133,13 @@ pub fn fig6_3(scale: f64, seed: u64) -> Vec<Table> {
         ],
     );
     for strategy in PL_STRATEGIES {
-        let job = pipeline.run(
+        let job = pipeline.run(&Scenario::new(
             Dataset::UkWeb,
             strategy,
             &spec,
             EngineKind::PowerLyra,
             App::PageRankFixed(10),
-        );
+        ));
         let partitions = EngineKind::PowerLyra.partitions(&spec);
         let outcome = pipeline.partition(Dataset::UkWeb, strategy, partitions, spec.machines);
         // Ingress-phase peak: graph storage + strategy state + parse buffers

@@ -1,7 +1,7 @@
 //! Chapter 7 experiments — GraphX with its native strategies.
 
 use crate::experiments::secs;
-use crate::pipeline::{App, EngineKind, Pipeline};
+use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -49,13 +49,13 @@ pub fn fig7_1(scale: f64, seed: u64) -> Vec<Table> {
     for dataset in Dataset::GRAPHX_SET {
         let mut row = vec![dataset.to_string()];
         for strategy in GX_STRATEGIES {
-            let job = pipeline.run(
+            let job = pipeline.run(&Scenario::new(
                 dataset,
                 strategy,
                 &spec,
                 EngineKind::graphx_default(),
                 App::PageRankFixed(10),
-            );
+            ));
             row.push(secs(job.compute_seconds));
         }
         t.row(row);
@@ -82,7 +82,13 @@ pub fn table7_1(scale: f64, seed: u64) -> Vec<Table> {
             let mut timed: Vec<(Strategy, f64)> = GX_STRATEGIES
                 .iter()
                 .map(|&s| {
-                    let job = pipeline.run(dataset, s, &spec, EngineKind::graphx_default(), app);
+                    let job = pipeline.run(&Scenario::new(
+                        dataset,
+                        s,
+                        &spec,
+                        EngineKind::graphx_default(),
+                        app,
+                    ));
                     (s, job.compute_seconds)
                 })
                 .collect();

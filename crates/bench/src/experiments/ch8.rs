@@ -2,7 +2,7 @@
 
 use crate::experiments::gb;
 use crate::linear_fit;
-use crate::pipeline::{App, EngineKind, Pipeline};
+use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -82,7 +82,13 @@ pub fn fig8_3(scale: f64, seed: u64) -> Vec<Table> {
             .map(|&s| {
                 (
                     s,
-                    pipeline.run(Dataset::Twitter, s, &spec, EngineKind::PowerLyra, app),
+                    pipeline.run(&Scenario::new(
+                        Dataset::Twitter,
+                        s,
+                        &spec,
+                        EngineKind::PowerLyra,
+                        app,
+                    )),
                 )
             })
             .collect();
@@ -136,7 +142,13 @@ pub fn fig8_4(scale: f64, seed: u64) -> Vec<Table> {
             ],
         );
         for strategy in Strategy::POWERLYRA_ALL {
-            let job = pipeline.run(Dataset::UkWeb, strategy, &spec, EngineKind::PowerLyra, app);
+            let job = pipeline.run(&Scenario::new(
+                Dataset::UkWeb,
+                strategy,
+                &spec,
+                EngineKind::PowerLyra,
+                app,
+            ));
             let mut cpus = job.cpu_percents.clone();
             cpus.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let q = |f: f64| cpus[(f * (cpus.len() - 1) as f64).round() as usize];

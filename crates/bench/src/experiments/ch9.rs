@@ -1,6 +1,6 @@
 //! Chapter 9 experiments — GraphX with all strategies.
 
-use crate::pipeline::{App, EngineKind, Pipeline};
+use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -37,7 +37,7 @@ fn per_iteration(scale: f64, seed: u64, dataset: Dataset, fig: &str) -> Vec<Tabl
             &header_refs,
         );
         for strategy in Strategy::POWERLYRA_ALL {
-            let job = pipeline.run(dataset, strategy, &spec, engine, app);
+            let job = pipeline.run(&Scenario::new(dataset, strategy, &spec, engine, app));
             let mut row = vec![
                 strategy.label().to_string(),
                 format!("{:.1}", job.ingress_seconds),
@@ -113,13 +113,13 @@ pub fn fig9_4(scale: f64, seed: u64) -> Vec<Table> {
             partitions_per_machine: 16,
             executor_memory_bytes: mem,
         };
-        let job = pipeline.run(
+        let job = pipeline.run(&Scenario::new(
             Dataset::RoadNetCa,
             Strategy::Random,
             &spec,
             engine,
             App::PageRankFixed(ITERATIONS),
-        );
+        ));
         let case = if job.failed {
             "case 1: does not fit (job FAILED)".to_string()
         } else {

@@ -11,7 +11,7 @@ pub mod charts;
 pub mod experiments;
 pub mod pipeline;
 
-pub use pipeline::{App, EngineKind, JobResult, Pipeline};
+pub use pipeline::{App, Deployment, EngineKind, JobResult, Pipeline, Scenario};
 
 /// Least-squares fit `y = a + b·x`; returns `(intercept, slope)`. Used to
 /// draw the trend lines of Figs 5.3–5.5/6.1/6.2/8.3.

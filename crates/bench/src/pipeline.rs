@@ -1,16 +1,20 @@
 //! The measurement pipeline: dataset → partition → ingress pricing →
 //! engine run → §4.3 metrics.
 
-use gp_apps::{Coloring, PageRank, Sssp, Wcc};
+use gp_apps::{Coloring, KCore, PageRank, Sssp, Wcc};
 use gp_cluster::{ClusterSpec, CostRates};
 use gp_core::{EdgeList, VertexId};
+use gp_elastic::ElasticKind;
+use gp_engine::pregel::PregelOom;
 use gp_engine::{
     base_memory_per_machine, AsyncGas, CommsConfig, ComputeReport, ElasticConfig, EngineConfig,
-    HybridGas, Layout, Pregel, PregelConfig, SyncGas,
+    HybridGas, Layout, Pregel, PregelConfig, SyncGas, VertexProgram,
 };
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
-use gp_partition::{IngressReport, PartitionContext, PartitionOutcome, Strategy};
+use gp_partition::{
+    Assignment, IngressReport, PartitionContext, PartitionOutcome, Strategy, System,
+};
 use gp_telemetry::{machine_span, span, TelemetrySink};
 use std::collections::HashMap;
 
@@ -48,6 +52,17 @@ impl EngineKind {
                 ..
             } => spec.machines * partitions_per_machine,
             _ => spec.machines,
+        }
+    }
+}
+
+impl From<System> for EngineKind {
+    /// The system's engine with the paper's defaults.
+    fn from(system: System) -> Self {
+        match system {
+            System::PowerGraph => EngineKind::PowerGraph,
+            System::PowerLyra => EngineKind::PowerLyra,
+            System::GraphX => EngineKind::graphx_default(),
         }
     }
 }
@@ -131,8 +146,28 @@ impl App {
     }
 }
 
+impl std::str::FromStr for App {
+    type Err = String;
+
+    /// The command-line names: `pagerank` runs to convergence, `pagerank10`
+    /// for ten supersteps, `sssp` undirected, `kcore` the paper's sweep.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "pagerank" | "pr" => Ok(App::PageRankConv),
+            "pagerank10" | "pr10" => Ok(App::PageRankFixed(10)),
+            "wcc" => Ok(App::Wcc),
+            "sssp" => Ok(App::Sssp { undirected: true }),
+            "kcore" | "k-core" => Ok(App::kcore_paper()),
+            "coloring" => Ok(App::Coloring),
+            other => Err(format!(
+                "unknown app {other:?} (pagerank|pagerank10|wcc|sssp|kcore|coloring)"
+            )),
+        }
+    }
+}
+
 /// Everything the paper measures for one job (§4.3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
     /// Strategy label.
     pub strategy: Strategy,
@@ -189,6 +224,251 @@ impl JobResult {
     /// Total job duration (ingress + compute).
     pub fn total_seconds(&self) -> f64 {
         self.ingress_seconds + self.compute_seconds
+    }
+
+    /// The job as it stands when ingress ends: nothing computed yet.
+    fn after_ingress(scenario: &Scenario, ingress: &IngressReport, ingress_seconds: f64) -> Self {
+        JobResult {
+            strategy: scenario.strategy,
+            app: scenario.app.label(),
+            replication_factor: ingress.replication_factor,
+            ingress_seconds,
+            compute_seconds: 0.0,
+            mean_net_in_bytes: 0.0,
+            peak_memory_bytes: 0.0,
+            supersteps: 0,
+            cpu_percents: Vec::new(),
+            cumulative_seconds: Vec::new(),
+            checkpoint_bytes: 0.0,
+            recovery_seconds: 0.0,
+            supersteps_replayed: 0,
+            retransmit_bytes: 0.0,
+            retry_timeout_seconds: 0.0,
+            speculative_clones: 0,
+            speculation_saved_seconds: 0.0,
+            scale_events: 0,
+            evacuations: 0,
+            evacuated_bytes: 0.0,
+            forced_recoveries: 0,
+            reingress_seconds: 0.0,
+            failed: false,
+        }
+    }
+
+    /// Add one engine report's totals to the job's (k-core is one report
+    /// per k). Wall clock is superstep walls plus any recovery transfer
+    /// time — identical to `compute_seconds()` in fault-free runs.
+    fn absorb(&mut self, r: &ComputeReport) {
+        self.compute_seconds += r.wall_clock_seconds();
+        self.mean_net_in_bytes += r.mean_machine_in_bytes();
+        self.supersteps += r.supersteps();
+        self.checkpoint_bytes += r.checkpoint_bytes;
+        self.recovery_seconds += r.recovery_seconds;
+        self.supersteps_replayed += r.supersteps_replayed;
+        self.retransmit_bytes += r.retransmit_bytes;
+        self.retry_timeout_seconds += r.retry_timeout_seconds;
+        self.speculative_clones += r.speculative_clones;
+        self.speculation_saved_seconds += r.speculation_saved_seconds;
+        self.scale_events += r.scale_events;
+        self.evacuations += r.evacuations;
+        self.evacuated_bytes += r.evacuated_bytes;
+        self.forced_recoveries += r.forced_recoveries;
+        self.reingress_seconds += r.reingress_seconds;
+    }
+}
+
+/// One job: the (dataset, strategy, cluster, system, application) cell the
+/// paper measures, plus the mid-job models layered on it. Every section
+/// beyond the cell defaults to disabled, and a disabled section is exactly
+/// absent from the result.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// Dataset analogue to generate.
+    pub dataset: Dataset,
+    /// Partitioning strategy.
+    pub strategy: Strategy,
+    /// Simulated cluster.
+    pub spec: ClusterSpec,
+    /// System whose engine computes.
+    pub engine: EngineKind,
+    /// Application to run.
+    pub app: App,
+    /// Scheduled faults (ch10/ch11).
+    pub fault_plan: FaultPlan,
+    /// Checkpointing that bounds a crash's rollback (ch10).
+    pub checkpoint: CheckpointPolicy,
+    /// Reliable delivery and speculation protocols (ch11).
+    pub comms: CommsConfig,
+    /// Scale-outs and departures, with the repair policy (ch13).
+    pub elastic: ElasticConfig,
+}
+
+impl Scenario {
+    /// The plain job: no faults, no checkpoints, ideal network, fixed
+    /// cluster.
+    pub fn new(
+        dataset: Dataset,
+        strategy: Strategy,
+        spec: &ClusterSpec,
+        engine: EngineKind,
+        app: App,
+    ) -> Self {
+        Scenario {
+            dataset,
+            strategy,
+            spec: spec.clone(),
+            engine,
+            app,
+            fault_plan: FaultPlan::none(),
+            checkpoint: CheckpointPolicy::disabled(),
+            comms: CommsConfig::disabled(),
+            elastic: ElasticConfig::disabled(),
+        }
+    }
+
+    /// Builder: run under a fault plan and checkpoint policy.
+    pub fn with_faults(mut self, plan: FaultPlan, checkpoint: CheckpointPolicy) -> Self {
+        self.fault_plan = plan;
+        self.checkpoint = checkpoint;
+        self
+    }
+
+    /// Builder: run under a communication-protocol config.
+    pub fn with_comms(mut self, comms: CommsConfig) -> Self {
+        self.comms = comms;
+        self
+    }
+
+    /// Builder: run under an elastic plan of scale-outs and departures.
+    pub fn with_elastic(mut self, elastic: ElasticConfig) -> Self {
+        self.elastic = elastic;
+        self
+    }
+
+    /// `Err` naming the first thing about the scenario that cannot happen:
+    /// a strategy that cannot cut the cluster's partition count, an event on
+    /// a machine the cluster does not have or at a superstep a fixed-length
+    /// job never reaches, a scale-out of nothing, a warning window that
+    /// opens before superstep 0. Front ends call this on what a user typed;
+    /// [`Pipeline::run`] does not, the engines simply never fire such events.
+    pub fn check(&self) -> Result<(), String> {
+        let spec = &self.spec;
+        self.strategy
+            .check_partition_count(self.engine.partitions(spec))?;
+        let on_cluster = |machine: u32| {
+            if machine < spec.machines {
+                return Ok(());
+            }
+            Err(format!(
+                "machine {machine} out of range: {} has {} machines",
+                spec.name, spec.machines
+            ))
+        };
+        let fires = |step: u32| match self.app {
+            App::PageRankFixed(n) if step >= n => Err(format!(
+                "an event at superstep {step} never fires: PageRank({n}) ends after \
+                 superstep {}",
+                n.saturating_sub(1)
+            )),
+            _ => Ok(()),
+        };
+        for event in &self.fault_plan.events {
+            on_cluster(event.machine)?;
+            fires(event.superstep)?;
+        }
+        for event in &self.elastic.plan.events {
+            fires(event.superstep)?;
+            match event.kind {
+                ElasticKind::ScaleOut { machines_added: 0 } => {
+                    return Err("a scale-out must add at least one machine".to_string());
+                }
+                ElasticKind::ScaleOut { .. } => {}
+                ElasticKind::Drain {
+                    machine,
+                    warning_steps,
+                }
+                | ElasticKind::Preempt {
+                    machine,
+                    warning_steps,
+                } => {
+                    on_cluster(machine)?;
+                    if warning_steps > event.superstep {
+                        return Err(format!(
+                            "a warning of {warning_steps} supersteps cannot precede a \
+                             departure at superstep {}",
+                            event.superstep
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A system's engine, configured for one cluster and pointed at one
+/// partitioned graph: what an application's programs run on. The only
+/// place an [`EngineKind`] picks an engine and the only place an [`App`]
+/// becomes vertex programs.
+pub struct Deployment<'a> {
+    /// System whose engine computes.
+    pub engine: EngineKind,
+    /// Cluster, mid-job models, threads and telemetry.
+    pub config: EngineConfig,
+    /// Layout of `assignment` over the cluster's machines.
+    pub layout: &'a Layout,
+    /// The partitioning the layout was built from.
+    pub assignment: &'a Assignment,
+}
+
+impl Deployment<'_> {
+    /// Run one program. `asynchronous` asks PowerGraph and PowerLyra for
+    /// their asynchronous engine (Coloring needs it, §5.4.1); GraphX has
+    /// none and fails with [`PregelOom`] when the graph does not fit its
+    /// executors.
+    pub fn run<P: VertexProgram>(
+        &self,
+        program: &P,
+        asynchronous: bool,
+    ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
+        let (config, layout, assignment) = (self.config.clone(), self.layout, self.assignment);
+        Ok(match self.engine {
+            EngineKind::PowerGraph | EngineKind::PowerLyra if asynchronous => {
+                AsyncGas::new(config).run_on(layout, assignment, program)
+            }
+            EngineKind::PowerGraph => SyncGas::new(config).run_on(layout, assignment, program),
+            EngineKind::PowerLyra => HybridGas::new(config).run_on(layout, assignment, program),
+            EngineKind::GraphX {
+                executor_memory_bytes,
+                ..
+            } => {
+                let config = PregelConfig::new(config).with_executor_memory(executor_memory_bytes);
+                Pregel::new(config).run_on(layout, assignment, program)?
+            }
+        })
+    }
+
+    /// Run every program of `app` (one, or one per k for k-core), SSSP from
+    /// `sssp_source`; one report per program.
+    pub fn run_app(
+        &self,
+        app: App,
+        sssp_source: VertexId,
+    ) -> Result<Vec<ComputeReport>, PregelOom> {
+        let report = match app {
+            App::PageRankFixed(n) => self.run(&PageRank::fixed(n), false)?.1,
+            App::PageRankConv => self.run(&PageRank::to_convergence(), false)?.1,
+            App::Wcc => self.run(&Wcc, false)?.1,
+            App::Sssp { undirected: true } => self.run(&Sssp::undirected(sssp_source), false)?.1,
+            App::Sssp { undirected: false } => self.run(&Sssp::directed(sssp_source), false)?.1,
+            App::KCore { k_min, k_max } => {
+                return (k_min..=k_max)
+                    .map(|k| Ok(self.run(&KCore::new(k), false)?.1))
+                    .collect()
+            }
+            App::Coloring => self.run(&Coloring, true)?.1,
+        };
+        Ok(vec![report])
     }
 }
 
@@ -310,121 +590,36 @@ impl Pipeline {
         (report, seconds)
     }
 
-    /// Run the full pipeline for one job (fault-free, no checkpointing).
-    pub fn run(
-        &mut self,
-        dataset: Dataset,
-        strategy: Strategy,
-        spec: &ClusterSpec,
-        engine: EngineKind,
-        app: App,
-    ) -> JobResult {
-        self.run_with_faults(
+    /// Run the full pipeline for one job — the only way to run one. Every
+    /// mid-job model of the scenario (faults, checkpoints, comms protocol,
+    /// elastic plan) applies at once.
+    pub fn run(&mut self, scenario: &Scenario) -> JobResult {
+        let Scenario {
             dataset,
             strategy,
-            spec,
+            ref spec,
             engine,
             app,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-        )
-    }
-
-    /// Run one job under a fault plan and checkpoint policy (ch10). With an
-    /// empty plan and checkpointing disabled this is exactly [`Pipeline::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_faults(
-        &mut self,
-        dataset: Dataset,
-        strategy: Strategy,
-        spec: &ClusterSpec,
-        engine: EngineKind,
-        app: App,
-        fault_plan: FaultPlan,
-        checkpoint: CheckpointPolicy,
-    ) -> JobResult {
-        self.run_with_comms(
-            dataset,
-            strategy,
-            spec,
-            engine,
-            app,
-            fault_plan,
-            checkpoint,
-            CommsConfig::disabled(),
-        )
-    }
-
-    /// Run one job under a fault plan, checkpoint policy and communication
-    /// protocol config (ch11). With comms disabled this is exactly
-    /// [`Pipeline::run_with_faults`]; with everything disabled it is exactly
-    /// [`Pipeline::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_comms(
-        &mut self,
-        dataset: Dataset,
-        strategy: Strategy,
-        spec: &ClusterSpec,
-        engine: EngineKind,
-        app: App,
-        fault_plan: FaultPlan,
-        checkpoint: CheckpointPolicy,
-        comms: CommsConfig,
-    ) -> JobResult {
-        self.run_with_elastic(
-            dataset,
-            strategy,
-            spec,
-            engine,
-            app,
-            fault_plan,
-            checkpoint,
-            comms,
-            ElasticConfig::disabled(),
-        )
-    }
-
-    /// Run one job under every mid-job model at once: faults, checkpoints,
-    /// the comms protocol, and an elastic plan of scale-outs and departures
-    /// (ch13). The widest variant — with the elastic config disabled it is
-    /// exactly [`Pipeline::run_with_comms`], and with everything disabled it
-    /// is exactly [`Pipeline::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_elastic(
-        &mut self,
-        dataset: Dataset,
-        strategy: Strategy,
-        spec: &ClusterSpec,
-        engine: EngineKind,
-        app: App,
-        fault_plan: FaultPlan,
-        checkpoint: CheckpointPolicy,
-        comms: CommsConfig,
-        elastic: ElasticConfig,
-    ) -> JobResult {
+            ..
+        } = *scenario;
         let (ingress_report, ingress_seconds) = self.ingress(dataset, strategy, spec, engine);
         let key = (dataset, strategy, engine.partitions(spec), spec.machines);
         let graph = &self.graphs[&dataset];
         let outcome = &self.partitions[&key];
         let assignment = &outcome.assignment;
-        let state_bytes = outcome.state_bytes;
         let layout = self
             .layouts
             .entry(key)
             .or_insert_with(|| Layout::build(graph, assignment, spec.machines));
-        let sssp = |undirected: bool| {
-            let source = *self.sssp_sources.entry(dataset).or_insert_with(|| {
+        let sssp_source = match app {
+            App::Sssp { .. } => *self.sssp_sources.entry(dataset).or_insert_with(|| {
                 let deg = graph.degrees();
                 (0..graph.num_vertices())
                     .map(VertexId)
                     .max_by_key(|&v| deg.out_degree(v))
                     .unwrap_or(VertexId(0))
-            });
-            if undirected {
-                Sssp::undirected(source)
-            } else {
-                Sssp::directed(source)
-            }
+            }),
+            _ => VertexId(0),
         };
         let telemetry = &self.telemetry;
         if telemetry.is_enabled() {
@@ -456,197 +651,73 @@ impl Pipeline {
             }
             telemetry.set_time_offset(ingress_seconds);
         }
-        let config = EngineConfig::new(spec.clone())
-            .with_fault_plan(fault_plan)
-            .with_checkpoint(checkpoint)
-            .with_comms(comms)
-            .with_elastic(elastic)
-            .with_threads(self.threads)
-            .with_telemetry(telemetry.clone());
-
-        let reports: Vec<ComputeReport> = match (engine, app) {
-            (EngineKind::PowerGraph, App::Coloring) | (EngineKind::PowerLyra, App::Coloring) => {
-                let e = AsyncGas::new(config.clone());
-                vec![e.run_on(layout, assignment, &Coloring).1]
-            }
-            (EngineKind::PowerGraph, _) => {
-                let e = SyncGas::new(config.clone());
-                run_app_sync(&e, layout, assignment, app, sssp)
-            }
-            (EngineKind::PowerLyra, _) => {
-                let e = HybridGas::new(config.clone());
-                run_app_hybrid(&e, layout, assignment, app, sssp)
-            }
-            (
-                EngineKind::GraphX {
-                    executor_memory_bytes,
-                    ..
-                },
-                _,
-            ) => {
-                let pcfg =
-                    PregelConfig::new(config.clone()).with_executor_memory(executor_memory_bytes);
-                let e = Pregel::new(pcfg);
-                match run_app_pregel(&e, layout, assignment, app, sssp) {
-                    Ok(reports) => reports,
-                    Err(_) => {
-                        return JobResult {
-                            strategy,
-                            app: app.label(),
-                            replication_factor: ingress_report.replication_factor,
-                            ingress_seconds,
-                            compute_seconds: f64::INFINITY,
-                            mean_net_in_bytes: 0.0,
-                            peak_memory_bytes: 0.0,
-                            supersteps: 0,
-                            cpu_percents: Vec::new(),
-                            cumulative_seconds: Vec::new(),
-                            checkpoint_bytes: 0.0,
-                            recovery_seconds: 0.0,
-                            supersteps_replayed: 0,
-                            retransmit_bytes: 0.0,
-                            retry_timeout_seconds: 0.0,
-                            speculative_clones: 0,
-                            speculation_saved_seconds: 0.0,
-                            scale_events: 0,
-                            evacuations: 0,
-                            evacuated_bytes: 0.0,
-                            forced_recoveries: 0,
-                            reingress_seconds: 0.0,
-                            failed: true,
-                        }
-                    }
-                }
-            }
+        let deployment = Deployment {
+            engine,
+            config: EngineConfig::new(spec.clone())
+                .with_fault_plan(scenario.fault_plan.clone())
+                .with_checkpoint(scenario.checkpoint)
+                .with_comms(scenario.comms.clone())
+                .with_elastic(scenario.elastic.clone())
+                .with_threads(self.threads)
+                .with_telemetry(telemetry.clone()),
+            layout,
+            assignment,
         };
+        let config = &deployment.config;
 
-        // Wall clock per report: superstep walls plus any recovery transfer
-        // time — identical to `compute_seconds()` in fault-free runs.
-        let compute_seconds: f64 = reports.iter().map(|r| r.wall_clock_seconds()).sum();
-        let mean_net: f64 = reports.iter().map(|r| r.mean_machine_in_bytes()).sum();
-        let supersteps: u32 = reports.iter().map(|r| r.supersteps()).sum();
-        let mut cumulative = Vec::new();
-        let mut offset = 0.0;
+        let mut job = JobResult::after_ingress(scenario, &ingress_report, ingress_seconds);
+        let Ok(reports) = deployment.run_app(app, sssp_source) else {
+            job.compute_seconds = f64::INFINITY;
+            job.failed = true;
+            return job;
+        };
         for r in &reports {
-            for c in r.cumulative_seconds() {
-                cumulative.push(offset + c);
-            }
-            offset = cumulative.last().copied().unwrap_or(offset);
+            job.absorb(r);
+            let offset = job.cumulative_seconds.last().copied().unwrap_or(0.0);
+            job.cumulative_seconds
+                .extend(r.cumulative_seconds().iter().map(|c| offset + c));
         }
         // CPU percents over the whole compute phase (Fig 8.4): combine the
         // per-report machine utilizations weighted by each report's wall
         // time.
-        let machines = spec.machines as usize;
-        let mut cpu = vec![0.0f64; machines];
+        job.cpu_percents = vec![0.0f64; spec.machines as usize];
         for r in &reports {
-            let w = r.wall_clock_seconds() / compute_seconds.max(1e-12);
-            for (m, &p) in r.machine_cpu_percent(&config).iter().enumerate() {
-                cpu[m] += w * p;
+            let w = r.wall_clock_seconds() / job.compute_seconds.max(1e-12);
+            for (m, &p) in r.machine_cpu_percent(config).iter().enumerate() {
+                job.cpu_percents[m] += w * p;
             }
         }
         // Peak memory: graph storage + strategy ingress state (the §6.4.2
         // overhead) + the largest superstep message buffer.
-        let base = base_memory_per_machine(assignment, &config, state_bytes);
+        let base = base_memory_per_machine(assignment, config, outcome.state_bytes);
         let peak_buffer = reports
             .iter()
             .flat_map(|r| r.steps.iter())
             .map(|s| s.machine_in_bytes.iter().copied().fold(0.0, f64::max))
             .fold(0.0, f64::max);
-        let peak_memory = base.iter().copied().fold(0.0, f64::max) + peak_buffer;
-
-        JobResult {
-            strategy,
-            app: app.label(),
-            replication_factor: ingress_report.replication_factor,
-            ingress_seconds,
-            compute_seconds,
-            mean_net_in_bytes: mean_net,
-            peak_memory_bytes: peak_memory,
-            supersteps,
-            cpu_percents: cpu,
-            cumulative_seconds: cumulative,
-            checkpoint_bytes: reports.iter().map(|r| r.checkpoint_bytes).sum(),
-            recovery_seconds: reports.iter().map(|r| r.recovery_seconds).sum(),
-            supersteps_replayed: reports.iter().map(|r| r.supersteps_replayed).sum(),
-            retransmit_bytes: reports.iter().map(|r| r.retransmit_bytes).sum(),
-            retry_timeout_seconds: reports.iter().map(|r| r.retry_timeout_seconds).sum(),
-            speculative_clones: reports.iter().map(|r| r.speculative_clones).sum(),
-            speculation_saved_seconds: reports.iter().map(|r| r.speculation_saved_seconds).sum(),
-            scale_events: reports.iter().map(|r| r.scale_events).sum(),
-            evacuations: reports.iter().map(|r| r.evacuations).sum(),
-            evacuated_bytes: reports.iter().map(|r| r.evacuated_bytes).sum(),
-            forced_recoveries: reports.iter().map(|r| r.forced_recoveries).sum(),
-            reingress_seconds: reports.iter().map(|r| r.reingress_seconds).sum(),
-            failed: false,
-        }
+        job.peak_memory_bytes = base.iter().copied().fold(0.0, f64::max) + peak_buffer;
+        job
     }
-}
-
-fn run_app_sync(
-    e: &SyncGas,
-    l: &Layout,
-    a: &gp_partition::Assignment,
-    app: App,
-    sssp: impl FnOnce(bool) -> Sssp,
-) -> Vec<ComputeReport> {
-    match app {
-        App::PageRankFixed(n) => vec![e.run_on(l, a, &PageRank::fixed(n)).1],
-        App::PageRankConv => vec![e.run_on(l, a, &PageRank::to_convergence()).1],
-        App::Wcc => vec![e.run_on(l, a, &Wcc).1],
-        App::Sssp { undirected } => vec![e.run_on(l, a, &sssp(undirected)).1],
-        App::KCore { k_min, k_max } => gp_apps::kcore::decompose_on(e, l, a, k_min, k_max).reports,
-        App::Coloring => unreachable!("coloring runs on the async engine"),
-    }
-}
-
-fn run_app_hybrid(
-    e: &HybridGas,
-    l: &Layout,
-    a: &gp_partition::Assignment,
-    app: App,
-    sssp: impl FnOnce(bool) -> Sssp,
-) -> Vec<ComputeReport> {
-    match app {
-        App::PageRankFixed(n) => vec![e.run_on(l, a, &PageRank::fixed(n)).1],
-        App::PageRankConv => vec![e.run_on(l, a, &PageRank::to_convergence()).1],
-        App::Wcc => vec![e.run_on(l, a, &Wcc).1],
-        App::Sssp { undirected } => vec![e.run_on(l, a, &sssp(undirected)).1],
-        App::KCore { k_min, k_max } => (k_min..=k_max)
-            .map(|k| e.run_on(l, a, &gp_apps::KCore::new(k)).1)
-            .collect(),
-        App::Coloring => unreachable!("coloring runs on the async engine"),
-    }
-}
-
-fn run_app_pregel(
-    e: &Pregel,
-    l: &Layout,
-    a: &gp_partition::Assignment,
-    app: App,
-    sssp: impl FnOnce(bool) -> Sssp,
-) -> Result<Vec<ComputeReport>, gp_engine::pregel::PregelOom> {
-    Ok(match app {
-        App::PageRankFixed(n) => vec![e.run_on(l, a, &PageRank::fixed(n))?.1],
-        App::PageRankConv => vec![e.run_on(l, a, &PageRank::to_convergence())?.1],
-        App::Wcc => vec![e.run_on(l, a, &Wcc)?.1],
-        App::Sssp { undirected } => vec![e.run_on(l, a, &sssp(undirected))?.1],
-        App::KCore { k_min, k_max } => {
-            let mut reports = Vec::new();
-            for k in k_min..=k_max {
-                reports.push(e.run_on(l, a, &gp_apps::KCore::new(k))?.1);
-            }
-            reports
-        }
-        App::Coloring => vec![e.run_on(l, a, &Coloring)?.1],
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp_engine::ElasticPlan;
 
     fn small_pipeline() -> Pipeline {
         Pipeline::new(0.05, 7)
+    }
+
+    /// PageRank(`steps`) on LiveJournal / Grid / Local-9 under PowerGraph.
+    fn pagerank_job(steps: u32) -> Scenario {
+        Scenario::new(
+            Dataset::LiveJournal,
+            Strategy::Grid,
+            &ClusterSpec::local_9(),
+            EngineKind::PowerGraph,
+            App::PageRankFixed(steps),
+        )
     }
 
     #[test]
@@ -673,15 +744,7 @@ mod tests {
 
     #[test]
     fn full_job_produces_sane_metrics() {
-        let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let r = p.run(
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            &spec,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
+        let r = small_pipeline().run(&pagerank_job(5));
         assert!(!r.failed);
         assert!(r.replication_factor >= 1.0);
         assert!(r.ingress_seconds > 0.0);
@@ -696,13 +759,13 @@ mod tests {
     fn coloring_routes_to_async_engine() {
         let mut p = small_pipeline();
         let spec = ClusterSpec::local_9();
-        let r = p.run(
+        let r = p.run(&Scenario::new(
             Dataset::RoadNetCa,
             Strategy::Oblivious,
             &spec,
             EngineKind::PowerGraph,
             App::Coloring,
-        );
+        ));
         assert!(!r.failed);
         assert!(r.supersteps > 0);
     }
@@ -711,13 +774,13 @@ mod tests {
     fn kcore_sums_over_k_values() {
         let mut p = small_pipeline();
         let spec = ClusterSpec::local_9();
-        let r = p.run(
+        let r = p.run(&Scenario::new(
             Dataset::LiveJournal,
             Strategy::Random,
             &spec,
             EngineKind::PowerLyra,
             App::KCore { k_min: 3, k_max: 5 },
-        );
+        ));
         assert!(r.supersteps >= 3, "at least one superstep per k");
     }
 
@@ -725,7 +788,7 @@ mod tests {
     fn graphx_oom_reports_failure() {
         let mut p = small_pipeline();
         let spec = ClusterSpec::local_10();
-        let r = p.run(
+        let r = p.run(&Scenario::new(
             Dataset::Twitter,
             Strategy::Random,
             &spec,
@@ -734,11 +797,13 @@ mod tests {
                 executor_memory_bytes: 1 << 20, // 1 MiB: nothing fits
             },
             App::PageRankFixed(3),
-        );
+        ));
         assert!(
             r.failed,
             "tiny executors must OOM like Twitter on GraphX (§7.3)"
         );
+        assert_eq!(r.compute_seconds, f64::INFINITY);
+        assert_eq!(r.supersteps, 0);
     }
 
     #[test]
@@ -746,54 +811,45 @@ mod tests {
         let spec = ClusterSpec::local_10();
         assert_eq!(EngineKind::PowerGraph.partitions(&spec), 10);
         assert_eq!(EngineKind::graphx_default().partitions(&spec), 160);
+        assert_eq!(EngineKind::from(System::PowerLyra), EngineKind::PowerLyra);
+        assert_eq!(EngineKind::from(System::GraphX).partitions(&spec), 160);
     }
 
     #[test]
-    fn fault_free_run_with_faults_matches_run() {
-        let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let faultless = p.run_with_faults(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-        );
-        assert_eq!(clean.compute_seconds, faultless.compute_seconds);
-        assert_eq!(clean.mean_net_in_bytes, faultless.mean_net_in_bytes);
-        assert_eq!(faultless.checkpoint_bytes, 0.0);
-        assert_eq!(faultless.recovery_seconds, 0.0);
-        assert_eq!(faultless.supersteps_replayed, 0);
+    fn disabled_sections_are_absent() {
+        for (engine, spec) in [
+            (EngineKind::PowerGraph, ClusterSpec::local_9()),
+            (EngineKind::PowerLyra, ClusterSpec::local_9()),
+            (EngineKind::graphx_default(), ClusterSpec::local_10()),
+        ] {
+            let plain = Scenario::new(
+                Dataset::LiveJournal,
+                Strategy::Grid,
+                &spec,
+                engine,
+                App::PageRankFixed(5),
+            );
+            let spelled_out = plain
+                .clone()
+                .with_faults(FaultPlan::none(), CheckpointPolicy::disabled())
+                .with_comms(CommsConfig::disabled())
+                .with_elastic(ElasticConfig::disabled());
+            let mut p = small_pipeline();
+            let job = p.run(&plain);
+            assert_eq!(job, p.run(&spelled_out), "{engine:?}");
+            assert!(!job.failed && job.compute_seconds > 0.0, "{engine:?}");
+            assert_eq!(job.checkpoint_bytes + job.recovery_seconds, 0.0);
+            assert_eq!(job.retransmit_bytes + job.retry_timeout_seconds, 0.0);
+            assert_eq!(job.scale_events + job.evacuations, 0);
+        }
     }
 
     #[test]
     fn crashed_job_pays_recovery_and_replay() {
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let crashed = p.run_with_faults(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::crash_at(3, 2),
-            CheckpointPolicy::every(2),
+        let clean = p.run(&pagerank_job(5));
+        let crashed = p.run(
+            &pagerank_job(5).with_faults(FaultPlan::crash_at(3, 2), CheckpointPolicy::every(2)),
         );
         assert!(crashed.supersteps_replayed > 0, "a crash must force replay");
         assert!(
@@ -812,13 +868,13 @@ mod tests {
         let sink = TelemetrySink::recording();
         let mut p = Pipeline::new(0.05, 7).with_telemetry(sink.clone());
         let spec = ClusterSpec::local_9();
-        let r = p.run(
+        let r = p.run(&Scenario::new(
             Dataset::LiveJournal,
             Strategy::Hdrf,
             &spec,
             EngineKind::PowerGraph,
             App::PageRankFixed(3),
-        );
+        ));
         let spans = sink.spans();
         let ingress = spans
             .iter()
@@ -842,23 +898,14 @@ mod tests {
     #[test]
     fn lossy_network_job_pays_retransmits() {
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let lossy = p.run_with_comms(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::uniform_flaky(0.1, 9, 100),
-            CheckpointPolicy::disabled(),
-            CommsConfig::reliable(),
+        let clean = p.run(&pagerank_job(5));
+        let lossy = p.run(
+            &pagerank_job(5)
+                .with_faults(
+                    FaultPlan::uniform_flaky(0.1, 9, 100),
+                    CheckpointPolicy::disabled(),
+                )
+                .with_comms(CommsConfig::reliable()),
         );
         assert!(lossy.retransmit_bytes > 0.0);
         assert!(lossy.retry_timeout_seconds > 0.0);
@@ -870,98 +917,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_comms_matches_run_with_faults_exactly() {
-        let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let faults = p.run_with_faults(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::crash_at(3, 2),
-            CheckpointPolicy::every(2),
-        );
-        let comms = p.run_with_comms(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::crash_at(3, 2),
-            CheckpointPolicy::every(2),
-            CommsConfig::disabled(),
-        );
-        assert_eq!(faults.compute_seconds, comms.compute_seconds);
-        assert_eq!(comms.retransmit_bytes, 0.0);
-        assert_eq!(comms.speculative_clones, 0);
-    }
-
-    #[test]
-    fn disabled_elastic_matches_run_with_comms_exactly() {
-        let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let comms = p.run_with_comms(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-            CommsConfig::disabled(),
-        );
-        let elastic = p.run_with_elastic(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-            CommsConfig::disabled(),
-            ElasticConfig::disabled(),
-        );
-        assert_eq!(comms.compute_seconds, elastic.compute_seconds);
-        assert_eq!(elastic.scale_events, 0);
-        assert_eq!(elastic.evacuations, 0);
-        assert_eq!(elastic.reingress_seconds, 0.0);
-    }
-
-    #[test]
     fn preempted_job_records_elastic_costs() {
-        use gp_engine::ElasticPlan;
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(8),
-        );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let preempted = p.run_with_elastic(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-            CommsConfig::disabled(),
-            ElasticConfig::new(ElasticPlan::preempt_at(3, 2, 3)),
+        let clean = p.run(&pagerank_job(8));
+        let preempted = p.run(
+            &pagerank_job(8).with_elastic(ElasticConfig::new(ElasticPlan::preempt_at(3, 2, 3))),
         );
         assert_eq!(preempted.scale_events, 1);
         assert_eq!(preempted.evacuations, 1);
@@ -970,6 +930,92 @@ mod tests {
             preempted.compute_seconds > clean.compute_seconds,
             "losing a machine can only slow the job down"
         );
+    }
+
+    /// One violated rule per row; the message must name it.
+    #[test]
+    fn check_names_the_rule_a_scenario_breaks() {
+        use gp_elastic::ElasticEvent;
+        let elastic = |superstep, kind| {
+            let mut plan = ElasticPlan::none();
+            plan.push(ElasticEvent { superstep, kind });
+            ElasticConfig::new(plan)
+        };
+        let ckpt = CheckpointPolicy::every(2);
+        let pds = Scenario {
+            strategy: Strategy::Pds,
+            ..pagerank_job(5)
+        };
+        let scale_out = |k| ElasticKind::ScaleOut { machines_added: k };
+        let preempt = |machine, warning_steps| ElasticKind::Preempt {
+            machine,
+            warning_steps,
+        };
+        let drain = |machine, warning_steps| ElasticKind::Drain {
+            machine,
+            warning_steps,
+        };
+        for (broken, rule) in [
+            (pds, "PDS cannot run on 9 partitions"),
+            (
+                pagerank_job(5).with_faults(FaultPlan::crash_at(2, 9), ckpt),
+                "machine 9 out of range: Local-9 has 9 machines",
+            ),
+            (
+                pagerank_job(5).with_elastic(elastic(2, drain(12, 1))),
+                "machine 12 out of range",
+            ),
+            (
+                pagerank_job(5).with_faults(FaultPlan::crash_at(30, 0), ckpt),
+                "superstep 30 never fires: PageRank(5)",
+            ),
+            (
+                pagerank_job(5).with_elastic(elastic(5, scale_out(2))),
+                "superstep 5 never fires",
+            ),
+            (
+                pagerank_job(5).with_elastic(elastic(3, scale_out(0))),
+                "at least one machine",
+            ),
+            (
+                pagerank_job(8).with_elastic(elastic(2, preempt(0, 5))),
+                "warning of 5 supersteps cannot precede a departure at superstep 2",
+            ),
+            (
+                pagerank_job(8).with_elastic(elastic(1, drain(0, 2))),
+                "warning of 2 supersteps",
+            ),
+        ] {
+            let err = broken.check().expect_err(rule);
+            assert!(err.contains(rule), "{err:?} should name {rule:?}");
+        }
+    }
+
+    #[test]
+    fn check_accepts_every_scenario_the_harness_runs() {
+        assert_eq!(pagerank_job(5).check(), Ok(()));
+        let busy = pagerank_job(8)
+            .with_faults(FaultPlan::crash_at(7, 8), CheckpointPolicy::every(2))
+            .with_comms(CommsConfig::reliable().with_speculation(true))
+            .with_elastic(ElasticConfig::new(ElasticPlan::preempt_at(3, 2, 3)));
+        assert_eq!(busy.check(), Ok(()));
+        // Only fixed-length jobs have a last superstep to miss.
+        let open_ended = Scenario {
+            app: App::Wcc,
+            ..pagerank_job(5).with_faults(FaultPlan::crash_at(30, 0), CheckpointPolicy::every(2))
+        };
+        assert_eq!(open_ended.check(), Ok(()));
+    }
+
+    #[test]
+    fn apps_parse_from_their_command_line_names() {
+        assert_eq!("pagerank".parse(), Ok(App::PageRankConv));
+        assert_eq!("PR10".parse(), Ok(App::PageRankFixed(10)));
+        assert_eq!("sssp".parse(), Ok(App::Sssp { undirected: true }));
+        assert_eq!("k-core".parse(), Ok(App::kcore_paper()));
+        assert_eq!("coloring".parse(), Ok(App::Coloring));
+        let err = "frobnicate".parse::<App>().unwrap_err();
+        assert!(err.contains("pagerank|pagerank10|wcc"), "{err}");
     }
 
     #[test]

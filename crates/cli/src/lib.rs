@@ -28,725 +28,135 @@
 //! ```
 //!
 //! Commands parse into [`Command`], execute against a writer, and return an
-//! exit code — the binary is a thin wrapper.
+//! exit code — the binary is a thin wrapper. [`flags`] holds the one
+//! tokenizer and the typed getters; every subcommand is a module owning an
+//! `Args` struct with `parse(&Flags)` and `run(&self, out)`.
 
-use gp_advisor::Workload;
-use gp_apps::{PageRank, Sssp, Wcc};
-use gp_bench::{App, EngineKind, Pipeline};
-use gp_cluster::{ClusterSpec, CostRates, Table};
+pub mod classify;
+pub mod elastic;
+pub mod fault;
+pub mod flags;
+pub mod generate;
+pub mod partition;
+pub mod recommend;
+pub mod run;
+pub mod serve;
+pub mod stats;
+pub mod store;
+pub mod trace;
+
+pub use flags::Flags;
+
+use gp_bench::Scenario;
+use gp_cluster::ClusterSpec;
 use gp_core::io::read_edge_list;
-use gp_core::{EdgeList, GraphStats, StreamingEdges};
-use gp_elastic::{
-    ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan, RepairPolicy, SchedulePolicy, TenantJob,
-    TenantScheduler,
-};
-use gp_engine::{CommsConfig, EngineConfig, HybridGas, Layout, Pregel, PregelConfig, SyncGas};
-use gp_fault::{recovery_cost, CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
-use gp_gen::{classify, Dataset, DegreeAnalysis, PowerLawStreamParams};
-use gp_partition::{IngressReport, PartitionContext, Strategy};
-use gp_serve::{DriftPolicy, ServeConfig, TrafficPlan, TrafficRates};
+use gp_core::{EdgeList, StreamingEdges};
+use gp_engine::CommsConfig;
+use gp_fault::{FaultEvent, FaultKind, FaultPlan};
+use gp_gen::Dataset;
+use gp_partition::Strategy;
 use gp_store::GraphStore;
-use gp_telemetry::TelemetrySink;
 use std::io::Write;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Print graph statistics and degree analysis.
-    Stats { path: String },
+    Stats(stats::Args),
     /// Print just the degree class.
-    Classify { path: String },
+    Classify(classify::Args),
     /// Generate a dataset analogue.
-    Generate {
-        dataset: Dataset,
-        scale: f64,
-        /// Target edge count; overrides `scale` when present.
-        edges: Option<u64>,
-        seed: u64,
-        out: Option<String>,
-    },
-    /// Build a compressed `.gps` store from a generator.
-    StoreBuild {
-        source: StoreSource,
-        out: String,
-        scale: f64,
-        /// Target edge count; overrides `scale` for datasets, sets the
-        /// exact edge count for `powerlaw`.
-        edges: Option<u64>,
-        /// Vertex-space size for `powerlaw` (default `edges / 16`).
-        vertices: Option<u64>,
-        seed: u64,
-    },
-    /// Print a store's header metadata and compression figures.
-    StoreInfo { path: String },
-    /// Full checksum + structural verification of a store file.
-    StoreVerify { path: String },
+    Generate(generate::Args),
+    /// Build, inspect or verify a compressed `.gps` store.
+    Store(store::Args),
     /// Partition a graph and report quality; optionally save the assignment.
-    Partition {
-        path: String,
-        strategy: Strategy,
-        parts: u32,
-        seed: u64,
-        /// Ingress worker threads (0 = all cores). Output is byte-identical
-        /// at any value.
-        threads: u32,
-        /// Speculative ingress window for stateful strategies (0/1 = the
-        /// kernel one edge at a time; >= 2 = the same kernel a window at a
-        /// time, quality-parity rather than byte-identity with window 0,
-        /// still byte-identical across thread counts;
-        /// `gp_partition::WINDOW_AUTO`, CLI "auto" = adaptive controller).
-        window: u32,
-        out: Option<String>,
-    },
+    Partition(partition::Args),
     /// Recommend a strategy via the paper's decision trees.
-    Recommend {
-        path: String,
-        system: SystemChoice,
-        machines: u32,
-        compute_ingress: f64,
-        natural: bool,
-    },
+    Recommend(recommend::Args),
     /// Partition + run an application on a simulated engine.
-    Run {
-        path: String,
-        app: AppChoice,
-        strategy: Strategy,
-        parts: u32,
-        seed: u64,
-        system: SystemChoice,
-        partition_file: Option<String>,
-        /// Worker threads for ingress and superstep accounting (0 = all
-        /// cores). Reports are byte-identical at any value.
-        threads: u32,
-        /// Speculative ingress window (see `Partition::window`).
-        window: u32,
-    },
+    Run(run::Args),
     /// Long-running serve: streaming updates, query traffic, drift repair.
-    Serve {
-        path: String,
-        strategy: Strategy,
-        parts: u32,
-        seed: u64,
-        cluster: ClusterChoice,
-        /// Serving horizon in simulated seconds.
-        horizon_s: f64,
-        /// Concurrent user sessions in the traffic plan.
-        sessions: u32,
-        /// Multiplier on the insert/delete rates (query rates fixed).
-        churn_scale: f64,
-        /// Edge-imbalance threshold that triggers a rebalance.
-        rebalance_threshold: f64,
-        /// RF-growth factor over the post-ingress baseline that triggers a
-        /// full repartition.
-        rf_threshold: f64,
-        /// Batch (re)partitioning threads; report byte-identical at any
-        /// value.
-        threads: u32,
-    },
+    Serve(serve::Args),
     /// Crash a machine mid-job and compare recovery cost across strategies.
-    Fault {
-        dataset: Dataset,
-        scale: f64,
-        seed: u64,
-        cluster: ClusterChoice,
-        crash_at: u32,
-        machine: u32,
-        interval: u32,
-        asynchronous: bool,
-        steps: u32,
-        strategies: Vec<Strategy>,
-        /// Uniform per-link packet-loss rate (0 = clean network).
-        loss_rate: f64,
-        /// Launch speculative backup tasks against stragglers.
-        speculate: bool,
-        /// Worker threads (0 = all cores); results byte-identical.
-        threads: u32,
-    },
+    Fault(fault::Args),
     /// Replay a plan of mid-job cluster events — scale-outs, drains, spot
     /// preemptions — and/or schedule several tenants onto one cluster.
-    Elastic {
-        dataset: Dataset,
-        scale: f64,
-        seed: u64,
-        cluster: ClusterChoice,
-        strategies: Vec<Strategy>,
-        /// `(superstep, machines_added)` of a scale-out, if any.
-        scale_out: Option<(u32, u32)>,
-        /// `(superstep, machine, warning_steps)` of a spot preemption.
-        preempt: Option<(u32, u32, u32)>,
-        /// `(superstep, machine, warning_steps)` of a planned drain.
-        drain: Option<(u32, u32, u32)>,
-        /// Scale-out repair policy: re-partition, ride, or price it.
-        policy: RepairPolicy,
-        /// PageRank supersteps in the measured job.
-        steps: u32,
-        /// Checkpoint interval in supersteps (0 = off) — the fallback when
-        /// a warning window is too short to evacuate.
-        interval: u32,
-        /// Concurrent tenant jobs to schedule (< 2 skips the tenant table).
-        tenants: u32,
-        /// Fair-share scheduling instead of FIFO.
-        fair: bool,
-        /// Worker threads (0 = all cores); results byte-identical.
-        threads: u32,
-    },
+    Elastic(elastic::Args),
     /// Run one (dataset, strategy, app, cluster) cell with telemetry
     /// recording and write Chrome trace-event JSON plus metrics artifacts.
-    Trace {
-        dataset: Dataset,
-        scale: f64,
-        seed: u64,
-        strategy: Strategy,
-        app: App,
-        system: SystemChoice,
-        cluster: ClusterChoice,
-        /// `(superstep, machine)` of an injected crash, if any.
-        crash: Option<(u32, u32)>,
-        /// Checkpoint interval in supersteps (0 = off).
-        interval: u32,
-        /// Uniform per-link packet-loss rate (0 = clean network).
-        loss_rate: f64,
-        /// Launch speculative backup tasks against stragglers.
-        speculate: bool,
-        /// Worker threads (0 = all cores); artifacts byte-identical apart
-        /// from the extra `par.*` telemetry entries.
-        threads: u32,
-        out_dir: String,
-    },
+    Trace(trace::Args),
     /// Print usage.
     Help,
 }
 
-/// What `store build` generates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StoreSource {
-    /// Streaming power-law generator — out-of-core scale, edges go straight
-    /// to disk without an in-memory edge list.
-    PowerLaw,
-    /// A Table 4.2 analogue generated in memory, then written sorted.
-    Dataset(Dataset),
-}
+/// Why a subcommand stopped: a `String` to tell the user (`error: …`, exit
+/// code 2) or the `io::Error` of an output stream that broke.
+pub type Failure = Box<dyn std::error::Error>;
 
-/// Parse a size like `250000`, `10M`, `1.5G` into a count. Counts are
-/// *decimal* (`K = 1000`); byte quantities elsewhere in the workspace parse
-/// through the same helper with `SizeUnit::Binary`.
-fn parse_size(text: &str) -> Result<u64, String> {
-    let total = gp_core::units::parse_scaled(text, gp_core::units::SizeUnit::Decimal)?;
-    if !(1.0..=1e13).contains(&total) {
-        return Err(format!("size {text:?} out of range [1, 1e13]"));
+/// One subcommand: the flags it declares, how its arguments parse, and what
+/// it does. To add a flag, list it in `VALUES` or `SWITCHES`, read it in
+/// `parse` into a field of the args struct, and document it in [`usage`].
+pub trait Subcommand: Sized {
+    /// The word after `distgraph`.
+    const NAME: &'static str;
+    /// Flags that take a value, space-separated.
+    const VALUES: &'static str;
+    /// Flags that take none, space-separated.
+    const SWITCHES: &'static str = "";
+
+    /// Typed arguments from tokenized flags.
+    fn parse(flags: &Flags) -> Result<Self, String>;
+
+    /// Execute, writing the human-readable report to `out`.
+    fn run(&self, out: &mut dyn Write) -> Result<(), Failure>;
+
+    /// Tokenize `args` against the declared flags, then [`Subcommand::parse`].
+    fn from_args(args: &[String]) -> Result<Self, String> {
+        let flags = Flags::tokenize(Self::NAME, Self::VALUES, Self::SWITCHES, args)?;
+        Self::parse(&flags)
     }
-    Ok(total.round() as u64)
-}
-
-/// Which simulated cluster the `fault` command runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterChoice {
-    /// Local-9 (9 machines).
-    Local9,
-    /// Local-10 (10 machines).
-    Local10,
-    /// EC2-16 (16 machines).
-    Ec2x16,
-    /// EC2-25 (25 machines).
-    Ec2x25,
-}
-
-impl ClusterChoice {
-    /// The full cluster specification.
-    pub fn spec(self) -> ClusterSpec {
-        match self {
-            ClusterChoice::Local9 => ClusterSpec::local_9(),
-            ClusterChoice::Local10 => ClusterSpec::local_10(),
-            ClusterChoice::Ec2x16 => ClusterSpec::ec2_16(),
-            ClusterChoice::Ec2x25 => ClusterSpec::ec2_25(),
-        }
-    }
-}
-
-impl std::str::FromStr for ClusterChoice {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "local-9" | "local9" => Ok(ClusterChoice::Local9),
-            "local-10" | "local10" => Ok(ClusterChoice::Local10),
-            "ec2-16" | "ec216" => Ok(ClusterChoice::Ec2x16),
-            "ec2-25" | "ec225" => Ok(ClusterChoice::Ec2x25),
-            other => Err(format!(
-                "unknown cluster {other:?} (local-9|local-10|ec2-16|ec2-25)"
-            )),
-        }
-    }
-}
-
-/// Which system's tree/engine to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SystemChoice {
-    /// PowerGraph: Fig 5.9 tree, SyncGas engine.
-    PowerGraph,
-    /// PowerLyra: Fig 6.6 tree, HybridGas engine.
-    PowerLyra,
-    /// GraphX: Fig 9.3 tree, Pregel engine.
-    GraphX,
-}
-
-impl std::str::FromStr for SystemChoice {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "powergraph" | "pg" => Ok(SystemChoice::PowerGraph),
-            "powerlyra" | "pl" => Ok(SystemChoice::PowerLyra),
-            "graphx" | "gx" => Ok(SystemChoice::GraphX),
-            other => Err(format!(
-                "unknown system {other:?} (powergraph|powerlyra|graphx)"
-            )),
-        }
-    }
-}
-
-/// Which application to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppChoice {
-    /// PageRank to convergence.
-    PageRank,
-    /// Weakly connected components.
-    Wcc,
-    /// Undirected SSSP from vertex 0.
-    Sssp,
-}
-
-impl std::str::FromStr for AppChoice {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "pagerank" | "pr" => Ok(AppChoice::PageRank),
-            "wcc" => Ok(AppChoice::Wcc),
-            "sssp" => Ok(AppChoice::Sssp),
-            other => Err(format!("unknown app {other:?} (pagerank|wcc|sssp)")),
-        }
-    }
-}
-
-fn parse_trace_app(s: &str) -> Result<App, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "pagerank" | "pr" => Ok(App::PageRankConv),
-        "pagerank10" | "pr10" => Ok(App::PageRankFixed(10)),
-        "wcc" => Ok(App::Wcc),
-        "sssp" => Ok(App::Sssp { undirected: true }),
-        "kcore" | "k-core" => Ok(App::kcore_paper()),
-        "coloring" => Ok(App::Coloring),
-        other => Err(format!(
-            "unknown app {other:?} (pagerank|pagerank10|wcc|sssp|kcore|coloring)"
-        )),
-    }
-}
-
-fn parse_dataset(s: &str) -> Result<Dataset, String> {
-    Dataset::ALL
-        .into_iter()
-        .find(|d| d.spec().name.eq_ignore_ascii_case(s))
-        .ok_or_else(|| {
-            let names: Vec<&str> = Dataset::ALL.iter().map(|d| d.spec().name).collect();
-            format!("unknown dataset {s:?} (one of {})", names.join(", "))
-        })
 }
 
 /// Parse command-line arguments (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    // Collect positionals and --flags.
-    let mut positional: Vec<String> = Vec::new();
-    let mut flags: Vec<(String, Option<String>)> = Vec::new();
-    let rest: Vec<&String> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let a = rest[i];
-        if let Some(name) = a.strip_prefix("--") {
-            let takes_value = !matches!(name, "natural" | "help" | "async" | "speculate" | "fair");
-            if takes_value {
-                let v = rest
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{name} needs a value"))?
-                    .to_string();
-                flags.push((name.to_string(), Some(v)));
-                i += 2;
-            } else {
-                flags.push((name.to_string(), None));
-                i += 1;
-            }
-        } else if let Some(short) = a.strip_prefix('-') {
-            let name = match short {
-                "o" => "out",
-                "s" => "scale",
-                other => other,
-            };
-            let v = rest
-                .get(i + 1)
-                .ok_or_else(|| format!("-{short} needs a value"))?
-                .to_string();
-            flags.push((name.to_string(), Some(v)));
-            i += 2;
-        } else {
-            positional.push(a.to_string());
-            i += 1;
-        }
-    }
-    let flag = |name: &str| -> Option<&String> {
-        flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_ref())
-    };
-    let has = |name: &str| flags.iter().any(|(n, _)| n == name);
-    let need_path = || -> Result<String, String> {
-        positional
-            .first()
-            .cloned()
-            .ok_or_else(|| "missing <graph> path".to_string())
-    };
-    let parse_flag = |name: &str, default: f64| -> Result<f64, String> {
-        flag(name)
-            .map(|v| v.parse::<f64>().map_err(|_| format!("bad --{name} {v:?}")))
-            .unwrap_or(Ok(default))
-    };
-    let parse_u = |name: &str, default: u64| -> Result<u64, String> {
-        flag(name)
-            .map(|v| v.parse::<u64>().map_err(|_| format!("bad --{name} {v:?}")))
-            .unwrap_or(Ok(default))
-    };
-    // Partition/machine counts must fit sane simulation bounds — a typo'd
-    // count should error, not allocate gigabytes of per-partition state.
-    let parse_count = |name: &str, default: u64| -> Result<u32, String> {
-        let v = parse_u(name, default)?;
-        if (1..=1_000_000).contains(&v) {
-            Ok(v as u32)
-        } else {
-            Err(format!("--{name} must be between 1 and 1000000, got {v}"))
-        }
-    };
-    // Worker threads: 0 means "all available cores", so parse_count's
-    // lower bound does not apply; cap well above any real machine.
-    let parse_threads = || -> Result<u32, String> {
-        let v = parse_u("threads", 1)?;
-        if v <= 4096 {
-            Ok(v as u32)
-        } else {
-            Err(format!("--threads must be between 0 and 4096, got {v}"))
-        }
-    };
-    // Speculative window: 0 (default) and 1 both run the sequential
-    // stateful kernels; >= 2 enables windowed speculative ingress; "auto"
-    // selects the adaptive window controller.
-    let parse_window = || -> Result<u32, String> {
-        if flag("window").map(String::as_str) == Some("auto") {
-            return Ok(gp_partition::WINDOW_AUTO);
-        }
-        let v = parse_u("window", 0)?;
-        if v <= 1 << 24 {
-            Ok(v as u32)
-        } else {
-            Err(format!(
-                "--window must be \"auto\" or between 0 and 16777216, got {v}"
-            ))
-        }
-    };
-    let parse_scale = || -> Result<f64, String> {
-        let v = parse_flag("scale", 1.0)?;
-        if v > 0.0 && v <= 1000.0 {
-            Ok(v)
-        } else {
-            Err(format!("--scale must be in (0, 1000], got {v}"))
-        }
-    };
-    let parse_loss_rate = || -> Result<f64, String> {
-        let v = parse_flag("loss-rate", 0.0)?;
-        if (0.0..1.0).contains(&v) {
-            Ok(v)
-        } else {
-            Err(format!("--loss-rate must be in [0, 1), got {v}"))
-        }
-    };
-
-    let parse_size_flag = |name: &str| -> Result<Option<u64>, String> {
-        flag(name).map(|v| parse_size(v)).transpose()
-    };
-    // `STEP:K`-style composite values for the elastic event flags.
-    let parse_colon = |name: &str, arity: usize, shape: &str| -> Result<Option<Vec<u32>>, String> {
-        flag(name)
-            .map(|v| {
-                let parts: Result<Vec<u32>, _> = v.split(':').map(str::parse::<u32>).collect();
-                match parts {
-                    Ok(p) if p.len() == arity => Ok(p),
-                    _ => Err(format!("--{name} expects {shape}, got {v:?}")),
-                }
-            })
-            .transpose()
-    };
-
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "stats" => Ok(Command::Stats { path: need_path()? }),
-        "classify" => Ok(Command::Classify { path: need_path()? }),
-        "generate" => {
-            let dataset = parse_dataset(&need_path()?)?;
-            Ok(Command::Generate {
-                dataset,
-                scale: parse_scale()?,
-                edges: parse_size_flag("edges")?,
-                seed: parse_u("seed", 42)?,
-                out: flag("out").cloned(),
-            })
-        }
-        "store" => {
-            let action = positional
-                .first()
-                .cloned()
-                .ok_or("missing store action (build|info|verify)")?;
-            match action.as_str() {
-                "build" => {
-                    let src = positional
-                        .get(1)
-                        .ok_or("missing store source (powerlaw or a dataset name)")?;
-                    let source = if src.eq_ignore_ascii_case("powerlaw") {
-                        StoreSource::PowerLaw
-                    } else {
-                        StoreSource::Dataset(parse_dataset(src)?)
-                    };
-                    Ok(Command::StoreBuild {
-                        source,
-                        out: flag("out").cloned().ok_or("missing -o <out.gps>")?,
-                        scale: parse_scale()?,
-                        edges: parse_size_flag("edges")?,
-                        vertices: parse_size_flag("vertices")?,
-                        seed: parse_u("seed", 42)?,
-                    })
-                }
-                "info" => Ok(Command::StoreInfo {
-                    path: positional
-                        .get(1)
-                        .cloned()
-                        .ok_or("missing <store.gps> path")?,
-                }),
-                "verify" => Ok(Command::StoreVerify {
-                    path: positional
-                        .get(1)
-                        .cloned()
-                        .ok_or("missing <store.gps> path")?,
-                }),
-                other => Err(format!(
-                    "unknown store action {other:?} (build|info|verify)"
-                )),
-            }
-        }
-        "partition" => Ok(Command::Partition {
-            path: need_path()?,
-            strategy: flag("strategy")
-                .ok_or("missing --strategy")?
-                .parse::<Strategy>()?,
-            parts: parse_count("parts", 9)?,
-            seed: parse_u("seed", 42)?,
-            threads: parse_threads()?,
-            window: parse_window()?,
-            out: flag("out").cloned(),
-        }),
-        "recommend" => Ok(Command::Recommend {
-            path: need_path()?,
-            system: flag("system")
-                .map(|s| s.parse())
-                .unwrap_or(Ok(SystemChoice::PowerGraph))?,
-            machines: parse_count("machines", 9)?,
-            compute_ingress: parse_flag("compute-ingress", 1.0)?,
-            natural: has("natural"),
-        }),
-        "serve" => {
-            let cluster = flag("cluster")
-                .map(|s| s.parse())
-                .unwrap_or(Ok(ClusterChoice::Local9))?;
-            let parts = if has("parts") {
-                parse_count("parts", 9)?
-            } else {
-                cluster.spec().machines
-            };
-            let horizon_s = parse_flag("horizon", 60.0)?;
-            if !(horizon_s > 0.0 && horizon_s <= 86_400.0) {
-                return Err(format!(
-                    "--horizon must be in (0, 86400] seconds, got {horizon_s}"
-                ));
-            }
-            let churn_scale = parse_flag("churn-scale", 1.0)?;
-            if !(0.0..=1000.0).contains(&churn_scale) {
-                return Err(format!(
-                    "--churn-scale must be in [0, 1000], got {churn_scale}"
-                ));
-            }
-            let rebalance_threshold = parse_flag("rebalance-threshold", 1.5)?;
-            if rebalance_threshold <= 1.0 {
-                return Err(format!(
-                    "--rebalance-threshold must exceed 1.0, got {rebalance_threshold}"
-                ));
-            }
-            let rf_threshold = parse_flag("rf-threshold", 1.25)?;
-            if rf_threshold < 1.0 {
-                return Err(format!(
-                    "--rf-threshold must be at least 1.0, got {rf_threshold}"
-                ));
-            }
-            Ok(Command::Serve {
-                path: need_path()?,
-                strategy: flag("strategy")
-                    .map(|s| s.parse())
-                    .unwrap_or(Ok(Strategy::Hdrf))?,
-                parts,
-                seed: parse_u("seed", 42)?,
-                cluster,
-                horizon_s,
-                sessions: parse_count("sessions", 4)?,
-                churn_scale,
-                rebalance_threshold,
-                rf_threshold,
-                threads: parse_threads()?,
-            })
-        }
-        "fault" => {
-            let dataset = parse_dataset(&need_path()?)?;
-            let strategies = flag("strategies")
-                .map(|s| s.as_str())
-                .unwrap_or("random,hybrid")
-                .split(',')
-                .map(|s| s.trim().parse::<Strategy>())
-                .collect::<Result<Vec<_>, _>>()?;
-            if strategies.is_empty() {
-                return Err("--strategies needs at least one strategy".to_string());
-            }
-            Ok(Command::Fault {
-                dataset,
-                scale: parse_scale()?,
-                seed: parse_u("seed", 42)?,
-                cluster: flag("cluster")
-                    .map(|s| s.parse())
-                    .unwrap_or(Ok(ClusterChoice::Ec2x16))?,
-                crash_at: parse_count("crash-at", 10)?,
-                machine: u32::try_from(parse_u("machine", 0)?)
-                    .map_err(|_| "--machine out of range".to_string())?,
-                interval: u32::try_from(parse_u("interval", 4)?)
-                    .map_err(|_| "--interval out of range".to_string())?,
-                asynchronous: has("async"),
-                steps: parse_count("steps", 20)?,
-                strategies,
-                loss_rate: parse_loss_rate()?,
-                speculate: has("speculate"),
-                threads: parse_threads()?,
-            })
-        }
-        "elastic" => {
-            let dataset = parse_dataset(&need_path()?)?;
-            let strategies = flag("strategies")
-                .map(|s| s.as_str())
-                .unwrap_or("random,grid,hdrf")
-                .split(',')
-                .map(|s| s.trim().parse::<Strategy>())
-                .collect::<Result<Vec<_>, _>>()?;
-            if strategies.is_empty() {
-                return Err("--strategies needs at least one strategy".to_string());
-            }
-            let scale_out =
-                parse_colon("scale-out", 2, "STEP:MACHINES_ADDED")?.map(|p| (p[0], p[1]));
-            let preempt = parse_colon("preempt", 3, "STEP:MACHINE:WARNING_STEPS")?
-                .map(|p| (p[0], p[1], p[2]));
-            let drain =
-                parse_colon("drain", 3, "STEP:MACHINE:WARNING_STEPS")?.map(|p| (p[0], p[1], p[2]));
-            let policy = match flag("policy").map(|s| s.as_str()).unwrap_or("cost-based") {
-                "always" => RepairPolicy::AlwaysRepartition,
-                "never" => RepairPolicy::NeverRepartition,
-                "cost-based" | "cost" => RepairPolicy::default(),
-                other => {
-                    return Err(format!(
-                        "unknown --policy {other:?} (always|never|cost-based)"
-                    ))
-                }
-            };
-            let tenants = parse_count("tenants", 1)?;
-            if tenants > 32 {
-                return Err(format!("--tenants must be between 1 and 32, got {tenants}"));
-            }
-            Ok(Command::Elastic {
-                dataset,
-                scale: parse_scale()?,
-                seed: parse_u("seed", 42)?,
-                cluster: flag("cluster")
-                    .map(|s| s.parse())
-                    .unwrap_or(Ok(ClusterChoice::Local9))?,
-                strategies,
-                scale_out,
-                preempt,
-                drain,
-                policy,
-                steps: parse_count("steps", 20)?,
-                interval: u32::try_from(parse_u("interval", 4)?)
-                    .map_err(|_| "--interval out of range".to_string())?,
-                tenants,
-                fair: has("fair"),
-                threads: parse_threads()?,
-            })
-        }
-        "trace" => {
-            let dataset = parse_dataset(&need_path()?)?;
-            let crash = if has("crash-at") {
-                Some((
-                    parse_count("crash-at", 10)?,
-                    u32::try_from(parse_u("machine", 0)?)
-                        .map_err(|_| "--machine out of range".to_string())?,
-                ))
-            } else {
-                None
-            };
-            Ok(Command::Trace {
-                dataset,
-                scale: parse_scale()?,
-                seed: parse_u("seed", 42)?,
-                strategy: flag("strategy")
-                    .map(|s| s.parse())
-                    .unwrap_or(Ok(Strategy::Hdrf))?,
-                app: parse_trace_app(flag("app").map(|s| s.as_str()).unwrap_or("pagerank"))?,
-                system: flag("system")
-                    .map(|s| s.parse())
-                    .unwrap_or(Ok(SystemChoice::PowerGraph))?,
-                cluster: flag("cluster")
-                    .map(|s| s.parse())
-                    .unwrap_or(Ok(ClusterChoice::Ec2x16))?,
-                crash,
-                interval: u32::try_from(parse_u("interval", 0)?)
-                    .map_err(|_| "--interval out of range".to_string())?,
-                loss_rate: parse_loss_rate()?,
-                speculate: has("speculate"),
-                threads: parse_threads()?,
-                out_dir: flag("out").cloned().unwrap_or_else(|| "trace-out".into()),
-            })
-        }
-        "run" => Ok(Command::Run {
-            path: need_path()?,
-            app: flag("app").ok_or("missing --app")?.parse()?,
-            strategy: flag("strategy")
-                .ok_or("missing --strategy")?
-                .parse::<Strategy>()?,
-            parts: parse_count("parts", 9)?,
-            seed: parse_u("seed", 42)?,
-            system: flag("system")
-                .map(|s| s.parse())
-                .unwrap_or(Ok(SystemChoice::PowerGraph))?,
-            partition_file: flag("partition-file").cloned(),
-            threads: parse_threads()?,
-            window: parse_window()?,
-        }),
+        "stats" => Subcommand::from_args(rest).map(Command::Stats),
+        "classify" => Subcommand::from_args(rest).map(Command::Classify),
+        "generate" => Subcommand::from_args(rest).map(Command::Generate),
+        "store" => store::Args::from_args(rest).map(Command::Store),
+        "partition" => Subcommand::from_args(rest).map(Command::Partition),
+        "recommend" => Subcommand::from_args(rest).map(Command::Recommend),
+        "run" => Subcommand::from_args(rest).map(Command::Run),
+        "serve" => Subcommand::from_args(rest).map(Command::Serve),
+        "fault" => Subcommand::from_args(rest).map(Command::Fault),
+        "elastic" => Subcommand::from_args(rest).map(Command::Elastic),
+        "trace" => Subcommand::from_args(rest).map(Command::Trace),
         other => Err(format!("unknown command {other:?} (try `distgraph help`)")),
     }
 }
 
+/// `label: a, b, c.` with eight names to a line.
+fn name_list(label: &str, names: &[&str]) -> String {
+    let lines: Vec<String> = names.chunks(8).map(|line| line.join(", ")).collect();
+    format!("{label}: {}.", lines.join(",\n"))
+}
+
 /// Usage text.
-pub fn usage() -> &'static str {
-    "distgraph — partitioning-strategy testbed (VLDB'17 reproduction)
+pub fn usage() -> String {
+    // Table 1.1 order, which is the order the enum declares them in.
+    let mut strategies = Strategy::ALL;
+    strategies.sort_by_key(|&s| s as u8);
+    let strategies: Vec<&str> = strategies.iter().map(|s| s.label()).collect();
+    let strategies = name_list("Strategies", &strategies);
+    let datasets: Vec<&str> = Dataset::ALL.iter().map(|d| d.spec().name).collect();
+    let datasets = name_list("Datasets", &datasets);
+    let clusters = name_list("Clusters", &flags::clusters().map(|(name, _)| name));
+    format!(
+        "distgraph — partitioning-strategy testbed (VLDB'17 reproduction)
 
 USAGE:
   distgraph stats <graph.txt>
@@ -788,10 +198,9 @@ or compressed `.gps` stores (see `store build`); `partition` streams `.gps`
 files off the memory mapping instead of materializing the edge list, so
 graphs far larger than RAM partition with bounded peak RSS.
 Size flags (`--edges`, `--vertices`) take decimal suffixes: 10K, 1.5M, 2G.
-Strategies: Random, Assym-Rand, Grid, PDS, Oblivious, HDRF, 1D, 1D-Target,
-2D, Hybrid, H-Ginger.
-Datasets: road-net-CA, road-net-USA, LiveJournal, Enwiki-2013, Twitter, UK-web.
-Clusters: local-9, local-10, ec2-16, ec2-25.
+{strategies}
+{datasets}
+{clusters}
 
 `trace` runs one job with telemetry recording and writes `trace.json`
 (Chrome trace-event format — load it in https://ui.perfetto.dev or
@@ -840,853 +249,82 @@ windows adaptively: they grow geometrically while the repair rate stays
 low and halve on conflict storms, with the schedule derived purely from
 committed-edge counts — still byte-identical at every thread count.
 "
+    )
 }
 
 /// Execute a command, writing human-readable output to `out`. Returns the
 /// process exit code.
 pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
-    match cmd {
-        Command::Help => {
-            writeln!(out, "{}", usage())?;
-            Ok(0)
-        }
-        Command::Stats { path } => {
-            let loaded = match read_edge_list(path) {
-                Ok(l) => l,
-                Err(e) => return fail(out, &format!("cannot load {path}: {e}")),
-            };
-            let g = &loaded.graph;
-            let stats = GraphStats::compute(g);
-            let analysis = DegreeAnalysis::of(g);
-            writeln!(out, "{stats}")?;
-            writeln!(
-                out,
-                "degree class: {} (log-log slope {:.2}, low-degree residual {:.2})",
-                classify(g),
-                analysis.slope,
-                analysis.low_degree_residual
-            )?;
-            Ok(0)
-        }
-        Command::Classify { path } => {
-            let loaded = match read_edge_list(path) {
-                Ok(l) => l,
-                Err(e) => return fail(out, &format!("cannot load {path}: {e}")),
-            };
-            writeln!(out, "{}", classify(&loaded.graph))?;
-            Ok(0)
-        }
-        Command::Generate {
-            dataset,
-            scale,
-            edges,
-            seed,
-            out: dest,
-        } => {
-            let g = match edges {
-                Some(target) => dataset.generate_with_edges(*target, *seed),
-                None => dataset.generate(*scale, *seed),
-            };
-            writeln!(
-                out,
-                "generated {} analogue: {} vertices, {} edges",
-                dataset,
-                g.num_vertices(),
-                g.num_edges()
-            )?;
-            if let Some(dest) = dest {
-                let file = std::fs::File::create(dest)?;
-                if let Err(e) = gp_core::io::write_edge_list(&g, std::io::BufWriter::new(file)) {
-                    return fail(out, &format!("cannot write {dest}: {e}"));
-                }
-                writeln!(out, "wrote {dest}")?;
-            }
-            Ok(0)
-        }
-        Command::StoreBuild {
-            source,
-            out: dest,
-            scale,
-            edges,
-            vertices,
-            seed,
-        } => {
-            let result = match source {
-                StoreSource::PowerLaw => {
-                    let num_edges = edges.unwrap_or(1_000_000);
-                    let num_vertices = vertices.unwrap_or((num_edges / 16).max(2));
-                    gp_gen::build_powerlaw_store(
-                        dest,
-                        PowerLawStreamParams {
-                            num_vertices,
-                            num_edges,
-                            ..Default::default()
-                        },
-                        *seed,
-                    )
-                }
-                StoreSource::Dataset(dataset) => {
-                    let s = match edges {
-                        Some(target) => dataset.scale_for_edges(*target),
-                        None => *scale,
-                    };
-                    gp_gen::build_dataset_store(dest, *dataset, s, *seed)
-                }
-            };
-            let stats = match result {
-                Ok(s) => s,
-                Err(e) => return fail(out, &format!("cannot build {dest}: {e}")),
-            };
-            writeln!(
-                out,
-                "built {dest}: {} vertices, {} edges, {} ({:.2} bytes/edge vs 16 in memory)",
-                stats.num_vertices,
-                stats.num_edges,
-                gp_cluster::table::fmt_bytes(stats.file_len as f64),
-                stats.bytes_per_edge()
-            )?;
-            if let Some(rss) = gp_telemetry::peak_rss_bytes() {
-                writeln!(
-                    out,
-                    "peak RSS: {}",
-                    gp_cluster::table::fmt_bytes(rss as f64)
-                )?;
-            }
-            Ok(0)
-        }
-        Command::StoreInfo { path } => {
-            let store = match GraphStore::open(path) {
-                Ok(s) => s,
-                Err(e) => return fail(out, &format!("cannot open {path}: {e}")),
-            };
-            let info = store.info();
-            let mut t = Table::new(format!("store {path}"), &["field", "value"]);
-            t.row(vec!["vertices".into(), info.num_vertices.to_string()]);
-            t.row(vec!["edges".into(), info.num_edges.to_string()]);
-            t.row(vec![
-                "file size".into(),
-                gp_cluster::table::fmt_bytes(info.file_len as f64),
-            ]);
-            t.row(vec![
-                "adjacency blob".into(),
-                gp_cluster::table::fmt_bytes(info.data_len as f64),
-            ]);
-            t.row(vec![
-                "index entries".into(),
-                format!("{} (stride {})", info.index_entries, info.index_stride),
-            ]);
-            t.row(vec![
-                "bytes/edge".into(),
-                format!("{:.2}", info.bytes_per_edge()),
-            ]);
-            t.row(vec![
-                "vs in-memory edge list".into(),
-                format!("{:.1}x smaller", info.ratio_vs_edge_list()),
-            ]);
-            t.row(vec!["backing".into(), info.mapping.to_string()]);
-            writeln!(out, "{t}")?;
-            Ok(0)
-        }
-        Command::StoreVerify { path } => {
-            let store = match GraphStore::open(path) {
-                Ok(s) => s,
-                Err(e) => return fail(out, &format!("cannot open {path}: {e}")),
-            };
-            match store.verify() {
-                Ok(report) => {
-                    writeln!(
-                        out,
-                        "ok: {} vertices, {} edges, max degree {}, {} empty vertices",
-                        report.num_vertices,
-                        report.num_edges,
-                        report.max_degree,
-                        report.empty_vertices
-                    )?;
-                    Ok(0)
-                }
-                Err(e) => fail(out, &format!("store {path} is corrupt: {e}")),
-            }
-        }
-        Command::Partition {
-            path,
-            strategy,
-            parts,
-            seed,
-            threads,
-            window,
-            out: dest,
-        } => {
-            // `.gps` stores stream straight off the mapping; text edge
-            // lists load into memory. Both feed the same `StreamingEdges`
-            // ingress and produce identical assignments for the same edge
-            // sequence.
-            let store;
-            let loaded;
-            let graph: &dyn StreamingEdges = if path.ends_with(".gps") {
-                store = match GraphStore::open(path) {
-                    Ok(s) => s,
-                    Err(e) => return fail(out, &format!("cannot open {path}: {e}")),
-                };
-                &store
-            } else {
-                loaded = match read_edge_list(path) {
-                    Ok(l) => l,
-                    Err(e) => return fail(out, &format!("cannot load {path}: {e}")),
-                };
-                &loaded.graph
-            };
-            if !strategy.supports_partition_count(*parts) {
-                return fail(
-                    out,
-                    &format!("{} cannot run on {parts} partitions", strategy.label()),
-                );
-            }
-            let ctx = PartitionContext::new(*parts)
-                .with_seed(*seed)
-                .with_threads(*threads)
-                .with_window(*window);
-            let outcome = strategy.build().partition(graph, &ctx);
-            let report = IngressReport::from_outcome(strategy.label(), &outcome, *parts);
-            let mut t = Table::new(
-                format!("{} over {parts} partitions", strategy.label()),
-                &["metric", "value"],
-            );
-            t.row(vec![
-                "replication factor".into(),
-                format!("{:.3}", report.replication_factor),
-            ]);
-            t.row(vec![
-                "edge imbalance (max/mean)".into(),
-                format!("{:.3}", report.edge_imbalance),
-            ]);
-            t.row(vec![
-                "mirrors created".into(),
-                report.volumes.mirrors_created.to_string(),
-            ]);
-            t.row(vec!["ingress passes".into(), report.passes.to_string()]);
-            if graph.source_kind() != "memory" {
-                t.row(vec![
-                    "source".into(),
-                    format!(
-                        "{} ({})",
-                        graph.source_kind(),
-                        gp_cluster::table::fmt_bytes(graph.storage_bytes().unwrap_or(0) as f64)
-                    ),
-                ]);
-                if let Some(rss) = gp_telemetry::peak_rss_bytes() {
-                    t.row(vec![
-                        "peak RSS".into(),
-                        gp_cluster::table::fmt_bytes(rss as f64),
-                    ]);
-                }
-            }
-            writeln!(out, "{t}")?;
-            if let Some(dest) = dest {
-                if let Err(e) = gp_partition::save_assignment(&outcome.assignment, dest) {
-                    return fail(out, &format!("cannot write {dest}: {e}"));
-                }
-                writeln!(out, "saved assignment to {dest}")?;
-            }
-            Ok(0)
-        }
-        Command::Serve {
-            path,
-            strategy,
-            parts,
-            seed,
-            cluster,
-            horizon_s,
-            sessions,
-            churn_scale,
-            rebalance_threshold,
-            rf_threshold,
-            threads,
-        } => {
-            let store;
-            let loaded;
-            let graph: &dyn StreamingEdges = if path.ends_with(".gps") {
-                store = match GraphStore::open(path) {
-                    Ok(s) => s,
-                    Err(e) => return fail(out, &format!("cannot open {path}: {e}")),
-                };
-                &store
-            } else {
-                loaded = match read_edge_list(path) {
-                    Ok(l) => l,
-                    Err(e) => return fail(out, &format!("cannot load {path}: {e}")),
-                };
-                &loaded.graph
-            };
-            if !strategy.supports_partition_count(*parts) {
-                return fail(
-                    out,
-                    &format!("{} cannot run on {parts} partitions", strategy.label()),
-                );
-            }
-            if graph.num_vertices() < 2 {
-                return fail(out, "serve needs a graph with at least two vertices");
-            }
-            let cfg = ServeConfig {
-                strategy: *strategy,
-                num_partitions: *parts,
-                seed: *seed,
-                spec: cluster.spec(),
-                policy: DriftPolicy {
-                    max_imbalance: *rebalance_threshold,
-                    max_rf_growth: *rf_threshold,
-                    ..DriftPolicy::default()
-                },
-                threads: *threads,
-            };
-            let rates = TrafficRates::default().with_churn_scale(*churn_scale);
-            let plan =
-                TrafficPlan::generate(*seed, graph.num_vertices(), *sessions, *horizon_s, &rates);
-            let report = gp_serve::serve(graph, &plan, &cfg);
-            write!(out, "{}", report.render())?;
-            Ok(0)
-        }
-        Command::Recommend {
-            path,
-            system,
-            machines,
-            compute_ingress,
-            natural,
-        } => {
-            let loaded = match read_edge_list(path) {
-                Ok(l) => l,
-                Err(e) => return fail(out, &format!("cannot load {path}: {e}")),
-            };
-            let class = classify(&loaded.graph);
-            let w = Workload {
-                graph_class: class,
-                machines: *machines,
-                compute_ingress_ratio: *compute_ingress,
-                natural_app: *natural,
-            };
-            let rec = match system {
-                SystemChoice::PowerGraph => gp_advisor::powergraph(&w),
-                SystemChoice::PowerLyra => gp_advisor::powerlyra(&w),
-                SystemChoice::GraphX => gp_advisor::graphx_all(&w),
-            };
-            writeln!(out, "graph class: {class}")?;
-            writeln!(
-                out,
-                "recommended: {}",
-                rec.strategies
-                    .iter()
-                    .map(|s| s.label())
-                    .collect::<Vec<_>>()
-                    .join(" or ")
-            )?;
-            writeln!(out, "decision path: {}", rec.path.join(" -> "))?;
-            Ok(0)
-        }
-        Command::Run {
-            path,
-            app,
-            strategy,
-            parts,
-            seed,
-            system,
-            partition_file,
-            threads,
-            window,
-        } => {
-            let loaded = match read_edge_list(path) {
-                Ok(l) => l,
-                Err(e) => return fail(out, &format!("cannot load {path}: {e}")),
-            };
-            let graph = &loaded.graph;
-            let assignment = if let Some(pf) = partition_file {
-                match gp_partition::load_assignment(graph, pf) {
-                    Ok(a) => a,
-                    Err(e) => return fail(out, &format!("cannot load {pf}: {e}")),
-                }
-            } else {
-                let ctx = PartitionContext::new(*parts)
-                    .with_seed(*seed)
-                    .with_threads(*threads)
-                    .with_window(*window);
-                strategy.build().partition(graph, &ctx).assignment
-            };
-            let spec = match system {
-                SystemChoice::GraphX => ClusterSpec::local_10(),
-                _ => ClusterSpec::local_9(),
-            };
-            let report = run_app(graph, &assignment, *app, *system, &spec, *threads);
-            let Some(report) = report else {
-                return fail(out, "job ran out of memory on the simulated cluster");
-            };
-            writeln!(
-                out,
-                "{} on {} ({}): {} supersteps, {:.1} simulated seconds, {} of traffic",
-                report.program,
-                report.engine,
-                spec.name,
-                report.supersteps(),
-                report.wall_clock_seconds(),
-                gp_cluster::table::fmt_bytes(report.total_in_bytes())
-            )?;
-            Ok(0)
-        }
-        Command::Trace {
-            dataset,
-            scale,
-            seed,
-            strategy,
-            app,
-            system,
-            cluster,
-            crash,
-            interval,
-            loss_rate,
-            speculate,
-            threads,
-            out_dir,
-        } => {
-            let spec = cluster.spec();
-            let kind = match system {
-                SystemChoice::PowerGraph => EngineKind::PowerGraph,
-                SystemChoice::PowerLyra => EngineKind::PowerLyra,
-                SystemChoice::GraphX => EngineKind::graphx_default(),
-            };
-            let partitions = kind.partitions(&spec);
-            if !strategy.supports_partition_count(partitions) {
-                return fail(
-                    out,
-                    &format!("{} cannot run on {partitions} partitions", strategy.label()),
-                );
-            }
-            if let Some((_, machine)) = crash {
-                if *machine >= spec.machines {
-                    return fail(
-                        out,
-                        &format!(
-                            "--machine {machine} out of range: {} has {} machines",
-                            spec.name, spec.machines
-                        ),
-                    );
-                }
-            }
-            // Flaky windows cover the whole job; a trace has no superstep
-            // bound up front, so use a horizon past any simulated run.
-            let mut plan = FaultPlan::uniform_flaky(*loss_rate, spec.machines, 100_000);
-            if let Some((step, machine)) = crash {
-                plan.push(FaultEvent {
-                    superstep: *step,
-                    machine: *machine,
-                    kind: FaultKind::Crash,
-                });
-            }
-            let policy = if *interval == 0 {
-                CheckpointPolicy::disabled()
-            } else {
-                CheckpointPolicy::every(*interval)
-            };
-            let comms = comms_config(*loss_rate, *speculate);
-            let sink = TelemetrySink::recording();
-            let mut pipeline = Pipeline::new(*scale, *seed)
-                .with_telemetry(sink.clone())
-                .with_threads(*threads);
-            let result = pipeline
-                .run_with_comms(*dataset, *strategy, &spec, kind, *app, plan, policy, comms);
-            if result.failed {
-                return fail(out, "job ran out of memory on the simulated cluster");
-            }
-            let dir = std::path::Path::new(out_dir);
-            std::fs::create_dir_all(dir)?;
-            std::fs::write(dir.join("trace.json"), sink.chrome_trace_json())?;
-            std::fs::write(dir.join("metrics.csv"), sink.metrics_csv())?;
-            std::fs::write(dir.join("summary.txt"), sink.summary())?;
-            writeln!(
-                out,
-                "{} × {} on {} ({}): ingress {:.1}s + compute {:.1}s, {} supersteps",
-                strategy.label(),
-                result.app,
-                dataset,
-                spec.name,
-                result.ingress_seconds,
-                result.compute_seconds,
-                result.supersteps,
-            )?;
-            writeln!(
-                out,
-                "wrote {} spans to {}/trace.json (load in https://ui.perfetto.dev \
-                 or chrome://tracing), plus metrics.csv and summary.txt",
-                sink.spans().len(),
-                dir.display(),
-            )?;
-            Ok(0)
-        }
-        Command::Elastic {
-            dataset,
-            scale,
-            seed,
-            cluster,
-            strategies,
-            scale_out,
-            preempt,
-            drain,
-            policy,
-            steps,
-            interval,
-            tenants,
-            fair,
-            threads,
-        } => {
-            let spec = cluster.spec();
-            for (machine, what) in [
-                preempt.map(|(_, m, _)| (m, "--preempt")),
-                drain.map(|(_, m, _)| (m, "--drain")),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                if machine >= spec.machines {
-                    return fail(
-                        out,
-                        &format!(
-                            "{what} machine {machine} out of range: {} has {} machines",
-                            spec.name, spec.machines
-                        ),
-                    );
-                }
-            }
-            let mut plan = ElasticPlan::none();
-            let mut described: Vec<String> = Vec::new();
-            if let Some((step, k)) = scale_out {
-                plan.push(ElasticEvent {
-                    superstep: *step,
-                    kind: ElasticKind::ScaleOut {
-                        machines_added: (*k).max(1),
-                    },
-                });
-                described.push(format!("+{k} machines @ step {step}"));
-            }
-            if let Some((step, machine, warning)) = preempt {
-                plan.push(ElasticEvent {
-                    superstep: *step,
-                    kind: ElasticKind::Preempt {
-                        machine: *machine,
-                        warning_steps: (*warning).min(*step),
-                    },
-                });
-                described.push(format!(
-                    "preempt m{machine} @ step {step} (warning {warning})"
-                ));
-            }
-            if let Some((step, machine, warning)) = drain {
-                plan.push(ElasticEvent {
-                    superstep: *step,
-                    kind: ElasticKind::Drain {
-                        machine: *machine,
-                        warning_steps: (*warning).min(*step),
-                    },
-                });
-                described.push(format!(
-                    "drain m{machine} @ step {step} (warning {warning})"
-                ));
-            }
-            if plan.is_empty() && *tenants < 2 {
-                return fail(
-                    out,
-                    "nothing to simulate: add --scale-out/--preempt/--drain \
-                     and/or --tenants N (N >= 2)",
-                );
-            }
-            let checkpoint = if *interval == 0 {
-                CheckpointPolicy::disabled()
-            } else {
-                CheckpointPolicy::every(*interval)
-            };
-            let mut pipeline = Pipeline::new(*scale, *seed).with_threads(*threads);
-            let app = App::PageRankFixed(*steps);
-            if !plan.is_empty() {
-                let mut t = Table::new(
-                    format!(
-                        "Elastic plan [{}] on {} (PageRank({steps}), {} repair, \
-                         checkpoint {})",
-                        described.join(", "),
-                        spec.name,
-                        policy.label(),
-                        if *interval == 0 {
-                            "off".to_string()
-                        } else {
-                            format!("every {interval}")
-                        },
-                    ),
-                    &[
-                        "Strategy",
-                        "RF",
-                        "Clean (s)",
-                        "Elastic (s)",
-                        "Overhead",
-                        "Events",
-                        "Evacuated",
-                        "Forced",
-                        "Re-ingress (s)",
-                    ],
-                );
-                for strategy in strategies {
-                    if !strategy.supports_partition_count(spec.machines) {
-                        return fail(
-                            out,
-                            &format!(
-                                "{} cannot run on {} partitions",
-                                strategy.label(),
-                                spec.machines
-                            ),
-                        );
-                    }
-                    let clean =
-                        pipeline.run(*dataset, *strategy, &spec, EngineKind::PowerGraph, app);
-                    let elastic = pipeline.run_with_elastic(
-                        *dataset,
-                        *strategy,
-                        &spec,
-                        EngineKind::PowerGraph,
-                        app,
-                        FaultPlan::none(),
-                        checkpoint,
-                        CommsConfig::disabled(),
-                        ElasticConfig::new(plan.clone()).with_repair(policy.clone()),
-                    );
-                    t.row(vec![
-                        strategy.label().to_string(),
-                        format!("{:.2}", elastic.replication_factor),
-                        format!("{:.1}", clean.compute_seconds),
-                        format!("{:.1}", elastic.compute_seconds),
-                        format!(
-                            "{:.2}x",
-                            elastic.compute_seconds / clean.compute_seconds.max(1e-12)
-                        ),
-                        elastic.scale_events.to_string(),
-                        gp_cluster::table::fmt_bytes(elastic.evacuated_bytes),
-                        elastic.forced_recoveries.to_string(),
-                        format!("{:.1}", elastic.reingress_seconds),
-                    ]);
-                }
-                writeln!(out, "{t}")?;
-            }
-            if *tenants >= 2 {
-                let solo =
-                    pipeline.run(*dataset, strategies[0], &spec, EngineKind::PowerGraph, app);
-                let mut walls = Vec::with_capacity(solo.cumulative_seconds.len());
-                let mut prev = 0.0;
-                for &c in &solo.cumulative_seconds {
-                    walls.push(c - prev);
-                    prev = c;
-                }
-                let per_step = solo.mean_net_in_bytes / f64::from(solo.supersteps.max(1));
-                // Tenants replay the same job, arriving a quarter of a solo
-                // run apart — enough overlap that scheduling policy matters.
-                let jobs: Vec<TenantJob> = (0..*tenants)
-                    .map(|i| {
-                        TenantJob::new(
-                            &format!("tenant-{i}"),
-                            f64::from(i) * 0.25 * solo.compute_seconds,
-                            walls.clone(),
-                            vec![per_step; walls.len()],
-                        )
-                    })
-                    .collect();
-                let sched_policy = if *fair {
-                    SchedulePolicy::FairShare
-                } else {
-                    SchedulePolicy::Fifo
-                };
-                let report = TenantScheduler::new(spec.clone(), sched_policy)
-                    .run(&jobs, &TelemetrySink::Disabled);
-                let mut t = Table::new(
-                    format!(
-                        "{tenants} tenants of {} × PageRank({steps}) on {} ({}): \
-                         makespan {:.1}s",
-                        strategies[0].label(),
-                        spec.name,
-                        sched_policy.label(),
-                        report.makespan_s,
-                    ),
-                    &[
-                        "Tenant",
-                        "Arrival (s)",
-                        "Start (s)",
-                        "Finish (s)",
-                        "Wait (s)",
-                        "Interference (s)",
-                        "Interference",
-                    ],
-                );
-                for o in &report.outcomes {
-                    t.row(vec![
-                        o.name.clone(),
-                        format!("{:.1}", o.arrival_s),
-                        format!("{:.1}", o.start_s),
-                        format!("{:.1}", o.finish_s),
-                        format!("{:.1}", o.wait_seconds),
-                        format!("{:.1}", o.interference_seconds),
-                        gp_cluster::table::fmt_bytes(o.interference_bytes),
-                    ]);
-                }
-                writeln!(out, "{t}")?;
-            }
-            Ok(0)
-        }
-        Command::Fault {
-            dataset,
-            scale,
-            seed,
-            cluster,
-            crash_at,
-            machine,
-            interval,
-            asynchronous,
-            steps,
-            strategies,
-            loss_rate,
-            speculate,
-            threads,
-        } => {
-            let spec = cluster.spec();
-            if *machine >= spec.machines {
-                return fail(
-                    out,
-                    &format!(
-                        "--machine {machine} out of range: {} has {} machines",
-                        spec.name, spec.machines
-                    ),
-                );
-            }
-            let policy = match (*interval, *asynchronous) {
-                (0, _) => CheckpointPolicy::disabled(),
-                (k, false) => CheckpointPolicy::every(k),
-                (k, true) => CheckpointPolicy::every(k).asynchronous(),
-            };
-            let graph = dataset.generate(*scale, *seed);
-            writeln!(
-                out,
-                "{dataset} analogue (scale {scale}, seed {seed}): {} vertices, {} edges",
-                graph.num_vertices(),
-                graph.num_edges()
-            )?;
-            let rates = CostRates::default();
-            let ckpt_label = match (*interval, *asynchronous) {
-                (0, _) => "off".to_string(),
-                (k, false) => format!("every {k} (sync)"),
-                (k, true) => format!("every {k} (async)"),
-            };
-            let loss_label = if *loss_rate > 0.0 {
-                format!(", {:.0}% packet loss", *loss_rate * 100.0)
-            } else {
-                String::new()
-            };
-            let mut t = Table::new(
-                format!(
-                    "Machine {machine} crashes at superstep {crash_at} on {} \
-                     (PageRank({steps}), checkpoint {ckpt_label}{loss_label})",
-                    spec.name
-                ),
-                &[
-                    "Strategy",
-                    "RF",
-                    "Refetch",
-                    "Recovery (s)",
-                    "Replayed",
-                    "Clean (s)",
-                    "Faulted (s)",
-                    "Overhead",
-                    "Retransmit",
-                    "Spec saved (s)",
-                ],
-            );
-            for strategy in strategies {
-                if !strategy.supports_partition_count(spec.machines) {
-                    return fail(
-                        out,
-                        &format!(
-                            "{} cannot run on {} partitions",
-                            strategy.label(),
-                            spec.machines
-                        ),
-                    );
-                }
-                let ctx = PartitionContext::new(spec.machines)
-                    .with_seed(*seed)
-                    .with_threads(*threads);
-                let assignment = strategy.build().partition(&graph, &ctx).assignment;
-                let rc = recovery_cost(&assignment, *machine, &spec, &rates);
-                let program = PageRank::fixed(*steps);
-                let clean_config = EngineConfig::new(spec.clone()).with_threads(*threads);
-                let layout = Layout::build(&graph, &assignment, spec.machines);
-                let (_, clean) = SyncGas::new(clean_config).run_on(&layout, &assignment, &program);
-                let mut plan = FaultPlan::uniform_flaky(*loss_rate, spec.machines, *steps);
-                plan.push(FaultEvent {
-                    superstep: *crash_at,
-                    machine: *machine,
-                    kind: FaultKind::Crash,
-                });
-                let faulted_config = EngineConfig::new(spec.clone())
-                    .with_threads(*threads)
-                    .with_fault_plan(plan)
-                    .with_checkpoint(policy)
-                    .with_comms(comms_config(*loss_rate, *speculate));
-                let (_, faulted) =
-                    SyncGas::new(faulted_config).run_on(&layout, &assignment, &program);
-                t.row(vec![
-                    strategy.label().to_string(),
-                    format!("{:.2}", assignment.replication_factor()),
-                    gp_cluster::table::fmt_bytes(rc.refetch_bytes),
-                    format!("{:.2}", faulted.recovery_seconds),
-                    faulted.supersteps_replayed.to_string(),
-                    format!("{:.1}", clean.wall_clock_seconds()),
-                    format!("{:.1}", faulted.wall_clock_seconds()),
-                    format!(
-                        "{:.2}x",
-                        faulted.wall_clock_seconds() / clean.wall_clock_seconds().max(1e-12)
-                    ),
-                    gp_cluster::table::fmt_bytes(faulted.retransmit_bytes),
-                    format!("{:.2}", faulted.speculation_saved_seconds),
-                ]);
-            }
-            writeln!(out, "{t}")?;
-            Ok(0)
+    let done = match cmd {
+        Command::Help => writeln!(out, "{}", usage()).map_err(Failure::from),
+        Command::Stats(args) => args.run(out),
+        Command::Classify(args) => args.run(out),
+        Command::Generate(args) => args.run(out),
+        Command::Store(args) => args.run(out),
+        Command::Partition(args) => args.run(out),
+        Command::Recommend(args) => args.run(out),
+        Command::Run(args) => args.run(out),
+        Command::Serve(args) => args.run(out),
+        Command::Fault(args) => args.run(out),
+        Command::Elastic(args) => args.run(out),
+        Command::Trace(args) => args.run(out),
+    };
+    match done.map_err(|failure| failure.downcast::<std::io::Error>()) {
+        Ok(()) => Ok(0),
+        Err(Ok(io)) => Err(*io),
+        Err(Err(message)) => {
+            writeln!(out, "error: {message}")?;
+            Ok(2)
         }
     }
 }
 
-fn run_app(
-    graph: &EdgeList,
-    assignment: &gp_partition::Assignment,
-    app: AppChoice,
-    system: SystemChoice,
+/// Load a text edge list into memory.
+fn load_graph(path: &str) -> Result<EdgeList, String> {
+    match read_edge_list(path) {
+        Ok(loaded) => Ok(loaded.graph),
+        Err(e) => Err(format!("cannot load {path}: {e}")),
+    }
+}
+
+/// A graph to stream edges from: `.gps` stores stream straight off the
+/// mapping; text edge lists load into memory. Both feed the same
+/// `StreamingEdges` ingress and produce identical assignments for the same
+/// edge sequence.
+fn open_edges(path: &str) -> Result<Box<dyn StreamingEdges>, String> {
+    if path.ends_with(".gps") {
+        let store = GraphStore::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+        Ok(Box::new(store))
+    } else {
+        Ok(Box::new(load_graph(path)?))
+    }
+}
+
+/// The scenarios a subcommand is about to run, or the first rule one of them
+/// breaks ([`Scenario::check`]) — before anything is printed.
+fn checked(jobs: impl IntoIterator<Item = Scenario>) -> Result<Vec<Scenario>, String> {
+    let checked = jobs.into_iter().map(|job| job.check().map(|()| job));
+    checked.collect()
+}
+
+/// The fault plan the `--loss-rate` / `--crash-at` flags describe: every
+/// link flaky for `horizon` supersteps, plus one `(superstep, machine)`
+/// crash.
+fn fault_plan(
+    loss_rate: f64,
     spec: &ClusterSpec,
-    threads: u32,
-) -> Option<gp_engine::ComputeReport> {
-    let config = EngineConfig::new(spec.clone()).with_threads(threads);
-    macro_rules! dispatch {
-        ($prog:expr) => {
-            match system {
-                SystemChoice::PowerGraph => Some(
-                    SyncGas::new(config.clone())
-                        .run(graph, assignment, &$prog)
-                        .1,
-                ),
-                SystemChoice::PowerLyra => Some(
-                    HybridGas::new(config.clone())
-                        .run(graph, assignment, &$prog)
-                        .1,
-                ),
-                SystemChoice::GraphX => Pregel::new(PregelConfig::new(config.clone()))
-                    .run(graph, assignment, &$prog)
-                    .ok()
-                    .map(|r| r.1),
-            }
-        };
+    horizon: u32,
+    crash: Option<(u32, u32)>,
+) -> FaultPlan {
+    let mut plan = FaultPlan::uniform_flaky(loss_rate, spec.machines, horizon);
+    if let Some((superstep, machine)) = crash {
+        plan.push(FaultEvent {
+            superstep,
+            machine,
+            kind: FaultKind::Crash,
+        });
     }
-    match app {
-        AppChoice::PageRank => dispatch!(PageRank::to_convergence()),
-        AppChoice::Wcc => dispatch!(Wcc),
-        AppChoice::Sssp => dispatch!(Sssp::undirected(0u64)),
-    }
+    plan
 }
 
 /// Comms protocols implied by the CLI flags: a lossy network needs reliable
@@ -1700,14 +338,13 @@ fn comms_config(loss_rate: f64, speculate: bool) -> CommsConfig {
     comms.with_speculation(speculate)
 }
 
-fn fail<W: Write>(out: &mut W, msg: &str) -> std::io::Result<i32> {
-    writeln!(out, "error: {msg}")?;
-    Ok(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flags::parse_size;
+    use gp_bench::App;
+    use gp_elastic::{ElasticEvent, ElasticKind, RepairPolicy};
+    use gp_partition::{PartitionContext, System};
 
     fn parse_ok(args: &[&str]) -> Command {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -1718,6 +355,240 @@ mod tests {
         let mut buf = Vec::new();
         let code = execute(cmd, &mut buf).unwrap();
         (code, String::from_utf8(buf).unwrap())
+    }
+
+    fn parse_strs(args: &[&str]) -> Result<Command, String> {
+        let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse(&v)
+    }
+
+    /// A valid invocation of every subcommand, then what must break it: a
+    /// typo of one of its flags (with the suggestion it should draw), a
+    /// flag borrowed from another subcommand, and — where the subcommand
+    /// has flags at all — one given twice.
+    #[test]
+    fn every_subcommand_refuses_flags_it_does_not_declare() {
+        type Row<'a> = (
+            &'a [&'a str],
+            (&'a [&'a str], Option<&'a str>),
+            &'a [&'a str],
+            &'a [&'a str],
+        );
+        let table: &[Row] = &[
+            (
+                &["stats", "g.txt"],
+                (&["--parts", "banana"], None),
+                &["--natural"],
+                &[],
+            ),
+            (
+                &["classify", "g.txt"],
+                (&["--sed", "1"], None),
+                &["--seed", "1"],
+                &[],
+            ),
+            (
+                &["generate", "Twitter", "--seed", "3"],
+                (&["--edgs", "10K"], Some("--edges")),
+                &["--parts", "4"],
+                &["--seed", "4"],
+            ),
+            (
+                &["store", "build", "powerlaw", "-o", "s.gps"],
+                (&["--vertice", "10K"], Some("--vertices")),
+                &["--strategy", "hdrf"],
+                &["--out", "t.gps"],
+            ),
+            (
+                &["store", "info", "s.gps"],
+                (&["--edges", "5"], None),
+                &["--fair"],
+                &[],
+            ),
+            (
+                &["store", "verify", "s.gps"],
+                (&["--sed", "5"], None),
+                &["-o", "x"],
+                &[],
+            ),
+            (
+                &["partition", "g.txt", "--strategy", "hdrf"],
+                (&["--part", "9"], Some("--parts")),
+                &["--machines", "9"],
+                &["--strategy", "grid"],
+            ),
+            (
+                &["recommend", "g.txt", "--natural"],
+                (&["--machine", "9"], Some("--machines")),
+                &["--parts", "9"],
+                &["--natural"],
+            ),
+            (
+                &["run", "g.txt", "--app", "wcc", "--strategy", "grid"],
+                (&["--partition-fil", "p.txt"], Some("--partition-file")),
+                &["--cluster", "local-9"],
+                &["--app", "sssp"],
+            ),
+            (
+                &["serve", "g.txt", "--horizon", "30"],
+                (&["--session", "2"], Some("--sessions")),
+                &["--fair"],
+                &["--horizon", "40"],
+            ),
+            (
+                &["fault", "uk-web", "--speculate"],
+                (&["--stratgies", "random"], Some("--strategies")),
+                &["--fair"],
+                &["--speculate"],
+            ),
+            (
+                &["elastic", "Twitter", "--tenants", "2"],
+                (&["--scaleout", "2:9"], Some("--scale-out")),
+                &["--loss-rate", "0.1"],
+                &["--tenants", "3"],
+            ),
+            (
+                &["trace", "LiveJournal", "-o", "dir"],
+                (&["--intervall", "4"], Some("--interval")),
+                &["--steps", "5"],
+                &["--out", "elsewhere"],
+            ),
+        ];
+        for (valid, (typo, hint), foreign, repeat) in table {
+            let command = match valid[0] {
+                "store" => valid[..2].join(" "),
+                word => word.to_string(),
+            };
+            assert!(parse_strs(valid).is_ok(), "{valid:?}");
+            let err = parse_strs(&[*valid, *typo].concat()).unwrap_err();
+            let named = format!("unknown flag {} for `{command}`", typo[0]);
+            assert!(err.contains(&named), "{valid:?} + {typo:?}: {err}");
+            match hint {
+                Some(hint) => assert!(err.contains(&format!("(did you mean {hint}?)")), "{err}"),
+                None => assert!(!err.contains("did you mean"), "{err}"),
+            }
+            let err = parse_strs(&[*valid, *foreign].concat()).unwrap_err();
+            assert!(
+                err.contains("unknown flag"),
+                "{valid:?} + {foreign:?}: {err}"
+            );
+            if !repeat.is_empty() {
+                let err = parse_strs(&[*valid, *repeat].concat()).unwrap_err();
+                assert!(err.contains("given twice"), "{valid:?} + {repeat:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_flags_are_their_long_forms() {
+        assert_eq!(
+            parse_strs(&["generate", "Twitter", "-s", "0.5", "-o", "t.txt"]),
+            parse_strs(&["generate", "Twitter", "--scale", "0.5", "--out", "t.txt"]),
+        );
+        let err = parse_strs(&["generate", "Twitter", "-o", "a", "--out", "b"]).unwrap_err();
+        assert!(err.contains("--out given twice"), "{err}");
+        let err = parse_strs(&["generate", "Twitter", "--seed"]).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
+    }
+
+    /// Events that could never fire are refused by `Scenario::check`, not
+    /// printed as a plan over a run they did not touch.
+    #[test]
+    fn scenario_commands_refuse_events_that_cannot_fire() {
+        for (args, rule) in [
+            (
+                &["fault", "LiveJournal", "--crash-at", "30", "--steps", "5"][..],
+                "superstep 30 never fires: PageRank(5)",
+            ),
+            (
+                &[
+                    "fault",
+                    "LiveJournal",
+                    "--cluster",
+                    "local-9",
+                    "--machine",
+                    "9",
+                ],
+                "machine 9 out of range: Local-9 has 9 machines",
+            ),
+            (
+                &["fault", "LiveJournal", "--strategies", "pds"],
+                "PDS cannot run on 16 partitions",
+            ),
+            (
+                &["elastic", "LiveJournal", "--scale-out", "3:0"],
+                "at least one machine",
+            ),
+            (
+                &["elastic", "LiveJournal", "--preempt", "2:0:5"],
+                "warning of 5 supersteps cannot precede a departure at superstep 2",
+            ),
+            (
+                &["elastic", "LiveJournal", "--drain", "2:9:1"],
+                "machine 9 out of range",
+            ),
+            (
+                &["elastic", "LiveJournal", "--scale-out", "25:2"],
+                "superstep 25 never fires: PageRank(20)",
+            ),
+            (
+                &["trace", "LiveJournal", "--crash-at", "3", "--machine", "16"],
+                "machine 16 out of range: EC2-16 has 16 machines",
+            ),
+            (
+                &[
+                    "trace",
+                    "LiveJournal",
+                    "--strategy",
+                    "pds",
+                    "--system",
+                    "graphx",
+                ],
+                "PDS cannot run on 256 partitions",
+            ),
+        ] {
+            let cmd = parse_strs(&[args, &["--scale", "0.02"]].concat()).expect("parses");
+            let (code, text) = run_to_string(&cmd);
+            assert_eq!(code, 2, "{args:?}: {text}");
+            assert!(text.starts_with("error: "), "nothing printed first: {text}");
+            assert!(text.contains(rule), "{args:?} should name {rule:?}: {text}");
+        }
+    }
+
+    #[test]
+    fn unknown_names_list_the_valid_ones() {
+        let err = parse_strs(&["partition", "g.txt", "--strategy", "nope"]).unwrap_err();
+        assert!(
+            err.contains("\"nope\"") && err.contains("H-Ginger"),
+            "{err}"
+        );
+        let err = parse_strs(&["fault", "Twitter", "--strategies", "grid,nope"]).unwrap_err();
+        assert!(
+            err.contains("1D-Target") && err.contains("asymmetric-random"),
+            "{err}"
+        );
+        let err = parse_strs(&["fault", "Twitter", "--cluster", "ec2-99"]).unwrap_err();
+        assert!(err.contains("(local-9|local-10|ec2-16|ec2-25)"), "{err}");
+        assert_eq!(
+            parse_strs(&["fault", "Twitter", "--cluster", "EC216"]).ok(),
+            parse_strs(&["fault", "Twitter", "--cluster", "ec2-16"]).ok()
+        );
+    }
+
+    #[test]
+    fn usage_lists_are_rendered_from_the_catalogs() {
+        let text = usage();
+        assert!(text.contains(
+            "Strategies: Random, Assym-Rand, Grid, PDS, Oblivious, HDRF, 1D, 1D-Target,\n\
+             2D, Hybrid, H-Ginger.\n"
+        ));
+        assert!(text.contains(
+            "Datasets: road-net-CA, road-net-USA, LiveJournal, Enwiki-2013, Twitter, UK-web.\n"
+        ));
+        assert!(text.contains("Clusters: local-9, local-10, ec2-16, ec2-25.\n"));
+        for strategy in Strategy::ALL {
+            assert!(text.contains(strategy.label()), "{strategy}");
+        }
     }
 
     /// Write a test graph to a per-test file (tests run concurrently).
@@ -1736,15 +607,15 @@ mod tests {
     fn parse_stats_and_classify() {
         assert_eq!(
             parse_ok(&["stats", "g.txt"]),
-            Command::Stats {
+            Command::Stats(stats::Args {
                 path: "g.txt".into()
-            }
+            })
         );
         assert_eq!(
             parse_ok(&["classify", "g.txt"]),
-            Command::Classify {
+            Command::Classify(classify::Args {
                 path: "g.txt".into()
-            }
+            })
         );
     }
 
@@ -1766,7 +637,7 @@ mod tests {
         ]);
         assert_eq!(
             cmd,
-            Command::Partition {
+            Command::Partition(partition::Args {
                 path: "g.txt".into(),
                 strategy: Strategy::Hdrf,
                 parts: 16,
@@ -1774,7 +645,7 @@ mod tests {
                 threads: 3,
                 window: 0,
                 out: Some("p.txt".into()),
-            }
+            })
         );
     }
 
@@ -1789,11 +660,11 @@ mod tests {
             "4096",
         ]);
         match &cmd {
-            Command::Partition { window, .. } => assert_eq!(*window, 4096),
+            Command::Partition(partition::Args { window, .. }) => assert_eq!(*window, 4096),
             other => panic!("parsed {other:?}"),
         }
         let path = temp_graph_named("windowed");
-        let (code, text) = run_to_string(&Command::Partition {
+        let (code, text) = run_to_string(&Command::Partition(partition::Args {
             path,
             strategy: Strategy::Hdrf,
             parts: 4,
@@ -1801,7 +672,7 @@ mod tests {
             threads: 2,
             window: 8,
             out: None,
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("replication factor"), "{text}");
     }
@@ -1817,13 +688,13 @@ mod tests {
             "auto",
         ]);
         match &cmd {
-            Command::Partition { window, .. } => {
+            Command::Partition(partition::Args { window, .. }) => {
                 assert_eq!(*window, gp_partition::WINDOW_AUTO)
             }
             other => panic!("parsed {other:?}"),
         }
         let path = temp_graph_named("autowindow");
-        let (code, text) = run_to_string(&Command::Partition {
+        let (code, text) = run_to_string(&Command::Partition(partition::Args {
             path,
             strategy: Strategy::Hdrf,
             parts: 4,
@@ -1831,7 +702,7 @@ mod tests {
             threads: 2,
             window: gp_partition::WINDOW_AUTO,
             out: None,
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("replication factor"), "{text}");
     }
@@ -1865,19 +736,19 @@ mod tests {
         // Defaults: HDRF on local-9, parts = cluster machines.
         assert_eq!(
             parse_ok(&["serve", "g.txt"]),
-            Command::Serve {
+            Command::Serve(serve::Args {
                 path: "g.txt".into(),
                 strategy: Strategy::Hdrf,
                 parts: 9,
                 seed: 42,
-                cluster: ClusterChoice::Local9,
+                cluster: ClusterSpec::local_9(),
                 horizon_s: 60.0,
                 sessions: 4,
                 churn_scale: 1.0,
                 rebalance_threshold: 1.5,
                 rf_threshold: 1.25,
                 threads: 1,
-            }
+            })
         );
         let cmd = parse_ok(&[
             "serve",
@@ -1903,28 +774,24 @@ mod tests {
         ]);
         assert_eq!(
             cmd,
-            Command::Serve {
+            Command::Serve(serve::Args {
                 path: "g.gps".into(),
                 strategy: Strategy::Random,
                 parts: 16,
                 seed: 7,
-                cluster: ClusterChoice::Ec2x16,
+                cluster: ClusterSpec::ec2_16(),
                 horizon_s: 30.0,
                 sessions: 2,
                 churn_scale: 4.0,
                 rebalance_threshold: 1.2,
                 rf_threshold: 1.1,
                 threads: 3,
-            }
+            })
         );
     }
 
     #[test]
     fn parse_serve_rejects_bad_thresholds() {
-        let parse_strs = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse(&v)
-        };
         assert!(parse_strs(&["serve", "g.txt", "--horizon", "0"]).is_err());
         assert!(parse_strs(&["serve", "g.txt", "--rebalance-threshold", "1.0"]).is_err());
         assert!(parse_strs(&["serve", "g.txt", "--rf-threshold", "0.9"]).is_err());
@@ -1934,18 +801,20 @@ mod tests {
     #[test]
     fn serve_runs_and_reports_deterministically() {
         let path = temp_graph_named("serve-basic");
-        let mk = |threads: u32| Command::Serve {
-            path: path.clone(),
-            strategy: Strategy::Random,
-            parts: 9,
-            seed: 7,
-            cluster: ClusterChoice::Local9,
-            horizon_s: 3.0,
-            sessions: 2,
-            churn_scale: 1.0,
-            rebalance_threshold: 1.5,
-            rf_threshold: 1.25,
-            threads,
+        let mk = |threads: u32| {
+            Command::Serve(serve::Args {
+                path: path.clone(),
+                strategy: Strategy::Random,
+                parts: 9,
+                seed: 7,
+                cluster: ClusterSpec::local_9(),
+                horizon_s: 3.0,
+                sessions: 2,
+                churn_scale: 1.0,
+                rebalance_threshold: 1.5,
+                rf_threshold: 1.25,
+                threads,
+            })
         };
         let (code, text) = run_to_string(&mk(1));
         assert_eq!(code, 0, "{text}");
@@ -1971,13 +840,13 @@ mod tests {
         ]);
         assert_eq!(
             cmd,
-            Command::Recommend {
+            Command::Recommend(recommend::Args {
                 path: "g.txt".into(),
-                system: SystemChoice::PowerLyra,
+                system: System::PowerLyra,
                 machines: 25,
                 compute_ingress: 2.5,
                 natural: true,
-            }
+            })
         );
     }
 
@@ -1993,10 +862,6 @@ mod tests {
 
     #[test]
     fn parse_rejects_out_of_range_counts_and_scales() {
-        let parse_strs = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse(&v)
-        };
         // A count that would wrap u32 or allocate absurd per-partition state.
         assert!(parse_strs(&[
             "partition",
@@ -2037,10 +902,10 @@ mod tests {
     #[test]
     fn stats_and_classify_run_on_a_real_file() {
         let path = temp_graph_named("stats");
-        let (code, text) = run_to_string(&Command::Stats { path: path.clone() });
+        let (code, text) = run_to_string(&Command::Stats(stats::Args { path: path.clone() }));
         assert_eq!(code, 0);
         assert!(text.contains("|V|=5000"), "{text}");
-        let (code, text) = run_to_string(&Command::Classify { path });
+        let (code, text) = run_to_string(&Command::Classify(classify::Args { path }));
         assert_eq!(code, 0);
         assert!(text.contains("heavy-tailed"), "{text}");
     }
@@ -2053,7 +918,7 @@ mod tests {
             .join("parts.txt")
             .to_string_lossy()
             .to_string();
-        let (code, text) = run_to_string(&Command::Partition {
+        let (code, text) = run_to_string(&Command::Partition(partition::Args {
             path: path.clone(),
             strategy: Strategy::Grid,
             parts: 9,
@@ -2061,20 +926,20 @@ mod tests {
             threads: 2,
             window: 0,
             out: Some(pfile.clone()),
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("replication factor"));
-        let (code, text) = run_to_string(&Command::Run {
+        let (code, text) = run_to_string(&Command::Run(run::Args {
             path,
-            app: AppChoice::Wcc,
+            app: App::Wcc,
             strategy: Strategy::Random, // ignored: partition file wins
             parts: 9,
             seed: 1,
-            system: SystemChoice::PowerGraph,
+            system: System::PowerGraph,
             partition_file: Some(pfile),
             threads: 1,
             window: 0,
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("WCC"), "{text}");
         assert!(text.contains("supersteps"));
@@ -2088,7 +953,7 @@ mod tests {
             .join("hostile-parts.txt")
             .to_string_lossy()
             .to_string();
-        let (code, text) = run_to_string(&Command::Partition {
+        let (code, text) = run_to_string(&Command::Partition(partition::Args {
             path: path.clone(),
             strategy: Strategy::Grid,
             parts: 16,
@@ -2096,23 +961,23 @@ mod tests {
             threads: 1,
             window: 0,
             out: Some(pfile.clone()),
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         // The header used to size a per-partition table: 4e9 × 8 bytes.
         let saved = std::fs::read_to_string(&pfile).unwrap();
         let hostile = saved.replacen("partitions 16", "partitions 4000000000", 1);
         std::fs::write(&pfile, hostile).unwrap();
-        let (code, text) = run_to_string(&Command::Run {
+        let (code, text) = run_to_string(&Command::Run(run::Args {
             path,
-            app: AppChoice::PageRank,
+            app: App::PageRankConv,
             strategy: Strategy::Grid,
             parts: 16,
             seed: 1,
-            system: SystemChoice::PowerGraph,
+            system: System::PowerGraph,
             partition_file: Some(pfile.clone()),
             threads: 1,
             window: 0,
-        });
+        }));
         // `fail`'s code, like every other load error; not an abort.
         assert_eq!(code, 2, "{text}");
         assert!(text.contains(&format!("cannot load {pfile}")), "{text}");
@@ -2122,14 +987,10 @@ mod tests {
     #[test]
     fn run_works_on_all_three_systems() {
         let path = temp_graph_named("run");
-        for system in [
-            SystemChoice::PowerGraph,
-            SystemChoice::PowerLyra,
-            SystemChoice::GraphX,
-        ] {
-            let (code, text) = run_to_string(&Command::Run {
+        for system in [System::PowerGraph, System::PowerLyra, System::GraphX] {
+            let (code, text) = run_to_string(&Command::Run(run::Args {
                 path: path.clone(),
-                app: AppChoice::PageRank,
+                app: App::PageRankConv,
                 strategy: Strategy::Hybrid,
                 parts: 9,
                 seed: 1,
@@ -2137,7 +998,7 @@ mod tests {
                 partition_file: None,
                 threads: 2, // exercise the parallel engine path
                 window: 0,
-            });
+            }));
             assert_eq!(code, 0, "{system:?}: {text}");
             assert!(text.contains("PageRank"), "{system:?}: {text}");
         }
@@ -2148,13 +1009,13 @@ mod tests {
         let dir = std::env::temp_dir().join("distgraph-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let dest = dir.join("gen.txt").to_string_lossy().to_string();
-        let (code, text) = run_to_string(&Command::Generate {
+        let (code, text) = run_to_string(&Command::Generate(generate::Args {
             dataset: Dataset::RoadNetCa,
             scale: 0.05,
             edges: None,
             seed: 3,
             out: Some(dest.clone()),
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         let loaded = read_edge_list(&dest).unwrap();
         assert!(loaded.graph.num_edges() > 100);
@@ -2163,13 +1024,13 @@ mod tests {
     #[test]
     fn recommend_reports_a_path() {
         let path = temp_graph_named("recommend");
-        let (code, text) = run_to_string(&Command::Recommend {
+        let (code, text) = run_to_string(&Command::Recommend(recommend::Args {
             path,
-            system: SystemChoice::PowerGraph,
+            system: System::PowerGraph,
             machines: 25,
             compute_ingress: 0.5,
             natural: false,
-        });
+        }));
         assert_eq!(code, 0);
         assert!(text.contains("recommended: Grid"), "{text}");
         assert!(text.contains("decision path"));
@@ -2180,11 +1041,11 @@ mod tests {
         let cmd = parse_ok(&["fault", "LiveJournal"]);
         assert_eq!(
             cmd,
-            Command::Fault {
+            Command::Fault(fault::Args {
                 dataset: Dataset::LiveJournal,
                 scale: 1.0,
                 seed: 42,
-                cluster: ClusterChoice::Ec2x16,
+                cluster: ClusterSpec::ec2_16(),
                 crash_at: 10,
                 machine: 0,
                 interval: 4,
@@ -2194,7 +1055,7 @@ mod tests {
                 loss_rate: 0.0,
                 speculate: false,
                 threads: 1,
-            }
+            })
         );
         let cmd = parse_ok(&[
             "fault",
@@ -2224,11 +1085,11 @@ mod tests {
         ]);
         assert_eq!(
             cmd,
-            Command::Fault {
+            Command::Fault(fault::Args {
                 dataset: Dataset::Twitter,
                 scale: 0.2,
                 seed: 7,
-                cluster: ClusterChoice::Local9,
+                cluster: ClusterSpec::local_9(),
                 crash_at: 5,
                 machine: 3,
                 interval: 2,
@@ -2238,7 +1099,7 @@ mod tests {
                 loss_rate: 0.05,
                 speculate: true,
                 threads: 4,
-            }
+            })
         );
         let bad: Vec<String> = ["fault", "Twitter", "--cluster", "ec2-99"]
             .iter()
@@ -2257,27 +1118,46 @@ mod tests {
         assert!(parse(&bad_loss).is_err());
     }
 
+    fn scale_out(superstep: u32, machines_added: u32) -> ElasticEvent {
+        let kind = ElasticKind::ScaleOut { machines_added };
+        ElasticEvent { superstep, kind }
+    }
+
+    fn preempt(superstep: u32, machine: u32, warning_steps: u32) -> ElasticEvent {
+        let kind = ElasticKind::Preempt {
+            machine,
+            warning_steps,
+        };
+        ElasticEvent { superstep, kind }
+    }
+
+    fn drain(superstep: u32, machine: u32, warning_steps: u32) -> ElasticEvent {
+        let kind = ElasticKind::Drain {
+            machine,
+            warning_steps,
+        };
+        ElasticEvent { superstep, kind }
+    }
+
     #[test]
     fn parse_elastic_defaults_and_flags() {
         let cmd = parse_ok(&["elastic", "LiveJournal", "--tenants", "2"]);
         assert_eq!(
             cmd,
-            Command::Elastic {
+            Command::Elastic(elastic::Args {
                 dataset: Dataset::LiveJournal,
                 scale: 1.0,
                 seed: 42,
-                cluster: ClusterChoice::Local9,
+                cluster: ClusterSpec::local_9(),
                 strategies: vec![Strategy::Random, Strategy::Grid, Strategy::Hdrf],
-                scale_out: None,
-                preempt: None,
-                drain: None,
+                events: vec![],
                 policy: RepairPolicy::default(),
                 steps: 20,
                 interval: 4,
                 tenants: 2,
                 fair: false,
                 threads: 1,
-            }
+            })
         );
         let cmd = parse_ok(&[
             "elastic",
@@ -2310,22 +1190,20 @@ mod tests {
         ]);
         assert_eq!(
             cmd,
-            Command::Elastic {
+            Command::Elastic(elastic::Args {
                 dataset: Dataset::RoadNetCa,
                 scale: 0.1,
                 seed: 7,
-                cluster: ClusterChoice::Local9,
+                cluster: ClusterSpec::local_9(),
                 strategies: vec![Strategy::Random, Strategy::Hybrid],
-                scale_out: Some((2, 9)),
-                preempt: Some((5, 2, 4)),
-                drain: Some((7, 1, 3)),
+                events: vec![scale_out(2, 9), preempt(5, 2, 4), drain(7, 1, 3)],
                 policy: RepairPolicy::AlwaysRepartition,
                 steps: 12,
                 interval: 3,
                 tenants: 3,
                 fair: true,
                 threads: 2,
-            }
+            })
         );
         for bad in [
             vec!["elastic", "Twitter", "--scale-out", "2"],
@@ -2341,22 +1219,20 @@ mod tests {
 
     #[test]
     fn elastic_command_reports_events_and_tenants() {
-        let cmd = Command::Elastic {
+        let cmd = Command::Elastic(elastic::Args {
             dataset: Dataset::LiveJournal,
             scale: 0.02,
             seed: 11,
-            cluster: ClusterChoice::Local9,
+            cluster: ClusterSpec::local_9(),
             strategies: vec![Strategy::Random, Strategy::Grid],
-            scale_out: Some((2, 9)),
-            preempt: Some((5, 2, 4)),
-            drain: None,
+            events: vec![scale_out(2, 9), preempt(5, 2, 4)],
             policy: RepairPolicy::default(),
             steps: 12,
             interval: 4,
             tenants: 2,
             fair: true,
             threads: 1,
-        };
+        });
         let (code, text) = run_to_string(&cmd);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("+9 machines @ step 2"), "{text}");
@@ -2370,33 +1246,31 @@ mod tests {
 
     #[test]
     fn elastic_command_requires_something_to_do() {
-        let (code, text) = run_to_string(&Command::Elastic {
+        let (code, text) = run_to_string(&Command::Elastic(elastic::Args {
             dataset: Dataset::LiveJournal,
             scale: 0.02,
             seed: 11,
-            cluster: ClusterChoice::Local9,
+            cluster: ClusterSpec::local_9(),
             strategies: vec![Strategy::Random],
-            scale_out: None,
-            preempt: None,
-            drain: None,
+            events: vec![],
             policy: RepairPolicy::default(),
             steps: 12,
             interval: 4,
             tenants: 1,
             fair: false,
             threads: 1,
-        });
+        }));
         assert_eq!(code, 2);
         assert!(text.contains("nothing to simulate"), "{text}");
     }
 
     #[test]
     fn fault_command_orders_recovery_by_replication_factor() {
-        let (code, text) = run_to_string(&Command::Fault {
+        let (code, text) = run_to_string(&Command::Fault(fault::Args {
             dataset: Dataset::LiveJournal,
             scale: 0.02,
             seed: 11,
-            cluster: ClusterChoice::Local9,
+            cluster: ClusterSpec::local_9(),
             crash_at: 3,
             machine: 2,
             interval: 2,
@@ -2406,7 +1280,7 @@ mod tests {
             loss_rate: 0.0,
             speculate: false,
             threads: 1,
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("crashes at superstep 3"), "{text}");
         let rows: Vec<&str> = text
@@ -2428,21 +1302,21 @@ mod tests {
         let cmd = parse_ok(&["trace", "LiveJournal"]);
         assert_eq!(
             cmd,
-            Command::Trace {
+            Command::Trace(trace::Args {
                 dataset: Dataset::LiveJournal,
                 scale: 1.0,
                 seed: 42,
                 strategy: Strategy::Hdrf,
                 app: App::PageRankConv,
-                system: SystemChoice::PowerGraph,
-                cluster: ClusterChoice::Ec2x16,
+                system: System::PowerGraph,
+                cluster: ClusterSpec::ec2_16(),
                 crash: None,
                 interval: 0,
                 loss_rate: 0.0,
                 speculate: false,
                 threads: 1,
                 out_dir: "trace-out".into(),
-            }
+            })
         );
         let cmd = parse_ok(&[
             "trace",
@@ -2475,21 +1349,21 @@ mod tests {
         ]);
         assert_eq!(
             cmd,
-            Command::Trace {
+            Command::Trace(trace::Args {
                 dataset: Dataset::RoadNetCa,
                 scale: 0.1,
                 seed: 7,
                 strategy: Strategy::Grid,
                 app: App::kcore_paper(),
-                system: SystemChoice::PowerLyra,
-                cluster: ClusterChoice::Local9,
+                system: System::PowerLyra,
+                cluster: ClusterSpec::local_9(),
                 crash: Some((5, 2)),
                 interval: 3,
                 loss_rate: 0.02,
                 speculate: true,
                 threads: 0,
                 out_dir: "artifacts".into(),
-            }
+            })
         );
         let bad: Vec<String> = ["trace", "LiveJournal", "--app", "frobnicate"]
             .iter()
@@ -2503,21 +1377,21 @@ mod tests {
         let dir = std::env::temp_dir()
             .join("distgraph-cli-test")
             .join("trace-artifacts");
-        let (code, text) = run_to_string(&Command::Trace {
+        let (code, text) = run_to_string(&Command::Trace(trace::Args {
             dataset: Dataset::LiveJournal,
             scale: 0.05,
             seed: 7,
             strategy: Strategy::Hdrf,
             app: App::PageRankFixed(5),
-            system: SystemChoice::PowerGraph,
-            cluster: ClusterChoice::Local9,
+            system: System::PowerGraph,
+            cluster: ClusterSpec::local_9(),
             crash: None,
             interval: 2,
             loss_rate: 0.0,
             speculate: false,
             threads: 1,
             out_dir: dir.to_string_lossy().to_string(),
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("supersteps"), "{text}");
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
@@ -2535,11 +1409,11 @@ mod tests {
 
     #[test]
     fn fault_command_with_loss_rate_reports_retransmits() {
-        let (code, text) = run_to_string(&Command::Fault {
+        let (code, text) = run_to_string(&Command::Fault(fault::Args {
             dataset: Dataset::LiveJournal,
             scale: 0.02,
             seed: 11,
-            cluster: ClusterChoice::Local9,
+            cluster: ClusterSpec::local_9(),
             crash_at: 3,
             machine: 2,
             interval: 2,
@@ -2549,7 +1423,7 @@ mod tests {
             loss_rate: 0.1,
             speculate: false,
             threads: 1,
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("Retransmit"), "{text}");
         let row = text.lines().find(|l| l.contains("Random")).unwrap();
@@ -2573,21 +1447,21 @@ mod tests {
         let dir = std::env::temp_dir()
             .join("distgraph-cli-test")
             .join("trace-netloss");
-        let (code, text) = run_to_string(&Command::Trace {
+        let (code, text) = run_to_string(&Command::Trace(trace::Args {
             dataset: Dataset::LiveJournal,
             scale: 0.05,
             seed: 7,
             strategy: Strategy::Hdrf,
             app: App::PageRankFixed(5),
-            system: SystemChoice::PowerGraph,
-            cluster: ClusterChoice::Local9,
+            system: System::PowerGraph,
+            cluster: ClusterSpec::local_9(),
             crash: None,
             interval: 0,
             loss_rate: 0.1,
             speculate: true,
             threads: 1,
             out_dir: dir.to_string_lossy().to_string(),
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         let trace = std::fs::read_to_string(dir.join("trace.json")).unwrap();
         assert!(trace.contains("\"retry\""), "trace covers retry windows");
@@ -2598,11 +1472,11 @@ mod tests {
 
     #[test]
     fn fault_command_rejects_machine_out_of_range() {
-        let (code, text) = run_to_string(&Command::Fault {
+        let (code, text) = run_to_string(&Command::Fault(fault::Args {
             dataset: Dataset::LiveJournal,
             scale: 0.02,
             seed: 1,
-            cluster: ClusterChoice::Local9,
+            cluster: ClusterSpec::local_9(),
             crash_at: 1,
             machine: 9,
             interval: 0,
@@ -2612,16 +1486,16 @@ mod tests {
             loss_rate: 0.0,
             speculate: false,
             threads: 1,
-        });
+        }));
         assert_eq!(code, 2);
         assert!(text.contains("out of range"), "{text}");
     }
 
     #[test]
     fn errors_use_exit_code_two() {
-        let (code, text) = run_to_string(&Command::Classify {
+        let (code, text) = run_to_string(&Command::Classify(classify::Args {
             path: "/nonexistent/graph.txt".into(),
-        });
+        }));
         assert_eq!(code, 2);
         assert!(text.contains("error:"));
     }
@@ -2629,7 +1503,7 @@ mod tests {
     #[test]
     fn pds_partition_count_is_validated() {
         let path = temp_graph_named("classify");
-        let (code, text) = run_to_string(&Command::Partition {
+        let (code, text) = run_to_string(&Command::Partition(partition::Args {
             path,
             strategy: Strategy::Pds,
             parts: 9,
@@ -2637,7 +1511,7 @@ mod tests {
             threads: 1,
             window: 0,
             out: None,
-        });
+        }));
         assert_eq!(code, 2);
         assert!(text.contains("cannot run on 9 partitions"), "{text}");
     }
@@ -2679,13 +1553,13 @@ mod tests {
         let cmd = parse_ok(&["generate", "LiveJournal", "--edges", "10K", "--seed", "5"]);
         assert_eq!(
             cmd,
-            Command::Generate {
+            Command::Generate(generate::Args {
                 dataset: Dataset::LiveJournal,
                 scale: 1.0,
                 edges: Some(10_000),
                 seed: 5,
                 out: None,
-            }
+            })
         );
     }
 
@@ -2706,43 +1580,39 @@ mod tests {
         ]);
         assert_eq!(
             cmd,
-            Command::StoreBuild {
-                source: StoreSource::PowerLaw,
+            Command::Store(store::Args::Build {
+                source: store::StoreSource::PowerLaw,
                 out: "s.gps".into(),
                 scale: 1.0,
                 edges: Some(1_000_000),
                 vertices: Some(50_000),
                 seed: 9,
-            }
+            })
         );
         let cmd = parse_ok(&["store", "build", "road-net-CA", "-o", "ca.gps"]);
         assert_eq!(
             cmd,
-            Command::StoreBuild {
-                source: StoreSource::Dataset(Dataset::RoadNetCa),
+            Command::Store(store::Args::Build {
+                source: store::StoreSource::Dataset(Dataset::RoadNetCa),
                 out: "ca.gps".into(),
                 scale: 1.0,
                 edges: None,
                 vertices: None,
                 seed: 42,
-            }
+            })
         );
         assert_eq!(
             parse_ok(&["store", "info", "s.gps"]),
-            Command::StoreInfo {
+            Command::Store(store::Args::Info {
                 path: "s.gps".into()
-            }
+            })
         );
         assert_eq!(
             parse_ok(&["store", "verify", "s.gps"]),
-            Command::StoreVerify {
+            Command::Store(store::Args::Verify {
                 path: "s.gps".into()
-            }
+            })
         );
-        let parse_strs = |args: &[&str]| {
-            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse(&v)
-        };
         assert!(
             parse_strs(&["store", "build", "powerlaw"]).is_err(),
             "-o required"
@@ -2756,22 +1626,23 @@ mod tests {
         let dir = std::env::temp_dir().join("distgraph-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.gps").to_string_lossy().to_string();
-        let (code, text) = run_to_string(&Command::StoreBuild {
-            source: StoreSource::PowerLaw,
+        let (code, text) = run_to_string(&Command::Store(store::Args::Build {
+            source: store::StoreSource::PowerLaw,
             out: path.clone(),
             scale: 1.0,
             edges: Some(20_000),
             vertices: Some(2_000),
             seed: 7,
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("20000 edges"), "{text}");
 
-        let (code, text) = run_to_string(&Command::StoreInfo { path: path.clone() });
+        let (code, text) = run_to_string(&Command::Store(store::Args::Info { path: path.clone() }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("bytes/edge"), "{text}");
 
-        let (code, text) = run_to_string(&Command::StoreVerify { path: path.clone() });
+        let (code, text) =
+            run_to_string(&Command::Store(store::Args::Verify { path: path.clone() }));
         assert_eq!(code, 0, "{text}");
         assert!(text.starts_with("ok:"), "{text}");
 
@@ -2784,7 +1655,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&broken, bytes).unwrap();
-        let (code, text) = run_to_string(&Command::StoreVerify { path: broken });
+        let (code, text) = run_to_string(&Command::Store(store::Args::Verify { path: broken }));
         assert_eq!(code, 2, "{text}");
         assert!(text.contains("corrupt"), "{text}");
     }
@@ -2794,14 +1665,14 @@ mod tests {
         let dir = std::env::temp_dir().join("distgraph-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let gps = dir.join("stream-eq.gps").to_string_lossy().to_string();
-        let (code, text) = run_to_string(&Command::StoreBuild {
-            source: StoreSource::Dataset(Dataset::LiveJournal),
+        let (code, text) = run_to_string(&Command::Store(store::Args::Build {
+            source: store::StoreSource::Dataset(Dataset::LiveJournal),
             out: gps.clone(),
             scale: 0.05,
             edges: None,
             vertices: None,
             seed: 11,
-        });
+        }));
         assert_eq!(code, 0, "{text}");
 
         // CLI partition of the .gps store, assignment saved to disk.
@@ -2809,7 +1680,7 @@ mod tests {
             .join("stream-eq-parts.txt")
             .to_string_lossy()
             .to_string();
-        let (code, text) = run_to_string(&Command::Partition {
+        let (code, text) = run_to_string(&Command::Partition(partition::Args {
             path: gps.clone(),
             strategy: Strategy::Hdrf,
             parts: 8,
@@ -2817,7 +1688,7 @@ mod tests {
             threads: 2,
             window: 0,
             out: Some(streamed_out.clone()),
-        });
+        }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("store"), "source row expected: {text}");
 

@@ -28,6 +28,21 @@ impl std::fmt::Display for System {
     }
 }
 
+impl std::str::FromStr for System {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "powergraph" | "pg" => Ok(System::PowerGraph),
+            "powerlyra" | "pl" => Ok(System::PowerLyra),
+            "graphx" | "gx" => Ok(System::GraphX),
+            other => Err(format!(
+                "unknown system {other:?} (powergraph|powerlyra|graphx)"
+            )),
+        }
+    }
+}
+
 /// Every partitioning strategy in the thesis (Table 1.1 plus the ports of
 /// chapters 8–9 and the new 1D-Target variant).
 ///
@@ -187,6 +202,16 @@ impl Strategy {
         }
     }
 
+    /// `Err` naming the strategy unless it
+    /// [supports](Self::supports_partition_count) `n` partitions.
+    pub fn check_partition_count(self, n: u32) -> Result<(), String> {
+        if self.supports_partition_count(n) {
+            Ok(())
+        } else {
+            Err(format!("{} cannot run on {n} partitions", self.label()))
+        }
+    }
+
     /// The Table 1.1 matrix: each system with its native strategies.
     pub fn catalog() -> Vec<(System, Vec<Strategy>)> {
         vec![
@@ -216,7 +241,14 @@ impl std::str::FromStr for Strategy {
             (None, "canonical-random" | "canonical random") => Ok(Strategy::Random),
             (None, "asymmetric-random" | "asym-rand") => Ok(Strategy::AsymmetricRandom),
             (None, "hybrid-ginger" | "ginger") => Ok(Strategy::HybridGinger),
-            _ => Err(format!("unknown strategy {s:?}")),
+            _ => {
+                let labels: Vec<&str> = Strategy::ALL.iter().map(|st| st.label()).collect();
+                Err(format!(
+                    "unknown strategy {s:?} (one of {}; aliases canonical-random, \
+                     asymmetric-random, hybrid-ginger)",
+                    labels.join(", ")
+                ))
+            }
         }
     }
 }
@@ -277,7 +309,20 @@ mod tests {
             "canonical-random".parse::<Strategy>().unwrap(),
             Strategy::Random
         );
-        assert!("bogus".parse::<Strategy>().is_err());
+        let err = "bogus".parse::<Strategy>().unwrap_err();
+        assert!(
+            err.contains("\"bogus\"") && err.contains("1D-Target"),
+            "{err}"
+        );
+        assert!(err.contains("hybrid-ginger"), "{err}");
+    }
+
+    #[test]
+    fn systems_parse_by_name_and_initials() {
+        assert_eq!("PowerLyra".parse(), Ok(System::PowerLyra));
+        assert_eq!("gx".parse(), Ok(System::GraphX));
+        let err = "giraph".parse::<System>().unwrap_err();
+        assert!(err.contains("powergraph|powerlyra|graphx"), "{err}");
     }
 
     #[test]
@@ -286,6 +331,9 @@ mod tests {
         assert!(Strategy::Pds.supports_partition_count(13));
         assert!(!Strategy::Pds.supports_partition_count(9));
         assert!(Strategy::Grid.supports_partition_count(10)); // resilient
+        assert_eq!(Strategy::Pds.check_partition_count(7), Ok(()));
+        let err = Strategy::Pds.check_partition_count(9).unwrap_err();
+        assert_eq!(err, "PDS cannot run on 9 partitions");
     }
 
     #[test]

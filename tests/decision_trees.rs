@@ -6,7 +6,7 @@ use distgraph::advisor::{self, Workload};
 use distgraph::cluster::ClusterSpec;
 use distgraph::gen::{classify, Dataset};
 use distgraph::partition::Strategy;
-use gp_bench::{App, EngineKind, Pipeline};
+use gp_bench::{App, EngineKind, Pipeline, Scenario};
 
 const SCALE: f64 = 0.25;
 const SEED: u64 = 42;
@@ -25,7 +25,7 @@ fn measure(
         .iter()
         .filter(|s| s.supports_partition_count(engine.partitions(spec)))
         .map(|&s| {
-            let job = pipeline.run(dataset, s, spec, engine, app);
+            let job = pipeline.run(&Scenario::new(dataset, s, spec, engine, app));
             (s, job.total_seconds())
         })
         .collect();

@@ -6,7 +6,7 @@
 use distgraph::cluster::ClusterSpec;
 use distgraph::gen::Dataset;
 use distgraph::partition::Strategy;
-use gp_bench::{pearson, App, EngineKind, Pipeline};
+use gp_bench::{pearson, App, EngineKind, Pipeline, Scenario};
 
 const STRATEGIES: [Strategy; 4] = [
     Strategy::Random,
@@ -20,7 +20,15 @@ fn jobs(app: App) -> Vec<gp_bench::JobResult> {
     let spec = ClusterSpec::ec2_25();
     STRATEGIES
         .iter()
-        .map(|&s| pipeline.run(Dataset::UkWeb, s, &spec, EngineKind::PowerGraph, app))
+        .map(|&s| {
+            pipeline.run(&Scenario::new(
+                Dataset::UkWeb,
+                s,
+                &spec,
+                EngineKind::PowerGraph,
+                app,
+            ))
+        })
         .collect()
 }
 

@@ -7,7 +7,7 @@ use distgraph::cluster::ClusterSpec;
 use distgraph::engine::{EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
 use distgraph::gen::Dataset;
 use distgraph::partition::{PartitionContext, Strategy};
-use gp_bench::{App, EngineKind, Pipeline};
+use gp_bench::{App, EngineKind, Pipeline, Scenario};
 
 fn graph() -> distgraph::core::EdgeList {
     Dataset::LiveJournal.generate(0.08, 11)
@@ -94,13 +94,13 @@ fn hybrid_engine_never_sends_more_gathers_than_sync() {
 fn job_total_is_ingress_plus_compute() {
     let mut p = Pipeline::new(0.05, 3);
     let spec = ClusterSpec::local_9();
-    let job = p.run(
+    let job = p.run(&Scenario::new(
         Dataset::RoadNetCa,
         Strategy::Hdrf,
         &spec,
         EngineKind::PowerGraph,
         App::Wcc,
-    );
+    ));
     assert!((job.total_seconds() - (job.ingress_seconds + job.compute_seconds)).abs() < 1e-9);
     assert_eq!(job.cpu_percents.len(), spec.machines as usize);
     assert!(job.cpu_percents.iter().all(|&c| (0.0..=100.0).contains(&c)));
@@ -110,13 +110,13 @@ fn job_total_is_ingress_plus_compute() {
 fn pipeline_is_deterministic_across_instances() {
     let run = || {
         let mut p = Pipeline::new(0.05, 7);
-        p.run(
+        p.run(&Scenario::new(
             Dataset::UkWeb,
             Strategy::Hybrid,
             &ClusterSpec::ec2_16(),
             EngineKind::PowerLyra,
             App::PageRankFixed(4),
-        )
+        ))
     };
     let a = run();
     let b = run();
@@ -148,13 +148,13 @@ fn ingress_seconds_scale_with_dataset_scale() {
 fn graphx_engine_reports_more_partitions_but_same_machines() {
     let mut p = Pipeline::new(0.05, 9);
     let spec = ClusterSpec::local_10();
-    let job = p.run(
+    let job = p.run(&Scenario::new(
         Dataset::RoadNetCa,
         Strategy::TwoD,
         &spec,
         EngineKind::graphx_default(),
         App::Wcc,
-    );
+    ));
     // CPU percentages are per machine (10), not per partition (160).
     assert_eq!(job.cpu_percents.len(), 10);
     assert!(!job.failed);

@@ -5,7 +5,7 @@ use distgraph::cluster::ClusterSpec;
 use distgraph::engine::{EngineConfig, HybridGas, SyncGas};
 use distgraph::gen::{classify, Dataset, GraphClass};
 use distgraph::partition::{PartitionContext, Strategy};
-use gp_bench::{App, EngineKind, Pipeline};
+use gp_bench::{App, EngineKind, Pipeline, Scenario};
 
 const SEED: u64 = 42;
 
@@ -153,13 +153,13 @@ fn one_d_target_beats_one_d_for_pagerank_under_powerlyra() {
     let mut pipeline = Pipeline::new(0.2, SEED);
     let spec = ClusterSpec::local_9();
     let run = |p: &mut Pipeline, s| {
-        p.run(
+        p.run(&Scenario::new(
             Dataset::Twitter,
             s,
             &spec,
             EngineKind::PowerLyra,
             App::PageRankFixed(10),
-        )
+        ))
     };
     let oned = run(&mut pipeline, Strategy::OneD);
     let oned_t = run(&mut pipeline, Strategy::OneDTarget);
@@ -176,7 +176,7 @@ fn graphx_cannot_load_twitter_scale_graphs_in_small_executors() {
     // §7.3: "GraphX ran out of memory while trying to load Twitter".
     let mut pipeline = Pipeline::new(0.3, SEED);
     let spec = ClusterSpec::local_10();
-    let job = pipeline.run(
+    let job = pipeline.run(&Scenario::new(
         Dataset::Twitter,
         Strategy::Random,
         &spec,
@@ -185,16 +185,16 @@ fn graphx_cannot_load_twitter_scale_graphs_in_small_executors() {
             executor_memory_bytes: 1 << 20,
         },
         App::PageRankFixed(10),
-    );
+    ));
     assert!(job.failed);
     // The same graph loads fine with ample executors.
-    let ok = pipeline.run(
+    let ok = pipeline.run(&Scenario::new(
         Dataset::Twitter,
         Strategy::Random,
         &spec,
         EngineKind::graphx_default(),
         App::PageRankFixed(10),
-    );
+    ));
     assert!(!ok.failed);
 }
 
@@ -241,13 +241,13 @@ fn peak_memory_doubles_across_pagerank_strategies_in_powerlyra() {
     .iter()
     .map(|&s| {
         pipeline
-            .run(
+            .run(&Scenario::new(
                 Dataset::UkWeb,
                 s,
                 &spec,
                 EngineKind::PowerLyra,
                 App::PageRankFixed(10),
-            )
+            ))
             .peak_memory_bytes
     })
     .collect();

@@ -12,7 +12,7 @@ use distgraph::fault::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
 use distgraph::gen::Dataset;
 use distgraph::partition::{Assignment, PartitionContext, Strategy, WINDOW_AUTO};
 use distgraph::telemetry::TelemetrySink;
-use gp_bench::{App, EngineKind, Pipeline};
+use gp_bench::{App, EngineKind, Pipeline, Scenario};
 
 fn graph_and_assignment() -> (distgraph::core::EdgeList, Assignment) {
     let g = Dataset::LiveJournal.generate(0.05, 7);
@@ -135,15 +135,20 @@ fn traced_job_threads(sink: &TelemetrySink, threads: u32) -> gp_bench::JobResult
     let mut pipeline = Pipeline::new(0.05, 11)
         .with_telemetry(sink.clone())
         .with_threads(threads);
-    pipeline.run_with_faults(
+    pipeline.run(&crashed_job())
+}
+
+/// PageRank(5) on LiveJournal / HDRF / Local-9, machine 2 crashing at
+/// superstep 3 with a checkpoint every 2.
+fn crashed_job() -> Scenario {
+    Scenario::new(
         Dataset::LiveJournal,
         Strategy::Hdrf,
         &ClusterSpec::local_9(),
         EngineKind::PowerGraph,
         App::PageRankFixed(5),
-        FaultPlan::crash_at(3, 2),
-        CheckpointPolicy::every(2),
     )
+    .with_faults(FaultPlan::crash_at(3, 2), CheckpointPolicy::every(2))
 }
 
 #[test]
@@ -283,17 +288,7 @@ fn traced_elastic_job(
     let mut pipeline = Pipeline::new(0.05, 11)
         .with_telemetry(sink.clone())
         .with_threads(1);
-    pipeline.run_with_elastic(
-        Dataset::LiveJournal,
-        Strategy::Hdrf,
-        &ClusterSpec::local_9(),
-        EngineKind::PowerGraph,
-        App::PageRankFixed(5),
-        FaultPlan::crash_at(3, 2),
-        CheckpointPolicy::every(2),
-        CommsConfig::disabled(),
-        elastic,
-    )
+    pipeline.run(&crashed_job().with_elastic(elastic))
 }
 
 #[test]
