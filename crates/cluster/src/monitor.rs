@@ -7,8 +7,7 @@
 //! OS background. Our engines push one [`MachineSample`] per machine per
 //! simulated interval; [`Timeline`] reproduces the same derived metrics.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One sample of a machine's simulated resource usage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -108,15 +107,21 @@ impl ResourceMonitor {
         }
     }
 
+    /// Poison is ignored: every update is one `push`, so the timelines are
+    /// valid at whatever point another holder panicked.
+    fn lock(&self) -> MutexGuard<'_, Vec<Timeline>> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Record a sample for one machine.
     pub fn record(&self, machine: usize, sample: MachineSample) {
-        self.inner.lock()[machine].push(sample);
+        self.lock()[machine].push(sample);
     }
 
     /// Record identical load on every machine at `time_s` (convenience for
     /// symmetric phases).
     pub fn record_uniform(&self, sample: MachineSample) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         for t in inner.iter_mut() {
             t.push(sample);
         }
@@ -124,13 +129,13 @@ impl ResourceMonitor {
 
     /// Snapshot all per-machine timelines.
     pub fn timelines(&self) -> Vec<Timeline> {
-        self.inner.lock().clone()
+        self.lock().clone()
     }
 
     /// Mean over machines of each machine's peak memory (the per-machine
     /// peak the paper plots in Figs 5.5/6.2).
     pub fn mean_peak_memory_bytes(&self) -> f64 {
-        let tl = self.inner.lock();
+        let tl = self.lock();
         if tl.is_empty() {
             return 0.0;
         }
@@ -139,7 +144,7 @@ impl ResourceMonitor {
 
     /// Mean over machines of inbound traffic (Fig 5.3's per-machine metric).
     pub fn mean_net_in_bytes(&self) -> f64 {
-        let tl = self.inner.lock();
+        let tl = self.lock();
         if tl.is_empty() {
             return 0.0;
         }

@@ -2,7 +2,7 @@
 //! machines), and engines neither write to it nor keep anything between runs:
 //!
 //! * the fused sweep's replica entries, image counts and masters equal the
-//!   per-edge popcount-rank build it replaced, over random graphs with
+//!   per-edge slot-lookup build it replaced, over random graphs with
 //!   self-loops, duplicate edges and isolated vertices, five strategies and
 //!   three partition counts;
 //! * `run_on` twice on one layout, with different programs, equals two fresh
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 
 /// The build `ReplicaTable` used before the fused sweep: per edge, two
-/// popcount-rank slot lookups into the assignment's replica bitsets.
+/// slot lookups into the assignment's sorted replica lists.
 fn entries_by_rank(graph: &EdgeList, assignment: &Assignment) -> Vec<Vec<ReplicaEntry>> {
     let mut counts = vec![(0u32, 0u32); assignment.total_images()];
     for (i, e) in graph.edges().iter().enumerate() {
@@ -104,7 +104,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn fused_sweep_equals_the_popcount_rank_build(
+    fn fused_sweep_equals_the_per_edge_slot_build(
         graph in arb_graph(),
         machines in 2u32..6,
         seed in 0u64..1000,

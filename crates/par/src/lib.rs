@@ -11,9 +11,9 @@
 //! * [`chunk_ranges`] — deterministic work splitting: a pure function of
 //!   `(total, workers)`, never of runtime scheduling. Handles empty inputs,
 //!   `total < workers` and non-divisible remainders.
-//! * [`run_ordered`] — a bounded worker pool over the vendored
-//!   `crossbeam::thread::scope` that runs a task list and returns results
-//!   **in task order**, regardless of which worker finished first.
+//! * [`run_ordered`] — a bounded worker pool over `std::thread::scope`
+//!   that runs a task list and returns results **in task order**,
+//!   regardless of which worker finished first.
 //! * [`map_chunks`] — chunk an index range and map each chunk, results
 //!   concatenating in chunk order (= sequential stream order).
 //!
@@ -140,9 +140,9 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -156,8 +156,7 @@ where
                 *results[i].lock().expect("result slot lock") = Some(out);
             });
         }
-    })
-    .expect("scoped workers never leak panics past the scope");
+    });
     results
         .into_iter()
         .map(|m| {
@@ -222,9 +221,9 @@ where
     let ready = Condvar::new(); // consumer waits here for results[i]
     let space = Condvar::new(); // producers wait here for lookahead room
     let mut out = Vec::with_capacity(n);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -276,8 +275,7 @@ where
                 }
             }
         }
-    })
-    .expect("scoped workers never leak panics past the scope");
+    });
     out
 }
 

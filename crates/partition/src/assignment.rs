@@ -14,8 +14,8 @@
 //! the result). After the build the sets are **frozen** into a CSR-flattened
 //! view (`rep_offsets` + `rep_flat`): one offsets array and one contiguous
 //! sorted-id array instead of one heap `Vec` per vertex. All read paths
-//! (`replicas`, masters, RF, counts) serve from that view; the bitsets stay
-//! available for O(1) membership/rank queries (`replica_set`).
+//! (`replicas`, slots, masters, RF, counts) serve from that view and the
+//! bitsets are dropped.
 
 use gp_core::{for_each_edge, hash_u64, Edge, PartitionId, PartitionSet, StreamingEdges, VertexId};
 use gp_par::ParConfig;
@@ -27,9 +27,6 @@ pub struct Assignment {
     num_vertices: u64,
     /// Partition of each edge, aligned with the source edge stream.
     edge_partition: Vec<PartitionId>,
-    /// Per-vertex replica bitsets (the build-time structure, kept for O(1)
-    /// membership and popcount-rank slot lookups).
-    replica_sets: Vec<PartitionSet>,
     /// Frozen CSR view: `rep_flat[rep_offsets[v]..rep_offsets[v+1]]` is the
     /// sorted partition list of vertex `v`.
     rep_offsets: Vec<u64>,
@@ -156,7 +153,6 @@ impl Assignment {
             num_partitions,
             num_vertices: graph.num_vertices(),
             edge_partition,
-            replica_sets,
             rep_offsets,
             rep_flat,
             masters,
@@ -203,13 +199,6 @@ impl Assignment {
         &self.rep_flat[lo..hi]
     }
 
-    /// The replica bitset of `v` — O(1) `contains` and popcount `rank`
-    /// queries (the engine's replica-slot lookup).
-    #[inline]
-    pub fn replica_set(&self, v: VertexId) -> &PartitionSet {
-        &self.replica_sets[v.index()]
-    }
-
     /// Start of `v`'s slice in the flattened replica view; `replica_slot`
     /// indexes are relative to this.
     #[inline]
@@ -217,15 +206,14 @@ impl Assignment {
         self.rep_offsets[v.index()] as usize
     }
 
-    /// Slot of partition `p` within `v`'s sorted replica list, by popcount
-    /// rank over the bitset — O(1), replacing binary search. `p` must be a
-    /// replica of `v` (guaranteed for the partition of any edge incident to
-    /// `v`, by construction).
+    /// Slot of partition `p` within `v`'s sorted replica list. `p` must be
+    /// a replica of `v` (guaranteed for the partition of any edge incident
+    /// to `v`, by construction).
     #[inline]
     pub fn replica_slot(&self, v: VertexId, p: PartitionId) -> usize {
-        let set = &self.replica_sets[v.index()];
-        debug_assert!(set.contains(p.0), "{p} does not host a replica of {v}");
-        set.rank(p.0) as usize
+        self.replicas(v)
+            .binary_search(&p.0)
+            .unwrap_or_else(|_| panic!("{p} does not host a replica of {v}"))
     }
 
     /// Total number of vertex images (the length of the flattened view).
@@ -256,14 +244,13 @@ impl Assignment {
     /// low-degree vertex's master with its in-edges, §6.2.1). Each master
     /// must be one of the vertex's replicas.
     pub fn set_masters(&mut self, masters: Vec<PartitionId>) {
-        assert_eq!(masters.len(), self.replica_sets.len());
+        assert_eq!(masters.len() as u64, self.num_vertices);
         for (v, &m) in masters.iter().enumerate() {
-            if !self.replica_sets[v].is_empty() {
-                assert!(
-                    self.replica_sets[v].contains(m.0),
-                    "master {m} of v{v} is not a replica"
-                );
-            }
+            let replicas = self.replicas(VertexId(v as u64));
+            assert!(
+                replicas.is_empty() || replicas.binary_search(&m.0).is_ok(),
+                "master {m} of v{v} is not a replica"
+            );
         }
         self.masters = masters;
     }
@@ -372,27 +359,21 @@ pub fn default_master(v: VertexId, seed: u64, replicas: &[u32]) -> PartitionId {
     if replicas.is_empty() {
         PartitionId(0)
     } else {
-        let pick = hash_u64(v.0, seed ^ 0x5EED_0F0A) as usize % replicas.len();
-        PartitionId(replicas[pick])
+        PartitionId(replicas[default_master_pick(v, seed, replicas.len())])
     }
 }
 
-/// Convenience: partition every edge with a pure function of the edge.
-/// Used by the stateless hash strategies.
-pub fn assign_stateless(
-    graph: &dyn StreamingEdges,
-    num_partitions: u32,
-    seed: u64,
-    mut f: impl FnMut(Edge) -> PartitionId,
-) -> Assignment {
-    let mut parts: Vec<PartitionId> = Vec::with_capacity(graph.num_edges());
-    for_each_edge(graph, 0..graph.num_edges(), |e| parts.push(f(e)));
-    Assignment::from_edge_partitions(graph, parts, num_partitions, seed)
+/// The index [`default_master`] picks in a sorted replica list of `len > 0`
+/// partitions — the hash alone, for callers that keep the list in a shape
+/// of their own.
+pub fn default_master_pick(v: VertexId, seed: u64, len: usize) -> usize {
+    hash_u64(v.0, seed ^ 0x5EED_0F0A) as usize % len
 }
 
-/// Multi-threaded [`assign_stateless`]: each worker streams a disjoint edge
-/// chunk through the pure assignment function; per-chunk results concatenate
-/// in chunk order, reproducing the sequential stream exactly.
+/// Partition every edge with a pure function of the edge (the stateless
+/// hash strategies): each worker streams a disjoint edge chunk through the
+/// function; per-chunk results concatenate in chunk order, reproducing the
+/// sequential stream exactly.
 pub fn assign_stateless_par(
     graph: &dyn StreamingEdges,
     num_partitions: u32,
@@ -489,12 +470,11 @@ mod tests {
     }
 
     #[test]
-    fn replica_set_agrees_with_flattened_view() {
+    fn replica_slot_indexes_the_flattened_view() {
         let g = tiny();
         let a = assign_round_robin(&g, 3);
         for v in 0..g.num_vertices() {
             let v = VertexId(v);
-            assert_eq!(a.replica_set(v).to_vec(), a.replicas(v));
             for (slot, &p) in a.replicas(v).iter().enumerate() {
                 assert_eq!(a.replica_slot(v, PartitionId(p)), slot);
             }
@@ -546,7 +526,9 @@ mod tests {
     #[test]
     fn stateless_helper_applies_function() {
         let g = tiny();
-        let a = assign_stateless(&g, 2, 1, |e| PartitionId((e.src.0 % 2) as u32));
+        let a = assign_stateless_par(&g, 2, 1, &ParConfig::default(), |e| {
+            PartitionId((e.src.0 % 2) as u32)
+        });
         assert_eq!(a.edge_partition(0), PartitionId(0)); // (0,1)
         assert_eq!(a.edge_partition(1), PartitionId(1)); // (1,2)
     }

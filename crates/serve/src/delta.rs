@@ -10,7 +10,7 @@
 //! the drift signals — read off this state in O(p).
 
 use gp_core::{Edge, PartitionId, VertexId};
-use gp_partition::assignment::default_master;
+use gp_partition::assignment::default_master_pick;
 use gp_partition::Assignment;
 
 /// Replica refcounts + edge loads, maintained under churn.
@@ -131,8 +131,7 @@ impl IncrementalAssignment {
         }
         // The per-vertex lists are sorted, so this is the same pick the
         // batch Assignment makes over its sorted replica slices.
-        let parts: Vec<u32> = list.iter().map(|&(p, _)| p).collect();
-        default_master(v, self.seed, &parts)
+        PartitionId(list[default_master_pick(v, self.seed, list.len())].0)
     }
 
     /// Mean images per vertex with at least one image — the paper's
@@ -226,7 +225,7 @@ mod tests {
     #[test]
     fn masters_match_the_batch_default_policy() {
         // Random has no master override, so batch masters are exactly the
-        // shared default_master policy this struct re-derives.
+        // shared default_master_pick policy this struct re-derives.
         let (batch, delta, g) = batch_and_delta(Strategy::Random);
         for v in 0..g.num_vertices() {
             let v = VertexId(v);

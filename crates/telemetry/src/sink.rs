@@ -4,9 +4,8 @@ use crate::export;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::recorder::Recorder;
 use crate::span::{SpanEvent, Track};
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Fixed bucket boundaries for duration histograms, simulated seconds.
 pub const SECONDS_BUCKETS: [f64; 10] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 15.0, 60.0];
@@ -66,7 +65,9 @@ impl TelemetrySink {
     fn with_recorder<T: Default>(&self, f: impl FnOnce(&mut Recorder) -> T) -> T {
         match self {
             TelemetrySink::Disabled => T::default(),
-            TelemetrySink::Enabled(r) => f(&mut r.lock()),
+            // Poison is ignored: the recorder only appends spans and bumps
+            // metrics, so it is valid wherever another holder panicked.
+            TelemetrySink::Enabled(r) => f(&mut r.lock().unwrap_or_else(|p| p.into_inner())),
         }
     }
 

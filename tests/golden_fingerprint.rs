@@ -1,12 +1,12 @@
-//! Prints a stable fingerprint of everything the ingress kernels can
-//! observably change: full assignment state (edge partitions, sorted
-//! replica lists, masters, counts) plus engine reports, over a spread of
-//! graphs × partitioners × thread counts. Diffing this output across
-//! commits proves (or refutes) kernel-level byte-identity.
-//!
-//! ```sh
-//! cargo run --release --example kernel_fingerprint > fingerprint.txt
-//! ```
+//! Behaviour lock for the ingress kernels: a stable fingerprint of everything
+//! they can observably change — full assignment state (edge partitions,
+//! sorted replica lists, masters, counts) plus engine reports, over a spread
+//! of graphs × partitioners × thread counts — must equal
+//! `tests/golden_fingerprint.txt` byte for byte. Every cell is partitioned
+//! twice more, streamed off a store and from the identical sorted edges in
+//! memory, and any divergence between those two panics. A change that re-pins
+//! a strategy regenerates the golden file and says so; on a mismatch the
+//! actual listing is left under `target/tmp/` for a plain `diff`.
 
 use distgraph::apps::PageRank;
 use distgraph::cluster::ClusterSpec;
@@ -14,6 +14,8 @@ use distgraph::core::{StreamingEdges, VertexId};
 use distgraph::engine::{EngineConfig, SyncGas};
 use distgraph::partition::strategies::{BiCut, Chunking, Vebo};
 use distgraph::partition::{PartitionContext, PartitionOutcome, Partitioner, Strategy};
+use std::fmt::Write as _;
+use std::path::Path;
 
 /// Order-sensitive FNV-style digest over the full observable assignment
 /// state: edge partitions, sorted replica lists, masters, counts, RF,
@@ -54,7 +56,8 @@ fn assignment_digest(out: &PartitionOutcome, num_vertices: u64) -> u64 {
     h
 }
 
-fn main() {
+fn fingerprint() -> String {
+    let mut text = String::new();
     let graphs = vec![
         ("er", distgraph::gen::erdos_renyi(800, 6_000, 3)),
         ("ba", distgraph::gen::barabasi_albert(1_500, 6, 7)),
@@ -106,13 +109,15 @@ fn main() {
                     "{gname} {pname} t{threads}: streamed store ingress diverges from the \
                      in-memory partition of the same sorted edges"
                 );
-                println!(
+                writeln!(
+                    text,
                     "{gname} {pname} t{threads} assign={h:016x} stream={stream_h:016x} \
                      work={:.6} state_bytes={} passes={}",
                     out.loader_work.iter().sum::<f64>(),
                     out.state_bytes,
                     out.passes
-                );
+                )
+                .expect("write to a String");
                 if threads == 1 {
                     let config = EngineConfig::new(ClusterSpec::local_9()).with_threads(1);
                     let (states, report) =
@@ -122,9 +127,35 @@ fn main() {
                         h2 ^= s as u64;
                         h2 = h2.wrapping_mul(0x100000001b3);
                     }
-                    println!("{gname} {pname} engine={h2:016x}");
+                    writeln!(text, "{gname} {pname} engine={h2:016x}").expect("write to a String");
                 }
             }
         }
+    }
+    text
+}
+
+#[test]
+fn kernels_produce_the_pinned_fingerprint() {
+    let golden = include_str!("golden_fingerprint.txt");
+    let actual = fingerprint();
+    if actual != golden {
+        let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_fingerprint.actual.txt");
+        std::fs::write(&dump, &actual).expect("write actual fingerprint");
+        for (n, (want, got)) in golden.lines().zip(actual.lines()).enumerate() {
+            assert_eq!(
+                want,
+                got,
+                "line {} of tests/golden_fingerprint.txt moved (pinned vs now); full listing: {}",
+                n + 1,
+                dump.display()
+            );
+        }
+        panic!(
+            "fingerprint has {} lines, tests/golden_fingerprint.txt {}; full listing: {}",
+            actual.lines().count(),
+            golden.lines().count(),
+            dump.display()
+        );
     }
 }
