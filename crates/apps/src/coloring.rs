@@ -39,19 +39,37 @@ impl VertexProgram for Coloring {
         0
     }
 
+    #[inline]
     fn initially_active(&self, _: VertexId) -> bool {
         true
     }
 
+    #[inline]
     fn gather(&self, _: VertexId, _: VertexId, color: &u32, _: InitInfo) -> PartitionSet {
         PartitionSet::singleton(*color)
     }
 
+    #[inline]
     fn merge(&self, mut a: PartitionSet, b: PartitionSet) -> PartitionSet {
         a.union_with(&b);
         a
     }
 
+    /// `gather` → `merge` without the per-edge singleton: set the neighbor's
+    /// color bit in place.
+    #[inline]
+    fn accumulate(
+        &self,
+        acc: &mut Option<PartitionSet>,
+        _: VertexId,
+        _: VertexId,
+        color: &u32,
+        _: InitInfo,
+    ) {
+        acc.get_or_insert_with(PartitionSet::new).insert(*color);
+    }
+
+    #[inline]
     fn apply(&self, _: VertexId, old: &u32, acc: Option<PartitionSet>, _: ApplyInfo) -> u32 {
         let taken = acc.unwrap_or_default();
         if !taken.contains(*old) {

@@ -46,22 +46,27 @@ impl VertexProgram for KCore {
         info.in_degree + info.out_degree >= self.k
     }
 
+    #[inline]
     fn initially_active(&self, _: VertexId) -> bool {
         true
     }
 
+    #[inline]
     fn gather(&self, _: VertexId, _: VertexId, alive: &bool, _: InitInfo) -> u32 {
         u32::from(*alive)
     }
 
+    #[inline]
     fn merge(&self, a: u32, b: u32) -> u32 {
         a + b
     }
 
+    #[inline]
     fn apply(&self, _: VertexId, old: &bool, acc: Option<u32>, _: ApplyInfo) -> bool {
         *old && acc.unwrap_or(0) >= self.k
     }
 
+    #[inline]
     fn self_reactivates(&self, alive: &bool) -> bool {
         // Alive vertices keep recounting their alive neighbors every
         // superstep (as the PowerGraph application does); the engine stops

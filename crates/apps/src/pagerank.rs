@@ -70,6 +70,7 @@ impl PageRank {
         }
     }
 
+    #[inline]
     fn tolerance(&self) -> f64 {
         match self.mode {
             PageRankMode::Iterations(_) => 0.0,
@@ -104,18 +105,22 @@ impl VertexProgram for PageRank {
         Rank(1.0)
     }
 
+    #[inline]
     fn initially_active(&self, _: VertexId) -> bool {
         true
     }
 
+    #[inline]
     fn gather(&self, _: VertexId, _: VertexId, s: &Rank, nbr: InitInfo) -> f64 {
         s.0 / nbr.out_degree.max(1) as f64
     }
 
+    #[inline]
     fn merge(&self, a: f64, b: f64) -> f64 {
         a + b
     }
 
+    #[inline]
     fn apply(&self, _: VertexId, old: &Rank, acc: Option<f64>, _: ApplyInfo) -> Rank {
         let new = (1.0 - self.damping) + self.damping * acc.unwrap_or(0.0);
         if (new - old.0).abs() <= self.tolerance() {

@@ -77,18 +77,22 @@ impl VertexProgram for Sssp {
         }
     }
 
+    #[inline]
     fn initially_active(&self, v: VertexId) -> bool {
         v == self.source
     }
 
+    #[inline]
     fn gather(&self, _: VertexId, _: VertexId, dist: &u32, _: InitInfo) -> u32 {
         dist.saturating_add(1)
     }
 
+    #[inline]
     fn merge(&self, a: u32, b: u32) -> u32 {
         a.min(b)
     }
 
+    #[inline]
     fn apply(&self, _: VertexId, old: &u32, acc: Option<u32>, _: ApplyInfo) -> u32 {
         acc.map_or(*old, |a| a.min(*old))
     }

@@ -32,18 +32,22 @@ impl VertexProgram for Wcc {
         v.0
     }
 
+    #[inline]
     fn initially_active(&self, _: VertexId) -> bool {
         true
     }
 
+    #[inline]
     fn gather(&self, _: VertexId, _: VertexId, label: &u64, _: InitInfo) -> u64 {
         *label
     }
 
+    #[inline]
     fn merge(&self, a: u64, b: u64) -> u64 {
         a.min(b)
     }
 
+    #[inline]
     fn apply(&self, _: VertexId, old: &u64, acc: Option<u64>, _: ApplyInfo) -> u64 {
         acc.map_or(*old, |a| a.min(*old))
     }

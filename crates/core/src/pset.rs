@@ -16,8 +16,6 @@
 //!   build computes, so parallel merges stay byte-identical).
 //! - `iter`: ascending bit-scan, reproducing the sorted `Vec<u32>` order
 //!   the rest of the system observes.
-//! - `rank`: popcount of bits below `p` — the O(1) replica-slot lookup
-//!   used by the engine's `ReplicaTable` instead of binary search.
 
 /// Number of inline words; bits `0..256` need no heap allocation.
 const INLINE_WORDS: usize = 4;
@@ -217,19 +215,6 @@ impl PartitionSet {
         }
     }
 
-    /// Number of set ids strictly below `p` — the replica *slot* of `p`
-    /// when `p` is present (O(1): popcount over at most `p/64 + 1` words).
-    #[inline]
-    pub fn rank(&self, p: u32) -> u32 {
-        let (word, bit) = (p as usize / 64, p as usize % 64);
-        let w = self.words();
-        if word >= w.len() {
-            return self.len();
-        }
-        let below: u32 = w[..word].iter().map(|x| x.count_ones()).sum();
-        below + (w[word] & ((1u64 << bit) - 1)).count_ones()
-    }
-
     /// The `k`-th smallest id (0-based), if any.
     pub fn select(&self, k: u32) -> Option<u32> {
         let mut remaining = k;
@@ -385,29 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_matches_sorted_position() {
-        let s: PartitionSet = [3u32, 17, 64, 200, 290].into_iter().collect();
-        let sorted = s.to_vec();
-        for (slot, &p) in sorted.iter().enumerate() {
-            assert_eq!(s.rank(p) as usize, slot);
-        }
-        // Rank of an absent id is still "ids below it".
-        assert_eq!(s.rank(100), 3);
-        assert_eq!(s.rank(0), 0);
-        assert_eq!(s.rank(1000), 5);
-    }
-
-    #[test]
-    fn select_inverts_rank() {
-        let s: PartitionSet = [1u32, 90, 255, 256, 280].into_iter().collect();
-        for k in 0..s.len() {
-            let p = s.select(k).unwrap();
-            assert_eq!(s.rank(p), k);
-        }
-        assert_eq!(s.select(s.len()), None);
-    }
-
-    #[test]
     fn union_or_kernel_equals_set_union() {
         let a: PartitionSet = [1u32, 5, 200].into_iter().collect();
         let b: PartitionSet = [5u32, 7, 290].into_iter().collect();
@@ -514,6 +476,10 @@ mod tests {
                 prop_assert_eq!(set.len() as usize, model.len());
                 prop_assert_eq!(set.to_vec(), model.clone());
                 prop_assert_eq!(set.first(), model.first().copied());
+                for (k, &p) in model.iter().enumerate() {
+                    prop_assert_eq!(set.select(k as u32), Some(p));
+                }
+                prop_assert_eq!(set.select(set.len()), None);
             }
         }
 
@@ -535,22 +501,6 @@ mod tests {
             let mut acc2 = sb.clone();
             acc2.union_with(&sa);
             prop_assert_eq!(&acc, &acc2);
-        }
-
-        #[test]
-        fn rank_agrees_with_binary_search(
-            items in arb_id_set(0u32..300, 1..50),
-            probe in 0u32..310,
-        ) {
-            let set: PartitionSet = items.iter().copied().collect();
-            let sorted: Vec<u32> = items.into_iter().collect();
-            let expected = match sorted.binary_search(&probe) {
-                Ok(pos) | Err(pos) => pos as u32,
-            };
-            prop_assert_eq!(set.rank(probe), expected);
-            for (slot, &p) in sorted.iter().enumerate() {
-                prop_assert_eq!(set.select(slot as u32), Some(p));
-            }
         }
     }
 }

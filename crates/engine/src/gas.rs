@@ -112,11 +112,13 @@ fn info(csr: &CsrGraph, v: VertexId) -> InitInfo {
     }
 }
 
-/// Merge `program.gather` over `v`'s gather-direction neighbors, in-edges
-/// first, reading `states` as they are. `inline(always)` is measured, not
-/// decoration: with plain `inline` a 1 M-edge PageRank superstep on the
-/// synchronous loop takes 7.4 ms instead of 5.4.
-#[inline(always)]
+/// Fold `program.accumulate` over `v`'s gather-direction neighbors, in-edges
+/// first, reading `states` as they are: the one place an engine runs a
+/// program's per-edge code. Plain `inline` is measured: with the programs'
+/// callbacks inlined into this loop, forcing the loop itself into each
+/// engine no longer pays (1 M-edge PageRank(10): 44 ms, 47 with
+/// `inline(always)`; EXPERIMENTS.md "Engine hot path II").
+#[inline]
 pub(crate) fn gather_neighbors<P: VertexProgram>(
     program: &P,
     csr: &CsrGraph,
@@ -125,13 +127,8 @@ pub(crate) fn gather_neighbors<P: VertexProgram>(
     dir: Direction,
 ) -> Option<P::Accum> {
     let mut acc: Option<P::Accum> = None;
-    let mut fold = |u: VertexId| {
-        let g = program.gather(v, u, &states[u.index()], info(csr, u));
-        acc = Some(match acc.take() {
-            Some(a) => program.merge(a, g),
-            None => g,
-        });
-    };
+    let mut fold =
+        |u: VertexId| program.accumulate(&mut acc, v, u, &states[u.index()], info(csr, u));
     if dir.includes_in() {
         csr.in_neighbors(v).for_each(&mut fold);
     }
@@ -545,6 +542,70 @@ mod tests {
         let (_, report) = engine().run(&g, &a, &Never);
         assert_eq!(report.supersteps(), 0);
         assert!(report.converged);
+    }
+
+    #[test]
+    fn gather_neighbors_visits_in_edges_then_out_edges_once_each() {
+        /// Records every gathered neighbor, in visit order.
+        struct Visits;
+        impl VertexProgram for Visits {
+            type State = u64;
+            type Accum = Vec<u64>;
+            fn name(&self) -> &'static str {
+                "visits"
+            }
+            fn gather_direction(&self) -> Direction {
+                Direction::Both
+            }
+            fn scatter_direction(&self) -> Direction {
+                Direction::None
+            }
+            fn init(&self, v: VertexId, _: InitInfo) -> u64 {
+                v.0
+            }
+            fn initially_active(&self, _: VertexId) -> bool {
+                true
+            }
+            fn gather(&self, _: VertexId, nbr: VertexId, s: &u64, info: InitInfo) -> Vec<u64> {
+                // The engine hands over the neighbor's own state and degrees.
+                assert_eq!((*s, info.num_vertices), (nbr.0, 5));
+                vec![nbr.0]
+            }
+            fn merge(&self, mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
+                a.extend(b);
+                a
+            }
+            fn apply(&self, _: VertexId, old: &u64, _: Option<Vec<u64>>, _: ApplyInfo) -> u64 {
+                *old
+            }
+        }
+        // Vertex 2: in-edges from 0, 1, 2 (self-loop) and 0 again (duplicate),
+        // out-edges to 2, 3 and 3; vertex 4 has no out-edges.
+        let g = EdgeList::from_pairs(vec![(0, 2), (1, 2), (2, 2), (0, 2), (2, 3), (2, 3), (3, 4)]);
+        let csr = CsrGraph::from_edge_list(&g);
+        let (states, _) = init_vertices(&Visits, &csr);
+        let gathered = |v: u64, dir| {
+            gather_neighbors(&Visits, &csr, &states, VertexId(v), dir).unwrap_or_default()
+        };
+        let sorted = |mut visits: Vec<u64>| {
+            visits.sort_unstable();
+            visits
+        };
+        assert_eq!(sorted(gathered(2, Direction::In)), [0, 0, 1, 2]);
+        assert_eq!(sorted(gathered(2, Direction::Out)), [2, 3, 3]);
+        for v in 0..5 {
+            let both = [gathered(v, Direction::In), gathered(v, Direction::Out)].concat();
+            assert_eq!(gathered(v, Direction::Both), both, "in-edges first at {v}");
+            assert_eq!(
+                both.len() as u32,
+                csr.in_degree(VertexId(v)) + csr.out_degree(VertexId(v))
+            );
+            let none = gather_neighbors(&Visits, &csr, &states, VertexId(v), Direction::None);
+            assert_eq!(none, None);
+        }
+        // No gather edges is `None`, not an empty accumulator.
+        let no_edges = gather_neighbors(&Visits, &csr, &states, VertexId(4), Direction::Out);
+        assert_eq!(no_edges, None);
     }
 
     #[test]

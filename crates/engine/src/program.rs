@@ -61,6 +61,13 @@ pub struct ApplyInfo {
 /// engines' parallel path shares `&self` and the frozen state array across
 /// superstep-kernel workers. All of the paper's applications are plain data
 /// and satisfy the bounds automatically.
+///
+/// The engines reach a program's per-edge code only through
+/// [`accumulate`](VertexProgram::accumulate), once per gather edge, and
+/// `apply` and the activation predicates once per active vertex. An
+/// implementation in another crate should mark those methods `#[inline]`:
+/// a non-generic trait impl is otherwise compiled once in its own crate and
+/// the superstep loop pays an out-of-line call per edge.
 pub trait VertexProgram: Sync {
     /// Per-vertex state.
     type State: Clone + PartialEq + std::fmt::Debug + Send + Sync;
@@ -104,6 +111,29 @@ pub trait VertexProgram: Sync {
 
     /// Commutative, associative combination of two accumulators.
     fn merge(&self, a: Self::Accum, b: Self::Accum) -> Self::Accum;
+
+    /// Fold one gather edge into `acc` (`None` until the first edge): what
+    /// the engines call per edge. It must equal folding [`gather`] with
+    /// [`merge`], which is what the default does; override it only to avoid
+    /// building a temporary accumulator per edge.
+    ///
+    /// [`gather`]: VertexProgram::gather
+    /// [`merge`]: VertexProgram::merge
+    #[inline]
+    fn accumulate(
+        &self,
+        acc: &mut Option<Self::Accum>,
+        v: VertexId,
+        nbr: VertexId,
+        nbr_state: &Self::State,
+        nbr_info: InitInfo,
+    ) {
+        let g = self.gather(v, nbr, nbr_state, nbr_info);
+        *acc = Some(match acc.take() {
+            Some(a) => self.merge(a, g),
+            None => g,
+        });
+    }
 
     /// Compute the new state from the old state and the merged accumulator
     /// (`None` when no gather edges contributed).

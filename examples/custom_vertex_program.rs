@@ -47,14 +47,20 @@ impl VertexProgram for MaxBackward {
         true
     }
 
+    // `gather` and `merge` run once per edge (through the trait's provided
+    // `accumulate`) and `apply` once per active vertex: `#[inline]` lets them
+    // compile into the engine's superstep loop, which lives in another crate.
+    #[inline]
     fn gather(&self, _: VertexId, _: VertexId, nbr_state: &u64, _: InitInfo) -> u64 {
         *nbr_state
     }
 
+    #[inline]
     fn merge(&self, a: u64, b: u64) -> u64 {
         a.max(b)
     }
 
+    #[inline]
     fn apply(&self, _: VertexId, old: &u64, acc: Option<u64>, _: ApplyInfo) -> u64 {
         acc.map_or(*old, |a| a.max(*old))
     }
