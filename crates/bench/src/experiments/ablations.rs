@@ -123,38 +123,34 @@ pub fn ablation_engines(scale: f64, seed: u64) -> Vec<Table> {
             "saving",
         ],
     );
-    for strategy in [
+    let strategies = [
         Strategy::Hybrid,
         Strategy::OneDTarget,
         Strategy::TwoD,
         Strategy::Grid,
-    ] {
-        for app in [App::PageRankFixed(10), App::Wcc] {
-            let mut p1 = Pipeline::new(scale, seed);
-            let sync = p1.run(&Scenario::new(
-                Dataset::UkWeb,
-                strategy,
-                &spec,
-                EngineKind::PowerGraph,
-                app,
-            ));
-            let mut p2 = Pipeline::new(scale, seed);
-            let hybrid = p2.run(&Scenario::new(
-                Dataset::UkWeb,
-                strategy,
-                &spec,
-                EngineKind::PowerLyra,
-                app,
-            ));
+    ];
+    // App-outermost, so each app's semantic trace serves every strategy on
+    // both engines; rows come out per strategy.
+    let mut pipeline = Pipeline::new(scale, seed);
+    let per_app = [App::PageRankFixed(10), App::Wcc].map(|app| {
+        strategies.map(|strategy| {
+            let [sync, hybrid] = [EngineKind::PowerGraph, EngineKind::PowerLyra].map(|engine| {
+                pipeline.run(&Scenario::new(Dataset::UkWeb, strategy, &spec, engine, app))
+            });
             let saving = 1.0 - hybrid.mean_net_in_bytes / sync.mean_net_in_bytes.max(1.0);
-            t.row(vec![
+            vec![
                 strategy.label().to_string(),
                 app.label().to_string(),
                 app.is_natural().to_string(),
                 gp_cluster::table::fmt_bytes(sync.mean_net_in_bytes),
                 gp_cluster::table::fmt_bytes(hybrid.mean_net_in_bytes),
                 format!("{:.0}%", saving * 100.0),
-            ]);
+            ]
+        })
+    });
+    for s in 0..strategies.len() {
+        for rows in &per_app {
+            t.row(rows[s].clone());
         }
     }
     vec![t]
@@ -177,8 +173,8 @@ pub fn ablation_reuse(scale: f64, seed: u64) -> Vec<Table> {
             "5 jobs, reused partitions",
         ],
     );
+    let mut pipeline = Pipeline::new(scale, seed);
     for strategy in [Strategy::Grid, Strategy::Hdrf] {
-        let mut pipeline = Pipeline::new(scale, seed);
         let job = pipeline.run(&Scenario::new(
             Dataset::UkWeb,
             strategy,
@@ -314,6 +310,7 @@ pub fn ablation_chunking(scale: f64, seed: u64) -> Vec<Table> {
 /// the engine models exactly that.)
 pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
     use gp_apps::PageRank;
+    use gp_core::CsrGraph;
     use gp_engine::{EngineConfig, Layout, SyncGas};
     let spec = ClusterSpec::ec2_25();
     let mut t = Table::new(
@@ -327,6 +324,14 @@ pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
         ],
     );
     let graph = Dataset::UkWeb.generate(scale, seed);
+    let program = PageRank::fixed_with_tolerance(30, 1e-3);
+    // One semantic pass per caching flag, priced on both partitionings.
+    let csr = CsrGraph::from_edge_list(&graph);
+    let traced = [false, true].map(|on| {
+        let engine = SyncGas::new(EngineConfig::new(spec.clone()).with_delta_caching(on));
+        let (_, trace) = engine.trace(&csr, &program);
+        (engine, trace)
+    });
     for strategy in [Strategy::Grid, Strategy::Hdrf] {
         let assignment = strategy
             .build()
@@ -338,13 +343,10 @@ pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
         let gm =
             |r: &gp_engine::ComputeReport| r.steps.iter().map(|s| s.gather_messages).sum::<u64>();
         let layout = Layout::build(&graph, &assignment, spec.machines);
-        let program = PageRank::fixed_with_tolerance(30, 1e-3);
-        let off = SyncGas::new(EngineConfig::new(spec.clone()))
-            .run_on(&layout, &assignment, &program)
-            .1;
-        let on = SyncGas::new(EngineConfig::new(spec.clone()).with_delta_caching(true))
-            .run_on(&layout, &assignment, &program)
-            .1;
+        let [off, on] = [0, 1].map(|i| {
+            let (engine, trace) = &traced[i];
+            engine.price(trace, &layout, &assignment, &program)
+        });
         t.row(vec![
             strategy.label().to_string(),
             gm(&off).to_string(),

@@ -80,46 +80,51 @@ pub fn ch13_elasticity(scale: f64, seed: u64) -> Vec<Table> {
             "Cost-based picks",
         ],
     );
-    for strategy in ELASTIC_STRATEGIES {
-        for app in ELASTIC_APPS {
-            let job = Scenario::new(
-                Dataset::LiveJournal,
-                strategy,
-                &spec,
-                EngineKind::PowerGraph,
-                app,
-            );
-            let scale_out =
-                ElasticConfig::new(ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K));
-            let mut run = |repair: RepairPolicy| {
-                p.run(
-                    &job.clone()
-                        .with_elastic(scale_out.clone().with_repair(repair)),
-                )
-            };
-            let ride = run(RepairPolicy::NeverRepartition);
-            let repart = run(RepairPolicy::AlwaysRepartition);
-            let cost_based = run(RepairPolicy::default());
-            let winner = if repart.compute_seconds < ride.compute_seconds {
-                "re-partition"
-            } else {
-                "ride"
-            };
-            let picked = if cost_based.reingress_seconds > 0.0 {
-                "re-partition"
-            } else {
-                "ride"
-            };
-            t.row(vec![
-                strategy.label().to_string(),
-                app_label(app),
-                format!("{:.2}", ride.replication_factor),
-                format!("{:.1}", ride.compute_seconds),
-                format!("{:.1}", repart.compute_seconds),
-                format!("{:.1}", repart.reingress_seconds),
-                winner.to_string(),
-                picked.to_string(),
-            ]);
+    let mut row = |strategy: Strategy, app: App| {
+        let job = Scenario::new(
+            Dataset::LiveJournal,
+            strategy,
+            &spec,
+            EngineKind::PowerGraph,
+            app,
+        );
+        let scale_out = ElasticConfig::new(ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K));
+        let mut run = |repair: RepairPolicy| {
+            p.run(
+                &job.clone()
+                    .with_elastic(scale_out.clone().with_repair(repair)),
+            )
+        };
+        let ride = run(RepairPolicy::NeverRepartition);
+        let repart = run(RepairPolicy::AlwaysRepartition);
+        let cost_based = run(RepairPolicy::default());
+        let winner = if repart.compute_seconds < ride.compute_seconds {
+            "re-partition"
+        } else {
+            "ride"
+        };
+        let picked = if cost_based.reingress_seconds > 0.0 {
+            "re-partition"
+        } else {
+            "ride"
+        };
+        vec![
+            strategy.label().to_string(),
+            app_label(app),
+            format!("{:.2}", ride.replication_factor),
+            format!("{:.1}", ride.compute_seconds),
+            format!("{:.1}", repart.compute_seconds),
+            format!("{:.1}", repart.reingress_seconds),
+            winner.to_string(),
+            picked.to_string(),
+        ]
+    };
+    // App-outermost, so each app's semantic trace serves every strategy;
+    // rows come out per strategy.
+    let per_app = ELASTIC_APPS.map(|app| ELASTIC_STRATEGIES.map(|strategy| row(strategy, app)));
+    for s in 0..ELASTIC_STRATEGIES.len() {
+        for rows in &per_app {
+            t.row(rows[s].clone());
         }
     }
     vec![t, tenant_table(scale, seed)]

@@ -211,21 +211,21 @@ pub fn table5_1(scale: f64, seed: u64) -> Vec<Table> {
             "K-Core total",
         ],
     );
-    for strategy in [Strategy::Grid, Strategy::Hdrf] {
-        let pr = pipeline.run(&Scenario::new(
-            Dataset::UkWeb,
-            strategy,
-            &spec,
-            EngineKind::PowerGraph,
-            App::PageRankConv,
-        ));
-        let kc = pipeline.run(&Scenario::new(
-            Dataset::UkWeb,
-            strategy,
-            &spec,
-            EngineKind::PowerGraph,
-            App::kcore_paper(),
-        ));
+    // App-outermost, so each app's semantic trace serves both strategies;
+    // rows come out per strategy.
+    let strategies = [Strategy::Grid, Strategy::Hdrf];
+    let [pr, kc] = [App::PageRankConv, App::kcore_paper()].map(|app| {
+        strategies.map(|strategy| {
+            pipeline.run(&Scenario::new(
+                Dataset::UkWeb,
+                strategy,
+                &spec,
+                EngineKind::PowerGraph,
+                app,
+            ))
+        })
+    });
+    for ((strategy, pr), kc) in strategies.iter().zip(&pr).zip(&kc) {
         t.row(vec![
             strategy.label().to_string(),
             secs(pr.ingress_seconds),

@@ -8,7 +8,7 @@ use gp_elastic::ElasticKind;
 use gp_engine::pregel::PregelOom;
 use gp_engine::{
     base_memory_per_machine, AsyncGas, CommsConfig, ComputeReport, ElasticConfig, EngineConfig,
-    HybridGas, Layout, Pregel, PregelConfig, SyncGas, VertexProgram,
+    HybridGas, Layout, Pregel, PregelConfig, SemanticTrace, Semantics, SyncGas, VertexProgram,
 };
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
@@ -422,51 +422,94 @@ pub struct Deployment<'a> {
 }
 
 impl Deployment<'_> {
-    /// Run one program. `asynchronous` asks PowerGraph and PowerLyra for
-    /// their asynchronous engine (Coloring needs it, §5.4.1); GraphX has
-    /// none and fails with [`PregelOom`] when the graph does not fit its
-    /// executors.
-    pub fn run<P: VertexProgram>(
+    /// The semantic pass `app`'s programs take here: PowerGraph and
+    /// PowerLyra run Coloring on their asynchronous engine (§5.4.1); GraphX
+    /// has no asynchronous engine and no gather cache.
+    fn semantics(&self, app: App) -> Semantics {
+        match self.engine {
+            EngineKind::PowerGraph | EngineKind::PowerLyra if app == App::Coloring => {
+                Semantics::Asynchronous {
+                    schedule_seed: AsyncGas::SCHEDULE_SEED,
+                }
+            }
+            EngineKind::GraphX { .. } => Semantics::Synchronous {
+                delta_caching: false,
+            },
+            _ => Semantics::Synchronous {
+                delta_caching: self.config.delta_caching,
+            },
+        }
+    }
+
+    /// Price program `i` of an app from `traces[i]`, recording that trace
+    /// first when `traces` ends before it. GraphX fails with [`PregelOom`]
+    /// when the graph does not fit its executors, before anything is traced
+    /// or priced.
+    fn run<P: VertexProgram>(
         &self,
         program: &P,
-        asynchronous: bool,
-    ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
+        semantics: Semantics,
+        traces: &mut Vec<SemanticTrace>,
+        i: usize,
+    ) -> Result<ComputeReport, PregelOom> {
         let (config, layout, assignment) = (self.config.clone(), self.layout, self.assignment);
-        Ok(match self.engine {
-            EngineKind::PowerGraph | EngineKind::PowerLyra if asynchronous => {
-                AsyncGas::new(config).run_on(layout, assignment, program)
-            }
-            EngineKind::PowerGraph => SyncGas::new(config).run_on(layout, assignment, program),
-            EngineKind::PowerLyra => HybridGas::new(config).run_on(layout, assignment, program),
-            EngineKind::GraphX {
-                executor_memory_bytes,
-                ..
-            } => {
+        macro_rules! priced {
+            ($engine:expr) => {{
+                let engine = $engine;
+                if traces.len() == i {
+                    traces.push(engine.trace(layout.csr(), program).1);
+                }
+                engine.price(&traces[i], layout, assignment, program)
+            }};
+        }
+        Ok(match (self.engine, semantics) {
+            (_, Semantics::Asynchronous { .. }) => priced!(AsyncGas::new(config)),
+            (EngineKind::PowerGraph, _) => priced!(SyncGas::new(config)),
+            (EngineKind::PowerLyra, _) => priced!(HybridGas::new(config)),
+            (
+                EngineKind::GraphX {
+                    executor_memory_bytes,
+                    ..
+                },
+                _,
+            ) => {
                 let config = PregelConfig::new(config).with_executor_memory(executor_memory_bytes);
-                Pregel::new(config).run_on(layout, assignment, program)?
+                let engine = Pregel::new(config);
+                engine.placement(assignment)?;
+                priced!(engine)?
             }
         })
     }
 
     /// Run every program of `app` (one, or one per k for k-core), SSSP from
-    /// `sssp_source`; one report per program.
+    /// `sssp_source`; one report per program. Program `i` is priced from
+    /// `traces[i]`, and each missing trace is recorded and appended, so the
+    /// caller keeps `traces` either empty or holding this graph's traces of
+    /// `app` under the semantics this deployment runs it with.
     pub fn run_app(
         &self,
         app: App,
         sssp_source: VertexId,
+        traces: &mut Vec<SemanticTrace>,
     ) -> Result<Vec<ComputeReport>, PregelOom> {
+        let semantics = self.semantics(app);
         let report = match app {
-            App::PageRankFixed(n) => self.run(&PageRank::fixed(n), false)?.1,
-            App::PageRankConv => self.run(&PageRank::to_convergence(), false)?.1,
-            App::Wcc => self.run(&Wcc, false)?.1,
-            App::Sssp { undirected: true } => self.run(&Sssp::undirected(sssp_source), false)?.1,
-            App::Sssp { undirected: false } => self.run(&Sssp::directed(sssp_source), false)?.1,
+            App::PageRankFixed(n) => self.run(&PageRank::fixed(n), semantics, traces, 0)?,
+            App::PageRankConv => self.run(&PageRank::to_convergence(), semantics, traces, 0)?,
+            App::Wcc => self.run(&Wcc, semantics, traces, 0)?,
+            App::Sssp { undirected: true } => {
+                self.run(&Sssp::undirected(sssp_source), semantics, traces, 0)?
+            }
+            App::Sssp { undirected: false } => {
+                self.run(&Sssp::directed(sssp_source), semantics, traces, 0)?
+            }
             App::KCore { k_min, k_max } => {
                 return (k_min..=k_max)
-                    .map(|k| Ok(self.run(&KCore::new(k), false)?.1))
+                    .enumerate()
+                    .map(|(i, k)| self.run(&KCore::new(k), semantics, traces, i))
                     .collect()
             }
-            App::Coloring => self.run(&Coloring, true)?.1,
+            App::Coloring => self.run(&Coloring, semantics, traces, 0)?,
         };
         Ok(vec![report])
     }
@@ -474,7 +517,8 @@ impl Deployment<'_> {
 
 /// The experiment pipeline with caching of generated graphs and
 /// partitionings (the same dataset×strategy×cluster triple is reused across
-/// the six applications).
+/// the six applications), and each app's semantic trace across
+/// partitionings.
 pub struct Pipeline {
     /// Dataset scale factor (1.0 = default mini sizes).
     pub scale: f64,
@@ -493,10 +537,21 @@ pub struct Pipeline {
     /// Engine layout of each cached partitioning, built by the first job
     /// that computes on it. The key's loader count is the machine count.
     layouts: HashMap<PartitionKey, Layout>,
+    /// The key of `traces`: they are one entry, not a map, because every
+    /// sweep runs its strategy, cluster, engine or fault loop innermost, and
+    /// one entry bounds their memory by construction.
+    trace_key: Option<TraceKey>,
+    /// The semantic traces of the most recent job's app (one per program;
+    /// k-core has one per k), priced again by every job with the same key.
+    traces: Vec<SemanticTrace>,
 }
 
 /// (dataset, strategy, partitions, loaders).
 type PartitionKey = (Dataset, Strategy, u32, u32);
+
+/// (dataset, app, execution model): everything a trace depends on in one
+/// pipeline, whose scale, seed and SSSP sources are fixed.
+type TraceKey = (Dataset, App, Semantics);
 
 impl Pipeline {
     /// New pipeline at the given dataset scale.
@@ -510,6 +565,8 @@ impl Pipeline {
             sssp_sources: HashMap::new(),
             partitions: HashMap::new(),
             layouts: HashMap::new(),
+            trace_key: None,
+            traces: Vec::new(),
         }
     }
 
@@ -664,9 +721,14 @@ impl Pipeline {
             assignment,
         };
         let config = &deployment.config;
+        let trace_key = Some((dataset, app, deployment.semantics(app)));
+        if self.trace_key != trace_key {
+            self.trace_key = trace_key;
+            self.traces.clear();
+        }
 
         let mut job = JobResult::after_ingress(scenario, &ingress_report, ingress_seconds);
-        let Ok(reports) = deployment.run_app(app, sssp_source) else {
+        let Ok(reports) = deployment.run_app(app, sssp_source, &mut self.traces) else {
             job.compute_seconds = f64::INFINITY;
             job.failed = true;
             return job;
@@ -842,6 +904,41 @@ mod tests {
             assert_eq!(job.retransmit_bytes + job.retry_timeout_seconds, 0.0);
             assert_eq!(job.scale_events + job.evacuations, 0);
         }
+    }
+
+    #[test]
+    fn jobs_priced_from_a_reused_trace_equal_fresh_ones() {
+        let mut shared = Pipeline::new(0.02, 42);
+        let mut hits = 0;
+        let mut check = |scenario: Scenario| {
+            let before = shared.trace_key;
+            let job = shared.run(&scenario);
+            hits += usize::from(before.is_some() && before == shared.trace_key);
+            assert_eq!(job, Pipeline::new(0.02, 42).run(&scenario), "{scenario:?}");
+        };
+        // Figs 5.3–5.5's order: each app's first strategy records its
+        // traces, the other three price them again.
+        let spec = ClusterSpec::ec2_25();
+        for app in App::paper_set() {
+            for strategy in crate::experiments::ch5::PG_STRATEGIES {
+                check(Scenario::new(
+                    Dataset::UkWeb,
+                    strategy,
+                    &spec,
+                    EngineKind::PowerGraph,
+                    app,
+                ));
+            }
+        }
+        // Every mid-job model at once, priced from the clean job's trace.
+        check(pagerank_job(8));
+        check(
+            pagerank_job(8)
+                .with_faults(FaultPlan::crash_at(6, 1), CheckpointPolicy::every(2))
+                .with_comms(CommsConfig::reliable().with_speculation(true))
+                .with_elastic(ElasticConfig::new(ElasticPlan::preempt_at(3, 2, 3))),
+        );
+        assert_eq!(hits, 6 * 3 + 1);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl Subcommand for Args {
             assignment: &assignment,
         };
         let reports = deployment
-            .run_app(self.app, VertexId(0))
+            .run_app(self.app, VertexId(0), &mut Vec::new())
             .map_err(|_| "job ran out of memory on the simulated cluster")?;
         let first = reports.first().ok_or("the application ran no program")?;
         writeln!(

@@ -1,11 +1,17 @@
-//! The one cost-accounting kernel shared by every engine.
+//! The one cost-accounting kernel shared by every engine, and the
+//! [`Pricer`] that drives it.
 //!
 //! An engine's semantic pass reduces each vertex update to an [`Update`] —
 //! the vertex and three flags — and [`Accountant::account`] turns a
 //! superstep's update sequence into per-machine work, traffic and message
 //! tallies against the [`Layout`]: a pure function of the run's constants
-//! and that sequence, so [`Accountant::tally`] hands back the previous
-//! superstep's tallies when the sequence repeats.
+//! and that sequence. [`Accountant::tally`] memoizes it over one slice: it
+//! keeps a copy of the last sequence it counted (refilled in place with
+//! `clear` + `extend_from_slice`, so once the copy has grown a miss
+//! allocates nothing) and hands back that sequence's tallies when the next
+//! one compares equal. The [`Pricer`] is the memo plus the engine's
+//! superstep clock: it prices each superstep a semantic trace hands it and
+//! collects the report's [`SuperstepStats`].
 //!
 //! Byte tallies accumulate as `u64`: every addend the engines ever added
 //! was a `u64 as f64` into a cell starting at `0.0`, so below 2^53 (asserted
@@ -15,7 +21,7 @@
 
 use crate::layout::Layout;
 use crate::program::{Direction, VertexProgram};
-use crate::report::EngineConfig;
+use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
 use gp_core::VertexId;
 
 /// Who sends gather partials to the master.
@@ -212,15 +218,69 @@ impl<'a> Accountant<'a> {
 
     /// [`Accountant::account`] through the memo: fixed-iteration programs
     /// repeat one update sequence superstep after superstep, and equal
-    /// sequences have equal tallies. Leaves `updates` empty for the caller
-    /// to refill (on a miss it swaps buffers with the memo).
-    pub fn tally(&mut self, updates: &mut Vec<Update>) -> MachineTallies {
-        if self.tallies.is_none() || self.last != *updates {
+    /// sequences have equal tallies.
+    pub fn tally(&mut self, updates: &[Update]) -> MachineTallies {
+        if self.tallies.is_none() || self.last != updates {
             self.tallies = Some(self.account(updates));
-            std::mem::swap(&mut self.last, updates);
+            self.last.clear();
+            self.last.extend_from_slice(updates);
         }
-        updates.clear();
         self.tallies.clone().expect("computed above")
+    }
+}
+
+/// Prices a run one superstep at a time: the [`Accountant`] memo, the
+/// engine's `step_wall` (which prices a superstep from its tallies and
+/// active-vertex count, and may add work of its own first), and the
+/// [`SuperstepStats`] each superstep leaves in the report.
+pub(crate) struct Pricer<'a, W> {
+    accountant: Accountant<'a>,
+    step_wall: W,
+    steps: Vec<SuperstepStats>,
+}
+
+impl<'a, W: FnMut(&mut MachineTallies, usize) -> f64> Pricer<'a, W> {
+    /// Pricer for one run of `program` under `config` on `layout`; see
+    /// [`Accountant::new`] for when it panics.
+    pub fn new<P: VertexProgram>(
+        config: &EngineConfig,
+        program: &P,
+        policy: GatherPolicy,
+        layout: &'a Layout,
+        step_wall: W,
+    ) -> Self {
+        Pricer {
+            accountant: Accountant::new(config, program, policy, layout),
+            step_wall,
+            steps: Vec::new(),
+        }
+    }
+
+    /// Price the next superstep: its `updates` in visit order and the
+    /// vertices `active` at its start.
+    pub fn step(&mut self, updates: &[Update], active: usize) {
+        let mut tallies = self.accountant.tally(updates);
+        let wall = (self.step_wall)(&mut tallies, active);
+        self.steps.push(SuperstepStats {
+            superstep: self.steps.len() as u32,
+            active_vertices: active as u64,
+            gather_messages: tallies.gather_messages,
+            sync_messages: tallies.sync_messages,
+            machine_work: tallies.work,
+            machine_in_bytes: tallies.in_bytes,
+            machine_out_bytes: tallies.out_bytes,
+            wall_seconds: wall,
+        });
+    }
+
+    /// The clean report over every superstep priced so far.
+    pub fn report(
+        self,
+        program: &'static str,
+        engine: &'static str,
+        converged: bool,
+    ) -> ComputeReport {
+        ComputeReport::new(program, engine, self.steps, converged)
     }
 }
 
@@ -437,21 +497,19 @@ mod tests {
         // `bare` is never asked through its memo.
         let (bare, mut accountant) = (new(), new());
         let (a, b) = (updates(&layout, 1), updates(&layout, 2));
-        // miss, hit, miss (different stream), miss (back again), hit.
-        for stream in [&a, &a, &b, &a, &a] {
-            let mut buffer = stream.clone();
-            let tallies = accountant.tally(&mut buffer);
-            assert!(buffer.is_empty(), "the buffer comes back ready to refill");
-            assert_eq!(tallies, bare.account(stream));
+        // miss, hit, miss (different stream), miss (back again), hit, and a
+        // prefix of the memo's sequence (a miss, though every word matches).
+        for stream in [&a, &a, &b, &a, &a, &a[..10].to_vec()] {
+            assert_eq!(accountant.tally(stream), bare.account(stream));
         }
         // A stream differing only in one flag is a miss.
         let mut c = a.clone();
         c[17] = Update(c[17].0 ^ Update::CHANGED);
-        assert_eq!(accountant.tally(&mut c.clone()), bare.account(&c));
+        assert_eq!(accountant.tally(&c), bare.account(&c));
         // Callers may mutate the tallies they get; the memo keeps its own.
-        let mut taken = accountant.tally(&mut c.clone());
+        let mut taken = accountant.tally(&c);
         taken.work[0] += 1.0;
-        assert_eq!(accountant.tally(&mut c.clone()), bare.account(&c));
+        assert_eq!(accountant.tally(&c), bare.account(&c));
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! Coloring deviates from the Fig 5.3/5.4 trend lines (and occasionally
 //! "hangs" in the real system).
 
-use crate::accounting::{Accountant, GatherPolicy, Update};
+use crate::accounting::{GatherPolicy, MachineTallies, Pricer, Update};
 use crate::gas::{gather_neighbors, init_vertices, mark_neighbors};
 use crate::layout::Layout;
 use crate::program::{ApplyInfo, VertexProgram};
-use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
-use gp_core::{EdgeList, Splitmix64, VertexId};
+use crate::report::{ComputeReport, EngineConfig};
+use crate::trace::{superstep_cap, OnStep, SemanticTrace, Semantics, TraceEnd};
+use gp_core::{CsrGraph, EdgeList, Splitmix64, VertexId};
 use gp_partition::Assignment;
 
 /// PowerGraph's asynchronous engine.
@@ -36,13 +37,16 @@ pub struct AsyncGas {
 }
 
 impl AsyncGas {
+    /// The default update-schedule seed.
+    pub const SCHEDULE_SEED: u64 = 0xA57C;
+
     /// New async engine with default contention parameters.
     pub fn new(config: EngineConfig) -> Self {
         AsyncGas {
             config,
             efficiency: 0.55,
             lock_overhead_s: 2.0e-6,
-            schedule_seed: 0xA57C,
+            schedule_seed: Self::SCHEDULE_SEED,
         }
     }
 
@@ -58,105 +62,167 @@ impl AsyncGas {
         self.run_on(&layout, assignment, program)
     }
 
-    /// [`AsyncGas::run`] on a prepared `layout` of `assignment`.
+    /// [`AsyncGas::run`] on a prepared `layout` of `assignment`: the
+    /// semantic pass streams each round straight into the pricer.
     pub fn run_on<P: VertexProgram>(
         &self,
         layout: &Layout,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let csr = layout.csr();
-        let n = csr.num_vertices() as usize;
-        let machines = self.config.spec.machines as usize;
-        let (mut states, mut active) = init_vertices(program, csr);
-        let gdir = program.gather_direction();
-        let sdir = program.scatter_direction();
-        let cap = program.max_supersteps().min(self.config.max_supersteps);
+        let mut states = Vec::new();
+        let report = self.priced(layout, assignment, program, |on_step| {
+            let (out, end) = async_trace(
+                &self.config,
+                layout.csr(),
+                program,
+                self.schedule_seed,
+                on_step,
+            );
+            states = out;
+            end
+        });
+        (states, report)
+    }
+
+    /// The semantic pass alone: the final states, and the trace that
+    /// [`AsyncGas::price`] prices on any partitioning of `csr`'s graph.
+    pub fn trace<P: VertexProgram>(
+        &self,
+        csr: &CsrGraph,
+        program: &P,
+    ) -> (Vec<P::State>, SemanticTrace) {
+        SemanticTrace::record(&self.config, program, self.semantics(), |on_step| {
+            async_trace(&self.config, csr, program, self.schedule_seed, on_step)
+        })
+    }
+
+    /// The report [`AsyncGas::run_on`] returns, priced from a `trace` of
+    /// `program` on the same graph. Panics if the trace was recorded for
+    /// another program, semantics or superstep cap.
+    pub fn price<P: VertexProgram>(
+        &self,
+        trace: &SemanticTrace,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+    ) -> ComputeReport {
+        self.priced(layout, assignment, program, |on_step| {
+            trace.replay(&self.config, program, self.semantics(), on_step)
+        })
+    }
+
+    fn semantics(&self) -> Semantics {
+        Semantics::Asynchronous {
+            schedule_seed: self.schedule_seed,
+        }
+    }
+
+    fn priced<P: VertexProgram>(
+        &self,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+        source: impl FnOnce(OnStep) -> TraceEnd,
+    ) -> ComputeReport {
+        let machines = self.config.spec.machines as f64;
         let compute_rate = self.config.spec.compute_threads() as f64
             * self.config.spec.work_units_per_s
             * self.efficiency;
-        let mut rng = Splitmix64::new(self.schedule_seed);
-        let mut accountant =
-            Accountant::new(&self.config, program, GatherPolicy::AllMirrors, layout);
-
-        let mut steps = Vec::new();
-        let mut converged = false;
-        let mut order: Vec<usize> = Vec::new();
-        let mut updates: Vec<Update> = Vec::new();
-        let mut next_active = vec![false; n];
-        for round in 0..cap {
-            order.clear();
-            order.extend((0..n).filter(|&v| active[v]));
-            if order.is_empty() {
-                converged = true;
-                break;
-            }
-            // Fisher–Yates shuffle with the deterministic PRNG.
-            for i in (1..order.len()).rev() {
-                let j = rng.next_below(i as u64 + 1) as usize;
-                order.swap(i, j);
-            }
-            next_active.fill(false);
-
-            // The semantic pass must stay sequential — each update commits
-            // immediately and the next one reads it — so costs are tallied
-            // from the update sequence after the round.
-            for &vi in &order {
-                let v = VertexId(vi as u64);
-                // Async gather reads *current* states.
-                let acc = gather_neighbors(program, csr, &states, v, gdir);
-                let new = program.apply(
-                    v,
-                    &states[vi],
-                    acc,
-                    ApplyInfo {
-                        superstep: round,
-                        out_degree: csr.out_degree(v),
-                        in_degree: csr.in_degree(v),
-                    },
-                );
-                let changed = new != states[vi];
-                if program.self_reactivates(&new) {
-                    next_active[vi] = true;
-                }
-                if changed {
-                    // Immediate commit — async semantics.
-                    states[vi] = new;
-                }
-                // Initial scatter in round 0 mirrors the synchronous engines.
-                let scatters = changed || round == 0;
-                if scatters && program.activates_on_change() {
-                    mark_neighbors(csr, v, sdir, &mut next_active);
-                }
-                updates.push(Update::new(vi, false, changed, scatters));
-            }
-            let tallies = accountant.tally(&mut updates);
-
-            // No barrier: time = serialized-lock overhead + pipelined work
-            // and traffic.
-            let wall = order.len() as f64 * self.lock_overhead_s / machines as f64
+        // No barrier: time = serialized-lock overhead + pipelined work and
+        // traffic.
+        let step_wall = |tallies: &mut MachineTallies, active: usize| {
+            active as f64 * self.lock_overhead_s / machines
                 + tallies.work.iter().sum::<f64>() / compute_rate
                 + tallies.in_bytes.iter().sum::<f64>()
-                    / (machines as f64 * self.config.spec.bandwidth_bytes_per_s);
-            steps.push(SuperstepStats {
-                superstep: round,
-                active_vertices: order.len() as u64,
-                gather_messages: tallies.gather_messages,
-                sync_messages: tallies.sync_messages,
-                machine_work: tallies.work,
-                machine_in_bytes: tallies.in_bytes,
-                machine_out_bytes: tallies.out_bytes,
-                wall_seconds: wall,
-            });
-            std::mem::swap(&mut active, &mut next_active);
-        }
-        if !converged {
-            converged = active.iter().all(|&a| !a);
-        }
-        let mut report = ComputeReport::new(program.name(), "async-gas", steps, converged);
+                    / (machines * self.config.spec.bandwidth_bytes_per_s)
+        };
+        let policy = GatherPolicy::AllMirrors;
+        let mut pricer = Pricer::new(&self.config, program, policy, layout, step_wall);
+        let end = source(&mut |updates, active| pricer.step(updates, active));
+        let converged = end.converged || end.frontier_empty;
+        let mut report = pricer.report(program.name(), "async-gas", converged);
         crate::finish(&mut report, &self.config, assignment);
-        (states, report)
+        report
     }
+}
+
+/// The asynchronous semantic pass: rounds over the active set in an order
+/// shuffled by a PRNG seeded with `schedule_seed`, each update reading and
+/// committing current states. Every round's updates and size go to
+/// `on_step`; returns the final states and how the pass ended.
+pub(crate) fn async_trace<P: VertexProgram>(
+    config: &EngineConfig,
+    csr: &CsrGraph,
+    program: &P,
+    schedule_seed: u64,
+    mut on_step: impl FnMut(&[Update], usize),
+) -> (Vec<P::State>, TraceEnd) {
+    let n = csr.num_vertices() as usize;
+    let (mut states, mut active) = init_vertices(program, csr);
+    let gdir = program.gather_direction();
+    let sdir = program.scatter_direction();
+    let mut rng = Splitmix64::new(schedule_seed);
+
+    let mut converged = false;
+    let mut order: Vec<usize> = Vec::new();
+    let mut updates: Vec<Update> = Vec::new();
+    let mut next_active = vec![false; n];
+    for round in 0..superstep_cap(config, program) {
+        order.clear();
+        order.extend((0..n).filter(|&v| active[v]));
+        if order.is_empty() {
+            converged = true;
+            break;
+        }
+        // Fisher–Yates shuffle with the deterministic PRNG.
+        for i in (1..order.len()).rev() {
+            let j = rng.next_below(i as u64 + 1) as usize;
+            order.swap(i, j);
+        }
+        next_active.fill(false);
+
+        // The semantic pass must stay sequential — each update commits
+        // immediately and the next one reads it — so costs are priced from
+        // the update sequence after the round.
+        for &vi in &order {
+            let v = VertexId(vi as u64);
+            // Async gather reads *current* states.
+            let acc = gather_neighbors(program, csr, &states, v, gdir);
+            let new = program.apply(
+                v,
+                &states[vi],
+                acc,
+                ApplyInfo {
+                    superstep: round,
+                    out_degree: csr.out_degree(v),
+                    in_degree: csr.in_degree(v),
+                },
+            );
+            let changed = new != states[vi];
+            if program.self_reactivates(&new) {
+                next_active[vi] = true;
+            }
+            if changed {
+                // Immediate commit — async semantics.
+                states[vi] = new;
+            }
+            // Initial scatter in round 0 mirrors the synchronous engines.
+            let scatters = changed || round == 0;
+            if scatters && program.activates_on_change() {
+                mark_neighbors(csr, v, sdir, &mut next_active);
+            }
+            updates.push(Update::new(vi, false, changed, scatters));
+        }
+        on_step(&updates, order.len());
+        updates.clear();
+        std::mem::swap(&mut active, &mut next_active);
+    }
+    let end = TraceEnd {
+        converged,
+        frontier_empty: active.iter().all(|&a| !a),
+    };
+    (states, end)
 }
 
 #[cfg(test)]

@@ -14,12 +14,13 @@
 //!
 //! State semantics are exact (one canonical state array, equivalent to
 //! perfectly-synced mirrors); costs are accounted against the distributed
-//! layout described by the [`ReplicaTable`].
+//! layout described by the [`ReplicaTable`](crate::ReplicaTable).
 
-use crate::accounting::{Accountant, GatherPolicy, MachineTallies, Update};
+use crate::accounting::{GatherPolicy, MachineTallies, Pricer, Update};
 use crate::layout::Layout;
 use crate::program::{ApplyInfo, Direction, InitInfo, VertexProgram};
-use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
+use crate::report::{ComputeReport, EngineConfig};
+use crate::trace::{superstep_cap, OnStep, SemanticTrace, Semantics, TraceEnd};
 use gp_core::{CsrGraph, EdgeList, VertexId};
 use gp_partition::Assignment;
 
@@ -83,23 +84,72 @@ impl SyncGas {
         self.run_on(&layout, assignment, program)
     }
 
-    /// [`SyncGas::run`] on a prepared `layout` of `assignment`.
+    /// [`SyncGas::run`] on a prepared `layout` of `assignment`: the
+    /// semantic pass streams each superstep straight into the pricer.
     pub fn run_on<P: VertexProgram>(
         &self,
         layout: &Layout,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let (states, mut report, _) = run_sync_loop(
+        let mut states = Vec::new();
+        let report = self.priced(layout, assignment, program, |on_step| {
+            let delta_caching = self.config.delta_caching;
+            let (out, end) =
+                sync_trace(&self.config, layout.csr(), program, delta_caching, on_step);
+            states = out;
+            end
+        });
+        (states, report)
+    }
+
+    /// The semantic pass alone: the final states, and the trace that
+    /// [`SyncGas::price`] prices on any partitioning of `csr`'s graph.
+    pub fn trace<P: VertexProgram>(
+        &self,
+        csr: &CsrGraph,
+        program: &P,
+    ) -> (Vec<P::State>, SemanticTrace) {
+        sync_recorded(&self.config, csr, program, self.config.delta_caching)
+    }
+
+    /// The report [`SyncGas::run_on`] returns, priced from a `trace` of
+    /// `program` on the same graph. Panics if the trace was recorded for
+    /// another program, semantics or superstep cap.
+    pub fn price<P: VertexProgram>(
+        &self,
+        trace: &SemanticTrace,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+    ) -> ComputeReport {
+        self.priced(layout, assignment, program, |on_step| {
+            sync_replay(
+                trace,
+                &self.config,
+                program,
+                self.config.delta_caching,
+                on_step,
+            )
+        })
+    }
+
+    fn priced<P: VertexProgram>(
+        &self,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+        source: impl FnOnce(OnStep) -> TraceEnd,
+    ) -> ComputeReport {
+        barrier_priced(
             &self.config,
             layout,
+            assignment,
             program,
             GatherPolicy::AllMirrors,
             "sync-gas",
-            |tallies, _| barrier_wall(&self.config, tallies),
-        );
-        crate::finish(&mut report, &self.config, assignment);
-        (states, report)
+            source,
+        )
     }
 }
 
@@ -191,14 +241,16 @@ impl<P: VertexProgram> PassOutput<P> {
     }
 }
 
-/// The synchronous superstep loop shared by SyncGas, HybridGas and Pregel;
-/// `policy` selects the system's accounting and `step_wall` prices one
-/// superstep from its tallies and active-vertex count (it may add work of
-/// its own first). Returns the final states, the clean report, and whether
-/// the frontier was empty when the loop ended.
+/// The synchronous semantic pass shared by SyncGas, HybridGas and Pregel.
+/// It hands every superstep's updates and active-vertex count to
+/// `on_step` — a [`Pricer`] prices them, a [`SemanticTrace`] records them —
+/// and returns the final states and how the pass ended. It reads the
+/// graph, the program, the superstep cap, `config.par` and the effective
+/// `delta_caching` flag, never a placement, so one pass prices on every
+/// partitioning.
 ///
-/// Each superstep runs in three phases so that `config.par` can
-/// parallelize it without changing a single output bit:
+/// Each superstep runs in two phases so that `config.par` can parallelize
+/// it without changing a single output bit:
 ///
 /// 1. **Semantic pass** (chunk-parallel): states are frozen for the
 ///    superstep, so every active vertex's gather/apply is independent.
@@ -206,30 +258,25 @@ impl<P: VertexProgram> PassOutput<P> {
 ///    chunk order reproduces the sequential visit order, and per-chunk
 ///    activation bitmaps merge by OR (idempotent, order-free). On one
 ///    thread the pass writes straight into the loop's own buffers.
-/// 2. **Accounting** (one exact kernel, [`crate::accounting`]): the cost
-///    tallies are a pure function of the layout and the update sequence.
-/// 3. **Commit** (sequential): changed states land simultaneously —
-///    synchronous semantics.
-pub(crate) fn run_sync_loop<P: VertexProgram>(
+/// 2. **Commit** (sequential): the delta-cache slots fill, changed states
+///    land simultaneously (synchronous semantics), and the update sequence
+///    goes to `on_step`. Its cost is a pure function of the layout and that
+///    sequence ([`crate::accounting`]), so the pass never sees the price.
+pub(crate) fn sync_trace<P: VertexProgram>(
     config: &EngineConfig,
-    layout: &Layout,
+    csr: &CsrGraph,
     program: &P,
-    policy: GatherPolicy,
-    engine_name: &'static str,
-    step_wall: impl Fn(&mut MachineTallies, usize) -> f64,
-) -> (Vec<P::State>, ComputeReport, bool) {
-    let csr = layout.csr();
+    delta_caching: bool,
+    mut on_step: impl FnMut(&[Update], usize),
+) -> (Vec<P::State>, TraceEnd) {
     let n = csr.num_vertices() as usize;
     let (mut states, mut active) = init_vertices(program, csr);
     let gdir = program.gather_direction();
     let sdir = program.scatter_direction();
-    let cap = program.max_supersteps().min(config.max_supersteps);
-    // GraphX has no gather cache.
-    let delta_caching = config.delta_caching && policy != GatherPolicy::EdgePartitions;
+    let cap = superstep_cap(config, program);
     let always_active = program.always_active();
     // An always-active program's activations are never read.
     let marks_neighbors = program.activates_on_change() && !always_active;
-    let mut accountant = Accountant::new(config, program, policy, layout);
 
     // Gather (delta) caching: `gather_cache[v]` holds v's last computed
     // accumulator; it stays valid until a gather-direction neighbor of v
@@ -238,7 +285,6 @@ pub(crate) fn run_sync_loop<P: VertexProgram>(
     let mut gather_cache: Vec<Option<Option<P::Accum>>> = vec![None; cached];
     let mut cache_dirty = vec![true; cached];
 
-    let mut steps: Vec<SuperstepStats> = Vec::new();
     let mut converged = false;
     let mut actives: Vec<usize> = Vec::new();
     let mut out = PassOutput::<P>::new(if always_active { 0 } else { n });
@@ -320,10 +366,7 @@ pub(crate) fn run_sync_loop<P: VertexProgram>(
             cache_dirty[vi] = false;
         }
 
-        // --- Phase 2: accounting.
-        let mut tallies = accountant.tally(&mut out.updates);
-
-        // --- Phase 3: commit simultaneously (synchronous semantics).
+        // --- Phase 2: commit simultaneously (synchronous semantics).
         let any_changed = !out.commits.is_empty();
         for (vi, new) in out.commits.drain(..) {
             states[vi] = new;
@@ -345,17 +388,8 @@ pub(crate) fn run_sync_loop<P: VertexProgram>(
             }
         }
 
-        let wall = step_wall(&mut tallies, actives.len());
-        steps.push(SuperstepStats {
-            superstep,
-            active_vertices: actives.len() as u64,
-            gather_messages: tallies.gather_messages,
-            sync_messages: tallies.sync_messages,
-            machine_work: tallies.work,
-            machine_in_bytes: tallies.in_bytes,
-            machine_out_bytes: tallies.out_bytes,
-            wall_seconds: wall,
-        });
+        on_step(&out.updates, actives.len());
+        out.updates.clear();
 
         if always_active {
             active.fill(true);
@@ -370,9 +404,56 @@ pub(crate) fn run_sync_loop<P: VertexProgram>(
             }
         }
     }
-    let frontier_empty = active.iter().all(|&a| !a);
-    let report = ComputeReport::new(program.name(), engine_name, steps, converged);
-    (states, report, frontier_empty)
+    let end = TraceEnd {
+        converged,
+        frontier_empty: active.iter().all(|&a| !a),
+    };
+    (states, end)
+}
+
+/// [`sync_trace`], recorded.
+pub(crate) fn sync_recorded<P: VertexProgram>(
+    config: &EngineConfig,
+    csr: &CsrGraph,
+    program: &P,
+    delta_caching: bool,
+) -> (Vec<P::State>, SemanticTrace) {
+    let semantics = Semantics::Synchronous { delta_caching };
+    SemanticTrace::record(config, program, semantics, |on_step| {
+        sync_trace(config, csr, program, delta_caching, on_step)
+    })
+}
+
+/// A [`sync_recorded`] trace, replayed.
+pub(crate) fn sync_replay<P: VertexProgram>(
+    trace: &SemanticTrace,
+    config: &EngineConfig,
+    program: &P,
+    delta_caching: bool,
+    on_step: OnStep,
+) -> TraceEnd {
+    let semantics = Semantics::Synchronous { delta_caching };
+    trace.replay(config, program, semantics, on_step)
+}
+
+/// SyncGas's and HybridGas's pricing: the synchronous pass `source` drives,
+/// priced under `policy` on the barrier clock ([`barrier_wall`]), then the
+/// post-passes.
+pub(crate) fn barrier_priced<P: VertexProgram>(
+    config: &EngineConfig,
+    layout: &Layout,
+    assignment: &Assignment,
+    program: &P,
+    policy: GatherPolicy,
+    engine: &'static str,
+    source: impl FnOnce(OnStep) -> TraceEnd,
+) -> ComputeReport {
+    let step_wall = |tallies: &mut MachineTallies, _| barrier_wall(config, tallies);
+    let mut pricer = Pricer::new(config, program, policy, layout, step_wall);
+    let end = source(&mut |updates, active| pricer.step(updates, active));
+    let mut report = pricer.report(program.name(), engine, end.converged);
+    crate::finish(&mut report, config, assignment);
+    report
 }
 
 /// PowerGraph's and PowerLyra's superstep time: the slowest machine's work,
@@ -626,7 +707,6 @@ mod delta_caching_tests {
     use super::*;
     use crate::program::{ApplyInfo, InitInfo};
     use gp_cluster::ClusterSpec;
-    use gp_core::EdgeList;
     use gp_partition::{PartitionContext, Strategy};
 
     /// PageRank-shaped convergence program: activity shrinks over time, so
@@ -690,11 +770,5 @@ mod delta_caching_tests {
             gm(&plain)
         );
         assert!(cached.compute_seconds() <= plain.compute_seconds());
-    }
-
-    #[test]
-    fn edge_list_reexport_is_used() {
-        // Keep the EdgeList import honest in this test module.
-        let _ = EdgeList::from_pairs(vec![(0, 1)]);
     }
 }

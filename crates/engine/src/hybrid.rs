@@ -15,11 +15,12 @@
 //! aggregates; PowerGraph's engine makes *every* mirror participate.
 
 use crate::accounting::GatherPolicy;
-use crate::gas::{barrier_wall, run_sync_loop};
+use crate::gas::{barrier_priced, sync_recorded, sync_replay, sync_trace};
 use crate::layout::Layout;
 use crate::program::VertexProgram;
 use crate::report::{ComputeReport, EngineConfig};
-use gp_core::EdgeList;
+use crate::trace::{OnStep, SemanticTrace, TraceEnd};
+use gp_core::{CsrGraph, EdgeList};
 use gp_partition::Assignment;
 
 /// PowerLyra's hybrid (differentiated) engine.
@@ -58,25 +59,76 @@ impl HybridGas {
         self.run_on(&layout, assignment, program)
     }
 
-    /// [`HybridGas::run`] on a prepared `layout` of `assignment`.
+    /// [`HybridGas::run`] on a prepared `layout` of `assignment`: the
+    /// semantic pass streams each superstep straight into the pricer.
     pub fn run_on<P: VertexProgram>(
         &self,
         layout: &Layout,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let (states, mut report, _) = run_sync_loop(
+        let mut states = Vec::new();
+        let report = self.priced(layout, assignment, program, |on_step| {
+            let delta_caching = self.config.delta_caching;
+            let (out, end) =
+                sync_trace(&self.config, layout.csr(), program, delta_caching, on_step);
+            states = out;
+            end
+        });
+        (states, report)
+    }
+
+    /// The semantic pass alone — SyncGas's, since the engines differ only
+    /// in cost: the final states, and the trace that [`HybridGas::price`]
+    /// prices on any partitioning of `csr`'s graph.
+    pub fn trace<P: VertexProgram>(
+        &self,
+        csr: &CsrGraph,
+        program: &P,
+    ) -> (Vec<P::State>, SemanticTrace) {
+        sync_recorded(&self.config, csr, program, self.config.delta_caching)
+    }
+
+    /// The report [`HybridGas::run_on`] returns, priced from a `trace` of
+    /// `program` on the same graph. Panics if the trace was recorded for
+    /// another program, semantics or superstep cap.
+    pub fn price<P: VertexProgram>(
+        &self,
+        trace: &SemanticTrace,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+    ) -> ComputeReport {
+        self.priced(layout, assignment, program, |on_step| {
+            sync_replay(
+                trace,
+                &self.config,
+                program,
+                self.config.delta_caching,
+                on_step,
+            )
+        })
+    }
+
+    fn priced<P: VertexProgram>(
+        &self,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+        source: impl FnOnce(OnStep) -> TraceEnd,
+    ) -> ComputeReport {
+        let policy = GatherPolicy::LocalAware {
+            threshold: self.threshold,
+        };
+        barrier_priced(
             &self.config,
             layout,
+            assignment,
             program,
-            GatherPolicy::LocalAware {
-                threshold: self.threshold,
-            },
+            policy,
             "hybrid-gas",
-            |tallies, _| barrier_wall(&self.config, tallies),
-        );
-        crate::finish(&mut report, &self.config, assignment);
-        (states, report)
+            source,
+        )
     }
 }
 

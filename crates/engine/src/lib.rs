@@ -29,6 +29,12 @@
 //! described by the [`gp_partition::Assignment`], prepared once per
 //! partitioning as a [`Layout`]: an engine's `run` builds one and calls its
 //! `run_on`, which callers with several jobs on one partitioning use directly.
+//!
+//! The two halves are separable. An engine's `trace` runs the semantic pass
+//! alone and keeps its update sequence as a [`SemanticTrace`], which no
+//! placement influences; its `price` turns a trace into the report `run_on`
+//! would have returned on any partitioning of the same graph. `run_on`
+//! streams the pass straight into the pricer without keeping a trace.
 
 pub(crate) mod accounting;
 pub mod async_gas;
@@ -43,6 +49,7 @@ pub mod program;
 pub mod replicas;
 pub mod report;
 pub mod telemetry_hook;
+pub(crate) mod trace;
 
 pub use async_gas::AsyncGas;
 pub use comms_hook::apply_comms_model;
@@ -61,6 +68,7 @@ pub use report::{
     base_memory_per_machine, monitor_run, ComputeReport, EngineConfig, SuperstepStats,
 };
 pub use telemetry_hook::record_compute_telemetry;
+pub use trace::{SemanticTrace, Semantics};
 
 /// The post-passes every engine applies to its clean report, in order:
 /// faults and checkpoints, elasticity, the comms protocols, then the trace

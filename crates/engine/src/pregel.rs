@@ -20,12 +20,13 @@
 //!   OOM, then fails the job (the three cases of §9.2.4, Fig 9.4), with GC
 //!   overhead growing as memory tightens.
 
-use crate::accounting::{GatherPolicy, MachineTallies};
-use crate::gas::run_sync_loop;
+use crate::accounting::{GatherPolicy, MachineTallies, Pricer};
+use crate::gas::{sync_recorded, sync_replay, sync_trace};
 use crate::layout::Layout;
 use crate::program::VertexProgram;
 use crate::report::{ComputeReport, EngineConfig};
-use gp_core::EdgeList;
+use crate::trace::{OnStep, SemanticTrace, TraceEnd};
+use gp_core::{CsrGraph, EdgeList};
 use gp_partition::Assignment;
 
 /// GraphX-specific tunables on top of [`EngineConfig`].
@@ -189,24 +190,76 @@ impl Pregel {
         self.run_on(&layout, assignment, program)
     }
 
-    /// [`Pregel::run`] on a prepared `layout` of `assignment`.
+    /// Where GraphX places `assignment`'s partitions (§9.2.4), or
+    /// [`PregelOom`] when the graph does not fit the cluster (case 1).
+    pub fn placement(&self, assignment: &Assignment) -> Result<PlacementCase, PregelOom> {
+        let graph_bytes = self.graph_bytes(assignment);
+        match self.memory_model().placement(graph_bytes) {
+            PlacementCase::DoesNotFit => Err(PregelOom {
+                graph_bytes,
+                cluster_capacity_bytes: self.config.executor_memory_bytes
+                    * self.config.base.spec.machines as u64,
+            }),
+            fits => Ok(fits),
+        }
+    }
+
+    /// [`Pregel::run`] on a prepared `layout` of `assignment`: the semantic
+    /// pass streams each superstep straight into the pricer, and a job that
+    /// does not fit fails before it computes anything.
     pub fn run_on<P: VertexProgram>(
         &self,
         layout: &Layout,
         assignment: &Assignment,
         program: &P,
     ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
-        let memory = self.memory_model();
-        let graph_bytes = self.graph_bytes(assignment);
-        let placement = memory.placement(graph_bytes);
-        if placement == PlacementCase::DoesNotFit {
-            return Err(PregelOom {
-                graph_bytes,
-                cluster_capacity_bytes: self.config.executor_memory_bytes
-                    * self.config.base.spec.machines as u64,
-            });
-        }
-        let gc = memory.gc_multiplier(graph_bytes);
+        let mut states = Vec::new();
+        let report = self.priced(layout, assignment, program, |on_step| {
+            let (out, end) = sync_trace(&self.config.base, layout.csr(), program, false, on_step);
+            states = out;
+            end
+        })?;
+        Ok((states, report))
+    }
+
+    /// The semantic pass alone — SyncGas's without its gather cache, which
+    /// GraphX does not have: the final states, and the trace that
+    /// [`Pregel::price`] prices on any partitioning of `csr`'s graph.
+    pub fn trace<P: VertexProgram>(
+        &self,
+        csr: &CsrGraph,
+        program: &P,
+    ) -> (Vec<P::State>, SemanticTrace) {
+        sync_recorded(&self.config.base, csr, program, false)
+    }
+
+    /// The result [`Pregel::run_on`] returns, priced from a `trace` of
+    /// `program` on the same graph; a job that does not fit fails before
+    /// anything is priced. Panics if the trace was recorded for another
+    /// program, semantics or superstep cap.
+    pub fn price<P: VertexProgram>(
+        &self,
+        trace: &SemanticTrace,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+    ) -> Result<ComputeReport, PregelOom> {
+        self.priced(layout, assignment, program, |on_step| {
+            sync_replay(trace, &self.config.base, program, false, on_step)
+        })
+    }
+
+    fn priced<P: VertexProgram>(
+        &self,
+        layout: &Layout,
+        assignment: &Assignment,
+        program: &P,
+        source: impl FnOnce(OnStep) -> TraceEnd,
+    ) -> Result<ComputeReport, PregelOom> {
+        let placement = self.placement(assignment)?;
+        let gc = self
+            .memory_model()
+            .gc_multiplier(self.graph_bytes(assignment));
         let placement_penalty_s = match placement {
             PlacementCase::FitsCluster { retries } => retries as f64 * 18.0,
             _ => 0.0,
@@ -229,23 +282,27 @@ impl Pregel {
                     / cfg.spec.bandwidth_bytes_per_s
                 + per_iter_overhead
         };
-        let (states, mut report, frontier_empty) = run_sync_loop(
+        let mut pricer = Pricer::new(
             cfg,
-            layout,
             program,
             GatherPolicy::EdgePartitions,
-            "pregel",
+            layout,
             step_wall,
         );
+        let end = source(&mut |updates, active| pricer.step(updates, active));
         // A job that drains its frontier on its last allowed iteration
         // still finished.
-        report.converged |= frontier_empty;
+        let mut report = pricer.report(
+            program.name(),
+            "pregel",
+            end.converged || end.frontier_empty,
+        );
         // Charge the placement retries to the first iteration.
         if let Some(first) = report.steps.first_mut() {
             first.wall_seconds += placement_penalty_s;
         }
         crate::finish(&mut report, cfg, assignment);
-        Ok((states, report))
+        Ok(report)
     }
 }
 
