@@ -3,9 +3,9 @@
 //! A k-core is a maximal subgraph in which every vertex has degree ≥ k; it
 //! is found by repeatedly peeling vertices of degree < k. The PowerGraph
 //! application takes `k_min` and `k_max` and finds all k-cores in between —
-//! [`decompose`] drives one [`KCore`] program run per k, which is what makes
-//! this the paper's long-compute application (Table 5.1: k-core spends ~20×
-//! longer in compute than PageRank on UK-web).
+//! one [`KCore`] program run per k, which is what makes this the paper's
+//! long-compute application (Table 5.1: k-core spends ~20× longer in compute
+//! than PageRank on UK-web).
 
 use gp_core::VertexId;
 use gp_engine::{ApplyInfo, Direction, InitInfo, VertexProgram};
@@ -75,63 +75,6 @@ impl VertexProgram for KCore {
     }
 }
 
-/// Outcome of a full decomposition sweep.
-#[derive(Debug, Clone)]
-pub struct KCoreResult {
-    /// For each k in `k_min..=k_max` (in order): the number of vertices in
-    /// the k-core.
-    pub core_sizes: Vec<(u32, u64)>,
-    /// Per-k compute reports.
-    pub reports: Vec<gp_engine::ComputeReport>,
-}
-
-impl KCoreResult {
-    /// Total simulated compute time over all k.
-    pub fn compute_seconds(&self) -> f64 {
-        self.reports.iter().map(|r| r.compute_seconds()).sum()
-    }
-
-    /// Total inbound network bytes over all k.
-    pub fn total_in_bytes(&self) -> f64 {
-        self.reports.iter().map(|r| r.total_in_bytes()).sum()
-    }
-}
-
-/// Run the full k-core decomposition `k_min..=k_max` (the paper uses
-/// 10..=20, §5.3) on the synchronous GAS engine.
-pub fn decompose(
-    engine: &gp_engine::SyncGas,
-    graph: &gp_core::EdgeList,
-    assignment: &gp_partition::Assignment,
-    k_min: u32,
-    k_max: u32,
-) -> KCoreResult {
-    let layout = gp_engine::Layout::build(graph, assignment, engine.config.spec.machines);
-    decompose_on(engine, &layout, assignment, k_min, k_max)
-}
-
-/// [`decompose`] on a prepared `layout` of `assignment`, shared by every k.
-pub fn decompose_on(
-    engine: &gp_engine::SyncGas,
-    layout: &gp_engine::Layout,
-    assignment: &gp_partition::Assignment,
-    k_min: u32,
-    k_max: u32,
-) -> KCoreResult {
-    assert!(k_min <= k_max, "k_min must not exceed k_max");
-    let mut core_sizes = Vec::new();
-    let mut reports = Vec::new();
-    for k in k_min..=k_max {
-        let (alive, report) = engine.run_on(layout, assignment, &KCore::new(k));
-        core_sizes.push((k, alive.iter().filter(|&&a| a).count() as u64));
-        reports.push(report);
-    }
-    KCoreResult {
-        core_sizes,
-        reports,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,18 +137,19 @@ mod tests {
     }
 
     #[test]
-    fn decompose_sizes_are_monotone_decreasing() {
+    fn core_sizes_are_monotone_decreasing() {
         let g = gp_gen::barabasi_albert(3_000, 6, 3);
-        let result = decompose(&engine(), &g, &assignment(&g), 2, 8);
-        for w in result.core_sizes.windows(2) {
-            assert!(
-                w[0].1 >= w[1].1,
-                "core sizes must shrink with k: {:?}",
-                result.core_sizes
-            );
+        let a = assignment(&g);
+        let sizes: Vec<usize> = (2..=8)
+            .map(|k| {
+                let (alive, report) = engine().run(&g, &a, &KCore::new(k));
+                assert!(report.compute_seconds() > 0.0);
+                alive.iter().filter(|&&a| a).count()
+            })
+            .collect();
+        for w in sizes.windows(2) {
+            assert!(w[0] >= w[1], "core sizes must shrink with k: {sizes:?}");
         }
-        assert_eq!(result.reports.len(), 7);
-        assert!(result.compute_seconds() > 0.0);
     }
 
     #[test]
@@ -240,12 +184,5 @@ mod tests {
             }
         }
         assert_eq!(alive, ref_alive);
-    }
-
-    #[test]
-    #[should_panic(expected = "k_min must not exceed")]
-    fn decompose_validates_range() {
-        let g = EdgeList::from_pairs(vec![(0, 1)]);
-        decompose(&engine(), &g, &assignment(&g), 5, 2);
     }
 }

@@ -7,7 +7,7 @@
 //! |---|---|---|---|---|
 //! | [`PageRank`] | In | Out | yes | fixed-iteration or to-convergence |
 //! | [`Wcc`] | Both | Both | no | label propagation |
-//! | [`KCore`] | Both | Both | no | peeling, driven per-k by [`kcore::decompose`] |
+//! | [`KCore`] | Both | Both | no | peeling, one run per k (§5.3's `k_min..=k_max` sweep) |
 //! | [`Sssp`] | In/Both | Out/Both | directed: yes | undirected used for PG/PL (§6.4.1) |
 //! | [`Coloring`] | Both | Both | no | needs the async engine (§5.4.1) |
 
@@ -18,20 +18,7 @@ pub mod sssp;
 pub mod wcc;
 
 pub use coloring::Coloring;
-pub use kcore::{KCore, KCoreResult};
+pub use kcore::KCore;
 pub use pagerank::{PageRank, PageRankMode};
 pub use sssp::Sssp;
 pub use wcc::Wcc;
-
-/// The application set used in the PowerGraph/PowerLyra chapters, by figure
-/// label: K-Core, Coloring, PageRank(10), WCC, SSSP, PageRank(C).
-pub fn paper_app_labels() -> [&'static str; 6] {
-    [
-        "K-Core",
-        "Coloring",
-        "PageRank(10)",
-        "WCC",
-        "SSSP",
-        "PageRank(C)",
-    ]
-}

@@ -99,26 +99,27 @@ pub fn fig5_5(scale: f64, seed: u64) -> Vec<Table> {
     )
 }
 
-/// The dataset × cluster sweep shared by Figs 5.6/5.7 (and 6.4/6.5).
+/// The dataset × cluster sweep shared by Figs 5.6/5.7, 6.4/6.5 and 8.1/8.2:
+/// one row per dataset and cluster, one column per strategy, each cell its
+/// replication factor or, with `ingress_metric`, its ingress seconds.
 pub(crate) fn sweep(
     scale: f64,
     seed: u64,
     title: &str,
+    clusters: &[ClusterSpec],
     strategies: &[Strategy],
     engine: EngineKind,
-    metric_header: &str,
     ingress_metric: bool,
 ) -> Vec<Table> {
     let mut pipeline = Pipeline::new(scale, seed);
     let mut headers: Vec<&str> = vec!["Dataset", "Cluster"];
-    let labels: Vec<&'static str> = strategies.iter().map(|s| s.label()).collect();
-    headers.extend(labels.iter().copied());
-    let mut t = Table::new(format!("{title} [{metric_header}]"), &headers);
+    headers.extend(strategies.iter().map(|s| s.label()));
+    let mut t = Table::new(title, &headers);
     for dataset in Dataset::POWERGRAPH_SET {
-        for spec in ClusterSpec::powergraph_clusters() {
+        for spec in clusters {
             let mut row = vec![dataset.to_string(), spec.name.to_string()];
             for &strategy in strategies {
-                let (report, ingress_s) = pipeline.ingress(dataset, strategy, &spec, engine);
+                let (report, ingress_s) = pipeline.ingress(dataset, strategy, spec, engine);
                 row.push(if ingress_metric {
                     format!("{ingress_s:.1}")
                 } else {
@@ -137,10 +138,10 @@ pub fn fig5_6(scale: f64, seed: u64) -> Vec<Table> {
     sweep(
         scale,
         seed,
-        "Fig 5.6 — Replication Factors in PowerGraph",
+        "Fig 5.6 — Replication Factors in PowerGraph [replication factor]",
+        &ClusterSpec::powergraph_clusters(),
         &PG_STRATEGIES,
         EngineKind::PowerGraph,
-        "replication factor",
         false,
     )
 }
@@ -150,10 +151,10 @@ pub fn fig5_7(scale: f64, seed: u64) -> Vec<Table> {
     sweep(
         scale,
         seed,
-        "Fig 5.7 — Ingress Time in PowerGraph",
+        "Fig 5.7 — Ingress Time in PowerGraph [ingress seconds]",
+        &ClusterSpec::powergraph_clusters(),
         &PG_STRATEGIES,
         EngineKind::PowerGraph,
-        "ingress seconds",
         true,
     )
 }

@@ -165,10 +165,10 @@ pub fn fig6_4(scale: f64, seed: u64) -> Vec<Table> {
     super::ch5::sweep(
         scale,
         seed,
-        "Fig 6.4 — Ingress Times for PowerLyra",
+        "Fig 6.4 — Ingress Times for PowerLyra [ingress seconds]",
+        &ClusterSpec::powergraph_clusters(),
         &PL_STRATEGIES,
         EngineKind::PowerLyra,
-        "ingress seconds",
         true,
     )
 }
@@ -178,10 +178,10 @@ pub fn fig6_5(scale: f64, seed: u64) -> Vec<Table> {
     super::ch5::sweep(
         scale,
         seed,
-        "Fig 6.5 — Replication Factors for PowerLyra",
+        "Fig 6.5 — Replication Factors for PowerLyra [replication factor]",
+        &ClusterSpec::powergraph_clusters(),
         &PL_STRATEGIES,
         EngineKind::PowerLyra,
-        "replication factor",
         false,
     )
 }

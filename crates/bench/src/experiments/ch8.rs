@@ -12,46 +12,28 @@ fn pl_all_clusters() -> [ClusterSpec; 2] {
     [ClusterSpec::local_9(), ClusterSpec::ec2_25()]
 }
 
-/// Sweep over the nine PowerLyra-all strategies.
-fn pl_all_sweep(scale: f64, seed: u64, title: &str, ingress_metric: bool) -> Vec<Table> {
-    let mut pipeline = Pipeline::new(scale, seed);
-    let mut headers: Vec<&str> = vec!["Dataset", "Cluster"];
-    headers.extend(Strategy::POWERLYRA_ALL.iter().map(|s| s.label()));
-    let mut t = Table::new(title.to_string(), &headers);
-    for dataset in Dataset::POWERGRAPH_SET {
-        for spec in pl_all_clusters() {
-            let mut row = vec![dataset.to_string(), spec.name.to_string()];
-            for strategy in Strategy::POWERLYRA_ALL {
-                let (report, ingress_s) =
-                    pipeline.ingress(dataset, strategy, &spec, EngineKind::PowerLyra);
-                row.push(if ingress_metric {
-                    format!("{ingress_s:.1}")
-                } else {
-                    format!("{:.2}", report.replication_factor)
-                });
-            }
-            t.row(row);
-        }
-    }
-    vec![t]
-}
-
 /// Fig 8.1: replication factors for PowerLyra with all strategies.
 pub fn fig8_1(scale: f64, seed: u64) -> Vec<Table> {
-    pl_all_sweep(
+    super::ch5::sweep(
         scale,
         seed,
         "Fig 8.1 — Replication Factors for PowerLyra with all Strategies",
+        &pl_all_clusters(),
+        &Strategy::POWERLYRA_ALL,
+        EngineKind::PowerLyra,
         false,
     )
 }
 
 /// Fig 8.2: ingress (partitioning) times for PowerLyra with all strategies.
 pub fn fig8_2(scale: f64, seed: u64) -> Vec<Table> {
-    pl_all_sweep(
+    super::ch5::sweep(
         scale,
         seed,
         "Fig 8.2 — Ingress Times for PowerLyra with all Strategies [seconds]",
+        &pl_all_clusters(),
+        &Strategy::POWERLYRA_ALL,
+        EngineKind::PowerLyra,
         true,
     )
 }

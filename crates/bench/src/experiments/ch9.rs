@@ -2,6 +2,7 @@
 
 use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
+use gp_engine::{EngineConfig, PlacementCase, Pregel, PregelConfig};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
 
@@ -97,13 +98,13 @@ pub fn fig9_4(scale: f64, seed: u64) -> Vec<Table> {
     // The paper sweeps 400-1800 MB of executor memory against road-net-CA;
     // our analogue is smaller, so sweep relative to the partitioned graph's
     // actual footprint to hit all three placement cases.
-    let partitions = EngineKind::graphx_default().partitions(&spec);
-    let footprint = {
-        let outcome = pipeline.partition(Dataset::RoadNetCa, Strategy::Random, partitions, 9);
-        let images: u64 = outcome.assignment.replica_counts().iter().sum();
-        let edges: u64 = outcome.assignment.edge_counts().iter().sum();
-        edges * 32 + images * 96
+    let graphx = |executor_memory_bytes| {
+        let config = PregelConfig::new(EngineConfig::new(spec.clone()));
+        Pregel::new(config.with_executor_memory(executor_memory_bytes))
     };
+    let partitions = EngineKind::graphx_default().partitions(&spec);
+    let outcome = pipeline.partition(Dataset::RoadNetCa, Strategy::Random, partitions, 9);
+    let footprint = graphx(0).graph_bytes(&outcome.assignment);
     for step in 1..=14u64 {
         // 1/9th of the footprint is the fair per-executor share; sweep from
         // starvation (case 1) past co-location pressure (case 2) to plenty
@@ -123,17 +124,12 @@ pub fn fig9_4(scale: f64, seed: u64) -> Vec<Table> {
         let case = if job.failed {
             "case 1: does not fit (job FAILED)".to_string()
         } else {
-            let model = gp_engine::ExecutorMemoryModel {
-                executor_memory_bytes: mem,
-                executors: spec.machines,
-                gc_coefficient: 0.6,
-            };
-            match model.placement(footprint) {
-                gp_engine::PlacementCase::DoesNotFit => "case 1: does not fit".to_string(),
-                gp_engine::PlacementCase::FitsCluster { retries } => {
+            match graphx(mem).memory_model().placement(footprint) {
+                PlacementCase::DoesNotFit => "case 1: does not fit".to_string(),
+                PlacementCase::FitsCluster { retries } => {
                     format!("case 2: fits cluster after {retries} co-location retries")
                 }
-                gp_engine::PlacementCase::FitsFew => "case 3: fits a few executors".to_string(),
+                PlacementCase::FitsFew => "case 3: fits a few executors".to_string(),
             }
         };
         t.row(vec![

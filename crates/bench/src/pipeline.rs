@@ -428,9 +428,7 @@ impl Deployment<'_> {
     fn semantics(&self, app: App) -> Semantics {
         match self.engine {
             EngineKind::PowerGraph | EngineKind::PowerLyra if app == App::Coloring => {
-                Semantics::Asynchronous {
-                    schedule_seed: AsyncGas::SCHEDULE_SEED,
-                }
+                Semantics::Asynchronous
             }
             EngineKind::GraphX { .. } => Semantics::Synchronous {
                 delta_caching: false,
@@ -463,7 +461,7 @@ impl Deployment<'_> {
             }};
         }
         Ok(match (self.engine, semantics) {
-            (_, Semantics::Asynchronous { .. }) => priced!(AsyncGas::new(config)),
+            (_, Semantics::Asynchronous) => priced!(AsyncGas::new(config)),
             (EngineKind::PowerGraph, _) => priced!(SyncGas::new(config)),
             (EngineKind::PowerLyra, _) => priced!(HybridGas::new(config)),
             (

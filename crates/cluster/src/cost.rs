@@ -50,11 +50,6 @@ impl CostRates {
         cpu + net + barriers
     }
 
-    /// Bytes of network traffic for `values` gather/scatter value messages.
-    pub fn traffic_bytes(&self, values: u64) -> f64 {
-        values as f64 * self.value_wire_bytes
-    }
-
     /// Seconds to move `bytes` through each machine's NIC, given traffic is
     /// spread over `machines` links.
     pub fn network_seconds(&self, bytes: f64, spec: &ClusterSpec) -> f64 {
@@ -78,27 +73,6 @@ impl MemoryModel {
     /// images, plus `state_bytes` of strategy-private ingress state.
     pub fn machine_bytes(&self, edges: u64, images: u64, state_bytes: u64) -> u64 {
         edges * self.rates.edge_store_bytes + images * self.rates.vertex_image_bytes + state_bytes
-    }
-
-    /// Peak per-machine bytes across the cluster for a partitioned graph,
-    /// with partitions mapped round-robin onto machines (`p % machines`).
-    pub fn peak_machine_bytes(
-        &self,
-        edge_counts: &[u64],
-        image_counts: &[u64],
-        state_bytes: u64,
-        machines: u32,
-    ) -> u64 {
-        assert_eq!(edge_counts.len(), image_counts.len());
-        let mut per_machine = vec![0u64; machines as usize];
-        for (p, (&e, &i)) in edge_counts.iter().zip(image_counts).enumerate() {
-            per_machine[p % machines as usize] += self.machine_bytes(e, i, 0);
-        }
-        per_machine
-            .iter()
-            .map(|&b| b + state_bytes)
-            .max()
-            .unwrap_or(state_bytes)
     }
 }
 
@@ -153,28 +127,5 @@ mod tests {
         let low = m.machine_bytes(1000, 500, 0);
         let high = m.machine_bytes(1000, 2000, 0);
         assert!(high > low);
-    }
-
-    #[test]
-    fn peak_machine_bytes_takes_the_max() {
-        let m = MemoryModel::default();
-        // Two machines, partition 0 heavy.
-        let peak = m.peak_machine_bytes(&[1000, 10], &[100, 5], 7, 2);
-        let expect = m.machine_bytes(1000, 100, 0) + 7;
-        assert_eq!(peak, expect);
-    }
-
-    #[test]
-    fn more_partitions_than_machines_fold_round_robin() {
-        let m = MemoryModel::default();
-        // 4 partitions on 2 machines: machine 0 gets p0+p2.
-        let peak = m.peak_machine_bytes(&[10, 10, 10, 10], &[1, 1, 1, 1], 0, 2);
-        assert_eq!(peak, 2 * m.machine_bytes(10, 1, 0));
-    }
-
-    #[test]
-    fn traffic_bytes_linear_in_values() {
-        let r = CostRates::default();
-        assert_eq!(r.traffic_bytes(10) * 2.0, r.traffic_bytes(20));
     }
 }

@@ -9,19 +9,15 @@
 //! * [`cost`] — converts the raw quantities produced by partitioning and by
 //!   the engines (work units, bytes shipped, replicas stored) into simulated
 //!   seconds and bytes;
-//! * [`monitor`] — the `psutil`-equivalent: per-interval samples of
-//!   simulated memory/network/CPU per machine, with the paper's
-//!   "max − min" peak-memory methodology (§4.3);
-//! * [`table`] — plain-text table/CSV emission for the experiment harness.
+//! * [`table`] — plain-text table/CSV emission for the experiment harness;
+//! * [`plot`] — dependency-free SVG charts for the `--svg` figure renders.
 
 pub mod cost;
-pub mod monitor;
 pub mod plot;
 pub mod spec;
 pub mod table;
 
 pub use cost::{CostRates, MemoryModel};
-pub use monitor::{MachineSample, ResourceMonitor, Timeline};
 pub use plot::{Chart, ChartKind, Series};
 pub use spec::ClusterSpec;
 pub use table::Table;

@@ -91,12 +91,6 @@ impl ClusterSpec {
         self.vcpus.saturating_sub(2).max(1)
     }
 
-    /// Aggregate work units the whole cluster retires per second during the
-    /// compute phase.
-    pub fn cluster_compute_rate(&self) -> f64 {
-        self.machines as f64 * self.compute_threads() as f64 * self.work_units_per_s
-    }
-
     /// Ingress parsing rate per loader: loading is parallel over machines
     /// but bottlenecked on a single parse thread plus disk I/O and
     /// serialization, so a loader retires work well below one compute core's
@@ -143,12 +137,5 @@ mod tests {
     fn compute_threads_is_cores_minus_two() {
         assert_eq!(ClusterSpec::local_9().compute_threads(), 14);
         assert_eq!(ClusterSpec::ec2_16().compute_threads(), 6);
-    }
-
-    #[test]
-    fn cluster_rate_scales_with_machines() {
-        let r16 = ClusterSpec::ec2_16().cluster_compute_rate();
-        let r25 = ClusterSpec::ec2_25().cluster_compute_rate();
-        assert!((r25 / r16 - 25.0 / 16.0).abs() < 1e-9);
     }
 }

@@ -131,15 +131,6 @@ pub fn parse_bytes(text: &str) -> Option<f64> {
     gp_core::units::parse_scaled(text, gp_core::units::SizeUnit::Binary).ok()
 }
 
-/// Format seconds adaptively (ms below 1 s).
-pub fn fmt_seconds(s: f64) -> String {
-    if s.abs() < 1.0 {
-        format!("{:.1} ms", s * 1e3)
-    } else {
-        format!("{s:.1} s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,12 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn byte_and_second_formatting() {
+    fn byte_formatting() {
         assert_eq!(fmt_bytes(512.0), "512.00 B");
         assert_eq!(fmt_bytes(2048.0), "2.00 KiB");
         assert!(fmt_bytes(3.5 * 1024.0 * 1024.0 * 1024.0).contains("GiB"));
-        assert_eq!(fmt_seconds(0.25), "250.0 ms");
-        assert_eq!(fmt_seconds(12.34), "12.3 s");
     }
 
     #[test]

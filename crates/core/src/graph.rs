@@ -123,12 +123,6 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Mutable access, used by generators for in-place shuffling.
-    #[inline]
-    pub fn edges_mut(&mut self) -> &mut [Edge] {
-        &mut self.edges
-    }
-
     /// Append an edge, growing the vertex count if needed.
     pub fn push(&mut self, e: Edge) {
         self.num_vertices = self.num_vertices.max(e.src.0.max(e.dst.0) + 1);
@@ -229,11 +223,6 @@ impl DegreeTable {
     /// Iterator over in-degrees in vertex order.
     pub fn in_degrees(&self) -> impl Iterator<Item = u32> + '_ {
         self.in_deg.iter().copied()
-    }
-
-    /// Iterator over out-degrees in vertex order.
-    pub fn out_degrees(&self) -> impl Iterator<Item = u32> + '_ {
-        self.out_deg.iter().copied()
     }
 
     /// An all-zero table over `n` vertices — the starting point for one

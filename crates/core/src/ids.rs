@@ -1,9 +1,10 @@
-//! Newtype identifiers for vertices, partitions and machines.
+//! Newtype identifiers for vertices and partitions.
 //!
 //! The paper distinguishes *partitions* from *machines*: PowerGraph and
 //! PowerLyra run one partition per machine, while GraphX runs many partitions
-//! per machine (one per core is the recommended rule of thumb, §7.2). We keep
-//! both id types so engine code cannot confuse the two.
+//! per machine (one per core is the recommended rule of thumb, §7.2).
+//! Partitions get a newtype; machines are plain `u32` / `usize` indices into
+//! the simulated cluster, mapped from partitions by the engines.
 
 use std::fmt;
 
@@ -41,7 +42,7 @@ impl From<usize> for VertexId {
 /// Identifier of a partition (a bucket of edges under a vertex-cut).
 ///
 /// In PowerGraph/PowerLyra there is exactly one partition per machine; in
-/// GraphX there are typically many (see [`crate::ids::MachineId`]).
+/// GraphX there are typically many per machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PartitionId(pub u32);
 
@@ -68,30 +69,6 @@ impl From<u32> for PartitionId {
 impl From<usize> for PartitionId {
     fn from(v: usize) -> Self {
         PartitionId(v as u32)
-    }
-}
-
-/// Identifier of a physical machine in the (simulated) cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct MachineId(pub u32);
-
-impl MachineId {
-    /// The numeric index of this machine, usable to index dense arrays.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for MachineId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "m{}", self.0)
-    }
-}
-
-impl From<u32> for MachineId {
-    fn from(v: u32) -> Self {
-        MachineId(v)
     }
 }
 
@@ -125,13 +102,11 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert!(VertexId(1) < VertexId(2));
         assert!(PartitionId(0) < PartitionId(1));
-        assert!(MachineId(3) > MachineId(2));
     }
 
     #[test]
     fn display_formats_are_distinct() {
         assert_eq!(VertexId(5).to_string(), "v5");
         assert_eq!(PartitionId(5).to_string(), "p5");
-        assert_eq!(MachineId(5).to_string(), "m5");
     }
 }

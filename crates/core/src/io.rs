@@ -6,7 +6,7 @@
 //! sparse; [`read_edge_list`] remaps them to a dense `0..n` space and returns
 //! the mapping so results can be reported in original ids.
 
-use crate::{CoreError, Edge, EdgeList, Result, VertexId};
+use crate::{CoreError, Edge, EdgeList, Result};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -132,15 +132,6 @@ fn truncate(s: &str) -> String {
     }
 }
 
-/// Iterate vertices of a loaded graph together with their external ids.
-pub fn original_vertices(loaded: &LoadedGraph) -> impl Iterator<Item = (VertexId, u64)> + '_ {
-    loaded
-        .original_ids
-        .iter()
-        .enumerate()
-        .map(|(dense, &ext)| (VertexId(dense as u64), ext))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,12 +228,5 @@ mod tests {
             write_edge_list(&g, &mut buf).unwrap();
             assert_eq!(buf, write_edge_list_oracle(&g));
         }
-    }
-
-    #[test]
-    fn original_vertices_enumerates_mapping() {
-        let loaded = parse_edge_list("9 4\n".as_bytes()).unwrap();
-        let pairs: Vec<_> = original_vertices(&loaded).collect();
-        assert_eq!(pairs, vec![(VertexId(0), 9), (VertexId(1), 4)]);
     }
 }

@@ -32,13 +32,12 @@ pub mod io;
 pub mod pset;
 pub mod source;
 pub mod stats;
-pub mod transform;
 pub mod units;
 
 pub use error::CoreError;
 pub use graph::{CsrGraph, DegreeTable, Edge, EdgeList};
 pub use hash::{hash_canonical_edge, hash_directed_edge, hash_u64, hash_vertex, Splitmix64};
-pub use ids::{MachineId, PartitionId, VertexId};
+pub use ids::{PartitionId, VertexId};
 pub use pset::PartitionSet;
 pub use source::{collect_edge_list, for_each_edge, EdgeStreamIter, StreamingEdges};
 pub use stats::GraphStats;

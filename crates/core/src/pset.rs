@@ -215,24 +215,6 @@ impl PartitionSet {
         }
     }
 
-    /// The `k`-th smallest id (0-based), if any.
-    pub fn select(&self, k: u32) -> Option<u32> {
-        let mut remaining = k;
-        for (i, &w) in self.words().iter().enumerate() {
-            let ones = w.count_ones();
-            if remaining < ones {
-                // k-th set bit inside this word.
-                let mut word = w;
-                for _ in 0..remaining {
-                    word &= word - 1;
-                }
-                return Some((i * 64) as u32 + word.trailing_zeros());
-            }
-            remaining -= ones;
-        }
-        None
-    }
-
     /// Smallest id, if any.
     #[inline]
     pub fn first(&self) -> Option<u32> {
@@ -327,7 +309,6 @@ mod tests {
         assert_eq!(s.len(), 0);
         assert_eq!(s.first(), None);
         assert_eq!(s.iter().count(), 0);
-        assert_eq!(s.select(0), None);
     }
 
     #[test]
@@ -476,10 +457,6 @@ mod tests {
                 prop_assert_eq!(set.len() as usize, model.len());
                 prop_assert_eq!(set.to_vec(), model.clone());
                 prop_assert_eq!(set.first(), model.first().copied());
-                for (k, &p) in model.iter().enumerate() {
-                    prop_assert_eq!(set.select(k as u32), Some(p));
-                }
-                prop_assert_eq!(set.select(set.len()), None);
             }
         }
 

@@ -198,24 +198,9 @@ impl ElasticPlan {
         plan
     }
 
-    /// Hand-built plan: `machine` is drained at the end of `superstep` with
-    /// `warning_steps` of notice (clamped so the notice never predates
-    /// superstep 0).
-    pub fn drain_at(superstep: u32, machine: u32, warning_steps: u32) -> Self {
-        let mut plan = ElasticPlan::none();
-        plan.push(ElasticEvent {
-            superstep,
-            kind: ElasticKind::Drain {
-                machine,
-                warning_steps: warning_steps.min(superstep),
-            },
-        });
-        plan
-    }
-
     /// Hand-built plan: `machine` is spot-preempted at the end of
-    /// `superstep` with `warning_steps` of notice (clamped like
-    /// [`ElasticPlan::drain_at`]).
+    /// `superstep` with `warning_steps` of notice (clamped so the notice
+    /// never predates superstep 0).
     pub fn preempt_at(superstep: u32, machine: u32, warning_steps: u32) -> Self {
         let mut plan = ElasticPlan::none();
         plan.push(ElasticEvent {
@@ -350,11 +335,6 @@ mod tests {
         let p = ElasticPlan::preempt_at(2, 4, 9);
         match p.events[0].kind {
             ElasticKind::Preempt { warning_steps, .. } => assert_eq!(warning_steps, 2),
-            ref k => panic!("unexpected {k:?}"),
-        }
-        let d = ElasticPlan::drain_at(7, 1, 3);
-        match d.events[0].kind {
-            ElasticKind::Drain { warning_steps, .. } => assert_eq!(warning_steps, 3),
             ref k => panic!("unexpected {k:?}"),
         }
         assert_eq!(ElasticPlan::scale_out_at(4, 0).scale_out_count(), 1);

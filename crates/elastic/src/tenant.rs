@@ -106,49 +106,29 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
-    /// Mean queue wait across jobs.
-    pub fn mean_wait_s(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes.iter().map(|o| o.wait_seconds).sum::<f64>() / self.outcomes.len() as f64
-    }
-
     /// Total retransmitted bytes across jobs.
     pub fn total_interference_bytes(&self) -> f64 {
         self.outcomes.iter().map(|o| o.interference_bytes).sum()
     }
 }
 
-/// Deterministic multi-tenant scheduler over one cluster.
+/// Per-co-tenant collision probability on the shared NICs.
+const PER_TENANT_LOSS: f64 = 0.02;
+
+/// Deterministic multi-tenant scheduler over one cluster. Fair-share prices
+/// collisions on the shared NICs with [`RetryPolicy::reliable`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantScheduler {
     /// The shared cluster.
     pub spec: ClusterSpec,
     /// Scheduling discipline.
     pub policy: SchedulePolicy,
-    /// Retry protocol pricing contention collisions (fair-share only).
-    pub retry: RetryPolicy,
-    /// Per-co-tenant collision probability on the shared NICs.
-    pub per_tenant_loss: f64,
 }
 
 impl TenantScheduler {
-    /// Scheduler with the default retry protocol and a 2% per-co-tenant
-    /// collision rate.
+    /// Scheduler for `spec` under `policy`.
     pub fn new(spec: ClusterSpec, policy: SchedulePolicy) -> Self {
-        TenantScheduler {
-            spec,
-            policy,
-            retry: RetryPolicy::reliable(),
-            per_tenant_loss: 0.02,
-        }
-    }
-
-    /// Builder: override the per-co-tenant collision rate.
-    pub fn with_contention(mut self, per_tenant_loss: f64) -> Self {
-        self.per_tenant_loss = per_tenant_loss.clamp(0.0, 1.0);
-        self
+        TenantScheduler { spec, policy }
     }
 
     /// Run `jobs` under the schedule. Jobs are processed in arrival order
@@ -226,6 +206,7 @@ impl TenantScheduler {
         let mut done: Vec<Live> = Vec::new();
         let mut now = 0.0f64;
         let link = self.spec.machines as f64 * self.spec.bandwidth_bytes_per_s;
+        let retry = RetryPolicy::reliable();
         while !pending.is_empty() || !active.is_empty() {
             // Admit everything that has arrived; if idle, jump to the next
             // arrival (arrivals are sorted, so the front is the earliest).
@@ -251,17 +232,9 @@ impl TenantScheduler {
             // on a 1/k capacity slice; the round ends when the slowest
             // stretched step does.
             let k = active.len() as u32;
-            let loss = contention_loss_rate(k, self.per_tenant_loss);
-            let retrans = if self.retry.enabled {
-                self.retry.expected_retransmissions(loss)
-            } else {
-                0.0
-            };
-            let stall = if self.retry.enabled {
-                self.retry.expected_timeout_stall_s(loss)
-            } else {
-                0.0
-            };
+            let loss = contention_loss_rate(k, PER_TENANT_LOSS);
+            let retrans = retry.expected_retransmissions(loss);
+            let stall = retry.expected_timeout_stall_s(loss);
             let mut round = 0.0f64;
             for live in active.iter_mut() {
                 let job = &jobs[live.job];
@@ -413,13 +386,5 @@ mod tests {
         assert!(spans.iter().any(|s| s.name == "tenant.wait.beta"));
         assert!(spans.iter().all(|s| s.cat == "elastic"));
         assert_eq!(sink.counter("elastic.tenant_jobs"), 2);
-    }
-
-    #[test]
-    fn disabled_retry_prices_no_collisions() {
-        let mut s = TenantScheduler::new(spec(), SchedulePolicy::FairShare);
-        s.retry = RetryPolicy::default();
-        let r = s.run(&two_jobs(), &TelemetrySink::Disabled);
-        assert_eq!(r.total_interference_bytes(), 0.0);
     }
 }

@@ -22,32 +22,27 @@ use crate::trace::{superstep_cap, OnStep, SemanticTrace, Semantics, TraceEnd};
 use gp_core::{CsrGraph, EdgeList, Splitmix64, VertexId};
 use gp_partition::Assignment;
 
+/// Fraction of the cluster's synchronous throughput the async engine
+/// achieves (lock contention, fine-grained scheduling).
+const EFFICIENCY: f64 = 0.55;
+
+/// Seconds of distributed-lock overhead per vertex update.
+const LOCK_OVERHEAD_S: f64 = 2.0e-6;
+
+/// PRNG seed for the update schedule.
+const SCHEDULE_SEED: u64 = 0xA57C;
+
 /// PowerGraph's asynchronous engine.
 #[derive(Debug, Clone)]
 pub struct AsyncGas {
     /// Engine configuration.
     pub config: EngineConfig,
-    /// Fraction of the cluster's synchronous throughput the async engine
-    /// achieves (lock contention, fine-grained scheduling).
-    pub efficiency: f64,
-    /// Seconds of distributed-lock overhead per vertex update.
-    pub lock_overhead_s: f64,
-    /// PRNG seed for the update schedule.
-    pub schedule_seed: u64,
 }
 
 impl AsyncGas {
-    /// The default update-schedule seed.
-    pub const SCHEDULE_SEED: u64 = 0xA57C;
-
-    /// New async engine with default contention parameters.
+    /// New async engine.
     pub fn new(config: EngineConfig) -> Self {
-        AsyncGas {
-            config,
-            efficiency: 0.55,
-            lock_overhead_s: 2.0e-6,
-            schedule_seed: Self::SCHEDULE_SEED,
-        }
+        AsyncGas { config }
     }
 
     /// Run `program` asynchronously. Rounds are reported as supersteps for
@@ -72,13 +67,7 @@ impl AsyncGas {
     ) -> (Vec<P::State>, ComputeReport) {
         let mut states = Vec::new();
         let report = self.priced(layout, assignment, program, |on_step| {
-            let (out, end) = async_trace(
-                &self.config,
-                layout.csr(),
-                program,
-                self.schedule_seed,
-                on_step,
-            );
+            let (out, end) = async_trace(&self.config, layout.csr(), program, on_step);
             states = out;
             end
         });
@@ -92,8 +81,8 @@ impl AsyncGas {
         csr: &CsrGraph,
         program: &P,
     ) -> (Vec<P::State>, SemanticTrace) {
-        SemanticTrace::record(&self.config, program, self.semantics(), |on_step| {
-            async_trace(&self.config, csr, program, self.schedule_seed, on_step)
+        SemanticTrace::record(&self.config, program, Semantics::Asynchronous, |on_step| {
+            async_trace(&self.config, csr, program, on_step)
         })
     }
 
@@ -108,14 +97,8 @@ impl AsyncGas {
         program: &P,
     ) -> ComputeReport {
         self.priced(layout, assignment, program, |on_step| {
-            trace.replay(&self.config, program, self.semantics(), on_step)
+            trace.replay(&self.config, program, Semantics::Asynchronous, on_step)
         })
-    }
-
-    fn semantics(&self) -> Semantics {
-        Semantics::Asynchronous {
-            schedule_seed: self.schedule_seed,
-        }
     }
 
     fn priced<P: VertexProgram>(
@@ -128,11 +111,11 @@ impl AsyncGas {
         let machines = self.config.spec.machines as f64;
         let compute_rate = self.config.spec.compute_threads() as f64
             * self.config.spec.work_units_per_s
-            * self.efficiency;
+            * EFFICIENCY;
         // No barrier: time = serialized-lock overhead + pipelined work and
         // traffic.
         let step_wall = |tallies: &mut MachineTallies, active: usize| {
-            active as f64 * self.lock_overhead_s / machines
+            active as f64 * LOCK_OVERHEAD_S / machines
                 + tallies.work.iter().sum::<f64>() / compute_rate
                 + tallies.in_bytes.iter().sum::<f64>()
                     / (machines * self.config.spec.bandwidth_bytes_per_s)
@@ -148,21 +131,20 @@ impl AsyncGas {
 }
 
 /// The asynchronous semantic pass: rounds over the active set in an order
-/// shuffled by a PRNG seeded with `schedule_seed`, each update reading and
+/// shuffled by a PRNG seeded with [`SCHEDULE_SEED`], each update reading and
 /// committing current states. Every round's updates and size go to
 /// `on_step`; returns the final states and how the pass ended.
 pub(crate) fn async_trace<P: VertexProgram>(
     config: &EngineConfig,
     csr: &CsrGraph,
     program: &P,
-    schedule_seed: u64,
     mut on_step: impl FnMut(&[Update], usize),
 ) -> (Vec<P::State>, TraceEnd) {
     let n = csr.num_vertices() as usize;
     let (mut states, mut active) = init_vertices(program, csr);
     let gdir = program.gather_direction();
     let sdir = program.scatter_direction();
-    let mut rng = Splitmix64::new(schedule_seed);
+    let mut rng = Splitmix64::new(SCHEDULE_SEED);
 
     let mut converged = false;
     let mut order: Vec<usize> = Vec::new();

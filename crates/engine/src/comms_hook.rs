@@ -31,7 +31,7 @@
 //! *first* execution of a superstep only: replays happen after the flaky
 //! window or slowdown has passed.
 
-use crate::report::{ComputeReport, EngineConfig};
+use crate::report::{spread_to_peers, ComputeReport, EngineConfig};
 use gp_net::plan_speculation;
 use gp_telemetry::{machine_span, span};
 use std::collections::HashSet;
@@ -80,14 +80,7 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                 if extra > 0.0 {
                     step.machine_in_bytes[m] += extra;
                     // The resent copies leave the senders' NICs.
-                    if machines > 1 {
-                        let share = extra / (machines - 1) as f64;
-                        for (j, out) in step.machine_out_bytes.iter_mut().enumerate() {
-                            if j != m {
-                                *out += share;
-                            }
-                        }
-                    }
+                    spread_to_peers(&mut step.machine_out_bytes, m, extra);
                     extra_total += extra;
                 }
                 let stall = retry.expected_timeout_stall_s(link.loss_rate) + link.delay_spike_s;
@@ -137,12 +130,11 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                 step.machine_in_bytes[o.backup_machine] += o.shipped_bytes;
                 // The clone's inputs are served by the other machines.
                 if o.shipped_bytes > 0.0 {
-                    let share = o.shipped_bytes / (machines - 1) as f64;
-                    for (j, out) in step.machine_out_bytes.iter_mut().enumerate() {
-                        if j != o.backup_machine {
-                            *out += share;
-                        }
-                    }
+                    spread_to_peers(
+                        &mut step.machine_out_bytes,
+                        o.backup_machine,
+                        o.shipped_bytes,
+                    );
                 }
                 clones += 1;
                 saved_seconds += o.saved_seconds;

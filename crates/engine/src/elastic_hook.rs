@@ -28,7 +28,7 @@
 //! matching transient faults), and an empty plan leaves the report
 //! bit-for-bit untouched.
 
-use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
+use crate::report::{spread_to_peers, ComputeReport, EngineConfig, SuperstepStats};
 use gp_elastic::{evacuation_cost, reingress_seconds, ElasticKind};
 use gp_fault::recovery_cost;
 use gp_partition::Assignment;
@@ -47,7 +47,6 @@ pub fn apply_elastic_model(
     }
     let plan = &config.elastic.plan;
     let spec = &config.spec;
-    let machines = spec.machines as usize;
     let telemetry = &config.telemetry;
 
     let original = std::mem::take(&mut report.steps);
@@ -153,14 +152,11 @@ pub fn apply_elastic_model(
                         report.evacuated_bytes += evac.moved_bytes;
                         let last = timeline.last_mut().expect("step just pushed");
                         last.machine_out_bytes[machine as usize] += evac.moved_bytes;
-                        if machines > 1 {
-                            let share = evac.moved_bytes / (machines - 1) as f64;
-                            for (m, inb) in last.machine_in_bytes.iter_mut().enumerate() {
-                                if m != machine as usize {
-                                    *inb += share;
-                                }
-                            }
-                        }
+                        spread_to_peers(
+                            &mut last.machine_in_bytes,
+                            machine as usize,
+                            evac.moved_bytes,
+                        );
                         last.wall_seconds += spec.latency_s;
                         elapsed += spec.latency_s;
                         span!(
@@ -195,16 +191,11 @@ pub fn apply_elastic_model(
                             let mut replayed = timeline[j].clone();
                             if j == replay_from {
                                 replayed.machine_in_bytes[machine as usize] += rc.refetch_bytes;
-                                if machines > 1 {
-                                    let share = rc.refetch_bytes / (machines - 1) as f64;
-                                    for (m, out) in
-                                        replayed.machine_out_bytes.iter_mut().enumerate()
-                                    {
-                                        if m != machine as usize {
-                                            *out += share;
-                                        }
-                                    }
-                                }
+                                spread_to_peers(
+                                    &mut replayed.machine_out_bytes,
+                                    machine as usize,
+                                    rc.refetch_bytes,
+                                );
                             }
                             report.supersteps_replayed += 1;
                             elapsed += replayed.wall_seconds;

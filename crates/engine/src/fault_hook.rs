@@ -30,7 +30,7 @@
 //! links) afflict only the *first* execution of a superstep; by the time a
 //! replay happens, the transient condition has passed.
 
-use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
+use crate::report::{spread_to_peers, ComputeReport, EngineConfig, SuperstepStats};
 use gp_fault::{checkpoint_stall_seconds, recovery_cost, snapshot_bytes_per_machine};
 use gp_partition::Assignment;
 use gp_telemetry::span;
@@ -109,15 +109,9 @@ pub fn apply_fault_model(
                     // The re-fetched partitions stream into the replacement
                     // machine while replay begins; the surviving peers
                     // serve the data, splitting the outbound load evenly.
-                    replayed.machine_in_bytes[machine as usize % machines] += rc.refetch_bytes;
-                    if machines > 1 {
-                        let share = rc.refetch_bytes / (machines - 1) as f64;
-                        for (m, out) in replayed.machine_out_bytes.iter_mut().enumerate() {
-                            if m != machine as usize % machines {
-                                *out += share;
-                            }
-                        }
-                    }
+                    let at = machine as usize % machines;
+                    replayed.machine_in_bytes[at] += rc.refetch_bytes;
+                    spread_to_peers(&mut replayed.machine_out_bytes, at, rc.refetch_bytes);
                 }
                 report.supersteps_replayed += 1;
                 elapsed += replayed.wall_seconds;
@@ -154,11 +148,11 @@ pub fn apply_fault_model(
 }
 
 /// A copy of `step` with active straggler/degradation penalties added to
-/// its wall time. A degraded NIC throttles symmetrically: both the bytes
-/// the machine receives and the bytes it sends cross the slow link, so
-/// the network penalty covers inbound + outbound traffic. (The pre-audit
-/// model charged inbound only, silently letting a degraded heavy *sender*
-/// off for free.)
+/// its wall time, which they never reduce. A degraded NIC throttles
+/// symmetrically: both the bytes the machine receives and the bytes it
+/// sends cross the slow link, so the network penalty covers inbound +
+/// outbound traffic. (The pre-audit model charged inbound only, silently
+/// letting a degraded heavy *sender* off for free.)
 fn slowed(
     step: &SuperstepStats,
     config: &EngineConfig,
@@ -182,14 +176,8 @@ fn slowed(
             out.wall_seconds += (network_factor - 1.0) * share / bandwidth;
         }
     }
-    out
-}
-
-/// Fired straggler/degrade penalties never *reduce* a wall time; expose the
-/// invariant for tests and debug assertions.
-#[allow(dead_code)]
-fn _invariants(step: &SuperstepStats, out: &SuperstepStats) {
     debug_assert!(out.wall_seconds >= step.wall_seconds);
+    out
 }
 
 #[cfg(test)]

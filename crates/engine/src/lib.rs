@@ -64,9 +64,7 @@ pub use layout::Layout;
 pub use pregel::{ExecutorMemoryModel, PlacementCase, Pregel, PregelConfig};
 pub use program::{ApplyInfo, Direction, InitInfo, VertexProgram};
 pub use replicas::ReplicaTable;
-pub use report::{
-    base_memory_per_machine, monitor_run, ComputeReport, EngineConfig, SuperstepStats,
-};
+pub use report::{base_memory_per_machine, ComputeReport, EngineConfig, SuperstepStats};
 pub use telemetry_hook::record_compute_telemetry;
 pub use trace::{SemanticTrace, Semantics};
 

@@ -29,34 +29,35 @@ use crate::trace::{OnStep, SemanticTrace, TraceEnd};
 use gp_core::{CsrGraph, EdgeList};
 use gp_partition::Assignment;
 
+// Spark costs, calibrated for the paper's Local-10 GraphX cluster.
+
+/// Fixed driver/scheduling cost per iteration, seconds.
+const ITERATION_OVERHEAD_S: f64 = 0.12;
+
+/// Task-launch cost per partition per iteration, seconds.
+const TASK_OVERHEAD_S: f64 = 0.004;
+
+/// Join work units per vertex per iteration (vertex/edge RDD co-join).
+const JOIN_WORK_PER_VERTEX: f64 = 0.8;
+
+/// Dimensionless GC aggressiveness; higher = more GC time under pressure.
+const GC_COEFFICIENT: f64 = 0.6;
+
 /// GraphX-specific tunables on top of [`EngineConfig`].
 #[derive(Debug, Clone)]
 pub struct PregelConfig {
     /// Shared engine configuration (cluster, wire sizes, work constants).
     pub base: EngineConfig,
-    /// Fixed driver/scheduling cost per iteration, seconds.
-    pub iteration_overhead_s: f64,
-    /// Task-launch cost per partition per iteration, seconds.
-    pub task_overhead_s: f64,
-    /// Join work units per vertex per iteration (vertex/edge RDD co-join).
-    pub join_work_per_vertex: f64,
     /// Memory available to each executor (one executor per machine), bytes.
     pub executor_memory_bytes: u64,
-    /// Dimensionless GC aggressiveness; higher = more GC time under
-    /// pressure.
-    pub gc_coefficient: f64,
 }
 
 impl PregelConfig {
-    /// Defaults calibrated for the paper's Local-10 GraphX cluster.
+    /// 8 GiB executors on `base`'s cluster.
     pub fn new(base: EngineConfig) -> Self {
         PregelConfig {
             base,
-            iteration_overhead_s: 0.12,
-            task_overhead_s: 0.004,
-            join_work_per_vertex: 0.8,
             executor_memory_bytes: 8 << 30,
-            gc_coefficient: 0.6,
         }
     }
 
@@ -90,8 +91,6 @@ pub struct ExecutorMemoryModel {
     pub executor_memory_bytes: u64,
     /// Number of executors (one per machine).
     pub executors: u32,
-    /// GC aggressiveness.
-    pub gc_coefficient: f64,
 }
 
 impl ExecutorMemoryModel {
@@ -121,7 +120,7 @@ impl ExecutorMemoryModel {
     pub fn gc_multiplier(&self, graph_bytes: u64) -> f64 {
         let capacity = (self.executor_memory_bytes * self.executors as u64) as f64;
         let occupancy = (graph_bytes as f64 / capacity).min(0.95);
-        1.0 + self.gc_coefficient * occupancy / (1.0 - occupancy)
+        1.0 + GC_COEFFICIENT * occupancy / (1.0 - occupancy)
     }
 }
 
@@ -166,7 +165,6 @@ impl Pregel {
         ExecutorMemoryModel {
             executor_memory_bytes: self.config.executor_memory_bytes,
             executors: self.config.base.spec.machines,
-            gc_coefficient: self.config.gc_coefficient,
         }
     }
 
@@ -268,12 +266,12 @@ impl Pregel {
         let cfg = &self.config.base;
         let machines = cfg.spec.machines as f64;
         let compute_rate = cfg.spec.compute_threads() as f64 * cfg.spec.work_units_per_s;
-        let per_iter_overhead = self.config.iteration_overhead_s
-            + self.config.task_overhead_s * assignment.num_partitions() as f64 / machines;
+        let per_iter_overhead =
+            ITERATION_OVERHEAD_S + TASK_OVERHEAD_S * assignment.num_partitions() as f64 / machines;
         let step_wall = |tallies: &mut MachineTallies, active: usize| {
             // Join overhead: the vertex RDD is co-joined with edge partitions
             // every iteration, over active vertices.
-            let join = self.config.join_work_per_vertex * active as f64;
+            let join = JOIN_WORK_PER_VERTEX * active as f64;
             for w in tallies.work.iter_mut() {
                 *w += join / machines;
             }
@@ -383,7 +381,6 @@ mod tests {
         let m = ExecutorMemoryModel {
             executor_memory_bytes: 1 << 30,
             executors: 10,
-            gc_coefficient: 0.6,
         };
         // Case 1: bigger than the usable cluster (70% of 10 GiB).
         assert_eq!(m.placement(8 << 30), PlacementCase::DoesNotFit);
@@ -401,7 +398,6 @@ mod tests {
         let m = ExecutorMemoryModel {
             executor_memory_bytes: 1 << 30,
             executors: 10,
-            gc_coefficient: 0.6,
         };
         let low = m.gc_multiplier(1 << 30);
         let high = m.gc_multiplier(6 << 30);

@@ -1,6 +1,6 @@
 //! Engine configuration and compute-phase reporting.
 
-use gp_cluster::{ClusterSpec, CostRates, MachineSample, MemoryModel, ResourceMonitor, Timeline};
+use gp_cluster::{ClusterSpec, CostRates, MemoryModel};
 use gp_elastic::ElasticConfig;
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_net::CommsConfig;
@@ -176,10 +176,20 @@ impl SuperstepStats {
     pub fn total_in_bytes(&self) -> f64 {
         self.machine_in_bytes.iter().sum()
     }
+}
 
-    /// Total outbound bytes across machines.
-    pub fn total_out_bytes(&self) -> f64 {
-        self.machine_out_bytes.iter().sum()
+/// Add an even share of `bytes` to every machine's cell except `except`'s:
+/// a transfer one machine sends or receives, served by (or delivered to) all
+/// of its peers. A no-op on a one-machine cluster.
+pub(crate) fn spread_to_peers(cells: &mut [f64], except: usize, bytes: f64) {
+    let machines = cells.len();
+    if machines > 1 {
+        let share = bytes / (machines - 1) as f64;
+        for (m, cell) in cells.iter_mut().enumerate() {
+            if m != except {
+                *cell += share;
+            }
+        }
     }
 }
 
@@ -335,46 +345,10 @@ impl ComputeReport {
         let wall = self.compute_seconds().max(1e-12);
         busy.iter().map(|b| (b / wall * 100.0).min(100.0)).collect()
     }
-
-    /// Feed this run into a resource monitor as per-superstep samples,
-    /// starting at `t0` seconds with `base_memory_bytes[m]` already resident
-    /// on each machine. Returns the end time.
-    pub fn feed_monitor(
-        &self,
-        monitor: &ResourceMonitor,
-        t0: f64,
-        base_memory_bytes: &[f64],
-        config: &EngineConfig,
-    ) -> f64 {
-        let mut t = t0;
-        let rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
-        for s in &self.steps {
-            t += s.wall_seconds;
-            for (m, &base) in base_memory_bytes.iter().enumerate() {
-                let buffers = s.machine_in_bytes.get(m).copied().unwrap_or(0.0);
-                let cpu = if s.wall_seconds > 0.0 {
-                    (s.machine_work.get(m).copied().unwrap_or(0.0) / rate / s.wall_seconds * 100.0)
-                        .min(100.0)
-                } else {
-                    0.0
-                };
-                monitor.record(
-                    m,
-                    MachineSample {
-                        time_s: t,
-                        memory_bytes: base + buffers,
-                        net_in_bytes: buffers,
-                        cpu_percent: cpu,
-                    },
-                );
-            }
-        }
-        t
-    }
 }
 
 /// Static per-machine memory for a loaded, partitioned graph: edges +
-/// vertex images hosted by each machine (used as the monitor's base level).
+/// vertex images hosted by each machine.
 pub fn base_memory_per_machine(
     assignment: &Assignment,
     config: &EngineConfig,
@@ -391,21 +365,6 @@ pub fn base_memory_per_machine(
         *v += extra_state_bytes as f64;
     }
     per
-}
-
-/// Build a compute-phase timeline on a fresh monitor and return the
-/// per-machine timelines (convenience for the harness).
-pub fn monitor_run(
-    report: &ComputeReport,
-    assignment: &Assignment,
-    config: &EngineConfig,
-) -> Vec<Timeline> {
-    let monitor = ResourceMonitor::new(config.spec.machines);
-    // Baseline sample before the job (the paper starts monitors early).
-    monitor.record_uniform(MachineSample::default());
-    let base = base_memory_per_machine(assignment, config, 0);
-    report.feed_monitor(&monitor, 0.0, &base, config);
-    monitor.timelines()
 }
 
 #[cfg(test)]
@@ -479,14 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn feed_monitor_produces_ordered_samples() {
-        let cfg = EngineConfig::new(ClusterSpec::local_9());
-        let monitor = ResourceMonitor::new(2);
-        let end = report().feed_monitor(&monitor, 5.0, &[1e9, 1e9], &cfg);
-        assert!((end - 8.0).abs() < 1e-12);
-        for t in monitor.timelines().iter().take(2) {
-            assert_eq!(t.samples().len(), 2);
-            assert!(t.samples()[0].time_s < t.samples()[1].time_s);
-        }
+    fn more_partitions_than_machines_fold_round_robin() {
+        // 4 partitions of one edge (two images) each on 2 machines: machine
+        // 0 hosts p0 + p2, machine 1 hosts p1 + p3.
+        let g = gp_core::EdgeList::from_pairs(vec![(0, 1), (2, 3), (4, 5), (6, 7)]);
+        let parts = (0..4u32).map(gp_core::PartitionId).collect();
+        let a = Assignment::from_edge_partitions(&g, parts, 4, 0);
+        let cfg = EngineConfig::new(ClusterSpec::local_9().with_machines(2));
+        let one = MemoryModel::default().machine_bytes(1, 2, 0) as f64;
+        assert_eq!(
+            base_memory_per_machine(&a, &cfg, 7),
+            vec![2.0 * one + 7.0; 2]
+        );
     }
 }

@@ -26,11 +26,8 @@ pub enum Semantics {
         delta_caching: bool,
     },
     /// AsyncGas's rounds with immediate commits, each round's order
-    /// shuffled by a PRNG seeded once per run.
-    Asynchronous {
-        /// The schedule's PRNG seed.
-        schedule_seed: u64,
-    },
+    /// shuffled by a PRNG with a fixed seed, seeded once per run.
+    Asynchronous,
 }
 
 /// How a semantic pass ended.

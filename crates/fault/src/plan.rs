@@ -346,27 +346,11 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Number of scheduled crashes.
-    pub fn crash_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::Crash))
-            .count()
-    }
-
     /// Crash events only, in superstep order.
     pub fn crashes(&self) -> impl Iterator<Item = &FaultEvent> {
         self.events
             .iter()
             .filter(|e| matches!(e.kind, FaultKind::Crash))
-    }
-
-    /// Number of scheduled spot preemptions.
-    pub fn preempt_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::Preempt { .. }))
-            .count()
     }
 
     /// Preemption events only, in superstep order, as
@@ -511,7 +495,7 @@ mod tests {
             let crashes = plan.crashes().filter(|e| e.superstep == step).count();
             assert!(crashes <= 1, "superstep {step} has {crashes} crashes");
         }
-        assert!(plan.crash_count() > 0);
+        assert!(plan.crashes().count() > 0);
     }
 
     #[test]
@@ -550,7 +534,7 @@ mod tests {
         let plan = FaultPlan::generate(11, &spec, 60, &FaultRates::flaky(0.05));
         assert!(plan.has_flaky(), "flaky rates over 60x16 cells should fire");
         assert!(!plan.has_slowdowns());
-        assert_eq!(plan.crash_count(), 0);
+        assert_eq!(plan.crashes().count(), 0);
         let b = FaultPlan::generate(11, &spec, 60, &FaultRates::flaky(0.05));
         assert_eq!(plan, b, "flaky draws must be deterministic per seed");
         for e in &plan.events {
@@ -622,7 +606,7 @@ mod tests {
     #[test]
     fn preempt_at_clamps_the_warning_window() {
         let plan = FaultPlan::preempt_at(2, 4, 10);
-        assert_eq!(plan.preempt_count(), 1);
+        assert_eq!(plan.preemptions().count(), 1);
         let (step, machine, warning) = plan.preemptions().next().unwrap();
         assert_eq!((step, machine), (2, 4));
         assert_eq!(warning, 2, "notice cannot predate superstep 0");
@@ -630,7 +614,7 @@ mod tests {
         assert_eq!(roomy.preemptions().next().unwrap().2, 3);
         // Preemptions are inert to the fault hook's pricing paths.
         assert_eq!(plan.slowdown_at(2, 4), (1.0, 1.0));
-        assert_eq!(plan.crash_count(), 0);
+        assert_eq!(plan.crashes().count(), 0);
         assert!(!plan.has_flaky() && !plan.has_slowdowns());
     }
 
@@ -639,7 +623,7 @@ mod tests {
         let a = FaultPlan::uniform_preemptions(13, 4, 9, 40, 3);
         let b = FaultPlan::uniform_preemptions(13, 4, 9, 40, 3);
         assert_eq!(a, b);
-        assert_eq!(a.preempt_count(), 4);
+        assert_eq!(a.preemptions().count(), 4);
         let c = FaultPlan::uniform_preemptions(14, 4, 9, 40, 3);
         assert_ne!(a.events, c.events, "different seeds must differ");
         // At most one reclaim per superstep, and each event's warning is
@@ -661,7 +645,7 @@ mod tests {
         assert!(FaultPlan::uniform_preemptions(7, 3, 0, 40, 2).is_empty());
         // More preemptions than supersteps: one per step, no infinite loop.
         let dense = FaultPlan::uniform_preemptions(7, 100, 4, 6, 1);
-        assert_eq!(dense.preempt_count(), 6);
+        assert_eq!(dense.preemptions().count(), 6);
     }
 
     #[test]

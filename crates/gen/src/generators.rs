@@ -8,7 +8,7 @@
 //! feeding them a randomly-shuffled stream would erase the road-network
 //! advantage the paper measures for them (§5.4.2).
 
-use gp_core::{Edge, EdgeList, VertexId};
+use gp_core::{Edge, EdgeList};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -447,19 +447,10 @@ pub fn erdos_renyi(n: u64, m: usize, seed: u64) -> EdgeList {
     EdgeList::with_vertex_count(edges, n).expect("ER ids are in range")
 }
 
-/// Helper: degree-ordered vertex ids, highest total degree first. Useful in
-/// tests and in the Fig 5.8 experiment.
-pub fn by_degree_desc(graph: &EdgeList) -> Vec<VertexId> {
-    let deg = graph.degrees();
-    let mut ids: Vec<VertexId> = (0..graph.num_vertices()).map(VertexId).collect();
-    ids.sort_by_key(|&v| std::cmp::Reverse(deg.degree(v)));
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_core::GraphStats;
+    use gp_core::{GraphStats, VertexId};
 
     #[test]
     fn road_network_has_bounded_low_degree() {
@@ -595,16 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn by_degree_desc_is_sorted() {
-        let g = barabasi_albert(3000, 5, 1);
-        let deg = g.degrees();
-        let order = by_degree_desc(&g);
-        for pair in order.windows(2) {
-            assert!(deg.degree(pair[0]) >= deg.degree(pair[1]));
-        }
-    }
-
-    #[test]
     fn edge_stream_is_source_sorted_like_snap_files() {
         for g in [
             barabasi_albert(5_000, 5, 3),
@@ -629,6 +610,7 @@ mod tests {
 #[cfg(test)]
 mod bipartite_tests {
     use super::*;
+    use gp_core::VertexId;
 
     #[test]
     fn bipartite_edges_only_cross_sides() {

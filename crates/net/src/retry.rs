@@ -17,7 +17,7 @@
 //!
 //! After `max_attempts` the protocol gives up and the superstep's barrier
 //! recovers the message with the next global resynchronization — the
-//! residual loss `p^A` is exposed for reporting but not priced further.
+//! residual loss `p^A` is not priced further.
 
 /// Deterministic retransmission policy for one cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,12 +88,6 @@ impl RetryPolicy {
         }
         stall
     }
-
-    /// Probability a message is still undelivered after every attempt
-    /// (`loss^max_attempts`) — reported, not priced.
-    pub fn residual_loss(&self, loss: f64) -> f64 {
-        loss.clamp(0.0, 1.0).powi(self.max_attempts as i32)
-    }
 }
 
 /// Per-message loss probability induced by multi-tenant contention: each of
@@ -120,7 +114,6 @@ mod tests {
         let p = RetryPolicy::reliable();
         assert_eq!(p.expected_retransmissions(0.0), 0.0);
         assert_eq!(p.expected_timeout_stall_s(0.0), 0.0);
-        assert_eq!(p.residual_loss(0.0), 0.0);
     }
 
     #[test]
@@ -155,7 +148,6 @@ mod tests {
         // Σ_{k=1..2} 0.5^k = 0.75; stall = 0.5*0.1 + 0.25*0.2 = 0.1.
         assert!((p.expected_retransmissions(0.5) - 0.75).abs() < 1e-12);
         assert!((p.expected_timeout_stall_s(0.5) - 0.1).abs() < 1e-12);
-        assert!((p.residual_loss(0.5) - 0.125).abs() < 1e-12);
     }
 
     #[test]

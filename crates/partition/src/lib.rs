@@ -1,7 +1,8 @@
 //! # gp-partition — every partitioning strategy from Table 1.1
 //!
-//! This crate implements, from scratch, all eleven vertex-cut partitioning
-//! strategies evaluated by the paper:
+//! This crate implements, from scratch, the 11 catalog strategies evaluated by
+//! the paper ([`Strategy`]) plus BiCut, Chunking and VEBO, which are reached
+//! as types in [`strategies`]:
 //!
 //! | Strategy | Native system | Reference |
 //! |---|---|---|
@@ -16,6 +17,9 @@
 //! | 2D | GraphX | §7.2.3 |
 //! | Hybrid | PowerLyra | §6.2.1 |
 //! | Hybrid-Ginger | PowerLyra | §6.2.2 |
+//! | BiCut | PowerLyra extension for bipartite graphs | §2.2 |
+//! | Chunking | Gemini-style contiguous ranges | beyond the paper |
+//! | VEBO | vertex/edge-balanced ordering | Sun et al. |
 //!
 //! Strategies consume an edge stream and produce an [`Assignment`] (edge →
 //! partition) plus ingress accounting (simulated per-loader work, passes over

@@ -189,7 +189,9 @@ mod tests {
         let par = ParConfig::default();
         assert_eq!(BiCut::detect(&graph(), &par), FavoriteSide::Source);
         // Reverse the edges: now destinations are the big side.
-        let reversed = gp_core::transform::reverse(&graph());
+        let g = graph();
+        let swapped = g.edges().iter().map(|e| e.reversed()).collect();
+        let reversed = EdgeList::with_vertex_count(swapped, g.num_vertices()).unwrap();
         assert_eq!(BiCut::detect(&reversed, &par), FavoriteSide::Target);
     }
 

@@ -178,21 +178,6 @@ impl Strategy {
         }
     }
 
-    /// Systems that ship this strategy natively (Table 1.1). The thesis's
-    /// 1D-Target is native to none.
-    pub fn native_systems(self) -> &'static [System] {
-        match self {
-            Strategy::Random => &[System::PowerGraph, System::PowerLyra, System::GraphX],
-            Strategy::AsymmetricRandom | Strategy::OneD | Strategy::TwoD => &[System::GraphX],
-            Strategy::Grid | Strategy::Pds | Strategy::Oblivious => {
-                &[System::PowerGraph, System::PowerLyra]
-            }
-            Strategy::Hdrf => &[System::PowerGraph],
-            Strategy::Hybrid | Strategy::HybridGinger => &[System::PowerLyra],
-            Strategy::OneDTarget => &[],
-        }
-    }
-
     /// Whether the strategy can run on `n` partitions (Grid in the catalog is
     /// the resilient variant, so only PDS constrains the count).
     pub fn supports_partition_count(self, n: u32) -> bool {
@@ -272,6 +257,10 @@ mod tests {
         let (_, gx) = &catalog[2];
         assert_eq!(gx.len(), 4);
         assert!(gx.contains(&Strategy::TwoD));
+        // The thesis's 1D-Target is native to none of the three systems.
+        assert!(catalog
+            .iter()
+            .all(|(_, s)| !s.contains(&Strategy::OneDTarget)));
     }
 
     #[test]
@@ -334,12 +323,5 @@ mod tests {
         assert_eq!(Strategy::Pds.check_partition_count(7), Ok(()));
         let err = Strategy::Pds.check_partition_count(9).unwrap_err();
         assert_eq!(err, "PDS cannot run on 9 partitions");
-    }
-
-    #[test]
-    fn native_systems_match_table() {
-        assert_eq!(Strategy::Hdrf.native_systems(), &[System::PowerGraph]);
-        assert!(Strategy::Random.native_systems().contains(&System::GraphX));
-        assert!(Strategy::OneDTarget.native_systems().is_empty());
     }
 }

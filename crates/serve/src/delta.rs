@@ -11,7 +11,6 @@
 
 use gp_core::{Edge, PartitionId, VertexId};
 use gp_partition::assignment::default_master_pick;
-use gp_partition::Assignment;
 
 /// Replica refcounts + edge loads, maintained under churn.
 #[derive(Debug, Clone)]
@@ -41,17 +40,6 @@ impl IncrementalAssignment {
             total_images: 0,
             covered: 0,
         }
-    }
-
-    /// Seed from a batch assignment: replays every placed edge through
-    /// [`add`](Self::add), so the derived statistics match the batch
-    /// assignment exactly (locked by tests).
-    pub fn from_batch(assignment: &Assignment, edges: &[Edge], seed: u64) -> Self {
-        let mut state = Self::new(assignment.num_vertices(), assignment.num_partitions(), seed);
-        for (i, &e) in edges.iter().enumerate() {
-            state.add(e, assignment.edge_partition(i));
-        }
-        state
     }
 
     /// Partition count.
@@ -191,7 +179,7 @@ impl IncrementalAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_partition::{PartitionContext, Strategy};
+    use gp_partition::{Assignment, PartitionContext, Strategy};
 
     fn batch_and_delta(
         strategy: Strategy,
@@ -200,7 +188,13 @@ mod tests {
         let out = strategy
             .build()
             .partition(&g, &PartitionContext::new(9).with_seed(7));
-        let delta = IncrementalAssignment::from_batch(&out.assignment, g.edges(), 7);
+        // Replay every placed edge through `add`: the derived statistics
+        // must match the batch assignment exactly.
+        let a = &out.assignment;
+        let mut delta = IncrementalAssignment::new(a.num_vertices(), a.num_partitions(), 7);
+        for (i, &e) in g.edges().iter().enumerate() {
+            delta.add(e, a.edge_partition(i));
+        }
         (out.assignment, delta, g)
     }
 

@@ -74,11 +74,6 @@ impl LiveGraph {
         self.edges[index as usize]
     }
 
-    /// Whether the edge at `index` is alive.
-    pub fn is_alive(&self, index: u32) -> bool {
-        self.alive[index as usize]
-    }
-
     /// Append a new live edge; returns its stable index.
     pub fn insert(&mut self, e: Edge) -> u32 {
         assert!(
@@ -230,7 +225,7 @@ mod tests {
         let mut g = LiveGraph::from_source(&base());
         g.delete(4); // (0,2)
         assert_eq!(g.num_alive(), 4);
-        assert!(!g.is_alive(4));
+        assert!(!g.alive[4]);
         assert_eq!(g.out_degree(VertexId(0)), 1);
         // Indices of other edges are untouched.
         assert_eq!(g.edge(3), Edge::new(3u64, 0u64));

@@ -121,16 +121,6 @@ impl<W: Write + Seek> StoreBuilder<W> {
         Ok(())
     }
 
-    /// Vertices appended so far.
-    pub fn vertices_written(&self) -> u64 {
-        self.next_vertex
-    }
-
-    /// Edges appended so far.
-    pub fn edges_written(&self) -> u64 {
-        self.num_edges
-    }
-
     /// Pad remaining vertices with empty adjacency, write the offset index,
     /// and back-patch the header (including both checksums).
     pub fn finish(mut self) -> io::Result<StoreStats> {

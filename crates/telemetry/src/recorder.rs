@@ -23,11 +23,6 @@ impl Recorder {
         self.offset_s = offset_s;
     }
 
-    /// The current offset, in simulated seconds.
-    pub fn time_offset(&self) -> f64 {
-        self.offset_s
-    }
-
     /// Advance the offset by `delta_s`. Components that run back-to-back on
     /// the simulated clock (a k-core sweep is eleven engine runs) advance by
     /// their own duration when they finish, so the next run's spans tile

@@ -36,7 +36,7 @@ fn main() {
         "strategy", "RF", "imbalance", "PR traffic"
     );
 
-    let mut bench = |label: &str, mut p: Box<dyn Partitioner>| {
+    let bench = |label: &str, mut p: Box<dyn Partitioner>| {
         let outcome = p.partition(&graph, &ctx);
         let (_, report) = engine.run(&graph, &outcome.assignment, &PageRank::fixed(10));
         println!(

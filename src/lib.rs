@@ -9,7 +9,8 @@
 //!
 //! * [`core`] (gp-core) — graph substrate: ids, edge lists, CSR, hashing, I/O.
 //! * [`gen`] (gp-gen) — synthetic dataset analogues + degree analysis.
-//! * [`partition`] (gp-partition) — the eleven partitioning strategies.
+//! * [`partition`] (gp-partition) — 11 catalog strategies plus BiCut, Chunking
+//!   and VEBO.
 //! * [`cluster`] (gp-cluster) — simulated cluster and resource models.
 //! * [`fault`] (gp-fault) — fault injection, checkpointing, recovery pricing.
 //! * [`net`] (gp-net) — unreliable network model: retry/backoff, speculation.
