@@ -421,58 +421,71 @@ pub struct Deployment<'a> {
     pub assignment: &'a Assignment,
 }
 
+/// The engine a [`Deployment`] runs an app's programs on.
+enum Engine {
+    Sync(SyncGas),
+    Hybrid(HybridGas),
+    Pregel(Pregel),
+    Async(AsyncGas),
+}
+
+impl Engine {
+    /// The semantic pass the engine's programs take.
+    fn semantics(&self) -> Semantics {
+        match self {
+            Engine::Sync(engine) => engine.into(),
+            Engine::Hybrid(engine) => engine.into(),
+            Engine::Pregel(engine) => engine.into(),
+            Engine::Async(engine) => engine.into(),
+        }
+    }
+}
+
 impl Deployment<'_> {
-    /// The semantic pass `app`'s programs take here: PowerGraph and
-    /// PowerLyra run Coloring on their asynchronous engine (§5.4.1); GraphX
-    /// has no asynchronous engine and no gather cache.
-    fn semantics(&self, app: App) -> Semantics {
+    /// The engine `app`'s programs run on here: PowerGraph and PowerLyra
+    /// run Coloring on their asynchronous engine (§5.4.1).
+    fn engine(&self, app: App) -> Engine {
+        let config = self.config.clone();
         match self.engine {
             EngineKind::PowerGraph | EngineKind::PowerLyra if app == App::Coloring => {
-                Semantics::Asynchronous
+                Engine::Async(AsyncGas::new(config))
             }
-            EngineKind::GraphX { .. } => Semantics::Synchronous {
-                delta_caching: false,
-            },
-            _ => Semantics::Synchronous {
-                delta_caching: self.config.delta_caching,
-            },
+            EngineKind::PowerGraph => Engine::Sync(SyncGas::new(config)),
+            EngineKind::PowerLyra => Engine::Hybrid(HybridGas::new(config)),
+            EngineKind::GraphX {
+                executor_memory_bytes,
+                ..
+            } => Engine::Pregel(Pregel::new(
+                PregelConfig::new(config).with_executor_memory(executor_memory_bytes),
+            )),
         }
     }
 
-    /// Price program `i` of an app from `traces[i]`, recording that trace
-    /// first when `traces` ends before it. GraphX fails with [`PregelOom`]
-    /// when the graph does not fit its executors, before anything is traced
-    /// or priced.
+    /// Price program `i` of an app on `engine` from `traces[i]`, recording
+    /// that trace first when `traces` ends before it. GraphX fails with
+    /// [`PregelOom`] when the graph does not fit its executors, before
+    /// anything is traced or priced.
     fn run<P: VertexProgram>(
         &self,
+        engine: &Engine,
         program: &P,
-        semantics: Semantics,
         traces: &mut Vec<SemanticTrace>,
         i: usize,
     ) -> Result<ComputeReport, PregelOom> {
-        let (config, layout, assignment) = (self.config.clone(), self.layout, self.assignment);
+        let (layout, assignment) = (self.layout, self.assignment);
         macro_rules! priced {
             ($engine:expr) => {{
-                let engine = $engine;
                 if traces.len() == i {
-                    traces.push(engine.trace(layout.csr(), program).1);
+                    traces.push($engine.trace(layout.csr(), program).1);
                 }
-                engine.price(&traces[i], layout, assignment, program)
+                $engine.price(&traces[i], layout, assignment, program)
             }};
         }
-        Ok(match (self.engine, semantics) {
-            (_, Semantics::Asynchronous) => priced!(AsyncGas::new(config)),
-            (EngineKind::PowerGraph, _) => priced!(SyncGas::new(config)),
-            (EngineKind::PowerLyra, _) => priced!(HybridGas::new(config)),
-            (
-                EngineKind::GraphX {
-                    executor_memory_bytes,
-                    ..
-                },
-                _,
-            ) => {
-                let config = PregelConfig::new(config).with_executor_memory(executor_memory_bytes);
-                let engine = Pregel::new(config);
+        Ok(match engine {
+            Engine::Sync(engine) => priced!(engine),
+            Engine::Hybrid(engine) => priced!(engine),
+            Engine::Async(engine) => priced!(engine),
+            Engine::Pregel(engine) => {
                 engine.placement(assignment)?;
                 priced!(engine)?
             }
@@ -490,24 +503,24 @@ impl Deployment<'_> {
         sssp_source: VertexId,
         traces: &mut Vec<SemanticTrace>,
     ) -> Result<Vec<ComputeReport>, PregelOom> {
-        let semantics = self.semantics(app);
+        let engine = &self.engine(app);
         let report = match app {
-            App::PageRankFixed(n) => self.run(&PageRank::fixed(n), semantics, traces, 0)?,
-            App::PageRankConv => self.run(&PageRank::to_convergence(), semantics, traces, 0)?,
-            App::Wcc => self.run(&Wcc, semantics, traces, 0)?,
+            App::PageRankFixed(n) => self.run(engine, &PageRank::fixed(n), traces, 0)?,
+            App::PageRankConv => self.run(engine, &PageRank::to_convergence(), traces, 0)?,
+            App::Wcc => self.run(engine, &Wcc, traces, 0)?,
             App::Sssp { undirected: true } => {
-                self.run(&Sssp::undirected(sssp_source), semantics, traces, 0)?
+                self.run(engine, &Sssp::undirected(sssp_source), traces, 0)?
             }
             App::Sssp { undirected: false } => {
-                self.run(&Sssp::directed(sssp_source), semantics, traces, 0)?
+                self.run(engine, &Sssp::directed(sssp_source), traces, 0)?
             }
             App::KCore { k_min, k_max } => {
                 return (k_min..=k_max)
                     .enumerate()
-                    .map(|(i, k)| self.run(&KCore::new(k), semantics, traces, i))
+                    .map(|(i, k)| self.run(engine, &KCore::new(k), traces, i))
                     .collect()
             }
-            App::Coloring => self.run(&Coloring, semantics, traces, 0)?,
+            App::Coloring => self.run(engine, &Coloring, traces, 0)?,
         };
         Ok(vec![report])
     }
@@ -719,7 +732,7 @@ impl Pipeline {
             assignment,
         };
         let config = &deployment.config;
-        let trace_key = Some((dataset, app, deployment.semantics(app)));
+        let trace_key = Some((dataset, app, deployment.engine(app).semantics()));
         if self.trace_key != trace_key {
             self.trace_key = trace_key;
             self.traces.clear();

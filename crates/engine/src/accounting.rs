@@ -1,17 +1,14 @@
-//! The one cost-accounting kernel shared by every engine, and the
-//! [`Pricer`] that drives it.
+//! The one cost-accounting kernel shared by every engine, and the pricing
+//! loop that drives it.
 //!
 //! An engine's semantic pass reduces each vertex update to an [`Update`] —
 //! the vertex and three flags — and [`Accountant::account`] turns a
 //! superstep's update sequence into per-machine work, traffic and message
 //! tallies against the [`Layout`]: a pure function of the run's constants
-//! and that sequence. [`Accountant::tally`] memoizes it over one slice: it
-//! keeps a copy of the last sequence it counted (refilled in place with
-//! `clear` + `extend_from_slice`, so once the copy has grown a miss
-//! allocates nothing) and hands back that sequence's tallies when the next
-//! one compares equal. The [`Pricer`] is the memo plus the engine's
-//! superstep clock: it prices each superstep a semantic trace hands it and
-//! collects the report's [`SuperstepStats`].
+//! and that sequence. [`price`] walks a [`SemanticTrace`] through it: a
+//! superstep the trace stores as a repeat of the one before gets that one's
+//! tallies again instead of a recount, and the engine's superstep clock
+//! turns each superstep's tallies into the report's [`SuperstepStats`].
 //!
 //! Byte tallies accumulate as `u64`: every addend the engines ever added
 //! was a `u64 as f64` into a cell starting at `0.0`, so below 2^53 (asserted
@@ -21,7 +18,8 @@
 
 use crate::layout::Layout;
 use crate::program::{Direction, VertexProgram};
-use crate::report::{ComputeReport, EngineConfig, SuperstepStats};
+use crate::report::{EngineConfig, SuperstepStats};
+use crate::trace::{SemanticTrace, Semantics};
 use gp_core::VertexId;
 
 /// Who sends gather partials to the master.
@@ -88,7 +86,7 @@ fn local_edges(dir: Direction, local_in: u32, local_out: u32) -> u32 {
 }
 
 /// The accounting of one engine run: its constants (layout, policy,
-/// directions, work per operation, wire sizes) and a one-superstep memo.
+/// directions, work per operation, wire sizes).
 pub(crate) struct Accountant<'a> {
     layout: &'a Layout,
     policy: GatherPolicy,
@@ -99,8 +97,6 @@ pub(crate) struct Accountant<'a> {
     scatter_work: f64,
     accum_bytes: u64,
     state_bytes: u64,
-    last: Vec<Update>,
-    tallies: Option<MachineTallies>,
 }
 
 impl<'a> Accountant<'a> {
@@ -137,8 +133,6 @@ impl<'a> Accountant<'a> {
             scatter_work: config.scatter_work,
             accum_bytes,
             state_bytes,
-            last: Vec::new(),
-            tallies: None,
         }
     }
 
@@ -215,73 +209,46 @@ impl<'a> Accountant<'a> {
             sync_messages,
         }
     }
-
-    /// [`Accountant::account`] through the memo: fixed-iteration programs
-    /// repeat one update sequence superstep after superstep, and equal
-    /// sequences have equal tallies.
-    pub fn tally(&mut self, updates: &[Update]) -> MachineTallies {
-        if self.tallies.is_none() || self.last != updates {
-            self.tallies = Some(self.account(updates));
-            self.last.clear();
-            self.last.extend_from_slice(updates);
-        }
-        self.tallies.clone().expect("computed above")
-    }
 }
 
-/// Prices a run one superstep at a time: the [`Accountant`] memo, the
-/// engine's `step_wall` (which prices a superstep from its tallies and
-/// active-vertex count, and may add work of its own first), and the
-/// [`SuperstepStats`] each superstep leaves in the report.
-pub(crate) struct Pricer<'a, W> {
-    accountant: Accountant<'a>,
-    step_wall: W,
-    steps: Vec<SuperstepStats>,
-}
-
-impl<'a, W: FnMut(&mut MachineTallies, usize) -> f64> Pricer<'a, W> {
-    /// Pricer for one run of `program` under `config` on `layout`; see
-    /// [`Accountant::new`] for when it panics.
-    pub fn new<P: VertexProgram>(
-        config: &EngineConfig,
-        program: &P,
-        policy: GatherPolicy,
-        layout: &'a Layout,
-        step_wall: W,
-    ) -> Self {
-        Pricer {
-            accountant: Accountant::new(config, program, policy, layout),
-            step_wall,
-            steps: Vec::new(),
+/// The per-superstep stats of `trace`, a pass of `program` under
+/// `semantics`, on `layout` under `policy`: each superstep's tallies (a
+/// repeat reuses the previous superstep's), priced by `step_wall`, which
+/// gets them with the superstep's active-vertex count and may add work of
+/// its own first. Panics if the trace was recorded on another graph or for
+/// another program, semantics or superstep cap; see [`Accountant::new`] for
+/// the other panics.
+pub(crate) fn price<P: VertexProgram>(
+    trace: &SemanticTrace,
+    semantics: Semantics,
+    program: &P,
+    config: &EngineConfig,
+    layout: &Layout,
+    policy: GatherPolicy,
+    mut step_wall: impl FnMut(&mut MachineTallies, usize) -> f64,
+) -> Vec<SuperstepStats> {
+    let steps = trace.steps(config, program, semantics, layout.csr());
+    let accountant = Accountant::new(config, program, policy, layout);
+    let mut tallies: Option<MachineTallies> = None;
+    let mut stats = Vec::new();
+    for (superstep, (updates, repeat)) in steps.enumerate() {
+        if !repeat {
+            tallies = Some(accountant.account(updates));
         }
-    }
-
-    /// Price the next superstep: its `updates` in visit order and the
-    /// vertices `active` at its start.
-    pub fn step(&mut self, updates: &[Update], active: usize) {
-        let mut tallies = self.accountant.tally(updates);
-        let wall = (self.step_wall)(&mut tallies, active);
-        self.steps.push(SuperstepStats {
-            superstep: self.steps.len() as u32,
-            active_vertices: active as u64,
-            gather_messages: tallies.gather_messages,
-            sync_messages: tallies.sync_messages,
-            machine_work: tallies.work,
-            machine_in_bytes: tallies.in_bytes,
-            machine_out_bytes: tallies.out_bytes,
+        let mut t = tallies.clone().expect("the first superstep repeats none");
+        let wall = step_wall(&mut t, updates.len());
+        stats.push(SuperstepStats {
+            superstep: superstep as u32,
+            active_vertices: updates.len() as u64,
+            gather_messages: t.gather_messages,
+            sync_messages: t.sync_messages,
+            machine_work: t.work,
+            machine_in_bytes: t.in_bytes,
+            machine_out_bytes: t.out_bytes,
             wall_seconds: wall,
         });
     }
-
-    /// The clean report over every superstep priced so far.
-    pub fn report(
-        self,
-        program: &'static str,
-        engine: &'static str,
-        converged: bool,
-    ) -> ComputeReport {
-        ComputeReport::new(program, engine, self.steps, converged)
-    }
+    stats
 }
 
 #[cfg(test)]
@@ -477,39 +444,6 @@ mod tests {
             "integer tallies are order-free"
         );
         assert_eq!(forward.out_bytes, backward.out_bytes);
-    }
-
-    #[test]
-    fn memo_hits_and_misses_equal_the_bare_kernel() {
-        let layout = layout();
-        let wire = Wire {
-            accum: 24,
-            state: 8,
-        };
-        let new = || {
-            Accountant::new(
-                &config(),
-                &wire,
-                GatherPolicy::LocalAware { threshold: 6 },
-                &layout,
-            )
-        };
-        // `bare` is never asked through its memo.
-        let (bare, mut accountant) = (new(), new());
-        let (a, b) = (updates(&layout, 1), updates(&layout, 2));
-        // miss, hit, miss (different stream), miss (back again), hit, and a
-        // prefix of the memo's sequence (a miss, though every word matches).
-        for stream in [&a, &a, &b, &a, &a, &a[..10].to_vec()] {
-            assert_eq!(accountant.tally(stream), bare.account(stream));
-        }
-        // A stream differing only in one flag is a miss.
-        let mut c = a.clone();
-        c[17] = Update(c[17].0 ^ Update::CHANGED);
-        assert_eq!(accountant.tally(&c), bare.account(&c));
-        // Callers may mutate the tallies they get; the memo keeps its own.
-        let mut taken = accountant.tally(&c);
-        taken.work[0] += 1.0;
-        assert_eq!(accountant.tally(&c), bare.account(&c));
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //! Coloring deviates from the Fig 5.3/5.4 trend lines (and occasionally
 //! "hangs" in the real system).
 
-use crate::accounting::{GatherPolicy, MachineTallies, Pricer, Update};
+use crate::accounting::{price, GatherPolicy, MachineTallies, Update};
 use crate::gas::{gather_neighbors, init_vertices, mark_neighbors};
 use crate::layout::Layout;
 use crate::program::{ApplyInfo, VertexProgram};
 use crate::report::{ComputeReport, EngineConfig};
-use crate::trace::{superstep_cap, OnStep, SemanticTrace, Semantics, TraceEnd};
+use crate::trace::{superstep_cap, SemanticTrace, Semantics};
 use gp_core::{CsrGraph, EdgeList, Splitmix64, VertexId};
 use gp_partition::Assignment;
 
@@ -45,8 +45,9 @@ impl AsyncGas {
         AsyncGas { config }
     }
 
-    /// Run `program` asynchronously. Rounds are reported as supersteps for
-    /// uniformity, but there are no barriers between them.
+    /// Run `program` asynchronously: [`AsyncGas::trace`] on a fresh
+    /// [`Layout`], then [`AsyncGas::price`]. Rounds are reported as
+    /// supersteps for uniformity, but there are no barriers between them.
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
@@ -54,24 +55,8 @@ impl AsyncGas {
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
         let layout = Layout::build(graph, assignment, self.config.spec.machines);
-        self.run_on(&layout, assignment, program)
-    }
-
-    /// [`AsyncGas::run`] on a prepared `layout` of `assignment`: the
-    /// semantic pass streams each round straight into the pricer.
-    pub fn run_on<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-    ) -> (Vec<P::State>, ComputeReport) {
-        let mut states = Vec::new();
-        let report = self.priced(layout, assignment, program, |on_step| {
-            let (out, end) = async_trace(&self.config, layout.csr(), program, on_step);
-            states = out;
-            end
-        });
-        (states, report)
+        let (states, trace) = self.trace(layout.csr(), program);
+        (states, self.price(&trace, &layout, assignment, program))
     }
 
     /// The semantic pass alone: the final states, and the trace that
@@ -81,14 +66,13 @@ impl AsyncGas {
         csr: &CsrGraph,
         program: &P,
     ) -> (Vec<P::State>, SemanticTrace) {
-        SemanticTrace::record(&self.config, program, Semantics::Asynchronous, |on_step| {
-            async_trace(&self.config, csr, program, on_step)
-        })
+        async_trace(&self.config, csr, program, Semantics::from(self))
     }
 
-    /// The report [`AsyncGas::run_on`] returns, priced from a `trace` of
-    /// `program` on the same graph. Panics if the trace was recorded for
-    /// another program, semantics or superstep cap.
+    /// The report of a run of `program` on `layout` of `assignment`, priced
+    /// from a `trace` of it on the same graph. Panics if the trace was
+    /// recorded on another graph or for another program, semantics or
+    /// superstep cap.
     pub fn price<P: VertexProgram>(
         &self,
         trace: &SemanticTrace,
@@ -96,65 +80,57 @@ impl AsyncGas {
         assignment: &Assignment,
         program: &P,
     ) -> ComputeReport {
-        self.priced(layout, assignment, program, |on_step| {
-            trace.replay(&self.config, program, Semantics::Asynchronous, on_step)
-        })
-    }
-
-    fn priced<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-        source: impl FnOnce(OnStep) -> TraceEnd,
-    ) -> ComputeReport {
-        let machines = self.config.spec.machines as f64;
-        let compute_rate = self.config.spec.compute_threads() as f64
-            * self.config.spec.work_units_per_s
-            * EFFICIENCY;
+        let config = &self.config;
+        let machines = config.spec.machines as f64;
+        let compute_rate =
+            config.spec.compute_threads() as f64 * config.spec.work_units_per_s * EFFICIENCY;
         // No barrier: time = serialized-lock overhead + pipelined work and
         // traffic.
-        let step_wall = |tallies: &mut MachineTallies, active: usize| {
+        let wall = |tallies: &mut MachineTallies, active: usize| {
             active as f64 * LOCK_OVERHEAD_S / machines
                 + tallies.work.iter().sum::<f64>() / compute_rate
                 + tallies.in_bytes.iter().sum::<f64>()
-                    / (machines * self.config.spec.bandwidth_bytes_per_s)
+                    / (machines * config.spec.bandwidth_bytes_per_s)
         };
         let policy = GatherPolicy::AllMirrors;
-        let mut pricer = Pricer::new(&self.config, program, policy, layout, step_wall);
-        let end = source(&mut |updates, active| pricer.step(updates, active));
-        let converged = end.converged || end.frontier_empty;
-        let mut report = pricer.report(program.name(), "async-gas", converged);
-        crate::finish(&mut report, &self.config, assignment);
-        report
+        let steps = price(trace, self.into(), program, config, layout, policy, wall);
+        let converged = trace.converged || trace.frontier_empty;
+        let report = ComputeReport::new(program.name(), "async-gas", steps, converged);
+        crate::finish(report, config, assignment)
+    }
+}
+
+impl From<&AsyncGas> for Semantics {
+    /// Asynchronous.
+    fn from(_: &AsyncGas) -> Self {
+        Semantics::Asynchronous
     }
 }
 
 /// The asynchronous semantic pass: rounds over the active set in an order
 /// shuffled by a PRNG seeded with [`SCHEDULE_SEED`], each update reading and
-/// committing current states. Every round's updates and size go to
-/// `on_step`; returns the final states and how the pass ended.
-pub(crate) fn async_trace<P: VertexProgram>(
+/// committing current states. Returns the final states and the
+/// [`SemanticTrace`] of every round's updates.
+fn async_trace<P: VertexProgram>(
     config: &EngineConfig,
     csr: &CsrGraph,
     program: &P,
-    mut on_step: impl FnMut(&[Update], usize),
-) -> (Vec<P::State>, TraceEnd) {
+    semantics: Semantics,
+) -> (Vec<P::State>, SemanticTrace) {
+    let mut trace = SemanticTrace::new(config, program, semantics, csr);
     let n = csr.num_vertices() as usize;
     let (mut states, mut active) = init_vertices(program, csr);
     let gdir = program.gather_direction();
     let sdir = program.scatter_direction();
     let mut rng = Splitmix64::new(SCHEDULE_SEED);
 
-    let mut converged = false;
     let mut order: Vec<usize> = Vec::new();
-    let mut updates: Vec<Update> = Vec::new();
     let mut next_active = vec![false; n];
     for round in 0..superstep_cap(config, program) {
         order.clear();
         order.extend((0..n).filter(|&v| active[v]));
         if order.is_empty() {
-            converged = true;
+            trace.converged = true;
             break;
         }
         // Fisher–Yates shuffle with the deterministic PRNG.
@@ -167,6 +143,7 @@ pub(crate) fn async_trace<P: VertexProgram>(
         // The semantic pass must stay sequential — each update commits
         // immediately and the next one reads it — so costs are priced from
         // the update sequence after the round.
+        let updates = trace.open_step();
         for &vi in &order {
             let v = VertexId(vi as u64);
             // Async gather reads *current* states.
@@ -196,15 +173,11 @@ pub(crate) fn async_trace<P: VertexProgram>(
             }
             updates.push(Update::new(vi, false, changed, scatters));
         }
-        on_step(&updates, order.len());
-        updates.clear();
+        trace.close_step();
         std::mem::swap(&mut active, &mut next_active);
     }
-    let end = TraceEnd {
-        converged,
-        frontier_empty: active.iter().all(|&a| !a),
-    };
-    (states, end)
+    trace.frontier_empty = active.iter().all(|&a| !a);
+    (states, trace)
 }
 
 #[cfg(test)]

@@ -16,11 +16,11 @@
 //! perfectly-synced mirrors); costs are accounted against the distributed
 //! layout described by the [`ReplicaTable`](crate::ReplicaTable).
 
-use crate::accounting::{GatherPolicy, MachineTallies, Pricer, Update};
+use crate::accounting::{price, GatherPolicy, MachineTallies, Update};
 use crate::layout::Layout;
 use crate::program::{ApplyInfo, Direction, InitInfo, VertexProgram};
 use crate::report::{ComputeReport, EngineConfig};
-use crate::trace::{superstep_cap, OnStep, SemanticTrace, Semantics, TraceEnd};
+use crate::trace::{superstep_cap, SemanticTrace, Semantics};
 use gp_core::{CsrGraph, EdgeList, VertexId};
 use gp_partition::Assignment;
 
@@ -71,9 +71,8 @@ impl SyncGas {
     }
 
     /// Run `program` over the partitioned graph until convergence or the
-    /// superstep cap. Returns final vertex states and the compute report.
-    /// Builds the [`Layout`] and discards it; use [`SyncGas::run_on`] to
-    /// run several programs over one partitioning.
+    /// superstep cap. Returns final vertex states and the compute report:
+    /// [`SyncGas::trace`] on a fresh [`Layout`], then [`SyncGas::price`].
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
@@ -81,26 +80,8 @@ impl SyncGas {
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
         let layout = Layout::build(graph, assignment, self.config.spec.machines);
-        self.run_on(&layout, assignment, program)
-    }
-
-    /// [`SyncGas::run`] on a prepared `layout` of `assignment`: the
-    /// semantic pass streams each superstep straight into the pricer.
-    pub fn run_on<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-    ) -> (Vec<P::State>, ComputeReport) {
-        let mut states = Vec::new();
-        let report = self.priced(layout, assignment, program, |on_step| {
-            let delta_caching = self.config.delta_caching;
-            let (out, end) =
-                sync_trace(&self.config, layout.csr(), program, delta_caching, on_step);
-            states = out;
-            end
-        });
-        (states, report)
+        let (states, trace) = self.trace(layout.csr(), program);
+        (states, self.price(&trace, &layout, assignment, program))
     }
 
     /// The semantic pass alone: the final states, and the trace that
@@ -110,12 +91,13 @@ impl SyncGas {
         csr: &CsrGraph,
         program: &P,
     ) -> (Vec<P::State>, SemanticTrace) {
-        sync_recorded(&self.config, csr, program, self.config.delta_caching)
+        sync_trace(&self.config, csr, program, Semantics::from(self))
     }
 
-    /// The report [`SyncGas::run_on`] returns, priced from a `trace` of
-    /// `program` on the same graph. Panics if the trace was recorded for
-    /// another program, semantics or superstep cap.
+    /// The report of a run of `program` on `layout` of `assignment`, priced
+    /// from a `trace` of it on the same graph. Panics if the trace was
+    /// recorded on another graph or for another program, semantics or
+    /// superstep cap.
     pub fn price<P: VertexProgram>(
         &self,
         trace: &SemanticTrace,
@@ -123,33 +105,21 @@ impl SyncGas {
         assignment: &Assignment,
         program: &P,
     ) -> ComputeReport {
-        self.priced(layout, assignment, program, |on_step| {
-            sync_replay(
-                trace,
-                &self.config,
-                program,
-                self.config.delta_caching,
-                on_step,
-            )
-        })
+        let config = &self.config;
+        let wall = |tallies: &mut MachineTallies, _| barrier_wall(config, tallies);
+        let policy = GatherPolicy::AllMirrors;
+        let steps = price(trace, self.into(), program, config, layout, policy, wall);
+        let report = ComputeReport::new(program.name(), "sync-gas", steps, trace.converged);
+        crate::finish(report, config, assignment)
     }
+}
 
-    fn priced<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-        source: impl FnOnce(OnStep) -> TraceEnd,
-    ) -> ComputeReport {
-        barrier_priced(
-            &self.config,
-            layout,
-            assignment,
-            program,
-            GatherPolicy::AllMirrors,
-            "sync-gas",
-            source,
-        )
+impl From<&SyncGas> for Semantics {
+    /// Synchronous, with the configured gather cache.
+    fn from(engine: &SyncGas) -> Self {
+        Semantics::Synchronous {
+            delta_caching: engine.config.delta_caching,
+        }
     }
 }
 
@@ -219,12 +189,11 @@ pub(crate) fn init_vertices<P: VertexProgram>(
     (states, active)
 }
 
-/// What a semantic pass over a range of active vertices produces, in visit
-/// order: the accounting view of every update, the states to commit, the
-/// delta-cache slots to fill, and (in `marks`, when the program's
-/// activations are ever read) next superstep's activations.
+/// What a semantic pass over a range of active vertices produces besides
+/// its updates, in visit order: the states to commit, the delta-cache slots
+/// to fill, and (in `marks`, when the program's activations are ever read)
+/// next superstep's activations.
 struct PassOutput<P: VertexProgram> {
-    updates: Vec<Update>,
     commits: Vec<(usize, P::State)>,
     cache_writes: Vec<(usize, Option<P::Accum>)>,
     marks: Vec<bool>,
@@ -233,7 +202,6 @@ struct PassOutput<P: VertexProgram> {
 impl<P: VertexProgram> PassOutput<P> {
     fn new(marks: usize) -> Self {
         PassOutput {
-            updates: Vec::new(),
             commits: Vec::new(),
             cache_writes: Vec::new(),
             marks: vec![false; marks],
@@ -241,13 +209,11 @@ impl<P: VertexProgram> PassOutput<P> {
     }
 }
 
-/// The synchronous semantic pass shared by SyncGas, HybridGas and Pregel.
-/// It hands every superstep's updates and active-vertex count to
-/// `on_step` — a [`Pricer`] prices them, a [`SemanticTrace`] records them —
-/// and returns the final states and how the pass ended. It reads the
-/// graph, the program, the superstep cap, `config.par` and the effective
-/// `delta_caching` flag, never a placement, so one pass prices on every
-/// partitioning.
+/// The synchronous semantic pass shared by SyncGas, HybridGas and Pregel:
+/// the final states, and the [`SemanticTrace`] of every superstep's
+/// updates. It reads the graph, the program, the superstep cap,
+/// `config.par` and the gather-cache flag of `semantics`, never a
+/// placement, so one pass prices on every partitioning.
 ///
 /// Each superstep runs in two phases so that `config.par` can parallelize
 /// it without changing a single output bit:
@@ -257,18 +223,25 @@ impl<P: VertexProgram> PassOutput<P> {
 ///    Chunks emit ordered [`Update`]s and commits; concatenating them in
 ///    chunk order reproduces the sequential visit order, and per-chunk
 ///    activation bitmaps merge by OR (idempotent, order-free). On one
-///    thread the pass writes straight into the loop's own buffers.
+///    thread the pass writes straight into the trace and the loop's own
+///    buffers.
 /// 2. **Commit** (sequential): the delta-cache slots fill, changed states
-///    land simultaneously (synchronous semantics), and the update sequence
-///    goes to `on_step`. Its cost is a pure function of the layout and that
+///    land simultaneously (synchronous semantics), and the trace closes the
+///    superstep. Its cost is a pure function of the layout and that
 ///    sequence ([`crate::accounting`]), so the pass never sees the price.
 pub(crate) fn sync_trace<P: VertexProgram>(
     config: &EngineConfig,
     csr: &CsrGraph,
     program: &P,
-    delta_caching: bool,
-    mut on_step: impl FnMut(&[Update], usize),
-) -> (Vec<P::State>, TraceEnd) {
+    semantics: Semantics,
+) -> (Vec<P::State>, SemanticTrace) {
+    let mut trace = SemanticTrace::new(config, program, semantics, csr);
+    let delta_caching = matches!(
+        semantics,
+        Semantics::Synchronous {
+            delta_caching: true
+        }
+    );
     let n = csr.num_vertices() as usize;
     let (mut states, mut active) = init_vertices(program, csr);
     let gdir = program.gather_direction();
@@ -285,20 +258,19 @@ pub(crate) fn sync_trace<P: VertexProgram>(
     let mut gather_cache: Vec<Option<Option<P::Accum>>> = vec![None; cached];
     let mut cache_dirty = vec![true; cached];
 
-    let mut converged = false;
     let mut actives: Vec<usize> = Vec::new();
     let mut out = PassOutput::<P>::new(if always_active { 0 } else { n });
     for superstep in 0..cap {
         actives.clear();
         actives.extend((0..n).filter(|&v| active[v]));
         if actives.is_empty() {
-            converged = true;
+            trace.converged = true;
             break;
         }
         // --- Phase 1: semantic pass over frozen states. A vertex's cache
         // slot is read/written only by its own iteration, so deferring the
         // writes to after the pass keeps them slot-disjoint.
-        let pass = |vertices: &[usize], out: &mut PassOutput<P>| {
+        let pass = |vertices: &[usize], updates: &mut Vec<Update>, out: &mut PassOutput<P>| {
             for &vi in vertices {
                 let v = VertexId(vi as u64);
                 let cache_hit = delta_caching && !cache_dirty[vi] && gather_cache[vi].is_some();
@@ -334,8 +306,7 @@ pub(crate) fn sync_trace<P: VertexProgram>(
                 if !always_active && program.self_reactivates(&new) {
                     out.marks[vi] = true;
                 }
-                out.updates
-                    .push(Update::new(vi, cache_hit, changed, scatters));
+                updates.push(Update::new(vi, cache_hit, changed, scatters));
                 if changed {
                     out.commits.push((vi, new));
                 }
@@ -346,12 +317,12 @@ pub(crate) fn sync_trace<P: VertexProgram>(
             // Ordered join: concatenate in chunk order, OR the bitmaps.
             let marks_len = out.marks.len();
             let chunks = gp_par::map_chunks(&config.par, actives.len(), |_, range| {
-                let mut chunk = PassOutput::new(marks_len);
-                pass(&actives[range], &mut chunk);
-                chunk
+                let (mut updates, mut chunk) = (Vec::new(), PassOutput::new(marks_len));
+                pass(&actives[range], &mut updates, &mut chunk);
+                (updates, chunk)
             });
-            for chunk in chunks {
-                out.updates.extend(chunk.updates);
+            for (updates, chunk) in chunks {
+                trace.open_step().extend(updates);
                 out.commits.extend(chunk.commits);
                 out.cache_writes.extend(chunk.cache_writes);
                 for (mark, chunk_mark) in out.marks.iter_mut().zip(&chunk.marks) {
@@ -359,7 +330,7 @@ pub(crate) fn sync_trace<P: VertexProgram>(
                 }
             }
         } else {
-            pass(&actives, &mut out);
+            pass(&actives, trace.open_step(), &mut out);
         }
         for (vi, acc) in out.cache_writes.drain(..) {
             gather_cache[vi] = Some(acc);
@@ -388,8 +359,7 @@ pub(crate) fn sync_trace<P: VertexProgram>(
             }
         }
 
-        on_step(&out.updates, actives.len());
-        out.updates.clear();
+        trace.close_step();
 
         if always_active {
             active.fill(true);
@@ -399,61 +369,13 @@ pub(crate) fn sync_trace<P: VertexProgram>(
                 // Fixed point: nothing changed, so no scatter activations
                 // exist (superstep 0 is exempt — initial scatters may still
                 // seed work).
-                converged = true;
+                trace.converged = true;
                 break;
             }
         }
     }
-    let end = TraceEnd {
-        converged,
-        frontier_empty: active.iter().all(|&a| !a),
-    };
-    (states, end)
-}
-
-/// [`sync_trace`], recorded.
-pub(crate) fn sync_recorded<P: VertexProgram>(
-    config: &EngineConfig,
-    csr: &CsrGraph,
-    program: &P,
-    delta_caching: bool,
-) -> (Vec<P::State>, SemanticTrace) {
-    let semantics = Semantics::Synchronous { delta_caching };
-    SemanticTrace::record(config, program, semantics, |on_step| {
-        sync_trace(config, csr, program, delta_caching, on_step)
-    })
-}
-
-/// A [`sync_recorded`] trace, replayed.
-pub(crate) fn sync_replay<P: VertexProgram>(
-    trace: &SemanticTrace,
-    config: &EngineConfig,
-    program: &P,
-    delta_caching: bool,
-    on_step: OnStep,
-) -> TraceEnd {
-    let semantics = Semantics::Synchronous { delta_caching };
-    trace.replay(config, program, semantics, on_step)
-}
-
-/// SyncGas's and HybridGas's pricing: the synchronous pass `source` drives,
-/// priced under `policy` on the barrier clock ([`barrier_wall`]), then the
-/// post-passes.
-pub(crate) fn barrier_priced<P: VertexProgram>(
-    config: &EngineConfig,
-    layout: &Layout,
-    assignment: &Assignment,
-    program: &P,
-    policy: GatherPolicy,
-    engine: &'static str,
-    source: impl FnOnce(OnStep) -> TraceEnd,
-) -> ComputeReport {
-    let step_wall = |tallies: &mut MachineTallies, _| barrier_wall(config, tallies);
-    let mut pricer = Pricer::new(config, program, policy, layout, step_wall);
-    let end = source(&mut |updates, active| pricer.step(updates, active));
-    let mut report = pricer.report(program.name(), engine, end.converged);
-    crate::finish(&mut report, config, assignment);
-    report
+    trace.frontier_empty = active.iter().all(|&a| !a);
+    (states, trace)
 }
 
 /// PowerGraph's and PowerLyra's superstep time: the slowest machine's work,

@@ -14,41 +14,33 @@
 //! replicas that actually hold gather-direction edges send partial
 //! aggregates; PowerGraph's engine makes *every* mirror participate.
 
-use crate::accounting::GatherPolicy;
-use crate::gas::{barrier_priced, sync_recorded, sync_replay, sync_trace};
+use crate::accounting::{price, GatherPolicy, MachineTallies};
+use crate::gas::{barrier_wall, sync_trace};
 use crate::layout::Layout;
 use crate::program::VertexProgram;
 use crate::report::{ComputeReport, EngineConfig};
-use crate::trace::{OnStep, SemanticTrace, TraceEnd};
+use crate::trace::{SemanticTrace, Semantics};
 use gp_core::{CsrGraph, EdgeList};
+use gp_partition::strategies::hybrid::DEFAULT_THRESHOLD;
 use gp_partition::Assignment;
 
-/// PowerLyra's hybrid (differentiated) engine.
+/// PowerLyra's hybrid (differentiated) engine. Vertices of degree at most
+/// the partitioning threshold ([`DEFAULT_THRESHOLD`], §6.2.1) take the
+/// local-gather path.
 #[derive(Debug, Clone)]
 pub struct HybridGas {
     /// Engine configuration.
     pub config: EngineConfig,
-    /// Degree at or below which the local-gather path is used. Matches the
-    /// partitioning threshold (100 by default, §6.2.1).
-    pub threshold: u32,
 }
 
 impl HybridGas {
-    /// New hybrid engine with the paper's default threshold.
+    /// New hybrid engine.
     pub fn new(config: EngineConfig) -> Self {
-        HybridGas {
-            config,
-            threshold: gp_partition::strategies::hybrid::DEFAULT_THRESHOLD,
-        }
+        HybridGas { config }
     }
 
-    /// Override the low/high-degree threshold.
-    pub fn with_threshold(mut self, threshold: u32) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Run `program` over the partitioned graph.
+    /// Run `program` over the partitioned graph: [`HybridGas::trace`] on a
+    /// fresh [`Layout`], then [`HybridGas::price`].
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
@@ -56,26 +48,8 @@ impl HybridGas {
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
         let layout = Layout::build(graph, assignment, self.config.spec.machines);
-        self.run_on(&layout, assignment, program)
-    }
-
-    /// [`HybridGas::run`] on a prepared `layout` of `assignment`: the
-    /// semantic pass streams each superstep straight into the pricer.
-    pub fn run_on<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-    ) -> (Vec<P::State>, ComputeReport) {
-        let mut states = Vec::new();
-        let report = self.priced(layout, assignment, program, |on_step| {
-            let delta_caching = self.config.delta_caching;
-            let (out, end) =
-                sync_trace(&self.config, layout.csr(), program, delta_caching, on_step);
-            states = out;
-            end
-        });
-        (states, report)
+        let (states, trace) = self.trace(layout.csr(), program);
+        (states, self.price(&trace, &layout, assignment, program))
     }
 
     /// The semantic pass alone — SyncGas's, since the engines differ only
@@ -86,12 +60,13 @@ impl HybridGas {
         csr: &CsrGraph,
         program: &P,
     ) -> (Vec<P::State>, SemanticTrace) {
-        sync_recorded(&self.config, csr, program, self.config.delta_caching)
+        sync_trace(&self.config, csr, program, Semantics::from(self))
     }
 
-    /// The report [`HybridGas::run_on`] returns, priced from a `trace` of
-    /// `program` on the same graph. Panics if the trace was recorded for
-    /// another program, semantics or superstep cap.
+    /// The report of a run of `program` on `layout` of `assignment`, priced
+    /// from a `trace` of it on the same graph. Panics if the trace was
+    /// recorded on another graph or for another program, semantics or
+    /// superstep cap.
     pub fn price<P: VertexProgram>(
         &self,
         trace: &SemanticTrace,
@@ -99,36 +74,23 @@ impl HybridGas {
         assignment: &Assignment,
         program: &P,
     ) -> ComputeReport {
-        self.priced(layout, assignment, program, |on_step| {
-            sync_replay(
-                trace,
-                &self.config,
-                program,
-                self.config.delta_caching,
-                on_step,
-            )
-        })
-    }
-
-    fn priced<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-        source: impl FnOnce(OnStep) -> TraceEnd,
-    ) -> ComputeReport {
+        let config = &self.config;
+        let wall = |tallies: &mut MachineTallies, _| barrier_wall(config, tallies);
         let policy = GatherPolicy::LocalAware {
-            threshold: self.threshold,
+            threshold: DEFAULT_THRESHOLD,
         };
-        barrier_priced(
-            &self.config,
-            layout,
-            assignment,
-            program,
-            policy,
-            "hybrid-gas",
-            source,
-        )
+        let steps = price(trace, self.into(), program, config, layout, policy, wall);
+        let report = ComputeReport::new(program.name(), "hybrid-gas", steps, trace.converged);
+        crate::finish(report, config, assignment)
+    }
+}
+
+impl From<&HybridGas> for Semantics {
+    /// Synchronous, with the configured gather cache.
+    fn from(engine: &HybridGas) -> Self {
+        Semantics::Synchronous {
+            delta_caching: engine.config.delta_caching,
+        }
     }
 }
 
@@ -277,14 +239,18 @@ mod tests {
     }
 
     #[test]
-    fn threshold_zero_degenerates_to_local_aware_everywhere() {
-        let g = gp_gen::barabasi_albert(2_000, 5, 5);
+    fn low_degree_graphs_take_the_local_aware_path_everywhere() {
+        let g = gp_gen::erdos_renyi(2_000, 10_000, 5);
+        let degrees = g.degrees();
+        let max_degree = (0..g.num_vertices())
+            .map(|v| degrees.in_degree(VertexId(v)) + degrees.out_degree(VertexId(v)))
+            .max();
+        assert!(max_degree <= Some(DEFAULT_THRESHOLD));
         let a = Strategy::OneDTarget
             .build()
             .partition(&g, &PartitionContext::new(9))
             .assignment;
-        let all_local = HybridGas::new(cfg()).with_threshold(u32::MAX);
-        let (_, rep) = all_local.run(&g, &a, &NaturalSum);
+        let (_, rep) = HybridGas::new(cfg()).run(&g, &a, &NaturalSum);
         // 1D-Target co-locates ALL in-edges, so with the local-aware policy
         // applied to every vertex, gather messages only occur when the master
         // was randomly placed away from the in-edge partition.

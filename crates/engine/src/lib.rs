@@ -27,14 +27,14 @@
 //! lives in one array, exactly as if every mirror were perfectly synced —
 //! while network/memory/time are *accounted* against the distributed layout
 //! described by the [`gp_partition::Assignment`], prepared once per
-//! partitioning as a [`Layout`]: an engine's `run` builds one and calls its
-//! `run_on`, which callers with several jobs on one partitioning use directly.
+//! partitioning as a [`Layout`].
 //!
-//! The two halves are separable. An engine's `trace` runs the semantic pass
-//! alone and keeps its update sequence as a [`SemanticTrace`], which no
-//! placement influences; its `price` turns a trace into the report `run_on`
-//! would have returned on any partitioning of the same graph. `run_on`
-//! streams the pass straight into the pricer without keeping a trace.
+//! Every engine run has two halves. An engine's `trace` runs the semantic
+//! pass and keeps its update sequence as a [`SemanticTrace`], which no
+//! placement influences; its `price` turns a trace into the report on any
+//! partitioning of the same graph. `run` builds a [`Layout`], traces, then
+//! prices; callers with several jobs on one graph or partitioning call
+//! `trace` and `price` directly.
 
 pub(crate) mod accounting;
 pub mod async_gas;
@@ -68,16 +68,17 @@ pub use report::{base_memory_per_machine, ComputeReport, EngineConfig, Superstep
 pub use telemetry_hook::record_compute_telemetry;
 pub use trace::{SemanticTrace, Semantics};
 
-/// The post-passes every engine applies to its clean report, in order:
-/// faults and checkpoints, elasticity, the comms protocols, then the trace
-/// of the timeline that results.
+/// `report` after the post-passes every engine applies to its clean
+/// report, in order: faults and checkpoints, elasticity, the comms
+/// protocols, then the telemetry of the timeline that results.
 pub(crate) fn finish(
-    report: &mut ComputeReport,
+    mut report: ComputeReport,
     config: &EngineConfig,
     assignment: &gp_partition::Assignment,
-) {
-    apply_fault_model(report, config, assignment);
-    apply_elastic_model(report, config, assignment);
-    apply_comms_model(report, config);
-    record_compute_telemetry(config, report);
+) -> ComputeReport {
+    apply_fault_model(&mut report, config, assignment);
+    apply_elastic_model(&mut report, config, assignment);
+    apply_comms_model(&mut report, config);
+    record_compute_telemetry(config, &report);
+    report
 }

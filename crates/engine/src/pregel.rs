@@ -20,12 +20,12 @@
 //!   OOM, then fails the job (the three cases of §9.2.4, Fig 9.4), with GC
 //!   overhead growing as memory tightens.
 
-use crate::accounting::{GatherPolicy, MachineTallies, Pricer};
-use crate::gas::{sync_recorded, sync_replay, sync_trace};
+use crate::accounting::{price, GatherPolicy, MachineTallies};
+use crate::gas::sync_trace;
 use crate::layout::Layout;
 use crate::program::VertexProgram;
 use crate::report::{ComputeReport, EngineConfig};
-use crate::trace::{OnStep, SemanticTrace, TraceEnd};
+use crate::trace::{SemanticTrace, Semantics};
 use gp_core::{CsrGraph, EdgeList};
 use gp_partition::Assignment;
 
@@ -176,16 +176,19 @@ impl Pregel {
             + images * self.config.base.rates.vertex_image_bytes
     }
 
-    /// Run `program`; fails with [`PregelOom`] when the graph does not fit
-    /// (placement case 1).
+    /// Run `program`: [`Pregel::trace`] on a fresh [`Layout`], then
+    /// [`Pregel::price`]. Fails with [`PregelOom`] when the graph does not
+    /// fit (placement case 1), before it computes anything.
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
         assignment: &Assignment,
         program: &P,
     ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
+        self.placement(assignment)?;
         let layout = Layout::build(graph, assignment, self.config.base.spec.machines);
-        self.run_on(&layout, assignment, program)
+        let (states, trace) = self.trace(layout.csr(), program);
+        Ok((states, self.price(&trace, &layout, assignment, program)?))
     }
 
     /// Where GraphX places `assignment`'s partitions (§9.2.4), or
@@ -202,24 +205,6 @@ impl Pregel {
         }
     }
 
-    /// [`Pregel::run`] on a prepared `layout` of `assignment`: the semantic
-    /// pass streams each superstep straight into the pricer, and a job that
-    /// does not fit fails before it computes anything.
-    pub fn run_on<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-    ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
-        let mut states = Vec::new();
-        let report = self.priced(layout, assignment, program, |on_step| {
-            let (out, end) = sync_trace(&self.config.base, layout.csr(), program, false, on_step);
-            states = out;
-            end
-        })?;
-        Ok((states, report))
-    }
-
     /// The semantic pass alone — SyncGas's without its gather cache, which
     /// GraphX does not have: the final states, and the trace that
     /// [`Pregel::price`] prices on any partitioning of `csr`'s graph.
@@ -228,31 +213,19 @@ impl Pregel {
         csr: &CsrGraph,
         program: &P,
     ) -> (Vec<P::State>, SemanticTrace) {
-        sync_recorded(&self.config.base, csr, program, false)
+        sync_trace(&self.config.base, csr, program, Semantics::from(self))
     }
 
-    /// The result [`Pregel::run_on`] returns, priced from a `trace` of
-    /// `program` on the same graph; a job that does not fit fails before
-    /// anything is priced. Panics if the trace was recorded for another
-    /// program, semantics or superstep cap.
+    /// The result of a run of `program` on `layout` of `assignment`, priced
+    /// from a `trace` of it on the same graph; a job that does not fit
+    /// fails before anything is priced. Panics if the trace was recorded on
+    /// another graph or for another program, semantics or superstep cap.
     pub fn price<P: VertexProgram>(
         &self,
         trace: &SemanticTrace,
         layout: &Layout,
         assignment: &Assignment,
         program: &P,
-    ) -> Result<ComputeReport, PregelOom> {
-        self.priced(layout, assignment, program, |on_step| {
-            sync_replay(trace, &self.config.base, program, false, on_step)
-        })
-    }
-
-    fn priced<P: VertexProgram>(
-        &self,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-        source: impl FnOnce(OnStep) -> TraceEnd,
     ) -> Result<ComputeReport, PregelOom> {
         let placement = self.placement(assignment)?;
         let gc = self
@@ -280,27 +253,26 @@ impl Pregel {
                     / cfg.spec.bandwidth_bytes_per_s
                 + per_iter_overhead
         };
-        let mut pricer = Pricer::new(
-            cfg,
-            program,
-            GatherPolicy::EdgePartitions,
-            layout,
-            step_wall,
-        );
-        let end = source(&mut |updates, active| pricer.step(updates, active));
-        // A job that drains its frontier on its last allowed iteration
-        // still finished.
-        let mut report = pricer.report(
-            program.name(),
-            "pregel",
-            end.converged || end.frontier_empty,
-        );
+        let policy = GatherPolicy::EdgePartitions;
+        let mut steps = price(trace, self.into(), program, cfg, layout, policy, step_wall);
         // Charge the placement retries to the first iteration.
-        if let Some(first) = report.steps.first_mut() {
+        if let Some(first) = steps.first_mut() {
             first.wall_seconds += placement_penalty_s;
         }
-        crate::finish(&mut report, cfg, assignment);
-        Ok(report)
+        // A job that drains its frontier on its last allowed iteration
+        // still finished.
+        let converged = trace.converged || trace.frontier_empty;
+        let report = ComputeReport::new(program.name(), "pregel", steps, converged);
+        Ok(crate::finish(report, cfg, assignment))
+    }
+}
+
+impl From<&Pregel> for Semantics {
+    /// Synchronous without a gather cache, which GraphX does not have.
+    fn from(_: &Pregel) -> Self {
+        Semantics::Synchronous {
+            delta_caching: false,
+        }
     }
 }
 

@@ -49,12 +49,6 @@ impl ReplicaTable {
         self.masters[v.index()]
     }
 
-    /// Image count of `v`.
-    #[inline]
-    pub fn replica_count(&self, v: VertexId) -> u32 {
-        (self.offsets[v.index() + 1] - self.offsets[v.index()]) as u32
-    }
-
     /// Number of vertices covered.
     pub fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
@@ -214,7 +208,10 @@ mod tests {
         let table = ReplicaTable::build(&g, &out.assignment);
         for v in 0..g.num_vertices() {
             let v = VertexId(v);
-            assert_eq!(table.replica_count(v), out.assignment.replica_count(v));
+            assert_eq!(
+                table.replicas(v).len() as u32,
+                out.assignment.replica_count(v)
+            );
             assert_eq!(table.master_of(v), out.assignment.master_of(v));
         }
     }
@@ -273,7 +270,7 @@ mod tests {
             let table = ReplicaTable::build(&g, a);
             for v in 0..g.num_vertices() {
                 let v = VertexId(v);
-                assert_eq!(table.replica_count(v), a.replica_count(v));
+                assert_eq!(table.replicas(v).len() as u32, a.replica_count(v));
             }
         }
     }

@@ -5,14 +5,15 @@
 //! the program and its execution model, and nothing about where edges and
 //! replicas live: the update sequence it hands to cost accounting is the
 //! same for every strategy and cluster size, and (with equal delta-caching
-//! flags) for SyncGas, HybridGas and Pregel alike. A [`SemanticTrace`]
-//! keeps that sequence, so one semantic pass can be priced on many
-//! placements. Each engine's `run_on` streams its pass straight into its
-//! pricer instead and never materializes a trace.
+//! flags) for SyncGas, HybridGas and Pregel alike. Every engine run records
+//! that sequence as a [`SemanticTrace`] and then prices it, so one semantic
+//! pass can be priced on many placements.
 
 use crate::accounting::Update;
 use crate::program::VertexProgram;
 use crate::report::EngineConfig;
+use gp_core::CsrGraph;
+use std::ops::Range;
 
 /// The execution model a semantic pass follows: what a trace depends on
 /// besides the graph, the program and the superstep cap.
@@ -30,100 +31,119 @@ pub enum Semantics {
     Asynchronous,
 }
 
-/// How a semantic pass ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct TraceEnd {
-    /// The pass stopped at a fixed point rather than at the superstep cap.
-    pub converged: bool,
-    /// No vertex was active when the pass stopped.
-    pub frontier_empty: bool,
-}
-
-/// Receives each superstep of a semantic pass: its updates in visit order
-/// and the number of vertices active at its start.
-pub(crate) type OnStep<'a> = &'a mut dyn FnMut(&[Update], usize);
-
 /// Supersteps a run of `program` under `config` may take.
 pub(crate) fn superstep_cap<P: VertexProgram>(config: &EngineConfig, program: &P) -> u32 {
     program.max_supersteps().min(config.max_supersteps)
 }
 
-/// Everything besides the graph a trace depends on.
+/// Everything a trace depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Origin {
     program: &'static str,
     semantics: Semantics,
     cap: u32,
+    /// Vertex and edge count of the graph.
+    graph: (u64, usize),
 }
 
 impl Origin {
-    fn of<P: VertexProgram>(config: &EngineConfig, program: &P, semantics: Semantics) -> Self {
+    fn of<P: VertexProgram>(
+        config: &EngineConfig,
+        program: &P,
+        semantics: Semantics,
+        csr: &CsrGraph,
+    ) -> Self {
         Origin {
             program: program.name(),
             semantics,
             cap: superstep_cap(config, program),
+            graph: (csr.num_vertices(), csr.num_edges()),
         }
     }
 }
 
 /// One run's semantic pass, without its states: every superstep's packed
-/// update words and active-vertex count, and how the pass ended. Recorded
-/// by an engine's `trace`, priced on any partitioning of the same graph by
-/// the `price` of an engine with the same [`Semantics`].
+/// update words, one per active vertex in visit order, and how the pass
+/// ended. A superstep whose sequence equals the previous one's is stored
+/// as a repeat of it. Recorded by an engine's `trace`, priced on any
+/// partitioning of the same graph by the `price` of an engine with the same
+/// [`Semantics`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SemanticTrace {
     origin: Origin,
-    /// Every superstep's updates, concatenated.
+    /// The distinct supersteps' updates, concatenated.
     updates: Vec<Update>,
-    /// Per superstep: where its updates end in `updates`, and its active
-    /// vertices.
-    steps: Vec<(usize, usize)>,
-    end: TraceEnd,
+    /// Per superstep, its range of `updates`; a repeat shares the range of
+    /// the superstep before it.
+    steps: Vec<Range<usize>>,
+    /// The pass stopped at a fixed point rather than at the superstep cap.
+    pub(crate) converged: bool,
+    /// No vertex was active when the pass stopped.
+    pub(crate) frontier_empty: bool,
 }
 
 impl SemanticTrace {
-    /// Record the pass `run` drives for `program` under `config` and
-    /// `semantics`, and return what it returns beside the trace.
-    pub(crate) fn record<P: VertexProgram, T>(
+    /// An empty trace of a pass of `program` under `config` and `semantics`
+    /// over `csr`.
+    pub(crate) fn new<P: VertexProgram>(
         config: &EngineConfig,
         program: &P,
         semantics: Semantics,
-        run: impl FnOnce(OnStep) -> (T, TraceEnd),
-    ) -> (T, Self) {
-        let (mut updates, mut steps) = (Vec::new(), Vec::new());
-        let (out, end) = run(&mut |step: &[Update], active| {
-            updates.extend_from_slice(step);
-            steps.push((updates.len(), active));
-        });
-        let trace = SemanticTrace {
-            origin: Origin::of(config, program, semantics),
-            updates,
-            steps,
-            end,
-        };
-        (out, trace)
+        csr: &CsrGraph,
+    ) -> Self {
+        SemanticTrace {
+            origin: Origin::of(config, program, semantics, csr),
+            updates: Vec::new(),
+            steps: Vec::new(),
+            converged: false,
+            frontier_empty: false,
+        }
     }
 
-    /// Hand every recorded superstep to `on_step`, in order. Panics unless
-    /// the trace was recorded for this program, semantics and superstep cap.
-    pub(crate) fn replay<P: VertexProgram>(
+    /// Where the open superstep's updates go, in visit order.
+    #[inline]
+    pub(crate) fn open_step(&mut self) -> &mut Vec<Update> {
+        &mut self.updates
+    }
+
+    /// Close the superstep whose updates went to [`SemanticTrace::open_step`]
+    /// since the last close, storing it as a repeat when it equals the
+    /// previous one.
+    pub(crate) fn close_step(&mut self) {
+        let start = self.steps.last().map_or(0, |prev| prev.end);
+        let step = start..self.updates.len();
+        match self.steps.last() {
+            Some(prev) if self.updates[prev.clone()] == self.updates[step.clone()] => {
+                self.updates.truncate(start);
+                self.steps.push(prev.clone());
+            }
+            _ => self.steps.push(step),
+        }
+    }
+
+    /// Every superstep's updates, in order, each flagged when it repeats
+    /// the superstep before it. Panics unless the trace was recorded on
+    /// `csr`'s graph for this program, semantics and superstep cap.
+    pub(crate) fn steps<P: VertexProgram>(
         &self,
         config: &EngineConfig,
         program: &P,
         semantics: Semantics,
-        on_step: OnStep,
-    ) -> TraceEnd {
+        csr: &CsrGraph,
+    ) -> impl Iterator<Item = (&[Update], bool)> {
+        let origin = Origin::of(config, program, semantics, csr);
         assert_eq!(
-            self.origin,
-            Origin::of(config, program, semantics),
+            self.origin.graph, origin.graph,
+            "the trace was recorded on another graph"
+        );
+        assert_eq!(
+            self.origin, origin,
             "the trace was recorded for another program, semantics or superstep cap"
         );
-        let mut start = 0;
-        for &(end, active) in &self.steps {
-            on_step(&self.updates[start..end], active);
-            start = end;
-        }
-        self.end
+        self.steps.iter().enumerate().map(|(i, step)| {
+            let repeat = i > 0 && self.steps[i - 1] == *step;
+            (&self.updates[step.clone()], repeat)
+        })
     }
 
     /// The execution model the trace was recorded under.
@@ -134,5 +154,87 @@ impl SemanticTrace {
     /// Supersteps (async rounds) recorded.
     pub fn supersteps(&self) -> u32 {
         self.steps.len() as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::program::{ApplyInfo, Direction, InitInfo};
+    use crate::{Layout, SyncGas};
+    use gp_cluster::ClusterSpec;
+    use gp_core::VertexId;
+    use gp_partition::{PartitionContext, Strategy};
+
+    /// PageRank(10) as the paper runs it: always active, every rank that
+    /// moves is a change.
+    struct FixedRank;
+
+    impl VertexProgram for FixedRank {
+        type State = f64;
+        type Accum = f64;
+        fn name(&self) -> &'static str {
+            "fixed-rank"
+        }
+        fn gather_direction(&self) -> Direction {
+            Direction::In
+        }
+        fn scatter_direction(&self) -> Direction {
+            Direction::Out
+        }
+        fn init(&self, _: VertexId, _: InitInfo) -> f64 {
+            1.0
+        }
+        fn initially_active(&self, _: VertexId) -> bool {
+            true
+        }
+        fn gather(&self, _: VertexId, _: VertexId, s: &f64, nbr: InitInfo) -> f64 {
+            s / nbr.out_degree.max(1) as f64
+        }
+        fn merge(&self, a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn apply(&self, _: VertexId, _: &f64, acc: Option<f64>, _: ApplyInfo) -> f64 {
+            0.15 + 0.85 * acc.unwrap_or(0.0)
+        }
+        fn always_active(&self) -> bool {
+            true
+        }
+        fn max_supersteps(&self) -> u32 {
+            10
+        }
+    }
+
+    #[test]
+    fn fixed_iteration_trace_stores_repeats_once_and_prices_like_every_step_in_full() {
+        let graph = gp_gen::erdos_renyi(2_000, 12_000, 3);
+        let assignment = Strategy::Hdrf
+            .build()
+            .partition(&graph, &PartitionContext::new(9))
+            .assignment;
+        let layout = Layout::build(&graph, &assignment, 9);
+        let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
+        let (_, trace) = engine.trace(layout.csr(), &FixedRank);
+        let n = graph.num_vertices() as usize;
+        let mut distinct = trace.steps.clone();
+        distinct.dedup();
+        assert_eq!(trace.supersteps(), 10);
+        assert_eq!(distinct.len(), 2, "superstep 0 scatters, the rest repeat");
+        assert_eq!(trace.updates.len(), distinct.len() * n);
+
+        // The same trace with every superstep stored in full.
+        let mut full = trace.clone();
+        full.updates = trace
+            .steps
+            .iter()
+            .flat_map(|s| &trace.updates[s.clone()])
+            .copied()
+            .collect();
+        full.steps = (0..trace.steps.len()).map(|i| i * n..(i + 1) * n).collect();
+        let priced = |t: &SemanticTrace| {
+            let report = engine.price(t, &layout, &assignment, &FixedRank);
+            format!("{report:?}")
+        };
+        assert_eq!(priced(&trace), priced(&full));
     }
 }

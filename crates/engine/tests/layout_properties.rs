@@ -5,8 +5,8 @@
 //!   per-edge slot-lookup build it replaced, over random graphs with
 //!   self-loops, duplicate edges and isolated vertices, five strategies and
 //!   three partition counts;
-//! * `run_on` twice on one layout, with different programs, equals two fresh
-//!   `run`s — states and full reports — on every engine, delta caching
+//! * `trace` and `price` twice on one layout, with different programs, equal
+//!   two fresh `run`s — states and full reports — on every engine, delta caching
 //!   included;
 //! * a program that is always active reports the same active counts whether
 //!   or not it also asks for scatter activations (which the engines skip
@@ -67,7 +67,6 @@ fn assert_matches_rank_build(graph: &EdgeList, assignment: &Assignment, machines
         let v = VertexId(vi as u64);
         for table in [layout.replicas(), &alone] {
             assert_eq!(table.replicas(v), &want[..], "entries of {v}");
-            assert_eq!(table.replica_count(v) as usize, want.len());
             assert_eq!(table.master_of(v), assignment.master_of(v));
         }
         assert!(layout.csr().out_neighbors(v).eq(csr.out_neighbors(v)));
@@ -130,7 +129,8 @@ fn empty_graph_has_an_empty_layout() {
         assert_matches_rank_build(&graph, &assignment, 4);
         let layout = Layout::build(&graph, &assignment, 4);
         let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9().with_machines(4)));
-        let (states, report) = engine.run_on(&layout, &assignment, &Wcc);
+        let (states, trace) = engine.trace(layout.csr(), &Wcc);
+        let report = engine.price(&trace, &layout, &assignment, &Wcc);
         assert!(states.is_empty());
         assert!(report.converged);
         assert_eq!(report.supersteps(), 0);
@@ -146,9 +146,9 @@ fn job(parts: u32) -> (EdgeList, Assignment) {
     (graph, assignment)
 }
 
-/// Fresh `run`s of programs `a` and `b` against `run_on` of the same two,
-/// alternating twice over one layout. Trailing tokens are applied to every
-/// call's result (`Pregel` returns a `Result`).
+/// Fresh `run`s of programs `a` and `b` against `trace` then `price` of the
+/// same two, alternating twice over one layout. Trailing tokens are applied
+/// to every `run` and `price` result (`Pregel` returns a `Result`).
 macro_rules! assert_layout_reuse_is_invisible {
     ($engine:expr, $job:expr, $machines:expr, $a:expr, $b:expr; $($post:tt)*) => {{
         let (engine, (graph, assignment)) = (&$engine, &$job);
@@ -156,8 +156,10 @@ macro_rules! assert_layout_reuse_is_invisible {
         let fresh_b = engine.run(graph, assignment, &$b)$($post)*;
         let layout = Layout::build(graph, assignment, $machines);
         for _ in 0..2 {
-            let on_a = engine.run_on(&layout, assignment, &$a)$($post)*;
-            let on_b = engine.run_on(&layout, assignment, &$b)$($post)*;
+            let (states_a, trace_a) = engine.trace(layout.csr(), &$a);
+            let on_a = (states_a, engine.price(&trace_a, &layout, assignment, &$a)$($post)*);
+            let (states_b, trace_b) = engine.trace(layout.csr(), &$b);
+            let on_b = (states_b, engine.price(&trace_b, &layout, assignment, &$b)$($post)*);
             assert_eq!(fresh_a.0, on_a.0);
             assert_eq!(format!("{:?}", fresh_a.1), format!("{:?}", on_a.1));
             assert_eq!(fresh_b.0, on_b.0);
@@ -167,7 +169,7 @@ macro_rules! assert_layout_reuse_is_invisible {
 }
 
 #[test]
-fn run_on_a_shared_layout_equals_fresh_runs_on_every_engine() {
+fn tracing_and_pricing_on_a_shared_layout_equals_fresh_runs_on_every_engine() {
     let spec = ClusterSpec::local_9();
     let machines = spec.machines;
     let (pagerank, kcore) = (PageRank::fixed_with_tolerance(12, 1e-3), KCore::new(4));
@@ -198,7 +200,9 @@ fn run_on_a_shared_layout_equals_fresh_runs_on_every_engine() {
 fn a_layout_for_another_cluster_size_is_refused() {
     let (graph, assignment) = job(9);
     let layout = Layout::build(&graph, &assignment, 3);
-    SyncGas::new(EngineConfig::new(ClusterSpec::local_9())).run_on(&layout, &assignment, &Wcc);
+    let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
+    let (_, trace) = engine.trace(layout.csr(), &Wcc);
+    engine.price(&trace, &layout, &assignment, &Wcc);
 }
 
 /// Min-label propagation that recomputes everywhere every superstep; only

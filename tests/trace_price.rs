@@ -1,5 +1,6 @@
 //! Compute once, price many: a run's semantic trace does not depend on the
-//! placement, and pricing it reproduces `run_on` bit for bit.
+//! placement, so a trace recorded anywhere prices to the report a fresh run
+//! returns here, bit for bit.
 //!
 //! For every paper program on two graph families, {Random, Grid, HDRF} ×
 //! {Local-9, Local-10} placements, and three configurations (plain, delta
@@ -8,12 +9,13 @@
 //! * the trace is identical across placements, across SyncGas, HybridGas
 //!   and Pregel (Pregel has no gather cache, so its trace is always the
 //!   plain one), and across thread counts;
-//! * `price(trace)` equals `run_on` field for field (`f64::to_bits`), and
-//!   `trace`'s final states equal `run_on`'s.
+//! * the first trace recorded — on another placement, engine or thread
+//!   count than most checks — priced here equals `run` here field for field
+//!   (`f64::to_bits`), and its final states equal `run`'s.
 
 use distgraph::apps::{Coloring, KCore, PageRank, Sssp, Wcc};
 use distgraph::cluster::ClusterSpec;
-use distgraph::core::{EdgeList, VertexId};
+use distgraph::core::{CsrGraph, EdgeList, VertexId};
 use distgraph::engine::{
     AsyncGas, ComputeReport, EngineConfig, HybridGas, Layout, Pregel, PregelConfig, SemanticTrace,
     Semantics, SyncGas, VertexProgram,
@@ -101,8 +103,9 @@ fn variants(spec: &ClusterSpec, cap: Option<u32>) -> [(&'static str, EngineConfi
     ]
 }
 
-/// The three synchronous engines on every placement and configuration.
-fn check_sync<P>(placements: &[Placement], program: &P, cap: Option<u32>)
+/// The three synchronous engines on every placement of `graph` and
+/// configuration.
+fn check_sync<P>(graph: &EdgeList, placements: &[Placement], program: &P, cap: Option<u32>)
 where
     P: VertexProgram,
     P::State: Debug,
@@ -129,21 +132,19 @@ where
             };
             assert_eq!(trace.semantics(), semantics, "{}", what("SyncGas"));
 
-            let (run_states, run) = sync.run_on(&at.layout, &at.assignment, program);
+            let (run_states, run) = sync.run(graph, &at.assignment, program);
             let priced = sync.price(trace, &at.layout, &at.assignment, program);
             assert_eq!(&run_states, states, "{}", what("SyncGas"));
             assert_eq!(bits(&priced), bits(&run), "{}", what("SyncGas"));
             assert_eq!(run.supersteps(), trace.supersteps(), "{}", what("SyncGas"));
 
-            let (run_states, run) = hybrid.run_on(&at.layout, &at.assignment, program);
+            let (run_states, run) = hybrid.run(graph, &at.assignment, program);
             let priced = hybrid.price(trace, &at.layout, &at.assignment, program);
             assert_eq!(&run_states, states, "{}", what("HybridGas"));
             assert_eq!(bits(&priced), bits(&run), "{}", what("HybridGas"));
 
             let (states, trace) = plain.as_ref().expect("recorded above");
-            let (run_states, run) = pregel
-                .run_on(&at.layout, &at.assignment, program)
-                .expect("fits");
+            let (run_states, run) = pregel.run(graph, &at.assignment, program).expect("fits");
             let priced = pregel
                 .price(trace, &at.layout, &at.assignment, program)
                 .expect("fits");
@@ -153,8 +154,8 @@ where
     }
 }
 
-/// AsyncGas on every placement and configuration.
-fn check_async<P>(placements: &[Placement], program: &P, cap: Option<u32>)
+/// AsyncGas on every placement of `graph` and configuration.
+fn check_async<P>(graph: &EdgeList, placements: &[Placement], program: &P, cap: Option<u32>)
 where
     P: VertexProgram,
     P::State: Debug,
@@ -166,7 +167,7 @@ where
             let engine = AsyncGas::new(config);
             same_as(&mut shared, engine.trace(at.layout.csr(), program), &what);
             let (states, trace) = shared.as_ref().expect("recorded above");
-            let (run_states, run) = engine.run_on(&at.layout, &at.assignment, program);
+            let (run_states, run) = engine.run(graph, &at.assignment, program);
             let priced = engine.price(trace, &at.layout, &at.assignment, program);
             assert_eq!(&run_states, states, "{what}");
             assert_eq!(bits(&priced), bits(&run), "{what}");
@@ -186,25 +187,25 @@ fn hub(graph: &EdgeList) -> VertexId {
 fn check_every_program(graph: &EdgeList) {
     let placements = placements(graph);
     let source = hub(graph);
-    check_sync(&placements, &PageRank::fixed(5), None);
-    check_sync(&placements, &PageRank::to_convergence(), None);
-    check_sync(&placements, &Wcc, None);
-    check_sync(&placements, &Sssp::undirected(source), None);
-    check_sync(&placements, &Sssp::directed(source), None);
-    check_sync(&placements, &KCore::new(3), None);
+    check_sync(graph, &placements, &PageRank::fixed(5), None);
+    check_sync(graph, &placements, &PageRank::to_convergence(), None);
+    check_sync(graph, &placements, &Wcc, None);
+    check_sync(graph, &placements, &Sssp::undirected(source), None);
+    check_sync(graph, &placements, &Sssp::directed(source), None);
+    check_sync(graph, &placements, &KCore::new(3), None);
     // Synchronous Coloring livelocks (adjacent vertices recolor together)
     // until its own 1 000-superstep cap; 25 supersteps show the same loop.
-    check_sync(&placements, &Coloring, Some(25));
-    check_async(&placements, &Coloring, None);
+    check_sync(graph, &placements, &Coloring, Some(25));
+    check_async(graph, &placements, &Coloring, None);
 }
 
 #[test]
-fn traces_are_placement_free_and_price_like_run_on_on_a_road_network() {
+fn traces_are_placement_free_and_price_like_fresh_runs_on_a_road_network() {
     check_every_program(&Dataset::RoadNetCa.generate(0.02, 42));
 }
 
 #[test]
-fn traces_are_placement_free_and_price_like_run_on_on_a_social_network() {
+fn traces_are_placement_free_and_price_like_fresh_runs_on_a_social_network() {
     check_every_program(&Dataset::LiveJournal.generate(0.01, 42));
 }
 
@@ -218,21 +219,19 @@ fn traces_keep_how_a_capped_pass_ended() {
     let path = EdgeList::from_pairs((0..30).map(|i| (i, i + 1)).collect());
     let placements = placements(&path);
     let sssp = Sssp::directed(VertexId(0));
-    check_sync(&placements, &sssp, Some(31));
+    check_sync(&path, &placements, &sssp, Some(31));
     let at = &placements[0];
     let mut config = EngineConfig::new(at.spec.clone());
     config.max_supersteps = 31;
-    let (_, synced) = SyncGas::new(config.clone()).run_on(&at.layout, &at.assignment, &sssp);
+    let (_, synced) = SyncGas::new(config.clone()).run(&path, &at.assignment, &sssp);
     let pregel = Pregel::new(PregelConfig::new(config));
-    let (_, pregeled) = pregel
-        .run_on(&at.layout, &at.assignment, &sssp)
-        .expect("fits");
+    let (_, pregeled) = pregel.run(&path, &at.assignment, &sssp).expect("fits");
     assert_eq!((synced.converged, pregeled.converged), (false, true));
 
     // Coloring's last round recolors nothing, so nothing is left active.
     let engine = AsyncGas::new(EngineConfig::new(at.spec.clone()));
     let (_, trace) = engine.trace(at.layout.csr(), &Coloring);
-    check_async(&placements, &Coloring, Some(trace.supersteps()));
+    check_async(&path, &placements, &Coloring, Some(trace.supersteps()));
 }
 
 /// A placement and a config to price a trace on.
@@ -258,4 +257,16 @@ fn pregel_refuses_a_delta_cached_trace() {
     let (_, trace): (_, SemanticTrace) = SyncGas::new(config.clone()).trace(at.layout.csr(), &Wcc);
     let pregel = Pregel::new(PregelConfig::new(config));
     let _ = pregel.price(&trace, &at.layout, &at.assignment, &Wcc);
+}
+
+#[test]
+#[should_panic(expected = "recorded on another graph")]
+fn a_trace_refuses_another_graph() {
+    // A 31-vertex path's trace fits inside the road network's vertex range,
+    // so only the graph check stops it from pricing to a wrong report.
+    let path = EdgeList::from_pairs((0..30).map(|i| (i, i + 1)).collect());
+    let at = road_placement();
+    let engine = SyncGas::new(EngineConfig::new(at.spec.clone()));
+    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&path), &Wcc);
+    engine.price(&trace, &at.layout, &at.assignment, &Wcc);
 }
