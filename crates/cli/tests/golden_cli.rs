@@ -38,7 +38,18 @@ const INVOCATIONS: &[&str] = &[
     "trace LiveJournal --scale 0.02 --strategy 2d --app wcc --system graphx \
      --cluster local-10 -o golden-trace-gx",
     "trace Enwiki-2013 --scale 0.02 --app coloring --system powerlyra -o golden-trace-async",
+    // Serving at a size where some 2-hop queries stop at `KHOP_CAP`, so
+    // adjacency order decides what they visit: HDRF with repairs off, then
+    // 1D under a threshold that fires rebalances.
+    "store build powerlaw --edges 40k --seed 7 -o golden-serve.gps",
+    "serve golden-serve.gps --strategy hdrf --horizon 30 --seed 7 --rebalance-threshold 1000 \
+     --rf-threshold 1000",
+    "serve golden-serve.gps --strategy 1d --horizon 30 --seed 7 --rebalance-threshold 1.02",
 ];
+
+/// Lines whose value is the host's, not the program's: the peak-RSS note
+/// of `store build`.
+const HOST_DEPENDENT: &str = "peak RSS: ";
 
 fn transcript(work_dir: &Path) -> String {
     let mut text = String::new();
@@ -50,7 +61,14 @@ fn transcript(work_dir: &Path) -> String {
             .output()
             .expect("spawn distgraph");
         text.push_str(&format!("$ distgraph {}\n", args.join(" ")));
-        text.push_str(&String::from_utf8_lossy(&output.stdout));
+        for out in String::from_utf8_lossy(&output.stdout).split_inclusive('\n') {
+            if out.starts_with(HOST_DEPENDENT) {
+                text.push_str(HOST_DEPENDENT);
+                text.push_str("(host)\n");
+            } else {
+                text.push_str(out);
+            }
+        }
         text.push_str(&format!("[exit {}]\n", output.status.code().unwrap_or(-1)));
     }
     text
