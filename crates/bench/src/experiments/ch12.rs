@@ -13,6 +13,7 @@
 
 use gp_cluster::Table;
 use gp_partition::Strategy;
+use gp_serve::report::{Phase, QueryClass};
 use gp_serve::{serve, DriftPolicy, ServeConfig, ServeReport, TrafficPlan, TrafficRates};
 
 /// Churn multipliers swept in Table 12.1 (1.0 = the default 60 updates/s
@@ -48,8 +49,8 @@ fn serve_run(
 
 fn ms(h: Option<&gp_telemetry::Histogram>, q: f64) -> String {
     match h {
-        Some(h) if h.count() > 0 => format!("{:.3}", h.quantile(q) * 1e3),
-        _ => "-".to_string(),
+        Some(h) => format!("{:.3}", h.quantile(q) * 1e3),
+        None => "-".to_string(),
     }
 }
 
@@ -77,9 +78,8 @@ pub fn ch12_churn(scale: f64, seed: u64) -> Vec<Table> {
         for &churn in &CHURN_SCALES {
             let rates = TrafficRates::default().with_churn_scale(churn);
             let report = serve_run(scale, seed, strategy, &rates, DriftPolicy::default());
-            let m = &report.metrics;
-            let state = m.histogram(&gp_serve::report::latency_metric("state", "steady"));
-            let khop2 = m.histogram(&gp_serve::report::latency_metric("khop2", "steady"));
+            let state = report.latency(QueryClass::State, Phase::Steady);
+            let khop2 = report.latency(QueryClass::KHop2, Phase::Steady);
             t.row(vec![
                 strategy.label().to_string(),
                 format!("{churn}"),
@@ -129,10 +129,9 @@ pub fn ch12_rebalance(scale: f64, seed: u64) -> Vec<Table> {
             &TrafficRates::default(),
             policy,
         );
-        let m = &report.metrics;
-        let degraded_queries: u64 = gp_serve::report::QUERY_CLASSES
+        let degraded_queries: u64 = QueryClass::ALL
             .iter()
-            .filter_map(|c| m.histogram(&gp_serve::report::latency_metric(c, "degraded")))
+            .filter_map(|&c| report.latency(c, Phase::Degraded))
             .map(|h| h.count())
             .sum();
         // `+ 0.0` normalizes the empty sum (`-0.0`) so the cell prints
@@ -143,14 +142,8 @@ pub fn ch12_rebalance(scale: f64, seed: u64) -> Vec<Table> {
             report.repair_count("rebalance").to_string(),
             format!("{cost:.3}"),
             degraded_queries.to_string(),
-            ms(
-                m.histogram(&gp_serve::report::latency_metric("state", "steady")),
-                0.99,
-            ),
-            ms(
-                m.histogram(&gp_serve::report::latency_metric("state", "degraded")),
-                0.99,
-            ),
+            ms(report.latency(QueryClass::State, Phase::Steady), 0.99),
+            ms(report.latency(QueryClass::State, Phase::Degraded), 0.99),
             format!("{:.4}", report.final_imbalance),
         ]);
     }

@@ -105,11 +105,6 @@ impl IncrementalAssignment {
         self.replicas[v.index()].iter().map(|&(p, _)| p)
     }
 
-    /// Replica count of `v`.
-    pub fn replica_count(&self, v: VertexId) -> u32 {
-        self.replicas[v.index()].len() as u32
-    }
-
     /// Master partition of `v` under the shared hash policy, or partition 0
     /// for a vertex with no images (nothing to read there anyway).
     pub fn master_of(&self, v: VertexId) -> PartitionId {
@@ -168,11 +163,6 @@ impl IncrementalAssignment {
             }
         }
         PartitionId(best as u32)
-    }
-
-    /// Total images (for memory accounting).
-    pub fn total_images(&self) -> u64 {
-        self.total_images
     }
 }
 
@@ -235,10 +225,10 @@ mod tests {
         let before_rf = delta.replication_factor();
         let e = Edge::new(1u64, 2u64);
         delta.add(e, PartitionId(3));
-        assert_eq!(delta.replica_count(VertexId(1)), 1);
+        assert_eq!(delta.replicas(VertexId(1)).count(), 1);
         assert_eq!(delta.replication_factor(), 1.0);
         delta.remove(e, PartitionId(3));
-        assert_eq!(delta.replica_count(VertexId(1)), 0);
+        assert_eq!(delta.replicas(VertexId(1)).count(), 0);
         assert_eq!(delta.replication_factor(), before_rf);
         assert_eq!(delta.edge_counts(), &[0, 0, 0, 0]);
     }
@@ -250,11 +240,15 @@ mod tests {
         let b = Edge::new(1u64, 3u64);
         delta.add(a, PartitionId(0));
         delta.add(b, PartitionId(0));
-        assert_eq!(delta.replica_count(VertexId(1)), 1, "one image, two refs");
+        assert_eq!(
+            delta.replicas(VertexId(1)).count(),
+            1,
+            "one image, two refs"
+        );
         delta.remove(a, PartitionId(0));
-        assert_eq!(delta.replica_count(VertexId(1)), 1, "still referenced");
+        assert_eq!(delta.replicas(VertexId(1)).count(), 1, "still referenced");
         delta.remove(b, PartitionId(0));
-        assert_eq!(delta.replica_count(VertexId(1)), 0, "torn down");
+        assert_eq!(delta.replicas(VertexId(1)).count(), 0, "torn down");
     }
 
     #[test]
@@ -286,9 +280,9 @@ mod tests {
         let mut delta = IncrementalAssignment::new(10, 4, 7);
         let e = Edge::new(3u64, 3u64);
         delta.add(e, PartitionId(1));
-        assert_eq!(delta.replica_count(VertexId(3)), 1);
-        assert_eq!(delta.total_images(), 1);
+        assert_eq!(delta.replicas(VertexId(3)).count(), 1);
+        assert_eq!(delta.total_images, 1);
         delta.remove(e, PartitionId(1));
-        assert_eq!(delta.total_images(), 0);
+        assert_eq!(delta.total_images, 0);
     }
 }

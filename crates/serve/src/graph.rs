@@ -21,8 +21,12 @@ pub struct LiveGraph {
     alive_count: usize,
     base_count: usize,
     /// Out-adjacency: for each vertex, `(neighbor, edge index)` of its live
-    /// out-edges.
-    adj: Vec<Vec<(VertexId, u32)>>,
+    /// out-edges. Ids are `u32` (`from_source` checks the vertex count), so
+    /// an entry is 8 bytes.
+    adj: Vec<Vec<(u32, u32)>>,
+    /// Per edge, its position in its source's adjacency list while it is
+    /// alive (stale once it is deleted), so a delete unlinks in O(1).
+    slot: Vec<u32>,
     /// BFS scratch: visit stamps per vertex, keyed by `epoch`.
     visit_mark: Vec<u32>,
     epoch: u32,
@@ -32,10 +36,12 @@ impl LiveGraph {
     /// Materialize a base snapshot.
     pub fn from_source(source: &dyn StreamingEdges) -> Self {
         let num_vertices = source.num_vertices();
+        u32::try_from(num_vertices).expect("live graph vertex count fits u32");
         let mut g = LiveGraph {
             num_vertices,
             edges: Vec::with_capacity(source.num_edges()),
             alive: Vec::with_capacity(source.num_edges()),
+            slot: Vec::with_capacity(source.num_edges()),
             alive_count: 0,
             base_count: 0,
             adj: vec![Vec::new(); num_vertices as usize],
@@ -81,10 +87,12 @@ impl LiveGraph {
             "edge endpoints must lie in the base vertex-id space"
         );
         let index = u32::try_from(self.edges.len()).expect("edge index fits u32");
+        let list = &mut self.adj[e.src.index()];
+        self.slot.push(list.len() as u32);
+        list.push((e.dst.0 as u32, index));
         self.edges.push(e);
         self.alive.push(true);
         self.alive_count += 1;
-        self.adj[e.src.index()].push((e.dst, index));
         index
     }
 
@@ -109,27 +117,23 @@ impl LiveGraph {
     }
 
     /// Tombstone the edge at `index` (must be alive) and unlink it from the
-    /// adjacency index.
+    /// adjacency index in O(1).
+    ///
+    /// The unlink is a `swap_remove`: the source's last out-edge takes the
+    /// deleted one's place. That order matters. A k-hop that stops at its
+    /// cap visits neighbors in adjacency order, so a different removal rule
+    /// would visit a different vertex set and price a different latency.
     pub fn delete(&mut self, index: u32) {
         assert!(self.alive[index as usize], "double delete of edge {index}");
         self.alive[index as usize] = false;
         self.alive_count -= 1;
-        let e = self.edges[index as usize];
-        let list = &mut self.adj[e.src.index()];
-        let at = list
-            .iter()
-            .position(|&(_, i)| i == index)
-            .expect("live edge is indexed");
-        // Removal order inside an adjacency list is irrelevant: traversals
-        // dedup through visit stamps, so swap_remove's reordering never
-        // changes a query result.
+        let list = &mut self.adj[self.edges[index as usize].src.index()];
+        let at = self.slot[index as usize] as usize;
+        debug_assert_eq!(list[at].1, index, "slot index out of date");
         list.swap_remove(at);
-        let _ = e;
-    }
-
-    /// Live out-degree.
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        self.adj[v.index()].len()
+        if let Some(&(_, moved)) = list.get(at) {
+            self.slot[moved as usize] = at as u32;
+        }
     }
 
     /// Bounded BFS over live out-edges: visit up to `hops` levels from
@@ -150,9 +154,9 @@ impl LiveGraph {
             for fi in frontier_from..frontier_to {
                 let v = visited[fi];
                 for &(w, _) in &self.adj[v.index()] {
-                    if self.visit_mark[w.index()] != epoch {
-                        self.visit_mark[w.index()] = epoch;
-                        visited.push(w);
+                    if self.visit_mark[w as usize] != epoch {
+                        self.visit_mark[w as usize] = epoch;
+                        visited.push(VertexId(u64::from(w)));
                         if visited.len() >= cap {
                             return;
                         }
@@ -202,12 +206,16 @@ mod tests {
         EdgeList::from_pairs(vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     }
 
+    fn out_degree(g: &LiveGraph, v: usize) -> usize {
+        g.adj[v].len()
+    }
+
     #[test]
     fn base_snapshot_loads_and_indexes() {
         let g = LiveGraph::from_source(&base());
         assert_eq!(g.num_alive(), 5);
         assert_eq!(g.base_count(), 5);
-        assert_eq!(g.out_degree(VertexId(0)), 2);
+        assert_eq!(out_degree(&g, 0), 2);
         assert_eq!(g.edge(0), Edge::new(0u64, 1u64));
     }
 
@@ -217,7 +225,7 @@ mod tests {
         let i = g.insert(Edge::new(1u64, 3u64));
         assert_eq!(i, 5);
         assert_eq!(g.num_alive(), 6);
-        assert_eq!(g.out_degree(VertexId(1)), 2);
+        assert_eq!(out_degree(&g, 1), 2);
     }
 
     #[test]
@@ -226,7 +234,7 @@ mod tests {
         g.delete(4); // (0,2)
         assert_eq!(g.num_alive(), 4);
         assert!(!g.alive[4]);
-        assert_eq!(g.out_degree(VertexId(0)), 1);
+        assert_eq!(out_degree(&g, 0), 1);
         // Indices of other edges are untouched.
         assert_eq!(g.edge(3), Edge::new(3u64, 0u64));
     }
@@ -278,6 +286,76 @@ mod tests {
         assert_eq!(got, vec![0, 2]);
         g.k_hop(VertexId(0), 2, 2, &mut visited);
         assert_eq!(visited.len(), 2, "cap truncates the traversal");
+    }
+
+    /// The reference `k_hop`, over adjacency lists unlinked the plain way:
+    /// find the deleted edge by a linear scan, then `swap_remove` it.
+    fn linear_scan_k_hop(adj: &[Vec<(u64, u32)>], start: u64, hops: u32, cap: usize) -> Vec<u64> {
+        let mut seen = vec![false; adj.len()];
+        seen[start as usize] = true;
+        let mut visited = vec![start];
+        let mut frontier_from = 0;
+        for _ in 0..hops {
+            let frontier_to = visited.len();
+            for fi in frontier_from..frontier_to {
+                for &(w, _) in &adj[visited[fi] as usize] {
+                    if !seen[w as usize] {
+                        seen[w as usize] = true;
+                        visited.push(w);
+                        if visited.len() >= cap {
+                            return visited;
+                        }
+                    }
+                }
+            }
+            frontier_from = frontier_to;
+        }
+        visited
+    }
+
+    #[test]
+    fn capped_k_hop_visits_what_the_linear_scan_unlink_visited() {
+        const CAP: usize = 24;
+        let base = gp_gen::barabasi_albert(400, 4, 9);
+        let n = base.num_vertices();
+        let mut g = LiveGraph::from_source(&base);
+        let mut oracle: Vec<Vec<(u64, u32)>> = vec![Vec::new(); n as usize];
+        for (i, e) in base.edges().iter().enumerate() {
+            oracle[e.src.index()].push((e.dst.0, i as u32));
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut visited = Vec::new();
+        let mut capped = 0;
+        for step in 0..3_000 {
+            if next(2) == 0 {
+                let e = Edge::new(next(n), next(n));
+                let i = g.insert(e);
+                oracle[e.src.index()].push((e.dst.0, i));
+            } else if let Some(i) = g.resolve_delete(next(u64::MAX)) {
+                let list = &mut oracle[g.edge(i).src.index()];
+                let at = list.iter().position(|&(_, j)| j == i).expect("live edge");
+                list.swap_remove(at);
+                g.delete(i);
+            }
+            if step % 10 == 0 {
+                let start = next(n);
+                g.k_hop(VertexId(start), 2, CAP, &mut visited);
+                let got: Vec<u64> = visited.iter().map(|v| v.0).collect();
+                assert_eq!(
+                    got,
+                    linear_scan_k_hop(&oracle, start, 2, CAP),
+                    "step {step}"
+                );
+                capped += usize::from(got.len() == CAP);
+            }
+        }
+        assert!(capped > 10, "the cap bound only {capped} traversals");
     }
 
     #[test]

@@ -56,13 +56,14 @@ impl LatencyModel {
         t
     }
 
-    /// Seconds for a k-hop traversal that visited `visited` vertices whose
-    /// masters span `partitions` partitions. Each hop is one synchronization
-    /// round when the frontier is distributed; every visited value ships
-    /// back to the home partition.
-    pub fn k_hop_seconds(&self, visited: usize, partitions: u32, hops: u32) -> f64 {
+    /// Seconds for a k-hop traversal that visited `visited` vertices.
+    /// `distributed` is whether their masters span more than one partition:
+    /// then each hop is one synchronization round and every visited value
+    /// ships back to the home partition. How many partitions they span
+    /// never changes the price.
+    pub fn k_hop_seconds(&self, visited: usize, distributed: bool, hops: u32) -> f64 {
         let mut t = visited as f64 * KHOP_VISIT_WORK / self.spec.work_units_per_s;
-        if partitions > 1 {
+        if distributed {
             t += hops as f64 * 2.0 * self.spec.latency_s
                 + visited as f64 * self.rates.value_wire_bytes / self.spec.bandwidth_bytes_per_s;
         }
@@ -105,9 +106,9 @@ mod tests {
     #[test]
     fn khop_grows_with_visits_hops_and_spread() {
         let m = model();
-        assert!(m.k_hop_seconds(100, 3, 2) > m.k_hop_seconds(10, 3, 2));
-        assert!(m.k_hop_seconds(10, 3, 2) > m.k_hop_seconds(10, 3, 1));
-        assert!(m.k_hop_seconds(10, 3, 1) > m.k_hop_seconds(10, 1, 1));
+        assert!(m.k_hop_seconds(100, true, 2) > m.k_hop_seconds(10, true, 2));
+        assert!(m.k_hop_seconds(10, true, 2) > m.k_hop_seconds(10, true, 1));
+        assert!(m.k_hop_seconds(10, true, 1) > m.k_hop_seconds(10, false, 1));
     }
 
     #[test]
@@ -115,7 +116,7 @@ mod tests {
         let m = model();
         let spec = ClusterSpec::local_9();
         let expect = 10.0 * KHOP_VISIT_WORK / spec.work_units_per_s;
-        assert!((m.k_hop_seconds(10, 1, 2) - expect).abs() < 1e-15);
+        assert!((m.k_hop_seconds(10, false, 2) - expect).abs() < 1e-15);
     }
 
     #[test]

@@ -6,17 +6,62 @@
 //! `(snapshot, plan, config)`.
 
 use crate::latency::LATENCY_BOUNDS_S;
-use gp_telemetry::MetricsRegistry;
+use gp_telemetry::Histogram;
 use std::fmt::Write as _;
 
 /// Query classes with their own latency histograms.
-pub const QUERY_CLASSES: [&str; 3] = ["khop1", "khop2", "state"];
-/// Serving phases: steady state vs. degraded (repair in flight).
-pub const PHASES: [&str; 2] = ["steady", "degraded"];
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryClass {
+    /// One-hop neighborhood read.
+    KHop1,
+    /// Two-hop neighborhood read.
+    KHop2,
+    /// Vertex-state read.
+    State,
+}
 
-/// Histogram name for one (class, phase) cell.
-pub fn latency_metric(class: &str, phase: &str) -> String {
-    format!("serve.latency.{class}.{phase}")
+impl QueryClass {
+    /// Every class, in report order.
+    pub const ALL: [QueryClass; 3] = [QueryClass::KHop1, QueryClass::KHop2, QueryClass::State];
+
+    /// The class's name in the report.
+    pub fn label(self) -> &'static str {
+        match self {
+            QueryClass::KHop1 => "khop1",
+            QueryClass::KHop2 => "khop2",
+            QueryClass::State => "state",
+        }
+    }
+}
+
+/// Serving phases: steady state vs. degraded (repair in flight).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// No repair in flight.
+    Steady,
+    /// Queries contend with an in-flight repair.
+    Degraded,
+}
+
+impl Phase {
+    /// Every phase, in report order.
+    pub const ALL: [Phase; 2] = [Phase::Steady, Phase::Degraded];
+
+    /// The phase's name in the report.
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::Steady => "steady",
+            Phase::Degraded => "degraded",
+        }
+    }
+}
+
+/// One latency histogram per (class, phase), all on `LATENCY_BOUNDS_S`.
+pub(crate) type LatencyTable = [[Histogram; 2]; 3];
+
+/// An empty [`LatencyTable`]: recording into it never allocates.
+pub(crate) fn latency_table() -> LatencyTable {
+    std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new(&LATENCY_BOUNDS_S)))
 }
 
 /// One repair the drift policy triggered.
@@ -68,15 +113,21 @@ pub struct ServeReport {
     pub final_imbalance: f64,
     /// Repairs in trigger order.
     pub repairs: Vec<RepairRecord>,
-    /// Latency histograms, one per (class, phase).
-    pub metrics: MetricsRegistry,
+    /// Latency histograms, indexed by class then phase.
+    pub(crate) latency: LatencyTable,
 }
 
 impl ServeReport {
     /// Record one query latency.
-    pub fn record_latency(&mut self, class: &str, phase: &str, seconds: f64) {
-        self.metrics
-            .histogram_record(&latency_metric(class, phase), &LATENCY_BOUNDS_S, seconds);
+    pub fn record_latency(&mut self, class: QueryClass, phase: Phase, seconds: f64) {
+        self.latency[class as usize][phase as usize].record(seconds);
+    }
+
+    /// The latency histogram of one (class, phase) cell, or `None` when no
+    /// query landed there.
+    pub fn latency(&self, class: QueryClass, phase: Phase) -> Option<&Histogram> {
+        let h = &self.latency[class as usize][phase as usize];
+        (h.count() > 0).then_some(h)
     }
 
     /// How many repairs of `kind` fired.
@@ -121,19 +172,16 @@ impl ServeReport {
             "  {:<8} {:<9} {:>8} {:>10} {:>10} {:>10}",
             "class", "phase", "count", "p50", "p99", "p999"
         );
-        for class in QUERY_CLASSES {
-            for phase in PHASES {
-                let Some(h) = self.metrics.histogram(&latency_metric(class, phase)) else {
+        for class in QueryClass::ALL {
+            for phase in Phase::ALL {
+                let Some(h) = self.latency(class, phase) else {
                     continue;
                 };
-                if h.count() == 0 {
-                    continue;
-                }
                 let _ = writeln!(
                     out,
                     "  {:<8} {:<9} {:>8} {:>10.4} {:>10.4} {:>10.4}",
-                    class,
-                    phase,
+                    class.label(),
+                    phase.label(),
                     h.count(),
                     h.p50() * 1e3,
                     h.p99() * 1e3,
@@ -184,15 +232,15 @@ mod tests {
             base_imbalance: 1.01,
             final_imbalance: 1.2,
             repairs: Vec::new(),
-            metrics: MetricsRegistry::default(),
+            latency: latency_table(),
         }
     }
 
     #[test]
     fn render_is_stable_and_greppable() {
         let mut r = blank();
-        r.record_latency("state", "steady", 2e-4);
-        r.record_latency("khop1", "degraded", 3e-3);
+        r.record_latency(QueryClass::State, Phase::Steady, 2e-4);
+        r.record_latency(QueryClass::KHop1, Phase::Degraded, 3e-3);
         r.repairs.push(RepairRecord {
             time_s: 12.5,
             kind: "rebalance",
@@ -211,7 +259,8 @@ mod tests {
     #[test]
     fn empty_histogram_cells_are_omitted() {
         let mut r = blank();
-        r.record_latency("state", "steady", 2e-4);
+        r.record_latency(QueryClass::State, Phase::Steady, 2e-4);
+        assert!(r.latency(QueryClass::State, Phase::Degraded).is_none());
         let text = r.render();
         assert!(!text.contains("degraded  "), "{text}");
     }

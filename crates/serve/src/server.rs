@@ -12,12 +12,11 @@ use crate::delta::IncrementalAssignment;
 use crate::graph::LiveGraph;
 use crate::latency::LatencyModel;
 use crate::policy::{DriftAction, DriftPolicy};
-use crate::report::{RepairRecord, ServeReport};
+use crate::report::{latency_table, Phase, QueryClass, RepairRecord, ServeReport};
 use crate::traffic::{EventKind, TrafficPlan};
 use gp_cluster::{ClusterSpec, CostRates};
 use gp_core::{EdgeList, PartitionId, StreamingEdges, VertexId};
 use gp_partition::{IngressReport, PartitionContext, Strategy};
-use gp_telemetry::MetricsRegistry;
 
 /// Most vertices one k-hop traversal will visit (hub-rooted 2-hop queries
 /// on power-law graphs would otherwise touch most of the graph).
@@ -138,7 +137,7 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
         base_imbalance,
         final_imbalance: 0.0,
         repairs: Vec::new(),
-        metrics: MetricsRegistry::default(),
+        latency: latency_table(),
     };
 
     // Baseline the drift policy measures RF growth against; reset by a
@@ -148,18 +147,16 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
     let mut degraded_until = 0.0f64;
     let mut churn_since_check = 0u64;
 
-    // Scratch for k-hop partition spreads (epoch-stamped like the BFS).
-    let mut visited: Vec<VertexId> = Vec::new();
-    let mut part_mark = vec![0u32; cfg.num_partitions as usize];
-    let mut part_epoch = 0u32;
+    // k-hop scratch, sized once: a traversal never visits more than the cap.
+    let mut visited: Vec<VertexId> = Vec::with_capacity(KHOP_CAP);
 
     for ev in &plan.events {
         report.sessions = report.sessions.max(ev.session + 1);
         let now = ev.time_s;
         let phase = if now < degraded_until {
-            "degraded"
+            Phase::Degraded
         } else {
-            "steady"
+            Phase::Steady
         };
         match ev.kind {
             EventKind::Insert(e) => {
@@ -183,20 +180,20 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
             }
             EventKind::KHop { start, hops } => {
                 live.k_hop(start, hops, KHOP_CAP, &mut visited);
-                part_epoch += 1;
-                let mut spread = 0u32;
-                for &v in &visited {
-                    let m = res.delta.master_of(v);
-                    if part_mark[m.index()] != part_epoch {
-                        part_mark[m.index()] = part_epoch;
-                        spread += 1;
-                    }
-                }
-                let mut t = model.k_hop_seconds(visited.len(), spread, hops);
-                if phase == "degraded" {
+                // The price only asks whether the masters span more than one
+                // partition, so stop at the first master that differs from
+                // the root's (`visited[0]` is `start`).
+                let home = res.delta.master_of(start);
+                let distributed = visited.iter().any(|&v| res.delta.master_of(v) != home);
+                let mut t = model.k_hop_seconds(visited.len(), distributed, hops);
+                if phase == Phase::Degraded {
                     t = model.degraded(t);
                 }
-                let class = if hops <= 1 { "khop1" } else { "khop2" };
+                let class = if hops <= 1 {
+                    QueryClass::KHop1
+                } else {
+                    QueryClass::KHop2
+                };
                 report.record_latency(class, phase, t);
                 report.queries += 1;
             }
@@ -204,10 +201,10 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
                 let home = PartitionId(ev.session % cfg.num_partitions);
                 let remote = res.delta.master_of(vertex) != home;
                 let mut t = model.state_read_seconds(remote);
-                if phase == "degraded" {
+                if phase == Phase::Degraded {
                     t = model.degraded(t);
                 }
-                report.record_latency("state", phase, t);
+                report.record_latency(QueryClass::State, phase, t);
                 report.queries += 1;
             }
         }
@@ -373,7 +370,12 @@ mod tests {
             .count();
         assert_eq!(report.inserts as usize, inserts);
         // Deletes never outnumber what the plan scheduled.
-        assert!(report.deletes as usize <= plan.churn_count() - inserts);
+        let deletes = plan
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Delete { .. }))
+            .count();
+        assert!(report.deletes as usize <= deletes);
         assert_eq!(
             report.final_edges,
             report.base_edges + report.inserts as usize - report.deletes as usize
@@ -437,13 +439,9 @@ mod tests {
         };
         let report = serve(&g, &plan, &cfg);
         assert!(report.repair_count("rebalance") >= 1);
-        let degraded: u64 = ["khop1", "khop2", "state"]
+        let degraded: u64 = QueryClass::ALL
             .iter()
-            .filter_map(|c| {
-                report
-                    .metrics
-                    .histogram(&crate::report::latency_metric(c, "degraded"))
-            })
+            .filter_map(|&c| report.latency(c, Phase::Degraded))
             .map(|h| h.count())
             .sum();
         assert!(degraded > 0, "no query landed in a degraded window");

@@ -185,17 +185,12 @@ impl TrafficPlan {
         }
     }
 
-    /// Number of churn (insert/delete) events.
-    pub fn churn_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Insert(_) | EventKind::Delete { .. }))
-            .count()
-    }
-
     /// Number of query (k-hop/state-read) events.
     pub fn query_count(&self) -> usize {
-        self.events.len() - self.churn_count()
+        self.events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::KHop { .. } | EventKind::ReadState { .. }))
+            .count()
     }
 }
 
@@ -237,8 +232,8 @@ mod tests {
         // numbers holds loosely enough for a 2x tolerance.
         let r = TrafficRates::default();
         let plan = TrafficPlan::generate(3, 2_000, 2, 20.0, &r);
-        let churn = plan.churn_count() as f64;
         let queries = plan.query_count() as f64;
+        let churn = plan.events.len() as f64 - queries;
         let expect_ratio = (r.inserts_per_s + r.deletes_per_s) / (r.khop_per_s + r.reads_per_s);
         let got_ratio = churn / queries;
         assert!(
