@@ -342,7 +342,7 @@ pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
             .assignment;
         let gm =
             |r: &gp_engine::ComputeReport| r.steps.iter().map(|s| s.gather_messages).sum::<u64>();
-        let layout = Layout::build(&graph, &assignment, spec.machines);
+        let layout = Layout::build(&graph, &assignment, &spec);
         let [off, on] = [0, 1].map(|i| {
             let (engine, trace) = &traced[i];
             engine.price(trace, &layout, &assignment, &program)

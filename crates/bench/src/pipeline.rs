@@ -3,7 +3,7 @@
 
 use gp_apps::{Coloring, KCore, PageRank, Sssp, Wcc};
 use gp_cluster::{ClusterSpec, CostRates};
-use gp_core::{EdgeList, VertexId};
+use gp_core::{CsrGraph, EdgeList, VertexId};
 use gp_elastic::ElasticKind;
 use gp_engine::pregel::PregelOom;
 use gp_engine::{
@@ -415,6 +415,8 @@ pub struct Deployment<'a> {
     pub engine: EngineKind,
     /// Cluster, mid-job models, threads and telemetry.
     pub config: EngineConfig,
+    /// The graph's adjacency, which every program's semantic pass reads.
+    pub csr: &'a CsrGraph,
     /// Layout of `assignment` over the cluster's machines.
     pub layout: &'a Layout,
     /// The partitioning the layout was built from.
@@ -476,7 +478,7 @@ impl Deployment<'_> {
         macro_rules! priced {
             ($engine:expr) => {{
                 if traces.len() == i {
-                    traces.push($engine.trace(layout.csr(), program).1);
+                    traces.push($engine.trace(self.csr, program).1);
                 }
                 $engine.price(&traces[i], layout, assignment, program)
             }};
@@ -526,9 +528,9 @@ impl Deployment<'_> {
     }
 }
 
-/// The experiment pipeline with caching of generated graphs and
-/// partitionings (the same dataset×strategy×cluster triple is reused across
-/// the six applications), and each app's semantic trace across
+/// The experiment pipeline with caching of generated graphs, their
+/// adjacency and partitionings (the same dataset×strategy×cluster triple is
+/// reused across the six applications), and each app's semantic trace across
 /// partitionings.
 pub struct Pipeline {
     /// Dataset scale factor (1.0 = default mini sizes).
@@ -544,6 +546,8 @@ pub struct Pipeline {
     /// SSSP source of each dataset (its highest-out-degree vertex), found
     /// the first time an SSSP job runs on it.
     sssp_sources: HashMap<Dataset, VertexId>,
+    /// Adjacency of each dataset, built by the first job that computes on it.
+    csrs: HashMap<Dataset, CsrGraph>,
     partitions: HashMap<PartitionKey, PartitionOutcome>,
     /// Engine layout of each cached partitioning, built by the first job
     /// that computes on it. The key's loader count is the machine count.
@@ -574,6 +578,7 @@ impl Pipeline {
             telemetry: TelemetrySink::Disabled,
             graphs: HashMap::new(),
             sssp_sources: HashMap::new(),
+            csrs: HashMap::new(),
             partitions: HashMap::new(),
             layouts: HashMap::new(),
             trace_key: None,
@@ -675,10 +680,14 @@ impl Pipeline {
         let graph = &self.graphs[&dataset];
         let outcome = &self.partitions[&key];
         let assignment = &outcome.assignment;
+        let csr = self
+            .csrs
+            .entry(dataset)
+            .or_insert_with(|| CsrGraph::from_edge_list(graph));
         let layout = self
             .layouts
             .entry(key)
-            .or_insert_with(|| Layout::build(graph, assignment, spec.machines));
+            .or_insert_with(|| Layout::build(graph, assignment, spec));
         let sssp_source = match app {
             App::Sssp { .. } => *self.sssp_sources.entry(dataset).or_insert_with(|| {
                 let deg = graph.degrees();
@@ -728,6 +737,7 @@ impl Pipeline {
                 .with_elastic(scenario.elastic.clone())
                 .with_threads(self.threads)
                 .with_telemetry(telemetry.clone()),
+            csr,
             layout,
             assignment,
         };

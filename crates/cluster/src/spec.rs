@@ -100,6 +100,12 @@ impl ClusterSpec {
         self.work_units_per_s * 0.45
     }
 
+    /// Machine hosting partition `p`: partitions fold onto machines
+    /// round-robin, so a machine hosts every partition congruent to it.
+    pub fn machine_of(&self, p: u32) -> u32 {
+        p % self.machines
+    }
+
     /// Whether the machine count is a perfect square (Grid's requirement).
     pub fn is_square(&self) -> bool {
         let r = (self.machines as f64).sqrt().round() as u32;

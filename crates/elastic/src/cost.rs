@@ -20,8 +20,8 @@ use gp_partition::Assignment;
 /// The priced cost of gracefully evacuating one departing machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvacuationCost {
-    /// Masters hosted by the departing machine (its partitions folded
-    /// `p % machines`).
+    /// Masters hosted by the departing machine (the partitions
+    /// [`ClusterSpec::machine_of`] folds onto it).
     pub moved_masters: u64,
     /// Bytes shipped: one vertex state image per moved master.
     pub moved_bytes: f64,
@@ -37,10 +37,9 @@ pub fn evacuation_cost(
     spec: &ClusterSpec,
     rates: &CostRates,
 ) -> EvacuationCost {
-    let machines = spec.machines;
     let mut moved_masters = 0u64;
     for (p, &m) in assignment.master_counts().iter().enumerate() {
-        if p as u32 % machines == machine {
+        if spec.machine_of(p as u32) == machine {
             moved_masters += m;
         }
     }

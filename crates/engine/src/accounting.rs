@@ -4,8 +4,9 @@
 //! An engine's semantic pass reduces each vertex update to an [`Update`] —
 //! the vertex and three flags — and [`Accountant::account`] turns a
 //! superstep's update sequence into per-machine work, traffic and message
-//! tallies against the [`Layout`]: a pure function of the run's constants
-//! and that sequence. [`price`] walks a [`SemanticTrace`] through it: a
+//! tallies against the [`Assignment`]'s replicas and the [`Layout`]'s local
+//! edge counts and machine fold: a pure function of the run's constants and
+//! that sequence. [`Accountant::price`] walks a [`SemanticTrace`] through it: a
 //! superstep the trace stores as a repeat of the one before gets that one's
 //! tallies again instead of a recount, and the engine's superstep clock
 //! turns each superstep's tallies into the report's [`SuperstepStats`].
@@ -19,8 +20,9 @@
 use crate::layout::Layout;
 use crate::program::{Direction, VertexProgram};
 use crate::report::{EngineConfig, SuperstepStats};
-use crate::trace::{SemanticTrace, Semantics};
+use crate::trace::{Origin, SemanticTrace, Semantics};
 use gp_core::VertexId;
+use gp_partition::Assignment;
 
 /// Who sends gather partials to the master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,10 +87,18 @@ fn local_edges(dir: Direction, local_in: u32, local_out: u32) -> u32 {
         + (if dir.includes_out() { local_out } else { 0 })
 }
 
-/// The accounting of one engine run: its constants (layout, policy,
-/// directions, work per operation, wire sizes).
+/// Degree of a vertex from its images' `(local_in, local_out)` counts: its
+/// in- plus out-degree, a self-loop counting once each way.
+fn degree(local: &[(u32, u32)]) -> u32 {
+    local.iter().map(|&(i, o)| i + o).sum()
+}
+
+/// The accounting of one engine run: the trace origin it prices and its constants
+/// (layout, assignment, policy, directions, work per operation, wire sizes).
 pub(crate) struct Accountant<'a> {
+    origin: Origin,
     layout: &'a Layout,
+    assignment: &'a Assignment,
     policy: GatherPolicy,
     gather: Direction,
     scatter: Direction,
@@ -100,31 +110,37 @@ pub(crate) struct Accountant<'a> {
 }
 
 impl<'a> Accountant<'a> {
-    /// Accountant for one run of `program` under `config`. Panics if
-    /// `layout` was built for another cluster size, or if a machine's byte
-    /// tally could reach 2^53 in one superstep (each image adds at most one
-    /// gather and one sync message to a cell), where the f64 sums this
-    /// kernel stands in for would have started rounding.
+    /// Accountant for one run of `program` under `config` and `semantics`.
+    /// Panics if `layout` was built for another cluster size or assignment,
+    /// or if a machine's byte tally could reach 2^53 in one superstep (each
+    /// image adds at most one gather and one sync message to a cell), where
+    /// the f64 sums this kernel stands in for would have started rounding.
     pub fn new<P: VertexProgram>(
         config: &EngineConfig,
         program: &P,
+        semantics: Semantics,
         policy: GatherPolicy,
         layout: &'a Layout,
+        assignment: &'a Assignment,
     ) -> Self {
         assert_eq!(
             layout.machines(),
             config.spec.machines,
             "layout was built for another cluster size"
         );
+        let of_assignment = layout.is_of(assignment);
+        assert!(of_assignment, "layout was built from another assignment");
         let (accum_bytes, state_bytes) = (program.accum_wire_bytes(), program.state_wire_bytes());
-        let images = layout.replicas().total_images() as u128;
+        let images = assignment.total_images() as u128;
         assert!(
             u128::from(accum_bytes.max(state_bytes)) * 2 * images < 1 << 53,
             "per-superstep traffic of {images} images at {accum_bytes}/{state_bytes} B \
              per message is not exactly representable"
         );
         Accountant {
+            origin: Origin::of(config, program, semantics, layout.graph()),
             layout,
+            assignment,
             policy,
             gather: program.gather_direction(),
             scatter: program.scatter_direction(),
@@ -138,10 +154,8 @@ impl<'a> Accountant<'a> {
 
     /// Tally one superstep's `updates`, in order.
     pub fn account(&self, updates: &[Update]) -> MachineTallies {
-        let layout = self.layout;
+        let (layout, assignment) = (self.layout, self.assignment);
         let machines = layout.machines() as usize;
-        let table = layout.replicas();
-        let csr = layout.csr();
         let mut work = vec![0.0f64; machines];
         let mut in_bytes = vec![0u64; machines];
         let mut out_bytes = vec![0u64; machines];
@@ -150,24 +164,23 @@ impl<'a> Accountant<'a> {
         for &update in updates {
             let vi = update.vertex();
             let v = VertexId(vi as u64);
-            let reps = table.replicas(v);
-            let master = table.master_of(v);
-            let master_machine = layout.master_machine(vi);
+            let parts = assignment.replicas(v);
+            let local = layout.replicas().local_edges(assignment, v);
+            let master = assignment.master_of(v).0;
+            let master_machine = layout.machine_of(master);
             // Gather. A cache hit skips both the local gather work and the
             // mirror→master partial aggregates.
             if update.0 & Update::CACHE_HIT == 0 {
                 let every_mirror_sends = match self.policy {
                     GatherPolicy::AllMirrors => true,
-                    GatherPolicy::LocalAware { threshold } => {
-                        csr.in_degree(v) + csr.out_degree(v) > threshold
-                    }
+                    GatherPolicy::LocalAware { threshold } => degree(local) > threshold,
                     GatherPolicy::EdgePartitions => false,
                 };
-                for r in reps {
-                    let local_gather = local_edges(self.gather, r.local_in, r.local_out);
-                    let m = layout.machine_of(r.partition.0);
+                for (&p, &(local_in, local_out)) in parts.iter().zip(local) {
+                    let local_gather = local_edges(self.gather, local_in, local_out);
+                    let m = layout.machine_of(p);
                     work[m] += self.gather_work * local_gather as f64;
-                    if r.partition != master && (every_mirror_sends || local_gather > 0) {
+                    if p != master && (every_mirror_sends || local_gather > 0) {
                         gather_messages += 1;
                         if m != master_machine {
                             in_bytes[master_machine] += self.accum_bytes;
@@ -180,12 +193,12 @@ impl<'a> Accountant<'a> {
             work[master_machine] += self.apply_work;
             if update.0 & Update::CHANGED != 0 {
                 // Mirror synchronization.
-                for r in reps {
-                    if r.partition == master {
+                for &p in parts {
+                    if p == master {
                         continue;
                     }
                     sync_messages += 1;
-                    let m = layout.machine_of(r.partition.0);
+                    let m = layout.machine_of(p);
                     if m != master_machine {
                         in_bytes[m] += self.state_bytes;
                         out_bytes[master_machine] += self.state_bytes;
@@ -194,10 +207,9 @@ impl<'a> Accountant<'a> {
             }
             if update.0 & Update::SCATTERS != 0 && charges_scatter {
                 // Replicas scan their local scatter edges.
-                for r in reps {
-                    let local_scatter = local_edges(self.scatter, r.local_in, r.local_out);
-                    work[layout.machine_of(r.partition.0)] +=
-                        self.scatter_work * local_scatter as f64;
+                for (&p, &(local_in, local_out)) in parts.iter().zip(local) {
+                    let local_scatter = local_edges(self.scatter, local_in, local_out);
+                    work[layout.machine_of(p)] += self.scatter_work * local_scatter as f64;
                 }
             }
         }
@@ -209,46 +221,38 @@ impl<'a> Accountant<'a> {
             sync_messages,
         }
     }
-}
 
-/// The per-superstep stats of `trace`, a pass of `program` under
-/// `semantics`, on `layout` under `policy`: each superstep's tallies (a
-/// repeat reuses the previous superstep's), priced by `step_wall`, which
-/// gets them with the superstep's active-vertex count and may add work of
-/// its own first. Panics if the trace was recorded on another graph or for
-/// another program, semantics or superstep cap; see [`Accountant::new`] for
-/// the other panics.
-pub(crate) fn price<P: VertexProgram>(
-    trace: &SemanticTrace,
-    semantics: Semantics,
-    program: &P,
-    config: &EngineConfig,
-    layout: &Layout,
-    policy: GatherPolicy,
-    mut step_wall: impl FnMut(&mut MachineTallies, usize) -> f64,
-) -> Vec<SuperstepStats> {
-    let steps = trace.steps(config, program, semantics, layout.csr());
-    let accountant = Accountant::new(config, program, policy, layout);
-    let mut tallies: Option<MachineTallies> = None;
-    let mut stats = Vec::new();
-    for (superstep, (updates, repeat)) in steps.enumerate() {
-        if !repeat {
-            tallies = Some(accountant.account(updates));
+    /// The per-superstep stats of `trace`: each superstep's tallies (a
+    /// repeat reuses the previous superstep's), priced by `step_wall`, which
+    /// gets them with the superstep's active-vertex count and may add work
+    /// of its own first. Panics if the trace was recorded on another graph
+    /// or for another program, semantics or superstep cap.
+    pub fn price(
+        &self,
+        trace: &SemanticTrace,
+        mut step_wall: impl FnMut(&mut MachineTallies, usize) -> f64,
+    ) -> Vec<SuperstepStats> {
+        let mut tallies: Option<MachineTallies> = None;
+        let mut stats = Vec::new();
+        for (superstep, (updates, repeat)) in trace.steps(self.origin).enumerate() {
+            if !repeat {
+                tallies = Some(self.account(updates));
+            }
+            let mut t = tallies.clone().expect("the first superstep repeats none");
+            let wall = step_wall(&mut t, updates.len());
+            stats.push(SuperstepStats {
+                superstep: superstep as u32,
+                active_vertices: updates.len() as u64,
+                gather_messages: t.gather_messages,
+                sync_messages: t.sync_messages,
+                machine_work: t.work,
+                machine_in_bytes: t.in_bytes,
+                machine_out_bytes: t.out_bytes,
+                wall_seconds: wall,
+            });
         }
-        let mut t = tallies.clone().expect("the first superstep repeats none");
-        let wall = step_wall(&mut t, updates.len());
-        stats.push(SuperstepStats {
-            superstep: superstep as u32,
-            active_vertices: updates.len() as u64,
-            gather_messages: t.gather_messages,
-            sync_messages: t.sync_messages,
-            machine_work: t.work,
-            machine_in_bytes: t.in_bytes,
-            machine_out_bytes: t.out_bytes,
-            wall_seconds: wall,
-        });
+        stats
     }
-    stats
 }
 
 #[cfg(test)]
@@ -256,7 +260,7 @@ mod tests {
     use super::*;
     use crate::program::{ApplyInfo, InitInfo};
     use gp_cluster::ClusterSpec;
-    use gp_core::Splitmix64;
+    use gp_core::{CsrGraph, EdgeList, Splitmix64};
     use gp_partition::{PartitionContext, Strategy};
 
     /// Carries only what the cost model reads.
@@ -300,15 +304,44 @@ mod tests {
         }
     }
 
+    /// An assignment laid out, with its graph's adjacency.
+    struct Placed {
+        csr: CsrGraph,
+        assignment: Assignment,
+        layout: Layout,
+    }
+
+    impl Placed {
+        fn new(graph: &EdgeList, strategy: Strategy, parts: u32) -> Self {
+            let assignment = strategy
+                .build()
+                .partition(graph, &PartitionContext::new(parts))
+                .assignment;
+            let (csr, layout) = Layout::with_csr(graph, &assignment, &ClusterSpec::local_9());
+            Placed {
+                csr,
+                assignment,
+                layout,
+            }
+        }
+
+        fn accountant(&self, wire: &Wire, policy: GatherPolicy) -> Accountant<'_> {
+            let semantics = Semantics::Asynchronous;
+            Accountant::new(
+                &config(),
+                wire,
+                semantics,
+                policy,
+                &self.layout,
+                &self.assignment,
+            )
+        }
+    }
+
     /// 36 partitions folded onto 9 machines, so several replicas of one
     /// vertex share a work cell.
-    fn layout() -> Layout {
-        let g = gp_gen::barabasi_albert(400, 4, 5);
-        let a = Strategy::Hdrf
-            .build()
-            .partition(&g, &PartitionContext::new(36))
-            .assignment;
-        Layout::build(&g, &a, 9)
+    fn placed() -> Placed {
+        Placed::new(&gp_gen::barabasi_albert(400, 4, 5), Strategy::Hdrf, 36)
     }
 
     /// Work constants whose products are not exactly representable, so a
@@ -322,9 +355,9 @@ mod tests {
     }
 
     /// A shuffled update stream with every flag combination.
-    fn updates(layout: &Layout, seed: u64) -> Vec<Update> {
+    fn updates(placed: &Placed, seed: u64) -> Vec<Update> {
         let mut rng = Splitmix64::new(seed);
-        let n = layout.csr().num_vertices();
+        let n = placed.csr.num_vertices();
         (0..3 * n)
             .map(|_| {
                 let flags = rng.next_below(8);
@@ -339,9 +372,10 @@ mod tests {
     }
 
     /// The engines' accounting loop as it stood before this kernel: every
-    /// tally an f64 sum in visit order, machines resolved by `%`.
-    fn f64_reference(model: &Accountant, updates: &[Update]) -> MachineTallies {
-        let layout = model.layout;
+    /// tally an f64 sum in visit order, machines resolved by `%`, degrees
+    /// read from the adjacency.
+    fn f64_reference(model: &Accountant, csr: &CsrGraph, updates: &[Update]) -> MachineTallies {
+        let (layout, assignment) = (model.layout, model.assignment);
         let machines = layout.machines() as usize;
         let machine_of = |p: u32| p as usize % machines;
         let mut t = MachineTallies {
@@ -353,16 +387,19 @@ mod tests {
         };
         for &update in updates {
             let v = VertexId(update.vertex() as u64);
-            let reps = layout.replicas().replicas(v);
-            let master = layout.replicas().master_of(v);
-            let master_machine = machine_of(master.0);
-            let degree = layout.csr().in_degree(v) + layout.csr().out_degree(v);
+            let reps = || {
+                let local = layout.replicas().local_edges(assignment, v);
+                assignment.replicas(v).iter().zip(local)
+            };
+            let master = assignment.master_of(v).0;
+            let master_machine = machine_of(master);
+            let degree = csr.in_degree(v) + csr.out_degree(v);
             if update.0 & Update::CACHE_HIT == 0 {
-                for r in reps {
-                    let local_gather = local_edges(model.gather, r.local_in, r.local_out);
-                    let m = machine_of(r.partition.0);
+                for (&p, &(local_in, local_out)) in reps() {
+                    let local_gather = local_edges(model.gather, local_in, local_out);
+                    let m = machine_of(p);
                     t.work[m] += model.gather_work * local_gather as f64;
-                    if r.partition == master {
+                    if p == master {
                         continue;
                     }
                     let sends = match model.policy {
@@ -383,12 +420,12 @@ mod tests {
             }
             t.work[master_machine] += model.apply_work;
             if update.0 & Update::CHANGED != 0 {
-                for r in reps {
-                    if r.partition == master {
+                for (&p, _) in reps() {
+                    if p == master {
                         continue;
                     }
                     t.sync_messages += 1;
-                    let m = machine_of(r.partition.0);
+                    let m = machine_of(p);
                     if m != master_machine {
                         t.in_bytes[m] += model.state_bytes as f64;
                         t.out_bytes[master_machine] += model.state_bytes as f64;
@@ -397,9 +434,9 @@ mod tests {
             }
             // The Pregel loop never had a scatter scan to charge.
             if update.0 & Update::SCATTERS != 0 && model.policy != GatherPolicy::EdgePartitions {
-                for r in reps {
-                    let local_scatter = local_edges(model.scatter, r.local_in, r.local_out);
-                    t.work[machine_of(r.partition.0)] += model.scatter_work * local_scatter as f64;
+                for (&p, &(local_in, local_out)) in reps() {
+                    let local_scatter = local_edges(model.scatter, local_in, local_out);
+                    t.work[machine_of(p)] += model.scatter_work * local_scatter as f64;
                 }
             }
         }
@@ -408,8 +445,8 @@ mod tests {
 
     #[test]
     fn kernel_is_bit_identical_to_the_f64_loop_under_every_policy() {
-        let layout = layout();
-        let stream = updates(&layout, 1);
+        let placed = placed();
+        let stream = updates(&placed, 1);
         for policy in [
             GatherPolicy::AllMirrors,
             GatherPolicy::LocalAware { threshold: 6 },
@@ -418,9 +455,11 @@ mod tests {
             // Wire sizes up to 2^40 keep the byte cells exactly
             // representable (about 1 100 images here).
             for (accum, state) in [(16, 8), (1 << 40, (1 << 40) - 1)] {
-                let model = Accountant::new(&config(), &Wire { accum, state }, policy, &layout);
+                let wire = Wire { accum, state };
+                let model = placed.accountant(&wire, policy);
                 let tallies = model.account(&stream);
-                assert_eq!(tallies, f64_reference(&model, &stream), "{policy:?}");
+                let reference = f64_reference(&model, &placed.csr, &stream);
+                assert_eq!(tallies, reference, "{policy:?}");
                 assert!(tallies.in_bytes.iter().sum::<f64>() > 0.0);
             }
         }
@@ -428,13 +467,13 @@ mod tests {
 
     #[test]
     fn work_tallies_depend_on_order_so_the_test_stream_is_sensitive() {
-        let layout = layout();
+        let placed = placed();
         let wire = Wire {
             accum: 16,
             state: 16,
         };
-        let model = Accountant::new(&config(), &wire, GatherPolicy::AllMirrors, &layout);
-        let mut stream = updates(&layout, 1);
+        let model = placed.accountant(&wire, GatherPolicy::AllMirrors);
+        let mut stream = updates(&placed, 1);
         let forward = model.account(&stream);
         stream.reverse();
         let backward = model.account(&stream);
@@ -449,11 +488,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "not exactly representable")]
     fn traffic_beyond_two_to_the_53_is_refused() {
-        let layout = layout();
         let wire = Wire {
             accum: 1 << 50,
             state: 8,
         };
-        Accountant::new(&config(), &wire, GatherPolicy::AllMirrors, &layout);
+        placed().accountant(&wire, GatherPolicy::AllMirrors);
+    }
+
+    #[test]
+    fn count_derived_degree_is_the_adjacency_degree_with_self_loops() {
+        // Vertex 1 has a duplicated self-loop, vertex 2 a single one.
+        let pairs = vec![(0, 1), (1, 1), (1, 1), (1, 2), (2, 2), (2, 0), (3, 1)];
+        let graph = EdgeList::from_pairs(pairs);
+        for strategy in [Strategy::Random, Strategy::Hdrf] {
+            for parts in [1, 2, 4] {
+                let placed = Placed::new(&graph, strategy, parts);
+                let (csr, a) = (&placed.csr, &placed.assignment);
+                for v in csr.vertices() {
+                    assert_eq!(
+                        degree(placed.layout.replicas().local_edges(a, v)),
+                        csr.in_degree(v) + csr.out_degree(v),
+                        "{v} under {strategy:?} on {parts} partitions"
+                    );
+                }
+            }
+        }
     }
 }

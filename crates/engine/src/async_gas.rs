@@ -13,7 +13,7 @@
 //! Coloring deviates from the Fig 5.3/5.4 trend lines (and occasionally
 //! "hangs" in the real system).
 
-use crate::accounting::{price, GatherPolicy, MachineTallies, Update};
+use crate::accounting::{Accountant, GatherPolicy, MachineTallies, Update};
 use crate::gas::{gather_neighbors, init_vertices, mark_neighbors};
 use crate::layout::Layout;
 use crate::program::{ApplyInfo, VertexProgram};
@@ -45,8 +45,8 @@ impl AsyncGas {
         AsyncGas { config }
     }
 
-    /// Run `program` asynchronously: [`AsyncGas::trace`] on a fresh
-    /// [`Layout`], then [`AsyncGas::price`]. Rounds are reported as
+    /// Run `program` asynchronously: [`AsyncGas::trace`], then
+    /// [`AsyncGas::price`] on a fresh [`Layout`]. Rounds are reported as
     /// supersteps for uniformity, but there are no barriers between them.
     pub fn run<P: VertexProgram>(
         &self,
@@ -54,8 +54,8 @@ impl AsyncGas {
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let layout = Layout::build(graph, assignment, self.config.spec.machines);
-        let (states, trace) = self.trace(layout.csr(), program);
+        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.spec);
+        let (states, trace) = self.trace(&csr, program);
         (states, self.price(&trace, &layout, assignment, program))
     }
 
@@ -93,7 +93,8 @@ impl AsyncGas {
                     / (machines * config.spec.bandwidth_bytes_per_s)
         };
         let policy = GatherPolicy::AllMirrors;
-        let steps = price(trace, self.into(), program, config, layout, policy, wall);
+        let accountant = Accountant::new(config, program, self.into(), policy, layout, assignment);
+        let steps = accountant.price(trace, wall);
         let converged = trace.converged || trace.frontier_empty;
         let report = ComputeReport::new(program.name(), "async-gas", steps, converged);
         crate::finish(report, config, assignment)

@@ -51,11 +51,7 @@ pub fn apply_fault_model(
     let bandwidth = config.spec.bandwidth_bytes_per_s;
     let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
     let snapshot = if policy.is_enabled() {
-        snapshot_bytes_per_machine(
-            &assignment.master_counts(),
-            config.spec.machines,
-            &config.rates,
-        )
+        snapshot_bytes_per_machine(&assignment.master_counts(), &config.spec, &config.rates)
     } else {
         Vec::new()
     };

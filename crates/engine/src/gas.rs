@@ -14,9 +14,10 @@
 //!
 //! State semantics are exact (one canonical state array, equivalent to
 //! perfectly-synced mirrors); costs are accounted against the distributed
-//! layout described by the [`ReplicaTable`](crate::ReplicaTable).
+//! layout: the [`Assignment`]'s replicas and masters, with the local edge
+//! counts and machine fold of its [`Layout`].
 
-use crate::accounting::{price, GatherPolicy, MachineTallies, Update};
+use crate::accounting::{Accountant, GatherPolicy, MachineTallies, Update};
 use crate::layout::Layout;
 use crate::program::{ApplyInfo, Direction, InitInfo, VertexProgram};
 use crate::report::{ComputeReport, EngineConfig};
@@ -72,15 +73,15 @@ impl SyncGas {
 
     /// Run `program` over the partitioned graph until convergence or the
     /// superstep cap. Returns final vertex states and the compute report:
-    /// [`SyncGas::trace`] on a fresh [`Layout`], then [`SyncGas::price`].
+    /// [`SyncGas::trace`], then [`SyncGas::price`] on a fresh [`Layout`].
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let layout = Layout::build(graph, assignment, self.config.spec.machines);
-        let (states, trace) = self.trace(layout.csr(), program);
+        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.spec);
+        let (states, trace) = self.trace(&csr, program);
         (states, self.price(&trace, &layout, assignment, program))
     }
 
@@ -108,7 +109,8 @@ impl SyncGas {
         let config = &self.config;
         let wall = |tallies: &mut MachineTallies, _| barrier_wall(config, tallies);
         let policy = GatherPolicy::AllMirrors;
-        let steps = price(trace, self.into(), program, config, layout, policy, wall);
+        let accountant = Accountant::new(config, program, self.into(), policy, layout, assignment);
+        let steps = accountant.price(trace, wall);
         let report = ComputeReport::new(program.name(), "sync-gas", steps, trace.converged);
         crate::finish(report, config, assignment)
     }

@@ -14,7 +14,7 @@
 //! replicas that actually hold gather-direction edges send partial
 //! aggregates; PowerGraph's engine makes *every* mirror participate.
 
-use crate::accounting::{price, GatherPolicy, MachineTallies};
+use crate::accounting::{Accountant, GatherPolicy, MachineTallies};
 use crate::gas::{barrier_wall, sync_trace};
 use crate::layout::Layout;
 use crate::program::VertexProgram;
@@ -39,16 +39,16 @@ impl HybridGas {
         HybridGas { config }
     }
 
-    /// Run `program` over the partitioned graph: [`HybridGas::trace`] on a
-    /// fresh [`Layout`], then [`HybridGas::price`].
+    /// Run `program` over the partitioned graph: [`HybridGas::trace`], then
+    /// [`HybridGas::price`] on a fresh [`Layout`].
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let layout = Layout::build(graph, assignment, self.config.spec.machines);
-        let (states, trace) = self.trace(layout.csr(), program);
+        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.spec);
+        let (states, trace) = self.trace(&csr, program);
         (states, self.price(&trace, &layout, assignment, program))
     }
 
@@ -79,7 +79,8 @@ impl HybridGas {
         let policy = GatherPolicy::LocalAware {
             threshold: DEFAULT_THRESHOLD,
         };
-        let steps = price(trace, self.into(), program, config, layout, policy, wall);
+        let accountant = Accountant::new(config, program, self.into(), policy, layout, assignment);
+        let steps = accountant.price(trace, wall);
         let report = ComputeReport::new(program.name(), "hybrid-gas", steps, trace.converged);
         crate::finish(report, config, assignment)
     }

@@ -25,16 +25,17 @@
 //!
 //! Execution is *semantically* sequential and deterministic — vertex state
 //! lives in one array, exactly as if every mirror were perfectly synced —
-//! while network/memory/time are *accounted* against the distributed layout
-//! described by the [`gp_partition::Assignment`], prepared once per
-//! partitioning as a [`Layout`].
+//! while network/memory/time are *accounted* against the replicas and
+//! masters of the [`gp_partition::Assignment`], whose [`Layout`] adds each
+//! image's local edge counts and the partition→machine fold.
 //!
 //! Every engine run has two halves. An engine's `trace` runs the semantic
-//! pass and keeps its update sequence as a [`SemanticTrace`], which no
-//! placement influences; its `price` turns a trace into the report on any
-//! partitioning of the same graph. `run` builds a [`Layout`], traces, then
-//! prices; callers with several jobs on one graph or partitioning call
-//! `trace` and `price` directly.
+//! pass over the graph's [`gp_core::CsrGraph`] and keeps its update sequence
+//! as a [`SemanticTrace`], which no placement influences; its `price` turns
+//! a trace into the report on any partitioning of the same graph. `run`
+//! builds the adjacency and a [`Layout`] in one sweep, traces, then prices;
+//! callers with several jobs build one adjacency per graph and one layout
+//! per partitioning, and call `trace` and `price` directly.
 
 pub(crate) mod accounting;
 pub mod async_gas;

@@ -20,7 +20,7 @@
 //!   OOM, then fails the job (the three cases of §9.2.4, Fig 9.4), with GC
 //!   overhead growing as memory tightens.
 
-use crate::accounting::{price, GatherPolicy, MachineTallies};
+use crate::accounting::{Accountant, GatherPolicy, MachineTallies};
 use crate::gas::sync_trace;
 use crate::layout::Layout;
 use crate::program::VertexProgram;
@@ -170,15 +170,14 @@ impl Pregel {
 
     /// Total in-memory footprint of the partitioned graph.
     pub fn graph_bytes(&self, assignment: &Assignment) -> u64 {
-        let images: u64 = assignment.replica_counts().iter().sum();
-        let edges: u64 = assignment.edge_counts().iter().sum();
-        edges * self.config.base.rates.edge_store_bytes
-            + images * self.config.base.rates.vertex_image_bytes
+        let rates = &self.config.base.rates;
+        assignment.num_edges() as u64 * rates.edge_store_bytes
+            + assignment.total_images() as u64 * rates.vertex_image_bytes
     }
 
-    /// Run `program`: [`Pregel::trace`] on a fresh [`Layout`], then
-    /// [`Pregel::price`]. Fails with [`PregelOom`] when the graph does not
-    /// fit (placement case 1), before it computes anything.
+    /// Run `program`: [`Pregel::trace`], then [`Pregel::price`] on a fresh
+    /// [`Layout`]. Fails with [`PregelOom`] when the graph does not fit
+    /// (placement case 1), before it computes anything.
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
@@ -186,8 +185,8 @@ impl Pregel {
         program: &P,
     ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
         self.placement(assignment)?;
-        let layout = Layout::build(graph, assignment, self.config.base.spec.machines);
-        let (states, trace) = self.trace(layout.csr(), program);
+        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.base.spec);
+        let (states, trace) = self.trace(&csr, program);
         Ok((states, self.price(&trace, &layout, assignment, program)?))
     }
 
@@ -254,7 +253,8 @@ impl Pregel {
                 + per_iter_overhead
         };
         let policy = GatherPolicy::EdgePartitions;
-        let mut steps = price(trace, self.into(), program, cfg, layout, policy, step_wall);
+        let accountant = Accountant::new(cfg, program, self.into(), policy, layout, assignment);
+        let mut steps = accountant.price(trace, step_wall);
         // Charge the placement retries to the first iteration.
         if let Some(first) = steps.first_mut() {
             first.wall_seconds += placement_penalty_s;

@@ -1,31 +1,23 @@
-//! The replica-location table: for every vertex, which partitions hold its
-//! images and how many in/out edges each image sees locally.
+//! What a placement adds to its assignment: how many in- and out-edges each
+//! vertex image sees locally.
 //!
-//! This is the bridge between a [`gp_partition::Assignment`]
-//! and engine accounting: gather/scatter work lands on the partitions that
-//! hold the edges, partial aggregates flow from replica partitions to
-//! masters, and state sync flows back.
+//! The [`gp_partition::Assignment`] is the only replica view — which
+//! partitions hold `v` (`replicas(v)`, sorted), where its slice of the
+//! flattened view starts (`replica_offset(v)`), and which image is its
+//! master. This table holds one `(local_in, local_out)` per image, in that
+//! flattened order, and engine accounting reads the two side by side:
+//! gather/scatter work lands on the partitions that hold the edges, partial
+//! aggregates flow from replica partitions to masters, and state sync flows
+//! back.
 
-use gp_core::{CsrGraph, EdgeList, PartitionId, VertexId};
+use gp_core::{CsrGraph, EdgeList, VertexId};
 use gp_partition::Assignment;
 
-/// One vertex image on one partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaEntry {
-    /// The hosting partition.
-    pub partition: PartitionId,
-    /// In-edges of the vertex stored on this partition.
-    pub local_in: u32,
-    /// Out-edges of the vertex stored on this partition.
-    pub local_out: u32,
-}
-
-/// Per-vertex replica entries, flattened CSR-style.
+/// `(local_in, local_out)` per vertex image, aligned with the flattened
+/// replica view of the assignment it was built from.
 #[derive(Debug, Clone)]
 pub struct ReplicaTable {
-    offsets: Vec<u64>,
-    entries: Vec<ReplicaEntry>,
-    masters: Vec<PartitionId>,
+    local: Vec<(u32, u32)>,
 }
 
 impl ReplicaTable {
@@ -35,35 +27,25 @@ impl ReplicaTable {
         sweep::<false>(graph, assignment).0
     }
 
-    /// Replica entries of `v`.
+    /// `(local_in, local_out)` of each image of `v`, in the order of
+    /// `assignment.replicas(v)`; `assignment` must be the one the table was
+    /// built from.
     #[inline]
-    pub fn replicas(&self, v: VertexId) -> &[ReplicaEntry] {
-        let lo = self.offsets[v.index()] as usize;
-        let hi = self.offsets[v.index() + 1] as usize;
-        &self.entries[lo..hi]
-    }
-
-    /// Master partition of `v`.
-    #[inline]
-    pub fn master_of(&self, v: VertexId) -> PartitionId {
-        self.masters[v.index()]
-    }
-
-    /// Number of vertices covered.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+    pub fn local_edges(&self, assignment: &Assignment, v: VertexId) -> &[(u32, u32)] {
+        let lo = assignment.replica_offset(v);
+        &self.local[lo..lo + assignment.replica_count(v) as usize]
     }
 
     /// Total number of vertex images.
     pub fn total_images(&self) -> usize {
-        self.entries.len()
+        self.local.len()
     }
 }
 
 /// The fused layout sweep: one degree-count pass, one fill pass that
 /// carries each edge's partition into adjacency order, then a sequential
 /// per-vertex pass that counts a row's partitions in a `P`-wide scratch and
-/// emits the vertex's entries in the assignment's sorted replica order — no
+/// emits the vertex's counts in the assignment's sorted replica order — no
 /// per-edge lookup into the replica sets. With `ADJACENCY` the fill pass
 /// also writes neighbor ids and the CSR comes back; without, the graph is
 /// `None` and only the table is built. Partition ids travel as one byte
@@ -129,40 +111,24 @@ fn sweep_tagged<const ADJACENCY: bool, T: Copy + Default + TryFrom<u32> + Into<u
     }
 
     // (local_in, local_out) of the current vertex per partition; zeroed
-    // again as each entry is emitted.
-    let mut local = vec![(0u32, 0u32); assignment.num_partitions() as usize];
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut entries = Vec::with_capacity(assignment.total_images());
-    offsets.push(0u64);
+    // again as each image's counts are emitted.
+    let mut scratch = vec![(0u32, 0u32); assignment.num_partitions() as usize];
+    let mut local = Vec::with_capacity(assignment.total_images());
     for v in 0..n {
         for &p in &out_parts[out_offsets[v] as usize..out_offsets[v + 1] as usize] {
-            local[p.into() as usize].1 += 1;
+            scratch[p.into() as usize].1 += 1;
         }
         for &p in &in_parts[in_offsets[v] as usize..in_offsets[v + 1] as usize] {
-            local[p.into() as usize].0 += 1;
+            scratch[p.into() as usize].0 += 1;
         }
-        entries.extend(assignment.replicas(VertexId(v as u64)).iter().map(|&p| {
-            let (local_in, local_out) = std::mem::take(&mut local[p as usize]);
-            ReplicaEntry {
-                partition: PartitionId(p),
-                local_in,
-                local_out,
-            }
-        }));
-        offsets.push(entries.len() as u64);
+        for &p in assignment.replicas(VertexId(v as u64)) {
+            local.push(std::mem::take(&mut scratch[p as usize]));
+        }
     }
     debug_assert!(
-        local.iter().all(|&c| c == (0, 0)),
+        scratch.iter().all(|&c| c == (0, 0)),
         "an edge sits on a partition that holds no replica of its endpoint"
     );
-    let masters = (0..n)
-        .map(|v| assignment.master_of(VertexId(v as u64)))
-        .collect();
-    let table = ReplicaTable {
-        offsets,
-        entries,
-        masters,
-    };
     let csr = ADJACENCY.then(|| {
         CsrGraph::from_parts(
             graph.num_vertices(),
@@ -172,12 +138,13 @@ fn sweep_tagged<const ADJACENCY: bool, T: Copy + Default + TryFrom<u32> + Into<u
             in_sources,
         )
     });
-    (table, csr)
+    (ReplicaTable { local }, csr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp_core::PartitionId;
     use gp_partition::{PartitionContext, Strategy};
 
     #[test]
@@ -191,9 +158,9 @@ mod tests {
         for v in 0..g.num_vertices() {
             let v = VertexId(v);
             let (tin, tout) = table
-                .replicas(v)
+                .local_edges(&out.assignment, v)
                 .iter()
-                .fold((0u32, 0u32), |(i, o), r| (i + r.local_in, o + r.local_out));
+                .fold((0u32, 0u32), |(i, o), &(li, lo)| (i + li, o + lo));
             assert_eq!(tin, deg.in_degree(v));
             assert_eq!(tout, deg.out_degree(v));
         }
@@ -205,14 +172,12 @@ mod tests {
         let out = Strategy::Grid
             .build()
             .partition(&g, &PartitionContext::new(9));
-        let table = ReplicaTable::build(&g, &out.assignment);
+        let a = &out.assignment;
+        let table = ReplicaTable::build(&g, a);
+        assert_eq!(table.total_images(), a.total_images());
         for v in 0..g.num_vertices() {
             let v = VertexId(v);
-            assert_eq!(
-                table.replicas(v).len() as u32,
-                out.assignment.replica_count(v)
-            );
-            assert_eq!(table.master_of(v), out.assignment.master_of(v));
+            assert_eq!(table.local_edges(a, v).len() as u32, a.replica_count(v));
         }
     }
 
@@ -225,8 +190,8 @@ mod tests {
             .partition(&g, &PartitionContext::new(4));
         let table = ReplicaTable::build(&g, &out.assignment);
         for v in 0..g.num_vertices() {
-            for r in table.replicas(VertexId(v)) {
-                assert!(r.local_in + r.local_out > 0);
+            for &(local_in, local_out) in table.local_edges(&out.assignment, VertexId(v)) {
+                assert!(local_in + local_out > 0);
             }
         }
     }
@@ -259,18 +224,14 @@ mod tests {
                     assert_eq!(a.replicas(v)[slot], p.0, "slot mismatch for {v} on {p}");
                 }
             }
-            // Isolated vertices: empty replica slice, offsets collapse.
+            // Isolated vertices: empty replica slice and no counts.
+            let table = ReplicaTable::build(&g, a);
             for v in 0..g.num_vertices() {
                 let v = VertexId(v);
                 if a.replica_count(v) == 0 {
                     assert!(a.replicas(v).is_empty());
+                    assert!(table.local_edges(a, v).is_empty());
                 }
-            }
-            // The table agrees with the assignment on every image count.
-            let table = ReplicaTable::build(&g, a);
-            for v in 0..g.num_vertices() {
-                let v = VertexId(v);
-                assert_eq!(table.replicas(v).len() as u32, a.replica_count(v));
             }
         }
     }
@@ -282,15 +243,16 @@ mod tests {
         let out = Strategy::Hybrid
             .build()
             .partition(&g, &PartitionContext::new(8));
-        let table = ReplicaTable::build(&g, &out.assignment);
+        let a = &out.assignment;
+        let table = ReplicaTable::build(&g, a);
         let deg = g.degrees();
         for v in 0..g.num_vertices() {
             let v = VertexId(v);
             if deg.in_degree(v) > 0 && deg.in_degree(v) <= 100 {
-                let master = table.master_of(v);
-                for r in table.replicas(v) {
-                    if r.partition != master {
-                        assert_eq!(r.local_in, 0, "low-degree v{v} has in-edges off-master");
+                let images = a.replicas(v).iter().zip(table.local_edges(a, v));
+                for (&p, &(local_in, _)) in images {
+                    if PartitionId(p) != a.master_of(v) {
+                        assert_eq!(local_in, 0, "low-degree v{v} has in-edges off-master");
                     }
                 }
             }

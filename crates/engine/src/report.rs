@@ -354,12 +354,11 @@ pub fn base_memory_per_machine(
     config: &EngineConfig,
     extra_state_bytes: u64,
 ) -> Vec<f64> {
-    let machines = config.spec.machines as usize;
     let model = MemoryModel::new(config.rates.clone());
-    let mut per = vec![0.0f64; machines];
+    let mut per = vec![0.0f64; config.spec.machines as usize];
     let images = assignment.replica_counts();
     for (p, (&e, &i)) in assignment.edge_counts().iter().zip(&images).enumerate() {
-        per[p % machines] += model.machine_bytes(e, i, 0) as f64;
+        per[config.spec.machine_of(p as u32) as usize] += model.machine_bytes(e, i, 0) as f64;
     }
     for v in per.iter_mut() {
         *v += extra_state_bytes as f64;

@@ -38,7 +38,7 @@ pub(crate) fn superstep_cap<P: VertexProgram>(config: &EngineConfig, program: &P
 
 /// Everything a trace depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Origin {
+pub(crate) struct Origin {
     program: &'static str,
     semantics: Semantics,
     cap: u32,
@@ -47,17 +47,17 @@ struct Origin {
 }
 
 impl Origin {
-    fn of<P: VertexProgram>(
+    pub(crate) fn of<P: VertexProgram>(
         config: &EngineConfig,
         program: &P,
         semantics: Semantics,
-        csr: &CsrGraph,
+        graph: (u64, usize),
     ) -> Self {
         Origin {
             program: program.name(),
             semantics,
             cap: superstep_cap(config, program),
-            graph: (csr.num_vertices(), csr.num_edges()),
+            graph,
         }
     }
 }
@@ -91,8 +91,9 @@ impl SemanticTrace {
         semantics: Semantics,
         csr: &CsrGraph,
     ) -> Self {
+        let graph = (csr.num_vertices(), csr.num_edges());
         SemanticTrace {
-            origin: Origin::of(config, program, semantics, csr),
+            origin: Origin::of(config, program, semantics, graph),
             updates: Vec::new(),
             steps: Vec::new(),
             converged: false,
@@ -122,16 +123,8 @@ impl SemanticTrace {
     }
 
     /// Every superstep's updates, in order, each flagged when it repeats
-    /// the superstep before it. Panics unless the trace was recorded on
-    /// `csr`'s graph for this program, semantics and superstep cap.
-    pub(crate) fn steps<P: VertexProgram>(
-        &self,
-        config: &EngineConfig,
-        program: &P,
-        semantics: Semantics,
-        csr: &CsrGraph,
-    ) -> impl Iterator<Item = (&[Update], bool)> {
-        let origin = Origin::of(config, program, semantics, csr);
+    /// the superstep before it. Panics unless the trace has `origin`.
+    pub(crate) fn steps(&self, origin: Origin) -> impl Iterator<Item = (&[Update], bool)> {
         assert_eq!(
             self.origin.graph, origin.graph,
             "the trace was recorded on another graph"
@@ -212,9 +205,10 @@ mod tests {
             .build()
             .partition(&graph, &PartitionContext::new(9))
             .assignment;
-        let layout = Layout::build(&graph, &assignment, 9);
-        let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
-        let (_, trace) = engine.trace(layout.csr(), &FixedRank);
+        let spec = ClusterSpec::local_9();
+        let (csr, layout) = Layout::with_csr(&graph, &assignment, &spec);
+        let engine = SyncGas::new(EngineConfig::new(spec));
+        let (_, trace) = engine.trace(&csr, &FixedRank);
         let n = graph.num_vertices() as usize;
         let mut distinct = trace.steps.clone();
         distinct.dedup();

@@ -1,135 +1,41 @@
-//! The prepared [`Layout`] is a pure function of (graph, assignment,
-//! machines), and engines neither write to it nor keep anything between runs:
+//! A prepared [`Layout`] is shared by every run over its partitioning, and
+//! engines neither write to it nor keep anything between runs:
 //!
-//! * the fused sweep's replica entries, image counts and masters equal the
-//!   per-edge slot-lookup build it replaced, over random graphs with
-//!   self-loops, duplicate edges and isolated vertices, five strategies and
-//!   three partition counts;
 //! * `trace` and `price` twice on one layout, with different programs, equal
 //!   two fresh `run`s — states and full reports — on every engine, delta caching
 //!   included;
+//! * `price` refuses a layout built for another cluster size or from another
+//!   assignment of the same graph;
 //! * a program that is always active reports the same active counts whether
 //!   or not it also asks for scatter activations (which the engines skip
 //!   marking for it).
+//!
+//! The layout's counts themselves are checked against a per-edge oracle by
+//! the unit tests of `gp_engine::layout`, which also reach the crate-private
+//! constructor that `run` uses.
 
 use gp_apps::{KCore, PageRank, Wcc};
 use gp_cluster::ClusterSpec;
-use gp_core::{Edge, EdgeList, PartitionId, VertexId};
-use gp_engine::replicas::ReplicaEntry;
+use gp_core::{CsrGraph, EdgeList, VertexId};
 use gp_engine::{
     ApplyInfo, AsyncGas, Direction, EngineConfig, HybridGas, InitInfo, Layout, Pregel,
-    PregelConfig, ReplicaTable, SyncGas, VertexProgram,
+    PregelConfig, SyncGas, VertexProgram,
 };
 use gp_partition::{Assignment, PartitionContext, Strategy};
-use proptest::prelude::*;
-// `gp_partition::Strategy` shadows proptest's trait of the same name.
-use proptest::strategy::Strategy as _;
-
-/// The build `ReplicaTable` used before the fused sweep: per edge, two
-/// slot lookups into the assignment's sorted replica lists.
-fn entries_by_rank(graph: &EdgeList, assignment: &Assignment) -> Vec<Vec<ReplicaEntry>> {
-    let mut counts = vec![(0u32, 0u32); assignment.total_images()];
-    for (i, e) in graph.edges().iter().enumerate() {
-        let p = assignment.edge_partition(i);
-        counts[assignment.replica_offset(e.src) + assignment.replica_slot(e.src, p)].1 += 1;
-        counts[assignment.replica_offset(e.dst) + assignment.replica_slot(e.dst, p)].0 += 1;
-    }
-    (0..graph.num_vertices())
-        .map(|v| {
-            let v = VertexId(v);
-            let base = assignment.replica_offset(v);
-            assignment
-                .replicas(v)
-                .iter()
-                .enumerate()
-                .map(|(slot, &p)| ReplicaEntry {
-                    partition: PartitionId(p),
-                    local_in: counts[base + slot].0,
-                    local_out: counts[base + slot].1,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn assert_matches_rank_build(graph: &EdgeList, assignment: &Assignment, machines: u32) {
-    let expected = entries_by_rank(graph, assignment);
-    let layout = Layout::build(graph, assignment, machines);
-    let alone = ReplicaTable::build(graph, assignment);
-    let csr = gp_core::CsrGraph::from_edge_list(graph);
-    assert_eq!(layout.machines(), machines);
-    assert_eq!(layout.csr().num_edges(), graph.num_edges());
-    for table in [layout.replicas(), &alone] {
-        assert_eq!(table.num_vertices() as u64, graph.num_vertices());
-        assert_eq!(table.total_images(), assignment.total_images());
-    }
-    for (vi, want) in expected.iter().enumerate() {
-        let v = VertexId(vi as u64);
-        for table in [layout.replicas(), &alone] {
-            assert_eq!(table.replicas(v), &want[..], "entries of {v}");
-            assert_eq!(table.master_of(v), assignment.master_of(v));
-        }
-        assert!(layout.csr().out_neighbors(v).eq(csr.out_neighbors(v)));
-        assert!(layout.csr().in_neighbors(v).eq(csr.in_neighbors(v)));
-    }
-}
-
-/// Up to 40 vertices and 160 edges drawn with replacement from 0..n, so
-/// self-loops and duplicates are common; ids `n..n + isolated` never appear.
-fn arb_graph() -> impl proptest::strategy::Strategy<Value = EdgeList> {
-    (
-        1u64..40,
-        0u64..5,
-        proptest::collection::vec((0u64..40, 0u64..40), 1..160),
-    )
-        .prop_map(|(n, isolated, pairs)| {
-            let edges: Vec<Edge> = pairs
-                .into_iter()
-                .map(|(a, b)| Edge::new(a % n, b % n))
-                .collect();
-            EdgeList::with_vertex_count(edges, n + isolated).expect("ids in range")
-        })
-}
-
-const STRATEGIES: [Strategy; 5] = [
-    Strategy::Random,
-    Strategy::Grid,
-    Strategy::Hdrf,
-    Strategy::Hybrid,
-    Strategy::OneD,
-];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn fused_sweep_equals_the_per_edge_slot_build(
-        graph in arb_graph(),
-        machines in 2u32..6,
-        seed in 0u64..1000,
-    ) {
-        for strategy in STRATEGIES {
-            for parts in [1, machines, 16 * machines] {
-                let ctx = PartitionContext::new(parts).with_seed(seed);
-                let assignment = strategy.build().partition(&graph, &ctx).assignment;
-                assert_matches_rank_build(&graph, &assignment, machines);
-            }
-        }
-    }
-}
 
 #[test]
-fn empty_graph_has_an_empty_layout() {
+fn an_empty_graph_runs_on_an_empty_layout() {
     let graph = EdgeList::from_edges(Vec::new());
-    for strategy in STRATEGIES {
+    let spec = ClusterSpec::local_9().with_machines(4);
+    let csr = CsrGraph::from_edge_list(&graph);
+    for strategy in [Strategy::Random, Strategy::Grid, Strategy::Hdrf] {
         let assignment = strategy
             .build()
             .partition(&graph, &PartitionContext::new(4))
             .assignment;
-        assert_matches_rank_build(&graph, &assignment, 4);
-        let layout = Layout::build(&graph, &assignment, 4);
-        let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9().with_machines(4)));
-        let (states, trace) = engine.trace(layout.csr(), &Wcc);
+        let layout = Layout::build(&graph, &assignment, &spec);
+        let engine = SyncGas::new(EngineConfig::new(spec.clone()));
+        let (states, trace) = engine.trace(&csr, &Wcc);
         let report = engine.price(&trace, &layout, &assignment, &Wcc);
         assert!(states.is_empty());
         assert!(report.converged);
@@ -150,15 +56,16 @@ fn job(parts: u32) -> (EdgeList, Assignment) {
 /// same two, alternating twice over one layout. Trailing tokens are applied
 /// to every `run` and `price` result (`Pregel` returns a `Result`).
 macro_rules! assert_layout_reuse_is_invisible {
-    ($engine:expr, $job:expr, $machines:expr, $a:expr, $b:expr; $($post:tt)*) => {{
+    ($engine:expr, $job:expr, $spec:expr, $a:expr, $b:expr; $($post:tt)*) => {{
         let (engine, (graph, assignment)) = (&$engine, &$job);
         let fresh_a = engine.run(graph, assignment, &$a)$($post)*;
         let fresh_b = engine.run(graph, assignment, &$b)$($post)*;
-        let layout = Layout::build(graph, assignment, $machines);
+        let csr = CsrGraph::from_edge_list(graph);
+        let layout = Layout::build(graph, assignment, $spec);
         for _ in 0..2 {
-            let (states_a, trace_a) = engine.trace(layout.csr(), &$a);
+            let (states_a, trace_a) = engine.trace(&csr, &$a);
             let on_a = (states_a, engine.price(&trace_a, &layout, assignment, &$a)$($post)*);
-            let (states_b, trace_b) = engine.trace(layout.csr(), &$b);
+            let (states_b, trace_b) = engine.trace(&csr, &$b);
             let on_b = (states_b, engine.price(&trace_b, &layout, assignment, &$b)$($post)*);
             assert_eq!(fresh_a.0, on_a.0);
             assert_eq!(format!("{:?}", fresh_a.1), format!("{:?}", on_a.1));
@@ -170,7 +77,7 @@ macro_rules! assert_layout_reuse_is_invisible {
 
 #[test]
 fn tracing_and_pricing_on_a_shared_layout_equals_fresh_runs_on_every_engine() {
-    let spec = ClusterSpec::local_9();
+    let spec = &ClusterSpec::local_9();
     let machines = spec.machines;
     let (pagerank, kcore) = (PageRank::fixed_with_tolerance(12, 1e-3), KCore::new(4));
     for delta_caching in [false, true] {
@@ -180,16 +87,16 @@ fn tracing_and_pricing_on_a_shared_layout_equals_fresh_runs_on_every_engine() {
                 .with_threads(threads);
             let job9 = job(machines);
             let sync = SyncGas::new(config.clone());
-            assert_layout_reuse_is_invisible!(sync, job9, machines, pagerank, Wcc;);
+            assert_layout_reuse_is_invisible!(sync, job9, spec, pagerank, Wcc;);
             let hybrid = HybridGas::new(config.clone());
-            assert_layout_reuse_is_invisible!(hybrid, job9, machines, kcore, pagerank;);
+            assert_layout_reuse_is_invisible!(hybrid, job9, spec, kcore, pagerank;);
             let async_ = AsyncGas::new(config.clone());
-            assert_layout_reuse_is_invisible!(async_, job9, machines, gp_apps::Coloring, Wcc;);
+            assert_layout_reuse_is_invisible!(async_, job9, spec, gp_apps::Coloring, Wcc;);
             // GraphX: many partitions per machine.
             let pregel = Pregel::new(PregelConfig::new(config));
             let job36 = job(4 * machines);
             assert_layout_reuse_is_invisible!(
-                pregel, job36, machines, Wcc, pagerank; .expect("600 vertices fit")
+                pregel, job36, spec, Wcc, pagerank; .expect("600 vertices fit")
             );
         }
     }
@@ -199,9 +106,29 @@ fn tracing_and_pricing_on_a_shared_layout_equals_fresh_runs_on_every_engine() {
 #[should_panic(expected = "another cluster size")]
 fn a_layout_for_another_cluster_size_is_refused() {
     let (graph, assignment) = job(9);
-    let layout = Layout::build(&graph, &assignment, 3);
+    let layout = Layout::build(
+        &graph,
+        &assignment,
+        &ClusterSpec::local_9().with_machines(3),
+    );
     let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
-    let (_, trace) = engine.trace(layout.csr(), &Wcc);
+    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&graph), &Wcc);
+    engine.price(&trace, &layout, &assignment, &Wcc);
+}
+
+#[test]
+#[should_panic(expected = "layout was built from another assignment")]
+fn a_layout_of_another_assignment_of_the_same_graph_is_refused() {
+    let (graph, assignment) = job(9);
+    let other = Strategy::Random
+        .build()
+        .partition(&graph, &PartitionContext::new(9))
+        .assignment;
+    assert_ne!(other.total_images(), assignment.total_images());
+    let spec = ClusterSpec::local_9();
+    let layout = Layout::build(&graph, &other, &spec);
+    let engine = SyncGas::new(EngineConfig::new(spec));
+    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&graph), &Wcc);
     engine.price(&trace, &layout, &assignment, &Wcc);
 }
 

@@ -1,13 +1,13 @@
 //! Pricing a crash: what it costs to bring a replacement machine back.
 //!
-//! When machine `m` dies, every partition folded onto it (`p % machines ==
-//! m`) is gone. A cold spare must re-fetch those partitions' edges from the
-//! peers' durable copies and re-register every vertex image the partitions
-//! hosted — so recovery traffic is **proportional to the replication the
-//! partitioning strategy put on the dead machine**. High-RF strategies
-//! (Random) pay more to recover than low-RF ones (Hybrid, Oblivious); this
-//! is the fault-tolerance face of the paper's headline result that
-//! replication factor drives every other cost.
+//! When machine `m` dies, every partition folded onto it
+//! ([`ClusterSpec::machine_of`]) is gone. A cold spare must re-fetch those
+//! partitions' edges from the peers' durable copies and re-register every
+//! vertex image the partitions hosted — so recovery traffic is
+//! **proportional to the replication the partitioning strategy put on the
+//! dead machine**. High-RF strategies (Random) pay more to recover than
+//! low-RF ones (Hybrid, Oblivious); this is the fault-tolerance face of the
+//! paper's headline result that replication factor drives every other cost.
 
 use gp_cluster::{ClusterSpec, CostRates};
 use gp_partition::Assignment;
@@ -33,12 +33,11 @@ pub fn recovery_cost(
     spec: &ClusterSpec,
     rates: &CostRates,
 ) -> RecoveryCost {
-    let machines = spec.machines;
     let images = assignment.replica_counts();
     let mut lost_edges = 0u64;
     let mut lost_images = 0u64;
     for (p, (&e, &i)) in assignment.edge_counts().iter().zip(&images).enumerate() {
-        if p as u32 % machines == machine {
+        if spec.machine_of(p as u32) == machine {
             lost_edges += e;
             lost_images += i;
         }
@@ -46,7 +45,7 @@ pub fn recovery_cost(
     let refetch_bytes = lost_edges as f64 * rates.edge_wire_bytes
         + lost_images as f64 * (rates.mirror_setup_bytes + rates.value_wire_bytes);
     let transfer_seconds =
-        refetch_bytes / spec.bandwidth_bytes_per_s + spec.latency_s * machines as f64;
+        refetch_bytes / spec.bandwidth_bytes_per_s + spec.latency_s * spec.machines as f64;
     RecoveryCost {
         lost_edges,
         lost_images,

@@ -88,15 +88,15 @@ proptest! {
             let deg = graph.degrees();
             for v in 0..graph.num_vertices() {
                 let v = VertexId(v);
-                let (tin, tout) = table
-                    .replicas(v)
+                let local = table.local_edges(&a, v);
+                let (tin, tout) = local
                     .iter()
-                    .fold((0u32, 0u32), |(i, o), r| (i + r.local_in, o + r.local_out));
+                    .fold((0u32, 0u32), |(i, o), &(li, lo)| (i + li, o + lo));
                 prop_assert_eq!(tin, deg.in_degree(v));
                 prop_assert_eq!(tout, deg.out_degree(v));
                 // Every replica hosts at least one incident edge.
-                for r in table.replicas(v) {
-                    prop_assert!(r.local_in + r.local_out > 0);
+                for &(local_in, local_out) in local {
+                    prop_assert!(local_in + local_out > 0);
                 }
             }
         }

@@ -40,7 +40,7 @@ fn placements(graph: &EdgeList) -> Vec<Placement> {
             let assignment = strategy.build().partition(graph, &ctx).assignment;
             out.push(Placement {
                 name: format!("{} on {}", strategy.label(), spec.name),
-                layout: Layout::build(graph, &assignment, spec.machines),
+                layout: Layout::build(graph, &assignment, &spec),
                 spec,
                 assignment,
             });
@@ -113,8 +113,8 @@ where
     let name = program.name();
     // The trace of every run without a gather cache, and of every run with.
     let (mut plain, mut cached) = (None, None);
+    let csr = &CsrGraph::from_edge_list(graph);
     for at in placements {
-        let csr = at.layout.csr();
         for (variant, config) in variants(&at.spec, cap) {
             let what = |engine: &str| format!("{name} on {engine}, {}, {variant}", at.name);
             let sync = SyncGas::new(config.clone());
@@ -161,11 +161,12 @@ where
     P::State: Debug,
 {
     let mut shared = None;
+    let csr = CsrGraph::from_edge_list(graph);
     for at in placements {
         for (variant, config) in variants(&at.spec, cap) {
             let what = format!("{} on AsyncGas, {}, {variant}", program.name(), at.name);
             let engine = AsyncGas::new(config);
-            same_as(&mut shared, engine.trace(at.layout.csr(), program), &what);
+            same_as(&mut shared, engine.trace(&csr, program), &what);
             let (states, trace) = shared.as_ref().expect("recorded above");
             let (run_states, run) = engine.run(graph, &at.assignment, program);
             let priced = engine.price(trace, &at.layout, &at.assignment, program);
@@ -230,31 +231,34 @@ fn traces_keep_how_a_capped_pass_ended() {
 
     // Coloring's last round recolors nothing, so nothing is left active.
     let engine = AsyncGas::new(EngineConfig::new(at.spec.clone()));
-    let (_, trace) = engine.trace(at.layout.csr(), &Coloring);
+    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&path), &Coloring);
     check_async(&path, &placements, &Coloring, Some(trace.supersteps()));
 }
 
-/// A placement and a config to price a trace on.
-fn road_placement() -> Placement {
+/// A placement to price a trace on, and its graph's adjacency.
+fn road_placement() -> (CsrGraph, Placement) {
     let graph = Dataset::RoadNetCa.generate(0.02, 42);
-    placements(&graph).swap_remove(0)
+    (
+        CsrGraph::from_edge_list(&graph),
+        placements(&graph).swap_remove(0),
+    )
 }
 
 #[test]
 #[should_panic(expected = "recorded for another program, semantics or superstep cap")]
 fn a_trace_refuses_another_superstep_cap() {
-    let at = road_placement();
+    let (csr, at) = road_placement();
     let engine = SyncGas::new(EngineConfig::new(at.spec.clone()));
-    let (_, trace) = engine.trace(at.layout.csr(), &PageRank::fixed(5));
+    let (_, trace) = engine.trace(&csr, &PageRank::fixed(5));
     engine.price(&trace, &at.layout, &at.assignment, &PageRank::fixed(6));
 }
 
 #[test]
 #[should_panic(expected = "recorded for another program, semantics or superstep cap")]
 fn pregel_refuses_a_delta_cached_trace() {
-    let at = road_placement();
+    let (csr, at) = road_placement();
     let config = EngineConfig::new(at.spec.clone()).with_delta_caching(true);
-    let (_, trace): (_, SemanticTrace) = SyncGas::new(config.clone()).trace(at.layout.csr(), &Wcc);
+    let (_, trace): (_, SemanticTrace) = SyncGas::new(config.clone()).trace(&csr, &Wcc);
     let pregel = Pregel::new(PregelConfig::new(config));
     let _ = pregel.price(&trace, &at.layout, &at.assignment, &Wcc);
 }
@@ -265,7 +269,7 @@ fn a_trace_refuses_another_graph() {
     // A 31-vertex path's trace fits inside the road network's vertex range,
     // so only the graph check stops it from pricing to a wrong report.
     let path = EdgeList::from_pairs((0..30).map(|i| (i, i + 1)).collect());
-    let at = road_placement();
+    let (_, at) = road_placement();
     let engine = SyncGas::new(EngineConfig::new(at.spec.clone()));
     let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&path), &Wcc);
     engine.price(&trace, &at.layout, &at.assignment, &Wcc);
