@@ -137,8 +137,9 @@ impl<'a> Accountant<'a> {
             "per-superstep traffic of {images} images at {accum_bytes}/{state_bytes} B \
              per message is not exactly representable"
         );
+        let graph = (assignment.num_vertices(), assignment.num_edges());
         Accountant {
-            origin: Origin::of(config, program, semantics, layout.graph()),
+            origin: Origin::of(config, program, semantics, graph),
             layout,
             assignment,
             policy,

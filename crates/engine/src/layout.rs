@@ -5,15 +5,15 @@
 
 use crate::replicas::{sweep, ReplicaTable};
 use gp_cluster::ClusterSpec;
-use gp_core::{CsrGraph, EdgeList};
+use gp_core::{hash_u64, CsrGraph, EdgeList};
 use gp_partition::Assignment;
 
 /// The per-image local edge counts of an [`Assignment`] and its
 /// partition→machine fold for one machine count; engines only ever read it.
 #[derive(Debug, Clone)]
 pub struct Layout {
-    /// Vertex and edge count of the graph.
-    graph: (u64, usize),
+    /// [`fingerprint`] of the assignment the counts were built from.
+    assignment: u64,
     table: ReplicaTable,
     /// Machine hosting each partition.
     machine_of: Vec<u32>,
@@ -27,8 +27,7 @@ impl Layout {
         Layout::new(assignment, spec, ReplicaTable::build(graph, assignment))
     }
 
-    /// The graph's adjacency and [`Layout::build`]'s layout, in one fused
-    /// sweep.
+    /// The graph's adjacency and [`Layout::build`]'s layout, in one fused sweep.
     pub(crate) fn with_csr(
         graph: &EdgeList,
         assignment: &Assignment,
@@ -43,19 +42,13 @@ impl Layout {
     fn new(assignment: &Assignment, spec: &ClusterSpec, table: ReplicaTable) -> Self {
         assert!(spec.machines > 0, "a cluster has at least one machine");
         Layout {
-            graph: (assignment.num_vertices(), assignment.num_edges()),
+            assignment: fingerprint(assignment),
             table,
             machine_of: (0..assignment.num_partitions())
                 .map(|p| spec.machine_of(p))
                 .collect(),
             machines: spec.machines,
         }
-    }
-
-    /// Vertex and edge count of the graph the layout was built on.
-    #[inline]
-    pub(crate) fn graph(&self) -> (u64, usize) {
-        self.graph
     }
 
     /// The local edge counts of every vertex image.
@@ -76,13 +69,24 @@ impl Layout {
         self.machine_of[p as usize] as usize
     }
 
-    /// Whether the layout was built from `a`: its counts are aligned with
-    /// one assignment's replica view.
+    /// Whether the layout was built from `a`, up to a 64-bit hash collision.
     pub(crate) fn is_of(&self, a: &Assignment) -> bool {
-        self.graph == (a.num_vertices(), a.num_edges())
-            && self.machine_of.len() == a.num_partitions() as usize
-            && self.table.total_images() == a.total_images()
+        self.assignment == fingerprint(a)
     }
+}
+
+/// A hash of `a`'s shape and every edge's partition, which on one graph fix
+/// its replica view; independent lanes keep the multiplies from serializing.
+fn fingerprint(a: &Assignment) -> u64 {
+    let (images, parts) = (a.total_images() as u64, a.num_partitions().into());
+    let mut lanes = [0; 16];
+    lanes[..4].copy_from_slice(&[a.num_vertices(), a.num_edges() as u64, images, parts]);
+    for chunk in a.edge_partitions().chunks(16) {
+        for (lane, p) in lanes.iter_mut().zip(chunk) {
+            *lane = (lane.rotate_left(5) ^ u64::from(p.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+    lanes.iter().fold(0, |h, &lane| hash_u64(lane, h))
 }
 
 #[cfg(test)]

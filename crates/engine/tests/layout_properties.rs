@@ -16,7 +16,7 @@
 
 use gp_apps::{KCore, PageRank, Wcc};
 use gp_cluster::ClusterSpec;
-use gp_core::{CsrGraph, EdgeList, VertexId};
+use gp_core::{CsrGraph, Edge, EdgeList, PartitionId, VertexId};
 use gp_engine::{
     ApplyInfo, AsyncGas, Direction, EngineConfig, HybridGas, InitInfo, Layout, Pregel,
     PregelConfig, SyncGas, VertexProgram,
@@ -28,7 +28,13 @@ fn an_empty_graph_runs_on_an_empty_layout() {
     let graph = EdgeList::from_edges(Vec::new());
     let spec = ClusterSpec::local_9().with_machines(4);
     let csr = CsrGraph::from_edge_list(&graph);
-    for strategy in [Strategy::Random, Strategy::Grid, Strategy::Hdrf] {
+    for strategy in [
+        Strategy::Random,
+        Strategy::Grid,
+        Strategy::Hdrf,
+        Strategy::Hybrid,
+        Strategy::OneD,
+    ] {
         let assignment = strategy
             .build()
             .partition(&graph, &PartitionContext::new(4))
@@ -116,20 +122,51 @@ fn a_layout_for_another_cluster_size_is_refused() {
     engine.price(&trace, &layout, &assignment, &Wcc);
 }
 
+/// Prices a trace of `graph` with `assignment` on a layout of `other`, which
+/// has the same shape, partition count and image count.
+fn price_on_layout_of(graph: &EdgeList, assignment: &Assignment, other: &Assignment) {
+    assert_eq!(other.num_partitions(), assignment.num_partitions());
+    assert_eq!(other.total_images(), assignment.total_images());
+    let spec = ClusterSpec::local_9();
+    let layout = Layout::build(graph, other, &spec);
+    let engine = SyncGas::new(EngineConfig::new(spec));
+    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(graph), &Wcc);
+    engine.price(&trace, &layout, assignment, &Wcc);
+}
+
 #[test]
 #[should_panic(expected = "layout was built from another assignment")]
-fn a_layout_of_another_assignment_of_the_same_graph_is_refused() {
+fn a_layout_of_the_assignment_with_two_partitions_swapped_is_refused() {
     let (graph, assignment) = job(9);
-    let other = Strategy::Random
-        .build()
-        .partition(&graph, &PartitionContext::new(9))
-        .assignment;
-    assert_ne!(other.total_images(), assignment.total_images());
-    let spec = ClusterSpec::local_9();
-    let layout = Layout::build(&graph, &other, &spec);
-    let engine = SyncGas::new(EngineConfig::new(spec));
-    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&graph), &Wcc);
-    engine.price(&trace, &layout, &assignment, &Wcc);
+    let swapped = assignment.edge_partitions().iter().map(|p| match p.0 {
+        0 => PartitionId(1),
+        1 => PartitionId(0),
+        _ => *p,
+    });
+    let other = Assignment::from_edge_partitions(&graph, swapped.collect(), 9, 0);
+    let lists = |a: &Assignment| {
+        (0..graph.num_vertices())
+            .map(|v| a.replicas(VertexId(v)).to_vec())
+            .collect::<Vec<_>>()
+    };
+    assert_ne!(lists(&other), lists(&assignment));
+    price_on_layout_of(&graph, &assignment, &other);
+}
+
+#[test]
+#[should_panic(expected = "layout was built from another assignment")]
+fn a_layout_of_an_assignment_with_the_same_replica_lists_is_refused() {
+    // Both place one edge of the 2-cycle on each partition, so every vertex
+    // has replicas [0, 1]; only which image holds the in-edge differs.
+    let graph = EdgeList::from_edges(vec![Edge::new(0u64, 1u64), Edge::new(1u64, 0u64)]);
+    let [a, b] = [[0, 1], [1, 0]].map(|parts| {
+        let parts = parts.into_iter().map(PartitionId).collect();
+        Assignment::from_edge_partitions(&graph, parts, 9, 0)
+    });
+    for v in [VertexId(0), VertexId(1)] {
+        assert_eq!(a.replicas(v), b.replicas(v));
+    }
+    price_on_layout_of(&graph, &a, &b);
 }
 
 /// Min-label propagation that recomputes everywhere every superstep; only
