@@ -77,7 +77,6 @@ pub fn ablation_hybrid_threshold(scale: f64, seed: u64) -> Vec<Table> {
 pub fn ablation_loaders(scale: f64, seed: u64) -> Vec<Table> {
     let graph = Dataset::UkWeb.generate(scale, seed);
     let spec = ClusterSpec::ec2_25();
-    let rates = CostRates::default();
     let mut t = Table::new(
         "Ablation — greedy heuristics vs parallel loader count (UK-web analogue, 25 partitions)",
         &[
@@ -99,9 +98,9 @@ pub fn ablation_loaders(scale: f64, seed: u64) -> Vec<Table> {
         t.row(vec![
             loaders.to_string(),
             format!("{:.2}", ob.assignment.replication_factor()),
-            format!("{:.1}", rates.ingress_seconds(&ob_rep, &spec)),
+            format!("{:.1}", CostRates.ingress_seconds(&ob_rep, &spec)),
             format!("{:.2}", hd.assignment.replication_factor()),
-            format!("{:.1}", rates.ingress_seconds(&hd_rep, &spec)),
+            format!("{:.1}", CostRates.ingress_seconds(&hd_rep, &spec)),
         ]);
     }
     vec![t]

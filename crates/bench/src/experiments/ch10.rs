@@ -10,7 +10,7 @@
 
 use crate::experiments::{gb, secs};
 use crate::pipeline::{App, EngineKind, JobResult, Pipeline, Scenario};
-use gp_cluster::{ClusterSpec, CostRates, Table};
+use gp_cluster::{ClusterSpec, Table};
 use gp_fault::{recovery_cost, CheckpointPolicy, FaultPlan, FaultRates};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -55,7 +55,6 @@ fn crash_job(pipeline: &mut Pipeline, strategy: Strategy, faulted: bool) -> JobR
 pub fn ch10_recovery(scale: f64, seed: u64) -> Vec<Table> {
     let mut pipeline = Pipeline::new(scale, seed);
     let spec = ClusterSpec::ec2_16();
-    let rates = CostRates::default();
     let mut t = Table::new(
         "Table 10.1 — Single-crash recovery by strategy (PowerGraph, EC2-16, UK-Web, \
          PageRank(20), crash at superstep 10, checkpoint every 4)",
@@ -76,7 +75,7 @@ pub fn ch10_recovery(scale: f64, seed: u64) -> Vec<Table> {
         let faulted = crash_job(&mut pipeline, strategy, true);
         let partitions = EngineKind::PowerGraph.partitions(&spec);
         let outcome = pipeline.partition(Dataset::UkWeb, strategy, partitions, spec.machines);
-        let rc = recovery_cost(&outcome.assignment, DEAD_MACHINE, &spec, &rates);
+        let rc = recovery_cost(&outcome.assignment, DEAD_MACHINE, &spec);
         t.row(vec![
             strategy.label().to_string(),
             format!("{:.2}", faulted.replication_factor),

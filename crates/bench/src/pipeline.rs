@@ -659,7 +659,7 @@ impl Pipeline {
         let machines = spec.machines;
         let outcome = self.partition(dataset, strategy, partitions, machines);
         let report = IngressReport::from_outcome(strategy.label(), outcome, machines);
-        let seconds = CostRates::default().ingress_seconds(&report, spec);
+        let seconds = CostRates.ingress_seconds(&report, spec);
         (report, seconds)
     }
 

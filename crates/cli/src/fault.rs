@@ -4,7 +4,7 @@
 use crate::{checked, comms_config, fault_plan, Failure, Flags, Subcommand};
 use gp_bench::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::table::fmt_bytes;
-use gp_cluster::{ClusterSpec, CostRates, Table};
+use gp_cluster::{ClusterSpec, Table};
 use gp_fault::{recovery_cost, CheckpointPolicy};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -119,7 +119,7 @@ impl Subcommand for Args {
             let faulted = pipeline.run(job);
             let machines = spec.machines;
             let placed = pipeline.partition(dataset, job.strategy, machines, machines);
-            let rc = recovery_cost(&placed.assignment, machine, spec, &CostRates::default());
+            let rc = recovery_cost(&placed.assignment, machine, spec);
             t.row(vec![
                 job.strategy.label().to_string(),
                 format!("{:.2}", faulted.replication_factor),

@@ -6,8 +6,9 @@
 //!
 //! * [`ClusterSpec`] — machine count, cores, memory, network bandwidth and
 //!   latency, with presets for the paper's four clusters;
-//! * [`cost`] — converts the raw quantities produced by partitioning and by
-//!   the engines (work units, bytes shipped, replicas stored) into simulated
+//! * [`cost`] — [`CostRates`], the fixed byte sizes of the simulated wire
+//!   and storage formats, converting what partitioning and the engines
+//!   produce (work units, bytes shipped, replicas stored) into simulated
 //!   seconds and bytes;
 //! * [`table`] — plain-text table/CSV emission for the experiment harness;
 //! * [`plot`] — dependency-free SVG charts for the `--svg` figure renders.
@@ -17,7 +18,7 @@ pub mod plot;
 pub mod spec;
 pub mod table;
 
-pub use cost::{CostRates, MemoryModel};
+pub use cost::CostRates;
 pub use plot::{Chart, ChartKind, Series};
 pub use spec::ClusterSpec;
 pub use table::Table;

@@ -8,7 +8,7 @@
 //!   routing-table update plus one state image per master). That is why a
 //!   warned departure is so much cheaper than a crash: `gp_fault::
 //!   recovery_cost` must re-fetch every lost edge and re-register every
-//!   lost image, while evacuation ships `masters × vertex_image_bytes`.
+//!   lost image, while evacuation ships `masters × VERTEX_IMAGE_BYTES`.
 //! * **Re-ingress** replays the checkpointed (already parsed) edge stream
 //!   through the partitioner onto the new machine set. It pays the full
 //!   edge/mirror exchange and the per-edge placement work, but not the
@@ -35,7 +35,6 @@ pub fn evacuation_cost(
     assignment: &Assignment,
     machine: u32,
     spec: &ClusterSpec,
-    rates: &CostRates,
 ) -> EvacuationCost {
     let mut moved_masters = 0u64;
     for (p, &m) in assignment.master_counts().iter().enumerate() {
@@ -43,7 +42,7 @@ pub fn evacuation_cost(
             moved_masters += m;
         }
     }
-    let moved_bytes = moved_masters as f64 * rates.vertex_image_bytes as f64;
+    let moved_bytes = moved_masters as f64 * CostRates::VERTEX_IMAGE_BYTES as f64;
     let transfer_seconds = moved_bytes / spec.bandwidth_bytes_per_s + spec.latency_s;
     EvacuationCost {
         moved_masters,
@@ -59,16 +58,11 @@ pub fn evacuation_cost(
 /// create; callers that have not re-run ingress can pass the old count as
 /// the deterministic stand-in (replication factors move little under ±k
 /// machines — §6's RF-vs-partitions curves are flat at these deltas).
-pub fn reingress_seconds(
-    total_edges: u64,
-    total_images: u64,
-    new_spec: &ClusterSpec,
-    rates: &CostRates,
-) -> f64 {
+pub fn reingress_seconds(total_edges: u64, total_images: u64, new_spec: &ClusterSpec) -> f64 {
     let machines = new_spec.machines as f64;
     let cpu = total_edges as f64 / (machines * new_spec.loader_rate());
-    let bytes =
-        total_edges as f64 * rates.edge_wire_bytes + total_images as f64 * rates.mirror_setup_bytes;
+    let bytes = total_edges as f64 * CostRates::EDGE_WIRE_BYTES
+        + total_images as f64 * CostRates::MIRROR_SETUP_BYTES;
     let net = bytes / (machines * new_spec.bandwidth_bytes_per_s);
     cpu + net + new_spec.latency_s * machines
 }
@@ -90,10 +84,9 @@ mod tests {
     #[test]
     fn every_master_evacuates_exactly_once() {
         let spec = ClusterSpec::local_9();
-        let rates = CostRates::default();
         let a = assignment_for(Strategy::Grid, spec.machines);
         let moved: u64 = (0..spec.machines)
-            .map(|m| evacuation_cost(&a, m, &spec, &rates).moved_masters)
+            .map(|m| evacuation_cost(&a, m, &spec).moved_masters)
             .sum();
         assert_eq!(moved, a.num_vertices());
     }
@@ -104,12 +97,11 @@ mod tests {
         // subset of images and images are priced higher per unit on the
         // recovery path, so a graceful exit is never dearer than a crash.
         let spec = ClusterSpec::local_9();
-        let rates = CostRates::default();
         for strategy in [Strategy::Random, Strategy::Oblivious, Strategy::Hdrf] {
             let a = assignment_for(strategy, spec.machines);
             for m in 0..spec.machines {
-                let evac = evacuation_cost(&a, m, &spec, &rates);
-                let crash = recovery_cost(&a, m, &spec, &rates);
+                let evac = evacuation_cost(&a, m, &spec);
+                let crash = recovery_cost(&a, m, &spec);
                 assert!(
                     evac.moved_bytes <= crash.refetch_bytes,
                     "{strategy:?} m{m}: evac {} vs crash {}",
@@ -123,11 +115,10 @@ mod tests {
 
     #[test]
     fn reingress_speeds_up_on_more_machines_but_never_to_zero() {
-        let rates = CostRates::default();
         let small = ClusterSpec::local_9();
         let big = small.with_machines(18);
-        let slow = reingress_seconds(1_000_000, 300_000, &small, &rates);
-        let fast = reingress_seconds(1_000_000, 300_000, &big, &rates);
+        let slow = reingress_seconds(1_000_000, 300_000, &small);
+        let fast = reingress_seconds(1_000_000, 300_000, &big);
         // CPU and net halve; only the barrier term grows with machines.
         assert!(fast < slow, "fast {fast} vs slow {slow}");
         assert!(fast > 0.0);
@@ -136,9 +127,8 @@ mod tests {
     #[test]
     fn reingress_scales_with_replication() {
         let spec = ClusterSpec::ec2_16();
-        let rates = CostRates::default();
-        let lean = reingress_seconds(1_000_000, 150_000, &spec, &rates);
-        let heavy = reingress_seconds(1_000_000, 900_000, &spec, &rates);
+        let lean = reingress_seconds(1_000_000, 150_000, &spec);
+        let heavy = reingress_seconds(1_000_000, 900_000, &spec);
         assert!(heavy > lean);
     }
 }

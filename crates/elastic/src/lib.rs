@@ -7,21 +7,22 @@
 //! * [`ElasticPlan`] — a seeded schedule of [`ElasticKind::ScaleOut`],
 //!   [`ElasticKind::Drain`] and [`ElasticKind::Preempt`] events, applied
 //!   at superstep barriers by the engines' elastic hook (the elasticity
-//!   analogue of `gp_fault::FaultPlan`). Spot schedules built with
-//!   `FaultPlan::uniform_preemptions` lift directly via
-//!   [`ElasticPlan::from_spot_schedule`].
+//!   analogue of `gp_fault::FaultPlan`). Spot preemptions live only here:
+//!   a fault plan schedules crashes, slowdowns and flaky links.
 //! * [`evacuation_cost`] / [`reingress_seconds`] — the two closed forms
-//!   elasticity prices against: moving a departing machine's masters to
-//!   surviving replicas inside the warning window (graceful degradation),
-//!   and replaying the checkpointed edge stream onto a new machine set.
-//!   When the warning window is too short to drain, the departure
-//!   degenerates to a crash and `gp_fault::recovery_cost` takes over.
+//!   elasticity prices against, at `gp_cluster::CostRates`' byte sizes:
+//!   moving a departing machine's masters to surviving replicas inside the
+//!   warning window (graceful degradation), and replaying the checkpointed
+//!   edge stream onto a new machine set. When the warning window is too
+//!   short to drain, the departure degenerates to a crash and
+//!   `gp_fault::recovery_cost` takes over.
 //! * [`RepairPolicy`] — the scale-out decision: re-partition (pay
 //!   re-ingress, run the rest of the job faster) or ride the old
 //!   assignment in degraded balance. Cost-based by default, serve-style.
 //! * [`TenantScheduler`] — FIFO vs fair-share over one [`gp_cluster::
 //!   ClusterSpec`], pricing co-tenant interference through
-//!   `gp_net::contention_loss_rate` and the retry model's closed forms.
+//!   `gp_net::contention_loss_rate` and the retry closed forms
+//!   (`gp_net::expected_retransmissions`, `expected_timeout_stall_s`).
 //!
 //! Everything here preserves the repo-wide contract: an empty plan leaves
 //! reports bit-identical to a run without the model, and the same seed

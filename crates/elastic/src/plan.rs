@@ -9,7 +9,7 @@
 //! from its printout.
 
 use gp_cluster::ClusterSpec;
-use gp_fault::{FaultKind, FaultPlan, FaultRng};
+use gp_fault::FaultRng;
 
 /// One scheduled cluster-membership change.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,14 +96,6 @@ impl Default for ElasticRates {
 }
 
 impl ElasticRates {
-    /// Rates with only spot preemptions enabled.
-    pub fn preemptions(per_step: f64) -> Self {
-        ElasticRates {
-            preempt_per_step: per_step,
-            ..Self::default()
-        }
-    }
-
     /// True when every hazard is zero (a draw yields an empty plan).
     pub fn all_zero(&self) -> bool {
         self.scale_out_per_step == 0.0 && self.drain_per_step == 0.0 && self.preempt_per_step == 0.0
@@ -213,29 +205,6 @@ impl ElasticPlan {
         plan
     }
 
-    /// Lift the spot schedule out of a `FaultPlan`: every
-    /// `FaultKind::Preempt` event becomes an elastic preemption, so seeded
-    /// spot markets built with `FaultPlan::uniform_preemptions` reuse the
-    /// existing plan machinery. Other fault kinds stay with the fault hook.
-    pub fn from_spot_schedule(faults: &FaultPlan) -> Self {
-        let mut plan = ElasticPlan {
-            seed: faults.seed,
-            events: Vec::new(),
-        };
-        for e in &faults.events {
-            if let FaultKind::Preempt { warning_steps } = e.kind {
-                plan.push(ElasticEvent {
-                    superstep: e.superstep,
-                    kind: ElasticKind::Preempt {
-                        machine: e.machine,
-                        warning_steps,
-                    },
-                });
-            }
-        }
-        plan
-    }
-
     /// Add an event, kept sorted by superstep then departure-first order.
     pub fn push(&mut self, event: ElasticEvent) {
         let key = (event.superstep, event.kind.order_key());
@@ -250,19 +219,6 @@ impl ElasticPlan {
         self.events.is_empty()
     }
 
-    /// Scheduled scale-outs.
-    pub fn scale_out_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, ElasticKind::ScaleOut { .. }))
-            .count()
-    }
-
-    /// Scheduled departures (drains + preemptions).
-    pub fn departure_count(&self) -> usize {
-        self.events.len() - self.scale_out_count()
-    }
-
     /// Events applying at `superstep`, in plan order.
     pub fn events_at(&self, superstep: u32) -> impl Iterator<Item = &ElasticEvent> {
         self.events.iter().filter(move |e| e.superstep == superstep)
@@ -272,6 +228,13 @@ impl ElasticPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn departures(plan: &ElasticPlan) -> usize {
+        plan.events
+            .iter()
+            .filter(|e| !matches!(e.kind, ElasticKind::ScaleOut { .. }))
+            .count()
+    }
 
     #[test]
     fn zero_rates_empty_plan_for_any_seed() {
@@ -316,7 +279,7 @@ mod tests {
                 .count();
             assert!(departures <= 1, "superstep {step} has {departures}");
         }
-        assert!(plan.departure_count() > 0);
+        assert!(departures(&plan) > 0);
     }
 
     #[test]
@@ -327,7 +290,7 @@ mod tests {
             ..ElasticRates::default()
         };
         let plan = ElasticPlan::generate(5, &spec, 50, &rates);
-        assert_eq!(plan.departure_count(), 1, "2-machine cluster loses one");
+        assert_eq!(departures(&plan), 1, "2-machine cluster loses one");
     }
 
     #[test]
@@ -337,18 +300,10 @@ mod tests {
             ElasticKind::Preempt { warning_steps, .. } => assert_eq!(warning_steps, 2),
             ref k => panic!("unexpected {k:?}"),
         }
-        assert_eq!(ElasticPlan::scale_out_at(4, 0).scale_out_count(), 1);
-    }
-
-    #[test]
-    fn spot_schedules_lift_from_fault_plans() {
-        let faults = FaultPlan::uniform_preemptions(21, 3, 9, 40, 2);
-        let plan = ElasticPlan::from_spot_schedule(&faults);
-        assert_eq!(plan.departure_count(), 3);
-        assert_eq!(plan.seed, 21);
-        // Crashes and flaky windows stay with the fault hook.
-        let mixed = FaultPlan::crash_at(3, 1);
-        assert!(ElasticPlan::from_spot_schedule(&mixed).is_empty());
+        assert_eq!(
+            ElasticPlan::scale_out_at(4, 0).events[0].kind,
+            ElasticKind::ScaleOut { machines_added: 1 }
+        );
     }
 
     #[test]

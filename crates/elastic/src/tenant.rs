@@ -20,7 +20,7 @@
 //! fair-share minimizes the wait a late-arriving job suffers.
 
 use gp_cluster::ClusterSpec;
-use gp_net::{contention_loss_rate, RetryPolicy};
+use gp_net::{contention_loss_rate, expected_retransmissions, expected_timeout_stall_s};
 use gp_telemetry::{span, TelemetrySink};
 
 /// Scheduling discipline for co-tenant jobs.
@@ -116,7 +116,7 @@ impl TenantReport {
 const PER_TENANT_LOSS: f64 = 0.02;
 
 /// Deterministic multi-tenant scheduler over one cluster. Fair-share prices
-/// collisions on the shared NICs with [`RetryPolicy::reliable`].
+/// collisions on the shared NICs with gp-net's retry closed forms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantScheduler {
     /// The shared cluster.
@@ -206,7 +206,6 @@ impl TenantScheduler {
         let mut done: Vec<Live> = Vec::new();
         let mut now = 0.0f64;
         let link = self.spec.machines as f64 * self.spec.bandwidth_bytes_per_s;
-        let retry = RetryPolicy::reliable();
         while !pending.is_empty() || !active.is_empty() {
             // Admit everything that has arrived; if idle, jump to the next
             // arrival (arrivals are sorted, so the front is the earliest).
@@ -233,8 +232,8 @@ impl TenantScheduler {
             // stretched step does.
             let k = active.len() as u32;
             let loss = contention_loss_rate(k, PER_TENANT_LOSS);
-            let retrans = retry.expected_retransmissions(loss);
-            let stall = retry.expected_timeout_stall_s(loss);
+            let retrans = expected_retransmissions(loss);
+            let stall = expected_timeout_stall_s(loss);
             let mut round = 0.0f64;
             for live in active.iter_mut() {
                 let job = &jobs[live.job];

@@ -12,9 +12,11 @@
 use gp_apps::Wcc;
 use gp_cluster::ClusterSpec;
 use gp_core::EdgeList;
-use gp_elastic::{ElasticConfig, ElasticPlan, ElasticRates, RepairPolicy};
+use gp_elastic::{
+    ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan, ElasticRates, RepairPolicy,
+};
 use gp_engine::{AsyncGas, ComputeReport, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
-use gp_fault::{CheckpointPolicy, FaultPlan};
+use gp_fault::CheckpointPolicy;
 use gp_partition::{Assignment, PartitionContext, Strategy};
 
 /// A chain with shortcut edges: WCC takes ~30 supersteps, so events
@@ -88,15 +90,22 @@ fn wall_clock_is_monotone_in_preemption_count() {
     let (_, base) = sync_job(healthy());
     let horizon = base.supersteps();
     assert!(horizon > 6, "need room for several strikes, got {horizon}");
-    // `uniform_preemptions` draws strikes sequentially, so the plan for
-    // `count` is a strict prefix of the plan for `count + 1` — each step
-    // up adds exactly one unwarned departure to an otherwise identical
-    // schedule.
-    let walls: Vec<f64> = (0..4)
+    // The plan for `count` is a strict prefix of the plan for `count + 1`:
+    // each step up adds exactly one unwarned departure to an otherwise
+    // identical schedule.
+    let strikes = [(2, 4), (4, 7), (6, 1)];
+    let walls: Vec<f64> = (0..=strikes.len())
         .map(|count| {
-            let spot = FaultPlan::uniform_preemptions(17, count, 9, horizon, 0);
-            let plan = ElasticPlan::from_spot_schedule(&spot);
-            assert_eq!(plan.departure_count(), count as usize);
+            let mut plan = ElasticPlan::none();
+            for &(superstep, machine) in &strikes[..count] {
+                plan.push(ElasticEvent {
+                    superstep,
+                    kind: ElasticKind::Preempt {
+                        machine,
+                        warning_steps: 0,
+                    },
+                });
+            }
             sync_job(healthy().with_elastic(ElasticConfig::new(plan)))
                 .1
                 .wall_clock_seconds()

@@ -15,7 +15,7 @@
 //! was a `u64 as f64` into a cell starting at `0.0`, so below 2^53 (asserted
 //! by [`Accountant::new`]) the f64 sum was exact, order-free, and equal to
 //! the integer sum converted at the end. `work` addends are not integers
-//! (`scatter_work` is 0.6); work stays f64 in the original per-cell order.
+//! (`SCATTER_WORK` is 0.6); work stays f64 in the original per-cell order.
 
 use crate::layout::Layout;
 use crate::program::{Direction, VertexProgram};
@@ -42,6 +42,13 @@ pub(crate) enum GatherPolicy {
     /// message per destination vertex, and no scatter scan is charged.
     EdgePartitions,
 }
+
+/// Work units per local edge a replica visits during gather.
+const GATHER_WORK: f64 = 1.0;
+/// Work units per apply, charged to the master's machine.
+const APPLY_WORK: f64 = 2.0;
+/// Work units per local edge a replica scans during scatter.
+const SCATTER_WORK: f64 = 0.6;
 
 /// One vertex update as cost accounting sees it: vertex index and flags,
 /// packed so a superstep's sequence compares as a slice of words.
@@ -94,7 +101,7 @@ fn degree(local: &[(u32, u32)]) -> u32 {
 }
 
 /// The accounting of one engine run: the trace origin it prices and its constants
-/// (layout, assignment, policy, directions, work per operation, wire sizes).
+/// (layout, assignment, policy, directions, wire sizes).
 pub(crate) struct Accountant<'a> {
     origin: Origin,
     layout: &'a Layout,
@@ -102,9 +109,6 @@ pub(crate) struct Accountant<'a> {
     policy: GatherPolicy,
     gather: Direction,
     scatter: Direction,
-    gather_work: f64,
-    apply_work: f64,
-    scatter_work: f64,
     accum_bytes: u64,
     state_bytes: u64,
 }
@@ -145,9 +149,6 @@ impl<'a> Accountant<'a> {
             policy,
             gather: program.gather_direction(),
             scatter: program.scatter_direction(),
-            gather_work: config.gather_work,
-            apply_work: config.apply_work,
-            scatter_work: config.scatter_work,
             accum_bytes,
             state_bytes,
         }
@@ -180,7 +181,7 @@ impl<'a> Accountant<'a> {
                 for (&p, &(local_in, local_out)) in parts.iter().zip(local) {
                     let local_gather = local_edges(self.gather, local_in, local_out);
                     let m = layout.machine_of(p);
-                    work[m] += self.gather_work * local_gather as f64;
+                    work[m] += GATHER_WORK * local_gather as f64;
                     if p != master && (every_mirror_sends || local_gather > 0) {
                         gather_messages += 1;
                         if m != master_machine {
@@ -191,7 +192,7 @@ impl<'a> Accountant<'a> {
                 }
             }
             // Apply.
-            work[master_machine] += self.apply_work;
+            work[master_machine] += APPLY_WORK;
             if update.0 & Update::CHANGED != 0 {
                 // Mirror synchronization.
                 for &p in parts {
@@ -210,7 +211,7 @@ impl<'a> Accountant<'a> {
                 // Replicas scan their local scatter edges.
                 for (&p, &(local_in, local_out)) in parts.iter().zip(local) {
                     let local_scatter = local_edges(self.scatter, local_in, local_out);
-                    work[layout.machine_of(p)] += self.scatter_work * local_scatter as f64;
+                    work[layout.machine_of(p)] += SCATTER_WORK * local_scatter as f64;
                 }
             }
         }
@@ -329,7 +330,7 @@ mod tests {
         fn accountant(&self, wire: &Wire, policy: GatherPolicy) -> Accountant<'_> {
             let semantics = Semantics::Asynchronous;
             Accountant::new(
-                &config(),
+                &EngineConfig::new(ClusterSpec::local_9()),
                 wire,
                 semantics,
                 policy,
@@ -343,16 +344,6 @@ mod tests {
     /// vertex share a work cell.
     fn placed() -> Placed {
         Placed::new(&gp_gen::barabasi_albert(400, 4, 5), Strategy::Hdrf, 36)
-    }
-
-    /// Work constants whose products are not exactly representable, so a
-    /// cell's f64 sum depends on its addition order.
-    fn config() -> EngineConfig {
-        let mut config = EngineConfig::new(ClusterSpec::local_9());
-        config.gather_work = 0.1;
-        config.apply_work = 1e-3;
-        config.scatter_work = 1e7 / 3.0;
-        config
     }
 
     /// A shuffled update stream with every flag combination.
@@ -399,7 +390,7 @@ mod tests {
                 for (&p, &(local_in, local_out)) in reps() {
                     let local_gather = local_edges(model.gather, local_in, local_out);
                     let m = machine_of(p);
-                    t.work[m] += model.gather_work * local_gather as f64;
+                    t.work[m] += GATHER_WORK * local_gather as f64;
                     if p == master {
                         continue;
                     }
@@ -419,7 +410,7 @@ mod tests {
                     }
                 }
             }
-            t.work[master_machine] += model.apply_work;
+            t.work[master_machine] += APPLY_WORK;
             if update.0 & Update::CHANGED != 0 {
                 for (&p, _) in reps() {
                     if p == master {
@@ -437,7 +428,7 @@ mod tests {
             if update.0 & Update::SCATTERS != 0 && model.policy != GatherPolicy::EdgePartitions {
                 for (&p, &(local_in, local_out)) in reps() {
                     let local_scatter = local_edges(model.scatter, local_in, local_out);
-                    t.work[machine_of(p)] += model.scatter_work * local_scatter as f64;
+                    t.work[machine_of(p)] += SCATTER_WORK * local_scatter as f64;
                 }
             }
         }

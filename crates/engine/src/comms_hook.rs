@@ -18,7 +18,7 @@
 //!   existed before this module delivered everything for free.
 //! * **Speculation** — per step, each machine's completion time is
 //!   projected from its work/traffic shares plus active fault penalties;
-//!   when the slowest projection crosses the policy threshold,
+//!   when the slowest projection crosses the straggler threshold,
 //!   [`gp_net::plan_speculation`] launches a backup task on the
 //!   least-loaded peer and the first finisher wins. Only the straggler's
 //!   *compute* penalty is recoverable — by the time the straggler is
@@ -32,7 +32,8 @@
 //! window or slowdown has passed.
 
 use crate::report::{spread_to_peers, ComputeReport, EngineConfig};
-use gp_net::plan_speculation;
+use gp_cluster::CostRates;
+use gp_net::{expected_retransmissions, expected_timeout_stall_s, plan_speculation};
 use gp_telemetry::{machine_span, span};
 use std::collections::HashSet;
 
@@ -43,8 +44,6 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
         return;
     }
     let plan = &config.fault_plan;
-    let retry = &config.comms.retry;
-    let speculation = &config.comms.speculation;
     let telemetry = &config.telemetry;
     let machines = config.spec.machines as usize;
     let bandwidth = config.spec.bandwidth_bytes_per_s;
@@ -66,7 +65,7 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
             continue;
         }
 
-        if retry.enabled {
+        if config.comms.retry {
             let mut extra_total = 0.0f64;
             let mut stall_max = 0.0f64;
             for m in 0..machines {
@@ -74,7 +73,7 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                     continue;
                 };
                 flaky_windows += 1;
-                let retrans = retry.expected_retransmissions(link.loss_rate);
+                let retrans = expected_retransmissions(link.loss_rate);
                 let inflate = (1.0 + retrans) * (1.0 + link.dup_rate) - 1.0;
                 let extra = step.machine_in_bytes[m] * inflate;
                 if extra > 0.0 {
@@ -83,7 +82,7 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                     spread_to_peers(&mut step.machine_out_bytes, m, extra);
                     extra_total += extra;
                 }
-                let stall = retry.expected_timeout_stall_s(link.loss_rate) + link.delay_spike_s;
+                let stall = expected_timeout_stall_s(link.loss_rate) + link.delay_spike_s;
                 stall_max = stall_max.max(stall);
                 machine_span!(
                     telemetry,
@@ -96,13 +95,13 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
             }
             if extra_total > 0.0 || stall_max > 0.0 {
                 step.wall_seconds +=
-                    config.rates.network_seconds(extra_total, &config.spec) + stall_max;
+                    CostRates.network_seconds(extra_total, &config.spec) + stall_max;
                 retransmit_bytes += extra_total;
                 timeout_seconds += stall_max;
             }
         }
 
-        if speculation.enabled && machines >= 2 {
+        if config.comms.speculation && machines >= 2 {
             let mut projected = vec![0.0f64; machines];
             let mut penalty = vec![0.0f64; machines];
             for m in 0..machines {
@@ -117,7 +116,6 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                 penalty[m] = compute_penalty;
             }
             if let Some(o) = plan_speculation(
-                speculation,
                 &projected,
                 &penalty,
                 &step.machine_work,
@@ -181,7 +179,7 @@ mod tests {
     use gp_cluster::ClusterSpec;
     use gp_core::{EdgeList, VertexId};
     use gp_fault::{FaultEvent, FaultKind, FaultPlan};
-    use gp_net::{CommsConfig, RetryPolicy};
+    use gp_net::CommsConfig;
     use gp_partition::{PartitionContext, Strategy};
 
     struct MinLabel;
@@ -400,24 +398,5 @@ mod tests {
             sink.counter("net.speculations"),
             u64::from(r.speculative_clones)
         );
-    }
-
-    #[test]
-    fn stronger_retry_policy_pays_more_for_the_same_link() {
-        let plan = FaultPlan::uniform_flaky(0.3, 9, 100);
-        let run = |attempts: u32| {
-            let retry = RetryPolicy {
-                max_attempts: attempts,
-                ..RetryPolicy::reliable()
-            };
-            job(healthy()
-                .with_fault_plan(plan.clone())
-                .with_comms(CommsConfig::disabled().with_retry(retry)))
-            .1
-        };
-        let few = run(2);
-        let many = run(6);
-        assert!(many.retransmit_bytes > few.retransmit_bytes);
-        assert!(many.retry_timeout_seconds > few.retry_timeout_seconds);
     }
 }

@@ -65,23 +65,28 @@ pub fn apply_elastic_model(
     // on the checkpoint cadence (the fault hook already charged the
     // snapshot traffic; here the cadence only bounds replay depth).
     let mut replay_from: usize = 0;
-    let mut executed: usize = 0;
+    // First executions so far: the fault hook checkpoints after every
+    // `interval`-th original step and that step's replays, so its cadence
+    // counts original steps only.
+    let mut originals: usize = 0;
     let mut elapsed = 0.0f64;
 
     for (i, step) in original.iter().enumerate() {
+        let first_execution = seen.insert(step.superstep);
+        if first_execution {
+            // A checkpoint after the previous original step made everything
+            // before this one durable, replays appended here included.
+            if originals > 0 && config.checkpoint.due_after(originals - 1) {
+                replay_from = timeline.len();
+            }
+            originals += 1;
+        }
         let mut scaled = step.clone();
         scaled.wall_seconds *= wall_scale;
         elapsed += scaled.wall_seconds;
         timeline.push(scaled);
         let cur = timeline.len() - 1;
-        let first_execution = seen.insert(step.superstep);
-        executed += 1;
         if !first_execution {
-            // A checkpoint lands after this replayed step on the fault
-            // hook's cadence, so it still advances the durable point.
-            if config.checkpoint.due_after(executed - 1) {
-                replay_from = timeline.len();
-            }
             continue;
         }
 
@@ -99,7 +104,6 @@ pub fn apply_elastic_model(
                         assignment.num_edges() as u64,
                         assignment.total_images() as u64,
                         &wider,
-                        &config.rates,
                     );
                     let savings = remaining * (1.0 - alive as f64 / (alive + k) as f64);
                     if config.elastic.repair.should_repartition(savings, cost) {
@@ -143,7 +147,7 @@ pub fn apply_elastic_model(
                         window,
                         "{verb}.m{machine}"
                     );
-                    let evac = evacuation_cost(assignment, machine, spec, &config.rates);
+                    let evac = evacuation_cost(assignment, machine, spec);
                     if evac.transfer_seconds <= window {
                         // Graceful: the masters streamed out during the
                         // warning window; the departure step carries the
@@ -177,7 +181,7 @@ pub fn apply_elastic_model(
                         // the last durable point, exactly as the fault
                         // hook prices an unwarned loss.
                         report.forced_recoveries += 1;
-                        let rc = recovery_cost(assignment, machine, spec, &config.rates);
+                        let rc = recovery_cost(assignment, machine, spec);
                         report.recovery_seconds += rc.transfer_seconds;
                         span!(
                             telemetry,
@@ -206,11 +210,6 @@ pub fn apply_elastic_model(
                     alive -= 1;
                 }
             }
-        }
-        // The checkpoint charged by the fault hook after this step makes
-        // everything so far durable (including replays just appended).
-        if config.checkpoint.due_after(executed - 1) {
-            replay_from = timeline.len();
         }
     }
     report.steps = timeline;
@@ -409,6 +408,27 @@ mod tests {
             r.supersteps_replayed, 2,
             "checkpoint after step 3 → replay 4..=5"
         );
+    }
+
+    #[test]
+    fn a_crash_replay_does_not_move_the_forced_recovery_checkpoint() {
+        // The fault hook checkpoints after original steps 3, 7, ... even
+        // when a crash at step 1 has replayed 0..=1 first, so an unwarned
+        // departure at step 6 replays 4..=6 on top of the crash's replay.
+        let checkpointed = || healthy().with_checkpoint(gp_fault::CheckpointPolicy::every(4));
+        let crash = gp_fault::FaultPlan::crash_at(1, 2);
+        let departure = ElasticConfig::new(ElasticPlan::preempt_at(6, 3, 0));
+        let (_, crashed) = job(checkpointed().with_fault_plan(crash.clone()));
+        assert_eq!(crashed.supersteps_replayed, 2);
+        let (_, departed) = job(checkpointed().with_elastic(departure.clone()));
+        assert_eq!(departed.supersteps_replayed, 3);
+        let (_, both) = job(checkpointed()
+            .with_fault_plan(crash)
+            .with_elastic(departure));
+        assert_eq!(both.forced_recoveries, 1);
+        assert_eq!(both.supersteps_replayed, 2 + 3);
+        let labels: Vec<u32> = both.steps.iter().take(12).map(|s| s.superstep).collect();
+        assert_eq!(labels, [0, 1, 0, 1, 2, 3, 4, 5, 6, 4, 5, 6]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub fn apply_fault_model(
     let bandwidth = config.spec.bandwidth_bytes_per_s;
     let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
     let snapshot = if policy.is_enabled() {
-        snapshot_bytes_per_machine(&assignment.master_counts(), &config.spec, &config.rates)
+        snapshot_bytes_per_machine(&assignment.master_counts(), &config.spec)
     } else {
         Vec::new()
     };
@@ -84,7 +84,7 @@ pub fn apply_fault_model(
         {
             let (_, machine) = pending_crashes.swap_remove(pos);
             let machine = machine.min(config.spec.machines - 1);
-            let rc = recovery_cost(assignment, machine, &config.spec, &config.rates);
+            let rc = recovery_cost(assignment, machine, &config.spec);
             report.recovery_seconds += rc.transfer_seconds;
             // The re-fetch transfer streams in while replay begins, so its
             // span overlaps the replayed supersteps that follow it.

@@ -27,7 +27,9 @@
 //! lives in one array, exactly as if every mirror were perfectly synced —
 //! while network/memory/time are *accounted* against the replicas and
 //! masters of the [`gp_partition::Assignment`], whose [`Layout`] adds each
-//! image's local edge counts and the partition→machine fold.
+//! image's local edge counts and the partition→machine fold. Work is fixed
+//! units per gathered edge, apply and scattered edge (the accountant's
+//! constants); bytes are `gp_cluster::CostRates`' sizes.
 //!
 //! Every engine run has two halves. An engine's `trace` runs the semantic
 //! pass over the graph's [`gp_core::CsrGraph`] and keeps its update sequence
@@ -57,8 +59,8 @@ pub use comms_hook::apply_comms_model;
 pub use elastic_hook::apply_elastic_model;
 pub use fault_hook::apply_fault_model;
 pub use gas::SyncGas;
-pub use gp_elastic::{ElasticConfig, ElasticPlan, ElasticRates, RepairPolicy};
-pub use gp_net::{CommsConfig, RetryPolicy, SpeculationPolicy};
+pub use gp_elastic::{ElasticConfig, ElasticPlan, RepairPolicy};
+pub use gp_net::CommsConfig;
 pub use gp_par::ParConfig;
 pub use hybrid::HybridGas;
 pub use layout::Layout;

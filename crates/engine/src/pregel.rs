@@ -26,6 +26,7 @@ use crate::layout::Layout;
 use crate::program::VertexProgram;
 use crate::report::{ComputeReport, EngineConfig};
 use crate::trace::{SemanticTrace, Semantics};
+use gp_cluster::CostRates;
 use gp_core::{CsrGraph, EdgeList};
 use gp_partition::Assignment;
 
@@ -170,9 +171,11 @@ impl Pregel {
 
     /// Total in-memory footprint of the partitioned graph.
     pub fn graph_bytes(&self, assignment: &Assignment) -> u64 {
-        let rates = &self.config.base.rates;
-        assignment.num_edges() as u64 * rates.edge_store_bytes
-            + assignment.total_images() as u64 * rates.vertex_image_bytes
+        CostRates.machine_bytes(
+            assignment.num_edges() as u64,
+            assignment.total_images() as u64,
+            0,
+        )
     }
 
     /// Run `program`: [`Pregel::trace`], then [`Pregel::price`] on a fresh

@@ -1,6 +1,6 @@
 //! Engine configuration and compute-phase reporting.
 
-use gp_cluster::{ClusterSpec, CostRates, MemoryModel};
+use gp_cluster::{ClusterSpec, CostRates};
 use gp_elastic::ElasticConfig;
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_net::CommsConfig;
@@ -8,20 +8,13 @@ use gp_par::ParConfig;
 use gp_partition::Assignment;
 use gp_telemetry::TelemetrySink;
 
-/// Configuration shared by all engines: the cluster being simulated, wire
-/// sizes, and per-operation work constants.
+/// Configuration shared by all engines: the cluster being simulated and the
+/// mid-job models layered on it. Byte sizes are `gp_cluster::CostRates`'
+/// constants and work units per operation are the accountant's.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The simulated cluster.
     pub spec: ClusterSpec,
-    /// Wire/storage byte sizes.
-    pub rates: CostRates,
-    /// Work units per edge visited during gather.
-    pub gather_work: f64,
-    /// Work units per apply.
-    pub apply_work: f64,
-    /// Work units per edge visited during scatter.
-    pub scatter_work: f64,
     /// Cap on supersteps (safety net on top of the program's own cap).
     pub max_supersteps: u32,
     /// Enable PowerGraph's gather (delta) caching: a vertex whose gather
@@ -67,10 +60,6 @@ impl EngineConfig {
     pub fn new(spec: ClusterSpec) -> Self {
         EngineConfig {
             spec,
-            rates: CostRates::default(),
-            gather_work: 1.0,
-            apply_work: 2.0,
-            scatter_work: 0.6,
             max_supersteps: 10_000,
             delta_caching: false,
             fault_plan: FaultPlan::none(),
@@ -136,8 +125,8 @@ impl EngineConfig {
     /// scheduled slowdowns. An enabled protocol over a clean plan — or a
     /// flaky plan with everything disabled — is guaranteed inert.
     pub fn comms_model_active(&self) -> bool {
-        (self.comms.retry.enabled && self.fault_plan.has_flaky())
-            || (self.comms.speculation.enabled && self.fault_plan.has_slowdowns())
+        (self.comms.retry && self.fault_plan.has_flaky())
+            || (self.comms.speculation && self.fault_plan.has_slowdowns())
     }
 
     /// True when the elastic model can alter a report: at least one
@@ -354,11 +343,10 @@ pub fn base_memory_per_machine(
     config: &EngineConfig,
     extra_state_bytes: u64,
 ) -> Vec<f64> {
-    let model = MemoryModel::new(config.rates.clone());
     let mut per = vec![0.0f64; config.spec.machines as usize];
     let images = assignment.replica_counts();
     for (p, (&e, &i)) in assignment.edge_counts().iter().zip(&images).enumerate() {
-        per[config.spec.machine_of(p as u32) as usize] += model.machine_bytes(e, i, 0) as f64;
+        per[config.spec.machine_of(p as u32) as usize] += CostRates.machine_bytes(e, i, 0) as f64;
     }
     for v in per.iter_mut() {
         *v += extra_state_bytes as f64;
@@ -444,7 +432,7 @@ mod tests {
         let parts = (0..4u32).map(gp_core::PartitionId).collect();
         let a = Assignment::from_edge_partitions(&g, parts, 4, 0);
         let cfg = EngineConfig::new(ClusterSpec::local_9().with_machines(2));
-        let one = MemoryModel::default().machine_bytes(1, 2, 0) as f64;
+        let one = CostRates.machine_bytes(1, 2, 0) as f64;
         assert_eq!(
             base_memory_per_machine(&a, &cfg, 7),
             vec![2.0 * one + 7.0; 2]

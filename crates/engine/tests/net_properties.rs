@@ -13,8 +13,7 @@
 use gp_apps::PageRank;
 use gp_cluster::ClusterSpec;
 use gp_engine::{
-    AsyncGas, CommsConfig, ComputeReport, EngineConfig, HybridGas, Pregel, PregelConfig,
-    RetryPolicy, SpeculationPolicy, SyncGas,
+    AsyncGas, CommsConfig, ComputeReport, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas,
 };
 use gp_fault::{FaultPlan, FaultRates};
 use gp_partition::{Assignment, PartitionContext, Strategy};
@@ -82,14 +81,9 @@ proptest! {
                 f64::from(flaky_pm) / 1000.0,
             ),
         );
-        let retries = protocol_bits & 1 != 0;
-        let speculation = protocol_bits & 2 != 0;
         let comms = CommsConfig {
-            retry: if retries { RetryPolicy::reliable() } else { RetryPolicy::default() },
-            speculation: SpeculationPolicy {
-                enabled: speculation,
-                ..SpeculationPolicy::default()
-            },
+            retry: protocol_bits & 1 != 0,
+            speculation: protocol_bits & 2 != 0,
         };
         let clean = run_engine(which, EngineConfig::new(spec.clone()));
         let faulted = run_engine(

@@ -81,14 +81,11 @@ impl CheckpointPolicy {
 
 /// Per-machine snapshot sizes for one checkpoint, derived from the master
 /// placement: each machine persists the state of the vertices it masters.
-pub fn snapshot_bytes_per_machine(
-    master_counts: &[u64],
-    spec: &ClusterSpec,
-    rates: &CostRates,
-) -> Vec<f64> {
+pub fn snapshot_bytes_per_machine(master_counts: &[u64], spec: &ClusterSpec) -> Vec<f64> {
     let mut per = vec![0.0f64; spec.machines as usize];
     for (p, &masters) in master_counts.iter().enumerate() {
-        per[spec.machine_of(p as u32) as usize] += masters as f64 * rates.vertex_image_bytes as f64;
+        per[spec.machine_of(p as u32) as usize] +=
+            masters as f64 * CostRates::VERTEX_IMAGE_BYTES as f64;
     }
     per
 }
@@ -138,13 +135,12 @@ mod tests {
 
     #[test]
     fn snapshot_bytes_fold_partitions_onto_machines() {
-        let rates = CostRates::default();
         // 4 partitions on 2 machines: machine 0 masters p0+p2.
         let spec = ClusterSpec::local_9().with_machines(2);
-        let per = snapshot_bytes_per_machine(&[10, 20, 30, 40], &spec, &rates);
+        let per = snapshot_bytes_per_machine(&[10, 20, 30, 40], &spec);
         assert_eq!(per.len(), 2);
-        assert_eq!(per[0], 40.0 * rates.vertex_image_bytes as f64);
-        assert_eq!(per[1], 60.0 * rates.vertex_image_bytes as f64);
+        assert_eq!(per[0], 40.0 * CostRates::VERTEX_IMAGE_BYTES as f64);
+        assert_eq!(per[1], 60.0 * CostRates::VERTEX_IMAGE_BYTES as f64);
     }
 
     #[test]

@@ -47,19 +47,6 @@ pub enum FaultKind {
         /// Supersteps the flakiness lasts.
         duration_steps: u32,
     },
-    /// Spot preemption: the machine will be reclaimed at the end of the
-    /// event's superstep, but — unlike a [`FaultKind::Crash`] — the
-    /// scheduler announced it `warning_steps` supersteps in advance (spot
-    /// instances get a termination notice). An elasticity layer (gp-elastic)
-    /// can use the window to evacuate the machine's masters gracefully;
-    /// without one the event is inert (the fault hook does not price it, so
-    /// plans carrying only preemptions stay bit-identical to empty plans
-    /// under the plain engines).
-    Preempt {
-        /// Supersteps of advance notice before the machine disappears.
-        /// Clamped so the notice never predates superstep 0.
-        warning_steps: u32,
-    },
 }
 
 /// The composed unreliability of one machine's link at one superstep (all
@@ -252,61 +239,6 @@ impl FaultPlan {
         }
     }
 
-    /// Hand-built plan: `machine` is spot-preempted at the end of
-    /// `superstep`, announced `warning_steps` supersteps earlier. The
-    /// warning is clamped to `superstep` — a notice cannot predate the
-    /// start of the job.
-    pub fn preempt_at(superstep: u32, machine: u32, warning_steps: u32) -> Self {
-        FaultPlan {
-            seed: 0,
-            events: vec![FaultEvent {
-                superstep,
-                machine,
-                kind: FaultKind::Preempt {
-                    warning_steps: warning_steps.min(superstep),
-                },
-            }],
-        }
-    }
-
-    /// Hand-built spot schedule: `count` preemptions spread deterministically
-    /// over `horizon` supersteps and `machines` machines from `seed` — the
-    /// seeded analogue of [`FaultPlan::uniform_flaky`] for spot markets.
-    /// Strike steps are drawn without replacement (at most one reclaim per
-    /// superstep, matching the one-crash-per-step rule), every event carries
-    /// the same `warning_steps` notice (clamped per event), and a zero
-    /// `count` or `horizon` yields the empty plan.
-    pub fn uniform_preemptions(
-        seed: u64,
-        count: u32,
-        machines: u32,
-        horizon: u32,
-        warning_steps: u32,
-    ) -> Self {
-        let mut plan = FaultPlan {
-            seed,
-            events: Vec::new(),
-        };
-        if count == 0 || horizon == 0 || machines == 0 {
-            return plan;
-        }
-        let mut rng = FaultRng::new(seed);
-        let mut free: Vec<u32> = (0..horizon).collect();
-        for _ in 0..count.min(horizon) {
-            let at = rng.next_below(free.len() as u64) as usize;
-            let superstep = free.swap_remove(at);
-            let machine = rng.next_below(machines as u64) as u32;
-            plan.push(FaultEvent {
-                superstep,
-                machine,
-                kind: FaultKind::Preempt {
-                    warning_steps: warning_steps.min(superstep),
-                },
-            });
-        }
-        plan
-    }
-
     /// Hand-built plan: every machine's link drops messages at `loss_rate`
     /// for the whole `horizon` (the ch11 sweep and the CLI `--loss-rate`
     /// flag, where the loss rate must be the *only* variable). A
@@ -353,15 +285,6 @@ impl FaultPlan {
             .filter(|e| matches!(e.kind, FaultKind::Crash))
     }
 
-    /// Preemption events only, in superstep order, as
-    /// `(superstep, machine, warning_steps)`.
-    pub fn preemptions(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        self.events.iter().filter_map(|e| match e.kind {
-            FaultKind::Preempt { warning_steps } => Some((e.superstep, e.machine, warning_steps)),
-            _ => None,
-        })
-    }
-
     /// Combined slowdown penalties active at `superstep` for `machine`:
     /// returns `(compute_factor, network_factor)`, each ≥ 1.0. Overlapping
     /// events multiply (two 2x stragglers → 4x).
@@ -391,9 +314,8 @@ impl FaultPlan {
                     }
                 }
                 // Flaky links are priced by the reliable-delivery protocol
-                // (gp-net), not as a bandwidth slowdown; preemptions by the
-                // elasticity layer (gp-elastic), not the fault hook.
-                FaultKind::Flaky { .. } | FaultKind::Preempt { .. } => {}
+                // (gp-net), not as a bandwidth slowdown.
+                FaultKind::Flaky { .. } => {}
             }
         }
         (compute, network)
@@ -601,51 +523,6 @@ mod tests {
         assert_eq!(plan.flaky_at(30, 0), None);
         assert!(FaultPlan::uniform_flaky(0.0, 4, 30).is_empty());
         assert!(FaultPlan::uniform_flaky(-1.0, 4, 30).is_empty());
-    }
-
-    #[test]
-    fn preempt_at_clamps_the_warning_window() {
-        let plan = FaultPlan::preempt_at(2, 4, 10);
-        assert_eq!(plan.preemptions().count(), 1);
-        let (step, machine, warning) = plan.preemptions().next().unwrap();
-        assert_eq!((step, machine), (2, 4));
-        assert_eq!(warning, 2, "notice cannot predate superstep 0");
-        let roomy = FaultPlan::preempt_at(8, 1, 3);
-        assert_eq!(roomy.preemptions().next().unwrap().2, 3);
-        // Preemptions are inert to the fault hook's pricing paths.
-        assert_eq!(plan.slowdown_at(2, 4), (1.0, 1.0));
-        assert_eq!(plan.crashes().count(), 0);
-        assert!(!plan.has_flaky() && !plan.has_slowdowns());
-    }
-
-    #[test]
-    fn uniform_preemptions_are_deterministic_per_seed() {
-        let a = FaultPlan::uniform_preemptions(13, 4, 9, 40, 3);
-        let b = FaultPlan::uniform_preemptions(13, 4, 9, 40, 3);
-        assert_eq!(a, b);
-        assert_eq!(a.preemptions().count(), 4);
-        let c = FaultPlan::uniform_preemptions(14, 4, 9, 40, 3);
-        assert_ne!(a.events, c.events, "different seeds must differ");
-        // At most one reclaim per superstep, and each event's warning is
-        // clamped to its strike step.
-        let mut steps: Vec<u32> = a.preemptions().map(|(s, _, _)| s).collect();
-        steps.sort_unstable();
-        steps.dedup();
-        assert_eq!(steps.len(), 4, "strike steps drawn without replacement");
-        for (step, machine, warning) in a.preemptions() {
-            assert!(step < 40 && machine < 9);
-            assert_eq!(warning, 3.min(step));
-        }
-    }
-
-    #[test]
-    fn uniform_preemptions_degenerate_inputs_yield_empty_plans() {
-        assert!(FaultPlan::uniform_preemptions(7, 0, 9, 40, 2).is_empty());
-        assert!(FaultPlan::uniform_preemptions(7, 3, 9, 0, 2).is_empty());
-        assert!(FaultPlan::uniform_preemptions(7, 3, 0, 40, 2).is_empty());
-        // More preemptions than supersteps: one per step, no infinite loop.
-        let dense = FaultPlan::uniform_preemptions(7, 100, 4, 6, 1);
-        assert_eq!(dense.preemptions().count(), 6);
     }
 
     #[test]

@@ -27,12 +27,7 @@ pub struct RecoveryCost {
 }
 
 /// Price the loss of `machine` under `assignment` on `spec`.
-pub fn recovery_cost(
-    assignment: &Assignment,
-    machine: u32,
-    spec: &ClusterSpec,
-    rates: &CostRates,
-) -> RecoveryCost {
+pub fn recovery_cost(assignment: &Assignment, machine: u32, spec: &ClusterSpec) -> RecoveryCost {
     let images = assignment.replica_counts();
     let mut lost_edges = 0u64;
     let mut lost_images = 0u64;
@@ -42,8 +37,8 @@ pub fn recovery_cost(
             lost_images += i;
         }
     }
-    let refetch_bytes = lost_edges as f64 * rates.edge_wire_bytes
-        + lost_images as f64 * (rates.mirror_setup_bytes + rates.value_wire_bytes);
+    let refetch_bytes = lost_edges as f64 * CostRates::EDGE_WIRE_BYTES
+        + lost_images as f64 * (CostRates::MIRROR_SETUP_BYTES + CostRates::VALUE_WIRE_BYTES);
     let transfer_seconds =
         refetch_bytes / spec.bandwidth_bytes_per_s + spec.latency_s * spec.machines as f64;
     RecoveryCost {
@@ -73,7 +68,6 @@ mod tests {
         // somewhere), so total recovery traffic must order exactly by each
         // strategy's replication factor on the same graph.
         let spec = ClusterSpec::local_9();
-        let rates = CostRates::default();
         let mut measured: Vec<(f64, f64)> = [
             Strategy::Random,
             Strategy::Grid,
@@ -84,7 +78,7 @@ mod tests {
         .map(|s| {
             let a = assignment_for(s, spec.machines);
             let bytes: f64 = (0..spec.machines)
-                .map(|m| recovery_cost(&a, m, &spec, &rates).refetch_bytes)
+                .map(|m| recovery_cost(&a, m, &spec).refetch_bytes)
                 .sum();
             (a.replication_factor(), bytes)
         })
@@ -104,10 +98,9 @@ mod tests {
     #[test]
     fn every_edge_is_lost_exactly_once() {
         let spec = ClusterSpec::local_9();
-        let rates = CostRates::default();
         let a = assignment_for(Strategy::Grid, spec.machines);
         let lost: u64 = (0..spec.machines)
-            .map(|m| recovery_cost(&a, m, &spec, &rates).lost_edges)
+            .map(|m| recovery_cost(&a, m, &spec).lost_edges)
             .sum();
         assert_eq!(lost, a.num_edges() as u64);
     }
@@ -116,15 +109,12 @@ mod tests {
     fn transfer_time_positive_even_for_empty_machine() {
         // Latency barrier applies even if the machine hosted nothing.
         let spec = ClusterSpec::local_9();
-        let rates = CostRates::default();
         let g = gp_core::EdgeList::from_pairs(vec![(0, 1)]);
         let a = Strategy::Random
             .build()
             .partition(&g, &PartitionContext::new(9))
             .assignment;
-        let costs: Vec<RecoveryCost> = (0..9)
-            .map(|m| recovery_cost(&a, m, &spec, &rates))
-            .collect();
+        let costs: Vec<RecoveryCost> = (0..9).map(|m| recovery_cost(&a, m, &spec)).collect();
         assert!(costs.iter().all(|c| c.transfer_seconds > 0.0));
         assert!(costs.iter().any(|c| c.lost_edges == 0));
     }
@@ -133,10 +123,9 @@ mod tests {
     fn more_partitions_than_machines_fold() {
         // 18 partitions on 9 machines: each machine loses two partitions.
         let spec = ClusterSpec::local_9();
-        let rates = CostRates::default();
         let a = assignment_for(Strategy::Random, 18);
         let lost: u64 = (0..spec.machines)
-            .map(|m| recovery_cost(&a, m, &spec, &rates).lost_edges)
+            .map(|m| recovery_cost(&a, m, &spec).lost_edges)
             .sum();
         assert_eq!(lost, a.num_edges() as u64);
     }

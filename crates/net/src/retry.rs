@@ -15,79 +15,50 @@
 //!   stall charged to the barrier is `Σ_{k=1..A-1} p^k · timeout(k-1)`
 //!   with `timeout(i) = min(base · backoff^i, max)`.
 //!
-//! After `max_attempts` the protocol gives up and the superstep's barrier
+//! After `MAX_ATTEMPTS` the protocol gives up and the superstep's barrier
 //! recovers the message with the next global resynchronization — the
 //! residual loss `p^A` is not priced further.
 
-/// Deterministic retransmission policy for one cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Whether the protocol runs at all. Disabled means flaky windows are
-    /// inert (the idealized-network baseline).
-    pub enabled: bool,
-    /// Total transmission attempts per message (first send included).
-    pub max_attempts: u32,
-    /// Timeout before the first retransmission, seconds.
-    pub base_timeout_s: f64,
-    /// Multiplier applied to the timeout after each failed attempt.
-    pub backoff: f64,
-    /// Cap on any single timeout, seconds.
-    pub max_timeout_s: f64,
+/// Total transmission attempts per message (first send included).
+const MAX_ATTEMPTS: u32 = 5;
+/// Timeout before the first retransmission, seconds.
+const BASE_TIMEOUT_S: f64 = 0.05;
+/// Multiplier applied to the timeout after each failed attempt.
+const BACKOFF: f64 = 2.0;
+/// Cap on any single timeout, seconds.
+const MAX_TIMEOUT_S: f64 = 1.0;
+
+/// Timeout preceding retransmission attempt `retry` (0-based), seconds:
+/// `min(base · backoff^retry, max)`.
+fn timeout_s(retry: u32) -> f64 {
+    (BASE_TIMEOUT_S * BACKOFF.powi(retry as i32)).min(MAX_TIMEOUT_S)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            enabled: false,
-            max_attempts: 5,
-            base_timeout_s: 0.05,
-            backoff: 2.0,
-            max_timeout_s: 1.0,
-        }
+/// Expected extra transmissions per message on a link with per-message
+/// loss probability `loss`: `Σ_{k=1..A-1} loss^k`. Exactly 0.0 at
+/// `loss = 0`, monotonically increasing in `loss`.
+pub fn expected_retransmissions(loss: f64) -> f64 {
+    let loss = loss.clamp(0.0, 1.0);
+    let mut p = 1.0;
+    let mut extra = 0.0;
+    for _ in 1..MAX_ATTEMPTS {
+        p *= loss;
+        extra += p;
     }
+    extra
 }
 
-impl RetryPolicy {
-    /// The default protocol, switched on.
-    pub fn reliable() -> Self {
-        RetryPolicy {
-            enabled: true,
-            ..Self::default()
-        }
+/// Expected timeout stall per message, seconds: each retransmission wave
+/// waits out its (backed-off, capped) timer first.
+pub fn expected_timeout_stall_s(loss: f64) -> f64 {
+    let loss = loss.clamp(0.0, 1.0);
+    let mut p = 1.0;
+    let mut stall = 0.0;
+    for k in 1..MAX_ATTEMPTS {
+        p *= loss;
+        stall += p * timeout_s(k - 1);
     }
-
-    /// Timeout preceding retransmission attempt `retry` (0-based), seconds:
-    /// `min(base · backoff^retry, max)`.
-    pub fn timeout_s(&self, retry: u32) -> f64 {
-        (self.base_timeout_s * self.backoff.powi(retry as i32)).min(self.max_timeout_s)
-    }
-
-    /// Expected extra transmissions per message on a link with per-message
-    /// loss probability `loss`: `Σ_{k=1..A-1} loss^k`. Exactly 0.0 at
-    /// `loss = 0`, monotonically increasing in `loss`.
-    pub fn expected_retransmissions(&self, loss: f64) -> f64 {
-        let loss = loss.clamp(0.0, 1.0);
-        let mut p = 1.0;
-        let mut extra = 0.0;
-        for _ in 1..self.max_attempts {
-            p *= loss;
-            extra += p;
-        }
-        extra
-    }
-
-    /// Expected timeout stall per message, seconds: each retransmission
-    /// wave waits out its (backed-off, capped) timer first.
-    pub fn expected_timeout_stall_s(&self, loss: f64) -> f64 {
-        let loss = loss.clamp(0.0, 1.0);
-        let mut p = 1.0;
-        let mut stall = 0.0;
-        for k in 1..self.max_attempts {
-            p *= loss;
-            stall += p * self.timeout_s(k - 1);
-        }
-        stall
-    }
+    stall
 }
 
 /// Per-message loss probability induced by multi-tenant contention: each of
@@ -95,8 +66,9 @@ impl RetryPolicy {
 /// with probability `per_tenant_loss` (a switch-buffer drop under shared
 /// NICs), so the composed rate is `1 - (1 - l)^(k-1)` — exactly 0.0 for a
 /// sole tenant, monotone in both arguments, clamped like every link rate.
-/// gp-elastic's `TenantScheduler` feeds this into [`RetryPolicy`]'s
-/// closed-form expectations to price interference.
+/// gp-elastic's `TenantScheduler` feeds this into the retry closed forms
+/// ([`expected_retransmissions`], [`expected_timeout_stall_s`]) to price
+/// interference.
 pub fn contention_loss_rate(active_tenants: u32, per_tenant_loss: f64) -> f64 {
     if active_tenants <= 1 {
         return 0.0;
@@ -111,43 +83,35 @@ mod tests {
 
     #[test]
     fn clean_link_costs_exactly_nothing() {
-        let p = RetryPolicy::reliable();
-        assert_eq!(p.expected_retransmissions(0.0), 0.0);
-        assert_eq!(p.expected_timeout_stall_s(0.0), 0.0);
+        assert_eq!(expected_retransmissions(0.0), 0.0);
+        assert_eq!(expected_timeout_stall_s(0.0), 0.0);
     }
 
     #[test]
     fn costs_are_monotone_in_loss() {
-        let p = RetryPolicy::reliable();
         let rates = [0.0, 0.01, 0.05, 0.1, 0.3, 0.6, 0.9];
         for w in rates.windows(2) {
-            assert!(p.expected_retransmissions(w[0]) < p.expected_retransmissions(w[1]));
-            assert!(p.expected_timeout_stall_s(w[0]) < p.expected_timeout_stall_s(w[1]));
+            assert!(expected_retransmissions(w[0]) < expected_retransmissions(w[1]));
+            assert!(expected_timeout_stall_s(w[0]) < expected_timeout_stall_s(w[1]));
         }
     }
 
     #[test]
     fn backoff_grows_then_caps() {
-        let p = RetryPolicy::reliable();
-        assert!((p.timeout_s(0) - 0.05).abs() < 1e-12);
-        assert!((p.timeout_s(1) - 0.10).abs() < 1e-12);
-        assert!((p.timeout_s(2) - 0.20).abs() < 1e-12);
-        assert_eq!(p.timeout_s(10), 1.0, "capped at max_timeout_s");
-        assert_eq!(p.timeout_s(60), 1.0, "no overflow blowup");
+        assert!((timeout_s(0) - 0.05).abs() < 1e-12);
+        assert!((timeout_s(1) - 0.10).abs() < 1e-12);
+        assert!((timeout_s(2) - 0.20).abs() < 1e-12);
+        assert_eq!(timeout_s(10), 1.0, "capped at MAX_TIMEOUT_S");
+        assert_eq!(timeout_s(60), 1.0, "no overflow blowup");
     }
 
     #[test]
-    fn expectations_match_closed_form_on_small_attempts() {
-        let p = RetryPolicy {
-            enabled: true,
-            max_attempts: 3,
-            base_timeout_s: 0.1,
-            backoff: 2.0,
-            max_timeout_s: 10.0,
-        };
-        // Σ_{k=1..2} 0.5^k = 0.75; stall = 0.5*0.1 + 0.25*0.2 = 0.1.
-        assert!((p.expected_retransmissions(0.5) - 0.75).abs() < 1e-12);
-        assert!((p.expected_timeout_stall_s(0.5) - 0.1).abs() < 1e-12);
+    fn expectations_match_closed_form() {
+        // Five attempts: Σ_{k=1..4} 0.5^k = 0.9375; the four waves wait
+        // 0.05, 0.1, 0.2 and 0.4 s, each weighted by its 0.5^k, so every
+        // wave stalls 0.025 s.
+        assert!((expected_retransmissions(0.5) - 0.9375).abs() < 1e-12);
+        assert!((expected_timeout_stall_s(0.5) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -165,13 +129,9 @@ mod tests {
 
     #[test]
     fn out_of_range_loss_is_clamped() {
-        let p = RetryPolicy::reliable();
-        assert_eq!(
-            p.expected_retransmissions(1.5),
-            p.expected_retransmissions(1.0)
-        );
-        assert_eq!(p.expected_retransmissions(-0.5), 0.0);
-        assert!(p.expected_retransmissions(1.0).is_finite());
-        assert!(p.expected_timeout_stall_s(1.0).is_finite());
+        assert_eq!(expected_retransmissions(1.5), expected_retransmissions(1.0));
+        assert_eq!(expected_retransmissions(-0.5), 0.0);
+        assert!(expected_retransmissions(1.0).is_finite());
+        assert!(expected_timeout_stall_s(1.0).is_finite());
     }
 }

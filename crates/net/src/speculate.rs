@@ -2,42 +2,17 @@
 //!
 //! MapReduce-style straggler mitigation adapted to superstep barriers: the
 //! runtime watches per-machine projected completion times for the step;
-//! when the slowest machine's projection exceeds a configurable multiple
-//! of the median, it re-executes that machine's partition work on the
+//! when the slowest machine's projection exceeds `THRESHOLD` times the
+//! median, it re-executes that machine's partition work on the
 //! least-loaded peer and the barrier takes whichever copy finishes first.
 //! The clone is not free — its compute work and the re-shipping of its
 //! inputs are charged to the backup machine — and the model never lets a
 //! speculation "win" more than the straggler's fault penalty, so a healthy
 //! run cannot be undercut by turning speculation on.
 
-/// When and whether to launch backup tasks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeculationPolicy {
-    /// Whether backup tasks launch at all.
-    pub enabled: bool,
-    /// A machine is declared a straggler when its projected step time
-    /// exceeds `threshold ×` the median machine's (must be > 1).
-    pub threshold: f64,
-}
-
-impl Default for SpeculationPolicy {
-    fn default() -> Self {
-        SpeculationPolicy {
-            enabled: false,
-            threshold: 1.5,
-        }
-    }
-}
-
-impl SpeculationPolicy {
-    /// The default policy, switched on.
-    pub fn speculative() -> Self {
-        SpeculationPolicy {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-}
+/// A machine is declared a straggler when its projected step time exceeds
+/// `THRESHOLD ×` the median machine's.
+const THRESHOLD: f64 = 1.5;
 
 /// One launched backup task and its accounting consequences.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +48,6 @@ pub struct SpeculationOutcome {
 /// keeps clean runs bit-identical), or the clone wouldn't actually save
 /// time.
 pub fn plan_speculation(
-    policy: &SpeculationPolicy,
     projected_s: &[f64],
     penalty_s: &[f64],
     work: &[f64],
@@ -82,7 +56,7 @@ pub fn plan_speculation(
     bandwidth: f64,
 ) -> Option<SpeculationOutcome> {
     let n = projected_s.len();
-    if !policy.enabled || n < 2 {
+    if n < 2 {
         return None;
     }
     let slow = argmax(projected_s)?;
@@ -93,7 +67,7 @@ pub fn plan_speculation(
     let mut sorted = projected_s.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite projections"));
     let median = sorted[(n - 1) / 2];
-    if projected_s[slow] <= policy.threshold * median {
+    if projected_s[slow] <= THRESHOLD * median {
         return None;
     }
     let backup = argmin_excluding(projected_s, slow)?;
@@ -145,10 +119,6 @@ mod tests {
     const RATE: f64 = 1e6;
     const BW: f64 = 1e9;
 
-    fn on() -> SpeculationPolicy {
-        SpeculationPolicy::speculative()
-    }
-
     #[test]
     fn straggler_with_penalty_triggers_backup_on_least_loaded_peer() {
         // Machine 2 projects 10s where the median is 1s, all of it penalty.
@@ -156,7 +126,7 @@ mod tests {
         let penalty = [0.0, 0.0, 9.0, 0.0];
         let work = [1e6, 5e5, 1e6, 1e6];
         let bytes = [0.0, 0.0, 1e6, 0.0];
-        let o = plan_speculation(&on(), &projected, &penalty, &work, &bytes, RATE, BW)
+        let o = plan_speculation(&projected, &penalty, &work, &bytes, RATE, BW)
             .expect("should trigger");
         assert_eq!(o.slow_machine, 2);
         assert_eq!(o.backup_machine, 1, "least-loaded peer");
@@ -177,7 +147,7 @@ mod tests {
         let work = [1e6; 4];
         let bytes = [0.0; 4];
         assert_eq!(
-            plan_speculation(&on(), &projected, &penalty, &work, &bytes, RATE, BW),
+            plan_speculation(&projected, &penalty, &work, &bytes, RATE, BW),
             None
         );
     }
@@ -189,7 +159,7 @@ mod tests {
         let work = [1e6; 4];
         let bytes = [0.0; 4];
         assert_eq!(
-            plan_speculation(&on(), &projected, &penalty, &work, &bytes, RATE, BW),
+            plan_speculation(&projected, &penalty, &work, &bytes, RATE, BW),
             None,
             "1.4 <= 1.5 x median 1.0"
         );
@@ -203,31 +173,15 @@ mod tests {
         let penalty = [0.0, 0.0, 2.0];
         let work = [1e5, 1e5, 1e5];
         let bytes = [0.0; 3];
-        let o = plan_speculation(&on(), &projected, &penalty, &work, &bytes, RATE, BW)
+        let o = plan_speculation(&projected, &penalty, &work, &bytes, RATE, BW)
             .expect("should trigger");
         assert_eq!(o.saved_seconds, 2.0);
     }
 
     #[test]
-    fn disabled_or_degenerate_clusters_never_speculate() {
-        let projected = [1.0, 10.0];
-        let penalty = [0.0, 9.0];
-        let work = [1e5, 1e5];
-        let bytes = [0.0, 0.0];
+    fn a_single_machine_never_speculates() {
         assert_eq!(
-            plan_speculation(
-                &SpeculationPolicy::default(),
-                &projected,
-                &penalty,
-                &work,
-                &bytes,
-                RATE,
-                BW
-            ),
-            None
-        );
-        assert_eq!(
-            plan_speculation(&on(), &[5.0], &[4.0], &[1e5], &[0.0], RATE, BW),
+            plan_speculation(&[5.0], &[4.0], &[1e5], &[0.0], RATE, BW),
             None,
             "single machine has no peer"
         );
@@ -241,7 +195,7 @@ mod tests {
         let work = [5e6, 5e6, 5e6]; // clone alone takes 5s
         let bytes = [0.0; 3];
         assert_eq!(
-            plan_speculation(&on(), &projected, &penalty, &work, &bytes, RATE, BW),
+            plan_speculation(&projected, &penalty, &work, &bytes, RATE, BW),
             None
         );
     }

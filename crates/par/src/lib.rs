@@ -96,29 +96,6 @@ pub fn chunk_ranges(total: usize, workers: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Split an index range into consecutive windows of at most `window` items,
-/// in stream order. `window == 0` yields a single window spanning the whole
-/// range (an empty range yields no windows). Purely a function of its
-/// arguments: window boundaries are the determinism unit of the speculative
-/// ingress scheme — every window after the first may start mid-stream, so
-/// unlike [`chunk_ranges`] the split must not depend on a worker count.
-pub fn window_ranges(bounds: Range<usize>, window: usize) -> Vec<Range<usize>> {
-    if bounds.is_empty() {
-        return Vec::new();
-    }
-    if window == 0 {
-        return vec![bounds];
-    }
-    let mut out = Vec::with_capacity(bounds.len().div_ceil(window));
-    let mut start = bounds.start;
-    while start < bounds.end {
-        let end = (start + window).min(bounds.end);
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
-
 /// Run `tasks` on a pool of at most `threads` scoped workers and return the
 /// results **in task order**. With `threads <= 1` (or a single task) the
 /// tasks run inline on the caller's thread — that is the `--threads 1`
@@ -392,30 +369,6 @@ mod tests {
                 assert_eq!(next, total, "coverage at {total}/{workers}");
             }
         }
-    }
-
-    #[test]
-    fn window_ranges_cover_exactly_once_in_order() {
-        for (start, total) in [(0usize, 0usize), (0, 1), (0, 10), (7, 23), (100, 1)] {
-            for window in [1usize, 2, 3, 7, 100] {
-                let bounds = start..start + total;
-                let ranges = window_ranges(bounds.clone(), window);
-                let mut next = start;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "gap at {bounds:?}/{window}");
-                    assert!(r.len() <= window, "oversized window at {bounds:?}/{window}");
-                    next = r.end;
-                }
-                assert_eq!(next, start + total, "coverage at {bounds:?}/{window}");
-            }
-        }
-    }
-
-    #[test]
-    fn window_zero_is_one_window() {
-        assert_eq!(window_ranges(3..10, 0), vec![3..10]);
-        assert!(window_ranges(5..5, 0).is_empty());
-        assert!(window_ranges(5..5, 4).is_empty());
     }
 
     #[test]

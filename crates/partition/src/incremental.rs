@@ -3,17 +3,17 @@
 //! A long-running service (`gp-serve`) cannot re-run batch ingress for every
 //! streamed edge insert; it needs a per-edge *assign step* that maintains the
 //! same placement policy the batch partitioner would have used. This module
-//! gives every strategy in the catalog such a step behind one trait:
+//! gives every strategy in the catalog ([`Strategy`]) such a step behind one
+//! trait:
 //!
 //! * **Stateless hash strategies** (Random, Assym-Rand, 1D, 1D-Target, 2D,
-//!   Grid, PDS, BiCut with a resolved favorite side) call the *same* per-edge
-//!   function as the batch path, so incremental placement is byte-identical
-//!   to batch by construction — [`IncrementalPartitioner::is_exact`] returns
-//!   `true` and the equivalence is locked by tests here and by the
-//!   churn-replay suite.
-//! * **Stateful heuristics** (Oblivious, HDRF, Hybrid, H-Ginger, Chunking)
-//!   depend on the order and sharding of the batch stream, which a live
-//!   stream cannot reproduce. Oblivious and HDRF run loader 0's
+//!   Grid, PDS) call the *same* per-edge function as the batch path, so
+//!   incremental placement is byte-identical to batch by construction —
+//!   [`IncrementalPartitioner::is_exact`] returns `true` and the
+//!   equivalence is locked by tests here and by the churn-replay suite.
+//! * **Stateful heuristics** (Oblivious, HDRF, Hybrid, H-Ginger) depend on
+//!   the order and sharding of the batch stream, which a live stream cannot
+//!   reproduce. Oblivious and HDRF run loader 0's
 //!   `WindowKernel` one edge at a time over the live stream — the very
 //!   step batch ingress runs at `window <= 1`, single shard — and are
 //!   *quality-parity* approximations: `is_exact()` is `false`, and the
@@ -26,9 +26,7 @@
 //! concern handled by the serving layer's refcounts, mirroring how deployed
 //! systems keep mirrors warm until a rebalance reclaims them.
 
-use crate::partitioner::CostModel;
 use crate::speculative::{ScoreScratch, WindowKernel};
-use crate::strategies::bicut::bicut_edge;
 use crate::strategies::constrained::{grid_edge, pds_edge, PdsTable};
 use crate::strategies::hash::{
     asym_random_edge, one_d_edge, one_d_target_edge, random_edge, two_d_edge,
@@ -36,15 +34,15 @@ use crate::strategies::hash::{
 use crate::strategies::hdrf::HdrfWindowKernel;
 use crate::strategies::hybrid::hybrid_edge;
 use crate::strategies::oblivious::ObliviousWindowKernel;
-use crate::strategies::{FavoriteSide, TwoD};
+use crate::strategies::TwoD;
 use crate::strategy::Strategy;
 use gp_core::{Edge, PartitionId};
 
 /// A partitioner that assigns one edge at a time and can unwind deletes.
 ///
 /// `assign` takes the edge's position in the lifetime stream (`index`,
-/// counting every insert since serving began — it picks Chunking's chunk
-/// and keys the greedy kernels' tie-break RNG) and must be called in
+/// counting every insert since serving began — it keys the greedy kernels'
+/// tie-break RNG) and must be called in
 /// stream order for the stateful heuristics to be meaningful.
 /// Implementations are `Send` so a serving loop can live on a worker
 /// thread.
@@ -194,65 +192,6 @@ impl IncrementalPartitioner for IncrementalHybrid {
     }
 }
 
-/// Incremental Chunking: fixed-width chunks derived from the *base* edge
-/// count. Batch Chunking computes `(i * p) / m` with the final `m`, which a
-/// live stream cannot know, so the incremental variant freezes the chunk
-/// width at `ceil(base / p)` and lets the stream spill into the last
-/// partition — approximate (`is_exact() == false`), with the serve layer's
-/// drift watcher responsible for re-chunking when the spill skews balance.
-struct IncrementalChunking {
-    chunk: u64,
-    p: u32,
-}
-
-impl IncrementalPartitioner for IncrementalChunking {
-    fn name(&self) -> &'static str {
-        "Chunking"
-    }
-
-    fn assign(&mut self, index: u64, _e: Edge) -> PartitionId {
-        PartitionId(((index / self.chunk).min(self.p as u64 - 1)) as u32)
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-}
-
-/// Incremental Chunking for a stream that began as `base_edges` batch edges
-/// split over `num_partitions` contiguous chunks.
-pub fn chunking_incremental(
-    base_edges: u64,
-    num_partitions: u32,
-) -> Box<dyn IncrementalPartitioner> {
-    assert!(num_partitions > 0, "need at least one partition");
-    let chunk = base_edges.div_ceil(num_partitions as u64).max(1);
-    Box::new(IncrementalChunking {
-        chunk,
-        p: num_partitions,
-    })
-}
-
-/// Incremental BiCut for a **resolved** favorite side. `Auto` must be
-/// resolved against the base snapshot (via `BiCut`'s detection pass) before
-/// serving starts; a live stream would make the verdict time-dependent.
-pub fn bicut_incremental(
-    side: FavoriteSide,
-    num_partitions: u32,
-    seed: u64,
-) -> Box<dyn IncrementalPartitioner> {
-    assert!(
-        side != FavoriteSide::Auto,
-        "resolve FavoriteSide::Auto against the base snapshot before serving"
-    );
-    assert!(num_partitions > 0, "need at least one partition");
-    let p = num_partitions as u64;
-    Box::new(Stateless {
-        name: "BiCut",
-        f: Box::new(move |e| bicut_edge(e, side, seed, p)),
-    })
-}
-
 impl Strategy {
     /// The incremental (serving-time) form of this strategy, with the same
     /// default parameters as [`Strategy::build`]. `num_vertices` bounds the
@@ -303,11 +242,11 @@ impl Strategy {
             // derivation as batch loader 0) over the live stream.
             Strategy::Oblivious => IncrementalGreedy::boxed(
                 "Oblivious",
-                ObliviousWindowKernel::new(p, num_vertices, seed ^ 0x0b11, &CostModel::default()),
+                ObliviousWindowKernel::new(p, num_vertices, seed ^ 0x0b11),
             ),
             Strategy::Hdrf => IncrementalGreedy::boxed(
                 "HDRF",
-                HdrfWindowKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0, &CostModel::default()),
+                HdrfWindowKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0),
             ),
             Strategy::Hybrid => Box::new(IncrementalHybrid {
                 name: "Hybrid",
@@ -330,8 +269,7 @@ impl Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioner::{PartitionContext, Partitioner};
-    use crate::strategies::BiCut;
+    use crate::partitioner::PartitionContext;
     use gp_core::VertexId;
 
     const SEED: u64 = 7;
@@ -500,38 +438,6 @@ mod tests {
             inc.warm(e, PartitionId(2));
             assert_eq!(inc.assign(0, e), PartitionId(2), "{s}");
         }
-    }
-
-    #[test]
-    fn chunking_spills_into_the_last_partition() {
-        let mut inc = chunking_incremental(100, 4);
-        assert!(!inc.is_exact());
-        let e = Edge {
-            src: VertexId(0),
-            dst: VertexId(1),
-        };
-        assert_eq!(inc.assign(0, e), PartitionId(0));
-        assert_eq!(inc.assign(99, e), PartitionId(3));
-        // Stream growth past the base count spills into the last chunk.
-        assert_eq!(inc.assign(1_000, e), PartitionId(3));
-    }
-
-    #[test]
-    fn bicut_incremental_matches_batch_explicit_side() {
-        let g = gp_gen::bipartite(&gp_gen::BipartiteParams::default(), 3);
-        let mut inc = bicut_incremental(FavoriteSide::Source, 9, SEED);
-        assert!(inc.is_exact());
-        let batch = BiCut::new(FavoriteSide::Source)
-            .partition(&g, &PartitionContext::new(9).with_seed(SEED));
-        for (i, e) in g.edges().iter().enumerate() {
-            assert_eq!(inc.assign(i as u64, *e), batch.assignment.edge_partition(i));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "resolve FavoriteSide::Auto")]
-    fn bicut_incremental_rejects_auto() {
-        bicut_incremental(FavoriteSide::Auto, 9, SEED);
     }
 
     #[test]

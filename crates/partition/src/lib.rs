@@ -51,9 +51,9 @@ pub mod strategy;
 
 pub use assignment::{Assignment, BalanceReport};
 pub use gp_par::ParConfig;
-pub use incremental::{bicut_incremental, chunking_incremental, IncrementalPartitioner};
+pub use incremental::IncrementalPartitioner;
 pub use ingress::{ingress_chunks, IngressReport, IngressVolumes};
-pub use partitioner::{CostModel, PartitionContext, PartitionOutcome, Partitioner};
+pub use partitioner::{PartitionContext, PartitionOutcome, Partitioner};
 pub use persist::{load_assignment, read_assignment, save_assignment, write_assignment};
 pub use speculative::{sharded_degree_table, SpecStats, WINDOW_AUTO};
 pub use strategy::{Strategy, System};

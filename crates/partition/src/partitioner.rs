@@ -13,44 +13,29 @@ use gp_core::StreamingEdges;
 use gp_par::ParConfig;
 use gp_telemetry::TelemetrySink;
 
-/// Tunable simulated-work constants (arbitrary units; the cluster model
-/// converts them to seconds). Defaults are calibrated so the relative ingress
-/// times of Figs 5.7/6.4/8.2 hold: hash assignment is much cheaper than the
-/// greedy heuristics, whose per-edge cost grows with the replica sets they
-/// must scan, and multi-pass strategies pay per extra pass.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Work to parse one edge off the input stream (paid every pass).
-    pub parse_edge: f64,
-    /// Work to hash-assign one edge (Random/Grid/1D/2D/PDS and Hybrid's
-    /// hashing phases).
-    pub hash_assign: f64,
-    /// Fixed work per greedy-heuristic decision (Oblivious/HDRF).
-    pub heuristic_base: f64,
-    /// Work per candidate-partition inspected by a greedy heuristic. The
-    /// candidate count is `|A(u)| + |A(v)|` (Appendix A), so hubs that are
-    /// replicated everywhere make the heuristic slow — this is what makes
-    /// HDRF/Oblivious ingress slow on power-law graphs but competitive on
-    /// road networks (§5.4.3).
-    pub heuristic_per_candidate: f64,
-    /// Work per vertex scored by the Ginger heuristic phase.
-    pub ginger_base: f64,
-    /// Work per in-neighbor scanned by the Ginger heuristic.
-    pub ginger_per_neighbor: f64,
-}
+// Simulated ingress work units (arbitrary units; the cluster model converts
+// them to seconds), calibrated so the relative ingress times of Figs
+// 5.7/6.4/8.2 hold: hash assignment is much cheaper than the greedy
+// heuristics, whose per-edge cost grows with the replica sets they must
+// scan, and multi-pass strategies pay per extra pass.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            parse_edge: 3.0,
-            hash_assign: 0.15,
-            heuristic_base: 0.3,
-            heuristic_per_candidate: 0.4,
-            ginger_base: 0.8,
-            ginger_per_neighbor: 0.25,
-        }
-    }
-}
+/// Work to parse one edge off the input stream (paid every pass).
+pub(crate) const PARSE_EDGE: f64 = 3.0;
+/// Work to hash-assign one edge (Random/Grid/1D/2D/PDS and Hybrid's hashing
+/// phases).
+pub(crate) const HASH_ASSIGN: f64 = 0.15;
+/// Fixed work per greedy-heuristic decision (Oblivious/HDRF).
+pub(crate) const HEURISTIC_BASE: f64 = 0.3;
+/// Work per candidate partition inspected by a greedy heuristic. The
+/// candidate count is `|A(u)| + |A(v)|` (Appendix A), so hubs that are
+/// replicated everywhere make the heuristic slow — this is what makes
+/// HDRF/Oblivious ingress slow on power-law graphs but competitive on road
+/// networks (§5.4.3).
+pub(crate) const HEURISTIC_PER_CANDIDATE: f64 = 0.4;
+/// Work per vertex scored by the Ginger heuristic phase.
+pub(crate) const GINGER_BASE: f64 = 0.8;
+/// Work per in-neighbor scanned by the Ginger heuristic.
+pub(crate) const GINGER_PER_NEIGHBOR: f64 = 0.25;
 
 /// Everything a strategy needs besides the edges themselves.
 #[derive(Debug, Clone)]
@@ -63,8 +48,6 @@ pub struct PartitionContext {
     pub num_loaders: u32,
     /// Hash/tie-break seed.
     pub seed: u64,
-    /// Simulated-work constants.
-    pub cost: CostModel,
     /// Telemetry sink; [`TelemetrySink::Disabled`] by default, in which
     /// case strategies record nothing and compute nothing extra.
     pub telemetry: TelemetrySink,
@@ -91,15 +74,14 @@ pub struct PartitionContext {
 }
 
 impl PartitionContext {
-    /// Context with `num_partitions` partitions, the same number of loaders,
-    /// seed 42 and default costs.
+    /// Context with `num_partitions` partitions, the same number of loaders
+    /// and seed 42.
     pub fn new(num_partitions: u32) -> Self {
         assert!(num_partitions > 0, "need at least one partition");
         PartitionContext {
             num_partitions,
             num_loaders: num_partitions,
             seed: 42,
-            cost: CostModel::default(),
             telemetry: TelemetrySink::Disabled,
             par: ParConfig::default(),
             window: 0,
@@ -234,9 +216,5 @@ mod tests {
         assert_eq!(loader_chunks(2, 5), vec![1, 1, 0, 0, 0]);
     }
 
-    #[test]
-    fn default_cost_model_orders_hash_below_heuristic() {
-        let c = CostModel::default();
-        assert!(c.hash_assign < c.heuristic_base);
-    }
+    const _: () = assert!(HASH_ASSIGN < HEURISTIC_BASE);
 }

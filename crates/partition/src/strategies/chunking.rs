@@ -12,7 +12,9 @@
 //! whose hubs are followed from every chunk.
 
 use crate::assignment::Assignment;
-use crate::partitioner::{loader_chunks, PartitionContext, PartitionOutcome, Partitioner};
+use crate::partitioner::{
+    loader_chunks, PartitionContext, PartitionOutcome, Partitioner, HASH_ASSIGN, PARSE_EDGE,
+};
 use gp_core::{PartitionId, StreamingEdges};
 
 /// Gemini-style chunking partitioner.
@@ -50,7 +52,7 @@ impl Partitioner for Chunking {
         // loader learns from file sizes — no extra scan.
         let loader_work = loader_chunks(m, ctx.num_loaders)
             .into_iter()
-            .map(|c| c as f64 * (ctx.cost.parse_edge + ctx.cost.hash_assign * 0.5))
+            .map(|c| c as f64 * (PARSE_EDGE + HASH_ASSIGN * 0.5))
             .collect();
         let outcome = PartitionOutcome {
             assignment,

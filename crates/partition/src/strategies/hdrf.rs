@@ -18,7 +18,7 @@
 //!
 //! Like Oblivious, distributed ingress gives each loader its own state.
 
-use crate::partitioner::{CostModel, PartitionContext, PartitionOutcome, Partitioner};
+use crate::partitioner::{PartitionContext, PartitionOutcome, Partitioner};
 use crate::speculative::{self, edge_rng, ScoreScratch, WindowKernel};
 use crate::strategies::oblivious::GreedyState;
 use gp_core::{Edge, PartitionId, StreamingEdges};
@@ -73,15 +73,9 @@ pub(crate) struct HdrfWindowKernel {
 }
 
 impl HdrfWindowKernel {
-    pub(crate) fn new(
-        partitions: u32,
-        vertices: u64,
-        seed: u64,
-        lambda: f64,
-        cost: &CostModel,
-    ) -> Self {
+    pub(crate) fn new(partitions: u32, vertices: u64, seed: u64, lambda: f64) -> Self {
         HdrfWindowKernel {
-            greedy: GreedyState::new(partitions, vertices, cost),
+            greedy: GreedyState::new(partitions, vertices),
             partial_degree: vec![0; vertices as usize],
             touched: 0,
             lambda,
@@ -208,7 +202,6 @@ impl Partitioner for Hdrf {
                 graph.num_vertices(),
                 ctx.seed ^ (0x4d5f + i as u64),
                 lambda,
-                &ctx.cost,
             )
         })
     }
@@ -226,7 +219,7 @@ mod tests {
     }
 
     fn kernel(partitions: u32, vertices: u64, lambda: f64) -> HdrfWindowKernel {
-        HdrfWindowKernel::new(partitions, vertices, 1, lambda, &CostModel::default())
+        HdrfWindowKernel::new(partitions, vertices, 1, lambda)
     }
 
     /// Commit `e -> p` the way every drive does: loads and replica sets,

@@ -21,7 +21,10 @@
 //! Figs 6.3/6.4 — in exchange for a slightly better replication factor.
 
 use crate::assignment::Assignment;
-use crate::partitioner::{loader_chunks, PartitionContext, PartitionOutcome, Partitioner};
+use crate::partitioner::{
+    loader_chunks, PartitionContext, PartitionOutcome, Partitioner, GINGER_BASE,
+    GINGER_PER_NEIGHBOR, HASH_ASSIGN, PARSE_EDGE,
+};
 use crate::speculative::{sharded_degree_table, SpecStats, StampSet, WindowController};
 use gp_core::{for_each_edge, hash_vertex, CsrGraph, Edge, PartitionId, StreamingEdges, VertexId};
 
@@ -138,7 +141,7 @@ impl Hybrid {
         // Pass 1 (count) + pass 2 (reassign): both stream every edge.
         loader_chunks(graph.num_edges(), ctx.num_loaders)
             .into_iter()
-            .map(|c| c as f64 * (2.0 * ctx.cost.parse_edge + 2.0 * ctx.cost.hash_assign))
+            .map(|c| c as f64 * (2.0 * PARSE_EDGE + 2.0 * HASH_ASSIGN))
             .collect()
     }
 
@@ -318,8 +321,7 @@ impl HybridGinger {
             let mut repaired_here = 0u64;
             for (k, &(proposed, aff_prop, aff_cur)) in proposals.iter().enumerate() {
                 let v = cands[wrange.start + k] as usize;
-                *ginger_work +=
-                    ctx.cost.ginger_base + ctx.cost.ginger_per_neighbor * in_deg[v] as f64;
+                *ginger_work += GINGER_BASE + GINGER_PER_NEIGHBOR * in_deg[v] as f64;
                 let conflict = csr
                     .in_neighbors(VertexId(v as u64))
                     .any(|u| stamp.contains(u));
@@ -429,8 +431,7 @@ impl Partitioner for HybridGinger {
                 if in_deg[v] > self.threshold || in_deg[v] == 0 {
                     continue;
                 }
-                ginger_work +=
-                    ctx.cost.ginger_base + ctx.cost.ginger_per_neighbor * in_deg[v] as f64;
+                ginger_work += GINGER_BASE + GINGER_PER_NEIGHBOR * in_deg[v] as f64;
                 let current = homes[v].index();
                 let best = Self::best_home(
                     &csr,
@@ -488,8 +489,7 @@ impl Partitioner for HybridGinger {
         // loader-parallel (PowerLyra runs it as an extra coordination
         // phase) — charged to one loader to model the straggler.
         let mut loader_work = Hybrid::two_pass_work(graph, ctx);
-        let third_pass_each =
-            graph.num_edges() as f64 * ctx.cost.parse_edge / ctx.num_loaders as f64;
+        let third_pass_each = graph.num_edges() as f64 * PARSE_EDGE / ctx.num_loaders as f64;
         for w in loader_work.iter_mut() {
             *w += third_pass_each;
         }

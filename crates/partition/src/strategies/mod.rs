@@ -19,7 +19,9 @@ pub use oblivious::Oblivious;
 pub use vebo::Vebo;
 
 use crate::ingress::IngressReport;
-use crate::partitioner::{loader_chunks, PartitionContext, PartitionOutcome};
+use crate::partitioner::{
+    loader_chunks, PartitionContext, PartitionOutcome, HASH_ASSIGN, PARSE_EDGE,
+};
 use crate::speculative::SpecStats;
 use gp_core::StreamingEdges;
 
@@ -28,7 +30,7 @@ use gp_core::StreamingEdges;
 pub(crate) fn stateless_loader_work(total_edges: usize, ctx: &PartitionContext) -> Vec<f64> {
     loader_chunks(total_edges, ctx.num_loaders)
         .into_iter()
-        .map(|c| c as f64 * (ctx.cost.parse_edge + ctx.cost.hash_assign))
+        .map(|c| c as f64 * (PARSE_EDGE + HASH_ASSIGN))
         .collect()
 }
 
@@ -86,7 +88,7 @@ pub(crate) fn record_ingress_telemetry(
         // One span per ingress worker on its machine lane; duration is the
         // chunk's *simulated* parse+assign work (deterministic), not
         // wall-clock, matching the simulated-seconds contract of the trace.
-        let per_edge = ctx.cost.parse_edge + ctx.cost.hash_assign;
+        let per_edge = PARSE_EDGE + HASH_ASSIGN;
         for (i, r) in chunks.iter().enumerate() {
             sink.record_machine_span(
                 "par",

@@ -19,7 +19,10 @@
 //! heuristic. With `num_loaders == 1` you get the idealized centralized
 //! variant.
 
-use crate::partitioner::{CostModel, PartitionContext, PartitionOutcome, Partitioner};
+use crate::partitioner::{
+    PartitionContext, PartitionOutcome, Partitioner, HEURISTIC_BASE, HEURISTIC_PER_CANDIDATE,
+    PARSE_EDGE,
+};
 use crate::speculative::{self, edge_rng, ScoreScratch, WindowKernel};
 use gp_core::{Edge, PartitionId, PartitionSet, StreamingEdges, VertexId};
 
@@ -52,14 +55,10 @@ pub(crate) struct GreedyState {
     /// the historical per-vertex-list accounting (32 bytes per touched
     /// vertex + 4 per replica entry) so ingress memory reports are stable.
     replica_bytes: u64,
-    /// Simulated work per decision: parse + fixed heuristic cost, plus
-    /// `candidate_cost` per replica of either endpoint (Appendix A).
-    edge_cost: f64,
-    candidate_cost: f64,
 }
 
 impl GreedyState {
-    pub fn new(num_partitions: u32, num_vertices: u64, cost: &CostModel) -> Self {
+    pub fn new(num_partitions: u32, num_vertices: u64) -> Self {
         GreedyState {
             a: vec![PartitionSet::new(); num_vertices as usize],
             load: vec![0; num_partitions as usize],
@@ -67,8 +66,6 @@ impl GreedyState {
             assigned: 0,
             balance_slack: 1.1,
             replica_bytes: 0,
-            edge_cost: cost.parse_edge + cost.heuristic_base,
-            candidate_cost: cost.heuristic_per_candidate,
         }
     }
 
@@ -103,10 +100,12 @@ impl GreedyState {
     }
 
     /// [`Self::commit`] plus the decision's simulated work, priced from the
-    /// replica sets as they stood when the edge was scored.
+    /// replica sets as they stood when the edge was scored: parse + fixed
+    /// heuristic cost, plus a candidate cost per replica of either endpoint
+    /// (Appendix A).
     pub fn commit_priced(&mut self, e: Edge, p: PartitionId) {
         let candidates = self.replicas(e.src).len() + self.replicas(e.dst).len();
-        self.work += self.edge_cost + self.candidate_cost * candidates as f64;
+        self.work += PARSE_EDGE + HEURISTIC_BASE + HEURISTIC_PER_CANDIDATE * candidates as f64;
         self.commit(e, p);
     }
 
@@ -136,9 +135,9 @@ pub(crate) struct ObliviousWindowKernel {
 }
 
 impl ObliviousWindowKernel {
-    pub(crate) fn new(partitions: u32, vertices: u64, seed: u64, cost: &CostModel) -> Self {
+    pub(crate) fn new(partitions: u32, vertices: u64, seed: u64) -> Self {
         ObliviousWindowKernel {
-            greedy: GreedyState::new(partitions, vertices, cost),
+            greedy: GreedyState::new(partitions, vertices),
             seed,
             frozen_capacity: 0,
         }
@@ -196,7 +195,6 @@ impl Partitioner for Oblivious {
                 ctx.num_partitions,
                 graph.num_vertices(),
                 ctx.seed ^ (0x0b11 + i as u64),
-                &ctx.cost,
             )
         })
     }
@@ -216,7 +214,7 @@ mod tests {
     }
 
     fn kernel(partitions: u32, vertices: u64) -> ObliviousWindowKernel {
-        ObliviousWindowKernel::new(partitions, vertices, 1, &CostModel::default())
+        ObliviousWindowKernel::new(partitions, vertices, 1)
     }
 
     fn score(k: &ObliviousWindowKernel, e: Edge) -> PartitionId {

@@ -25,7 +25,10 @@
 //! preserved (property-tested in `tests/par_equivalence.rs`).
 
 use crate::assignment::Assignment;
-use crate::partitioner::{loader_chunks, PartitionContext, PartitionOutcome, Partitioner};
+use crate::partitioner::{
+    loader_chunks, PartitionContext, PartitionOutcome, Partitioner, HASH_ASSIGN, HEURISTIC_BASE,
+    PARSE_EDGE,
+};
 use crate::speculative::sharded_degree_table;
 use gp_core::{for_each_edge, PartitionId, StreamingEdges, VertexId};
 
@@ -111,10 +114,10 @@ impl Partitioner for Vebo {
         // like Ginger's refinement phase.
         let mut loader_work: Vec<f64> = loader_chunks(graph.num_edges(), ctx.num_loaders)
             .into_iter()
-            .map(|c| c as f64 * (2.0 * ctx.cost.parse_edge + ctx.cost.hash_assign))
+            .map(|c| c as f64 * (2.0 * PARSE_EDGE + HASH_ASSIGN))
             .collect();
         if let Some(w) = loader_work.first_mut() {
-            *w += n as f64 * ctx.cost.heuristic_base;
+            *w += n as f64 * HEURISTIC_BASE;
         }
         let outcome = PartitionOutcome {
             assignment,

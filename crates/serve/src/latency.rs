@@ -33,16 +33,13 @@ pub const LATENCY_BOUNDS_S: [f64; 22] = [
 #[derive(Debug, Clone)]
 pub struct LatencyModel {
     spec: ClusterSpec,
-    rates: CostRates,
 }
 
 impl LatencyModel {
-    /// Model over `spec` with the default byte rates.
+    /// Model over `spec`; values go on the wire at
+    /// `CostRates::VALUE_WIRE_BYTES` each.
     pub fn new(spec: ClusterSpec) -> Self {
-        LatencyModel {
-            spec,
-            rates: CostRates::default(),
-        }
+        LatencyModel { spec }
     }
 
     /// Seconds for one vertex-state read. `remote` is whether the vertex's
@@ -51,7 +48,7 @@ impl LatencyModel {
         let mut t = STATE_READ_WORK / self.spec.work_units_per_s;
         if remote {
             t += 2.0 * self.spec.latency_s
-                + self.rates.value_wire_bytes / self.spec.bandwidth_bytes_per_s;
+                + CostRates::VALUE_WIRE_BYTES / self.spec.bandwidth_bytes_per_s;
         }
         t
     }
@@ -65,7 +62,7 @@ impl LatencyModel {
         let mut t = visited as f64 * KHOP_VISIT_WORK / self.spec.work_units_per_s;
         if distributed {
             t += hops as f64 * 2.0 * self.spec.latency_s
-                + visited as f64 * self.rates.value_wire_bytes / self.spec.bandwidth_bytes_per_s;
+                + visited as f64 * CostRates::VALUE_WIRE_BYTES / self.spec.bandwidth_bytes_per_s;
         }
         t
     }

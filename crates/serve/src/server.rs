@@ -97,7 +97,7 @@ fn ingest(
     }
     let report =
         IngressReport::from_outcome(cfg.strategy.build().name(), &outcome, ctx.num_loaders);
-    let cost_s = CostRates::default().ingress_seconds(&report, &cfg.spec);
+    let cost_s = CostRates.ingress_seconds(&report, &cfg.spec);
     (
         Resident {
             edge_parts: parts,
@@ -116,7 +116,6 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
         .expect("live edges lie in the vertex space");
     let (mut res, _) = ingest(cfg, &live, &el, &base_indices, None);
 
-    let rates = CostRates::default();
     let model = LatencyModel::new(cfg.spec.clone());
     let base_rf = res.delta.replication_factor();
     let base_imbalance = res.delta.edge_imbalance();
@@ -238,9 +237,10 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
                         res.incr.warm(e, to);
                         res.edge_parts[idx as usize] = to;
                     }
-                    let bytes = moved.len() as f64 * rates.edge_wire_bytes
-                        + new_mirrors as f64 * rates.mirror_setup_bytes;
-                    let cost_s = rates.network_seconds(bytes, &cfg.spec) + 2.0 * cfg.spec.latency_s;
+                    let bytes = moved.len() as f64 * CostRates::EDGE_WIRE_BYTES
+                        + new_mirrors as f64 * CostRates::MIRROR_SETUP_BYTES;
+                    let cost_s =
+                        CostRates.network_seconds(bytes, &cfg.spec) + 2.0 * cfg.spec.latency_s;
                     degraded_until = now + cost_s;
                     last_repair_s = now;
                     report.repairs.push(RepairRecord {

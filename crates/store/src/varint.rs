@@ -4,9 +4,6 @@
 
 use crate::error::{corrupt, StoreError};
 
-/// Maximum encoded length of a `u64`.
-pub const MAX_LEN: usize = 10;
-
 /// Append the LEB128 encoding of `v` to `buf`.
 #[inline]
 pub fn encode_into(buf: &mut Vec<u8>, mut v: u64) {
@@ -65,6 +62,9 @@ pub fn skip(bytes: &[u8], pos: &mut usize, count: usize) -> Result<(), StoreErro
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Maximum encoded length of a `u64`: ten 7-bit groups.
+    const MAX_LEN: usize = 10;
 
     #[test]
     fn round_trips_boundary_values() {

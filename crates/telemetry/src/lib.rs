@@ -40,7 +40,7 @@ pub use export::{csv_without_prefix, trace_without_category};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::Recorder;
 pub use sink::TelemetrySink;
-pub use span::{SpanEvent, Track, CLUSTER_TRACK};
+pub use span::{SpanEvent, Track};
 
 /// Record a span on the cluster track, formatting the name lazily.
 ///

@@ -11,9 +11,6 @@ pub enum Track {
     Machine(u32),
 }
 
-/// The cluster-wide track.
-pub const CLUSTER_TRACK: Track = Track::Cluster;
-
 impl Track {
     /// Chrome trace `tid` for this track.
     pub fn tid(self) -> u32 {

@@ -28,7 +28,6 @@ fn main() {
     );
 
     let ctx = PartitionContext::new(spec.machines).with_seed(7);
-    let rates = CostRates::default();
     let engine = HybridGas::new(EngineConfig::new(spec.clone()));
 
     println!(
@@ -45,7 +44,7 @@ fn main() {
     ] {
         let outcome = strategy.build().partition(&graph, &ctx);
         let ingress = IngressReport::from_outcome(strategy.label(), &outcome, spec.machines);
-        let ingress_s = rates.ingress_seconds(&ingress, &spec);
+        let ingress_s = CostRates.ingress_seconds(&ingress, &spec);
         let (_, report) = engine.run(&graph, &outcome.assignment, &PageRank::fixed(10));
         let compute_s = report.compute_seconds();
         let total = ingress_s + compute_s;
