@@ -72,3 +72,23 @@ fn events_that_cannot_fire_exit_two_naming_the_rule() {
         assert_eq!(text, format!("error: {rule}\n"), "{args:?}");
     }
 }
+
+#[test]
+fn partition_counts_pds_cannot_build_exit_two() {
+    let dir = std::env::temp_dir().join(format!("distgraph-exit-codes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let graph = dir.join("triangle.txt");
+    std::fs::write(&graph, "0 1\n1 2\n2 0\n").expect("write graph");
+    let graph = graph.to_str().expect("utf-8 temp path");
+    // 196611 is what 65537² + 65537 + 1 wraps to in 32 bits; 183 is
+    // 13² + 13 + 1, whose difference-set search does not finish.
+    for parts in ["196611", "183"] {
+        let (code, text) = distgraph(&["partition", graph, "--strategy", "pds", "--parts", parts]);
+        assert_eq!(code, 2, "--parts {parts}: {text}");
+        assert_eq!(
+            text,
+            format!("error: PDS cannot run on {parts} partitions\n")
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

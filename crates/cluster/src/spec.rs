@@ -105,12 +105,6 @@ impl ClusterSpec {
     pub fn machine_of(&self, p: u32) -> u32 {
         p % self.machines
     }
-
-    /// Whether the machine count is a perfect square (Grid's requirement).
-    pub fn is_square(&self) -> bool {
-        let r = (self.machines as f64).sqrt().round() as u32;
-        r * r == self.machines
-    }
 }
 
 #[cfg(test)]
@@ -129,14 +123,6 @@ mod tests {
         assert_eq!(e25.memory_bytes, 32 << 30);
         assert_eq!(ClusterSpec::local_10().machines, 10);
         assert_eq!(ClusterSpec::ec2_16().machines, 16);
-    }
-
-    #[test]
-    fn square_detection() {
-        assert!(ClusterSpec::local_9().is_square());
-        assert!(ClusterSpec::ec2_16().is_square());
-        assert!(ClusterSpec::ec2_25().is_square());
-        assert!(!ClusterSpec::local_10().is_square());
     }
 
     #[test]

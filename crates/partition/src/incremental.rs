@@ -7,8 +7,9 @@
 //! trait:
 //!
 //! * **Stateless hash strategies** (Random, Assym-Rand, 1D, 1D-Target, 2D,
-//!   Grid, PDS) call the *same* per-edge function as the batch path, so
-//!   incremental placement is byte-identical to batch by construction —
+//!   Grid, PDS) place each edge by the strategy's `HashRule`, the value the
+//!   batch partitioner places by too, so incremental placement is
+//!   byte-identical to batch by construction —
 //!   [`IncrementalPartitioner::is_exact`] returns `true` and the
 //!   equivalence is locked by tests here and by the churn-replay suite.
 //! * **Stateful heuristics** (Oblivious, HDRF, Hybrid, H-Ginger) depend on
@@ -27,14 +28,10 @@
 //! systems keep mirrors warm until a rebalance reclaims them.
 
 use crate::speculative::{ScoreScratch, WindowKernel};
-use crate::strategies::constrained::{grid_edge, pds_edge, PdsTable};
-use crate::strategies::hash::{
-    asym_random_edge, one_d_edge, one_d_target_edge, random_edge, two_d_edge,
-};
+use crate::strategies::hash::HashRule;
 use crate::strategies::hdrf::HdrfWindowKernel;
-use crate::strategies::hybrid::hybrid_edge;
+use crate::strategies::hybrid::{hybrid_edge, DEFAULT_THRESHOLD};
 use crate::strategies::oblivious::ObliviousWindowKernel;
-use crate::strategies::TwoD;
 use crate::strategy::Strategy;
 use gp_core::{Edge, PartitionId};
 
@@ -83,10 +80,10 @@ pub trait IncrementalPartitioner: Send {
     }
 }
 
-/// Stateless wrapper: a pure per-edge function shared with the batch path.
+/// A stateless hash strategy: its rule, the one batch ingress places by.
 struct Stateless {
     name: &'static str,
-    f: Box<dyn Fn(Edge) -> PartitionId + Send>,
+    rule: HashRule,
 }
 
 impl IncrementalPartitioner for Stateless {
@@ -95,7 +92,7 @@ impl IncrementalPartitioner for Stateless {
     }
 
     fn assign(&mut self, _index: u64, e: Edge) -> PartitionId {
-        (self.f)(e)
+        self.rule.place(e)
     }
 
     fn is_exact(&self) -> bool {
@@ -158,7 +155,6 @@ impl<K: WindowKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
 struct IncrementalHybrid {
     name: &'static str,
     in_deg: Vec<u32>,
-    threshold: u32,
     seed: u64,
     p: u64,
 }
@@ -171,7 +167,7 @@ impl IncrementalPartitioner for IncrementalHybrid {
     fn assign(&mut self, _index: u64, e: Edge) -> PartitionId {
         let slot = &mut self.in_deg[e.dst.index()];
         *slot += 1;
-        hybrid_edge(e, *slot, self.threshold, self.seed, self.p)
+        hybrid_edge(e, *slot, DEFAULT_THRESHOLD, self.seed, self.p)
     }
 
     fn retire(&mut self, e: Edge, _p: PartitionId) {
@@ -206,61 +202,26 @@ impl Strategy {
     ) -> Box<dyn IncrementalPartitioner> {
         assert!(num_partitions > 0, "need at least one partition");
         let p = num_partitions;
-        let stateless = |name: &'static str, f: Box<dyn Fn(Edge) -> PartitionId + Send>| {
-            Box::new(Stateless { name, f }) as Box<dyn IncrementalPartitioner>
-        };
         match self {
-            Strategy::Random => stateless("Random", Box::new(move |e| random_edge(e, seed, p))),
-            Strategy::AsymmetricRandom => stateless(
-                "Assym-Rand",
-                Box::new(move |e| asym_random_edge(e, seed, p)),
-            ),
-            Strategy::OneD => stateless("1D", Box::new(move |e| one_d_edge(e, seed, p))),
-            Strategy::OneDTarget => stateless(
-                "1D-Target",
-                Box::new(move |e| one_d_target_edge(e, seed, p)),
-            ),
-            Strategy::TwoD => {
-                let side = TwoD::side(p) as u64;
-                stateless("2D", Box::new(move |e| two_d_edge(e, seed, p, side)))
-            }
-            // The catalog's Grid is the resilient variant (any count), same
-            // as `Strategy::build`.
-            Strategy::Grid => {
-                let side = (p as f64).sqrt().ceil() as u64;
-                let virtual_n = side * side;
-                stateless(
-                    "Grid",
-                    Box::new(move |e| grid_edge(e, seed, p, side, virtual_n)),
-                )
-            }
-            Strategy::Pds => {
-                let table = PdsTable::new(p);
-                stateless("PDS", Box::new(move |e| pds_edge(e, seed, &table)))
-            }
             // Stateful heuristics run loader 0's kernel (same seed
             // derivation as batch loader 0) over the live stream.
             Strategy::Oblivious => IncrementalGreedy::boxed(
-                "Oblivious",
+                self.label(),
                 ObliviousWindowKernel::new(p, num_vertices, seed ^ 0x0b11),
             ),
             Strategy::Hdrf => IncrementalGreedy::boxed(
-                "HDRF",
+                self.label(),
                 HdrfWindowKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0),
             ),
-            Strategy::Hybrid => Box::new(IncrementalHybrid {
-                name: "Hybrid",
+            Strategy::Hybrid | Strategy::HybridGinger => Box::new(IncrementalHybrid {
+                name: self.label(),
                 in_deg: vec![0; num_vertices as usize],
-                threshold: crate::strategies::hybrid::DEFAULT_THRESHOLD,
                 seed,
                 p: p as u64,
             }),
-            Strategy::HybridGinger => Box::new(IncrementalHybrid {
-                name: "H-Ginger",
-                in_deg: vec![0; num_vertices as usize],
-                threshold: crate::strategies::hybrid::DEFAULT_THRESHOLD,
-                seed,
-                p: p as u64,
+            hash => Box::new(Stateless {
+                name: hash.label(),
+                rule: HashRule::new(hash, p, seed),
             }),
         }
     }
@@ -280,27 +241,38 @@ mod tests {
 
     /// The exactness contract: replaying the batch stream through the
     /// incremental form reproduces batch placements byte-for-byte for every
-    /// strategy that claims `is_exact()`.
+    /// strategy that claims `is_exact()`, at every partition count it
+    /// supports among square (1, 9, 16), non-square (2, 10) and PDS
+    /// (7, 13, 57) counts — Grid's and 2D's fold-back for non-square counts
+    /// is part of the shared rule.
     #[test]
     fn exact_strategies_reproduce_batch_placements() {
         let g = graph();
+        let mut checked = 0;
         for s in Strategy::ALL {
-            let p = if s == Strategy::Pds { 13 } else { 9 };
-            let mut inc = s.incremental(p, g.num_vertices(), SEED);
-            if !inc.is_exact() {
-                continue;
-            }
-            let batch = s
-                .build()
-                .partition(&g, &PartitionContext::new(p).with_seed(SEED));
-            for (i, e) in g.edges().iter().enumerate() {
-                assert_eq!(
-                    inc.assign(i as u64, *e),
-                    batch.assignment.edge_partition(i),
-                    "{s}: edge {i} diverged from batch"
-                );
+            for p in [1, 2, 7, 9, 10, 13, 16, 57] {
+                if !s.supports_partition_count(p) {
+                    continue;
+                }
+                let mut inc = s.incremental(p, g.num_vertices(), SEED);
+                if !inc.is_exact() {
+                    continue;
+                }
+                let batch = s
+                    .build()
+                    .partition(&g, &PartitionContext::new(p).with_seed(SEED));
+                for (i, e) in g.edges().iter().enumerate() {
+                    assert_eq!(
+                        inc.assign(i as u64, *e),
+                        batch.assignment.edge_partition(i),
+                        "{s} on {p} partitions: edge {i} diverged from batch"
+                    );
+                }
+                checked += 1;
             }
         }
+        // Six strategies at all eight counts, PDS at its three.
+        assert_eq!(checked, 6 * 8 + 3);
     }
 
     #[test]
@@ -324,21 +296,6 @@ mod tests {
                 Strategy::Pds,
             ]
         );
-    }
-
-    /// Grid's resilient fold-back for non-square counts is part of the
-    /// shared per-edge function, so exactness holds there too.
-    #[test]
-    fn grid_is_exact_for_non_square_counts() {
-        let g = graph();
-        let p = 10;
-        let mut inc = Strategy::Grid.incremental(p, g.num_vertices(), SEED);
-        let batch = Strategy::Grid
-            .build()
-            .partition(&g, &PartitionContext::new(p).with_seed(SEED));
-        for (i, e) in g.edges().iter().enumerate() {
-            assert_eq!(inc.assign(i as u64, *e), batch.assignment.edge_partition(i));
-        }
     }
 
     /// The stateful heuristics sequentially replayed match a single-loader
@@ -383,7 +340,7 @@ mod tests {
             let got = inc.assign(i as u64, *e);
             if got != batch.assignment.edge_partition(i) {
                 assert!(
-                    final_in_deg[e.dst.index()] > crate::strategies::hybrid::DEFAULT_THRESHOLD,
+                    final_in_deg[e.dst.index()] > DEFAULT_THRESHOLD,
                     "edge {i} diverged but dst degree {} never crossed the threshold",
                     final_in_deg[e.dst.index()]
                 );

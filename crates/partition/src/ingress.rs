@@ -8,18 +8,6 @@
 //! (`gp-cluster`) converts them to simulated seconds.
 
 use crate::partitioner::PartitionOutcome;
-use gp_par::ParConfig;
-use std::ops::Range;
-
-/// Edge-chunk boundaries for multi-threaded ingress: how `|E|` edges are
-/// split across the real ingress workers of `par`. Delegates to
-/// [`gp_par::chunk_ranges`], which makes no divisibility assumption — empty
-/// graphs yield no chunks, `|E| < threads` yields `|E|` singleton chunks,
-/// and remainders go to the earliest chunks. Chunk boundaries are a pure
-/// function of `(total_edges, effective threads)`, never of scheduling.
-pub fn ingress_chunks(total_edges: usize, par: &ParConfig) -> Vec<Range<usize>> {
-    gp_par::chunk_ranges(total_edges, par.effective_threads())
-}
 
 /// Raw data volumes moved during ingress.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,13 +80,14 @@ impl IngressReport {
 mod tests {
     use super::*;
     use crate::partitioner::{PartitionContext, Partitioner};
-    use crate::strategies::{Hybrid, Oblivious, Random};
+    use crate::strategies::{Hybrid, Oblivious};
+    use crate::Strategy;
 
     #[test]
     fn volumes_count_replicas_and_mirrors() {
         let g = gp_gen::erdos_renyi(1_000, 8_000, 1);
         let ctx = PartitionContext::new(4);
-        let out = Random.partition(&g, &ctx);
+        let out = Strategy::Random.build().partition(&g, &ctx);
         let report = IngressReport::from_outcome("Random", &out, 4);
         let v = &report.volumes;
         assert!(v.replicas_created >= g.num_vertices());
@@ -130,7 +119,8 @@ mod tests {
         // on skewed graphs.
         let g = gp_gen::barabasi_albert(10_000, 8, 3);
         let ctx = PartitionContext::new(9);
-        let hash = IngressReport::from_outcome("Random", &Random.partition(&g, &ctx), 9);
+        let hash =
+            IngressReport::from_outcome("Random", &Strategy::Random.build().partition(&g, &ctx), 9);
         let greedy = IngressReport::from_outcome("Oblivious", &Oblivious.partition(&g, &ctx), 9);
         assert!(greedy.max_loader_work() > 1.2 * hash.max_loader_work());
     }
@@ -146,42 +136,11 @@ mod tests {
     #[test]
     fn single_loader_ships_nothing() {
         let g = gp_gen::erdos_renyi(200, 1_000, 5);
-        let out = Random.partition(&g, &PartitionContext::new(4).with_loaders(1));
+        let out = Strategy::Random
+            .build()
+            .partition(&g, &PartitionContext::new(4).with_loaders(1));
         let report = IngressReport::from_outcome("Random", &out, 1);
         assert_eq!(report.volumes.edges_shipped, 0);
-    }
-
-    #[test]
-    fn ingress_chunks_of_empty_graph_are_empty() {
-        // |E| = 0: no chunks, no worker spawns, no 0..0 degenerate range.
-        assert!(ingress_chunks(0, &ParConfig::new(4)).is_empty());
-        assert!(ingress_chunks(0, &ParConfig::new(1)).is_empty());
-    }
-
-    #[test]
-    fn ingress_chunks_with_fewer_edges_than_threads() {
-        // |E| < threads: one singleton chunk per edge, none empty.
-        let chunks = ingress_chunks(3, &ParConfig::new(8));
-        assert_eq!(chunks, vec![0..1, 1..2, 2..3]);
-    }
-
-    #[test]
-    fn ingress_chunks_handle_non_divisible_edge_counts() {
-        // |E| % threads != 0: no divisibility assumption; earliest chunks
-        // absorb the remainder and the chunks tile 0..|E| exactly.
-        for (total, threads) in [(10usize, 3u32), (11, 4), (97, 7), (5, 2)] {
-            let chunks = ingress_chunks(total, &ParConfig::new(threads));
-            let mut next = 0;
-            for c in &chunks {
-                assert_eq!(c.start, next);
-                assert!(!c.is_empty());
-                next = c.end;
-            }
-            assert_eq!(next, total, "{total} edges / {threads} threads");
-            let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "uneven split {sizes:?}");
-        }
     }
 
     #[test]
@@ -195,8 +154,12 @@ mod tests {
             (0..23u64).map(|i| (i, i + 1)).collect(), // 23 % 7 != 0
         ] {
             let g = EdgeList::from_pairs(pairs);
-            let seq = Random.partition(&g, &PartitionContext::new(4));
-            let par = Random.partition(&g, &PartitionContext::new(4).with_threads(7));
+            let seq = Strategy::Random
+                .build()
+                .partition(&g, &PartitionContext::new(4));
+            let par = Strategy::Random
+                .build()
+                .partition(&g, &PartitionContext::new(4).with_threads(7));
             assert_eq!(
                 seq.assignment.edge_partitions(),
                 par.assignment.edge_partitions()

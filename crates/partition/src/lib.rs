@@ -2,14 +2,17 @@
 //!
 //! This crate implements, from scratch, the 11 catalog strategies evaluated by
 //! the paper ([`Strategy`]) plus BiCut, Chunking and VEBO, which are reached
-//! as types in [`strategies`]:
+//! as types in [`strategies`]. The seven stateless hash strategies (Random,
+//! Asymmetric Random, Grid, PDS, 1D, 1D-Target, 2D) have no types of their
+//! own: each is a per-edge rule that [`Strategy::build`] and
+//! [`Strategy::incremental`] both place edges by.
 //!
 //! | Strategy | Native system | Reference |
 //! |---|---|---|
 //! | Random (canonical) | PowerGraph / PowerLyra | §5.2.1 |
 //! | Asymmetric Random | GraphX ("Random") | §7.2.1, §8.2.2 |
-//! | Grid | PowerGraph (constrained) | §5.2.3, Graphbuilder |
-//! | PDS | PowerGraph (constrained) | §5.2.3, perfect difference sets |
+//! | Grid (resilient to non-square counts) | PowerGraph (constrained) | §5.2.3, §9.1, Graphbuilder |
+//! | PDS (7, 13, 31, 57 or 133 partitions) | PowerGraph (constrained) | §5.2.3, perfect difference sets |
 //! | Oblivious | PowerGraph (greedy) | §5.2.2, Appendix A |
 //! | HDRF | PowerGraph (greedy, λ) | §5.2.4, Appendix B |
 //! | 1D | GraphX | §7.2.2 |
@@ -52,7 +55,7 @@ pub mod strategy;
 pub use assignment::{Assignment, BalanceReport};
 pub use gp_par::ParConfig;
 pub use incremental::IncrementalPartitioner;
-pub use ingress::{ingress_chunks, IngressReport, IngressVolumes};
+pub use ingress::{IngressReport, IngressVolumes};
 pub use partitioner::{PartitionContext, PartitionOutcome, Partitioner};
 pub use persist::{load_assignment, read_assignment, save_assignment, write_assignment};
 pub use speculative::{sharded_degree_table, SpecStats, WINDOW_AUTO};

@@ -194,7 +194,8 @@ pub fn load_assignment(graph: &dyn StreamingEdges, path: impl AsRef<Path>) -> Re
 mod tests {
     use super::*;
     use crate::partitioner::{PartitionContext, Partitioner};
-    use crate::strategies::{Hybrid, Random};
+    use crate::strategies::Hybrid;
+    use crate::Strategy;
     use gp_core::EdgeList;
 
     fn graph() -> EdgeList {
@@ -358,7 +359,9 @@ mod tests {
     #[test]
     fn rejects_wrong_graph() {
         let g = graph();
-        let out = Random.partition(&g, &PartitionContext::new(4));
+        let out = Strategy::Random
+            .build()
+            .partition(&g, &PartitionContext::new(4));
         let mut buf = Vec::new();
         write_assignment(&out.assignment, &mut buf).unwrap();
         let other = gp_gen::erdos_renyi(200, 1_499, 4);
@@ -384,7 +387,9 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let g = graph();
-        let out = Random.partition(&g, &PartitionContext::new(4));
+        let out = Strategy::Random
+            .build()
+            .partition(&g, &PartitionContext::new(4));
         let dir = std::env::temp_dir().join("distgraph-persist-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.txt");

@@ -152,7 +152,8 @@ impl Partitioner for BiCut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{Grid, Hybrid, Random};
+    use crate::strategies::Hybrid;
+    use crate::Strategy;
     use gp_core::EdgeList;
     use gp_gen::{bipartite, BipartiteParams};
 
@@ -207,8 +208,13 @@ mod tests {
             .partition(&g, &ctx)
             .assignment
             .replication_factor();
-        let random = Random.partition(&g, &ctx).assignment.replication_factor();
-        let grid = Grid::strict()
+        let random = Strategy::Random
+            .build()
+            .partition(&g, &ctx)
+            .assignment
+            .replication_factor();
+        let grid = Strategy::Grid
+            .build()
             .partition(&g, &ctx)
             .assignment
             .replication_factor();

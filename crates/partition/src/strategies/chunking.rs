@@ -68,7 +68,7 @@ impl Partitioner for Chunking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{Grid, Random};
+    use crate::Strategy;
     use gp_core::{EdgeList, VertexId};
 
     fn ctx(p: u32) -> PartitionContext {
@@ -121,11 +121,13 @@ mod tests {
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();
-        let r = Random
+        let r = Strategy::Random
+            .build()
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();
-        let grid = Grid::strict()
+        let grid = Strategy::Grid
+            .build()
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();

@@ -1,23 +1,24 @@
-//! Constrained partitioning strategies: Grid and PDS (§5.2.3).
+//! Constrained hash rules: Grid and PDS (§5.2.3).
 //!
 //! Constrained strategies hash edges but restrict placement to the
 //! intersection of per-vertex *constraint sets* `S(v)`, which caps the
-//! replication factor of `v` at `|S(v)|`.
+//! replication factor of `v` at `|S(v)|`. Both are stateless: their per-edge
+//! functions below are two of the seven rules `HashRule` serves to batch
+//! ingress and to serving alike.
 //!
 //! * **Grid** arranges machines in a matrix; `S(v)` is the row+column of the
 //!   machine `v` hashes to, giving a `2*sqrt(N) - 1` replication bound.
-//!   PowerGraph requires a perfect-square machine count; following §9.1 we
-//!   also provide the resilient variant that rounds up to the next square
-//!   and maps assignments back down modulo `N`.
+//!   PowerGraph requires a perfect-square machine count; we always run the
+//!   §9.1 resilient form, which rounds up to the next square and maps
+//!   assignments back down modulo `N` — on a square count that is
+//!   PowerGraph's placement exactly.
 //! * **PDS** derives `S(v)` from a perfect difference set modulo
 //!   `N = p² + p + 1` (p prime), giving `|S(v)| = p + 1 ≈ sqrt(N)` with the
 //!   projective-plane property that any two constraint sets intersect in
-//!   *exactly one* machine.
+//!   *exactly one* machine. It runs on 7, 13, 31, 57 or 133 machines
+//!   (`pds_order`).
 
-use crate::assignment::assign_stateless_par;
-use crate::partitioner::{PartitionContext, PartitionOutcome, Partitioner};
-use crate::strategies::stateless_loader_work;
-use gp_core::{hash_canonical_edge, hash_vertex, Edge, PartitionId, StreamingEdges};
+use gp_core::{hash_canonical_edge, hash_vertex, Edge, PartitionId};
 
 /// Grid's per-edge assignment — shared by the batch path and the incremental
 /// (serving) path. `side` and `virtual_n` must come from the same partition
@@ -72,19 +73,21 @@ fn grid_pick(mu: u64, mv: u64, side: u64, h: u64) -> u64 {
 /// distinct constraint sets meet in exactly one machine.
 pub(crate) struct PdsTable {
     n: u32,
-    /// Ascending, as [`Pds::difference_set`] builds it.
+    /// Ascending, as [`difference_set`] builds it.
     ds: Vec<u32>,
     /// `first[r] = d_i`; slot 0 is unused.
     first: Vec<u32>,
 }
 
 impl PdsTable {
-    /// The table for `n = p² + p + 1` machines; panics on any other count.
+    /// The table for `n` machines; panics unless [`pds_order`] accepts `n`.
     pub(crate) fn new(n: u32) -> Self {
-        let p = Pds::order_for(n).unwrap_or_else(|| {
-            panic!("PDS requires p^2+p+1 machines for prime p (7, 13, 31, 57, ...), got {n}")
+        let p = pds_order(n).unwrap_or_else(|| {
+            panic!(
+                "PDS requires p^2+p+1 machines for a prime p <= 11 (7, 13, 31, 57 or 133), got {n}"
+            )
         });
-        let ds = Pds::difference_set(p).expect("difference set exists for prime order");
+        let ds = difference_set(p).expect("difference set exists for prime order");
         debug_assert!(ds.is_sorted());
         let mut first = vec![0u32; n as usize];
         for &di in &ds {
@@ -125,122 +128,36 @@ fn pds_pick(table: &PdsTable, a: u32, b: u32, h: u64) -> u32 {
     }
 }
 
-/// Grid (constrained) partitioning.
-#[derive(Debug, Clone, Default)]
-pub struct Grid {
-    /// If false (PowerGraph's native behaviour), `partition` panics unless
-    /// the partition count is a perfect square. If true (the §9.1 port),
-    /// non-square counts use the next-larger square and map back modulo `N`.
-    pub resilient: bool,
+/// Largest prime order `p` PDS accepts. [`difference_set`] backtracks: it
+/// takes about a millisecond for `p = 7` and seconds for `p = 11`
+/// (133 machines), and did not finish within a minute for `p = 13`.
+const MAX_PDS_ORDER: u64 = 11;
+
+/// The prime `p ≤ MAX_PDS_ORDER` with `n = p² + p + 1`, if there is one: PDS
+/// runs on 7, 13, 31, 57 or 133 machines.
+pub(crate) fn pds_order(n: u32) -> Option<u32> {
+    let n = u64::from(n);
+    (2..=MAX_PDS_ORDER)
+        .map(|p| (p, p * p + p + 1))
+        .take_while(|&(_, machines)| machines <= n)
+        .find(|&(p, machines)| machines == n && is_prime(p))
+        .map(|(p, _)| p as u32)
 }
 
-impl Grid {
-    /// The strict perfect-square variant (PowerGraph, §5.2.3).
-    pub fn strict() -> Self {
-        Grid { resilient: false }
-    }
-
-    /// The non-square-resilient variant the thesis added to GraphX (§9.1).
-    pub fn resilient() -> Self {
-        Grid { resilient: true }
-    }
-
-    /// True if `n` is a perfect square.
-    pub fn is_square(n: u32) -> bool {
-        let r = (n as f64).sqrt().round() as u32;
-        r * r == n
-    }
-
-    /// Constraint set of the machine with index `m` in a `side × side` grid:
-    /// all machines in its row and column. The oracle [`grid_pick`] is
-    /// tested against.
-    #[cfg(test)]
-    fn constraint_set(m: u64, side: u64) -> Vec<u64> {
-        let (row, col) = (m / side, m % side);
-        let mut set: Vec<u64> = (0..side).map(|c| row * side + c).collect();
-        for r in 0..side {
-            let idx = r * side + col;
-            if r != row {
-                set.push(idx);
-            }
-        }
-        set.sort_unstable();
-        set
-    }
-}
-
-impl Partitioner for Grid {
-    fn name(&self) -> &'static str {
-        "Grid"
-    }
-
-    fn partition(
-        &mut self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> PartitionOutcome {
-        let p = ctx.num_partitions;
-        if !self.resilient {
-            assert!(
-                Grid::is_square(p),
-                "PowerGraph's Grid requires a perfect-square machine count, got {p}; \
-                 use Grid::resilient() for other counts"
-            );
-        }
-        let side = (p as f64).sqrt().ceil() as u64;
-        let virtual_n = side * side;
-        let assignment = assign_stateless_par(graph, p, ctx.seed, &ctx.par, |e| {
-            grid_edge(e, ctx.seed, p, side, virtual_n)
-        });
-        let outcome = PartitionOutcome {
-            assignment,
-            loader_work: stateless_loader_work(graph.num_edges(), ctx),
-            passes: 1,
-            state_bytes: 0,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        outcome
-    }
-}
-
-/// PDS (perfect-difference-set) partitioning.
-#[derive(Debug, Default, Clone)]
-pub struct Pds;
-
-impl Pds {
-    /// Check whether `n` is a valid PDS machine count, i.e. `n = p² + p + 1`
-    /// for a prime `p`, and return `p`.
-    pub fn order_for(n: u32) -> Option<u32> {
-        (2..=n).find(|&p| is_prime(p) && p * p + p + 1 == n)
-    }
-
-    /// Find a perfect difference set of size `p + 1` modulo `p² + p + 1` by
-    /// backtracking (Singer difference sets exist for every prime `p`).
-    /// Feasible for the small machine counts the strategy targets
-    /// (p ≤ 13 ⇒ N ≤ 183).
-    pub fn difference_set(p: u32) -> Option<Vec<u32>> {
-        let n = p * p + p + 1;
-        let k = (p + 1) as usize;
-        // Normalize: 0 and 1 can always be rotated/scaled into the set.
-        let mut set: Vec<u32> = vec![0, 1];
-        let mut used = vec![false; n as usize];
-        used[1] = true; // differences ±1 (1 and n-1 share a slot pair)
-        used[(n - 1) as usize] = true;
-        if backtrack(&mut set, &mut used, k, n) {
-            Some(set)
-        } else {
-            None
-        }
-    }
-
-    /// Constraint set of a vertex hash, sorted: the oracle [`pds_edge`] is
-    /// tested against.
-    #[cfg(test)]
-    fn constraint_set(v_hash: u64, ds: &[u32], n: u32) -> Vec<u64> {
-        let base = v_hash % n as u64;
-        let mut set: Vec<u64> = ds.iter().map(|&d| (base + d as u64) % n as u64).collect();
-        set.sort_unstable();
-        set
+/// A perfect difference set of size `p + 1` modulo `p² + p + 1`, found by
+/// backtracking (Singer difference sets exist for every prime `p`).
+fn difference_set(p: u32) -> Option<Vec<u32>> {
+    let n = p * p + p + 1;
+    let k = (p + 1) as usize;
+    // Normalize: 0 and 1 can always be rotated/scaled into the set.
+    let mut set: Vec<u32> = vec![0, 1];
+    let mut used = vec![false; n as usize];
+    used[1] = true; // differences ±1 (1 and n-1 share a slot pair)
+    used[(n - 1) as usize] = true;
+    if backtrack(&mut set, &mut used, k, n) {
+        Some(set)
+    } else {
+        None
     }
 }
 
@@ -288,7 +205,7 @@ fn backtrack(set: &mut Vec<u32>, used: &mut [bool], k: usize, n: u32) -> bool {
     false
 }
 
-fn is_prime(x: u32) -> bool {
+fn is_prime(x: u64) -> bool {
     if x < 2 {
         return false;
     }
@@ -302,46 +219,46 @@ fn is_prime(x: u32) -> bool {
     true
 }
 
-impl Partitioner for Pds {
-    fn name(&self) -> &'static str {
-        "PDS"
-    }
-
-    fn partition(
-        &mut self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> PartitionOutcome {
-        let n = ctx.num_partitions;
-        let table = PdsTable::new(n);
-        let assignment = assign_stateless_par(graph, n, ctx.seed, &ctx.par, |e| {
-            pds_edge(e, ctx.seed, &table)
-        });
-        let outcome = PartitionOutcome {
-            assignment,
-            loader_work: stateless_loader_work(graph.num_edges(), ctx),
-            passes: 1,
-            state_bytes: 0,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PartitionContext, Strategy};
     use gp_core::VertexId;
 
     fn ctx(p: u32) -> PartitionContext {
         PartitionContext::new(p)
     }
 
+    /// Constraint set of the machine with index `m` in a `side × side` grid:
+    /// all machines in its row and column. The oracle [`grid_pick`] is
+    /// tested against.
+    fn grid_constraint_set(m: u64, side: u64) -> Vec<u64> {
+        let (row, col) = (m / side, m % side);
+        let mut set: Vec<u64> = (0..side).map(|c| row * side + c).collect();
+        for r in 0..side {
+            let idx = r * side + col;
+            if r != row {
+                set.push(idx);
+            }
+        }
+        set.sort_unstable();
+        set
+    }
+
+    /// Constraint set of a vertex hash, sorted: the oracle [`pds_edge`] is
+    /// tested against.
+    fn pds_constraint_set(v_hash: u64, ds: &[u32], n: u32) -> Vec<u64> {
+        let base = v_hash % n as u64;
+        let mut set: Vec<u64> = ds.iter().map(|&d| (base + d as u64) % n as u64).collect();
+        set.sort_unstable();
+        set
+    }
+
     #[test]
     fn grid_respects_replication_bound() {
         let g = gp_gen::barabasi_albert(5_000, 8, 3);
         let p = 9u32;
-        let out = Grid::strict().partition(&g, &ctx(p));
+        let out = Strategy::Grid.build().partition(&g, &ctx(p));
         let bound = 2 * 3 - 1;
         for v in 0..g.num_vertices() {
             let rc = out.assignment.replica_count(VertexId(v));
@@ -350,16 +267,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "perfect-square")]
-    fn strict_grid_rejects_non_square() {
-        let g = gp_gen::erdos_renyi(100, 500, 1);
-        Grid::strict().partition(&g, &ctx(10));
-    }
-
-    #[test]
     fn resilient_grid_accepts_non_square() {
         let g = gp_gen::erdos_renyi(2_000, 20_000, 1);
-        let out = Grid::resilient().partition(&g, &ctx(10));
+        let out = Strategy::Grid.build().partition(&g, &ctx(10));
         let counts = out.assignment.edge_counts();
         assert_eq!(counts.len(), 10);
         assert!(counts.iter().all(|&c| c > 0));
@@ -371,8 +281,8 @@ mod tests {
             let n = side * side;
             for a in 0..n {
                 for b in 0..n {
-                    let sa = Grid::constraint_set(a, side);
-                    let sb = Grid::constraint_set(b, side);
+                    let sa = grid_constraint_set(a, side);
+                    let sb = grid_constraint_set(b, side);
                     assert!(
                         sa.iter().any(|x| sb.contains(x)),
                         "no intersection for machines {a},{b} side {side}"
@@ -384,7 +294,7 @@ mod tests {
 
     #[test]
     fn grid_constraint_set_size_is_2s_minus_1() {
-        let s = Grid::constraint_set(4, 3);
+        let s = grid_constraint_set(4, 3);
         assert_eq!(s.len(), 5);
         // Machine 4 = row 1, col 1 in 3x3: row {3,4,5}, col {1,4,7}.
         assert_eq!(s, vec![1, 3, 4, 5, 7]);
@@ -393,8 +303,8 @@ mod tests {
     /// `grid_pick` as it was before the closed form: build both constraint
     /// sets, intersect, index.
     fn grid_pick_oracle(mu: u64, mv: u64, side: u64, h: u64) -> u64 {
-        let su = Grid::constraint_set(mu, side);
-        let sv = Grid::constraint_set(mv, side);
+        let su = grid_constraint_set(mu, side);
+        let sv = grid_constraint_set(mv, side);
         let inter: Vec<u64> = su
             .iter()
             .copied()
@@ -447,11 +357,13 @@ mod tests {
     fn grid_rf_beats_random_on_heavy_tailed() {
         // The core Fig 5.6 observation.
         let g = gp_gen::barabasi_albert(20_000, 10, 5);
-        let grid_rf = Grid::strict()
+        let grid_rf = Strategy::Grid
+            .build()
             .partition(&g, &ctx(16))
             .assignment
             .replication_factor();
-        let rand_rf = crate::strategies::hash::Random
+        let rand_rf = Strategy::Random
+            .build()
             .partition(&g, &ctx(16))
             .assignment
             .replication_factor();
@@ -463,19 +375,25 @@ mod tests {
 
     #[test]
     fn pds_order_detection() {
-        assert_eq!(Pds::order_for(7), Some(2));
-        assert_eq!(Pds::order_for(13), Some(3));
-        assert_eq!(Pds::order_for(31), Some(5));
-        assert_eq!(Pds::order_for(57), Some(7));
-        assert_eq!(Pds::order_for(9), None);
-        assert_eq!(Pds::order_for(21), None); // 4^2+4+1 but 4 is not prime
+        assert_eq!(pds_order(7), Some(2));
+        assert_eq!(pds_order(13), Some(3));
+        assert_eq!(pds_order(31), Some(5));
+        assert_eq!(pds_order(57), Some(7));
+        assert_eq!(pds_order(133), Some(11));
+        assert_eq!(pds_order(9), None);
+        assert_eq!(pds_order(21), None); // 4^2+4+1 but 4 is not prime
+        assert_eq!(pds_order(183), None); // p = 13: the search does not finish
+                                          // p*p + p + 1 wraps to these in u32 arithmetic for p = 65537, 65539.
+        assert_eq!(pds_order(196_611), None);
+        assert_eq!(pds_order(458_765), None);
+        assert_eq!(pds_order(u32::MAX), None);
     }
 
     #[test]
     fn difference_sets_are_perfect() {
         for p in [2u32, 3, 5, 7] {
             let n = p * p + p + 1;
-            let ds = Pds::difference_set(p).expect("set exists");
+            let ds = difference_set(p).expect("set exists");
             assert_eq!(ds.len(), (p + 1) as usize, "size for p={p}");
             // Every nonzero residue appears exactly once as a difference.
             let mut seen = vec![0u32; n as usize];
@@ -498,14 +416,14 @@ mod tests {
     fn pds_constraint_sets_intersect_in_exactly_one() {
         let p = 3u32;
         let n = p * p + p + 1; // 13
-        let ds = Pds::difference_set(p).unwrap();
+        let ds = difference_set(p).unwrap();
         for a in 0..n as u64 {
             for b in 0..n as u64 {
                 if a == b {
                     continue;
                 }
-                let sa = Pds::constraint_set(a, &ds, n);
-                let sb = Pds::constraint_set(b, &ds, n);
+                let sa = pds_constraint_set(a, &ds, n);
+                let sb = pds_constraint_set(b, &ds, n);
                 let inter = sa.iter().filter(|x| sb.contains(x)).count();
                 assert_eq!(inter, 1, "machines {a},{b}");
             }
@@ -519,8 +437,8 @@ mod tests {
             let picks = 2 * table.ds.len() as u64;
             for a in 0..n {
                 for b in 0..n {
-                    let sa = Pds::constraint_set(a as u64, &table.ds, n);
-                    let sb = Pds::constraint_set(b as u64, &table.ds, n);
+                    let sa = pds_constraint_set(a as u64, &table.ds, n);
+                    let sb = pds_constraint_set(b as u64, &table.ds, n);
                     let inter: Vec<u64> = sa
                         .iter()
                         .copied()
@@ -542,7 +460,7 @@ mod tests {
     fn pds_partitions_within_bound() {
         let g = gp_gen::barabasi_albert(3_000, 6, 9);
         let n = 13u32; // p = 3
-        let out = Pds.partition(&g, &ctx(n));
+        let out = Strategy::Pds.build().partition(&g, &ctx(n));
         for v in 0..g.num_vertices() {
             assert!(out.assignment.replica_count(VertexId(v)) <= 4); // p+1
         }
@@ -553,14 +471,14 @@ mod tests {
     #[should_panic(expected = "PDS requires")]
     fn pds_rejects_invalid_machine_counts() {
         let g = gp_gen::erdos_renyi(100, 500, 1);
-        Pds.partition(&g, &ctx(9));
+        Strategy::Pds.build().partition(&g, &ctx(9));
     }
 
     #[test]
     fn constrained_strategies_are_deterministic() {
         let g = gp_gen::erdos_renyi(1_000, 5_000, 4);
-        let a = Grid::strict().partition(&g, &ctx(9));
-        let b = Grid::strict().partition(&g, &ctx(9));
+        let a = Strategy::Grid.build().partition(&g, &ctx(9));
+        let b = Strategy::Grid.build().partition(&g, &ctx(9));
         assert_eq!(
             a.assignment.edge_partitions(),
             b.assignment.edge_partitions()

@@ -210,8 +210,8 @@ impl Partitioner for Hdrf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::hash::Random;
     use crate::strategies::oblivious::Oblivious;
+    use crate::Strategy;
     use gp_core::Splitmix64;
 
     fn centralized(p: u32) -> PartitionContext {
@@ -397,7 +397,8 @@ mod tests {
             .partition(&g, &centralized(9))
             .assignment
             .replication_factor();
-        let r = Random
+        let r = Strategy::Random
+            .build()
             .partition(&g, &PartitionContext::new(9))
             .assignment
             .replication_factor();

@@ -184,27 +184,12 @@ impl Partitioner for Hybrid {
     }
 }
 
-/// PowerLyra's Hybrid-Ginger partitioner.
-#[derive(Debug, Clone)]
-pub struct HybridGinger {
-    /// In-degree above which a vertex is treated as high-degree.
-    pub threshold: u32,
-}
-
-impl Default for HybridGinger {
-    fn default() -> Self {
-        HybridGinger {
-            threshold: DEFAULT_THRESHOLD,
-        }
-    }
-}
+/// PowerLyra's Hybrid-Ginger partitioner, at the paper's
+/// [`DEFAULT_THRESHOLD`].
+#[derive(Debug, Clone, Default)]
+pub struct HybridGinger;
 
 impl HybridGinger {
-    /// Hybrid-Ginger with a custom threshold.
-    pub fn with_threshold(threshold: u32) -> Self {
-        HybridGinger { threshold }
-    }
-
     /// The Fennel-style score argmax for vertex `v`: the partition holding
     /// most of `v`'s in-neighbors, tempered by the balance term, with `v`
     /// discounted from its current partition. A pure function of the state
@@ -260,7 +245,6 @@ impl HybridGinger {
     /// the stamp — an unmoved neighbor invalidates nothing.
     #[allow(clippy::too_many_arguments)]
     fn refine_windowed(
-        &self,
         csr: &CsrGraph,
         homes: &mut [PartitionId],
         in_deg: &[u32],
@@ -276,7 +260,7 @@ impl HybridGinger {
         let cands: Vec<u32> = (0..n as u32)
             .filter(|&v| {
                 let d = in_deg[v as usize];
-                d > 0 && d <= self.threshold
+                d > 0 && d <= DEFAULT_THRESHOLD
             })
             .collect();
         let mut stamp = StampSet::new(n);
@@ -390,8 +374,7 @@ impl Partitioner for HybridGinger {
         graph: &dyn StreamingEdges,
         ctx: &PartitionContext,
     ) -> PartitionOutcome {
-        let hybrid = Hybrid::with_threshold(self.threshold);
-        let (_, mut homes, in_deg) = hybrid.assign(graph, ctx);
+        let (_, mut homes, in_deg) = Hybrid::default().assign(graph, ctx);
         let p = ctx.num_partitions as usize;
         let n = graph.num_vertices() as usize;
         let m = graph.num_edges() as f64;
@@ -402,7 +385,7 @@ impl Partitioner for HybridGinger {
         let mut ecount = vec![0u64; p]; // in-edges homed per partition
         for v in 0..n {
             vcount[homes[v].index()] += 1;
-            if in_deg[v] <= self.threshold {
+            if in_deg[v] <= DEFAULT_THRESHOLD {
                 ecount[homes[v].index()] += in_deg[v] as u64;
             }
         }
@@ -411,7 +394,7 @@ impl Partitioner for HybridGinger {
         let mut stats = SpecStats::default();
         if ctx.window >= 2 {
             // Windowed speculative refinement — see `crate::speculative`.
-            self.refine_windowed(
+            Self::refine_windowed(
                 &csr,
                 &mut homes,
                 &in_deg,
@@ -428,7 +411,7 @@ impl Partitioner for HybridGinger {
             // it goes, so its result depends on scan order by design.
             let mut affinity = vec![0u64; p];
             for v in 0..n {
-                if in_deg[v] > self.threshold || in_deg[v] == 0 {
+                if in_deg[v] > DEFAULT_THRESHOLD || in_deg[v] == 0 {
                     continue;
                 }
                 ginger_work += GINGER_BASE + GINGER_PER_NEIGHBOR * in_deg[v] as f64;
@@ -463,7 +446,7 @@ impl Partitioner for HybridGinger {
             gp_par::map_chunks(&ctx.par, graph.num_edges(), |_, range| {
                 let mut out = Vec::with_capacity(range.len());
                 for_each_edge(graph, range, |e| {
-                    out.push(if in_deg[e.dst.index()] > self.threshold {
+                    out.push(if in_deg[e.dst.index()] > DEFAULT_THRESHOLD {
                         PartitionId((hash_vertex(e.src, ctx.seed) % p64) as u32)
                     } else {
                         homes[e.dst.index()]
@@ -516,8 +499,8 @@ impl Partitioner for HybridGinger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::hash::Random;
     use crate::strategies::oblivious::Oblivious;
+    use crate::Strategy;
     use gp_core::EdgeList;
 
     fn ctx(p: u32) -> PartitionContext {
@@ -582,7 +565,7 @@ mod tests {
     fn ginger_reports_three_passes_and_more_state() {
         let g = hub_and_chain();
         let h = Hybrid::default().partition(&g, &ctx(4));
-        let hg = HybridGinger::default().partition(&g, &ctx(4));
+        let hg = HybridGinger.partition(&g, &ctx(4));
         assert_eq!(hg.passes, 3);
         assert!(hg.state_bytes > h.state_bytes);
         let h_work: f64 = h.loader_work.iter().sum();
@@ -598,7 +581,7 @@ mod tests {
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();
-        let hg = HybridGinger::default()
+        let hg = HybridGinger
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();
@@ -615,7 +598,8 @@ mod tests {
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();
-        let r = Random
+        let r = Strategy::Random
+            .build()
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();
@@ -649,7 +633,7 @@ mod tests {
         let g = hub_and_chain();
         for out in [
             Hybrid::default().partition(&g, &ctx(8)),
-            HybridGinger::default().partition(&g, &ctx(8)),
+            HybridGinger.partition(&g, &ctx(8)),
         ] {
             for v in 0..g.num_vertices() {
                 let v = VertexId(v);
@@ -669,7 +653,7 @@ mod tests {
         // partition more often than raw hashing does.
         let g = EdgeList::from_pairs((0..2_000).map(|i| (i, i + 1)).collect());
         let h = Hybrid::default().partition(&g, &ctx(4));
-        let hg = HybridGinger::default().partition(&g, &ctx(4));
+        let hg = HybridGinger.partition(&g, &ctx(4));
         let cut = |a: &Assignment| -> usize {
             (0..g.num_edges() - 1)
                 .filter(|&i| a.edge_partition(i) != a.edge_partition(i + 1))
@@ -686,8 +670,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = gp_gen::barabasi_albert(3_000, 5, 8);
-        let a = HybridGinger::default().partition(&g, &ctx(4));
-        let b = HybridGinger::default().partition(&g, &ctx(4));
+        let a = HybridGinger.partition(&g, &ctx(4));
+        let b = HybridGinger.partition(&g, &ctx(4));
         assert_eq!(
             a.assignment.edge_partitions(),
             b.assignment.edge_partitions()

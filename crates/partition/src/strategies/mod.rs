@@ -1,4 +1,7 @@
-//! Strategy implementations, one module per family.
+//! Strategy implementations, one module per family. The seven stateless
+//! hash strategies are rules, not types: [`hash`] and [`constrained`] hold
+//! their per-edge functions, and one partitioner serves them all through
+//! [`Strategy::build`](crate::Strategy::build).
 
 pub mod bicut;
 pub mod chunking;
@@ -11,8 +14,6 @@ pub mod vebo;
 
 pub use bicut::{BiCut, FavoriteSide};
 pub use chunking::Chunking;
-pub use constrained::{Grid, Pds};
-pub use hash::{AsymmetricRandom, OneD, OneDTarget, Random, TwoD};
 pub use hdrf::Hdrf;
 pub use hybrid::{Hybrid, HybridGinger};
 pub use oblivious::Oblivious;

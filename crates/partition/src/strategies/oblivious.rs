@@ -371,7 +371,8 @@ mod tests {
             .partition(&g, &centralized(9))
             .assignment
             .replication_factor();
-        let rnd = crate::strategies::hash::Random
+        let rnd = crate::Strategy::Random
+            .build()
             .partition(&g, &ctx(9))
             .assignment
             .replication_factor();

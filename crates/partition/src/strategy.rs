@@ -1,10 +1,9 @@
 //! The strategy catalog: Table 1.1 as code.
 
 use crate::partitioner::Partitioner;
-use crate::strategies::{
-    AsymmetricRandom, Grid, Hdrf, Hybrid, HybridGinger, Oblivious, OneD, OneDTarget, Pds, Random,
-    TwoD,
-};
+use crate::strategies::constrained::pds_order;
+use crate::strategies::hash::HashPartitioner;
+use crate::strategies::{Hdrf, Hybrid, HybridGinger, Oblivious};
 
 /// The three systems the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,22 +141,16 @@ impl Strategy {
     ];
 
     /// Construct a boxed partitioner with the paper's default parameters.
+    /// The seven stateless hash strategies share one partitioner, which
+    /// places each edge by the strategy's rule; Grid is always the form
+    /// resilient to non-square counts (§9.1).
     pub fn build(self) -> Box<dyn Partitioner> {
         match self {
-            Strategy::Random => Box::new(Random),
-            Strategy::AsymmetricRandom => Box::new(AsymmetricRandom),
-            // The catalog builds the resilient Grid so sweeps over arbitrary
-            // cluster sizes work; PowerGraph-specific experiments use
-            // `Grid::strict()` directly.
-            Strategy::Grid => Box::new(Grid::resilient()),
-            Strategy::Pds => Box::new(Pds),
             Strategy::Oblivious => Box::new(Oblivious),
             Strategy::Hdrf => Box::new(Hdrf::recommended()),
-            Strategy::OneD => Box::new(OneD),
-            Strategy::OneDTarget => Box::new(OneDTarget),
-            Strategy::TwoD => Box::new(TwoD),
             Strategy::Hybrid => Box::new(Hybrid::default()),
-            Strategy::HybridGinger => Box::new(HybridGinger::default()),
+            Strategy::HybridGinger => Box::new(HybridGinger),
+            hash => Box::new(HashPartitioner(hash)),
         }
     }
 
@@ -178,11 +171,12 @@ impl Strategy {
         }
     }
 
-    /// Whether the strategy can run on `n` partitions (Grid in the catalog is
-    /// the resilient variant, so only PDS constrains the count).
+    /// Whether the strategy can run on `n` partitions. Only PDS constrains
+    /// the count: 7, 13, 31, 57 or 133, the `p² + p + 1` for the primes
+    /// `p ≤ 11` whose difference sets it can build.
     pub fn supports_partition_count(self, n: u32) -> bool {
         match self {
-            Strategy::Pds => crate::strategies::Pds::order_for(n).is_some(),
+            Strategy::Pds => pds_order(n).is_some(),
             _ => n > 0,
         }
     }
@@ -323,5 +317,18 @@ mod tests {
         assert_eq!(Strategy::Pds.check_partition_count(7), Ok(()));
         let err = Strategy::Pds.check_partition_count(9).unwrap_err();
         assert_eq!(err, "PDS cannot run on 9 partitions");
+    }
+
+    /// PDS accepts exactly the orders whose difference set it can build:
+    /// not p = 13 (183, a search that does not finish), and not the counts
+    /// `p² + p + 1` reaches by wrapping in 32 bits (p = 65537, 65539).
+    #[test]
+    fn pds_accepts_only_buildable_orders() {
+        for n in [7, 13, 31, 57, 133] {
+            assert!(Strategy::Pds.supports_partition_count(n), "{n}");
+        }
+        for n in [183, 196_611, 458_765] {
+            assert!(!Strategy::Pds.supports_partition_count(n), "{n}");
+        }
     }
 }
