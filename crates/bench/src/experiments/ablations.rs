@@ -309,7 +309,6 @@ pub fn ablation_chunking(scale: f64, seed: u64) -> Vec<Table> {
 /// the engine models exactly that.)
 pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
     use gp_apps::PageRank;
-    use gp_core::CsrGraph;
     use gp_engine::{EngineConfig, Layout, SyncGas};
     let spec = ClusterSpec::ec2_25();
     let mut t = Table::new(
@@ -325,10 +324,9 @@ pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
     let graph = Dataset::UkWeb.generate(scale, seed);
     let program = PageRank::fixed_with_tolerance(30, 1e-3);
     // One semantic pass per caching flag, priced on both partitionings.
-    let csr = CsrGraph::from_edge_list(&graph);
     let traced = [false, true].map(|on| {
         let engine = SyncGas::new(EngineConfig::new(spec.clone()).with_delta_caching(on));
-        let (_, trace) = engine.trace(&csr, &program);
+        let (_, trace) = engine.trace(graph.csr(), &program);
         (engine, trace)
     });
     for strategy in [Strategy::Grid, Strategy::Hdrf] {

@@ -528,8 +528,8 @@ impl Deployment<'_> {
     }
 }
 
-/// The experiment pipeline with caching of generated graphs, their
-/// adjacency and partitionings (the same dataset×strategy×cluster triple is
+/// The experiment pipeline with caching of generated graphs (each owns its
+/// adjacency) and partitionings (the same dataset×strategy×cluster triple is
 /// reused across the six applications), and each app's semantic trace across
 /// partitionings.
 pub struct Pipeline {
@@ -546,11 +546,10 @@ pub struct Pipeline {
     /// SSSP source of each dataset (its highest-out-degree vertex), found
     /// the first time an SSSP job runs on it.
     sssp_sources: HashMap<Dataset, VertexId>,
-    /// Adjacency of each dataset, built by the first job that computes on it.
-    csrs: HashMap<Dataset, CsrGraph>,
     partitions: HashMap<PartitionKey, PartitionOutcome>,
     /// Engine layout of each cached partitioning, built by the first job
-    /// that computes on it. The key's loader count is the machine count.
+    /// that computes on it over the counts its assignment owns. The key's
+    /// loader count is the machine count.
     layouts: HashMap<PartitionKey, Layout>,
     /// The key of `traces`: they are one entry, not a map, because every
     /// sweep runs its strategy, cluster, engine or fault loop innermost, and
@@ -578,7 +577,6 @@ impl Pipeline {
             telemetry: TelemetrySink::Disabled,
             graphs: HashMap::new(),
             sssp_sources: HashMap::new(),
-            csrs: HashMap::new(),
             partitions: HashMap::new(),
             layouts: HashMap::new(),
             trace_key: None,
@@ -680,10 +678,6 @@ impl Pipeline {
         let graph = &self.graphs[&dataset];
         let outcome = &self.partitions[&key];
         let assignment = &outcome.assignment;
-        let csr = self
-            .csrs
-            .entry(dataset)
-            .or_insert_with(|| CsrGraph::from_edge_list(graph));
         let layout = self
             .layouts
             .entry(key)
@@ -737,7 +731,7 @@ impl Pipeline {
                 .with_elastic(scenario.elastic.clone())
                 .with_threads(self.threads)
                 .with_telemetry(telemetry.clone()),
-            csr,
+            csr: graph.csr(),
             layout,
             assignment,
         };

@@ -5,7 +5,7 @@ use crate::{load_graph, Failure, Flags, Subcommand};
 use gp_bench::{App, Deployment, EngineKind};
 use gp_cluster::table::fmt_bytes;
 use gp_cluster::ClusterSpec;
-use gp_core::{CsrGraph, VertexId};
+use gp_core::VertexId;
 use gp_engine::{EngineConfig, Layout};
 use gp_partition::{PartitionContext, Strategy, System};
 use std::io::Write;
@@ -66,7 +66,7 @@ impl Subcommand for Args {
         let deployment = Deployment {
             engine: EngineKind::from(self.system),
             config: EngineConfig::new(spec.clone()).with_threads(self.threads),
-            csr: &CsrGraph::from_edge_list(&graph),
+            csr: graph.csr(),
             layout: &Layout::build(&graph, &assignment, &spec),
             assignment: &assignment,
         };

@@ -5,9 +5,11 @@
 //! resulting per-partition edge sets are built into adjacency structures for
 //! the compute phase. [`EdgeList`] is the ingress view; [`CsrGraph`] is the
 //! compute view with both out- and in-adjacency (GAS programs gather and
-//! scatter along either direction, §3.1).
+//! scatter along either direction, §3.1). An edge list builds its CSR the
+//! first time a job asks for it and keeps it until the edges change.
 
 use crate::{CoreError, Result, VertexId};
+use std::sync::OnceLock;
 
 /// A directed edge `src -> dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,14 +63,27 @@ impl Edge {
 /// An in-memory edge list with a dense vertex id space `0..num_vertices`.
 ///
 /// This is the form graphs take during ingress: strategies stream over
-/// `edges()` and assign each edge a partition.
+/// `edges()` and assign each edge a partition. What compute derives from
+/// the edges alone — the adjacency and the edge-stream digest — is built on
+/// first use, kept, and dropped by [`EdgeList::push`].
 #[derive(Debug, Clone, Default)]
 pub struct EdgeList {
     edges: Vec<Edge>,
     num_vertices: u64,
+    csr: OnceLock<CsrGraph>,
+    digest: OnceLock<u64>,
 }
 
 impl EdgeList {
+    fn new(edges: Vec<Edge>, num_vertices: u64) -> Self {
+        EdgeList {
+            edges,
+            num_vertices,
+            csr: OnceLock::new(),
+            digest: OnceLock::new(),
+        }
+    }
+
     /// Build from raw edges; the vertex count is `max endpoint + 1`.
     pub fn from_edges(edges: Vec<Edge>) -> Self {
         let num_vertices = edges
@@ -76,10 +91,7 @@ impl EdgeList {
             .map(|e| e.src.0.max(e.dst.0) + 1)
             .max()
             .unwrap_or(0);
-        EdgeList {
-            edges,
-            num_vertices,
-        }
+        EdgeList::new(edges, num_vertices)
     }
 
     /// Build from `(src, dst)` integer pairs.
@@ -99,10 +111,7 @@ impl EdgeList {
                 e.src, e.dst
             )));
         }
-        Ok(EdgeList {
-            edges,
-            num_vertices,
-        })
+        Ok(EdgeList::new(edges, num_vertices))
     }
 
     /// Number of edges.
@@ -123,10 +132,25 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Append an edge, growing the vertex count if needed.
+    /// Append an edge, growing the vertex count if needed. The cached
+    /// adjacency and digest no longer describe the graph and are dropped.
     pub fn push(&mut self, e: Edge) {
         self.num_vertices = self.num_vertices.max(e.src.0.max(e.dst.0) + 1);
         self.edges.push(e);
+        self.csr.take();
+        self.digest.take();
+    }
+
+    /// The graph's adjacency, built by the first call and shared by every
+    /// later one until the next [`EdgeList::push`].
+    pub fn csr(&self) -> &CsrGraph {
+        self.csr.get_or_init(|| CsrGraph::from_edge_list(self))
+    }
+
+    /// [`crate::edge_digest`] of the edge stream, cached like
+    /// [`EdgeList::csr`]: what an assignment of this graph must carry.
+    pub fn edge_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| crate::edge_digest(self))
     }
 
     /// Compute per-vertex in/out degrees in one pass.
@@ -263,8 +287,8 @@ impl DegreeTable {
 
 /// Compressed-sparse-row adjacency with both out- and in-neighbor access.
 ///
-/// Built once per (graph, partition) at the end of ingress; engines iterate
-/// neighbors during gather/scatter minor-steps.
+/// Built once per graph ([`EdgeList::csr`]) and shared by every partitioning
+/// of it; engines iterate neighbors during gather/scatter minor-steps.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     num_vertices: u64,
@@ -303,34 +327,6 @@ impl CsrGraph {
             }
         }
         Self::from_source(&Slice(edges, num_vertices))
-    }
-
-    /// Assemble from finished adjacency arrays, for builders that fill them
-    /// in a sweep of their own (the engine's fused layout build). Row `v` of
-    /// `out_targets` is `out_offsets[v]..out_offsets[v + 1]`, likewise for
-    /// the in-side. Panics unless both offset arrays have `num_vertices + 1`
-    /// non-decreasing entries from 0 to the edge count.
-    pub fn from_parts(
-        num_vertices: u64,
-        out_offsets: Vec<u64>,
-        out_targets: Vec<VertexId>,
-        in_offsets: Vec<u64>,
-        in_sources: Vec<VertexId>,
-    ) -> Self {
-        assert_eq!(out_targets.len(), in_sources.len(), "edge count differs");
-        for (offsets, rows) in [(&out_offsets, &out_targets), (&in_offsets, &in_sources)] {
-            assert_eq!(offsets.len() as u64, num_vertices + 1, "one offset per row");
-            assert_eq!(offsets[0], 0, "offsets start at 0");
-            assert_eq!(offsets[offsets.len() - 1], rows.len() as u64);
-            assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets decrease");
-        }
-        CsrGraph {
-            num_vertices,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-        }
     }
 
     /// Build from any edge source in two streaming counting passes
@@ -469,6 +465,20 @@ mod tests {
         assert_eq!(g.num_vertices(), 8);
         g.push(Edge::new(2u64, 3u64));
         assert_eq!(g.num_vertices(), 8);
+    }
+
+    #[test]
+    fn push_drops_the_cached_adjacency_and_digest() {
+        let mut g = diamond();
+        let (before, digest) = (g.csr().num_edges(), g.edge_digest());
+        assert!(std::ptr::eq(g.csr(), g.csr()), "built once");
+        g.push(Edge::new(3u64, 4u64));
+        assert_eq!(g.csr().num_edges(), before + 1);
+        assert_eq!(g.csr().num_vertices(), 5);
+        let out: Vec<_> = g.csr().out_neighbors(VertexId(3)).collect();
+        assert_eq!(out, vec![VertexId(4)]);
+        assert_ne!(g.edge_digest(), digest);
+        assert_eq!(g.edge_digest(), crate::edge_digest(&g));
     }
 
     #[test]

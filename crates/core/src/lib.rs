@@ -36,10 +36,12 @@ pub mod units;
 
 pub use error::CoreError;
 pub use graph::{CsrGraph, DegreeTable, Edge, EdgeList};
-pub use hash::{hash_canonical_edge, hash_directed_edge, hash_u64, hash_vertex, Splitmix64};
+pub use hash::{
+    hash_canonical_edge, hash_directed_edge, hash_stream_edge, hash_u64, hash_vertex, Splitmix64,
+};
 pub use ids::{PartitionId, VertexId};
 pub use pset::PartitionSet;
-pub use source::{collect_edge_list, for_each_edge, EdgeStreamIter, StreamingEdges};
+pub use source::{collect_edge_list, edge_digest, for_each_edge, EdgeStreamIter, StreamingEdges};
 pub use stats::GraphStats;
 
 /// Convenient `Result` alias for fallible gp-core operations.

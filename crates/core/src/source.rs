@@ -14,7 +14,7 @@
 //! must return the same edge for the same index on every call — the
 //! multi-pass strategies (Hybrid, Hybrid-Ginger, auto-BiCut) re-read ranges.
 
-use crate::{Edge, EdgeList};
+use crate::{hash_stream_edge, Edge, EdgeList};
 use std::ops::Range;
 
 /// Edges decoded per buffered read on the streaming path. 64Ki edges = 1 MiB
@@ -104,6 +104,19 @@ pub fn for_each_edge<F: FnMut(Edge)>(source: &dyn StreamingEdges, range: Range<u
         }
         pos += got;
     }
+}
+
+/// A 64-bit digest of the whole stream: the wrapping sum of
+/// [`hash_stream_edge`] over its edges. A sum, so disjoint shards of the
+/// stream digest on their own and add up to the same value in any chunking.
+pub fn edge_digest(source: &dyn StreamingEdges) -> u64 {
+    let mut digest = 0u64;
+    let mut i = 0;
+    for_each_edge(source, 0..source.num_edges(), |e| {
+        digest = digest.wrapping_add(hash_stream_edge(i, e));
+        i += 1;
+    });
+    digest
 }
 
 /// Buffered [`Iterator`] over a range of a streaming source — the adapter
@@ -234,6 +247,18 @@ mod tests {
         assert_eq!(EdgeStreamIter::new(&o, 0..0).count(), 0);
         let (lo, hi) = EdgeStreamIter::new(&g, 0..23).size_hint();
         assert_eq!((lo, hi), (23, Some(23)));
+    }
+
+    #[test]
+    fn edge_digest_reads_the_stream_in_order() {
+        let g = graph();
+        assert_eq!(edge_digest(&Opaque(g.clone())), edge_digest(&g));
+        assert_eq!(g.edge_digest(), edge_digest(&g));
+        let mut swapped = g.edges().to_vec();
+        swapped.swap(3, 4);
+        let swapped = EdgeList::from_edges(swapped);
+        assert_ne!(edge_digest(&swapped), edge_digest(&g));
+        assert_eq!(edge_digest(&EdgeList::default()), 0);
     }
 
     #[test]

@@ -319,9 +319,9 @@ mod tests {
                 .build()
                 .partition(graph, &PartitionContext::new(parts))
                 .assignment;
-            let (csr, layout) = Layout::with_csr(graph, &assignment, &ClusterSpec::local_9());
+            let layout = Layout::build(graph, &assignment, &ClusterSpec::local_9());
             Placed {
-                csr,
+                csr: CsrGraph::from_edge_list(graph),
                 assignment,
                 layout,
             }

@@ -45,17 +45,18 @@ impl AsyncGas {
         AsyncGas { config }
     }
 
-    /// Run `program` asynchronously: [`AsyncGas::trace`], then
-    /// [`AsyncGas::price`] on a fresh [`Layout`]. Rounds are reported as
-    /// supersteps for uniformity, but there are no barriers between them.
+    /// Run `program` asynchronously: [`AsyncGas::trace`] over the adjacency
+    /// `graph` owns, then [`AsyncGas::price`] on a [`Layout`] of the counts
+    /// `assignment` owns. Rounds are reported as supersteps for uniformity,
+    /// but there are no barriers between them.
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.spec);
-        let (states, trace) = self.trace(&csr, program);
+        let layout = Layout::build(graph, assignment, &self.config.spec);
+        let (states, trace) = self.trace(graph.csr(), program);
         (states, self.price(&trace, &layout, assignment, program))
     }
 

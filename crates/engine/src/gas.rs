@@ -73,15 +73,16 @@ impl SyncGas {
 
     /// Run `program` over the partitioned graph until convergence or the
     /// superstep cap. Returns final vertex states and the compute report:
-    /// [`SyncGas::trace`], then [`SyncGas::price`] on a fresh [`Layout`].
+    /// [`SyncGas::trace`] over the adjacency `graph` owns, then
+    /// [`SyncGas::price`] on a [`Layout`] of the counts `assignment` owns.
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.spec);
-        let (states, trace) = self.trace(&csr, program);
+        let layout = Layout::build(graph, assignment, &self.config.spec);
+        let (states, trace) = self.trace(graph.csr(), program);
         (states, self.price(&trace, &layout, assignment, program))
     }
 

@@ -39,16 +39,17 @@ impl HybridGas {
         HybridGas { config }
     }
 
-    /// Run `program` over the partitioned graph: [`HybridGas::trace`], then
-    /// [`HybridGas::price`] on a fresh [`Layout`].
+    /// Run `program` over the partitioned graph: [`HybridGas::trace`] over
+    /// the adjacency `graph` owns, then [`HybridGas::price`] on a [`Layout`]
+    /// of the counts `assignment` owns.
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
         assignment: &Assignment,
         program: &P,
     ) -> (Vec<P::State>, ComputeReport) {
-        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.spec);
-        let (states, trace) = self.trace(&csr, program);
+        let layout = Layout::build(graph, assignment, &self.config.spec);
+        let (states, trace) = self.trace(graph.csr(), program);
         (states, self.price(&trace, &layout, assignment, program))
     }
 

@@ -1,11 +1,13 @@
-//! What a placement adds to its assignment on one cluster: built once per
-//! (graph, assignment, cluster size) and shared by every run over that
-//! partitioning. The adjacency is not part of it; one [`CsrGraph`] per graph
-//! serves every partitioning.
+//! What a placement adds to its assignment on one cluster: the assignment's
+//! local edge counts and the partition→machine fold. The counts are built
+//! once per assignment and shared by every layout of it; the adjacency is
+//! not part of it — the graph owns one [`gp_core::CsrGraph`]
+//! ([`EdgeList::csr`]) that serves every partitioning. A layout is cheap
+//! enough that `run` builds a fresh one each call.
 
-use crate::replicas::{sweep, ReplicaTable};
+use crate::replicas::ReplicaTable;
 use gp_cluster::ClusterSpec;
-use gp_core::{hash_u64, CsrGraph, EdgeList};
+use gp_core::{hash_u64, EdgeList};
 use gp_partition::Assignment;
 
 /// The per-image local edge counts of an [`Assignment`] and its
@@ -21,29 +23,13 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// Lay `assignment` of `graph` out on `spec`'s machines, counting local
-    /// edges without building the adjacency.
+    /// Lay `assignment` of `graph` out on `spec`'s machines. Panics if
+    /// `assignment` placed another graph.
     pub fn build(graph: &EdgeList, assignment: &Assignment, spec: &ClusterSpec) -> Self {
-        Layout::new(assignment, spec, ReplicaTable::build(graph, assignment))
-    }
-
-    /// The graph's adjacency and [`Layout::build`]'s layout, in one fused sweep.
-    pub(crate) fn with_csr(
-        graph: &EdgeList,
-        assignment: &Assignment,
-        spec: &ClusterSpec,
-    ) -> (CsrGraph, Self) {
-        let (table, csr) = sweep::<true>(graph, assignment);
-        let csr = csr.expect("the adjacency sweep returns the graph");
-        (csr, Layout::new(assignment, spec, table))
-    }
-
-    /// `table` of `assignment`, whose graph the sweep checked it against.
-    fn new(assignment: &Assignment, spec: &ClusterSpec, table: ReplicaTable) -> Self {
         assert!(spec.machines > 0, "a cluster has at least one machine");
         Layout {
             assignment: fingerprint(assignment),
-            table,
+            table: ReplicaTable::build(graph, assignment),
             machine_of: (0..assignment.num_partitions())
                 .map(|p| spec.machine_of(p))
                 .collect(),
@@ -92,70 +78,26 @@ fn fingerprint(a: &Assignment) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_core::{Edge, VertexId};
+    use gp_core::VertexId;
     use gp_partition::{PartitionContext, Strategy};
-    use proptest::prelude::*;
-    // `gp_partition::Strategy` shadows proptest's trait of the same name.
-    use proptest::strategy::Strategy as _;
 
-    /// `(local_in, local_out)` per image as the table was built before the
-    /// fused sweep: per edge, two slot lookups into the assignment's sorted
-    /// replica lists.
-    fn counts_by_slot(graph: &EdgeList, assignment: &Assignment) -> Vec<(u32, u32)> {
-        let mut counts = vec![(0u32, 0u32); assignment.total_images()];
-        for (i, e) in graph.edges().iter().enumerate() {
-            let p = assignment.edge_partition(i);
-            counts[assignment.replica_offset(e.src) + assignment.replica_slot(e.src, p)].1 += 1;
-            counts[assignment.replica_offset(e.dst) + assignment.replica_slot(e.dst, p)].0 += 1;
-        }
-        counts
-    }
-
-    /// The count-only layout, the fused constructor's layout and the bare
-    /// table all hold the per-edge slot build's counts, and the fused
-    /// constructor's adjacency is the plain CSR build's.
-    fn assert_matches_slot_build(graph: &EdgeList, assignment: &Assignment, machines: u32) {
-        let expected = counts_by_slot(graph, assignment);
+    /// The layout reads the assignment's own counts array, not a copy, and
+    /// folds partitions onto the spec's machines.
+    fn assert_lays_out(graph: &EdgeList, assignment: &Assignment, machines: u32) {
         let spec = ClusterSpec::local_9().with_machines(machines);
-        let built = Layout::build(graph, assignment, &spec);
-        let (csr, fused) = Layout::with_csr(graph, assignment, &spec);
-        let alone = ReplicaTable::build(graph, assignment);
-        for table in [built.replicas(), fused.replicas(), &alone] {
-            assert_eq!(table.total_images(), expected.len());
-            let counts: Vec<(u32, u32)> = (0..graph.num_vertices())
-                .flat_map(|v| table.local_edges(assignment, VertexId(v)))
-                .copied()
-                .collect();
-            assert_eq!(counts, expected);
+        let layout = Layout::build(graph, assignment, &spec);
+        let counts = assignment.local_edge_counts(graph);
+        let table = layout.replicas();
+        assert_eq!(table.total_images(), counts.len());
+        if graph.num_vertices() > 0 {
+            let first = table.local_edges(assignment, VertexId(0));
+            assert_eq!(first.as_ptr(), counts.as_ptr(), "the counts are shared");
         }
-        for layout in [&built, &fused] {
-            assert_eq!(layout.machines(), machines);
-            assert!(layout.is_of(assignment));
+        assert_eq!(layout.machines(), machines);
+        for p in 0..assignment.num_partitions() {
+            assert_eq!(layout.machine_of(p), spec.machine_of(p) as usize);
         }
-        let plain = CsrGraph::from_edge_list(graph);
-        assert_eq!(csr.num_edges(), graph.num_edges());
-        for v in plain.vertices() {
-            assert!(csr.out_neighbors(v).eq(plain.out_neighbors(v)));
-            assert!(csr.in_neighbors(v).eq(plain.in_neighbors(v)));
-        }
-    }
-
-    /// Up to 40 vertices and 160 edges drawn with replacement from 0..n, so
-    /// self-loops and duplicates are common; ids `n..n + isolated` never
-    /// appear.
-    fn arb_graph() -> impl proptest::strategy::Strategy<Value = EdgeList> {
-        (
-            1u64..40,
-            0u64..5,
-            proptest::collection::vec((0u64..40, 0u64..40), 1..160),
-        )
-            .prop_map(|(n, isolated, pairs)| {
-                let edges: Vec<Edge> = pairs
-                    .into_iter()
-                    .map(|(a, b)| Edge::new(a % n, b % n))
-                    .collect();
-                EdgeList::with_vertex_count(edges, n + isolated).expect("ids in range")
-            })
+        assert!(layout.is_of(assignment));
     }
 
     const STRATEGIES: [Strategy; 5] = [
@@ -166,20 +108,15 @@ mod tests {
         Strategy::OneD,
     ];
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn fused_sweep_equals_the_per_edge_slot_build(
-            graph in arb_graph(),
-            machines in 2u32..6,
-            seed in 0u64..1000,
-        ) {
-            for strategy in STRATEGIES {
-                for parts in [1, machines, 16 * machines] {
-                    let ctx = PartitionContext::new(parts).with_seed(seed);
-                    let assignment = strategy.build().partition(&graph, &ctx).assignment;
-                    assert_matches_slot_build(&graph, &assignment, machines);
+    #[test]
+    fn a_layout_shares_its_assignments_counts_on_every_cluster_size() {
+        let graph = gp_gen::barabasi_albert(300, 3, 5);
+        for strategy in STRATEGIES {
+            for parts in [1, 4, 36] {
+                let ctx = PartitionContext::new(parts).with_seed(3);
+                let assignment = strategy.build().partition(&graph, &ctx).assignment;
+                for machines in [1, 3, 4] {
+                    assert_lays_out(&graph, &assignment, machines);
                 }
             }
         }
@@ -193,7 +130,7 @@ mod tests {
                 .build()
                 .partition(&graph, &PartitionContext::new(4))
                 .assignment;
-            assert_matches_slot_build(&graph, &assignment, 4);
+            assert_lays_out(&graph, &assignment, 4);
         }
     }
 }

@@ -35,9 +35,12 @@
 //! pass over the graph's [`gp_core::CsrGraph`] and keeps its update sequence
 //! as a [`SemanticTrace`], which no placement influences; its `price` turns
 //! a trace into the report on any partitioning of the same graph. `run`
-//! builds the adjacency and a [`Layout`] in one sweep, traces, then prices;
-//! callers with several jobs build one adjacency per graph and one layout
-//! per partitioning, and call `trace` and `price` directly.
+//! reads the adjacency the graph owns ([`gp_core::EdgeList::csr`]), lays
+//! out the local edge counts the assignment owns
+//! ([`gp_partition::Assignment::local_edge_counts`]), traces, then prices.
+//! Both are built by the first run that needs them and shared by every
+//! later one, so ten runs on one partitioned graph build each once; callers
+//! that reuse traces call `trace` and `price` directly.
 
 pub(crate) mod accounting;
 pub mod async_gas;

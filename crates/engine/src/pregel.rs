@@ -178,9 +178,10 @@ impl Pregel {
         )
     }
 
-    /// Run `program`: [`Pregel::trace`], then [`Pregel::price`] on a fresh
-    /// [`Layout`]. Fails with [`PregelOom`] when the graph does not fit
-    /// (placement case 1), before it computes anything.
+    /// Run `program`: [`Pregel::trace`] over the adjacency `graph` owns, then
+    /// [`Pregel::price`] on a [`Layout`] of the counts `assignment` owns.
+    /// Fails with [`PregelOom`] when the graph does not fit (placement case
+    /// 1), before it builds or computes anything.
     pub fn run<P: VertexProgram>(
         &self,
         graph: &EdgeList,
@@ -188,8 +189,8 @@ impl Pregel {
         program: &P,
     ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
         self.placement(assignment)?;
-        let (csr, layout) = Layout::with_csr(graph, assignment, &self.config.base.spec);
-        let (states, trace) = self.trace(&csr, program);
+        let layout = Layout::build(graph, assignment, &self.config.base.spec);
+        let (states, trace) = self.trace(graph.csr(), program);
         Ok((states, self.price(&trace, &layout, assignment, program)?))
     }
 

@@ -8,23 +8,29 @@
 //! flattened order, and engine accounting reads the two side by side:
 //! gather/scatter work lands on the partitions that hold the edges, partial
 //! aggregates flow from replica partitions to masters, and state sync flows
-//! back.
+//! back. The counts are the assignment's own
+//! ([`Assignment::local_edge_counts`]): built once per assignment and shared,
+//! not copied, by every table of it.
 
-use gp_core::{CsrGraph, EdgeList, VertexId};
+use gp_core::{EdgeList, VertexId};
 use gp_partition::Assignment;
+use std::sync::Arc;
 
 /// `(local_in, local_out)` per vertex image, aligned with the flattened
 /// replica view of the assignment it was built from.
 #[derive(Debug, Clone)]
 pub struct ReplicaTable {
-    local: Vec<(u32, u32)>,
+    local: Arc<[(u32, u32)]>,
 }
 
 impl ReplicaTable {
-    /// Build from a graph and its assignment: [`sweep`] without the
-    /// adjacency arrays.
+    /// The local edge counts of `assignment`, which must be an assignment
+    /// of `graph`: built by the first call for that assignment, shared by
+    /// every later one.
     pub fn build(graph: &EdgeList, assignment: &Assignment) -> Self {
-        sweep::<false>(graph, assignment).0
+        ReplicaTable {
+            local: assignment.local_edge_counts(graph),
+        }
     }
 
     /// `(local_in, local_out)` of each image of `v`, in the order of
@@ -40,105 +46,6 @@ impl ReplicaTable {
     pub fn total_images(&self) -> usize {
         self.local.len()
     }
-}
-
-/// The fused layout sweep: one degree-count pass, one fill pass that
-/// carries each edge's partition into adjacency order, then a sequential
-/// per-vertex pass that counts a row's partitions in a `P`-wide scratch and
-/// emits the vertex's counts in the assignment's sorted replica order — no
-/// per-edge lookup into the replica sets. With `ADJACENCY` the fill pass
-/// also writes neighbor ids and the CSR comes back; without, the graph is
-/// `None` and only the table is built. Partition ids travel as one byte
-/// per edge endpoint up to 256 partitions, so the side arrays stay small
-/// and cache-resident.
-pub(crate) fn sweep<const ADJACENCY: bool>(
-    graph: &EdgeList,
-    assignment: &Assignment,
-) -> (ReplicaTable, Option<CsrGraph>) {
-    if assignment.num_partitions() <= 256 {
-        sweep_tagged::<ADJACENCY, u8>(graph, assignment)
-    } else {
-        sweep_tagged::<ADJACENCY, u32>(graph, assignment)
-    }
-}
-
-fn sweep_tagged<const ADJACENCY: bool, T: Copy + Default + TryFrom<u32> + Into<u32>>(
-    graph: &EdgeList,
-    assignment: &Assignment,
-) -> (ReplicaTable, Option<CsrGraph>) {
-    let edges = graph.edges();
-    let parts = assignment.edge_partitions();
-    assert_eq!(parts.len(), edges.len(), "one partition per edge");
-    assert_eq!(assignment.num_vertices(), graph.num_vertices());
-    let n = graph.num_vertices() as usize;
-
-    let mut out_offsets = vec![0u64; n + 1];
-    let mut in_offsets = vec![0u64; n + 1];
-    for e in edges {
-        out_offsets[e.src.index() + 1] += 1;
-        in_offsets[e.dst.index() + 1] += 1;
-    }
-    for i in 0..n {
-        out_offsets[i + 1] += out_offsets[i];
-        in_offsets[i + 1] += in_offsets[i];
-    }
-
-    // Fill, using each row's offset as its cursor: afterwards `offsets[v]`
-    // is the *end* of row v, and shifting up by one restores the starts.
-    let adjacency_len = if ADJACENCY { edges.len() } else { 0 };
-    let mut out_targets = vec![VertexId(0); adjacency_len];
-    let mut in_sources = vec![VertexId(0); adjacency_len];
-    let mut out_parts = vec![T::default(); edges.len()];
-    let mut in_parts = vec![T::default(); edges.len()];
-    for (e, &p) in edges.iter().zip(parts) {
-        let tag = T::try_from(p.0).unwrap_or_else(|_| panic!("{p} is not a partition"));
-        let oc = &mut out_offsets[e.src.index()];
-        out_parts[*oc as usize] = tag;
-        if ADJACENCY {
-            out_targets[*oc as usize] = e.dst;
-        }
-        *oc += 1;
-        let ic = &mut in_offsets[e.dst.index()];
-        in_parts[*ic as usize] = tag;
-        if ADJACENCY {
-            in_sources[*ic as usize] = e.src;
-        }
-        *ic += 1;
-    }
-    for offsets in [&mut out_offsets, &mut in_offsets] {
-        offsets.copy_within(0..n, 1);
-        offsets[0] = 0;
-    }
-
-    // (local_in, local_out) of the current vertex per partition; zeroed
-    // again as each image's counts are emitted.
-    let mut scratch = vec![(0u32, 0u32); assignment.num_partitions() as usize];
-    let mut local = Vec::with_capacity(assignment.total_images());
-    for v in 0..n {
-        for &p in &out_parts[out_offsets[v] as usize..out_offsets[v + 1] as usize] {
-            scratch[p.into() as usize].1 += 1;
-        }
-        for &p in &in_parts[in_offsets[v] as usize..in_offsets[v + 1] as usize] {
-            scratch[p.into() as usize].0 += 1;
-        }
-        for &p in assignment.replicas(VertexId(v as u64)) {
-            local.push(std::mem::take(&mut scratch[p as usize]));
-        }
-    }
-    debug_assert!(
-        scratch.iter().all(|&c| c == (0, 0)),
-        "an edge sits on a partition that holds no replica of its endpoint"
-    );
-    let csr = ADJACENCY.then(|| {
-        CsrGraph::from_parts(
-            graph.num_vertices(),
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-        )
-    });
-    (ReplicaTable { local }, csr)
 }
 
 #[cfg(test)]

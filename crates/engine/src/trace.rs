@@ -206,9 +206,9 @@ mod tests {
             .partition(&graph, &PartitionContext::new(9))
             .assignment;
         let spec = ClusterSpec::local_9();
-        let (csr, layout) = Layout::with_csr(&graph, &assignment, &spec);
+        let layout = Layout::build(&graph, &assignment, &spec);
         let engine = SyncGas::new(EngineConfig::new(spec));
-        let (_, trace) = engine.trace(&csr, &FixedRank);
+        let (_, trace) = engine.trace(graph.csr(), &FixedRank);
         let n = graph.num_vertices() as usize;
         let mut distinct = trace.steps.clone();
         distinct.dedup();

@@ -5,14 +5,16 @@
 //!   two fresh `run`s — states and full reports — on every engine, delta caching
 //!   included;
 //! * `price` refuses a layout built for another cluster size or from another
-//!   assignment of the same graph;
+//!   assignment of the same graph, and a layout refuses an assignment of
+//!   another graph — in release builds too, where no debug assertion runs;
+//! * two `run`s on one partitioned graph report the same, and the second
+//!   reuses the adjacency the graph owns and the counts the assignment owns;
 //! * a program that is always active reports the same active counts whether
 //!   or not it also asks for scatter activations (which the engines skip
 //!   marking for it).
 //!
-//! The layout's counts themselves are checked against a per-edge oracle by
-//! the unit tests of `gp_engine::layout`, which also reach the crate-private
-//! constructor that `run` uses.
+//! The counts themselves are checked against a per-edge oracle by the unit
+//! tests of `gp_partition`, which builds them.
 
 use gp_apps::{KCore, PageRank, Wcc};
 use gp_cluster::ClusterSpec;
@@ -22,6 +24,7 @@ use gp_engine::{
     PregelConfig, SyncGas, VertexProgram,
 };
 use gp_partition::{Assignment, PartitionContext, Strategy};
+use std::sync::Arc;
 
 #[test]
 fn an_empty_graph_runs_on_an_empty_layout() {
@@ -167,6 +170,35 @@ fn a_layout_of_an_assignment_with_the_same_replica_lists_is_refused() {
         assert_eq!(a.replicas(v), b.replicas(v));
     }
     price_on_layout_of(&graph, &a, &b);
+}
+
+#[test]
+#[should_panic(expected = "assignment of another graph")]
+fn an_assignment_of_another_graph_of_the_same_shape_is_refused() {
+    let graph = gp_gen::erdos_renyi(2_000, 12_000, 3);
+    let other = gp_gen::erdos_renyi(2_000, 12_000, 4);
+    assert_eq!(graph.num_vertices(), other.num_vertices());
+    assert_eq!(graph.num_edges(), other.num_edges());
+    let assignment = Strategy::Hdrf
+        .build()
+        .partition(&graph, &PartitionContext::new(9))
+        .assignment;
+    let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
+    engine.run(&graph, &assignment, &PageRank::fixed(5));
+    engine.run(&other, &assignment, &PageRank::fixed(5));
+}
+
+#[test]
+fn a_second_run_reuses_the_graphs_adjacency_and_the_assignments_counts() {
+    let (graph, assignment) = job(9);
+    let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
+    let first = engine.run(&graph, &assignment, &PageRank::fixed(5));
+    let (csr, counts) = (graph.csr(), assignment.local_edge_counts(&graph));
+    let second = engine.run(&graph, &assignment, &PageRank::fixed(5));
+    assert_eq!(first.0, second.0);
+    assert_eq!(format!("{:?}", first.1), format!("{:?}", second.1));
+    assert!(std::ptr::eq(csr, graph.csr()));
+    assert!(Arc::ptr_eq(&counts, &assignment.local_edge_counts(&graph)));
 }
 
 /// Min-label propagation that recomputes everywhere every superstep; only

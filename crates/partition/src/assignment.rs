@@ -16,9 +16,19 @@
 //! sorted-id array instead of one heap `Vec` per vertex. All read paths
 //! (`replicas`, slots, masters, RF, counts) serve from that view and the
 //! bitsets are dropped.
+//!
+//! An assignment also remembers which edge stream it placed, as the
+//! stream's [`gp_core::edge_digest`], and builds its per-image local edge
+//! counts the first time an engine asks — refusing any graph whose digest
+//! differs, so the cached counts can only ever describe their own graph.
 
-use gp_core::{for_each_edge, hash_u64, Edge, PartitionId, PartitionSet, StreamingEdges, VertexId};
+use crate::local_edges::count_local_edges;
+use gp_core::{
+    for_each_edge, hash_stream_edge, hash_u64, Edge, EdgeList, PartitionId, PartitionSet,
+    StreamingEdges, VertexId,
+};
 use gp_par::ParConfig;
+use std::sync::{Arc, OnceLock};
 
 /// An edge→partition assignment plus derived replication structure.
 #[derive(Debug, Clone)]
@@ -35,6 +45,11 @@ pub struct Assignment {
     masters: Vec<PartitionId>,
     /// Edges per partition.
     edge_counts: Vec<u64>,
+    /// [`gp_core::edge_digest`] of the edge stream that was placed.
+    stream_digest: u64,
+    /// `(local_in, local_out)` per image, aligned with `rep_flat`; built by
+    /// the first [`Assignment::local_edge_counts`].
+    local_edges: OnceLock<Arc<[(u32, u32)]>>,
 }
 
 impl Assignment {
@@ -58,14 +73,15 @@ impl Assignment {
     }
 
     /// Multi-threaded [`Assignment::from_edge_partitions`]: workers build
-    /// thread-local replica-bitset/edge-count shards over disjoint edge
-    /// chunks, merged pairwise in a reduction tree whose operators
-    /// (word-wise OR, integer addition) are associative, commutative and
-    /// insensitive to chunk boundaries — so the result is byte-identical to
-    /// the sequential build at any thread count, while the merge itself
-    /// runs in `log2(chunks)` parallel rounds instead of one sequential
-    /// left fold (the fold was eating the whole stateless-ingress speedup:
-    /// `chunks - 1` full O(n)-vertex merges on one thread).
+    /// thread-local replica-bitset/edge-count/digest shards over disjoint
+    /// edge chunks, merged pairwise in a reduction tree whose operators
+    /// (word-wise OR, integer and wrapping addition) are associative,
+    /// commutative and insensitive to chunk boundaries — so the result is
+    /// byte-identical to the sequential build at any thread count, while
+    /// the merge itself runs in `log2(chunks)` parallel rounds instead of
+    /// one sequential left fold (the fold was eating the whole
+    /// stateless-ingress speedup: `chunks - 1` full O(n)-vertex merges on
+    /// one thread).
     pub fn from_edge_partitions_par(
         graph: &dyn StreamingEdges,
         edge_partition: Vec<PartitionId>,
@@ -82,40 +98,44 @@ impl Assignment {
         let build_shard = |range: std::ops::Range<usize>| {
             let mut sets: Vec<PartitionSet> = vec![PartitionSet::new(); n];
             let mut edge_counts = vec![0u64; num_partitions as usize];
+            let mut digest = 0u64;
             let mut i = range.start;
             for_each_edge(graph, range, |e| {
                 let p = edge_partition[i];
+                digest = digest.wrapping_add(hash_stream_edge(i, e));
                 i += 1;
                 debug_assert!(p.0 < num_partitions, "partition {p} out of range");
                 edge_counts[p.index()] += 1;
                 sets[e.src.index()].insert(p.0);
                 sets[e.dst.index()].insert(p.0);
             });
-            (sets, edge_counts)
+            (sets, edge_counts, digest)
         };
-        let (replica_sets, edge_counts) = if par.is_parallel() {
+        let (replica_sets, edge_counts, stream_digest) = if par.is_parallel() {
             let mut shards =
                 gp_par::map_chunks(par, graph.num_edges(), |_, range| build_shard(range));
             // Pairwise reduction tree: each round merges shard 2k+1 into
             // shard 2k, all pairs in parallel on the ordered pool. The merge
             // kernel is one word-wise OR per vertex plus an integer add per
-            // partition — no allocation, no per-element branching.
+            // partition and one for the digest — no allocation, no
+            // per-element branching.
             while shards.len() > 1 {
                 let mut iter = shards.into_iter();
                 let mut tasks = Vec::new();
                 while let Some(left) = iter.next() {
                     let right = iter.next();
                     tasks.push(move || {
-                        let (mut sets, mut counts) = left;
-                        if let Some((right_sets, right_counts)) = right {
+                        let (mut sets, mut counts, mut digest) = left;
+                        if let Some((right_sets, right_counts, right_digest)) = right {
                             for (total, c) in counts.iter_mut().zip(right_counts) {
                                 *total += c;
                             }
                             for (set, shard_set) in sets.iter_mut().zip(&right_sets) {
                                 set.union_with(shard_set);
                             }
+                            digest = digest.wrapping_add(right_digest);
                         }
-                        (sets, counts)
+                        (sets, counts, digest)
                     });
                 }
                 shards = gp_par::run_ordered(par.effective_threads(), tasks);
@@ -157,6 +177,8 @@ impl Assignment {
             rep_flat,
             masters,
             edge_counts,
+            stream_digest,
+            local_edges: OnceLock::new(),
         }
     }
 
@@ -311,6 +333,31 @@ impl Assignment {
     /// Load-balance summary over edge counts.
     pub fn balance(&self) -> BalanceReport {
         BalanceReport::from_counts(&self.edge_counts)
+    }
+
+    /// [`gp_core::edge_digest`] of the edge stream this assignment placed.
+    #[inline]
+    pub fn stream_digest(&self) -> u64 {
+        self.stream_digest
+    }
+
+    /// `(local_in, local_out)` of every vertex image — how many of its in-
+    /// and out-edges that partition holds — aligned with the flattened
+    /// replica view (`replica_offset(v)` starts `v`'s slice). Built by the
+    /// first call and shared by every later one. Panics with "assignment of
+    /// another graph" unless `graph` is the edge stream this assignment
+    /// placed, up to a 64-bit digest collision.
+    pub fn local_edge_counts(&self, graph: &EdgeList) -> Arc<[(u32, u32)]> {
+        assert!(
+            graph.num_vertices() == self.num_vertices
+                && graph.num_edges() == self.num_edges()
+                && graph.edge_digest() == self.stream_digest,
+            "assignment of another graph"
+        );
+        Arc::clone(
+            self.local_edges
+                .get_or_init(|| count_local_edges(graph, self).into()),
+        )
     }
 }
 
@@ -521,6 +568,28 @@ mod tests {
         let g = EdgeList::with_vertex_count(vec![Edge::new(0u64, 1u64)], 10).unwrap();
         let a = Assignment::from_edge_partitions(&g, vec![PartitionId(0)], 4, 1);
         assert_eq!(a.replication_factor(), 1.0);
+    }
+
+    #[test]
+    fn an_assignment_carries_its_streams_digest_and_shares_one_count_array() {
+        let g = tiny();
+        let a = assign_round_robin(&g, 2);
+        assert_eq!(a.stream_digest(), g.edge_digest());
+        let counts = a.local_edge_counts(&g);
+        // p0 holds (0,1) and (2,0), p1 holds (1,2) and (0,3); v0's images.
+        assert_eq!(counts[..2], [(1, 1), (0, 1)]);
+        assert!(Arc::ptr_eq(&counts, &a.local_edge_counts(&g)));
+        assert!(Arc::ptr_eq(&counts, &a.clone().local_edge_counts(&g)));
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment of another graph")]
+    fn local_edge_counts_refuse_another_graph_of_the_same_shape() {
+        let g = tiny();
+        let a = assign_round_robin(&g, 2);
+        a.local_edge_counts(&g);
+        let reversed: Vec<Edge> = g.edges().iter().map(|e| e.reversed()).collect();
+        a.local_edge_counts(&EdgeList::from_edges(reversed));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! the data, strategy state memory) that the cluster model turns into the
 //! ingress times of Figs 5.7/6.4/8.2. [`Assignment`] derives everything the
 //! paper measures from partitions: replication factor, masters/mirrors,
-//! load balance.
+//! load balance — and, built once on first use, the per-image local edge
+//! counts the engines price from.
 //!
 //! ## Example
 //!
@@ -46,6 +47,7 @@
 pub mod assignment;
 pub mod incremental;
 pub mod ingress;
+mod local_edges;
 pub mod partitioner;
 pub mod persist;
 pub mod speculative;

@@ -6,9 +6,10 @@
 //! eleven `Strategy` variants plus BiCut, Chunking and VEBO) and all four
 //! engines at thread counts {1, 2, 4, 7}, comparing the serialized
 //! artifacts. The compared bytes cover the full observable `Assignment`
-//! state — per-edge partitions, masters, replica lists in sorted order, and
-//! all derived counts — so a divergence anywhere in the bitset/CSR replica
-//! kernels (not just in edge placement) fails the suite.
+//! state — per-edge partitions, masters, replica lists in sorted order, all
+//! derived counts, and the digest of the edge stream it placed — so a
+//! divergence anywhere in the bitset/CSR replica kernels (not just in edge
+//! placement) fails the suite.
 //!
 //! The windowed speculative ingress path (`--window >= 2`) deliberately
 //! relaxes byte-identity *versus the one-edge-at-a-time drive* — state is
@@ -22,7 +23,7 @@
 
 use distgraph::apps::{PageRank, Wcc};
 use distgraph::cluster::ClusterSpec;
-use distgraph::core::{Edge, EdgeList, StreamingEdges, VertexId};
+use distgraph::core::{edge_digest, Edge, EdgeList, StreamingEdges, VertexId};
 use distgraph::engine::{AsyncGas, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
 use distgraph::partition::strategies::{BiCut, Chunking, Vebo};
 use distgraph::partition::{
@@ -77,7 +78,8 @@ const STATEFUL: [Strategy; 4] = [
 /// The serialized assignment a partitioner produces at a given thread
 /// count: the persisted form (edge partitions + masters) plus every other
 /// observable — sorted replica lists, bitset/CSR agreement, edge counts,
-/// replica/master counts, RF, mirrors, and ingress accounting.
+/// replica/master counts, RF, mirrors, ingress accounting, and the digest of
+/// the edge stream, which must be the stream's own.
 fn assignment_bytes(
     graph: &dyn StreamingEdges,
     partitioner: &mut dyn Partitioner,
@@ -104,6 +106,11 @@ fn windowed_bytes(
         .with_window(window);
     let outcome = partitioner.partition(graph, &ctx);
     let a = &outcome.assignment;
+    assert_eq!(
+        a.stream_digest(),
+        edge_digest(graph),
+        "the placed stream's digest"
+    );
     let mut buf = Vec::new();
     write_assignment(a, &mut buf).expect("serialize");
     use std::io::Write as _;
@@ -113,7 +120,7 @@ fn windowed_bytes(
     }
     writeln!(
         buf,
-        "counts {:?} {:?} {:?} rf {} mirrors {} work {:?} state {}",
+        "counts {:?} {:?} {:?} rf {} mirrors {} work {:?} state {} digest {:#x}",
         a.edge_counts(),
         a.replica_counts(),
         a.master_counts(),
@@ -121,6 +128,7 @@ fn windowed_bytes(
         a.total_mirrors(),
         outcome.loader_work,
         outcome.state_bytes,
+        a.stream_digest(),
     )
     .unwrap();
     buf
