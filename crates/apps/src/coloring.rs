@@ -8,7 +8,7 @@
 //! This is the one application the paper runs on PowerGraph's
 //! **asynchronous** engine (§5.4.1): under synchronous semantics two
 //! adjacent vertices recolor simultaneously and can livelock forever.
-//! Run it with [`AsyncGas`](gp_engine::AsyncGas).
+//! Run it on [`Model::Async`](gp_engine::Model::Async).
 
 use gp_core::{PartitionSet, VertexId};
 use gp_engine::{ApplyInfo, Direction, InitInfo, VertexProgram};
@@ -113,7 +113,7 @@ mod tests {
     use super::*;
     use gp_cluster::ClusterSpec;
     use gp_core::EdgeList;
-    use gp_engine::{AsyncGas, EngineConfig};
+    use gp_engine::{Engine, EngineConfig, Model};
     use gp_partition::{PartitionContext, Strategy};
 
     fn run_async(g: &EdgeList) -> (Vec<u32>, gp_engine::ComputeReport) {
@@ -121,7 +121,9 @@ mod tests {
             .build()
             .partition(g, &PartitionContext::new(4))
             .assignment;
-        AsyncGas::new(EngineConfig::new(ClusterSpec::local_9())).run(g, &a, &Coloring)
+        Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Async)
+            .run(g, &a, &Coloring)
+            .unwrap()
     }
 
     #[test]

@@ -80,11 +80,12 @@ mod tests {
     use super::*;
     use gp_cluster::ClusterSpec;
     use gp_core::EdgeList;
-    use gp_engine::{EngineConfig, SyncGas};
+    use gp_engine::{ComputeReport, Engine, EngineConfig, Model};
     use gp_partition::{PartitionContext, Strategy};
 
-    fn engine() -> SyncGas {
-        SyncGas::new(EngineConfig::new(ClusterSpec::local_9()))
+    fn run(g: &EdgeList, a: &gp_partition::Assignment, k: u32) -> (Vec<bool>, ComputeReport) {
+        let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+        engine.run(g, a, &KCore::new(k)).unwrap()
     }
 
     fn assignment(g: &EdgeList) -> gp_partition::Assignment {
@@ -110,7 +111,7 @@ mod tests {
     #[test]
     fn three_core_is_the_clique() {
         let g = clique_with_tail();
-        let (alive, _) = engine().run(&g, &assignment(&g), &KCore::new(3));
+        let (alive, _) = run(&g, &assignment(&g), 3);
         assert_eq!(alive, vec![true, true, true, true, false, false]);
     }
 
@@ -118,7 +119,7 @@ mod tests {
     fn peeling_cascades() {
         // A path has no 2-core: removing leaves cascades down the chain.
         let g = EdgeList::from_pairs((0..20).map(|i| (i, i + 1)).collect());
-        let (alive, report) = engine().run(&g, &assignment(&g), &KCore::new(2));
+        let (alive, report) = run(&g, &assignment(&g), 2);
         assert!(alive.iter().all(|&a| !a), "paths have no 2-core");
         assert!(
             report.supersteps() > 5,
@@ -131,7 +132,7 @@ mod tests {
         let mut pairs: Vec<(u64, u64)> = (0..10).map(|i| (i, (i + 1) % 10)).collect();
         pairs.push((0, 10)); // pendant
         let g = EdgeList::from_pairs(pairs);
-        let (alive, _) = engine().run(&g, &assignment(&g), &KCore::new(2));
+        let (alive, _) = run(&g, &assignment(&g), 2);
         assert!(alive[..10].iter().all(|&a| a));
         assert!(!alive[10]);
     }
@@ -142,7 +143,7 @@ mod tests {
         let a = assignment(&g);
         let sizes: Vec<usize> = (2..=8)
             .map(|k| {
-                let (alive, report) = engine().run(&g, &a, &KCore::new(k));
+                let (alive, report) = run(&g, &a, k);
                 assert!(report.compute_seconds() > 0.0);
                 alive.iter().filter(|&&a| a).count()
             })
@@ -156,7 +157,7 @@ mod tests {
     fn kcore_matches_reference_peeling() {
         let g = gp_gen::erdos_renyi(300, 1_800, 7);
         let k = 6;
-        let (alive, _) = engine().run(&g, &assignment(&g), &KCore::new(k));
+        let (alive, _) = run(&g, &assignment(&g), k);
         // Reference sequential peeling.
         let mut deg = vec![0u32; 300];
         for e in g.edges() {

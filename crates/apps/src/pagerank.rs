@@ -158,7 +158,7 @@ mod tests {
     use super::*;
     use gp_cluster::ClusterSpec;
     use gp_core::EdgeList;
-    use gp_engine::{EngineConfig, SyncGas};
+    use gp_engine::{Engine, EngineConfig, Model};
     use gp_partition::{PartitionContext, Strategy};
 
     fn run(g: &EdgeList, pr: &PageRank) -> (Vec<Rank>, gp_engine::ComputeReport) {
@@ -166,7 +166,9 @@ mod tests {
             .build()
             .partition(g, &PartitionContext::new(4))
             .assignment;
-        SyncGas::new(EngineConfig::new(ClusterSpec::local_9())).run(g, &a, pr)
+        Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync)
+            .run(g, &a, pr)
+            .unwrap()
     }
 
     #[test]

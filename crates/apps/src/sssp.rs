@@ -111,7 +111,7 @@ mod tests {
     use super::*;
     use gp_cluster::ClusterSpec;
     use gp_core::EdgeList;
-    use gp_engine::{EngineConfig, SyncGas};
+    use gp_engine::{Engine, EngineConfig, Model};
     use gp_partition::{PartitionContext, Strategy};
 
     fn run(g: &EdgeList, prog: &Sssp) -> (Vec<u32>, gp_engine::ComputeReport) {
@@ -119,7 +119,9 @@ mod tests {
             .build()
             .partition(g, &PartitionContext::new(4))
             .assignment;
-        SyncGas::new(EngineConfig::new(ClusterSpec::local_9())).run(g, a_ref(&a), prog)
+        Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync)
+            .run(g, a_ref(&a), prog)
+            .unwrap()
     }
 
     fn a_ref(a: &gp_partition::Assignment) -> &gp_partition::Assignment {

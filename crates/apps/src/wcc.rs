@@ -66,7 +66,7 @@ mod tests {
     use super::*;
     use gp_cluster::ClusterSpec;
     use gp_core::EdgeList;
-    use gp_engine::{EngineConfig, SyncGas};
+    use gp_engine::{Engine, EngineConfig, Model};
     use gp_partition::{PartitionContext, Strategy};
 
     fn run(g: &EdgeList) -> Vec<u64> {
@@ -74,8 +74,9 @@ mod tests {
             .build()
             .partition(g, &PartitionContext::new(4))
             .assignment;
-        SyncGas::new(EngineConfig::new(ClusterSpec::local_9()))
+        Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync)
             .run(g, &a, &Wcc)
+            .unwrap()
             .0
     }
 

@@ -204,7 +204,7 @@ pub fn ablation_reuse(scale: f64, seed: u64) -> Vec<Table> {
 /// in-edges on one machine) vs true vertex-cuts.
 pub fn ablation_edge_vs_vertex_cut(scale: f64, seed: u64) -> Vec<Table> {
     use gp_apps::PageRank;
-    use gp_engine::{EngineConfig, SyncGas};
+    use gp_engine::{Engine, EngineConfig, Model};
     let spec = ClusterSpec::ec2_25();
     let mut t = Table::new(
         "Ablation — edge-cut vs vertex-cut gather-work imbalance, PageRank (EC2-25)",
@@ -243,11 +243,10 @@ pub fn ablation_edge_vs_vertex_cut(scale: f64, seed: u64) -> Vec<Table> {
                     &PartitionContext::new(spec.machines).with_seed(seed),
                 )
                 .assignment;
-            let (_, report) = SyncGas::new(EngineConfig::new(spec.clone())).run(
-                &graph,
-                &assignment,
-                &PageRank::fixed(3),
-            );
+            let engine = Engine::new(EngineConfig::new(spec.clone()), Model::Sync);
+            let (_, report) = engine
+                .run(&graph, &assignment, &PageRank::fixed(3))
+                .expect("PowerGraph holds any graph");
             // Max/mean per-machine work over the run.
             let machines = spec.machines as usize;
             let mut work = vec![0.0f64; machines];
@@ -309,7 +308,7 @@ pub fn ablation_chunking(scale: f64, seed: u64) -> Vec<Table> {
 /// the engine models exactly that.)
 pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
     use gp_apps::PageRank;
-    use gp_engine::{EngineConfig, Layout, SyncGas};
+    use gp_engine::{Engine, EngineConfig, Model};
     let spec = ClusterSpec::ec2_25();
     let mut t = Table::new(
         "Ablation — PowerGraph gather (delta) caching, PageRank(30) (UK-web analogue, EC2-25)",
@@ -325,8 +324,9 @@ pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
     let program = PageRank::fixed_with_tolerance(30, 1e-3);
     // One semantic pass per caching flag, priced on both partitionings.
     let traced = [false, true].map(|on| {
-        let engine = SyncGas::new(EngineConfig::new(spec.clone()).with_delta_caching(on));
-        let (_, trace) = engine.trace(graph.csr(), &program);
+        let config = EngineConfig::new(spec.clone()).with_delta_caching(on);
+        let engine = Engine::new(config, Model::Sync);
+        let (_, trace) = engine.trace(&graph, &program);
         (engine, trace)
     });
     for strategy in [Strategy::Grid, Strategy::Hdrf] {
@@ -339,10 +339,10 @@ pub fn ablation_delta_caching(scale: f64, seed: u64) -> Vec<Table> {
             .assignment;
         let gm =
             |r: &gp_engine::ComputeReport| r.steps.iter().map(|s| s.gather_messages).sum::<u64>();
-        let layout = Layout::build(&graph, &assignment, &spec);
         let [off, on] = [0, 1].map(|i| {
             let (engine, trace) = &traced[i];
-            engine.price(trace, &layout, &assignment, &program)
+            let priced = engine.price(trace, &graph, &assignment, &program);
+            priced.expect("PowerGraph holds any graph")
         });
         t.row(vec![
             strategy.label().to_string(),

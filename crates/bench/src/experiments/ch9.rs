@@ -2,7 +2,8 @@
 
 use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
-use gp_engine::{EngineConfig, PlacementCase, Pregel, PregelConfig};
+use gp_engine::pregel::graph_bytes;
+use gp_engine::{Engine, EngineConfig, Model, PlacementCase};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
 
@@ -98,13 +99,9 @@ pub fn fig9_4(scale: f64, seed: u64) -> Vec<Table> {
     // The paper sweeps 400-1800 MB of executor memory against road-net-CA;
     // our analogue is smaller, so sweep relative to the partitioned graph's
     // actual footprint to hit all three placement cases.
-    let graphx = |executor_memory_bytes| {
-        let config = PregelConfig::new(EngineConfig::new(spec.clone()));
-        Pregel::new(config.with_executor_memory(executor_memory_bytes))
-    };
     let partitions = EngineKind::graphx_default().partitions(&spec);
     let outcome = pipeline.partition(Dataset::RoadNetCa, Strategy::Random, partitions, 9);
-    let footprint = graphx(0).graph_bytes(&outcome.assignment);
+    let footprint = graph_bytes(&outcome.assignment);
     for step in 1..=14u64 {
         // 1/9th of the footprint is the fair per-executor share; sweep from
         // starvation (case 1) past co-location pressure (case 2) to plenty
@@ -121,16 +118,19 @@ pub fn fig9_4(scale: f64, seed: u64) -> Vec<Table> {
             engine,
             App::PageRankFixed(ITERATIONS),
         ));
-        let case = if job.failed {
-            "case 1: does not fit (job FAILED)".to_string()
-        } else {
-            match graphx(mem).memory_model().placement(footprint) {
-                PlacementCase::DoesNotFit => "case 1: does not fit".to_string(),
-                PlacementCase::FitsCluster { retries } => {
-                    format!("case 2: fits cluster after {retries} co-location retries")
-                }
-                PlacementCase::FitsFew => "case 3: fits a few executors".to_string(),
+        let graphx = Engine::new(
+            EngineConfig::new(spec.clone()),
+            Model::GraphX {
+                executor_memory_bytes: mem,
+            },
+        );
+        let outcome = pipeline.partition(Dataset::RoadNetCa, Strategy::Random, partitions, 9);
+        let case = match graphx.placement(&outcome.assignment) {
+            Err(_) => "case 1: does not fit (job FAILED)".to_string(),
+            Ok(PlacementCase::FitsCluster { retries }) => {
+                format!("case 2: fits cluster after {retries} co-location retries")
             }
+            Ok(PlacementCase::FitsFew) => "case 3: fits a few executors".to_string(),
         };
         t.row(vec![
             gp_cluster::table::fmt_bytes(mem as f64),

@@ -3,12 +3,11 @@
 
 use gp_apps::{Coloring, KCore, PageRank, Sssp, Wcc};
 use gp_cluster::{ClusterSpec, CostRates};
-use gp_core::{CsrGraph, EdgeList, VertexId};
+use gp_core::{EdgeList, VertexId};
 use gp_elastic::ElasticKind;
-use gp_engine::pregel::PregelOom;
 use gp_engine::{
-    base_memory_per_machine, AsyncGas, CommsConfig, ComputeReport, ElasticConfig, EngineConfig,
-    HybridGas, Layout, Pregel, PregelConfig, SemanticTrace, Semantics, SyncGas, VertexProgram,
+    base_memory_per_machine, CommsConfig, ComputeReport, ElasticConfig, Engine, EngineConfig,
+    Model, PregelOom, SemanticTrace, Semantics, VertexProgram,
 };
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
@@ -408,59 +407,35 @@ impl Scenario {
 
 /// A system's engine, configured for one cluster and pointed at one
 /// partitioned graph: what an application's programs run on. The only
-/// place an [`EngineKind`] picks an engine and the only place an [`App`]
-/// becomes vertex programs.
+/// place an [`EngineKind`] picks an engine model and the only place an
+/// [`App`] becomes vertex programs.
 pub struct Deployment<'a> {
     /// System whose engine computes.
     pub engine: EngineKind,
     /// Cluster, mid-job models, threads and telemetry.
     pub config: EngineConfig,
-    /// The graph's adjacency, which every program's semantic pass reads.
-    pub csr: &'a CsrGraph,
-    /// Layout of `assignment` over the cluster's machines.
-    pub layout: &'a Layout,
-    /// The partitioning the layout was built from.
+    /// The graph, whose adjacency every program's semantic pass reads.
+    pub graph: &'a EdgeList,
+    /// The partitioning of `graph` every program is priced on.
     pub assignment: &'a Assignment,
-}
-
-/// The engine a [`Deployment`] runs an app's programs on.
-enum Engine {
-    Sync(SyncGas),
-    Hybrid(HybridGas),
-    Pregel(Pregel),
-    Async(AsyncGas),
-}
-
-impl Engine {
-    /// The semantic pass the engine's programs take.
-    fn semantics(&self) -> Semantics {
-        match self {
-            Engine::Sync(engine) => engine.into(),
-            Engine::Hybrid(engine) => engine.into(),
-            Engine::Pregel(engine) => engine.into(),
-            Engine::Async(engine) => engine.into(),
-        }
-    }
 }
 
 impl Deployment<'_> {
     /// The engine `app`'s programs run on here: PowerGraph and PowerLyra
     /// run Coloring on their asynchronous engine (§5.4.1).
     fn engine(&self, app: App) -> Engine {
-        let config = self.config.clone();
-        match self.engine {
-            EngineKind::PowerGraph | EngineKind::PowerLyra if app == App::Coloring => {
-                Engine::Async(AsyncGas::new(config))
-            }
-            EngineKind::PowerGraph => Engine::Sync(SyncGas::new(config)),
-            EngineKind::PowerLyra => Engine::Hybrid(HybridGas::new(config)),
+        let model = match self.engine {
+            EngineKind::PowerGraph | EngineKind::PowerLyra if app == App::Coloring => Model::Async,
+            EngineKind::PowerGraph => Model::Sync,
+            EngineKind::PowerLyra => Model::Hybrid,
             EngineKind::GraphX {
                 executor_memory_bytes,
                 ..
-            } => Engine::Pregel(Pregel::new(
-                PregelConfig::new(config).with_executor_memory(executor_memory_bytes),
-            )),
-        }
+            } => Model::GraphX {
+                executor_memory_bytes,
+            },
+        };
+        Engine::new(self.config.clone(), model)
     }
 
     /// Price program `i` of an app on `engine` from `traces[i]`, recording
@@ -474,24 +449,11 @@ impl Deployment<'_> {
         traces: &mut Vec<SemanticTrace>,
         i: usize,
     ) -> Result<ComputeReport, PregelOom> {
-        let (layout, assignment) = (self.layout, self.assignment);
-        macro_rules! priced {
-            ($engine:expr) => {{
-                if traces.len() == i {
-                    traces.push($engine.trace(self.csr, program).1);
-                }
-                $engine.price(&traces[i], layout, assignment, program)
-            }};
+        engine.placement(self.assignment)?;
+        if traces.len() == i {
+            traces.push(engine.trace(self.graph, program).1);
         }
-        Ok(match engine {
-            Engine::Sync(engine) => priced!(engine),
-            Engine::Hybrid(engine) => priced!(engine),
-            Engine::Async(engine) => priced!(engine),
-            Engine::Pregel(engine) => {
-                engine.placement(assignment)?;
-                priced!(engine)?
-            }
-        })
+        engine.price(&traces[i], self.graph, self.assignment, program)
     }
 
     /// Run every program of `app` (one, or one per k for k-core), SSSP from
@@ -547,10 +509,6 @@ pub struct Pipeline {
     /// the first time an SSSP job runs on it.
     sssp_sources: HashMap<Dataset, VertexId>,
     partitions: HashMap<PartitionKey, PartitionOutcome>,
-    /// Engine layout of each cached partitioning, built by the first job
-    /// that computes on it over the counts its assignment owns. The key's
-    /// loader count is the machine count.
-    layouts: HashMap<PartitionKey, Layout>,
     /// The key of `traces`: they are one entry, not a map, because every
     /// sweep runs its strategy, cluster, engine or fault loop innermost, and
     /// one entry bounds their memory by construction.
@@ -578,7 +536,6 @@ impl Pipeline {
             graphs: HashMap::new(),
             sssp_sources: HashMap::new(),
             partitions: HashMap::new(),
-            layouts: HashMap::new(),
             trace_key: None,
             traces: Vec::new(),
         }
@@ -678,10 +635,6 @@ impl Pipeline {
         let graph = &self.graphs[&dataset];
         let outcome = &self.partitions[&key];
         let assignment = &outcome.assignment;
-        let layout = self
-            .layouts
-            .entry(key)
-            .or_insert_with(|| Layout::build(graph, assignment, spec));
         let sssp_source = match app {
             App::Sssp { .. } => *self.sssp_sources.entry(dataset).or_insert_with(|| {
                 let deg = graph.degrees();
@@ -731,8 +684,7 @@ impl Pipeline {
                 .with_elastic(scenario.elastic.clone())
                 .with_threads(self.threads)
                 .with_telemetry(telemetry.clone()),
-            csr: graph.csr(),
-            layout,
+            graph,
             assignment,
         };
         let config = &deployment.config;

@@ -6,7 +6,7 @@ use gp_bench::{App, Deployment, EngineKind};
 use gp_cluster::table::fmt_bytes;
 use gp_cluster::ClusterSpec;
 use gp_core::VertexId;
-use gp_engine::{EngineConfig, Layout};
+use gp_engine::EngineConfig;
 use gp_partition::{PartitionContext, Strategy, System};
 use std::io::Write;
 
@@ -66,8 +66,7 @@ impl Subcommand for Args {
         let deployment = Deployment {
             engine: EngineKind::from(self.system),
             config: EngineConfig::new(spec.clone()).with_threads(self.threads),
-            csr: graph.csr(),
-            layout: &Layout::build(&graph, &assignment, &spec),
+            graph: &graph,
             assignment: &assignment,
         };
         let reports = deployment

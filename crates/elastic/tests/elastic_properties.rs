@@ -15,7 +15,7 @@ use gp_core::EdgeList;
 use gp_elastic::{
     ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan, ElasticRates, RepairPolicy,
 };
-use gp_engine::{AsyncGas, ComputeReport, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
+use gp_engine::{ComputeReport, Engine, EngineConfig, Model};
 use gp_fault::CheckpointPolicy;
 use gp_partition::{Assignment, PartitionContext, Strategy};
 
@@ -41,7 +41,7 @@ fn healthy() -> EngineConfig {
 fn sync_job(config: EngineConfig) -> (Vec<u64>, ComputeReport) {
     let g = graph();
     let a = assignment(&g);
-    SyncGas::new(config).run(&g, &a, &Wcc)
+    Engine::new(config, Model::Sync).run(&g, &a, &Wcc).unwrap()
 }
 
 #[test]
@@ -55,18 +55,30 @@ fn empty_plan_is_bit_identical_across_all_engines() {
     for plan in [ElasticPlan::none(), zero_rate] {
         let with = ElasticConfig::new(plan).with_repair(RepairPolicy::AlwaysRepartition);
 
-        let (s1, r1) = SyncGas::new(healthy()).run(&g, &a, &Wcc);
-        let (s2, r2) = SyncGas::new(healthy().with_elastic(with.clone())).run(&g, &a, &Wcc);
+        let (s1, r1) = Engine::new(healthy(), Model::Sync)
+            .run(&g, &a, &Wcc)
+            .unwrap();
+        let (s2, r2) = Engine::new(healthy().with_elastic(with.clone()), Model::Sync)
+            .run(&g, &a, &Wcc)
+            .unwrap();
         assert_eq!(s1, s2);
         assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "sync-gas bit-for-bit");
 
-        let (s1, r1) = HybridGas::new(healthy()).run(&g, &a, &Wcc);
-        let (s2, r2) = HybridGas::new(healthy().with_elastic(with.clone())).run(&g, &a, &Wcc);
+        let (s1, r1) = Engine::new(healthy(), Model::Hybrid)
+            .run(&g, &a, &Wcc)
+            .unwrap();
+        let (s2, r2) = Engine::new(healthy().with_elastic(with.clone()), Model::Hybrid)
+            .run(&g, &a, &Wcc)
+            .unwrap();
         assert_eq!(s1, s2);
         assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "hybrid bit-for-bit");
 
-        let (s1, r1) = AsyncGas::new(healthy()).run(&g, &a, &Wcc);
-        let (s2, r2) = AsyncGas::new(healthy().with_elastic(with.clone())).run(&g, &a, &Wcc);
+        let (s1, r1) = Engine::new(healthy(), Model::Async)
+            .run(&g, &a, &Wcc)
+            .unwrap();
+        let (s2, r2) = Engine::new(healthy().with_elastic(with.clone()), Model::Async)
+            .run(&g, &a, &Wcc)
+            .unwrap();
         assert_eq!(s1, s2);
         assert_eq!(
             format!("{r1:?}"),
@@ -74,10 +86,10 @@ fn empty_plan_is_bit_identical_across_all_engines() {
             "async-gas bit-for-bit"
         );
 
-        let (s1, r1) = Pregel::new(PregelConfig::new(healthy()))
+        let (s1, r1) = Engine::new(healthy(), Model::GRAPHX)
             .run(&g, &a, &Wcc)
             .expect("fits");
-        let (s2, r2) = Pregel::new(PregelConfig::new(healthy().with_elastic(with)))
+        let (s2, r2) = Engine::new(healthy().with_elastic(with), Model::GRAPHX)
             .run(&g, &a, &Wcc)
             .expect("fits");
         assert_eq!(s1, s2);

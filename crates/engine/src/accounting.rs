@@ -4,12 +4,13 @@
 //! An engine's semantic pass reduces each vertex update to an [`Update`] —
 //! the vertex and three flags — and [`Accountant::account`] turns a
 //! superstep's update sequence into per-machine work, traffic and message
-//! tallies against the [`Assignment`]'s replicas and the [`Layout`]'s local
-//! edge counts and machine fold: a pure function of the run's constants and
-//! that sequence. [`Accountant::price`] walks a [`SemanticTrace`] through it: a
-//! superstep the trace stores as a repeat of the one before gets that one's
-//! tallies again instead of a recount, and the engine's superstep clock
-//! turns each superstep's tallies into the report's [`SuperstepStats`].
+//! tallies against the [`Assignment`]'s replicas and local edge counts,
+//! folded onto the cluster's machines: a pure function of the run's
+//! constants and that sequence. [`Accountant::price`] walks a
+//! [`SemanticTrace`] through it: a superstep the trace stores as a repeat
+//! of the one before gets that one's tallies again instead of a recount,
+//! and the engine's superstep clock turns each superstep's tallies into the
+//! report's [`SuperstepStats`].
 //!
 //! Byte tallies accumulate as `u64`: every addend the engines ever added
 //! was a `u64 as f64` into a cell starting at `0.0`, so below 2^53 (asserted
@@ -17,12 +18,12 @@
 //! the integer sum converted at the end. `work` addends are not integers
 //! (`SCATTER_WORK` is 0.6); work stays f64 in the original per-cell order.
 
-use crate::layout::Layout;
 use crate::program::{Direction, VertexProgram};
 use crate::report::{EngineConfig, SuperstepStats};
 use crate::trace::{Origin, SemanticTrace, Semantics};
-use gp_core::VertexId;
+use gp_core::{EdgeList, VertexId};
 use gp_partition::Assignment;
+use std::sync::Arc;
 
 /// Who sends gather partials to the master.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,11 +102,15 @@ fn degree(local: &[(u32, u32)]) -> u32 {
 }
 
 /// The accounting of one engine run: the trace origin it prices and its constants
-/// (layout, assignment, policy, directions, wire sizes).
+/// (assignment, local edge counts, machine fold, policy, directions, wire sizes).
 pub(crate) struct Accountant<'a> {
     origin: Origin,
-    layout: &'a Layout,
     assignment: &'a Assignment,
+    /// The assignment's `(local_in, local_out)` per image.
+    local: Arc<[(u32, u32)]>,
+    /// Machine hosting each partition.
+    machine_of: Vec<u32>,
+    machines: usize,
     policy: GatherPolicy,
     gather: Direction,
     scatter: Direction,
@@ -114,26 +119,22 @@ pub(crate) struct Accountant<'a> {
 }
 
 impl<'a> Accountant<'a> {
-    /// Accountant for one run of `program` under `config` and `semantics`.
-    /// Panics if `layout` was built for another cluster size or assignment,
-    /// or if a machine's byte tally could reach 2^53 in one superstep (each
-    /// image adds at most one gather and one sync message to a cell), where
-    /// the f64 sums this kernel stands in for would have started rounding.
+    /// Accountant for one run of `program` on `assignment` of `graph` under
+    /// `config` and `semantics`. Panics if `assignment` placed another
+    /// graph, or if a machine's byte tally could reach 2^53 in one
+    /// superstep (each image adds at most one gather and one sync message
+    /// to a cell), where the f64 sums this kernel stands in for would have
+    /// started rounding.
     pub fn new<P: VertexProgram>(
         config: &EngineConfig,
         program: &P,
         semantics: Semantics,
         policy: GatherPolicy,
-        layout: &'a Layout,
+        graph: &EdgeList,
         assignment: &'a Assignment,
     ) -> Self {
-        assert_eq!(
-            layout.machines(),
-            config.spec.machines,
-            "layout was built for another cluster size"
-        );
-        let of_assignment = layout.is_of(assignment);
-        assert!(of_assignment, "layout was built from another assignment");
+        let spec = &config.spec;
+        assert!(spec.machines > 0, "a cluster has at least one machine");
         let (accum_bytes, state_bytes) = (program.accum_wire_bytes(), program.state_wire_bytes());
         let images = assignment.total_images() as u128;
         assert!(
@@ -141,11 +142,14 @@ impl<'a> Accountant<'a> {
             "per-superstep traffic of {images} images at {accum_bytes}/{state_bytes} B \
              per message is not exactly representable"
         );
-        let graph = (assignment.num_vertices(), assignment.num_edges());
         Accountant {
             origin: Origin::of(config, program, semantics, graph),
-            layout,
             assignment,
+            local: assignment.local_edge_counts(graph),
+            machine_of: (0..assignment.num_partitions())
+                .map(|p| spec.machine_of(p))
+                .collect(),
+            machines: spec.machines as usize,
             policy,
             gather: program.gather_direction(),
             scatter: program.scatter_direction(),
@@ -154,10 +158,24 @@ impl<'a> Accountant<'a> {
         }
     }
 
+    /// `(local_in, local_out)` of each image of `v`, in the order of
+    /// `assignment.replicas(v)`.
+    #[inline]
+    fn local_counts(&self, v: VertexId) -> &[(u32, u32)] {
+        let images = self.assignment.replica_count(v) as usize;
+        &self.local[self.assignment.replica_offset(v)..][..images]
+    }
+
+    /// Machine hosting partition `p`.
+    #[inline]
+    fn machine_of(&self, p: u32) -> usize {
+        self.machine_of[p as usize] as usize
+    }
+
     /// Tally one superstep's `updates`, in order.
     pub fn account(&self, updates: &[Update]) -> MachineTallies {
-        let (layout, assignment) = (self.layout, self.assignment);
-        let machines = layout.machines() as usize;
+        let assignment = self.assignment;
+        let machines = self.machines;
         let mut work = vec![0.0f64; machines];
         let mut in_bytes = vec![0u64; machines];
         let mut out_bytes = vec![0u64; machines];
@@ -167,9 +185,9 @@ impl<'a> Accountant<'a> {
             let vi = update.vertex();
             let v = VertexId(vi as u64);
             let parts = assignment.replicas(v);
-            let local = layout.replicas().local_edges(assignment, v);
+            let local = self.local_counts(v);
             let master = assignment.master_of(v).0;
-            let master_machine = layout.machine_of(master);
+            let master_machine = self.machine_of(master);
             // Gather. A cache hit skips both the local gather work and the
             // mirror→master partial aggregates.
             if update.0 & Update::CACHE_HIT == 0 {
@@ -180,7 +198,7 @@ impl<'a> Accountant<'a> {
                 };
                 for (&p, &(local_in, local_out)) in parts.iter().zip(local) {
                     let local_gather = local_edges(self.gather, local_in, local_out);
-                    let m = layout.machine_of(p);
+                    let m = self.machine_of(p);
                     work[m] += GATHER_WORK * local_gather as f64;
                     if p != master && (every_mirror_sends || local_gather > 0) {
                         gather_messages += 1;
@@ -200,7 +218,7 @@ impl<'a> Accountant<'a> {
                         continue;
                     }
                     sync_messages += 1;
-                    let m = layout.machine_of(p);
+                    let m = self.machine_of(p);
                     if m != master_machine {
                         in_bytes[m] += self.state_bytes;
                         out_bytes[master_machine] += self.state_bytes;
@@ -211,7 +229,7 @@ impl<'a> Accountant<'a> {
                 // Replicas scan their local scatter edges.
                 for (&p, &(local_in, local_out)) in parts.iter().zip(local) {
                     let local_scatter = local_edges(self.scatter, local_in, local_out);
-                    work[layout.machine_of(p)] += SCATTER_WORK * local_scatter as f64;
+                    work[self.machine_of(p)] += SCATTER_WORK * local_scatter as f64;
                 }
             }
         }
@@ -306,24 +324,23 @@ mod tests {
         }
     }
 
-    /// An assignment laid out, with its graph's adjacency.
+    /// A graph and an assignment of it, with the graph's adjacency.
     struct Placed {
+        graph: EdgeList,
         csr: CsrGraph,
         assignment: Assignment,
-        layout: Layout,
     }
 
     impl Placed {
-        fn new(graph: &EdgeList, strategy: Strategy, parts: u32) -> Self {
+        fn new(graph: EdgeList, strategy: Strategy, parts: u32) -> Self {
             let assignment = strategy
                 .build()
-                .partition(graph, &PartitionContext::new(parts))
+                .partition(&graph, &PartitionContext::new(parts))
                 .assignment;
-            let layout = Layout::build(graph, &assignment, &ClusterSpec::local_9());
             Placed {
-                csr: CsrGraph::from_edge_list(graph),
+                csr: CsrGraph::from_edge_list(&graph),
+                graph,
                 assignment,
-                layout,
             }
         }
 
@@ -334,7 +351,7 @@ mod tests {
                 wire,
                 semantics,
                 policy,
-                &self.layout,
+                &self.graph,
                 &self.assignment,
             )
         }
@@ -343,7 +360,7 @@ mod tests {
     /// 36 partitions folded onto 9 machines, so several replicas of one
     /// vertex share a work cell.
     fn placed() -> Placed {
-        Placed::new(&gp_gen::barabasi_albert(400, 4, 5), Strategy::Hdrf, 36)
+        Placed::new(gp_gen::barabasi_albert(400, 4, 5), Strategy::Hdrf, 36)
     }
 
     /// A shuffled update stream with every flag combination.
@@ -367,8 +384,7 @@ mod tests {
     /// tally an f64 sum in visit order, machines resolved by `%`, degrees
     /// read from the adjacency.
     fn f64_reference(model: &Accountant, csr: &CsrGraph, updates: &[Update]) -> MachineTallies {
-        let (layout, assignment) = (model.layout, model.assignment);
-        let machines = layout.machines() as usize;
+        let (assignment, machines) = (model.assignment, model.machines);
         let machine_of = |p: u32| p as usize % machines;
         let mut t = MachineTallies {
             work: vec![0.0; machines],
@@ -380,7 +396,7 @@ mod tests {
         for &update in updates {
             let v = VertexId(update.vertex() as u64);
             let reps = || {
-                let local = layout.replicas().local_edges(assignment, v);
+                let local = model.local_counts(v);
                 assignment.replicas(v).iter().zip(local)
             };
             let master = assignment.master_of(v).0;
@@ -494,11 +510,13 @@ mod tests {
         let graph = EdgeList::from_pairs(pairs);
         for strategy in [Strategy::Random, Strategy::Hdrf] {
             for parts in [1, 2, 4] {
-                let placed = Placed::new(&graph, strategy, parts);
-                let (csr, a) = (&placed.csr, &placed.assignment);
+                let placed = Placed::new(graph.clone(), strategy, parts);
+                let wire = Wire { accum: 8, state: 8 };
+                let model = placed.accountant(&wire, GatherPolicy::AllMirrors);
+                let csr = &placed.csr;
                 for v in csr.vertices() {
                     assert_eq!(
-                        degree(placed.layout.replicas().local_edges(a, v)),
+                        degree(model.local_counts(v)),
                         csr.in_degree(v) + csr.out_degree(v),
                         "{v} under {strategy:?} on {parts} partitions"
                     );

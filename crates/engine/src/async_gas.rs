@@ -1,4 +1,5 @@
-//! PowerGraph's asynchronous engine (used by Simple Coloring, §5.4.1).
+//! PowerGraph's asynchronous engine ([`Model::Async`](crate::Model::Async),
+//! used by Simple Coloring, §5.4.1): its semantic pass and round clock.
 //!
 //! Without barriers, vertex updates execute as worker threads grab them,
 //! reading whatever neighbor state is current. We model this with
@@ -13,14 +14,12 @@
 //! Coloring deviates from the Fig 5.3/5.4 trend lines (and occasionally
 //! "hangs" in the real system).
 
-use crate::accounting::{Accountant, GatherPolicy, MachineTallies, Update};
+use crate::accounting::{MachineTallies, Update};
 use crate::gas::{gather_neighbors, init_vertices, mark_neighbors};
-use crate::layout::Layout;
 use crate::program::{ApplyInfo, VertexProgram};
-use crate::report::{ComputeReport, EngineConfig};
+use crate::report::EngineConfig;
 use crate::trace::{superstep_cap, SemanticTrace, Semantics};
-use gp_core::{CsrGraph, EdgeList, Splitmix64, VertexId};
-use gp_partition::Assignment;
+use gp_core::{EdgeList, Splitmix64, VertexId};
 
 /// Fraction of the cluster's synchronous throughput the async engine
 /// achieves (lock contention, fine-grained scheduling).
@@ -32,94 +31,29 @@ const LOCK_OVERHEAD_S: f64 = 2.0e-6;
 /// PRNG seed for the update schedule.
 const SCHEDULE_SEED: u64 = 0xA57C;
 
-/// PowerGraph's asynchronous engine.
-#[derive(Debug, Clone)]
-pub struct AsyncGas {
-    /// Engine configuration.
-    pub config: EngineConfig,
-}
-
-impl AsyncGas {
-    /// New async engine.
-    pub fn new(config: EngineConfig) -> Self {
-        AsyncGas { config }
-    }
-
-    /// Run `program` asynchronously: [`AsyncGas::trace`] over the adjacency
-    /// `graph` owns, then [`AsyncGas::price`] on a [`Layout`] of the counts
-    /// `assignment` owns. Rounds are reported as supersteps for uniformity,
-    /// but there are no barriers between them.
-    pub fn run<P: VertexProgram>(
-        &self,
-        graph: &EdgeList,
-        assignment: &Assignment,
-        program: &P,
-    ) -> (Vec<P::State>, ComputeReport) {
-        let layout = Layout::build(graph, assignment, &self.config.spec);
-        let (states, trace) = self.trace(graph.csr(), program);
-        (states, self.price(&trace, &layout, assignment, program))
-    }
-
-    /// The semantic pass alone: the final states, and the trace that
-    /// [`AsyncGas::price`] prices on any partitioning of `csr`'s graph.
-    pub fn trace<P: VertexProgram>(
-        &self,
-        csr: &CsrGraph,
-        program: &P,
-    ) -> (Vec<P::State>, SemanticTrace) {
-        async_trace(&self.config, csr, program, Semantics::from(self))
-    }
-
-    /// The report of a run of `program` on `layout` of `assignment`, priced
-    /// from a `trace` of it on the same graph. Panics if the trace was
-    /// recorded on another graph or for another program, semantics or
-    /// superstep cap.
-    pub fn price<P: VertexProgram>(
-        &self,
-        trace: &SemanticTrace,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-    ) -> ComputeReport {
-        let config = &self.config;
-        let machines = config.spec.machines as f64;
-        let compute_rate =
-            config.spec.compute_threads() as f64 * config.spec.work_units_per_s * EFFICIENCY;
-        // No barrier: time = serialized-lock overhead + pipelined work and
-        // traffic.
-        let wall = |tallies: &mut MachineTallies, active: usize| {
-            active as f64 * LOCK_OVERHEAD_S / machines
-                + tallies.work.iter().sum::<f64>() / compute_rate
-                + tallies.in_bytes.iter().sum::<f64>()
-                    / (machines * config.spec.bandwidth_bytes_per_s)
-        };
-        let policy = GatherPolicy::AllMirrors;
-        let accountant = Accountant::new(config, program, self.into(), policy, layout, assignment);
-        let steps = accountant.price(trace, wall);
-        let converged = trace.converged || trace.frontier_empty;
-        let report = ComputeReport::new(program.name(), "async-gas", steps, converged);
-        crate::finish(report, config, assignment)
-    }
-}
-
-impl From<&AsyncGas> for Semantics {
-    /// Asynchronous.
-    fn from(_: &AsyncGas) -> Self {
-        Semantics::Asynchronous
-    }
+/// The async engine's round time, with no barrier: serialized-lock
+/// overhead for the round's `active` updates plus pipelined work and
+/// traffic.
+pub(crate) fn lock_wall(config: &EngineConfig, tallies: &MachineTallies, active: usize) -> f64 {
+    let machines = config.spec.machines as f64;
+    let compute_rate =
+        config.spec.compute_threads() as f64 * config.spec.work_units_per_s * EFFICIENCY;
+    active as f64 * LOCK_OVERHEAD_S / machines
+        + tallies.work.iter().sum::<f64>() / compute_rate
+        + tallies.in_bytes.iter().sum::<f64>() / (machines * config.spec.bandwidth_bytes_per_s)
 }
 
 /// The asynchronous semantic pass: rounds over the active set in an order
 /// shuffled by a PRNG seeded with [`SCHEDULE_SEED`], each update reading and
 /// committing current states. Returns the final states and the
 /// [`SemanticTrace`] of every round's updates.
-fn async_trace<P: VertexProgram>(
+pub(crate) fn async_trace<P: VertexProgram>(
     config: &EngineConfig,
-    csr: &CsrGraph,
+    graph: &EdgeList,
     program: &P,
-    semantics: Semantics,
 ) -> (Vec<P::State>, SemanticTrace) {
-    let mut trace = SemanticTrace::new(config, program, semantics, csr);
+    let mut trace = SemanticTrace::new(config, program, Semantics::Asynchronous, graph);
+    let csr = graph.csr();
     let n = csr.num_vertices() as usize;
     let (mut states, mut active) = init_vertices(program, csr);
     let gdir = program.gather_direction();
@@ -186,8 +120,9 @@ fn async_trace<P: VertexProgram>(
 mod tests {
     use super::*;
     use crate::program::{Direction, InitInfo};
+    use crate::{ComputeReport, Engine, Model};
     use gp_cluster::ClusterSpec;
-    use gp_partition::{PartitionContext, Strategy};
+    use gp_partition::{Assignment, PartitionContext, Strategy};
 
     /// Greedy coloring: the app that *requires* async semantics.
     struct Coloring;
@@ -229,8 +164,9 @@ mod tests {
         }
     }
 
-    fn engine() -> AsyncGas {
-        AsyncGas::new(EngineConfig::new(ClusterSpec::local_9()))
+    fn run(g: &EdgeList, a: &Assignment) -> (Vec<u32>, ComputeReport) {
+        let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Async);
+        engine.run(g, a, &Coloring).unwrap()
     }
 
     #[test]
@@ -240,7 +176,7 @@ mod tests {
             .build()
             .partition(&g, &PartitionContext::new(9))
             .assignment;
-        let (colors, report) = engine().run(&g, &a, &Coloring);
+        let (colors, report) = run(&g, &a);
         assert!(report.converged, "async coloring should converge");
         for e in g.edges() {
             if !e.is_self_loop() {
@@ -255,12 +191,12 @@ mod tests {
 
     #[test]
     fn coloring_uses_few_colors_on_a_path() {
-        let g = gp_core::EdgeList::from_pairs((0..100).map(|i| (i, i + 1)).collect());
+        let g = EdgeList::from_pairs((0..100).map(|i| (i, i + 1)).collect());
         let a = Strategy::Random
             .build()
             .partition(&g, &PartitionContext::new(4))
             .assignment;
-        let (colors, _) = engine().run(&g, &a, &Coloring);
+        let (colors, _) = run(&g, &a);
         assert!(
             colors.iter().all(|&c| c <= 2),
             "path needs at most 3 greedy colors"
@@ -276,9 +212,8 @@ mod tests {
         let grid = Strategy::Grid.build().partition(&g, &ctx);
         let rand = Strategy::AsymmetricRandom.build().partition(&g, &ctx);
         let rf_ratio = rand.assignment.replication_factor() / grid.assignment.replication_factor();
-        let e = engine();
-        let (_, rep_g) = e.run(&g, &grid.assignment, &Coloring);
-        let (_, rep_r) = e.run(&g, &rand.assignment, &Coloring);
+        let (_, rep_g) = run(&g, &grid.assignment);
+        let (_, rep_r) = run(&g, &rand.assignment);
         let time_ratio = rep_r.compute_seconds() / rep_g.compute_seconds();
         // The lock-overhead term is RF-independent, pulling the ratio toward
         // 1 relative to the RF ratio.
@@ -295,8 +230,8 @@ mod tests {
             .build()
             .partition(&g, &PartitionContext::new(4))
             .assignment;
-        let (c1, r1) = engine().run(&g, &a, &Coloring);
-        let (c2, r2) = engine().run(&g, &a, &Coloring);
+        let (c1, r1) = run(&g, &a);
+        let (c2, r2) = run(&g, &a);
         assert_eq!(c1, c2);
         assert_eq!(r1.supersteps(), r2.supersteps());
     }

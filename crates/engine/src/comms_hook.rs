@@ -174,8 +174,8 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gas::SyncGas;
     use crate::program::{ApplyInfo, Direction, InitInfo, VertexProgram};
+    use crate::{Engine, Model};
     use gp_cluster::ClusterSpec;
     use gp_core::{EdgeList, VertexId};
     use gp_fault::{FaultEvent, FaultKind, FaultPlan};
@@ -220,7 +220,9 @@ mod tests {
             .build()
             .partition(&g, &PartitionContext::new(9))
             .assignment;
-        SyncGas::new(config).run(&g, &a, &MinLabel)
+        Engine::new(config, Model::Sync)
+            .run(&g, &a, &MinLabel)
+            .unwrap()
     }
 
     fn healthy() -> EngineConfig {

@@ -218,8 +218,8 @@ pub fn apply_elastic_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gas::SyncGas;
     use crate::program::{ApplyInfo, Direction, InitInfo, VertexProgram};
+    use crate::{Engine, Model};
     use gp_cluster::ClusterSpec;
     use gp_core::{EdgeList, VertexId};
     use gp_elastic::{ElasticConfig, ElasticPlan, ElasticRates, RepairPolicy};
@@ -264,7 +264,9 @@ mod tests {
             .build()
             .partition(&g, &PartitionContext::new(9))
             .assignment;
-        SyncGas::new(config).run(&g, &a, &MinLabel)
+        Engine::new(config, Model::Sync)
+            .run(&g, &a, &MinLabel)
+            .unwrap()
     }
 
     fn healthy() -> EngineConfig {

@@ -14,117 +14,16 @@
 //!
 //! State semantics are exact (one canonical state array, equivalent to
 //! perfectly-synced mirrors); costs are accounted against the distributed
-//! layout: the [`Assignment`]'s replicas and masters, with the local edge
-//! counts and machine fold of its [`Layout`].
+//! layout: the [`Assignment`](gp_partition::Assignment)'s replicas,
+//! masters and local edge counts, folded onto the cluster's machines.
+//! PowerLyra and GraphX run the same semantic pass and differ only in
+//! cost ([`crate::Model`]).
 
-use crate::accounting::{Accountant, GatherPolicy, MachineTallies, Update};
-use crate::layout::Layout;
+use crate::accounting::{MachineTallies, Update};
 use crate::program::{ApplyInfo, Direction, InitInfo, VertexProgram};
-use crate::report::{ComputeReport, EngineConfig};
+use crate::report::EngineConfig;
 use crate::trace::{superstep_cap, SemanticTrace, Semantics};
 use gp_core::{CsrGraph, EdgeList, VertexId};
-use gp_partition::Assignment;
-
-/// PowerGraph's synchronous engine.
-///
-/// ```
-/// use gp_engine::{SyncGas, EngineConfig};
-/// use gp_cluster::ClusterSpec;
-/// use gp_partition::{Strategy, PartitionContext};
-///
-/// let graph = gp_core::EdgeList::from_pairs(vec![(0, 1), (1, 2), (2, 0)]);
-/// let assignment = Strategy::Random
-///     .build()
-///     .partition(&graph, &PartitionContext::new(2))
-///     .assignment;
-/// let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
-/// let (ranks, report) = engine.run(&graph, &assignment, &gp_apps_doc::PageRankLike);
-/// # mod gp_apps_doc {
-/// #   use gp_engine::*; use gp_core::VertexId;
-/// #   pub struct PageRankLike;
-/// #   impl VertexProgram for PageRankLike {
-/// #     type State = u64; type Accum = u64;
-/// #     fn name(&self) -> &'static str { "demo" }
-/// #     fn gather_direction(&self) -> Direction { Direction::In }
-/// #     fn scatter_direction(&self) -> Direction { Direction::Out }
-/// #     fn init(&self, v: VertexId, _: InitInfo) -> u64 { v.0 }
-/// #     fn initially_active(&self, _: VertexId) -> bool { true }
-/// #     fn gather(&self, _: VertexId, _: VertexId, s: &u64, _: InitInfo) -> u64 { *s }
-/// #     fn merge(&self, a: u64, b: u64) -> u64 { a.max(b) }
-/// #     fn apply(&self, _: VertexId, old: &u64, acc: Option<u64>, _: ApplyInfo) -> u64 {
-/// #       acc.map_or(*old, |a| a.max(*old))
-/// #     }
-/// #   }
-/// # }
-/// assert_eq!(ranks.len(), 3);
-/// assert!(report.converged);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SyncGas {
-    /// Engine configuration.
-    pub config: EngineConfig,
-}
-
-impl SyncGas {
-    /// New engine over a cluster configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        SyncGas { config }
-    }
-
-    /// Run `program` over the partitioned graph until convergence or the
-    /// superstep cap. Returns final vertex states and the compute report:
-    /// [`SyncGas::trace`] over the adjacency `graph` owns, then
-    /// [`SyncGas::price`] on a [`Layout`] of the counts `assignment` owns.
-    pub fn run<P: VertexProgram>(
-        &self,
-        graph: &EdgeList,
-        assignment: &Assignment,
-        program: &P,
-    ) -> (Vec<P::State>, ComputeReport) {
-        let layout = Layout::build(graph, assignment, &self.config.spec);
-        let (states, trace) = self.trace(graph.csr(), program);
-        (states, self.price(&trace, &layout, assignment, program))
-    }
-
-    /// The semantic pass alone: the final states, and the trace that
-    /// [`SyncGas::price`] prices on any partitioning of `csr`'s graph.
-    pub fn trace<P: VertexProgram>(
-        &self,
-        csr: &CsrGraph,
-        program: &P,
-    ) -> (Vec<P::State>, SemanticTrace) {
-        sync_trace(&self.config, csr, program, Semantics::from(self))
-    }
-
-    /// The report of a run of `program` on `layout` of `assignment`, priced
-    /// from a `trace` of it on the same graph. Panics if the trace was
-    /// recorded on another graph or for another program, semantics or
-    /// superstep cap.
-    pub fn price<P: VertexProgram>(
-        &self,
-        trace: &SemanticTrace,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-    ) -> ComputeReport {
-        let config = &self.config;
-        let wall = |tallies: &mut MachineTallies, _| barrier_wall(config, tallies);
-        let policy = GatherPolicy::AllMirrors;
-        let accountant = Accountant::new(config, program, self.into(), policy, layout, assignment);
-        let steps = accountant.price(trace, wall);
-        let report = ComputeReport::new(program.name(), "sync-gas", steps, trace.converged);
-        crate::finish(report, config, assignment)
-    }
-}
-
-impl From<&SyncGas> for Semantics {
-    /// Synchronous, with the configured gather cache.
-    fn from(engine: &SyncGas) -> Self {
-        Semantics::Synchronous {
-            delta_caching: engine.config.delta_caching,
-        }
-    }
-}
 
 #[inline]
 fn info(csr: &CsrGraph, v: VertexId) -> InitInfo {
@@ -212,7 +111,7 @@ impl<P: VertexProgram> PassOutput<P> {
     }
 }
 
-/// The synchronous semantic pass shared by SyncGas, HybridGas and Pregel:
+/// The synchronous semantic pass of PowerGraph, PowerLyra and GraphX:
 /// the final states, and the [`SemanticTrace`] of every superstep's
 /// updates. It reads the graph, the program, the superstep cap,
 /// `config.par` and the gather-cache flag of `semantics`, never a
@@ -230,15 +129,16 @@ impl<P: VertexProgram> PassOutput<P> {
 ///    buffers.
 /// 2. **Commit** (sequential): the delta-cache slots fill, changed states
 ///    land simultaneously (synchronous semantics), and the trace closes the
-///    superstep. Its cost is a pure function of the layout and that
+///    superstep. Its cost is a pure function of the placement and that
 ///    sequence ([`crate::accounting`]), so the pass never sees the price.
 pub(crate) fn sync_trace<P: VertexProgram>(
     config: &EngineConfig,
-    csr: &CsrGraph,
+    graph: &EdgeList,
     program: &P,
     semantics: Semantics,
 ) -> (Vec<P::State>, SemanticTrace) {
-    let mut trace = SemanticTrace::new(config, program, semantics, csr);
+    let mut trace = SemanticTrace::new(config, program, semantics, graph);
+    let csr = graph.csr();
     let delta_caching = matches!(
         semantics,
         Semantics::Synchronous {
@@ -395,9 +295,9 @@ pub(crate) fn barrier_wall(config: &EngineConfig, tallies: &MachineTallies) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ComputeReport, Engine, Model};
     use gp_cluster::ClusterSpec;
-    use gp_core::EdgeList;
-    use gp_partition::{PartitionContext, Strategy};
+    use gp_partition::{Assignment, PartitionContext, Strategy};
 
     /// Minimal label-propagation program (WCC) for engine tests.
     struct MinLabel;
@@ -431,8 +331,13 @@ mod tests {
         }
     }
 
-    fn engine() -> SyncGas {
-        SyncGas::new(EngineConfig::new(ClusterSpec::local_9()))
+    fn run<P: VertexProgram>(
+        g: &EdgeList,
+        a: &Assignment,
+        p: &P,
+    ) -> (Vec<P::State>, ComputeReport) {
+        let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+        engine.run(g, a, p).unwrap()
     }
 
     fn partitioned(g: &EdgeList, s: Strategy, p: u32) -> Assignment {
@@ -444,7 +349,7 @@ mod tests {
         // Two components: {0,1,2} and {3,4}.
         let g = EdgeList::from_pairs(vec![(0, 1), (1, 2), (3, 4)]);
         let a = partitioned(&g, Strategy::Random, 4);
-        let (states, report) = engine().run(&g, &a, &MinLabel);
+        let (states, report) = run(&g, &a, &MinLabel);
         assert_eq!(states, vec![0, 0, 0, 3, 3]);
         assert!(report.converged);
     }
@@ -453,7 +358,7 @@ mod tests {
     fn chain_takes_diameter_supersteps() {
         let g = EdgeList::from_pairs((0..50).map(|i| (i, i + 1)).collect());
         let a = partitioned(&g, Strategy::Random, 4);
-        let (states, report) = engine().run(&g, &a, &MinLabel);
+        let (states, report) = run(&g, &a, &MinLabel);
         assert!(states.iter().all(|&s| s == 0));
         // Label 0 travels one hop per superstep.
         assert!(
@@ -471,8 +376,8 @@ mod tests {
         let grid = Strategy::Grid.build().partition(&g, &ctx);
         let rand = Strategy::AsymmetricRandom.build().partition(&g, &ctx);
         assert!(rand.assignment.replication_factor() > grid.assignment.replication_factor());
-        let (_, rep_grid) = engine().run(&g, &grid.assignment, &MinLabel);
-        let (_, rep_rand) = engine().run(&g, &rand.assignment, &MinLabel);
+        let (_, rep_grid) = run(&g, &grid.assignment, &MinLabel);
+        let (_, rep_rand) = run(&g, &rand.assignment, &MinLabel);
         assert!(
             rep_rand.total_in_bytes() > rep_grid.total_in_bytes(),
             "higher RF must cost more traffic: {} vs {}",
@@ -485,7 +390,7 @@ mod tests {
     fn single_partition_has_zero_network() {
         let g = gp_gen::erdos_renyi(200, 1_000, 2);
         let a = partitioned(&g, Strategy::Random, 1);
-        let (_, report) = engine().run(&g, &a, &MinLabel);
+        let (_, report) = run(&g, &a, &MinLabel);
         assert_eq!(report.total_in_bytes(), 0.0);
         assert!(report.converged);
     }
@@ -501,7 +406,7 @@ mod tests {
             Strategy::Hdrf,
         ] {
             let a = partitioned(&g, s, 9);
-            let (states, _) = engine().run(&g, &a, &MinLabel);
+            let (states, _) = run(&g, &a, &MinLabel);
             if let Some(prev) = &last {
                 assert_eq!(
                     prev, &states,
@@ -545,7 +450,7 @@ mod tests {
         }
         let g = EdgeList::from_pairs(vec![(0, 1)]);
         let a = partitioned(&g, Strategy::Random, 2);
-        let (_, report) = engine().run(&g, &a, &Never);
+        let (_, report) = run(&g, &a, &Never);
         assert_eq!(report.supersteps(), 0);
         assert!(report.converged);
     }
@@ -618,7 +523,7 @@ mod tests {
     fn wall_time_is_positive_and_bounded_by_parts() {
         let g = gp_gen::erdos_renyi(500, 4_000, 3);
         let a = partitioned(&g, Strategy::Random, 9);
-        let (_, report) = engine().run(&g, &a, &MinLabel);
+        let (_, report) = run(&g, &a, &MinLabel);
         assert!(report.compute_seconds() > 0.0);
         for s in &report.steps {
             assert!(s.wall_seconds > 0.0);
@@ -631,6 +536,7 @@ mod tests {
 mod delta_caching_tests {
     use super::*;
     use crate::program::{ApplyInfo, InitInfo};
+    use crate::{ComputeReport, Engine, Model};
     use gp_cluster::ClusterSpec;
     use gp_partition::{PartitionContext, Strategy};
 
@@ -673,7 +579,9 @@ mod delta_caching_tests {
             .partition(&g, &PartitionContext::new(9))
             .assignment;
         let config = EngineConfig::new(ClusterSpec::local_9()).with_delta_caching(delta);
-        SyncGas::new(config).run(&g, &a, &Converging)
+        Engine::new(config, Model::Sync)
+            .run(&g, &a, &Converging)
+            .unwrap()
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The GraphX-style Pregel/dataflow engine (§7.1).
+//! GraphX's costs (§7.1), which [`Model::GraphX`](crate::Model::GraphX)
+//! prices with.
 //!
 //! GraphX executes graph computation as Spark dataflow over two RDDs — a
 //! vertex RDD and an edge RDD cut into many partitions (typically one per
@@ -20,14 +21,9 @@
 //!   OOM, then fails the job (the three cases of §9.2.4, Fig 9.4), with GC
 //!   overhead growing as memory tightens.
 
-use crate::accounting::{Accountant, GatherPolicy, MachineTallies};
-use crate::gas::sync_trace;
-use crate::layout::Layout;
-use crate::program::VertexProgram;
-use crate::report::{ComputeReport, EngineConfig};
-use crate::trace::{SemanticTrace, Semantics};
-use gp_cluster::CostRates;
-use gp_core::{CsrGraph, EdgeList};
+use crate::accounting::MachineTallies;
+use crate::report::EngineConfig;
+use gp_cluster::{ClusterSpec, CostRates};
 use gp_partition::Assignment;
 
 // Spark costs, calibrated for the paper's Local-10 GraphX cluster.
@@ -44,37 +40,10 @@ const JOIN_WORK_PER_VERTEX: f64 = 0.8;
 /// Dimensionless GC aggressiveness; higher = more GC time under pressure.
 const GC_COEFFICIENT: f64 = 0.6;
 
-/// GraphX-specific tunables on top of [`EngineConfig`].
-#[derive(Debug, Clone)]
-pub struct PregelConfig {
-    /// Shared engine configuration (cluster, wire sizes, work constants).
-    pub base: EngineConfig,
-    /// Memory available to each executor (one executor per machine), bytes.
-    pub executor_memory_bytes: u64,
-}
-
-impl PregelConfig {
-    /// 8 GiB executors on `base`'s cluster.
-    pub fn new(base: EngineConfig) -> Self {
-        PregelConfig {
-            base,
-            executor_memory_bytes: 8 << 30,
-        }
-    }
-
-    /// Override executor memory (the Fig 9.4 sweep's x-axis).
-    pub fn with_executor_memory(mut self, bytes: u64) -> Self {
-        self.executor_memory_bytes = bytes;
-        self
-    }
-}
-
-/// The §9.2.4 partition-placement taxonomy.
+/// Where GraphX places a graph that fits (§9.2.4); case 1, a graph the
+/// cluster cannot hold, is a [`PregelOom`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementCase {
-    /// Case 1: the graph cannot fit on the whole cluster — the job fails
-    /// after repeated OOM retries.
-    DoesNotFit,
     /// Case 2: fits cluster-wide but not on a few executors; Spark's initial
     /// co-location attempts fail `retries` times before it spreads out.
     FitsCluster {
@@ -85,9 +54,19 @@ pub enum PlacementCase {
     FitsFew,
 }
 
+impl PlacementCase {
+    /// Seconds the failed co-location attempts add to the first iteration.
+    pub(crate) fn retry_seconds(self) -> f64 {
+        match self {
+            PlacementCase::FitsCluster { retries } => retries as f64 * 18.0,
+            PlacementCase::FitsFew => 0.0,
+        }
+    }
+}
+
 /// Executor memory-pressure model (Fig 9.4).
 #[derive(Debug, Clone)]
-pub struct ExecutorMemoryModel {
+pub(crate) struct ExecutorMemoryModel {
     /// Bytes available per executor.
     pub executor_memory_bytes: u64,
     /// Number of executors (one per machine).
@@ -95,24 +74,36 @@ pub struct ExecutorMemoryModel {
 }
 
 impl ExecutorMemoryModel {
+    /// One executor of `executor_memory_bytes` per machine of `spec`.
+    pub fn new(executor_memory_bytes: u64, spec: &ClusterSpec) -> Self {
+        ExecutorMemoryModel {
+            executor_memory_bytes,
+            executors: spec.machines,
+        }
+    }
+
     /// Classify placement for a graph occupying `graph_bytes` in total.
     /// GraphX "first tries to co-locate partitions on a smaller number of
-    /// machines", i.e. two executors, then the whole cluster.
-    pub fn placement(&self, graph_bytes: u64) -> PlacementCase {
+    /// machines", i.e. two executors, then the whole cluster; a graph the
+    /// cluster cannot hold fails the job after repeated OOM retries.
+    pub fn placement(&self, graph_bytes: u64) -> Result<PlacementCase, PregelOom> {
         let per_two = graph_bytes / 2;
         let cluster_capacity = self.executor_memory_bytes * self.executors as u64;
         // Working headroom: Spark needs slack for shuffle buffers; a graph
         // "fits" only below ~70% occupancy.
         let usable = |cap: u64| (cap as f64 * 0.7) as u64;
         if graph_bytes > usable(cluster_capacity) {
-            PlacementCase::DoesNotFit
+            Err(PregelOom {
+                graph_bytes,
+                cluster_capacity_bytes: cluster_capacity,
+            })
         } else if per_two > usable(self.executor_memory_bytes) {
             // Retries grow as the graph gets closer to the cluster limit.
             let pressure = graph_bytes as f64 / usable(cluster_capacity) as f64;
             let retries = 1 + (pressure * 4.0) as u32;
-            PlacementCase::FitsCluster { retries }
+            Ok(PlacementCase::FitsCluster { retries })
         } else {
-            PlacementCase::FitsFew
+            Ok(PlacementCase::FitsFew)
         }
     }
 
@@ -122,6 +113,43 @@ impl ExecutorMemoryModel {
         let capacity = (self.executor_memory_bytes * self.executors as u64) as f64;
         let occupancy = (graph_bytes as f64 / capacity).min(0.95);
         1.0 + GC_COEFFICIENT * occupancy / (1.0 - occupancy)
+    }
+}
+
+/// Total in-memory footprint of a partitioned graph: what GraphX's
+/// executors must hold.
+pub fn graph_bytes(assignment: &Assignment) -> u64 {
+    CostRates.machine_bytes(
+        assignment.num_edges() as u64,
+        assignment.total_images() as u64,
+        0,
+    )
+}
+
+/// GraphX's iteration clock for `assignment` on `memory`: the slowest
+/// machine's work, inflated by GC, plus the busiest machine's inbound
+/// traffic and the per-iteration driver and task overhead. It first adds
+/// the join of the vertex RDD with the edge partitions, over active
+/// vertices, to every machine's work.
+pub(crate) fn iteration_wall<'a>(
+    config: &'a EngineConfig,
+    assignment: &Assignment,
+    memory: &ExecutorMemoryModel,
+) -> impl FnMut(&mut MachineTallies, usize) -> f64 + 'a {
+    let gc = memory.gc_multiplier(graph_bytes(assignment));
+    let machines = config.spec.machines as f64;
+    let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
+    let per_iter_overhead =
+        ITERATION_OVERHEAD_S + TASK_OVERHEAD_S * assignment.num_partitions() as f64 / machines;
+    move |tallies: &mut MachineTallies, active: usize| {
+        let join = JOIN_WORK_PER_VERTEX * active as f64;
+        for w in tallies.work.iter_mut() {
+            *w += join / machines;
+        }
+        (tallies.work.iter().copied().fold(0.0, f64::max) / compute_rate) * gc
+            + tallies.in_bytes.iter().copied().fold(0.0, f64::max)
+                / config.spec.bandwidth_bytes_per_s
+            + per_iter_overhead
     }
 }
 
@@ -148,143 +176,11 @@ impl std::fmt::Display for PregelOom {
 
 impl std::error::Error for PregelOom {}
 
-/// The GraphX-style engine.
-#[derive(Debug, Clone)]
-pub struct Pregel {
-    /// Configuration.
-    pub config: PregelConfig,
-}
-
-impl Pregel {
-    /// New engine.
-    pub fn new(config: PregelConfig) -> Self {
-        Pregel { config }
-    }
-
-    /// Memory model for the current configuration.
-    pub fn memory_model(&self) -> ExecutorMemoryModel {
-        ExecutorMemoryModel {
-            executor_memory_bytes: self.config.executor_memory_bytes,
-            executors: self.config.base.spec.machines,
-        }
-    }
-
-    /// Total in-memory footprint of the partitioned graph.
-    pub fn graph_bytes(&self, assignment: &Assignment) -> u64 {
-        CostRates.machine_bytes(
-            assignment.num_edges() as u64,
-            assignment.total_images() as u64,
-            0,
-        )
-    }
-
-    /// Run `program`: [`Pregel::trace`] over the adjacency `graph` owns, then
-    /// [`Pregel::price`] on a [`Layout`] of the counts `assignment` owns.
-    /// Fails with [`PregelOom`] when the graph does not fit (placement case
-    /// 1), before it builds or computes anything.
-    pub fn run<P: VertexProgram>(
-        &self,
-        graph: &EdgeList,
-        assignment: &Assignment,
-        program: &P,
-    ) -> Result<(Vec<P::State>, ComputeReport), PregelOom> {
-        self.placement(assignment)?;
-        let layout = Layout::build(graph, assignment, &self.config.base.spec);
-        let (states, trace) = self.trace(graph.csr(), program);
-        Ok((states, self.price(&trace, &layout, assignment, program)?))
-    }
-
-    /// Where GraphX places `assignment`'s partitions (§9.2.4), or
-    /// [`PregelOom`] when the graph does not fit the cluster (case 1).
-    pub fn placement(&self, assignment: &Assignment) -> Result<PlacementCase, PregelOom> {
-        let graph_bytes = self.graph_bytes(assignment);
-        match self.memory_model().placement(graph_bytes) {
-            PlacementCase::DoesNotFit => Err(PregelOom {
-                graph_bytes,
-                cluster_capacity_bytes: self.config.executor_memory_bytes
-                    * self.config.base.spec.machines as u64,
-            }),
-            fits => Ok(fits),
-        }
-    }
-
-    /// The semantic pass alone — SyncGas's without its gather cache, which
-    /// GraphX does not have: the final states, and the trace that
-    /// [`Pregel::price`] prices on any partitioning of `csr`'s graph.
-    pub fn trace<P: VertexProgram>(
-        &self,
-        csr: &CsrGraph,
-        program: &P,
-    ) -> (Vec<P::State>, SemanticTrace) {
-        sync_trace(&self.config.base, csr, program, Semantics::from(self))
-    }
-
-    /// The result of a run of `program` on `layout` of `assignment`, priced
-    /// from a `trace` of it on the same graph; a job that does not fit
-    /// fails before anything is priced. Panics if the trace was recorded on
-    /// another graph or for another program, semantics or superstep cap.
-    pub fn price<P: VertexProgram>(
-        &self,
-        trace: &SemanticTrace,
-        layout: &Layout,
-        assignment: &Assignment,
-        program: &P,
-    ) -> Result<ComputeReport, PregelOom> {
-        let placement = self.placement(assignment)?;
-        let gc = self
-            .memory_model()
-            .gc_multiplier(self.graph_bytes(assignment));
-        let placement_penalty_s = match placement {
-            PlacementCase::FitsCluster { retries } => retries as f64 * 18.0,
-            _ => 0.0,
-        };
-
-        let cfg = &self.config.base;
-        let machines = cfg.spec.machines as f64;
-        let compute_rate = cfg.spec.compute_threads() as f64 * cfg.spec.work_units_per_s;
-        let per_iter_overhead =
-            ITERATION_OVERHEAD_S + TASK_OVERHEAD_S * assignment.num_partitions() as f64 / machines;
-        let step_wall = |tallies: &mut MachineTallies, active: usize| {
-            // Join overhead: the vertex RDD is co-joined with edge partitions
-            // every iteration, over active vertices.
-            let join = JOIN_WORK_PER_VERTEX * active as f64;
-            for w in tallies.work.iter_mut() {
-                *w += join / machines;
-            }
-            (tallies.work.iter().copied().fold(0.0, f64::max) / compute_rate) * gc
-                + tallies.in_bytes.iter().copied().fold(0.0, f64::max)
-                    / cfg.spec.bandwidth_bytes_per_s
-                + per_iter_overhead
-        };
-        let policy = GatherPolicy::EdgePartitions;
-        let accountant = Accountant::new(cfg, program, self.into(), policy, layout, assignment);
-        let mut steps = accountant.price(trace, step_wall);
-        // Charge the placement retries to the first iteration.
-        if let Some(first) = steps.first_mut() {
-            first.wall_seconds += placement_penalty_s;
-        }
-        // A job that drains its frontier on its last allowed iteration
-        // still finished.
-        let converged = trace.converged || trace.frontier_empty;
-        let report = ComputeReport::new(program.name(), "pregel", steps, converged);
-        Ok(crate::finish(report, cfg, assignment))
-    }
-}
-
-impl From<&Pregel> for Semantics {
-    /// Synchronous without a gather cache, which GraphX does not have.
-    fn from(_: &Pregel) -> Self {
-        Semantics::Synchronous {
-            delta_caching: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{ApplyInfo, Direction, InitInfo};
-    use gp_cluster::ClusterSpec;
+    use crate::program::{ApplyInfo, Direction, InitInfo, VertexProgram};
+    use crate::{ComputeReport, Engine, Model};
     use gp_core::VertexId;
     use gp_partition::{PartitionContext, Strategy};
 
@@ -318,9 +214,19 @@ mod tests {
         }
     }
 
-    fn pregel(mem_gb: u64) -> Pregel {
-        let base = EngineConfig::new(ClusterSpec::local_10());
-        Pregel::new(PregelConfig::new(base).with_executor_memory(mem_gb << 30))
+    /// GraphX on Local-10 with `executor_memory_bytes` per executor.
+    fn graphx(executor_memory_bytes: u64) -> Engine {
+        let config = EngineConfig::new(ClusterSpec::local_10());
+        Engine::new(
+            config,
+            Model::GraphX {
+                executor_memory_bytes,
+            },
+        )
+    }
+
+    fn run(engine: &Engine, g: &gp_core::EdgeList, a: &Assignment) -> ComputeReport {
+        engine.run(g, a, &MinLabel).expect("fits").1
     }
 
     fn assignment(g: &gp_core::EdgeList, parts: u32) -> Assignment {
@@ -334,9 +240,9 @@ mod tests {
     fn semantics_agree_with_sync_gas() {
         let g = gp_gen::erdos_renyi(500, 3_000, 1);
         let a = assignment(&g, 40); // many partitions per machine
-        let (s1, _) = crate::gas::SyncGas::new(EngineConfig::new(ClusterSpec::local_10()))
-            .run(&g, &a, &MinLabel);
-        let (s2, _) = pregel(8).run(&g, &a, &MinLabel).unwrap();
+        let sync = Engine::new(EngineConfig::new(ClusterSpec::local_10()), Model::Sync);
+        let (s1, _) = sync.run(&g, &a, &MinLabel).unwrap();
+        let (s2, _) = graphx(8 << 30).run(&g, &a, &MinLabel).unwrap();
         assert_eq!(s1, s2);
     }
 
@@ -346,8 +252,7 @@ mod tests {
         // Spark costs.
         let g = gp_gen::erdos_renyi(100, 400, 2);
         let a = assignment(&g, 40);
-        let (_, rep) = pregel(8).run(&g, &a, &MinLabel).unwrap();
-        for s in &rep.steps {
+        for s in &run(&graphx(8 << 30), &g, &a).steps {
             assert!(s.wall_seconds >= 0.12, "missing per-iteration overhead");
         }
     }
@@ -359,13 +264,14 @@ mod tests {
             executors: 10,
         };
         // Case 1: bigger than the usable cluster (70% of 10 GiB).
-        assert_eq!(m.placement(8 << 30), PlacementCase::DoesNotFit);
+        let oom = m.placement(8 << 30).unwrap_err();
+        assert_eq!(oom.cluster_capacity_bytes, 10 << 30);
         // Case 3: half fits in one executor's usable memory.
-        assert_eq!(m.placement(1 << 30), PlacementCase::FitsFew);
+        assert_eq!(m.placement(1 << 30), Ok(PlacementCase::FitsFew));
         // Case 2: in between.
         assert!(matches!(
             m.placement(4 << 30),
-            PlacementCase::FitsCluster { .. }
+            Ok(PlacementCase::FitsCluster { .. })
         ));
     }
 
@@ -386,13 +292,17 @@ mod tests {
         let g = gp_gen::barabasi_albert(20_000, 10, 3);
         let a = assignment(&g, 40);
         // 1 MiB executors cannot hold this.
-        let tiny = pregel(0).config.clone();
-        let p = Pregel::new(PregelConfig {
-            executor_memory_bytes: 1 << 20,
-            ..tiny
-        });
-        let err = p.run(&g, &a, &MinLabel).unwrap_err();
+        let tiny = graphx(1 << 20);
+        let err = tiny.run(&g, &a, &MinLabel).unwrap_err();
         assert!(err.to_string().contains("exceeds usable cluster memory"));
+        // Pricing refuses it too; the GAS models hold any graph.
+        let (_, trace) = tiny.trace(&g, &MinLabel);
+        assert_eq!(tiny.price(&trace, &g, &a, &MinLabel).unwrap_err(), err);
+        for model in [Model::Sync, Model::Hybrid, Model::Async] {
+            let engine = Engine::new(tiny.config.clone(), model);
+            assert_eq!(engine.placement(&a), Ok(PlacementCase::FitsFew));
+            assert!(engine.run(&g, &a, &MinLabel).is_ok());
+        }
     }
 
     #[test]
@@ -401,16 +311,8 @@ mod tests {
         // grows (less GC).
         let g = gp_gen::barabasi_albert(5_000, 8, 4);
         let a = assignment(&g, 40);
-        let t_small = pregel(1)
-            .run(&g, &a, &MinLabel)
-            .unwrap()
-            .1
-            .compute_seconds();
-        let t_large = pregel(16)
-            .run(&g, &a, &MinLabel)
-            .unwrap()
-            .1
-            .compute_seconds();
+        let t_small = run(&graphx(1 << 30), &g, &a).compute_seconds();
+        let t_large = run(&graphx(16 << 30), &g, &a).compute_seconds();
         assert!(t_large <= t_small, "16 GiB {t_large} vs 1 GiB {t_small}");
     }
 
@@ -418,21 +320,17 @@ mod tests {
     fn retry_penalty_hits_case_two() {
         let g = gp_gen::barabasi_albert(5_000, 8, 5);
         let a = assignment(&g, 40);
-        let bytes = pregel(8).graph_bytes(&a);
+        let bytes = graph_bytes(&a);
         // Choose executor memory so graph/2 doesn't fit per executor but the
         // cluster holds it: per-executor usable must be < bytes/2.
-        let per_exec = (bytes / 2) as u64; // usable = 0.7*per_exec < bytes/2 ✓
-        let p = Pregel::new(
-            PregelConfig::new(EngineConfig::new(ClusterSpec::local_10()))
-                .with_executor_memory(per_exec),
-        );
+        let per_exec = bytes / 2; // usable = 0.7*per_exec < bytes/2 ✓
+        let engine = graphx(per_exec);
         assert!(matches!(
-            p.memory_model().placement(bytes),
-            PlacementCase::FitsCluster { .. }
+            engine.placement(&a),
+            Ok(PlacementCase::FitsCluster { .. })
         ));
-        let (_, rep) = p.run(&g, &a, &MinLabel).unwrap();
         assert!(
-            rep.steps[0].wall_seconds > 10.0,
+            run(&engine, &g, &a).steps[0].wall_seconds > 10.0,
             "first iteration should carry the retry penalty"
         );
     }

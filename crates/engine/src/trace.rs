@@ -5,28 +5,28 @@
 //! the program and its execution model, and nothing about where edges and
 //! replicas live: the update sequence it hands to cost accounting is the
 //! same for every strategy and cluster size, and (with equal delta-caching
-//! flags) for SyncGas, HybridGas and Pregel alike. Every engine run records
-//! that sequence as a [`SemanticTrace`] and then prices it, so one semantic
-//! pass can be priced on many placements.
+//! flags) for PowerGraph, PowerLyra and GraphX alike. Every engine run
+//! records that sequence as a [`SemanticTrace`] and then prices it, so one
+//! semantic pass can be priced on many placements.
 
 use crate::accounting::Update;
 use crate::program::VertexProgram;
 use crate::report::EngineConfig;
-use gp_core::CsrGraph;
+use gp_core::EdgeList;
 use std::ops::Range;
 
 /// The execution model a semantic pass follows: what a trace depends on
 /// besides the graph, the program and the superstep cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Semantics {
-    /// Supersteps over frozen states (SyncGas, HybridGas, Pregel), with the
-    /// engine's effective gather-cache flag: a cache hit changes what
+    /// Supersteps over frozen states (PowerGraph, PowerLyra, GraphX), with
+    /// the engine's effective gather-cache flag: a cache hit changes what
     /// accounting is charged, not the states.
     Synchronous {
         /// Gather (delta) caching in effect.
         delta_caching: bool,
     },
-    /// AsyncGas's rounds with immediate commits, each round's order
+    /// PowerGraph's asynchronous rounds with immediate commits, each round's order
     /// shuffled by a PRNG with a fixed seed, seeded once per run.
     Asynchronous,
 }
@@ -42,8 +42,8 @@ pub(crate) struct Origin {
     program: &'static str,
     semantics: Semantics,
     cap: u32,
-    /// Vertex and edge count of the graph.
-    graph: (u64, usize),
+    /// Vertex count and edge-stream digest of the graph.
+    graph: (u64, u64),
 }
 
 impl Origin {
@@ -51,13 +51,13 @@ impl Origin {
         config: &EngineConfig,
         program: &P,
         semantics: Semantics,
-        graph: (u64, usize),
+        graph: &EdgeList,
     ) -> Self {
         Origin {
             program: program.name(),
             semantics,
             cap: superstep_cap(config, program),
-            graph,
+            graph: (graph.num_vertices(), graph.edge_digest()),
         }
     }
 }
@@ -84,14 +84,13 @@ pub struct SemanticTrace {
 
 impl SemanticTrace {
     /// An empty trace of a pass of `program` under `config` and `semantics`
-    /// over `csr`.
+    /// over `graph`.
     pub(crate) fn new<P: VertexProgram>(
         config: &EngineConfig,
         program: &P,
         semantics: Semantics,
-        csr: &CsrGraph,
+        graph: &EdgeList,
     ) -> Self {
-        let graph = (csr.num_vertices(), csr.num_edges());
         SemanticTrace {
             origin: Origin::of(config, program, semantics, graph),
             updates: Vec::new(),
@@ -154,7 +153,7 @@ impl SemanticTrace {
 mod tests {
     use super::*;
     use crate::program::{ApplyInfo, Direction, InitInfo};
-    use crate::{Layout, SyncGas};
+    use crate::{Engine, Model};
     use gp_cluster::ClusterSpec;
     use gp_core::VertexId;
     use gp_partition::{PartitionContext, Strategy};
@@ -205,10 +204,8 @@ mod tests {
             .build()
             .partition(&graph, &PartitionContext::new(9))
             .assignment;
-        let spec = ClusterSpec::local_9();
-        let layout = Layout::build(&graph, &assignment, &spec);
-        let engine = SyncGas::new(EngineConfig::new(spec));
-        let (_, trace) = engine.trace(graph.csr(), &FixedRank);
+        let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+        let (_, trace) = engine.trace(&graph, &FixedRank);
         let n = graph.num_vertices() as usize;
         let mut distinct = trace.steps.clone();
         distinct.dedup();
@@ -226,7 +223,7 @@ mod tests {
             .collect();
         full.steps = (0..trace.steps.len()).map(|i| i * n..(i + 1) * n).collect();
         let priced = |t: &SemanticTrace| {
-            let report = engine.price(t, &layout, &assignment, &FixedRank);
+            let report = engine.price(t, &graph, &assignment, &FixedRank).unwrap();
             format!("{report:?}")
         };
         assert_eq!(priced(&trace), priced(&full));

@@ -8,7 +8,7 @@
 
 use gp_apps::PageRank;
 use gp_cluster::ClusterSpec;
-use gp_engine::{CommsConfig, ComputeReport, EngineConfig, SyncGas};
+use gp_engine::{CommsConfig, ComputeReport, Engine, EngineConfig, Model};
 use gp_fault::{CheckpointPolicy, FaultPlan, FaultRates};
 use gp_partition::{PartitionContext, Strategy};
 use proptest::prelude::*;
@@ -42,8 +42,9 @@ fn run_under_comms(
         .with_fault_plan(plan)
         .with_checkpoint(policy)
         .with_comms(comms);
-    SyncGas::new(config)
+    Engine::new(config, Model::Sync)
         .run(&graph, &assignment, &PageRank::fixed(10))
+        .unwrap()
         .1
 }
 

@@ -12,9 +12,7 @@
 
 use gp_apps::PageRank;
 use gp_cluster::ClusterSpec;
-use gp_engine::{
-    AsyncGas, CommsConfig, ComputeReport, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas,
-};
+use gp_engine::{CommsConfig, ComputeReport, Engine, EngineConfig, Model};
 use gp_fault::{FaultPlan, FaultRates};
 use gp_partition::{Assignment, PartitionContext, Strategy};
 use proptest::prelude::*;
@@ -31,17 +29,11 @@ fn job() -> (gp_core::EdgeList, Assignment) {
 fn run_engine(which: u8, config: EngineConfig) -> ComputeReport {
     let (graph, assignment) = job();
     let program = PageRank::fixed(8);
-    match which {
-        0 => SyncGas::new(config).run(&graph, &assignment, &program).1,
-        1 => HybridGas::new(config).run(&graph, &assignment, &program).1,
-        2 => AsyncGas::new(config).run(&graph, &assignment, &program).1,
-        _ => {
-            Pregel::new(PregelConfig::new(config))
-                .run(&graph, &assignment, &program)
-                .expect("default executors fit a 400-vertex graph")
-                .1
-        }
-    }
+    let model = [Model::Sync, Model::Hybrid, Model::Async, Model::GRAPHX][usize::from(which)];
+    Engine::new(config, model)
+        .run(&graph, &assignment, &program)
+        .expect("default executors fit a 400-vertex graph")
+        .1
 }
 
 fn hazard_rates(crash: f64, degrade: f64, straggle: f64, flaky: f64) -> FaultRates {

@@ -9,7 +9,7 @@
 
 use distgraph::apps::PageRank;
 use distgraph::cluster::ClusterSpec;
-use distgraph::engine::{EngineConfig, HybridGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::gen::{bipartite, BipartiteParams};
 use distgraph::partition::strategies::BiCut;
 use distgraph::partition::{PartitionContext, Partitioner, Strategy};
@@ -30,7 +30,7 @@ fn main() {
     );
 
     let ctx = PartitionContext::new(9).with_seed(77);
-    let engine = HybridGas::new(EngineConfig::new(ClusterSpec::local_9()));
+    let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Hybrid);
     println!(
         "{:<10} {:>6} {:>10} {:>14}",
         "strategy", "RF", "imbalance", "PR traffic"
@@ -38,7 +38,9 @@ fn main() {
 
     let bench = |label: &str, mut p: Box<dyn Partitioner>| {
         let outcome = p.partition(&graph, &ctx);
-        let (_, report) = engine.run(&graph, &outcome.assignment, &PageRank::fixed(10));
+        let (_, report) = engine
+            .run(&graph, &outcome.assignment, &PageRank::fixed(10))
+            .expect("PowerLyra holds any graph");
         println!(
             "{label:<10} {:>6.2} {:>10.3} {:>14}",
             outcome.assignment.replication_factor(),

@@ -12,8 +12,7 @@
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::VertexId;
 use distgraph::engine::{
-    ApplyInfo, Direction, EngineConfig, HybridGas, InitInfo, Pregel, PregelConfig, SyncGas,
-    VertexProgram,
+    ApplyInfo, Direction, Engine, EngineConfig, InitInfo, Model, VertexProgram,
 };
 use distgraph::gen::barabasi_albert;
 use distgraph::partition::{PartitionContext, Strategy};
@@ -92,18 +91,20 @@ fn main() {
     );
 
     // PowerGraph-style synchronous GAS.
-    let sync = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
-    let (s1, r1) = sync.run(&graph, &assignment, &program);
+    let sync = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+    let (s1, r1) = sync
+        .run(&graph, &assignment, &program)
+        .expect("PowerGraph holds any graph");
 
     // PowerLyra's hybrid engine — same semantics, less gather traffic for
     // this natural program.
-    let hybrid = HybridGas::new(EngineConfig::new(ClusterSpec::local_9()));
-    let (s2, r2) = hybrid.run(&graph, &assignment, &program);
+    let hybrid = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Hybrid);
+    let (s2, r2) = hybrid
+        .run(&graph, &assignment, &program)
+        .expect("PowerLyra holds any graph");
 
     // GraphX-style Pregel.
-    let pregel = Pregel::new(PregelConfig::new(
-        EngineConfig::new(ClusterSpec::local_10()),
-    ));
+    let pregel = Engine::new(EngineConfig::new(ClusterSpec::local_10()), Model::GRAPHX);
     let (s3, r3) = pregel
         .run(&graph, &assignment, &program)
         .expect("fits in memory");

@@ -7,7 +7,7 @@
 
 use distgraph::apps::PageRank;
 use distgraph::cluster::ClusterSpec;
-use distgraph::engine::{EngineConfig, SyncGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::gen::{classify, Dataset};
 use distgraph::partition::{PartitionContext, Strategy};
 
@@ -39,8 +39,10 @@ fn main() {
     // 3. Run ten iterations of PageRank on the simulated PowerGraph engine
     //    over the Grid partitioning.
     let outcome = Strategy::Grid.build().partition(&graph, &ctx);
-    let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
-    let (ranks, report) = engine.run(&graph, &outcome.assignment, &PageRank::fixed(10));
+    let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+    let (ranks, report) = engine
+        .run(&graph, &outcome.assignment, &PageRank::fixed(10))
+        .expect("PowerGraph holds any graph");
 
     let mut top: Vec<(usize, f64)> = ranks.iter().enumerate().map(|(v, r)| (v, r.0)).collect();
     top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());

@@ -13,7 +13,7 @@
 use distgraph::apps::{sssp::INFINITY, Sssp};
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::VertexId;
-use distgraph::engine::{EngineConfig, SyncGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::gen::{road_network, RoadNetworkParams};
 use distgraph::partition::{PartitionContext, Strategy};
 
@@ -52,9 +52,11 @@ fn main() {
     // Partition with the paper's recommendation for low-degree graphs and
     // run SSSP from the top-left junction.
     let outcome = Strategy::Hdrf.build().partition(&graph, &ctx);
-    let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
+    let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
     let source = VertexId(0);
-    let (dist, report) = engine.run(&graph, &outcome.assignment, &Sssp::undirected(source));
+    let (dist, report) = engine
+        .run(&graph, &outcome.assignment, &Sssp::undirected(source))
+        .expect("PowerGraph holds any graph");
 
     let reachable = dist.iter().filter(|&&d| d != INFINITY).count();
     let eccentricity = dist

@@ -13,7 +13,7 @@
 use distgraph::advisor::{powerlyra, Workload};
 use distgraph::apps::PageRank;
 use distgraph::cluster::{ClusterSpec, CostRates};
-use distgraph::engine::{EngineConfig, HybridGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::gen::{classify, Dataset};
 use distgraph::partition::{IngressReport, PartitionContext, Strategy};
 
@@ -28,7 +28,7 @@ fn main() {
     );
 
     let ctx = PartitionContext::new(spec.machines).with_seed(7);
-    let engine = HybridGas::new(EngineConfig::new(spec.clone()));
+    let engine = Engine::new(EngineConfig::new(spec.clone()), Model::Hybrid);
 
     println!(
         "{:<10} {:>6} {:>12} {:>12} {:>12}",
@@ -45,7 +45,9 @@ fn main() {
         let outcome = strategy.build().partition(&graph, &ctx);
         let ingress = IngressReport::from_outcome(strategy.label(), &outcome, spec.machines);
         let ingress_s = CostRates.ingress_seconds(&ingress, &spec);
-        let (_, report) = engine.run(&graph, &outcome.assignment, &PageRank::fixed(10));
+        let (_, report) = engine
+            .run(&graph, &outcome.assignment, &PageRank::fixed(10))
+            .expect("PowerLyra holds any graph");
         let compute_s = report.compute_seconds();
         let total = ingress_s + compute_s;
         println!(

@@ -17,7 +17,7 @@
 //! * [`elastic`] (gp-elastic) — mid-job scale-out/scale-in, spot preemption,
 //!   multi-tenant scheduling.
 //! * [`par`] (gp-par) — deterministic bounded parallelism (`--threads`).
-//! * [`engine`] (gp-engine) — GAS / Hybrid / Pregel engines.
+//! * [`engine`] (gp-engine) — one engine modelling PowerGraph, PowerLyra and GraphX.
 //! * [`serve`] (gp-serve) — long-running serving: churn, queries, rebalance.
 //! * [`store`] (gp-store) — compressed on-disk graphs + streaming ingress.
 //! * [`apps`] (gp-apps) — PageRank, WCC, k-core, SSSP, coloring.

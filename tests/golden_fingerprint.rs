@@ -11,7 +11,7 @@
 use distgraph::apps::PageRank;
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::{StreamingEdges, VertexId};
-use distgraph::engine::{EngineConfig, SyncGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::partition::strategies::{BiCut, Chunking, Vebo};
 use distgraph::partition::{PartitionContext, PartitionOutcome, Partitioner, Strategy};
 use std::fmt::Write as _;
@@ -56,7 +56,7 @@ fn assignment_digest(out: &PartitionOutcome, num_vertices: u64) -> u64 {
     h
 }
 
-fn fingerprint() -> String {
+fn kernel_fingerprint() -> String {
     let mut text = String::new();
     let graphs = vec![
         ("er", distgraph::gen::erdos_renyi(800, 6_000, 3)),
@@ -120,8 +120,9 @@ fn fingerprint() -> String {
                 .expect("write to a String");
                 if threads == 1 {
                     let config = EngineConfig::new(ClusterSpec::local_9()).with_threads(1);
-                    let (states, report) =
-                        SyncGas::new(config).run(graph, &out.assignment, &PageRank::fixed(3));
+                    let (states, report) = Engine::new(config, Model::Sync)
+                        .run(graph, &out.assignment, &PageRank::fixed(3))
+                        .unwrap();
                     let mut h2: u64 = 0xcbf29ce484222325;
                     for s in format!("{states:?}|{report:?}").bytes() {
                         h2 ^= s as u64;
@@ -138,7 +139,7 @@ fn fingerprint() -> String {
 #[test]
 fn kernels_produce_the_pinned_fingerprint() {
     let golden = include_str!("golden_fingerprint.txt");
-    let actual = fingerprint();
+    let actual = kernel_fingerprint();
     if actual != golden {
         let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_fingerprint.actual.txt");
         std::fs::write(&dump, &actual).expect("write actual fingerprint");

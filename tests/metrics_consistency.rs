@@ -4,7 +4,7 @@
 
 use distgraph::apps::{PageRank, Wcc};
 use distgraph::cluster::ClusterSpec;
-use distgraph::engine::{EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::gen::Dataset;
 use distgraph::partition::{PartitionContext, Strategy};
 use gp_bench::{App, EngineKind, Pipeline, Scenario};
@@ -24,8 +24,9 @@ fn assignment(parts: u32) -> (distgraph::core::EdgeList, distgraph::partition::A
 #[test]
 fn per_step_bytes_sum_to_report_totals() {
     let (g, a) = assignment(9);
-    let (_, report) =
-        SyncGas::new(EngineConfig::new(ClusterSpec::local_9())).run(&g, &a, &PageRank::fixed(5));
+    let (_, report) = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync)
+        .run(&g, &a, &PageRank::fixed(5))
+        .unwrap();
     let manual: f64 = report
         .steps
         .iter()
@@ -41,7 +42,9 @@ fn per_step_bytes_sum_to_report_totals() {
 #[test]
 fn wall_time_equals_cumulative_tail() {
     let (g, a) = assignment(9);
-    let (_, report) = SyncGas::new(EngineConfig::new(ClusterSpec::local_9())).run(&g, &a, &Wcc);
+    let (_, report) = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync)
+        .run(&g, &a, &Wcc)
+        .unwrap();
     let cumulative = report.cumulative_seconds();
     assert_eq!(cumulative.len() as u32, report.supersteps());
     assert!((cumulative.last().unwrap() - report.compute_seconds()).abs() < 1e-9);
@@ -57,11 +60,15 @@ fn single_partition_is_traffic_free_on_every_engine() {
         .partition(&g, &PartitionContext::new(1).with_seed(11))
         .assignment;
     let config = EngineConfig::new(ClusterSpec::local_9());
-    let (_, sync) = SyncGas::new(config.clone()).run(&g, &a, &PageRank::fixed(3));
+    let (_, sync) = Engine::new(config.clone(), Model::Sync)
+        .run(&g, &a, &PageRank::fixed(3))
+        .unwrap();
     assert_eq!(sync.total_in_bytes(), 0.0);
-    let (_, hybrid) = HybridGas::new(config.clone()).run(&g, &a, &PageRank::fixed(3));
+    let (_, hybrid) = Engine::new(config.clone(), Model::Hybrid)
+        .run(&g, &a, &PageRank::fixed(3))
+        .unwrap();
     assert_eq!(hybrid.total_in_bytes(), 0.0);
-    let (_, pregel) = Pregel::new(PregelConfig::new(config))
+    let (_, pregel) = Engine::new(config, Model::GRAPHX)
         .run(&g, &a, &PageRank::fixed(3))
         .expect("fits");
     assert_eq!(pregel.total_in_bytes(), 0.0);
@@ -79,8 +86,12 @@ fn hybrid_engine_never_sends_more_gathers_than_sync() {
         let gm = |r: &distgraph::engine::ComputeReport| {
             r.steps.iter().map(|s| s.gather_messages).sum::<u64>()
         };
-        let (_, sync) = SyncGas::new(config.clone()).run(&g, &a, &PageRank::fixed(3));
-        let (_, hybrid) = HybridGas::new(config.clone()).run(&g, &a, &PageRank::fixed(3));
+        let (_, sync) = Engine::new(config.clone(), Model::Sync)
+            .run(&g, &a, &PageRank::fixed(3))
+            .unwrap();
+        let (_, hybrid) = Engine::new(config.clone(), Model::Hybrid)
+            .run(&g, &a, &PageRank::fixed(3))
+            .unwrap();
         assert!(
             gm(&hybrid) <= gm(&sync),
             "{strategy:?}: hybrid {} vs sync {}",

@@ -2,7 +2,7 @@
 
 use distgraph::apps::PageRank;
 use distgraph::cluster::ClusterSpec;
-use distgraph::engine::{EngineConfig, HybridGas, SyncGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::gen::{classify, Dataset, GraphClass};
 use distgraph::partition::{PartitionContext, Strategy};
 use gp_bench::{App, EngineKind, Pipeline, Scenario};
@@ -127,11 +127,11 @@ fn hybrid_strategies_save_network_for_natural_apps_only() {
     let ctx = PartitionContext::new(25).with_seed(SEED);
     let hybrid = Strategy::Hybrid.build().partition(&g, &ctx).assignment;
     let spec = ClusterSpec::ec2_25();
-    let sync = SyncGas::new(EngineConfig::new(spec.clone()));
-    let lyra = HybridGas::new(EngineConfig::new(spec));
+    let sync = Engine::new(EngineConfig::new(spec.clone()), Model::Sync);
+    let lyra = Engine::new(EngineConfig::new(spec), Model::Hybrid);
     // Natural app: PageRank.
-    let (_, sync_rep) = sync.run(&g, &hybrid, &PageRank::fixed(5));
-    let (_, lyra_rep) = lyra.run(&g, &hybrid, &PageRank::fixed(5));
+    let (_, sync_rep) = sync.run(&g, &hybrid, &PageRank::fixed(5)).unwrap();
+    let (_, lyra_rep) = lyra.run(&g, &hybrid, &PageRank::fixed(5)).unwrap();
     assert!(
         lyra_rep.total_in_bytes() < 0.7 * sync_rep.total_in_bytes(),
         "hybrid engine should cut PageRank traffic: {} vs {}",
@@ -139,8 +139,8 @@ fn hybrid_strategies_save_network_for_natural_apps_only() {
         sync_rep.total_in_bytes()
     );
     // Non-natural app: WCC sees little saving.
-    let (_, sync_wcc) = sync.run(&g, &hybrid, &distgraph::apps::Wcc);
-    let (_, lyra_wcc) = lyra.run(&g, &hybrid, &distgraph::apps::Wcc);
+    let (_, sync_wcc) = sync.run(&g, &hybrid, &distgraph::apps::Wcc).unwrap();
+    let (_, lyra_wcc) = lyra.run(&g, &hybrid, &distgraph::apps::Wcc).unwrap();
     assert!(
         lyra_wcc.total_in_bytes() > 0.9 * sync_wcc.total_in_bytes(),
         "undirected apps cannot exploit in-edge co-location"

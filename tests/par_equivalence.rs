@@ -24,7 +24,7 @@
 use distgraph::apps::{PageRank, Wcc};
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::{edge_digest, Edge, EdgeList, StreamingEdges, VertexId};
-use distgraph::engine::{AsyncGas, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::partition::strategies::{BiCut, Chunking, Vebo};
 use distgraph::partition::{
     write_assignment, PartitionContext, Partitioner, Strategy, WINDOW_AUTO,
@@ -33,6 +33,9 @@ use proptest::prelude::*;
 // The partition::Strategy enum shadows proptest's Strategy trait; re-import
 // the trait anonymously for method syntax.
 use proptest::strategy::Strategy as _;
+
+/// Every engine model, GraphX on its default executors.
+const MODELS: [Model; 4] = [Model::Sync, Model::Hybrid, Model::Async, Model::GRAPHX];
 
 /// Arbitrary small graph: up to 60 vertices, up to 240 edges.
 fn arb_graph() -> impl proptest::strategy::Strategy<Value = EdgeList> {
@@ -195,13 +198,10 @@ proptest! {
         let run_all = |threads: u32| -> Vec<String> {
             let config = EngineConfig::new(spec.clone()).with_threads(threads);
             let prog = PageRank::fixed(4);
-            let sync = SyncGas::new(config.clone()).run(&graph, &assignment, &prog);
-            let hybrid = HybridGas::new(config.clone()).run(&graph, &assignment, &prog);
-            let async_ = AsyncGas::new(config.clone()).run(&graph, &assignment, &prog);
-            let pregel = Pregel::new(PregelConfig::new(config.clone()))
-                .run(&graph, &assignment, &prog)
-                .expect("fits");
-            let wcc = SyncGas::new(config).run(&graph, &assignment, &Wcc);
+            let engine = |model| Engine::new(config.clone(), model);
+            let run = |model| engine(model).run(&graph, &assignment, &prog).expect("fits");
+            let [sync, hybrid, async_, pregel] = MODELS.map(run);
+            let wcc = engine(Model::Sync).run(&graph, &assignment, &Wcc).unwrap();
             vec![
                 format!("{:?}|{:?}", sync.0, sync.1),
                 format!("{:?}|{:?}", hybrid.0, hybrid.1),
@@ -492,12 +492,10 @@ fn realistic_graph_is_byte_identical_at_every_thread_count() {
     let run = |threads: u32| -> String {
         let config = EngineConfig::new(spec.clone()).with_threads(threads);
         let prog = PageRank::fixed(6);
-        let sync = SyncGas::new(config.clone()).run(&graph, &assignment, &prog);
-        let hybrid = HybridGas::new(config.clone()).run(&graph, &assignment, &prog);
-        let async_ = AsyncGas::new(config.clone()).run(&graph, &assignment, &prog);
-        let pregel = Pregel::new(PregelConfig::new(config))
-            .run(&graph, &assignment, &prog)
-            .expect("fits");
+        let [sync, hybrid, async_, pregel] = MODELS.map(|model| {
+            let engine = Engine::new(config.clone(), model);
+            engine.run(&graph, &assignment, &prog).expect("fits")
+        });
         format!(
             "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             sync.0, sync.1, hybrid.0, hybrid.1, async_.0, async_.1, pregel.0, pregel.1

@@ -4,7 +4,7 @@
 use distgraph::apps::{Sssp, Wcc};
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::{Edge, EdgeList, VertexId};
-use distgraph::engine::{EngineConfig, ReplicaTable, SyncGas};
+use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::partition::{PartitionContext, Strategy};
 use proptest::prelude::*;
 // The partition::Strategy enum shadows proptest's Strategy trait; re-import
@@ -84,11 +84,11 @@ proptest! {
         let ctx = PartitionContext::new(6).with_seed(seed);
         for strategy in [Strategy::Random, Strategy::Hdrf, Strategy::Hybrid, Strategy::TwoD] {
             let a = strategy.build().partition(&graph, &ctx).assignment;
-            let table = ReplicaTable::build(&graph, &a);
+            let counts = a.local_edge_counts(&graph);
             let deg = graph.degrees();
             for v in 0..graph.num_vertices() {
                 let v = VertexId(v);
-                let local = table.local_edges(&a, v);
+                let local = &counts[a.replica_offset(v)..][..a.replica_count(v) as usize];
                 let (tin, tout) = local
                     .iter()
                     .fold((0u32, 0u32), |(i, o), &(li, lo)| (i + li, o + lo));
@@ -147,8 +147,8 @@ proptest! {
 
         let ctx = PartitionContext::new(5).with_seed(seed);
         let a = Strategy::Oblivious.build().partition(&graph, &ctx).assignment;
-        let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
-        let (labels, report) = engine.run(&graph, &a, &Wcc);
+        let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+        let (labels, report) = engine.run(&graph, &a, &Wcc).unwrap();
         prop_assert!(report.converged);
         prop_assert_eq!(labels, expected);
     }
@@ -160,8 +160,8 @@ proptest! {
     ) {
         let ctx = PartitionContext::new(4).with_seed(seed);
         let a = Strategy::Random.build().partition(&graph, &ctx).assignment;
-        let engine = SyncGas::new(EngineConfig::new(ClusterSpec::local_9()));
-        let (dist, _) = engine.run(&graph, &a, &Sssp::directed(0u64));
+        let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+        let (dist, _) = engine.run(&graph, &a, &Sssp::directed(0u64)).unwrap();
         prop_assert_eq!(dist[0], 0);
         // Along every edge, d(dst) <= d(src) + 1 (and reached vertices have
         // a reaching predecessor).

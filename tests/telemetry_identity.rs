@@ -5,9 +5,7 @@
 
 use distgraph::apps::PageRank;
 use distgraph::cluster::ClusterSpec;
-use distgraph::engine::{
-    AsyncGas, CommsConfig, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas,
-};
+use distgraph::engine::{CommsConfig, Engine, EngineConfig, Model};
 use distgraph::fault::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
 use distgraph::gen::Dataset;
 use distgraph::partition::{Assignment, PartitionContext, Strategy, WINDOW_AUTO};
@@ -37,25 +35,37 @@ fn disabled_sink_is_bit_identical_across_all_engines() {
     let (g, a) = graph_and_assignment();
     let prog = PageRank::fixed(6);
 
-    let (s_off, r_off) = SyncGas::new(faulty_config(TelemetrySink::Disabled)).run(&g, &a, &prog);
-    let (s_on, r_on) = SyncGas::new(faulty_config(TelemetrySink::recording())).run(&g, &a, &prog);
+    let (s_off, r_off) = Engine::new(faulty_config(TelemetrySink::Disabled), Model::Sync)
+        .run(&g, &a, &prog)
+        .unwrap();
+    let (s_on, r_on) = Engine::new(faulty_config(TelemetrySink::recording()), Model::Sync)
+        .run(&g, &a, &prog)
+        .unwrap();
     assert_eq!(s_off, s_on, "sync states diverge");
     assert_eq!(format!("{r_off:?}"), format!("{r_on:?}"), "sync report");
 
-    let (s_off, r_off) = HybridGas::new(faulty_config(TelemetrySink::Disabled)).run(&g, &a, &prog);
-    let (s_on, r_on) = HybridGas::new(faulty_config(TelemetrySink::recording())).run(&g, &a, &prog);
+    let (s_off, r_off) = Engine::new(faulty_config(TelemetrySink::Disabled), Model::Hybrid)
+        .run(&g, &a, &prog)
+        .unwrap();
+    let (s_on, r_on) = Engine::new(faulty_config(TelemetrySink::recording()), Model::Hybrid)
+        .run(&g, &a, &prog)
+        .unwrap();
     assert_eq!(s_off, s_on, "hybrid states diverge");
     assert_eq!(format!("{r_off:?}"), format!("{r_on:?}"), "hybrid report");
 
-    let (s_off, r_off) = AsyncGas::new(faulty_config(TelemetrySink::Disabled)).run(&g, &a, &prog);
-    let (s_on, r_on) = AsyncGas::new(faulty_config(TelemetrySink::recording())).run(&g, &a, &prog);
+    let (s_off, r_off) = Engine::new(faulty_config(TelemetrySink::Disabled), Model::Async)
+        .run(&g, &a, &prog)
+        .unwrap();
+    let (s_on, r_on) = Engine::new(faulty_config(TelemetrySink::recording()), Model::Async)
+        .run(&g, &a, &prog)
+        .unwrap();
     assert_eq!(s_off, s_on, "async states diverge");
     assert_eq!(format!("{r_off:?}"), format!("{r_on:?}"), "async report");
 
-    let (s_off, r_off) = Pregel::new(PregelConfig::new(faulty_config(TelemetrySink::Disabled)))
+    let (s_off, r_off) = Engine::new(faulty_config(TelemetrySink::Disabled), Model::GRAPHX)
         .run(&g, &a, &prog)
         .expect("fits");
-    let (s_on, r_on) = Pregel::new(PregelConfig::new(faulty_config(TelemetrySink::recording())))
+    let (s_on, r_on) = Engine::new(faulty_config(TelemetrySink::recording()), Model::GRAPHX)
         .run(&g, &a, &prog)
         .expect("fits");
     assert_eq!(s_off, s_on, "pregel states diverge");
@@ -96,13 +106,28 @@ fn flaky_runs_are_deterministic_across_all_engines() {
         assert_eq!(json, sink2.chrome_trace_json(), "trace not deterministic");
         json
     };
-    let sync_json = twice(&|c| format!("{:?}", SyncGas::new(c).run(&g, &a, &prog).1));
-    twice(&|c| format!("{:?}", HybridGas::new(c).run(&g, &a, &prog).1));
-    twice(&|c| format!("{:?}", AsyncGas::new(c).run(&g, &a, &prog).1));
+    let sync_json = twice(&|c| {
+        format!(
+            "{:?}",
+            Engine::new(c, Model::Sync).run(&g, &a, &prog).unwrap().1
+        )
+    });
     twice(&|c| {
         format!(
             "{:?}",
-            Pregel::new(PregelConfig::new(c))
+            Engine::new(c, Model::Hybrid).run(&g, &a, &prog).unwrap().1
+        )
+    });
+    twice(&|c| {
+        format!(
+            "{:?}",
+            Engine::new(c, Model::Async).run(&g, &a, &prog).unwrap().1
+        )
+    });
+    twice(&|c| {
+        format!(
+            "{:?}",
+            Engine::new(c, Model::GRAPHX)
                 .run(&g, &a, &prog)
                 .expect("fits")
                 .1
@@ -121,8 +146,10 @@ fn default_config_and_disabled_sink_agree() {
     let plain = EngineConfig::new(ClusterSpec::local_9());
     let explicit =
         EngineConfig::new(ClusterSpec::local_9()).with_telemetry(TelemetrySink::Disabled);
-    let (s1, r1) = SyncGas::new(plain).run(&g, &a, &prog);
-    let (s2, r2) = SyncGas::new(explicit).run(&g, &a, &prog);
+    let (s1, r1) = Engine::new(plain, Model::Sync).run(&g, &a, &prog).unwrap();
+    let (s2, r2) = Engine::new(explicit, Model::Sync)
+        .run(&g, &a, &prog)
+        .unwrap();
     assert_eq!(s1, s2);
     assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
 }

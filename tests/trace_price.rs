@@ -6,8 +6,8 @@
 //! {Local-9, Local-10} placements, and three configurations (plain, delta
 //! caching, three threads):
 //!
-//! * the trace is identical across placements, across SyncGas, HybridGas
-//!   and Pregel (Pregel has no gather cache, so its trace is always the
+//! * the trace is identical across placements, across the Sync, Hybrid and
+//!   GraphX models (GraphX has no gather cache, so its trace is always the
 //!   plain one), and across thread counts;
 //! * the first trace recorded — on another placement, engine or thread
 //!   count than most checks — priced here equals `run` here field for field
@@ -15,21 +15,19 @@
 
 use distgraph::apps::{Coloring, KCore, PageRank, Sssp, Wcc};
 use distgraph::cluster::ClusterSpec;
-use distgraph::core::{CsrGraph, EdgeList, VertexId};
+use distgraph::core::{EdgeList, VertexId};
 use distgraph::engine::{
-    AsyncGas, ComputeReport, EngineConfig, HybridGas, Layout, Pregel, PregelConfig, SemanticTrace,
-    Semantics, SyncGas, VertexProgram,
+    ComputeReport, Engine, EngineConfig, Model, SemanticTrace, Semantics, VertexProgram,
 };
 use distgraph::gen::Dataset;
 use distgraph::partition::{Assignment, PartitionContext, Strategy};
 use std::fmt::Debug;
 
-/// One partitioning of the graph under test, laid out for its cluster.
+/// One partitioning of the graph under test, for its cluster.
 struct Placement {
     name: String,
     spec: ClusterSpec,
     assignment: Assignment,
-    layout: Layout,
 }
 
 fn placements(graph: &EdgeList) -> Vec<Placement> {
@@ -40,7 +38,6 @@ fn placements(graph: &EdgeList) -> Vec<Placement> {
             let assignment = strategy.build().partition(graph, &ctx).assignment;
             out.push(Placement {
                 name: format!("{} on {}", strategy.label(), spec.name),
-                layout: Layout::build(graph, &assignment, &spec),
                 spec,
                 assignment,
             });
@@ -103,7 +100,7 @@ fn variants(spec: &ClusterSpec, cap: Option<u32>) -> [(&'static str, EngineConfi
     ]
 }
 
-/// The three synchronous engines on every placement of `graph` and
+/// The three synchronous models on every placement of `graph` and
 /// configuration.
 fn check_sync<P>(graph: &EdgeList, placements: &[Placement], program: &P, cap: Option<u32>)
 where
@@ -113,63 +110,52 @@ where
     let name = program.name();
     // The trace of every run without a gather cache, and of every run with.
     let (mut plain, mut cached) = (None, None);
-    let csr = &CsrGraph::from_edge_list(graph);
     for at in placements {
         for (variant, config) in variants(&at.spec, cap) {
-            let what = |engine: &str| format!("{name} on {engine}, {}, {variant}", at.name);
-            let sync = SyncGas::new(config.clone());
-            let hybrid = HybridGas::new(config.clone());
-            let pregel = Pregel::new(PregelConfig::new(config.clone()));
+            let what =
+                |engine: &Engine| format!("{name} on {:?}, {}, {variant}", engine.model, at.name);
             let caching = config.delta_caching;
-            let shared = if caching { &mut cached } else { &mut plain };
-            same_as(shared, sync.trace(csr, program), &what("SyncGas"));
-            same_as(shared, hybrid.trace(csr, program), &what("HybridGas"));
-            same_as(&mut plain, pregel.trace(csr, program), &what("Pregel"));
-            let shared = if caching { &cached } else { &plain };
-            let (states, trace) = shared.as_ref().expect("recorded above");
-            let semantics = Semantics::Synchronous {
-                delta_caching: caching,
-            };
-            assert_eq!(trace.semantics(), semantics, "{}", what("SyncGas"));
+            for model in [Model::Sync, Model::Hybrid, Model::GRAPHX] {
+                let engine = Engine::new(config.clone(), model);
+                let with_cache = caching && model != Model::GRAPHX;
+                let shared = if with_cache { &mut cached } else { &mut plain };
+                same_as(shared, engine.trace(graph, program), &what(&engine));
+                let (states, trace) = shared.as_ref().expect("recorded above");
+                let semantics = Semantics::Synchronous {
+                    delta_caching: with_cache,
+                };
+                assert_eq!(trace.semantics(), semantics, "{}", what(&engine));
 
-            let (run_states, run) = sync.run(graph, &at.assignment, program);
-            let priced = sync.price(trace, &at.layout, &at.assignment, program);
-            assert_eq!(&run_states, states, "{}", what("SyncGas"));
-            assert_eq!(bits(&priced), bits(&run), "{}", what("SyncGas"));
-            assert_eq!(run.supersteps(), trace.supersteps(), "{}", what("SyncGas"));
-
-            let (run_states, run) = hybrid.run(graph, &at.assignment, program);
-            let priced = hybrid.price(trace, &at.layout, &at.assignment, program);
-            assert_eq!(&run_states, states, "{}", what("HybridGas"));
-            assert_eq!(bits(&priced), bits(&run), "{}", what("HybridGas"));
-
-            let (states, trace) = plain.as_ref().expect("recorded above");
-            let (run_states, run) = pregel.run(graph, &at.assignment, program).expect("fits");
-            let priced = pregel
-                .price(trace, &at.layout, &at.assignment, program)
-                .expect("fits");
-            assert_eq!(&run_states, states, "{}", what("Pregel"));
-            assert_eq!(bits(&priced), bits(&run), "{}", what("Pregel"));
+                let (run_states, run) = engine.run(graph, &at.assignment, program).expect("fits");
+                let priced = engine.price(trace, graph, &at.assignment, program);
+                assert_eq!(&run_states, states, "{}", what(&engine));
+                assert_eq!(
+                    bits(&priced.expect("fits")),
+                    bits(&run),
+                    "{}",
+                    what(&engine)
+                );
+                assert_eq!(run.supersteps(), trace.supersteps(), "{}", what(&engine));
+            }
         }
     }
 }
 
-/// AsyncGas on every placement of `graph` and configuration.
+/// The async model on every placement of `graph` and configuration.
 fn check_async<P>(graph: &EdgeList, placements: &[Placement], program: &P, cap: Option<u32>)
 where
     P: VertexProgram,
     P::State: Debug,
 {
     let mut shared = None;
-    let csr = CsrGraph::from_edge_list(graph);
     for at in placements {
         for (variant, config) in variants(&at.spec, cap) {
-            let what = format!("{} on AsyncGas, {}, {variant}", program.name(), at.name);
-            let engine = AsyncGas::new(config);
-            same_as(&mut shared, engine.trace(&csr, program), &what);
+            let what = format!("{} on Async, {}, {variant}", program.name(), at.name);
+            let engine = Engine::new(config, Model::Async);
+            same_as(&mut shared, engine.trace(graph, program), &what);
             let (states, trace) = shared.as_ref().expect("recorded above");
-            let (run_states, run) = engine.run(graph, &at.assignment, program);
-            let priced = engine.price(trace, &at.layout, &at.assignment, program);
+            let (run_states, run) = engine.run(graph, &at.assignment, program).unwrap();
+            let priced = engine.price(trace, graph, &at.assignment, program).unwrap();
             assert_eq!(&run_states, states, "{what}");
             assert_eq!(bits(&priced), bits(&run), "{what}");
         }
@@ -212,7 +198,7 @@ fn traces_are_placement_free_and_price_like_fresh_runs_on_a_social_network() {
 
 /// A pass the superstep cap cuts just as its frontier drains is the one
 /// case where how the pass ended, not its steps, decides the report:
-/// Pregel and AsyncGas call it converged, SyncGas does not.
+/// GraphX and the async model call it converged, Sync does not.
 #[test]
 fn traces_keep_how_a_capped_pass_ended() {
     // Directed SSSP from 0 reaches the sink 30 in superstep 30, which
@@ -224,43 +210,43 @@ fn traces_keep_how_a_capped_pass_ended() {
     let at = &placements[0];
     let mut config = EngineConfig::new(at.spec.clone());
     config.max_supersteps = 31;
-    let (_, synced) = SyncGas::new(config.clone()).run(&path, &at.assignment, &sssp);
-    let pregel = Pregel::new(PregelConfig::new(config));
-    let (_, pregeled) = pregel.run(&path, &at.assignment, &sssp).expect("fits");
+    let [synced, pregeled] = [Model::Sync, Model::GRAPHX].map(|model| {
+        let engine = Engine::new(config.clone(), model);
+        engine.run(&path, &at.assignment, &sssp).expect("fits").1
+    });
     assert_eq!((synced.converged, pregeled.converged), (false, true));
 
     // Coloring's last round recolors nothing, so nothing is left active.
-    let engine = AsyncGas::new(EngineConfig::new(at.spec.clone()));
-    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&path), &Coloring);
+    let engine = Engine::new(EngineConfig::new(at.spec.clone()), Model::Async);
+    let (_, trace) = engine.trace(&path, &Coloring);
     check_async(&path, &placements, &Coloring, Some(trace.supersteps()));
 }
 
-/// A placement to price a trace on, and its graph's adjacency.
-fn road_placement() -> (CsrGraph, Placement) {
+/// A graph and a placement of it to price a trace on.
+fn road_placement() -> (EdgeList, Placement) {
     let graph = Dataset::RoadNetCa.generate(0.02, 42);
-    (
-        CsrGraph::from_edge_list(&graph),
-        placements(&graph).swap_remove(0),
-    )
+    let at = placements(&graph).swap_remove(0);
+    (graph, at)
 }
 
 #[test]
 #[should_panic(expected = "recorded for another program, semantics or superstep cap")]
 fn a_trace_refuses_another_superstep_cap() {
-    let (csr, at) = road_placement();
-    let engine = SyncGas::new(EngineConfig::new(at.spec.clone()));
-    let (_, trace) = engine.trace(&csr, &PageRank::fixed(5));
-    engine.price(&trace, &at.layout, &at.assignment, &PageRank::fixed(6));
+    let (graph, at) = road_placement();
+    let engine = Engine::new(EngineConfig::new(at.spec.clone()), Model::Sync);
+    let (_, trace) = engine.trace(&graph, &PageRank::fixed(5));
+    let _ = engine.price(&trace, &graph, &at.assignment, &PageRank::fixed(6));
 }
 
 #[test]
 #[should_panic(expected = "recorded for another program, semantics or superstep cap")]
 fn pregel_refuses_a_delta_cached_trace() {
-    let (csr, at) = road_placement();
+    let (graph, at) = road_placement();
     let config = EngineConfig::new(at.spec.clone()).with_delta_caching(true);
-    let (_, trace): (_, SemanticTrace) = SyncGas::new(config.clone()).trace(&csr, &Wcc);
-    let pregel = Pregel::new(PregelConfig::new(config));
-    let _ = pregel.price(&trace, &at.layout, &at.assignment, &Wcc);
+    let sync = Engine::new(config.clone(), Model::Sync);
+    let (_, trace): (_, SemanticTrace) = sync.trace(&graph, &Wcc);
+    let pregel = Engine::new(config, Model::GRAPHX);
+    let _ = pregel.price(&trace, &graph, &at.assignment, &Wcc);
 }
 
 #[test]
@@ -269,8 +255,26 @@ fn a_trace_refuses_another_graph() {
     // A 31-vertex path's trace fits inside the road network's vertex range,
     // so only the graph check stops it from pricing to a wrong report.
     let path = EdgeList::from_pairs((0..30).map(|i| (i, i + 1)).collect());
-    let (_, at) = road_placement();
-    let engine = SyncGas::new(EngineConfig::new(at.spec.clone()));
-    let (_, trace) = engine.trace(&CsrGraph::from_edge_list(&path), &Wcc);
-    engine.price(&trace, &at.layout, &at.assignment, &Wcc);
+    let (graph, at) = road_placement();
+    let engine = Engine::new(EngineConfig::new(at.spec.clone()), Model::Sync);
+    let (_, trace) = engine.trace(&path, &Wcc);
+    let _ = engine.price(&trace, &graph, &at.assignment, &Wcc);
+}
+
+#[test]
+#[should_panic(expected = "recorded on another graph")]
+fn a_trace_refuses_another_graph_of_the_same_shape() {
+    // Same vertex and edge counts, so only the edge-stream digest tells the
+    // graphs apart; the assignment is of the graph it is priced on.
+    let graph = distgraph::gen::erdos_renyi(2_000, 12_000, 3);
+    let other = distgraph::gen::erdos_renyi(2_000, 12_000, 4);
+    assert_eq!(graph.num_vertices(), other.num_vertices());
+    assert_eq!(graph.num_edges(), other.num_edges());
+    let assignment = Strategy::Hdrf
+        .build()
+        .partition(&other, &PartitionContext::new(9))
+        .assignment;
+    let engine = Engine::new(EngineConfig::new(ClusterSpec::local_9()), Model::Sync);
+    let (_, trace) = engine.trace(&graph, &Wcc);
+    let _ = engine.price(&trace, &other, &assignment, &Wcc);
 }
