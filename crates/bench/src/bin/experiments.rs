@@ -11,6 +11,7 @@
 //! 0.1 = smoke test); `--csv DIR` additionally writes each table as CSV.
 
 use gp_bench::experiments::{find, registry};
+use gp_gen::Dataset;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -35,10 +36,8 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "-s" | "--scale" => {
                 let v = it.next().ok_or("--scale needs a value")?;
-                args.scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
-                if args.scale <= 0.0 {
-                    return Err("scale must be positive".into());
-                }
+                let scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
+                args.scale = Dataset::check_scale(scale).map_err(|e| format!("scale {e}"))?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;

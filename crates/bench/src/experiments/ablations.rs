@@ -122,35 +122,31 @@ pub fn ablation_engines(scale: f64, seed: u64) -> Vec<Table> {
             "saving",
         ],
     );
-    let strategies = [
+    let mut jobs = Vec::new();
+    for strategy in [
         Strategy::Hybrid,
         Strategy::OneDTarget,
         Strategy::TwoD,
         Strategy::Grid,
-    ];
-    // App-outermost, so each app's semantic trace serves every strategy on
-    // both engines; rows come out per strategy.
-    let mut pipeline = Pipeline::new(scale, seed);
-    let per_app = [App::PageRankFixed(10), App::Wcc].map(|app| {
-        strategies.map(|strategy| {
-            let [sync, hybrid] = [EngineKind::PowerGraph, EngineKind::PowerLyra].map(|engine| {
-                pipeline.run(&Scenario::new(Dataset::UkWeb, strategy, &spec, engine, app))
-            });
-            let saving = 1.0 - hybrid.mean_net_in_bytes / sync.mean_net_in_bytes.max(1.0);
-            vec![
-                strategy.label().to_string(),
-                app.label().to_string(),
-                app.is_natural().to_string(),
-                gp_cluster::table::fmt_bytes(sync.mean_net_in_bytes),
-                gp_cluster::table::fmt_bytes(hybrid.mean_net_in_bytes),
-                format!("{:.0}%", saving * 100.0),
-            ]
-        })
-    });
-    for s in 0..strategies.len() {
-        for rows in &per_app {
-            t.row(rows[s].clone());
+    ] {
+        for app in [App::PageRankFixed(10), App::Wcc] {
+            for engine in [EngineKind::PowerGraph, EngineKind::PowerLyra] {
+                jobs.push(Scenario::new(Dataset::UkWeb, strategy, &spec, engine, app));
+            }
         }
+    }
+    let results = Pipeline::new(scale, seed).run_all(&jobs);
+    for (job, pair) in jobs.chunks(2).zip(results.chunks(2)) {
+        let (job, sync, hybrid) = (&job[0], &pair[0], &pair[1]);
+        let saving = 1.0 - hybrid.mean_net_in_bytes / sync.mean_net_in_bytes.max(1.0);
+        t.row(vec![
+            job.strategy.label().to_string(),
+            job.app.label().to_string(),
+            job.app.is_natural().to_string(),
+            gp_cluster::table::fmt_bytes(sync.mean_net_in_bytes),
+            gp_cluster::table::fmt_bytes(hybrid.mean_net_in_bytes),
+            format!("{:.0}%", saving * 100.0),
+        ]);
     }
     vec![t]
 }
@@ -172,22 +168,16 @@ pub fn ablation_reuse(scale: f64, seed: u64) -> Vec<Table> {
             "5 jobs, reused partitions",
         ],
     );
-    let mut pipeline = Pipeline::new(scale, seed);
-    for strategy in [Strategy::Grid, Strategy::Hdrf] {
-        let job = pipeline.run(&Scenario::new(
-            Dataset::UkWeb,
-            strategy,
-            &spec,
-            EngineKind::PowerGraph,
-            app,
-        ));
+    let scenarios = [Strategy::Grid, Strategy::Hdrf]
+        .map(|s| Scenario::new(Dataset::UkWeb, s, &spec, EngineKind::PowerGraph, app));
+    for job in Pipeline::new(scale, seed).run_all(&scenarios) {
         let single = job.total_seconds();
         let repartition = jobs as f64 * single;
         // Reuse: pay ingress once, then only a (cheap) reload plus compute.
         let reload = job.ingress_seconds * 0.2; // stream the saved assignment
         let reused = job.total_seconds() + (jobs - 1) as f64 * (reload + job.compute_seconds);
         t.row(vec![
-            strategy.label().to_string(),
+            job.strategy.label().to_string(),
             secs(single),
             secs(repartition),
             secs(reused),

@@ -8,20 +8,13 @@
 //! strategy produced, while checkpoints trade steady-state stall time against
 //! shorter rollbacks.
 
+use crate::experiments::ch5::PG_STRATEGIES;
 use crate::experiments::{gb, secs};
-use crate::pipeline::{App, EngineKind, JobResult, Pipeline, Scenario};
+use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
 use gp_fault::{recovery_cost, CheckpointPolicy, FaultPlan, FaultRates};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
-
-/// Strategies compared in the recovery tables (the ch5 PowerGraph set).
-pub const CH10_STRATEGIES: [Strategy; 4] = [
-    Strategy::Random,
-    Strategy::Hdrf,
-    Strategy::Oblivious,
-    Strategy::Grid,
-];
 
 /// The machine killed in the single-crash scenario.
 const DEAD_MACHINE: u32 = 0;
@@ -35,16 +28,11 @@ pub fn pagerank_job(strategy: Strategy, steps: u32) -> Scenario {
     Scenario::new(Dataset::UkWeb, strategy, &spec, EngineKind::PowerGraph, app)
 }
 
-/// Run the single-crash scenario for one strategy: PageRank(20) with one
-/// crash at superstep [`CRASH_STEP`], checkpoint every 4 steps.
-fn crash_job(pipeline: &mut Pipeline, strategy: Strategy, faulted: bool) -> JobResult {
-    let clean = pagerank_job(strategy, 20);
-    pipeline.run(&if faulted {
-        let crash = FaultPlan::crash_at(CRASH_STEP, DEAD_MACHINE);
-        clean.with_faults(crash, CheckpointPolicy::every(4))
-    } else {
-        clean
-    })
+/// The single-crash scenario for one strategy: PageRank(20) with one crash
+/// at superstep [`CRASH_STEP`], checkpoint every 4 steps.
+fn crash_job(strategy: Strategy) -> Scenario {
+    let crash = FaultPlan::crash_at(CRASH_STEP, DEAD_MACHINE);
+    pagerank_job(strategy, 20).with_faults(crash, CheckpointPolicy::every(4))
 }
 
 /// Table 10.1 — recovery cost by strategy after a single machine crash.
@@ -70,9 +58,9 @@ pub fn ch10_recovery(scale: f64, seed: u64) -> Vec<Table> {
             "Overhead",
         ],
     );
-    for strategy in CH10_STRATEGIES {
-        let clean = crash_job(&mut pipeline, strategy, false);
-        let faulted = crash_job(&mut pipeline, strategy, true);
+    for strategy in PG_STRATEGIES {
+        let clean = pipeline.run(&pagerank_job(strategy, 20));
+        let faulted = pipeline.run(&crash_job(strategy));
         let partitions = EngineKind::PowerGraph.partitions(&spec);
         let outcome = pipeline.partition(Dataset::UkWeb, strategy, partitions, spec.machines);
         let rc = recovery_cost(&outcome.assignment, DEAD_MACHINE, &spec);
@@ -101,6 +89,15 @@ const CRASH_RATES: [f64; 3] = [0.0, 0.01, 0.03];
 /// Supersteps the interval sweep runs (PageRank iterations = fault horizon).
 const HORIZON: u32 = 20;
 
+/// A swept checkpoint interval as Tables 10.2/10.3 print it.
+fn interval_label(interval: u32) -> String {
+    if interval == 0 {
+        "off".to_string()
+    } else {
+        interval.to_string()
+    }
+}
+
 /// Table 10.2 — wall clock vs checkpoint interval under random crashes, and
 /// Table 10.3 — Young's optimal interval vs the empirically best one.
 pub fn ch10_interval(scale: f64, seed: u64) -> Vec<Table> {
@@ -118,20 +115,12 @@ pub fn ch10_interval(scale: f64, seed: u64) -> Vec<Table> {
     // walls[rate_index][interval_index]
     let mut walls = vec![Vec::new(); CRASH_RATES.len()];
     for &interval in &INTERVALS {
-        let mut row = vec![if interval == 0 {
-            "off".to_string()
-        } else {
-            interval.to_string()
-        }];
+        let mut row = vec![interval_label(interval)];
         for (ri, &rate) in CRASH_RATES.iter().enumerate() {
             // Same seed for every interval: the crash schedule is held fixed
             // so the interval is the only variable.
             let plan = FaultPlan::generate(seed, &spec, HORIZON, &FaultRates::crashes(rate));
-            let policy = if interval == 0 {
-                CheckpointPolicy::disabled()
-            } else {
-                CheckpointPolicy::every(interval)
-            };
+            let policy = CheckpointPolicy::every(interval); // 0 disables
             let job = pipeline.run(&pagerank_job(strategy, HORIZON).with_faults(plan, policy));
             walls[ri].push(job.compute_seconds);
             row.push(secs(job.compute_seconds));
@@ -173,11 +162,7 @@ pub fn ch10_interval(scale: f64, seed: u64) -> Vec<Table> {
             format!("{mtbf_steps:.1}"),
             format!("{ckpt_cost_steps:.3}"),
             young.to_string(),
-            if best == 0 {
-                "off".to_string()
-            } else {
-                best.to_string()
-            },
+            interval_label(best),
         ]);
     }
     vec![sweep, optimal]
@@ -192,7 +177,7 @@ mod tests {
         let tables = ch10_recovery(0.05, 7);
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
-        assert_eq!(t.len(), CH10_STRATEGIES.len());
+        assert_eq!(t.len(), PG_STRATEGIES.len());
         // Columns: 1 = RF, 3 = recovery seconds.
         let mut points: Vec<(f64, f64)> = t
             .rows()

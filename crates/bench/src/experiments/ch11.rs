@@ -11,9 +11,10 @@
 //! of the slow machine's work on the least-loaded peer bounds the stall by
 //! the clone's runtime instead of the straggler's slowdown factor.
 
-use crate::experiments::ch10::{pagerank_job, CH10_STRATEGIES};
+use crate::experiments::ch10::pagerank_job;
+use crate::experiments::ch5::PG_STRATEGIES;
 use crate::experiments::{gb, secs};
-use crate::pipeline::{JobResult, Pipeline};
+use crate::pipeline::{Pipeline, Scenario};
 use gp_cluster::Table;
 use gp_engine::CommsConfig;
 use gp_fault::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
@@ -24,13 +25,11 @@ pub const LOSS_RATES: [f64; 5] = [0.0, 0.02, 0.05, 0.1, 0.2];
 /// Supersteps the sweep runs (PageRank iterations = flaky-window horizon).
 const HORIZON: u32 = 20;
 
-fn lossy_job(pipeline: &mut Pipeline, strategy: Strategy, loss: f64) -> JobResult {
+fn lossy_job(strategy: Strategy, loss: f64) -> Scenario {
     let job = pagerank_job(strategy, HORIZON);
     let flaky = FaultPlan::uniform_flaky(loss, job.spec.machines, HORIZON);
-    pipeline.run(
-        &job.with_faults(flaky, CheckpointPolicy::disabled())
-            .with_comms(CommsConfig::reliable()),
-    )
+    job.with_faults(flaky, CheckpointPolicy::disabled())
+        .with_comms(CommsConfig::reliable())
 }
 
 /// Table 11.1 — wall clock and retransmit traffic vs uniform loss rate.
@@ -51,23 +50,16 @@ pub fn ch11_netloss(scale: f64, seed: u64) -> Vec<Table> {
          UK-Web, PageRank(20), reliable delivery with capped exponential backoff)",
         &header_refs,
     );
-    for strategy in CH10_STRATEGIES {
-        let mut row = vec![strategy.label().to_string()];
-        let mut rf = 0.0;
-        let mut last = None;
-        for &loss in &LOSS_RATES {
-            let job = lossy_job(&mut pipeline, strategy, loss);
-            rf = job.replication_factor;
-            if row.len() == 1 {
-                row.push(format!("{rf:.2}"));
-            }
-            row.push(secs(job.compute_seconds));
-            last = Some(job);
-        }
-        let worst = last.expect("at least one loss rate");
+    for strategy in PG_STRATEGIES {
+        let jobs = pipeline.run_all(&LOSS_RATES.map(|loss| lossy_job(strategy, loss)));
+        let mut row = vec![
+            strategy.label().to_string(),
+            format!("{:.2}", jobs[0].replication_factor),
+        ];
+        row.extend(jobs.iter().map(|job| secs(job.compute_seconds)));
+        let worst = &jobs[LOSS_RATES.len() - 1];
         row.push(gb(worst.retransmit_bytes));
         row.push(format!("{:.2}", worst.retry_timeout_seconds));
-        let _ = rf;
         t.row(row);
     }
     vec![t]
@@ -88,12 +80,10 @@ fn straggler_plan() -> FaultPlan {
     plan
 }
 
-fn straggler_job(pipeline: &mut Pipeline, strategy: Strategy, comms: CommsConfig) -> JobResult {
-    pipeline.run(
-        &pagerank_job(strategy, HORIZON)
-            .with_faults(straggler_plan(), CheckpointPolicy::disabled())
-            .with_comms(comms),
-    )
+fn straggler_job(strategy: Strategy, comms: CommsConfig) -> Scenario {
+    pagerank_job(strategy, HORIZON)
+        .with_faults(straggler_plan(), CheckpointPolicy::disabled())
+        .with_comms(comms)
 }
 
 /// Table 11.2 — speculative re-execution vs barrier-wait on a straggler.
@@ -118,14 +108,11 @@ pub fn ch11_speculation(scale: f64, seed: u64) -> Vec<Table> {
             "Residual overhead",
         ],
     );
-    for strategy in CH10_STRATEGIES {
+    for strategy in PG_STRATEGIES {
         let clean = pipeline.run(&pagerank_job(strategy, HORIZON));
-        let wait = straggler_job(&mut pipeline, strategy, CommsConfig::disabled());
-        let spec = straggler_job(
-            &mut pipeline,
-            strategy,
-            CommsConfig::disabled().with_speculation(true),
-        );
+        let wait = pipeline.run(&straggler_job(strategy, CommsConfig::disabled()));
+        let speculative = CommsConfig::disabled().with_speculation(true);
+        let spec = pipeline.run(&straggler_job(strategy, speculative));
         t.row(vec![
             strategy.label().to_string(),
             format!("{:.2}", spec.replication_factor),
@@ -152,7 +139,7 @@ mod tests {
         let tables = ch11_netloss(0.05, 7);
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
-        assert_eq!(t.len(), CH10_STRATEGIES.len());
+        assert_eq!(t.len(), PG_STRATEGIES.len());
         for row in t.rows() {
             // Columns 2..2+LOSS_RATES.len() are the wall clocks.
             let walls: Vec<f64> = (2..2 + LOSS_RATES.len())

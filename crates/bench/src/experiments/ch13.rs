@@ -80,24 +80,31 @@ pub fn ch13_elasticity(scale: f64, seed: u64) -> Vec<Table> {
             "Cost-based picks",
         ],
     );
-    let mut row = |strategy: Strategy, app: App| {
-        let job = Scenario::new(
-            Dataset::LiveJournal,
-            strategy,
-            &spec,
-            EngineKind::PowerGraph,
-            app,
-        );
-        let scale_out = ElasticConfig::new(ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K));
-        let mut run = |repair: RepairPolicy| {
-            p.run(
-                &job.clone()
-                    .with_elastic(scale_out.clone().with_repair(repair)),
-            )
-        };
-        let ride = run(RepairPolicy::NeverRepartition);
-        let repart = run(RepairPolicy::AlwaysRepartition);
-        let cost_based = run(RepairPolicy::default());
+    let scale_out = ElasticConfig::new(ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K));
+    let repairs = [
+        RepairPolicy::NeverRepartition,
+        RepairPolicy::AlwaysRepartition,
+        RepairPolicy::default(),
+    ];
+    let mut jobs = Vec::new();
+    for strategy in ELASTIC_STRATEGIES {
+        for app in ELASTIC_APPS {
+            let job = Scenario::new(
+                Dataset::LiveJournal,
+                strategy,
+                &spec,
+                EngineKind::PowerGraph,
+                app,
+            );
+            for repair in &repairs {
+                let elastic = scale_out.clone().with_repair(repair.clone());
+                jobs.push(job.clone().with_elastic(elastic));
+            }
+        }
+    }
+    let results = p.run_all(&jobs);
+    for (job, runs) in jobs.chunks(3).zip(results.chunks(3)) {
+        let (job, ride, repart, cost_based) = (&job[0], &runs[0], &runs[1], &runs[2]);
         let winner = if repart.compute_seconds < ride.compute_seconds {
             "re-partition"
         } else {
@@ -108,26 +115,18 @@ pub fn ch13_elasticity(scale: f64, seed: u64) -> Vec<Table> {
         } else {
             "ride"
         };
-        vec![
-            strategy.label().to_string(),
-            app_label(app),
+        t.row(vec![
+            job.strategy.label().to_string(),
+            app_label(job.app),
             format!("{:.2}", ride.replication_factor),
             format!("{:.1}", ride.compute_seconds),
             format!("{:.1}", repart.compute_seconds),
             format!("{:.1}", repart.reingress_seconds),
             winner.to_string(),
             picked.to_string(),
-        ]
-    };
-    // App-outermost, so each app's semantic trace serves every strategy;
-    // rows come out per strategy.
-    let per_app = ELASTIC_APPS.map(|app| ELASTIC_STRATEGIES.map(|strategy| row(strategy, app)));
-    for s in 0..ELASTIC_STRATEGIES.len() {
-        for rows in &per_app {
-            t.row(rows[s].clone());
-        }
+        ]);
     }
-    vec![t, tenant_table(scale, seed)]
+    vec![t, tenant_table(&mut p, &spec)]
 }
 
 /// Table 13.2 — two tenants, one cluster: FIFO vs fair-share.
@@ -136,31 +135,18 @@ pub fn ch13_elasticity(scale: f64, seed: u64) -> Vec<Table> {
 /// the scheduler then interleaves them, pricing the shared network through
 /// the gp-net retry model. Fair-share cuts the second tenant's wait but
 /// every concurrently-running superstep pays contention.
-fn tenant_table(scale: f64, seed: u64) -> Table {
-    let spec = ClusterSpec::local_9();
-    let mut p = Pipeline::new(scale, seed);
-    let long = p.run(&Scenario::new(
-        Dataset::LiveJournal,
-        Strategy::Grid,
-        &spec,
-        EngineKind::PowerGraph,
-        App::PageRankFixed(12),
-    ));
-    let short = p.run(&Scenario::new(
-        Dataset::LiveJournal,
-        Strategy::Hdrf,
-        &spec,
-        EngineKind::PowerGraph,
-        App::Wcc,
-    ));
+fn tenant_table(p: &mut Pipeline, spec: &ClusterSpec) -> Table {
+    let job = |s, app| Scenario::new(Dataset::LiveJournal, s, spec, EngineKind::PowerGraph, app);
+    let solo = p.run_all(&[
+        job(Strategy::Grid, App::PageRankFixed(12)),
+        job(Strategy::Hdrf, App::Wcc),
+    ]);
     // The short job arrives once the long one is a couple of supersteps in.
-    let arrival = long.cumulative_seconds.get(1).copied().unwrap_or(0.0);
-    let jobs = |short_arrival: f64| {
-        vec![
-            tenant_job("pagerank", 0.0, &long),
-            tenant_job("wcc", short_arrival, &short),
-        ]
-    };
+    let arrival = solo[0].cumulative_seconds.get(1).copied().unwrap_or(0.0);
+    let jobs = [
+        tenant_job("pagerank", 0.0, &solo[0]),
+        tenant_job("wcc", arrival, &solo[1]),
+    ];
     let mut t = Table::new(
         "Table 13.2 — Two tenants on Local-9 (PageRank(12)@Grid + WCC@HDRF): \
          FIFO vs fair-share",
@@ -175,8 +161,8 @@ fn tenant_table(scale: f64, seed: u64) -> Table {
         ],
     );
     for policy in [SchedulePolicy::Fifo, SchedulePolicy::FairShare] {
-        let report = TenantScheduler::new(spec.clone(), policy)
-            .run(&jobs(arrival), &TelemetrySink::Disabled);
+        let report =
+            TenantScheduler::new(spec.clone(), policy).run(&jobs, &TelemetrySink::Disabled);
         for o in &report.outcomes {
             t.row(vec![
                 policy.label().to_string(),

@@ -1,8 +1,7 @@
 //! Chapter 5 experiments — PowerGraph.
 
-use crate::experiments::{gb, secs};
+use crate::experiments::{gb, rf_scatter, secs, tree_table, Metric, Trend};
 use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
-use crate::{linear_fit, pearson};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::{Dataset, DegreeAnalysis};
 use gp_partition::Strategy;
@@ -16,86 +15,51 @@ pub const PG_STRATEGIES: [Strategy; 4] = [
     Strategy::Grid,
 ];
 
-/// Shared driver for Figs 5.3–5.5: run the six applications with the four
-/// strategies on UK-web/EC2-25 and tabulate `metric(job)` against RF.
-fn rf_scatter(
-    scale: f64,
-    seed: u64,
-    title: &str,
-    metric_header: &str,
-    metric: impl Fn(&crate::pipeline::JobResult) -> f64,
-    fmt: impl Fn(f64) -> String,
-) -> Vec<Table> {
-    let mut pipeline = Pipeline::new(scale, seed);
-    let spec = ClusterSpec::ec2_25();
-    let mut t = Table::new(title.to_string(), &["App", "Strategy", "RF", metric_header]);
-    let mut trend = Table::new(
-        format!("{title} — per-app linear trend"),
-        &["App", "slope", "intercept", "pearson r"],
-    );
-    for app in App::paper_set() {
-        let mut points = Vec::new();
-        for strategy in PG_STRATEGIES {
-            let job = pipeline.run(&Scenario::new(
-                Dataset::UkWeb,
-                strategy,
-                &spec,
-                EngineKind::PowerGraph,
-                app,
-            ));
-            let y = metric(&job);
-            t.row(vec![
-                app.label().to_string(),
-                strategy.label().to_string(),
-                format!("{:.2}", job.replication_factor),
-                fmt(y),
-            ]);
-            points.push((job.replication_factor, y));
-        }
-        let (intercept, slope) = linear_fit(&points);
-        trend.row(vec![
-            app.label().to_string(),
-            format!("{slope:.3e}"),
-            format!("{intercept:.3e}"),
-            format!("{:.3}", pearson(&points)),
-        ]);
-    }
-    vec![t, trend]
+/// Figs 5.3–5.5: the six apps × the four strategies on UK-web/EC2-25,
+/// `metric` against RF, with each app's trend fitted on every point.
+fn pg_scatter(scale: f64, seed: u64, title: &str, metric: Metric) -> Vec<Table> {
+    rf_scatter(
+        scale,
+        seed,
+        title,
+        (
+            Dataset::UkWeb,
+            ClusterSpec::ec2_25(),
+            EngineKind::PowerGraph,
+        ),
+        &PG_STRATEGIES,
+        metric,
+        Trend::Table,
+    )
 }
 
 /// Fig 5.3: incoming network I/O vs replication factor.
 pub fn fig5_3(scale: f64, seed: u64) -> Vec<Table> {
-    rf_scatter(
+    pg_scatter(
         scale,
         seed,
         "Fig 5.3 — Incoming Network IO vs Replication Factors (PowerGraph, EC2-25, UK-Web)",
-        "Inbound Net I/O (GB/machine)",
-        |j| j.mean_net_in_bytes,
-        gb,
+        ("Inbound Net I/O (GB/machine)", |j| j.mean_net_in_bytes, gb),
     )
 }
 
 /// Fig 5.4: computation time vs replication factor.
 pub fn fig5_4(scale: f64, seed: u64) -> Vec<Table> {
-    rf_scatter(
+    pg_scatter(
         scale,
         seed,
         "Fig 5.4 — Computation Time vs Replication Factors (PowerGraph, EC2-25, UK-Web)",
-        "Computation time (s)",
-        |j| j.compute_seconds,
-        secs,
+        ("Computation time (s)", |j| j.compute_seconds, secs),
     )
 }
 
 /// Fig 5.5: peak memory vs replication factor.
 pub fn fig5_5(scale: f64, seed: u64) -> Vec<Table> {
-    rf_scatter(
+    pg_scatter(
         scale,
         seed,
         "Fig 5.5 — Memory usage vs Replication Factors (PowerGraph, EC2-25, UK-Web)",
-        "Peak memory (GB/machine)",
-        |j| j.peak_memory_bytes,
-        gb,
+        ("Peak memory (GB/machine)", |j| j.peak_memory_bytes, gb),
     )
 }
 
@@ -198,7 +162,6 @@ pub fn fig5_8(scale: f64, seed: u64) -> Vec<Table> {
 /// Table 5.1: HDRF vs Grid in the ingress and compute phases for
 /// short-running PageRank(C) vs long-running k-core (UK-web, EC2-25).
 pub fn table5_1(scale: f64, seed: u64) -> Vec<Table> {
-    let mut pipeline = Pipeline::new(scale, seed);
     let spec = ClusterSpec::ec2_25();
     let mut t = Table::new(
         "Table 5.1 — HDRF vs Grid, ingress/compute/total (PowerGraph, EC2-25, UK-web)",
@@ -212,41 +175,30 @@ pub fn table5_1(scale: f64, seed: u64) -> Vec<Table> {
             "K-Core total",
         ],
     );
-    // App-outermost, so each app's semantic trace serves both strategies;
-    // rows come out per strategy.
     let strategies = [Strategy::Grid, Strategy::Hdrf];
-    let [pr, kc] = [App::PageRankConv, App::kcore_paper()].map(|app| {
-        strategies.map(|strategy| {
-            pipeline.run(&Scenario::new(
-                Dataset::UkWeb,
-                strategy,
-                &spec,
-                EngineKind::PowerGraph,
-                app,
-            ))
+    let jobs: Vec<Scenario> = (strategies.iter())
+        .flat_map(|&strategy| {
+            [App::PageRankConv, App::kcore_paper()].map(|app| {
+                Scenario::new(Dataset::UkWeb, strategy, &spec, EngineKind::PowerGraph, app)
+            })
         })
-    });
-    for ((strategy, pr), kc) in strategies.iter().zip(&pr).zip(&kc) {
-        t.row(vec![
-            strategy.label().to_string(),
-            secs(pr.ingress_seconds),
-            secs(pr.compute_seconds),
-            secs(pr.total_seconds()),
-            secs(kc.ingress_seconds),
-            secs(kc.compute_seconds),
-            secs(kc.total_seconds()),
-        ]);
+        .collect();
+    let jobs = Pipeline::new(scale, seed).run_all(&jobs);
+    for (strategy, jobs) in strategies.iter().zip(jobs.chunks(2)) {
+        let mut row = vec![strategy.label().to_string()];
+        for job in jobs {
+            let total = job.total_seconds();
+            row.extend([job.ingress_seconds, job.compute_seconds, total].map(secs));
+        }
+        t.row(row);
     }
     vec![t]
 }
 
 /// Fig 5.9: the PowerGraph decision tree.
 pub fn fig5_9(_scale: f64, _seed: u64) -> Vec<Table> {
-    let mut t = Table::new("Fig 5.9 — PowerGraph decision tree", &["tree"]);
-    for line in gp_advisor::render_powergraph_tree().lines() {
-        t.row(vec![line.to_string()]);
-    }
-    vec![t]
+    let tree = gp_advisor::render_powergraph_tree();
+    tree_table("Fig 5.9 — PowerGraph decision tree", tree)
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! Chapter 6 experiments — PowerLyra.
 
-use crate::experiments::{gb, secs};
+use crate::experiments::{gb, rf_scatter, secs, tree_table, Metric, Trend};
 use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
-use crate::{linear_fit, pearson};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -16,103 +15,41 @@ pub const PL_STRATEGIES: [Strategy; 5] = [
     Strategy::HybridGinger,
 ];
 
-fn is_hybrid(s: Strategy) -> bool {
-    matches!(s, Strategy::Hybrid | Strategy::HybridGinger)
-}
-
-/// Figs 6.1/6.2 share a driver: scatter a metric against RF, fitting the
-/// trend line on the *non-hybrid* points only (as the paper does) and
-/// reporting each hybrid point's deviation from that trend.
-fn rf_scatter_with_hybrid_deviation(
-    scale: f64,
-    seed: u64,
-    title: &str,
-    metric_header: &str,
-    metric: impl Fn(&crate::pipeline::JobResult) -> f64,
-    fmt: impl Fn(f64) -> String,
-) -> Vec<Table> {
-    let mut pipeline = Pipeline::new(scale, seed);
-    let spec = ClusterSpec::ec2_25();
-    let mut t = Table::new(
-        title.to_string(),
-        &["App", "Strategy", "RF", metric_header, "vs trend"],
-    );
-    let mut trend = Table::new(
-        format!("{title} — trend fitted on non-hybrid points"),
-        &["App", "slope", "intercept", "pearson r (non-hybrid)"],
-    );
-    for app in App::paper_set() {
-        let jobs: Vec<(Strategy, crate::pipeline::JobResult)> = PL_STRATEGIES
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    pipeline.run(&Scenario::new(
-                        Dataset::UkWeb,
-                        s,
-                        &spec,
-                        EngineKind::PowerLyra,
-                        app,
-                    )),
-                )
-            })
-            .collect();
-        let base_points: Vec<(f64, f64)> = jobs
-            .iter()
-            .filter(|(s, _)| !is_hybrid(*s))
-            .map(|(_, j)| (j.replication_factor, metric(j)))
-            .collect();
-        let (intercept, slope) = linear_fit(&base_points);
-        for (s, j) in &jobs {
-            let y = metric(j);
-            let predicted = intercept + slope * j.replication_factor;
-            let deviation = if predicted.abs() > 1e-12 {
-                y / predicted
-            } else {
-                1.0
-            };
-            t.row(vec![
-                app.label().to_string(),
-                s.label().to_string(),
-                format!("{:.2}", j.replication_factor),
-                fmt(y),
-                format!("{deviation:.2}x"),
-            ]);
-        }
-        trend.row(vec![
-            app.label().to_string(),
-            format!("{slope:.3e}"),
-            format!("{intercept:.3e}"),
-            format!("{:.3}", pearson(&base_points)),
-        ]);
-    }
-    vec![t, trend]
+/// Figs 6.1/6.2: the six apps × the five strategies on UK-web/EC2-25,
+/// `metric` against RF, with each app's trend fitted on the non-hybrid
+/// points only (as the paper does) and each point's deviation from it.
+fn pl_scatter(scale: f64, seed: u64, title: &str, metric: Metric) -> Vec<Table> {
+    rf_scatter(
+        scale,
+        seed,
+        title,
+        (Dataset::UkWeb, ClusterSpec::ec2_25(), EngineKind::PowerLyra),
+        &PL_STRATEGIES,
+        metric,
+        Trend::NonHybrid,
+    )
 }
 
 /// Fig 6.1: incoming network I/O vs RF — Hybrid and H-Ginger land *below*
 /// the trend for natural applications (PageRank) thanks to the hybrid
 /// engine's local gather (§6.4.1).
 pub fn fig6_1(scale: f64, seed: u64) -> Vec<Table> {
-    rf_scatter_with_hybrid_deviation(
+    pl_scatter(
         scale,
         seed,
         "Fig 6.1 — Incoming network IO vs Replication Factor (EC2-25, PowerLyra, UK-web)",
-        "Inbound Net I/O (GB/machine)",
-        |j| j.mean_net_in_bytes,
-        gb,
+        ("Inbound Net I/O (GB/machine)", |j| j.mean_net_in_bytes, gb),
     )
 }
 
 /// Fig 6.2: peak memory vs RF — Hybrid and H-Ginger land *above* the trend
 /// because of their multi-phase ingress buffers (§6.4.2).
 pub fn fig6_2(scale: f64, seed: u64) -> Vec<Table> {
-    rf_scatter_with_hybrid_deviation(
+    pl_scatter(
         scale,
         seed,
         "Fig 6.2 — Peak memory utilization vs Replication Factor (EC2-25, PowerLyra, UK-web)",
-        "Peak memory (GB/machine)",
-        |j| j.peak_memory_bytes,
-        gb,
+        ("Peak memory (GB/machine)", |j| j.peak_memory_bytes, gb),
     )
 }
 
@@ -132,16 +69,12 @@ pub fn fig6_3(scale: f64, seed: u64) -> Vec<Table> {
             "Peak is in ingress?",
         ],
     );
-    for strategy in PL_STRATEGIES {
-        let job = pipeline.run(&Scenario::new(
-            Dataset::UkWeb,
-            strategy,
-            &spec,
-            EngineKind::PowerLyra,
-            App::PageRankFixed(10),
-        ));
-        let partitions = EngineKind::PowerLyra.partitions(&spec);
-        let outcome = pipeline.partition(Dataset::UkWeb, strategy, partitions, spec.machines);
+    let engine = EngineKind::PowerLyra;
+    let jobs = PL_STRATEGIES
+        .map(|s| Scenario::new(Dataset::UkWeb, s, &spec, engine, App::PageRankFixed(10)));
+    for job in pipeline.run_all(&jobs) {
+        let partitions = engine.partitions(&spec);
+        let outcome = pipeline.partition(Dataset::UkWeb, job.strategy, partitions, spec.machines);
         // Ingress-phase peak: graph storage + strategy state + parse buffers
         // (the raw edge blocks held while assigning).
         let edges = outcome.assignment.num_edges() as f64;
@@ -150,7 +83,7 @@ pub fn fig6_3(scale: f64, seed: u64) -> Vec<Table> {
         let ingress_peak = base + parse_buffer;
         let compute_peak = base - outcome.state_bytes as f64 * 0.5;
         t.row(vec![
-            strategy.label().to_string(),
+            job.strategy.label().to_string(),
             secs(job.ingress_seconds),
             gb(ingress_peak),
             gb(compute_peak.max(0.0)),
@@ -188,11 +121,8 @@ pub fn fig6_5(scale: f64, seed: u64) -> Vec<Table> {
 
 /// Fig 6.6: the PowerLyra decision tree.
 pub fn fig6_6(_scale: f64, _seed: u64) -> Vec<Table> {
-    let mut t = Table::new("Fig 6.6 — PowerLyra decision tree", &["tree"]);
-    for line in gp_advisor::render_powerlyra_tree().lines() {
-        t.row(vec![line.to_string()]);
-    }
-    vec![t]
+    let tree = gp_advisor::render_powerlyra_tree();
+    tree_table("Fig 6.6 — PowerLyra decision tree", tree)
 }
 
 #[cfg(test)]

@@ -46,16 +46,12 @@ pub fn fig7_1(scale: f64, seed: u64) -> Vec<Table> {
         "Fig 7.1 — Computation times for PageRank on GraphX (Local-10) [seconds]",
         &headers,
     );
+    let graphx = EngineKind::graphx_default();
     for dataset in Dataset::GRAPHX_SET {
+        let jobs =
+            GX_STRATEGIES.map(|s| Scenario::new(dataset, s, &spec, graphx, App::PageRankFixed(10)));
         let mut row = vec![dataset.to_string()];
-        for strategy in GX_STRATEGIES {
-            let job = pipeline.run(&Scenario::new(
-                dataset,
-                strategy,
-                &spec,
-                EngineKind::graphx_default(),
-                App::PageRankFixed(10),
-            ));
+        for job in pipeline.run_all(&jobs) {
             row.push(secs(job.compute_seconds));
         }
         t.row(row);
@@ -76,21 +72,13 @@ pub fn table7_1(scale: f64, seed: u64) -> Vec<Table> {
         "Table 7.1 — Computation time-based rankings for GraphX",
         &headers,
     );
+    let graphx = EngineKind::graphx_default();
     for app in gx_apps() {
         let mut row = vec![app.label().to_string()];
         for dataset in Dataset::GRAPHX_SET {
-            let mut timed: Vec<(Strategy, f64)> = GX_STRATEGIES
-                .iter()
-                .map(|&s| {
-                    let job = pipeline.run(&Scenario::new(
-                        dataset,
-                        s,
-                        &spec,
-                        EngineKind::graphx_default(),
-                        app,
-                    ));
-                    (s, job.compute_seconds)
-                })
+            let jobs = GX_STRATEGIES.map(|s| Scenario::new(dataset, s, &spec, graphx, app));
+            let mut timed: Vec<(Strategy, f64)> = (pipeline.run_all(&jobs).iter())
+                .map(|job| (job.strategy, job.compute_seconds))
                 .collect();
             timed.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
             row.push(ranking_string(&timed));
@@ -132,8 +120,6 @@ fn short_label(s: Strategy) -> &'static str {
     match s {
         Strategy::Random => "CR",
         Strategy::AsymmetricRandom => "R",
-        Strategy::OneD => "1D",
-        Strategy::TwoD => "2D",
         other => other.label(),
     }
 }

@@ -1,7 +1,6 @@
 //! Chapter 8 experiments — PowerLyra with all strategies (plus 1D-Target).
 
-use crate::experiments::gb;
-use crate::linear_fit;
+use crate::experiments::{gb, rf_scatter, Trend};
 use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
 use gp_gen::Dataset;
@@ -44,60 +43,23 @@ pub fn fig8_2(scale: f64, seed: u64) -> Vec<Table> {
 /// line (its out-edge co-location fights the gather direction), 1D-Target
 /// and 2D land *below* it (§8.2.3).
 pub fn fig8_3(scale: f64, seed: u64) -> Vec<Table> {
-    let mut pipeline = Pipeline::new(scale, seed);
-    let spec = ClusterSpec::local_9();
     let mut strategies: Vec<Strategy> = Strategy::POWERLYRA_ALL.to_vec();
     strategies.push(Strategy::OneDTarget);
-    let mut t = Table::new(
+    // Interpolate over ALL points (linear curve-fit), as the paper does for
+    // this figure.
+    rf_scatter(
+        scale,
+        seed,
         "Fig 8.3 — Incoming network IO vs Replication Factor (Local-9, PowerLyra, Twitter)",
-        &[
-            "App",
-            "Strategy",
-            "RF",
-            "Inbound Net I/O (GB/machine)",
-            "vs trend",
-        ],
-    );
-    for app in App::paper_set() {
-        let jobs: Vec<(Strategy, crate::pipeline::JobResult)> = strategies
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    pipeline.run(&Scenario::new(
-                        Dataset::Twitter,
-                        s,
-                        &spec,
-                        EngineKind::PowerLyra,
-                        app,
-                    )),
-                )
-            })
-            .collect();
-        // Interpolate over ALL points (linear curve-fit), as the paper does
-        // for this figure.
-        let points: Vec<(f64, f64)> = jobs
-            .iter()
-            .map(|(_, j)| (j.replication_factor, j.mean_net_in_bytes))
-            .collect();
-        let (intercept, slope) = linear_fit(&points);
-        for (s, j) in &jobs {
-            let predicted = intercept + slope * j.replication_factor;
-            let dev = if predicted.abs() > 1e-12 {
-                j.mean_net_in_bytes / predicted
-            } else {
-                1.0
-            };
-            t.row(vec![
-                app.label().to_string(),
-                s.label().to_string(),
-                format!("{:.2}", j.replication_factor),
-                gb(j.mean_net_in_bytes),
-                format!("{dev:.2}x"),
-            ]);
-        }
-    }
-    vec![t]
+        (
+            Dataset::Twitter,
+            ClusterSpec::local_9(),
+            EngineKind::PowerLyra,
+        ),
+        &strategies,
+        ("Inbound Net I/O (GB/machine)", |j| j.mean_net_in_bytes, gb),
+        Trend::Ratio,
+    )
 }
 
 /// Fig 8.4: CPU utilization vs compute-phase duration for PageRank and
@@ -123,19 +85,14 @@ pub fn fig8_4(scale: f64, seed: u64) -> Vec<Table> {
                 "max",
             ],
         );
-        for strategy in Strategy::POWERLYRA_ALL {
-            let job = pipeline.run(&Scenario::new(
-                Dataset::UkWeb,
-                strategy,
-                &spec,
-                EngineKind::PowerLyra,
-                app,
-            ));
+        let jobs = Strategy::POWERLYRA_ALL
+            .map(|s| Scenario::new(Dataset::UkWeb, s, &spec, EngineKind::PowerLyra, app));
+        for job in pipeline.run_all(&jobs) {
             let mut cpus = job.cpu_percents.clone();
             cpus.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let q = |f: f64| cpus[(f * (cpus.len() - 1) as f64).round() as usize];
             t.row(vec![
-                strategy.label().to_string(),
+                job.strategy.label().to_string(),
                 format!("{:.1}", job.compute_seconds),
                 format!("{:.1}", q(0.0)),
                 format!("{:.1}", q(0.25)),

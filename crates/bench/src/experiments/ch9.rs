@@ -1,9 +1,10 @@
 //! Chapter 9 experiments — GraphX with all strategies.
 
+use crate::experiments::tree_table;
 use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
 use gp_engine::pregel::graph_bytes;
-use gp_engine::{Engine, EngineConfig, Model, PlacementCase};
+use gp_engine::{Engine, EngineConfig, PlacementCase};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
 
@@ -28,7 +29,7 @@ fn per_iteration(scale: f64, seed: u64, dataset: Dataset, fig: &str) -> Vec<Tabl
     let mut tables = Vec::new();
     for app in ch9_apps() {
         let mut headers: Vec<String> = vec!["Strategy".into(), "Partitioning (s)".into()];
-        let sample_iters: Vec<u32> = vec![1, 5, 10, 15, 20, 25];
+        let sample_iters = [1, 5, 10, 15, 20, 25];
         headers.extend(sample_iters.iter().map(|i| format!("iter {i}")));
         let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
         let mut t = Table::new(
@@ -38,23 +39,16 @@ fn per_iteration(scale: f64, seed: u64, dataset: Dataset, fig: &str) -> Vec<Tabl
             ),
             &header_refs,
         );
-        for strategy in Strategy::POWERLYRA_ALL {
-            let job = pipeline.run(&Scenario::new(dataset, strategy, &spec, engine, app));
+        let jobs = Strategy::POWERLYRA_ALL.map(|s| Scenario::new(dataset, s, &spec, engine, app));
+        for job in pipeline.run_all(&jobs) {
             let mut row = vec![
-                strategy.label().to_string(),
+                job.strategy.label().to_string(),
                 format!("{:.1}", job.ingress_seconds),
             ];
-            for &iter in &sample_iters {
-                let idx = (iter as usize).min(job.cumulative_seconds.len());
-                let cell = if idx == 0 || job.cumulative_seconds.is_empty() {
-                    "-".to_string()
-                } else {
-                    format!(
-                        "{:.1}",
-                        job.ingress_seconds + job.cumulative_seconds[idx - 1]
-                    )
-                };
-                row.push(cell);
+            for iter in sample_iters {
+                // A job that ends early holds its last superstep's total.
+                let reached = job.cumulative_seconds.iter().take(iter).next_back();
+                row.push(reached.map_or("-".into(), |c| format!("{:.1}", job.ingress_seconds + c)));
             }
             t.row(row);
         }
@@ -79,11 +73,8 @@ pub fn fig9_2(scale: f64, seed: u64) -> Vec<Table> {
 
 /// Fig 9.3: the GraphX-all decision tree.
 pub fn fig9_3(_scale: f64, _seed: u64) -> Vec<Table> {
-    let mut t = Table::new("Fig 9.3 — Decision Tree for GraphX-All", &["tree"]);
-    for line in gp_advisor::render_graphx_all_tree().lines() {
-        t.row(vec![line.to_string()]);
-    }
-    vec![t]
+    let tree = gp_advisor::render_graphx_all_tree();
+    tree_table("Fig 9.3 — Decision Tree for GraphX-All", tree)
 }
 
 /// Fig 9.4: effect of executor memory on execution time (GraphX-All,
@@ -108,22 +99,17 @@ pub fn fig9_4(scale: f64, seed: u64) -> Vec<Table> {
         // (case 3).
         let mem = footprint * step / 10;
         let engine = EngineKind::GraphX {
-            partitions_per_machine: 16,
             executor_memory_bytes: mem,
         };
+        let app = App::PageRankFixed(ITERATIONS);
         let job = pipeline.run(&Scenario::new(
             Dataset::RoadNetCa,
             Strategy::Random,
             &spec,
             engine,
-            App::PageRankFixed(ITERATIONS),
+            app,
         ));
-        let graphx = Engine::new(
-            EngineConfig::new(spec.clone()),
-            Model::GraphX {
-                executor_memory_bytes: mem,
-            },
-        );
+        let graphx = Engine::new(EngineConfig::new(spec.clone()), engine.model(app));
         let outcome = pipeline.partition(Dataset::RoadNetCa, Strategy::Random, partitions, 9);
         let case = match graphx.placement(&outcome.assignment) {
             Err(_) => "case 1: does not fit (job FAILED)".to_string(),
@@ -134,11 +120,7 @@ pub fn fig9_4(scale: f64, seed: u64) -> Vec<Table> {
         };
         t.row(vec![
             gp_cluster::table::fmt_bytes(mem as f64),
-            crate::experiments::secs(if job.failed {
-                f64::INFINITY
-            } else {
-                job.total_seconds()
-            }),
+            crate::experiments::secs(job.total_seconds()),
             case,
         ]);
     }

@@ -20,7 +20,11 @@ pub mod ch7;
 pub mod ch8;
 pub mod ch9;
 
-use gp_cluster::Table;
+use crate::pipeline::{App, EngineKind, JobResult, Pipeline, Scenario};
+use crate::{linear_fit, pearson};
+use gp_cluster::{ClusterSpec, Table};
+use gp_gen::Dataset;
+use gp_partition::Strategy;
 
 /// Identifier, title and generator for one experiment.
 pub struct Experiment {
@@ -261,6 +265,107 @@ pub fn registry() -> Vec<Experiment> {
 /// Look up an experiment by id.
 pub fn find(id: &str) -> Option<Experiment> {
     registry().into_iter().find(|e| e.id == id)
+}
+
+/// A metric's column header, value and format.
+pub(crate) type Metric = (&'static str, fn(&JobResult) -> f64, fn(f64) -> String);
+
+/// What an RF scatter does with each app's linear trend.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Trend {
+    /// Fit it on every point and print it as a table (Figs 5.3–5.5).
+    Table,
+    /// Fit it on the non-hybrid points only, as the paper does (§6.4.1),
+    /// print each point's ratio to it and print it as a table (Figs 6.1/6.2).
+    NonHybrid,
+    /// Fit it on every point and print each point's ratio to it (Fig 8.3).
+    Ratio,
+}
+
+/// The RF scatter of Figs 5.3–5.5, 6.1–6.2 and 8.3: `metric` of every job
+/// of the six paper apps × `strategies` on one (dataset, cluster, engine)
+/// cell, against the job's replication factor.
+pub(crate) fn rf_scatter(
+    scale: f64,
+    seed: u64,
+    title: &str,
+    (dataset, spec, engine): (Dataset, ClusterSpec, EngineKind),
+    strategies: &[Strategy],
+    (header, metric, fmt): Metric,
+    trend: Trend,
+) -> Vec<Table> {
+    let mut headers = vec!["App", "Strategy", "RF", header];
+    if trend != Trend::Table {
+        headers.push("vs trend");
+    }
+    let mut t = Table::new(title, &headers);
+    let (fitted, r) = if trend == Trend::NonHybrid {
+        (
+            "trend fitted on non-hybrid points",
+            "pearson r (non-hybrid)",
+        )
+    } else {
+        ("per-app linear trend", "pearson r")
+    };
+    let mut trends = Table::new(
+        format!("{title} — {fitted}"),
+        &["App", "slope", "intercept", r],
+    );
+    let mut jobs = Vec::new();
+    for app in App::paper_set() {
+        for &s in strategies {
+            jobs.push(Scenario::new(dataset, s, &spec, engine, app));
+        }
+    }
+    let jobs = Pipeline::new(scale, seed).run_all(&jobs);
+    let hybrid = |s| matches!(s, Strategy::Hybrid | Strategy::HybridGinger);
+    for jobs in jobs.chunks(strategies.len()) {
+        let fitted: Vec<(f64, f64)> = (jobs.iter())
+            .filter(|j| trend != Trend::NonHybrid || !hybrid(j.strategy))
+            .map(|j| (j.replication_factor, metric(j)))
+            .collect();
+        let (intercept, slope) = linear_fit(&fitted);
+        for j in jobs {
+            let (rf, y) = (j.replication_factor, metric(j));
+            let mut row = vec![
+                j.app.to_string(),
+                j.strategy.label().to_string(),
+                format!("{rf:.2}"),
+                fmt(y),
+            ];
+            if trend != Trend::Table {
+                let predicted = intercept + slope * rf;
+                let deviation = if predicted.abs() > 1e-12 {
+                    y / predicted
+                } else {
+                    1.0
+                };
+                row.push(format!("{deviation:.2}x"));
+            }
+            t.row(row);
+        }
+        trends.row(vec![
+            jobs[0].app.to_string(),
+            format!("{slope:.3e}"),
+            format!("{intercept:.3e}"),
+            format!("{:.3}", pearson(&fitted)),
+        ]);
+    }
+    if trend == Trend::Ratio {
+        vec![t]
+    } else {
+        vec![t, trends]
+    }
+}
+
+/// A decision-tree figure (Figs 5.9, 6.6, 9.3): one row per line of the
+/// rendered tree.
+pub(crate) fn tree_table(title: &str, tree: String) -> Vec<Table> {
+    let mut t = Table::new(title, &["tree"]);
+    for line in tree.lines() {
+        t.row(vec![line.to_string()]);
+    }
+    vec![t]
 }
 
 pub(crate) fn gb(bytes: f64) -> String {

@@ -24,21 +24,21 @@ pub enum EngineKind {
     PowerGraph,
     /// PowerLyra: hybrid differentiated engine (async for Coloring).
     PowerLyra,
-    /// GraphX: Pregel over `partitions_per_machine` partitions.
+    /// GraphX: Pregel over [`EngineKind::GRAPHX_PARTITIONS_PER_MACHINE`]
+    /// partitions per machine.
     GraphX {
-        /// Edge partitions per machine (one per core is the §7.2 rule).
-        partitions_per_machine: u32,
         /// Executor memory in bytes.
         executor_memory_bytes: u64,
     },
 }
 
 impl EngineKind {
-    /// GraphX with the paper's defaults: 16 partitions/machine, 8 GiB
-    /// executors.
+    /// GraphX's edge partitions per machine: one per core, the §7.2 rule.
+    pub const GRAPHX_PARTITIONS_PER_MACHINE: u32 = 16;
+
+    /// GraphX with the paper's default 8 GiB executors.
     pub fn graphx_default() -> Self {
         EngineKind::GraphX {
-            partitions_per_machine: 16,
             executor_memory_bytes: 8 << 30,
         }
     }
@@ -46,11 +46,24 @@ impl EngineKind {
     /// Partition count for a cluster under this engine.
     pub fn partitions(&self, spec: &ClusterSpec) -> u32 {
         match self {
-            EngineKind::GraphX {
-                partitions_per_machine,
-                ..
-            } => spec.machines * partitions_per_machine,
+            EngineKind::GraphX { .. } => spec.machines * Self::GRAPHX_PARTITIONS_PER_MACHINE,
             _ => spec.machines,
+        }
+    }
+
+    /// The engine model `app` runs on under this system, the only place an
+    /// [`EngineKind`] picks one: PowerGraph and PowerLyra run Coloring on
+    /// their asynchronous engine (§5.4.1).
+    pub(crate) fn model(self, app: App) -> Model {
+        match self {
+            EngineKind::PowerGraph | EngineKind::PowerLyra if app == App::Coloring => Model::Async,
+            EngineKind::PowerGraph => Model::Sync,
+            EngineKind::PowerLyra => Model::Hybrid,
+            EngineKind::GraphX {
+                executor_memory_bytes,
+            } => Model::GraphX {
+                executor_memory_bytes,
+            },
         }
     }
 }
@@ -407,8 +420,7 @@ impl Scenario {
 
 /// A system's engine, configured for one cluster and pointed at one
 /// partitioned graph: what an application's programs run on. The only
-/// place an [`EngineKind`] picks an engine model and the only place an
-/// [`App`] becomes vertex programs.
+/// place an [`App`] becomes vertex programs.
 pub struct Deployment<'a> {
     /// System whose engine computes.
     pub engine: EngineKind,
@@ -421,23 +433,6 @@ pub struct Deployment<'a> {
 }
 
 impl Deployment<'_> {
-    /// The engine `app`'s programs run on here: PowerGraph and PowerLyra
-    /// run Coloring on their asynchronous engine (§5.4.1).
-    fn engine(&self, app: App) -> Engine {
-        let model = match self.engine {
-            EngineKind::PowerGraph | EngineKind::PowerLyra if app == App::Coloring => Model::Async,
-            EngineKind::PowerGraph => Model::Sync,
-            EngineKind::PowerLyra => Model::Hybrid,
-            EngineKind::GraphX {
-                executor_memory_bytes,
-                ..
-            } => Model::GraphX {
-                executor_memory_bytes,
-            },
-        };
-        Engine::new(self.config.clone(), model)
-    }
-
     /// Price program `i` of an app on `engine` from `traces[i]`, recording
     /// that trace first when `traces` ends before it. GraphX fails with
     /// [`PregelOom`] when the graph does not fit its executors, before
@@ -467,7 +462,7 @@ impl Deployment<'_> {
         sssp_source: VertexId,
         traces: &mut Vec<SemanticTrace>,
     ) -> Result<Vec<ComputeReport>, PregelOom> {
-        let engine = &self.engine(app);
+        let engine = &Engine::new(self.config.clone(), self.engine.model(app));
         let report = match app {
             App::PageRankFixed(n) => self.run(engine, &PageRank::fixed(n), traces, 0)?,
             App::PageRankConv => self.run(engine, &PageRank::to_convergence(), traces, 0)?,
@@ -509,9 +504,9 @@ pub struct Pipeline {
     /// the first time an SSSP job runs on it.
     sssp_sources: HashMap<Dataset, VertexId>,
     partitions: HashMap<PartitionKey, PartitionOutcome>,
-    /// The key of `traces`: they are one entry, not a map, because every
-    /// sweep runs its strategy, cluster, engine or fault loop innermost, and
-    /// one entry bounds their memory by construction.
+    /// The key of `traces`: one entry, not a map, which bounds their memory
+    /// by construction; [`Pipeline::run_all`] orders jobs so each key's
+    /// traces are recorded once.
     trace_key: Option<TraceKey>,
     /// The semantic traces of the most recent job's app (one per program;
     /// k-core has one per k), priced again by every job with the same key.
@@ -583,20 +578,14 @@ impl Pipeline {
         partitions: u32,
         loaders: u32,
     ) -> &PartitionOutcome {
-        let seed = self.seed;
-        let scale = self.scale;
         let key = (dataset, strategy, partitions, loaders);
         if !self.partitions.contains_key(&key) {
-            let graph = self
-                .graphs
-                .entry(dataset)
-                .or_insert_with(|| dataset.generate(scale, seed));
             let ctx = PartitionContext::new(partitions)
-                .with_seed(seed)
+                .with_seed(self.seed)
                 .with_loaders(loaders)
                 .with_threads(self.threads)
                 .with_telemetry(self.telemetry.clone());
-            let outcome = strategy.build().partition(graph, &ctx);
+            let outcome = strategy.build().partition(self.graph(dataset), &ctx);
             self.partitions.insert(key, outcome);
         }
         &self.partitions[&key]
@@ -616,6 +605,43 @@ impl Pipeline {
         let report = IngressReport::from_outcome(strategy.label(), outcome, machines);
         let seconds = CostRates.ingress_seconds(&report, spec);
         (report, seconds)
+    }
+
+    /// The engine configuration `scenario`'s job runs under here.
+    fn config(&self, scenario: &Scenario) -> EngineConfig {
+        EngineConfig::new(scenario.spec.clone())
+            .with_fault_plan(scenario.fault_plan.clone())
+            .with_checkpoint(scenario.checkpoint)
+            .with_comms(scenario.comms.clone())
+            .with_elastic(scenario.elastic.clone())
+            .with_threads(self.threads)
+            .with_telemetry(self.telemetry.clone())
+    }
+
+    /// The key of the traces `scenario`'s job is priced from.
+    fn trace_key(&self, scenario: &Scenario) -> TraceKey {
+        let engine = Engine::new(self.config(scenario), scenario.engine.model(scenario.app));
+        (scenario.dataset, scenario.app, engine.semantics())
+    }
+
+    /// The order [`Pipeline::run_all`] runs `scenarios` in: grouped by
+    /// trace key, each group where its first job is listed.
+    fn run_order(&self, scenarios: &[Scenario]) -> Vec<usize> {
+        let keys: Vec<TraceKey> = scenarios.iter().map(|s| self.trace_key(s)).collect();
+        let mut order: Vec<usize> = (0..scenarios.len()).collect();
+        order.sort_by_key(|&i| keys.iter().position(|k| *k == keys[i]));
+        order
+    }
+
+    /// Run every job; the results come back in input order. The jobs run
+    /// grouped by trace key, so each key's traces are recorded once
+    /// whatever order the caller lists the jobs in.
+    pub fn run_all(&mut self, scenarios: &[Scenario]) -> Vec<JobResult> {
+        let mut results = vec![None; scenarios.len()];
+        for i in self.run_order(scenarios) {
+            results[i] = Some(self.run(&scenarios[i]));
+        }
+        results.into_iter().flatten().collect()
     }
 
     /// Run the full pipeline for one job — the only way to run one. Every
@@ -677,18 +703,12 @@ impl Pipeline {
         }
         let deployment = Deployment {
             engine,
-            config: EngineConfig::new(spec.clone())
-                .with_fault_plan(scenario.fault_plan.clone())
-                .with_checkpoint(scenario.checkpoint)
-                .with_comms(scenario.comms.clone())
-                .with_elastic(scenario.elastic.clone())
-                .with_threads(self.threads)
-                .with_telemetry(telemetry.clone()),
+            config: self.config(scenario),
             graph,
             assignment,
         };
         let config = &deployment.config;
-        let trace_key = Some((dataset, app, deployment.engine(app).semantics()));
+        let trace_key = Some(self.trace_key(scenario));
         if self.trace_key != trace_key {
             self.trace_key = trace_key;
             self.traces.clear();
@@ -822,7 +842,6 @@ mod tests {
             Strategy::Random,
             &spec,
             EngineKind::GraphX {
-                partitions_per_machine: 16,
                 executor_memory_bytes: 1 << 20, // 1 MiB: nothing fits
             },
             App::PageRankFixed(3),
@@ -875,32 +894,41 @@ mod tests {
 
     #[test]
     fn jobs_priced_from_a_reused_trace_equal_fresh_ones() {
-        let mut shared = Pipeline::new(0.02, 42);
-        let mut hits = 0;
-        let mut check = |scenario: Scenario| {
-            let before = shared.trace_key;
-            let job = shared.run(&scenario);
-            hits += usize::from(before.is_some() && before == shared.trace_key);
-            assert_eq!(job, Pipeline::new(0.02, 42).run(&scenario), "{scenario:?}");
-        };
-        // Figs 5.3–5.5's order: each app's first strategy records its
-        // traces, the other three price them again.
+        let fresh = |scenario: &Scenario| Pipeline::new(0.02, 42).run(scenario);
+        // Figs 5.3–5.5's grid listed strategy-outermost, the order in which
+        // every job would record its traces again.
         let spec = ClusterSpec::ec2_25();
-        for app in App::paper_set() {
-            for strategy in crate::experiments::ch5::PG_STRATEGIES {
-                check(Scenario::new(
-                    Dataset::UkWeb,
-                    strategy,
-                    &spec,
-                    EngineKind::PowerGraph,
-                    app,
-                ));
-            }
+        let grid: Vec<Scenario> = (crate::experiments::ch5::PG_STRATEGIES.iter())
+            .flat_map(|&strategy| {
+                App::paper_set().map(|app| {
+                    Scenario::new(Dataset::UkWeb, strategy, &spec, EngineKind::PowerGraph, app)
+                })
+            })
+            .collect();
+        let mut shared = Pipeline::new(0.02, 42);
+        let fresh_grid: Vec<JobResult> = grid.iter().map(fresh).collect();
+        assert_eq!(shared.run_all(&grid), fresh_grid, "input order");
+        let order = shared.run_order(&grid);
+        let app_outermost: Vec<usize> = (0..6)
+            .flat_map(|a| (0..4).map(move |s| 6 * s + a))
+            .collect();
+        assert_eq!(order, app_outermost);
+        let mut hits = 0;
+        let mut check = |scenario: &Scenario| {
+            let before = shared.trace_key;
+            let job = shared.run(scenario);
+            hits += usize::from(before.is_some() && before == shared.trace_key);
+            assert_eq!(job, fresh(scenario), "{scenario:?}");
+        };
+        // `run_all`'s order is Figs 5.3–5.5's: each app's first strategy
+        // records its traces, the other three price them again.
+        for i in order {
+            check(&grid[i]);
         }
         // Every mid-job model at once, priced from the clean job's trace.
-        check(pagerank_job(8));
+        check(&pagerank_job(8));
         check(
-            pagerank_job(8)
+            &pagerank_job(8)
                 .with_faults(FaultPlan::crash_at(6, 1), CheckpointPolicy::every(2))
                 .with_comms(CommsConfig::reliable().with_speculation(true))
                 .with_elastic(ElasticConfig::new(ElasticPlan::preempt_at(3, 2, 3))),

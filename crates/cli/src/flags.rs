@@ -181,9 +181,9 @@ impl Flags {
         self.number_where("window", 0, |v| v <= 1 << 24, must)
     }
 
-    /// `--scale` (default 1.0).
+    /// `--scale` (default 1.0), checked by [`Dataset::check_scale`].
     pub fn scale(&self) -> Result<f64, String> {
-        self.number_where("scale", 1.0, |v| v > 0.0 && v <= 1000.0, "be in (0, 1000]")
+        Dataset::check_scale(self.number("scale", 1.0)?).map_err(|e| format!("--scale {e}"))
     }
 
     /// `--loss-rate` (default 0 = clean network).

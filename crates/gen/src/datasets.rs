@@ -153,6 +153,19 @@ impl Dataset {
         self.generate(self.scale_for_edges(target_edges), seed)
     }
 
+    /// `Ok(scale)` if a front end may pass it to [`Dataset::generate`]:
+    /// positive and at most 1000, where the largest analogue already has
+    /// about 1.5 billion edges. Otherwise `Err` naming the rule, as in
+    /// "must be in (0, 1000], got NaN": a NaN or zero scale fails
+    /// `generate`'s assertion, and an infinite or huge one exhausts memory.
+    pub fn check_scale(scale: f64) -> Result<f64, String> {
+        if scale > 0.0 && scale <= 1000.0 {
+            Ok(scale)
+        } else {
+            Err(format!("must be in (0, 1000], got {scale}"))
+        }
+    }
+
     /// Generate the synthetic analogue at `scale` (1.0 = default mini sizes;
     /// 0.1 = smoke-test sizes). Deterministic per (dataset, scale, seed).
     ///

@@ -181,7 +181,6 @@ fn graphx_cannot_load_twitter_scale_graphs_in_small_executors() {
         Strategy::Random,
         &spec,
         EngineKind::GraphX {
-            partitions_per_machine: 16,
             executor_memory_bytes: 1 << 20,
         },
         App::PageRankFixed(10),
