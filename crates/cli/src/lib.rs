@@ -238,7 +238,7 @@ least-loaded peer and takes the first finisher.
 byte-identical at any thread count — parallelism only changes speed.
 
 `--window W` (partition/run) turns on windowed speculative ingress for the
-stateful strategies (hdrf, oblivious, hybrid, hybrid-ginger): edges are cut
+stateful strategies (hdrf, oblivious; the others refuse it): edges are cut
 into W-edge windows, workers score each window in parallel against a
 read-only snapshot, and a sequential repair pass re-scores only the edges
 whose inputs changed. W of 0 (default) or 1 runs the same kernel one edge
@@ -729,6 +729,17 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("auto"), "{err}");
+        // Only HDRF and Oblivious have a windowed path; the rest refuse.
+        let err = super::parse(&[
+            "partition".into(),
+            "g.txt".into(),
+            "--strategy".into(),
+            "grid".into(),
+            "--window".into(),
+            "16".into(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("hdrf|oblivious"), "{err}");
     }
 
     #[test]

@@ -17,11 +17,12 @@ pub struct Args {
     /// Ingress worker threads (0 = all cores). Output is byte-identical
     /// at any value.
     pub threads: u32,
-    /// Speculative ingress window for stateful strategies (0/1 = the
+    /// Speculative ingress window for HDRF and Oblivious (0/1 = the
     /// kernel one edge at a time; >= 2 = the same kernel a window at a
     /// time, quality-parity rather than byte-identity with window 0,
     /// still byte-identical across thread counts;
     /// `gp_partition::WINDOW_AUTO`, CLI "auto" = adaptive controller).
+    /// Every other strategy refuses a window of 2 or more.
     pub window: u32,
     pub out: Option<String>,
 }
@@ -31,7 +32,7 @@ impl Subcommand for Args {
     const VALUES: &'static str = "strategy parts seed threads window out";
 
     fn parse(flags: &Flags) -> Result<Self, String> {
-        Ok(Args {
+        let args = Args {
             path: flags.path()?,
             strategy: flags.strategy_or(None)?,
             parts: flags.count_or("parts", 9)?,
@@ -39,7 +40,9 @@ impl Subcommand for Args {
             threads: flags.threads()?,
             window: flags.window()?,
             out: flags.value("out").map(str::to_string),
-        })
+        };
+        args.strategy.check_window(args.window)?;
+        Ok(args)
     }
 
     fn run(&self, out: &mut dyn Write) -> Result<(), Failure> {

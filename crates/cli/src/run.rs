@@ -34,7 +34,7 @@ impl Subcommand for Args {
     const VALUES: &'static str = "app strategy parts seed system partition-file threads window";
 
     fn parse(flags: &Flags) -> Result<Self, String> {
-        Ok(Args {
+        let args = Args {
             path: flags.path()?,
             app: flags.parsed("app")?.ok_or("missing --app")?,
             strategy: flags.strategy_or(None)?,
@@ -44,7 +44,9 @@ impl Subcommand for Args {
             partition_file: flags.value("partition-file").map(str::to_string),
             threads: flags.threads()?,
             window: flags.window()?,
-        })
+        };
+        args.strategy.check_window(args.window)?;
+        Ok(args)
     }
 
     fn run(&self, out: &mut dyn Write) -> Result<(), Failure> {

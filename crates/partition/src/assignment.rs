@@ -262,9 +262,8 @@ impl Assignment {
         &self.masters
     }
 
-    /// Override master placement (used by Hybrid, which co-locates a
-    /// low-degree vertex's master with its in-edges, §6.2.1). Each master
-    /// must be one of the vertex's replicas.
+    /// Override master placement (BiCut's favorite side, a loaded
+    /// partition file). Each master must be one of the vertex's replicas.
     pub fn set_masters(&mut self, masters: Vec<PartitionId>) {
         assert_eq!(masters.len() as u64, self.num_vertices);
         for (v, &m) in masters.iter().enumerate() {
@@ -275,6 +274,24 @@ impl Assignment {
             );
         }
         self.masters = masters;
+    }
+
+    /// Masters at home: each vertex's master goes to `home(v)` when that
+    /// partition holds one of its replicas (or it has none), else to its
+    /// first replica. Hybrid and H-Ginger co-locate a low-degree vertex's
+    /// master with its in-edges this way (§6.2.1), VEBO with its out-edges.
+    pub(crate) fn set_masters_at_home(&mut self, home: impl Fn(VertexId) -> PartitionId) {
+        self.masters = (0..self.num_vertices)
+            .map(VertexId)
+            .map(|v| {
+                let (home, reps) = (home(v), self.replicas(v));
+                if reps.is_empty() || reps.binary_search(&home.0).is_ok() {
+                    home
+                } else {
+                    PartitionId(reps[0])
+                }
+            })
+            .collect();
     }
 
     /// Average number of images per vertex, over vertices with at least one

@@ -50,7 +50,7 @@ pub mod ingress;
 mod local_edges;
 pub mod partitioner;
 pub mod persist;
-pub mod speculative;
+mod speculative;
 pub mod strategies;
 pub mod strategy;
 
@@ -60,5 +60,6 @@ pub use incremental::IncrementalPartitioner;
 pub use ingress::{IngressReport, IngressVolumes};
 pub use partitioner::{PartitionContext, PartitionOutcome, Partitioner};
 pub use persist::{load_assignment, read_assignment, save_assignment, write_assignment};
-pub use speculative::{sharded_degree_table, SpecStats, WINDOW_AUTO};
+pub use speculative::WINDOW_AUTO;
+pub use strategies::sharded_degree_table;
 pub use strategy::{Strategy, System};

@@ -56,10 +56,10 @@ pub struct PartitionContext {
     /// Results are byte-identical at any value — see the `gp-par`
     /// ordered-reduction rule.
     pub par: ParConfig,
-    /// Speculative-ingress window, in edges, for the stateful strategies.
-    /// `0` (the default) and `1` drive the greedy kernels one edge at a
-    /// time. `window >= 2` scores HDRF, Oblivious and H-Ginger's refinement
-    /// phase a window at a time against a frozen snapshot
+    /// Speculative-ingress window, in edges, for HDRF and Oblivious (every
+    /// other strategy ignores it). `0` (the default) and `1` drive the
+    /// greedy kernels one edge at a time. `window >= 2` scores them a
+    /// window at a time against a frozen snapshot
     /// (`crate::speculative`): the output is a pure function of `(graph,
     /// seed, partitions, loaders, window)` — still independent of
     /// `par.threads` — but sits within a *quality-parity* envelope of the

@@ -1,4 +1,5 @@
-//! Windowed speculative ingress for the stateful greedy partitioners.
+//! Windowed speculative ingress for the stateful greedy partitioners, HDRF
+//! and Oblivious — the only strategies with a windowed path.
 //!
 //! HDRF and Oblivious assign each edge by scoring it against state mutated
 //! by every previous edge — an inherently sequential loop that caps ingress
@@ -71,10 +72,8 @@ use crate::assignment::Assignment;
 use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome};
 use crate::strategies::oblivious::GreedyState;
 use gp_core::{
-    for_each_edge, DegreeTable, Edge, PartitionId, PartitionSet, Splitmix64, StreamingEdges,
-    VertexId,
+    for_each_edge, Edge, PartitionId, PartitionSet, Splitmix64, StreamingEdges, VertexId,
 };
-use gp_par::ParConfig;
 use std::ops::Range;
 
 /// Sentinel `window` value meaning *adaptive*: the [`WindowController`]
@@ -87,30 +86,30 @@ pub const WINDOW_AUTO: u32 = u32::MAX;
 /// speculates — is the whole point; more would multiply peak kernel state
 /// (each in-flight block owns a full replica/degree table) for no extra
 /// overlap of the sequential walks.
-pub(crate) const PIPELINE_DEPTH: usize = 2;
+const PIPELINE_DEPTH: usize = 2;
 
 /// Counters describing one windowed run (exported as `par.spec_*`
 /// telemetry): windows processed, speculative placements kept, placements
 /// re-scored by the repair pass, plus the adaptive controller's trajectory.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpecStats {
+struct SpecStats {
     /// Windows processed across all loader blocks.
-    pub windows: u64,
+    windows: u64,
     /// Edges whose speculative placement was committed unchanged.
-    pub speculated: u64,
+    speculated: u64,
     /// Edges re-scored by the sequential repair pass.
-    pub repaired: u64,
+    repaired: u64,
     /// Largest window actually processed (equals the configured window for
     /// fixed-window runs, up to block truncation).
-    pub max_window: u64,
+    max_window: u64,
     /// Times the adaptive controller halved the window after a conflict
     /// storm. Always 0 for fixed-window runs.
-    pub shrinks: u64,
+    shrinks: u64,
 }
 
 impl SpecStats {
     /// Fold another run's counters into this one.
-    pub fn absorb(&mut self, other: SpecStats) {
+    fn absorb(&mut self, other: SpecStats) {
         self.windows += other.windows;
         self.speculated += other.speculated;
         self.repaired += other.repaired;
@@ -119,7 +118,7 @@ impl SpecStats {
     }
 
     /// Fraction of scored edges that needed the sequential repair re-score.
-    pub fn repair_rate(&self) -> f64 {
+    fn repair_rate(&self) -> f64 {
         let scored = self.speculated + self.repaired;
         if scored == 0 {
             0.0
@@ -142,25 +141,25 @@ impl SpecStats {
 /// is bit-identical across thread counts, and each loader block runs its
 /// own controller from scratch, keeping blocks independent for the overlap
 /// pipeline.
-pub(crate) struct WindowController {
+struct WindowController {
     next: usize,
     adaptive: bool,
 }
 
 impl WindowController {
     /// Starting window for `--window auto`.
-    pub(crate) const INITIAL: usize = 1024;
+    const INITIAL: usize = 1024;
     /// Conflict-storm floor: never shrink below this.
-    pub(crate) const MIN: usize = 256;
+    const MIN: usize = 256;
     /// Growth ceiling: windows larger than this stop amortizing per-window
     /// overhead and only widen the frozen-degree deviation.
-    pub(crate) const MAX: usize = 262_144;
+    const MAX: usize = 262_144;
     /// Repair rate under which the window doubles.
-    pub(crate) const GROW_BELOW: f64 = 0.15;
+    const GROW_BELOW: f64 = 0.15;
     /// Repair rate above which the window halves.
-    pub(crate) const SHRINK_ABOVE: f64 = 0.40;
+    const SHRINK_ABOVE: f64 = 0.40;
 
-    pub(crate) fn new(window: u32) -> Self {
+    fn new(window: u32) -> Self {
         if window == WINDOW_AUTO {
             WindowController {
                 next: Self::INITIAL,
@@ -175,14 +174,14 @@ impl WindowController {
     }
 
     /// Size of the next window to cut.
-    pub(crate) fn current(&self) -> usize {
+    fn current(&self) -> usize {
         self.next
     }
 
     /// Feed back one committed window: `committed` edges, of which
     /// `repaired` were re-scored. Adjusts the next window size (adaptive
     /// mode only) and counts shrinks into `stats`.
-    pub(crate) fn observe(&mut self, committed: usize, repaired: u64, stats: &mut SpecStats) {
+    fn observe(&mut self, committed: usize, repaired: u64, stats: &mut SpecStats) {
         if !self.adaptive || committed == 0 {
             return;
         }
@@ -223,13 +222,13 @@ impl ScoreScratch {
 /// O(1) membership over `0..n` vertices with O(1) whole-set clear: each
 /// vertex carries the id of the last window that touched it. Avoids an
 /// O(n/64) bitset clear per window, which would dominate at small `W`.
-pub(crate) struct StampSet {
+struct StampSet {
     stamp: Vec<u32>,
     epoch: u32,
 }
 
 impl StampSet {
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         StampSet {
             stamp: vec![0; n],
             epoch: 0,
@@ -238,7 +237,7 @@ impl StampSet {
 
     /// Start a new window: every vertex becomes unmarked. Handles epoch
     /// wrap-around (once per 2^32 windows) by a full reset.
-    pub fn advance(&mut self) {
+    fn advance(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamp.iter_mut().for_each(|s| *s = 0);
@@ -247,12 +246,12 @@ impl StampSet {
     }
 
     #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
+    fn contains(&self, v: VertexId) -> bool {
         self.stamp[v.index()] == self.epoch
     }
 
     #[inline]
-    pub fn mark(&mut self, v: VertexId) {
+    fn mark(&mut self, v: VertexId) {
         self.stamp[v.index()] = self.epoch;
     }
 }
@@ -265,28 +264,6 @@ impl StampSet {
 #[inline]
 pub(crate) fn edge_rng(seed: u64, global_idx: usize) -> Splitmix64 {
     Splitmix64::new(gp_core::hash_u64(global_idx as u64, seed))
-}
-
-/// Per-vertex in/out degrees computed in parallel: each chunk counts into a
-/// thread-local [`DegreeTable`] shard, shards merge in chunk order.
-/// Elementwise integer addition is chunking-invariant, so the result is
-/// byte-identical to [`gp_core::EdgeList::degrees`] at every thread count —
-/// property-tested in `crates/partition/tests/shard_merge.rs`.
-pub fn sharded_degree_table(graph: &dyn StreamingEdges, par: &ParConfig) -> DegreeTable {
-    let n = graph.num_vertices() as usize;
-    let mut shards = gp_par::map_chunks(par, graph.num_edges(), |_, range| {
-        let mut shard = DegreeTable::zeroed(n);
-        for_each_edge(graph, range, |e| shard.record(e));
-        shard
-    });
-    if shards.len() == 1 {
-        return shards.pop().expect("one shard");
-    }
-    let mut table = DegreeTable::zeroed(n);
-    for shard in &shards {
-        table.merge_from(shard);
-    }
-    table
 }
 
 /// Lane width of the unrolled scoring loops. The lane bodies are pure
@@ -548,7 +525,7 @@ pub(crate) trait WindowKernel: Sync {
 /// Drive one loader block one edge at a time — window 1 of the kernel,
 /// without the stamp set, chunk dispatch and per-window buffers of
 /// [`run_windowed`] — appending placements to `parts` in stream order.
-pub(crate) fn run_sequential<K: WindowKernel>(
+fn run_sequential<K: WindowKernel>(
     graph: &dyn StreamingEdges,
     block: Range<usize>,
     kernel: &mut K,
@@ -565,7 +542,7 @@ pub(crate) fn run_sequential<K: WindowKernel>(
 /// Drive one loader block through the windowed speculate/repair/merge
 /// cycle, appending placements to `parts` in stream order. `ctx.window` is
 /// a fixed size or [`WINDOW_AUTO`].
-pub(crate) fn run_windowed<K: WindowKernel>(
+fn run_windowed<K: WindowKernel>(
     graph: &dyn StreamingEdges,
     block: Range<usize>,
     ctx: &PartitionContext,
@@ -721,8 +698,31 @@ where
         state_bytes,
     };
     crate::strategies::record_ingress_telemetry(name, graph, &outcome, ctx);
-    crate::strategies::record_speculation_telemetry(ctx, &stats);
+    record_speculation_telemetry(ctx, &stats);
     outcome
+}
+
+/// Record a windowed speculative run's counters. Only emitted when the
+/// window is actually on (`window >= 2`), and under the `par.` prefix that
+/// trace-identity comparisons already strip — so every golden trace and
+/// byte-identity gate for non-windowed runs is untouched.
+fn record_speculation_telemetry(ctx: &PartitionContext, stats: &SpecStats) {
+    let sink = &ctx.telemetry;
+    if !sink.is_enabled() || ctx.window < 2 {
+        return;
+    }
+    // The configured window is only meaningful when fixed; under
+    // `--window auto` the observed `par.spec_window_size` gauge carries the
+    // controller's trajectory instead.
+    if ctx.window != WINDOW_AUTO {
+        sink.gauge_set("par.window_size", f64::from(ctx.window));
+    }
+    sink.gauge_set("par.spec_window_size", stats.max_window as f64);
+    sink.gauge_set("par.spec_repair_rate", stats.repair_rate());
+    sink.counter_add("par.spec_windows", stats.windows);
+    sink.counter_add("par.spec_edges", stats.speculated);
+    sink.counter_add("par.spec_repaired", stats.repaired);
+    sink.counter_add("par.spec_shrinks", stats.shrinks);
 }
 
 #[cfg(test)]
@@ -739,20 +739,6 @@ mod tests {
         assert!(!s.contains(VertexId(0)));
         s.advance();
         assert!(!s.contains(VertexId(1)), "new window unmarks everything");
-    }
-
-    #[test]
-    fn sharded_degrees_match_sequential_at_every_thread_count() {
-        let g = gp_gen::barabasi_albert(500, 4, 11);
-        let seq = g.degrees();
-        for threads in [1u32, 2, 4, 7] {
-            let par = sharded_degree_table(&g, &ParConfig::new(threads));
-            for v in 0..g.num_vertices() {
-                let v = VertexId(v);
-                assert_eq!(par.in_degree(v), seq.in_degree(v), "threads={threads}");
-                assert_eq!(par.out_degree(v), seq.out_degree(v), "threads={threads}");
-            }
-        }
     }
 
     #[test]
@@ -911,11 +897,5 @@ mod tests {
         assert_eq!(a.max_window, 2048);
         assert_eq!(a.shrinks, 3);
         assert!((a.repair_rate() - 7.0 / 22.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_graph_has_an_empty_degree_table() {
-        let g = EdgeList::from_pairs(Vec::new());
-        assert_eq!(sharded_degree_table(&g, &ParConfig::new(4)).len(), 0);
     }
 }

@@ -20,16 +20,22 @@
 //! The extra phases cost ingress time and memory — the overheads behind
 //! Figs 6.3/6.4 — in exchange for a slightly better replication factor.
 
-use crate::assignment::Assignment;
+use crate::assignment::assign_stateless_par;
 use crate::partitioner::{
     loader_chunks, PartitionContext, PartitionOutcome, Partitioner, GINGER_BASE,
     GINGER_PER_NEIGHBOR, HASH_ASSIGN, PARSE_EDGE,
 };
-use crate::speculative::{sharded_degree_table, SpecStats, StampSet, WindowController};
-use gp_core::{for_each_edge, hash_vertex, CsrGraph, Edge, PartitionId, StreamingEdges, VertexId};
+use crate::strategies::sharded_degree_table;
+use gp_core::{hash_vertex, CsrGraph, Edge, PartitionId, StreamingEdges, VertexId};
 
 /// The default high-degree threshold (θ) used by the paper (§6.2.1).
 pub const DEFAULT_THRESHOLD: u32 = 100;
+
+/// A vertex's hash home, `hash(v) % p`: where Hybrid puts a low-degree
+/// vertex's in-edges and master, and where Ginger's refinement starts it.
+fn hash_home(v: VertexId, seed: u64, p: u64) -> PartitionId {
+    PartitionId((hash_vertex(v, seed) % p) as u32)
+}
 
 /// Hybrid's per-edge placement given the destination's in-degree: hash the
 /// source for high-degree destinations (vertex-cut), hash the destination
@@ -44,9 +50,9 @@ pub(crate) fn hybrid_edge(
     p: u64,
 ) -> PartitionId {
     if dst_in_degree > threshold {
-        PartitionId((hash_vertex(e.src, seed) % p) as u32)
+        hash_home(e.src, seed, p)
     } else {
-        PartitionId((hash_vertex(e.dst, seed) % p) as u32)
+        hash_home(e.dst, seed, p)
     }
 }
 
@@ -70,87 +76,22 @@ impl Hybrid {
     pub fn with_threshold(threshold: u32) -> Self {
         Hybrid { threshold }
     }
+}
 
-    /// Shared core: produce per-edge partitions plus the per-vertex "home"
-    /// partition of low-degree vertices. Used by both Hybrid and
-    /// Hybrid-Ginger (which then perturbs the homes).
-    fn assign(
-        &self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> (Vec<PartitionId>, Vec<PartitionId>, Vec<u32>) {
-        let p = ctx.num_partitions as u64;
-        let n = graph.num_vertices() as usize;
-        // Pass 1: count actual in-degrees (and conceptually hash-assign)
-        // via the shared sharded degree pass: thread-local `DegreeTable`
-        // shards merged by elementwise addition — chunking-invariant, so
-        // byte-identical at every thread count.
-        let in_deg: Vec<u32> = sharded_degree_table(graph, &ctx.par).in_degrees().collect();
-        debug_assert_eq!(in_deg.len(), n);
-        // Vertex home = hash(v): where a low-degree vertex's in-edges (and
-        // master) live.
-        let homes: Vec<PartitionId> = gp_par::map_chunks(&ctx.par, n, |_, range| {
-            range
-                .map(|v| PartitionId((hash_vertex(VertexId(v as u64), ctx.seed) % p) as u32))
-                .collect::<Vec<_>>()
-        })
+/// Per-loader work of Hybrid's two passes: pass 1 (count) and pass 2
+/// (reassign) both stream every edge.
+fn two_pass_work(graph: &dyn StreamingEdges, ctx: &PartitionContext) -> Vec<f64> {
+    loader_chunks(graph.num_edges(), ctx.num_loaders)
         .into_iter()
-        .flatten()
-        .collect();
-        // Pass 2: final placement using actual degrees (pure per-edge map;
-        // `homes[dst]` is exactly `hash(dst) % p`, so this is `hybrid_edge`).
-        let parts: Vec<PartitionId> =
-            gp_par::map_chunks(&ctx.par, graph.num_edges(), |_, range| {
-                let mut out = Vec::with_capacity(range.len());
-                for_each_edge(graph, range, |e| {
-                    out.push(hybrid_edge(
-                        e,
-                        in_deg[e.dst.index()],
-                        self.threshold,
-                        ctx.seed,
-                        p,
-                    ));
-                });
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        (parts, homes, in_deg)
-    }
+        .map(|c| c as f64 * (2.0 * PARSE_EDGE + 2.0 * HASH_ASSIGN))
+        .collect()
+}
 
-    /// Masters: a vertex's master sits at its home partition when that
-    /// partition holds a replica (always true for low-degree vertices with
-    /// in-edges), otherwise at the first replica.
-    fn masters(assignment: &Assignment, homes: &[PartitionId]) -> Vec<PartitionId> {
-        homes
-            .iter()
-            .enumerate()
-            .map(|(v, &home)| {
-                let reps = assignment.replicas(VertexId(v as u64));
-                if reps.is_empty() || reps.binary_search(&home.0).is_ok() {
-                    home
-                } else {
-                    PartitionId(reps[0])
-                }
-            })
-            .collect()
-    }
-
-    fn two_pass_work(graph: &dyn StreamingEdges, ctx: &PartitionContext) -> Vec<f64> {
-        // Pass 1 (count) + pass 2 (reassign): both stream every edge.
-        loader_chunks(graph.num_edges(), ctx.num_loaders)
-            .into_iter()
-            .map(|c| c as f64 * (2.0 * PARSE_EDGE + 2.0 * HASH_ASSIGN))
-            .collect()
-    }
-
-    fn base_state_bytes(graph: &dyn StreamingEdges, ctx: &PartitionContext) -> u64 {
-        // Per-machine overhead of the multi-pass ingress (§6.4.2): the full
-        // degree-counter table plus this loader's share of the edge stream,
-        // buffered across the reassignment pass.
-        graph.num_vertices() * 4 + graph.num_edges() as u64 * 16 / ctx.num_loaders as u64
-    }
+/// Per-machine overhead of the multi-pass ingress (§6.4.2): the full
+/// degree-counter table plus this loader's share of the edge stream,
+/// buffered across the reassignment pass.
+fn two_pass_state_bytes(graph: &dyn StreamingEdges, ctx: &PartitionContext) -> u64 {
+    graph.num_vertices() * 4 + graph.num_edges() as u64 * 16 / ctx.num_loaders as u64
 }
 
 impl Partitioner for Hybrid {
@@ -163,21 +104,19 @@ impl Partitioner for Hybrid {
         graph: &dyn StreamingEdges,
         ctx: &PartitionContext,
     ) -> PartitionOutcome {
-        let (parts, homes, _) = self.assign(graph, ctx);
-        let mut assignment = Assignment::from_edge_partitions_par(
-            graph,
-            parts,
-            ctx.num_partitions,
-            ctx.seed,
-            &ctx.par,
-        );
-        let masters = Self::masters(&assignment, &homes);
-        assignment.set_masters(masters);
+        let (p, seed) = (ctx.num_partitions as u64, ctx.seed);
+        // Pass 1: actual in-degrees (sharded, so thread-count invariant).
+        let degrees = sharded_degree_table(graph, &ctx.par);
+        // Pass 2: final placement using actual degrees.
+        let mut assignment = assign_stateless_par(graph, ctx.num_partitions, seed, &ctx.par, |e| {
+            hybrid_edge(e, degrees.in_degree(e.dst), self.threshold, seed, p)
+        });
+        assignment.set_masters_at_home(|v| hash_home(v, seed, p));
         let outcome = PartitionOutcome {
             assignment,
-            loader_work: Self::two_pass_work(graph, ctx),
+            loader_work: two_pass_work(graph, ctx),
             passes: 2,
-            state_bytes: Self::base_state_bytes(graph, ctx),
+            state_bytes: two_pass_state_bytes(graph, ctx),
         };
         super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
         outcome
@@ -192,34 +131,27 @@ pub struct HybridGinger;
 impl HybridGinger {
     /// The Fennel-style score argmax for vertex `v`: the partition holding
     /// most of `v`'s in-neighbors, tempered by the balance term, with `v`
-    /// discounted from its current partition. A pure function of the state
-    /// it is handed — the sequential scan feeds it live state, the windowed
-    /// path feeds it the window-start snapshot (and live state again on
-    /// repair). Ginger draws no RNG, so identical inputs give identical
-    /// choices.
-    #[allow(clippy::too_many_arguments)]
+    /// discounted from its current partition.
     fn best_home(
         csr: &CsrGraph,
         homes: &[PartitionId],
-        in_deg: &[u32],
         vcount: &[u64],
         ecount: &[u64],
         nv_over_ne: f64,
-        p: usize,
-        v: usize,
+        v: VertexId,
         affinity: &mut [u64],
     ) -> usize {
         affinity.iter_mut().for_each(|a| *a = 0);
-        for u in csr.in_neighbors(VertexId(v as u64)) {
+        for u in csr.in_neighbors(v) {
             affinity[homes[u.index()].index()] += 1;
         }
-        let current = homes[v].index();
+        let (current, d) = (homes[v.index()].index(), csr.in_degree(v) as u64);
         let mut best = current;
         let mut best_score = f64::NEG_INFINITY;
-        for cand in 0..p {
+        for cand in 0..affinity.len() {
             // Score the partition as if v were not already counted there.
             let vc = vcount[cand] - u64::from(cand == current);
-            let ec = ecount[cand] - if cand == current { in_deg[v] as u64 } else { 0 };
+            let ec = ecount[cand] - d * u64::from(cand == current);
             let balance = 0.5 * (vc as f64 + nv_over_ne * ec as f64);
             let score = affinity[cand] as f64 - balance;
             if score > best_score {
@@ -228,139 +160,6 @@ impl HybridGinger {
             }
         }
         best
-    }
-
-    /// Windowed speculative Ginger refinement: candidate vertices (low
-    /// in-degree, in scan order) are cut into windows; workers propose
-    /// moves against the window-start snapshot of homes and counts; a
-    /// sequential walk commits them. A vertex is fully re-scored only when
-    /// an in-neighbor's home moved earlier in the same window (its affinity
-    /// inputs changed); otherwise the move gets an O(1) *live balance
-    /// re-check* — the proposal carries its two relevant affinity values,
-    /// so the walk can re-compare proposed-vs-current against the live
-    /// counts without rescanning neighbors. That re-check is what stops a
-    /// window's proposals from herding onto the partition that was lightest
-    /// at the snapshot: each committed move raises the target's live
-    /// balance term until later movers stay put. Moves, not visits, mark
-    /// the stamp — an unmoved neighbor invalidates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_windowed(
-        csr: &CsrGraph,
-        homes: &mut [PartitionId],
-        in_deg: &[u32],
-        vcount: &mut [u64],
-        ecount: &mut [u64],
-        nv_over_ne: f64,
-        p: usize,
-        ctx: &PartitionContext,
-        ginger_work: &mut f64,
-        stats: &mut SpecStats,
-    ) {
-        let n = homes.len();
-        let cands: Vec<u32> = (0..n as u32)
-            .filter(|&v| {
-                let d = in_deg[v as usize];
-                d > 0 && d <= DEFAULT_THRESHOLD
-            })
-            .collect();
-        let mut stamp = StampSet::new(n);
-        let mut affinity = vec![0u64; p];
-        // Windows are cut by the same controller as the edge-stream path:
-        // fixed for `--window W`, adaptive for `--window auto` — either way
-        // a pure function of the candidate stream, never the thread count.
-        let mut ctl = WindowController::new(ctx.window);
-        let mut start = 0usize;
-        while start < cands.len() {
-            let end = (start + ctl.current()).min(cands.len());
-            let wrange = start..end;
-            let homes_snap: &[PartitionId] = homes;
-            let vcount_snap: &[u64] = vcount;
-            let ecount_snap: &[u64] = ecount;
-            // (proposed, affinity[proposed], affinity[current]) per vertex.
-            let proposals: Vec<(usize, u64, u64)> =
-                gp_par::map_chunks(&ctx.par, wrange.len(), |_, r| {
-                    let mut aff = vec![0u64; p];
-                    let mut out = Vec::with_capacity(r.len());
-                    for k in r {
-                        let v = cands[wrange.start + k] as usize;
-                        let best = Self::best_home(
-                            csr,
-                            homes_snap,
-                            in_deg,
-                            vcount_snap,
-                            ecount_snap,
-                            nv_over_ne,
-                            p,
-                            v,
-                            &mut aff,
-                        );
-                        out.push((best, aff[best], aff[homes_snap[v].index()]));
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            stamp.advance();
-            let mut repaired_here = 0u64;
-            for (k, &(proposed, aff_prop, aff_cur)) in proposals.iter().enumerate() {
-                let v = cands[wrange.start + k] as usize;
-                *ginger_work += GINGER_BASE + GINGER_PER_NEIGHBOR * in_deg[v] as f64;
-                let conflict = csr
-                    .in_neighbors(VertexId(v as u64))
-                    .any(|u| stamp.contains(u));
-                let best = if conflict {
-                    repaired_here += 1;
-                    Self::best_home(
-                        csr,
-                        homes,
-                        in_deg,
-                        vcount,
-                        ecount,
-                        nv_over_ne,
-                        p,
-                        v,
-                        &mut affinity,
-                    )
-                } else {
-                    stats.speculated += 1;
-                    let current = homes[v].index();
-                    if proposed == current {
-                        current
-                    } else {
-                        // Live balance re-check, same discounting as
-                        // `best_home` (v removed from its current home,
-                        // strict improvement required to move).
-                        let score_prop = aff_prop as f64
-                            - 0.5
-                                * (vcount[proposed] as f64 + nv_over_ne * ecount[proposed] as f64);
-                        let score_cur = aff_cur as f64
-                            - 0.5
-                                * ((vcount[current] - 1) as f64
-                                    + nv_over_ne * (ecount[current] - in_deg[v] as u64) as f64);
-                        if score_prop > score_cur {
-                            proposed
-                        } else {
-                            current
-                        }
-                    }
-                };
-                let current = homes[v].index();
-                if best != current {
-                    vcount[current] -= 1;
-                    vcount[best] += 1;
-                    ecount[current] -= in_deg[v] as u64;
-                    ecount[best] += in_deg[v] as u64;
-                    homes[v] = PartitionId(best as u32);
-                    stamp.mark(VertexId(v as u64));
-                }
-            }
-            stats.windows += 1;
-            stats.repaired += repaired_here;
-            stats.max_window = stats.max_window.max(wrange.len() as u64);
-            ctl.observe(wrange.len(), repaired_here, stats);
-            start = end;
-        }
     }
 }
 
@@ -374,104 +173,63 @@ impl Partitioner for HybridGinger {
         graph: &dyn StreamingEdges,
         ctx: &PartitionContext,
     ) -> PartitionOutcome {
-        let (_, mut homes, in_deg) = Hybrid::default().assign(graph, ctx);
-        let p = ctx.num_partitions as usize;
-        let n = graph.num_vertices() as usize;
+        let (p, seed) = (ctx.num_partitions as u64, ctx.seed);
+        let n = graph.num_vertices();
         let m = graph.num_edges() as f64;
-
-        // Phase 3: Ginger refinement of low-degree vertex homes.
+        // The in-neighbor adjacency the heuristic scans also holds the
+        // actual in-degrees Hybrid's first pass counts.
         let csr = CsrGraph::from_source(graph);
-        let mut vcount = vec![0u64; p]; // vertices per partition
-        let mut ecount = vec![0u64; p]; // in-edges homed per partition
-        for v in 0..n {
-            vcount[homes[v].index()] += 1;
-            if in_deg[v] <= DEFAULT_THRESHOLD {
-                ecount[homes[v].index()] += in_deg[v] as u64;
+        let in_deg = |v: VertexId| csr.in_degree(v);
+        let mut homes: Vec<PartitionId> = (0..n).map(|v| hash_home(VertexId(v), seed, p)).collect();
+
+        // Phase 3: Ginger refinement of low-degree vertex homes. A
+        // sequential scan: it mutates vcount/ecount/homes as it goes, so
+        // its result depends on scan order by design.
+        let mut vcount = vec![0u64; p as usize]; // vertices per partition
+        let mut ecount = vec![0u64; p as usize]; // in-edges homed per partition
+        for v in (0..n).map(VertexId) {
+            vcount[homes[v.index()].index()] += 1;
+            if in_deg(v) <= DEFAULT_THRESHOLD {
+                ecount[homes[v.index()].index()] += in_deg(v) as u64;
             }
         }
         let nv_over_ne = if m > 0.0 { n as f64 / m } else { 0.0 };
         let mut ginger_work = 0.0f64;
-        let mut stats = SpecStats::default();
-        if ctx.window >= 2 {
-            // Windowed speculative refinement — see `crate::speculative`.
-            Self::refine_windowed(
-                &csr,
-                &mut homes,
-                &in_deg,
-                &mut vcount,
-                &mut ecount,
-                nv_over_ne,
-                p,
-                ctx,
-                &mut ginger_work,
-                &mut stats,
-            );
-        } else {
-            // Sequential scan: mutates shared vcount/ecount/homes state as
-            // it goes, so its result depends on scan order by design.
-            let mut affinity = vec![0u64; p];
-            for v in 0..n {
-                if in_deg[v] > DEFAULT_THRESHOLD || in_deg[v] == 0 {
-                    continue;
-                }
-                ginger_work += GINGER_BASE + GINGER_PER_NEIGHBOR * in_deg[v] as f64;
-                let current = homes[v].index();
-                let best = Self::best_home(
-                    &csr,
-                    &homes,
-                    &in_deg,
-                    &vcount,
-                    &ecount,
-                    nv_over_ne,
-                    p,
-                    v,
-                    &mut affinity,
-                );
-                if best != current {
-                    vcount[current] -= 1;
-                    vcount[best] += 1;
-                    ecount[current] -= in_deg[v] as u64;
-                    ecount[best] += in_deg[v] as u64;
-                    homes[v] = PartitionId(best as u32);
-                }
+        let mut affinity = vec![0u64; p as usize];
+        for v in (0..n).map(VertexId) {
+            let d = in_deg(v);
+            if d > DEFAULT_THRESHOLD || d == 0 {
+                continue;
+            }
+            ginger_work += GINGER_BASE + GINGER_PER_NEIGHBOR * d as f64;
+            let current = homes[v.index()].index();
+            let best =
+                Self::best_home(&csr, &homes, &vcount, &ecount, nv_over_ne, v, &mut affinity);
+            if best != current {
+                vcount[current] -= 1;
+                vcount[best] += 1;
+                ecount[current] -= d as u64;
+                ecount[best] += d as u64;
+                homes[v.index()] = PartitionId(best as u32);
             }
         }
 
-        // Re-emit edge partitions with the refined homes (pure map; the
-        // Ginger refinement itself stays sequential — it mutates shared
-        // vcount/ecount/homes state as it scans, so its result depends on
-        // scan order by design).
-        let p64 = ctx.num_partitions as u64;
-        let parts: Vec<PartitionId> =
-            gp_par::map_chunks(&ctx.par, graph.num_edges(), |_, range| {
-                let mut out = Vec::with_capacity(range.len());
-                for_each_edge(graph, range, |e| {
-                    out.push(if in_deg[e.dst.index()] > DEFAULT_THRESHOLD {
-                        PartitionId((hash_vertex(e.src, ctx.seed) % p64) as u32)
-                    } else {
-                        homes[e.dst.index()]
-                    });
-                });
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut assignment = Assignment::from_edge_partitions_par(
-            graph,
-            parts,
-            ctx.num_partitions,
-            ctx.seed,
-            &ctx.par,
-        );
-        let masters = Hybrid::masters(&assignment, &homes);
-        assignment.set_masters(masters);
+        // Hybrid's placement with the refined homes: hubs' in-edges still
+        // hash by source, low-degree in-edges go to the destination's home.
+        let mut assignment = assign_stateless_par(graph, ctx.num_partitions, seed, &ctx.par, |e| {
+            if in_deg(e.dst) > DEFAULT_THRESHOLD {
+                hash_home(e.src, seed, p)
+            } else {
+                homes[e.dst.index()]
+            }
+        });
+        assignment.set_masters_at_home(|v| homes[v.index()]);
 
         // Work: Hybrid's two passes + a third full scan (parallel across
         // loaders) + the heuristic itself, whose serial refinement is not
         // loader-parallel (PowerLyra runs it as an extra coordination
         // phase) — charged to one loader to model the straggler.
-        let mut loader_work = Hybrid::two_pass_work(graph, ctx);
+        let mut loader_work = two_pass_work(graph, ctx);
         let third_pass_each = graph.num_edges() as f64 * PARSE_EDGE / ctx.num_loaders as f64;
         for w in loader_work.iter_mut() {
             *w += third_pass_each;
@@ -481,7 +239,7 @@ impl Partitioner for HybridGinger {
         }
         // State: Hybrid's buffers plus this loader's share of the in-neighbor
         // adjacency built for the heuristic phase, plus per-vertex homes.
-        let state_bytes = Hybrid::base_state_bytes(graph, ctx)
+        let state_bytes = two_pass_state_bytes(graph, ctx)
             + graph.num_edges() as u64 * 8 / ctx.num_loaders as u64
             + graph.num_vertices() * 8;
         let outcome = PartitionOutcome {
@@ -491,7 +249,6 @@ impl Partitioner for HybridGinger {
             state_bytes,
         };
         super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        super::record_speculation_telemetry(ctx, &stats);
         outcome
     }
 }
@@ -499,6 +256,7 @@ impl Partitioner for HybridGinger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::Assignment;
     use crate::strategies::oblivious::Oblivious;
     use crate::Strategy;
     use gp_core::EdgeList;

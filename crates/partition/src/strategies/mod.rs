@@ -23,8 +23,8 @@ use crate::ingress::IngressReport;
 use crate::partitioner::{
     loader_chunks, PartitionContext, PartitionOutcome, HASH_ASSIGN, PARSE_EDGE,
 };
-use crate::speculative::SpecStats;
-use gp_core::StreamingEdges;
+use gp_core::{for_each_edge, DegreeTable, StreamingEdges};
+use gp_par::ParConfig;
 
 /// Per-loader work for a single-pass stateless hash strategy: every loader
 /// parses and hash-assigns its block.
@@ -33,6 +33,29 @@ pub(crate) fn stateless_loader_work(total_edges: usize, ctx: &PartitionContext) 
         .into_iter()
         .map(|c| c as f64 * (PARSE_EDGE + HASH_ASSIGN))
         .collect()
+}
+
+/// Per-vertex in/out degrees computed in parallel: each chunk counts into a
+/// thread-local [`DegreeTable`] shard, shards merge in chunk order.
+/// Elementwise integer addition is chunking-invariant, so the result is
+/// byte-identical to [`gp_core::EdgeList::degrees`] at every thread count —
+/// property-tested in `crates/partition/tests/shard_merge.rs`. Hybrid's and
+/// VEBO's degree pass.
+pub fn sharded_degree_table(graph: &dyn StreamingEdges, par: &ParConfig) -> DegreeTable {
+    let n = graph.num_vertices() as usize;
+    let mut shards = gp_par::map_chunks(par, graph.num_edges(), |_, range| {
+        let mut shard = DegreeTable::zeroed(n);
+        for_each_edge(graph, range, |e| shard.record(e));
+        shard
+    });
+    if shards.len() == 1 {
+        return shards.pop().expect("one shard");
+    }
+    let mut table = DegreeTable::zeroed(n);
+    for shard in &shards {
+        table.merge_from(shard);
+    }
+    table
 }
 
 /// Record a finished partitioning run into `ctx.telemetry`. Every strategy
@@ -102,25 +125,28 @@ pub(crate) fn record_ingress_telemetry(
     }
 }
 
-/// Record a windowed speculative run's counters. Only emitted when the
-/// window is actually on (`window >= 2`), and under the `par.` prefix that
-/// trace-identity comparisons already strip — so every golden trace and
-/// byte-identity gate for non-windowed runs is untouched.
-pub(crate) fn record_speculation_telemetry(ctx: &PartitionContext, stats: &SpecStats) {
-    let sink = &ctx.telemetry;
-    if !sink.is_enabled() || ctx.window < 2 {
-        return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gp_core::{EdgeList, VertexId};
+
+    #[test]
+    fn sharded_degrees_match_sequential_at_every_thread_count() {
+        let g = gp_gen::barabasi_albert(500, 4, 11);
+        let seq = g.degrees();
+        for threads in [1u32, 2, 4, 7] {
+            let par = sharded_degree_table(&g, &ParConfig::new(threads));
+            for v in 0..g.num_vertices() {
+                let v = VertexId(v);
+                assert_eq!(par.in_degree(v), seq.in_degree(v), "threads={threads}");
+                assert_eq!(par.out_degree(v), seq.out_degree(v), "threads={threads}");
+            }
+        }
     }
-    // The configured window is only meaningful when fixed; under
-    // `--window auto` the observed `par.spec_window_size` gauge carries the
-    // controller's trajectory instead.
-    if ctx.window != crate::speculative::WINDOW_AUTO {
-        sink.gauge_set("par.window_size", f64::from(ctx.window));
+
+    #[test]
+    fn empty_graph_has_an_empty_degree_table() {
+        let g = EdgeList::from_pairs(Vec::new());
+        assert_eq!(sharded_degree_table(&g, &ParConfig::new(4)).len(), 0);
     }
-    sink.gauge_set("par.spec_window_size", stats.max_window as f64);
-    sink.gauge_set("par.spec_repair_rate", stats.repair_rate());
-    sink.counter_add("par.spec_windows", stats.windows);
-    sink.counter_add("par.spec_edges", stats.speculated);
-    sink.counter_add("par.spec_repaired", stats.repaired);
-    sink.counter_add("par.spec_shrinks", stats.shrinks);
 }

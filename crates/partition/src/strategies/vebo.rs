@@ -8,7 +8,7 @@
 //! owner partitioner with a degree-driven placement pass instead of a hash:
 //!
 //! 1. **Degree pass** — the sharded parallel degree count
-//!    ([`crate::speculative::sharded_degree_table`], ordered shard merge).
+//!    ([`crate::sharded_degree_table`], ordered shard merge).
 //! 2. **Ordering pass** — vertices sorted by (out-degree desc, in-degree
 //!    desc, id asc) and placed LPT-style (longest-processing-time first)
 //!    onto the partition with the lightest owned-edge load, ties by vertex
@@ -24,13 +24,13 @@
 //! — and with it the per-partition vertex/edge-count vectors — is exactly
 //! preserved (property-tested in `tests/par_equivalence.rs`).
 
-use crate::assignment::Assignment;
+use crate::assignment::assign_stateless_par;
 use crate::partitioner::{
     loader_chunks, PartitionContext, PartitionOutcome, Partitioner, HASH_ASSIGN, HEURISTIC_BASE,
     PARSE_EDGE,
 };
-use crate::speculative::sharded_degree_table;
-use gp_core::{for_each_edge, PartitionId, StreamingEdges, VertexId};
+use crate::strategies::sharded_degree_table;
+use gp_core::{PartitionId, StreamingEdges, VertexId};
 
 /// The VEBO-style vertex/edge-balanced ordering partitioner.
 #[derive(Debug, Default, Clone)]
@@ -76,39 +76,14 @@ impl Partitioner for Vebo {
             eload[best] += degrees.out_degree(VertexId(v as u64)) as u64;
             vcount[best] += 1;
         }
-        // Pass 3: every edge to its source's owner (pure parallel map,
-        // concatenated in chunk order).
-        let parts: Vec<PartitionId> =
-            gp_par::map_chunks(&ctx.par, graph.num_edges(), |_, range| {
-                let mut out = Vec::with_capacity(range.len());
-                for_each_edge(graph, range, |e| out.push(owner[e.src.index()]));
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut assignment = Assignment::from_edge_partitions_par(
-            graph,
-            parts,
-            ctx.num_partitions,
-            ctx.seed,
-            &ctx.par,
-        );
-        // Masters at the owner when it holds a replica (always true for
-        // vertices with out-edges), else the first replica.
-        let masters: Vec<PartitionId> = owner
-            .iter()
-            .enumerate()
-            .map(|(v, &home)| {
-                let reps = assignment.replicas(VertexId(v as u64));
-                if reps.is_empty() || reps.binary_search(&home.0).is_ok() {
-                    home
-                } else {
-                    PartitionId(reps[0])
-                }
-            })
-            .collect();
-        assignment.set_masters(masters);
+        // Pass 3: every edge to its source's owner (a pure per-edge map),
+        // masters at the owner (always a replica of a vertex with
+        // out-edges).
+        let mut assignment =
+            assign_stateless_par(graph, ctx.num_partitions, ctx.seed, &ctx.par, |e| {
+                owner[e.src.index()]
+            });
+        assignment.set_masters_at_home(|v| owner[v.index()]);
         // Work: two streaming passes per loader (count + place), plus the
         // ordering pass — sort and LPT run centrally, charged to loader 0
         // like Ginger's refinement phase.

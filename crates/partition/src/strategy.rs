@@ -191,6 +191,21 @@ impl Strategy {
         }
     }
 
+    /// `Err` naming the strategy when `window` (see
+    /// [`PartitionContext::window`](crate::PartitionContext::window)) asks
+    /// for windowed ingress it does not have: only HDRF and Oblivious run
+    /// a window of two or more edges, or [`crate::WINDOW_AUTO`].
+    pub fn check_window(self, window: u32) -> Result<(), String> {
+        if window <= 1 || matches!(self, Strategy::Hdrf | Strategy::Oblivious) {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} has no windowed ingress: --window applies to hdrf|oblivious only",
+                self.label()
+            ))
+        }
+    }
+
     /// The Table 1.1 matrix: each system with its native strategies.
     pub fn catalog() -> Vec<(System, Vec<Strategy>)> {
         vec![

@@ -68,9 +68,10 @@ fn all_partitioners() -> Vec<(String, Box<dyn Partitioner>, u32)> {
     out
 }
 
-/// The strategies with a windowed speculative ingress path. Hybrid has no
-/// sequential state (its passes are already parallel maps), so the window
-/// is a no-op for it — it rides along to pin exactly that.
+/// HDRF and Oblivious, the strategies with a windowed speculative ingress
+/// path, then the riders: Hybrid and H-Ginger have no windowed path (their
+/// passes are parallel maps around H-Ginger's one sequential scan), so they
+/// ride along to pin that every window leaves their bytes equal to window 0.
 const STATEFUL: [Strategy; 4] = [
     Strategy::Hdrf,
     Strategy::Oblivious,
@@ -252,8 +253,16 @@ proptest! {
         let m = graph.num_edges() as f64;
         for strategy in STATEFUL {
             let label = strategy.label();
+            let seq = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, 1, 0);
+            let rider = matches!(strategy, Strategy::Hybrid | Strategy::HybridGinger);
             for window in [4u32, 16, WINDOW_AUTO] {
                 let fixed = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, 1, window);
+                if rider {
+                    prop_assert_eq!(
+                        &fixed, &seq,
+                        "{} has no windowed path, yet window={} moved it", label, window
+                    );
+                }
                 for threads in [2u32, 4, 7] {
                     let par = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, threads, window);
                     prop_assert_eq!(
@@ -262,7 +271,6 @@ proptest! {
                     );
                 }
             }
-            let seq = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, 1, 0);
             let w1 = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, 1, 1);
             prop_assert_eq!(
                 &seq, &w1,
