@@ -31,7 +31,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Thread-count knob shared by the CLI, `Pipeline`, `PartitionContext` and
 /// `EngineConfig`. `threads == 1` (the default) keeps every code path
@@ -142,118 +142,6 @@ where
                 .expect("every claimed task stores its result")
         })
         .collect()
-}
-
-/// Ordered results plus consumption bookkeeping shared between
-/// [`pipeline_ordered`]'s producer workers and its consuming caller.
-struct PipeState<T> {
-    /// `results[i]` = task `i`'s outcome, once produced. Panics are carried
-    /// through and re-raised by the consumer, mirroring the propagation
-    /// semantics of [`run_ordered`]'s scope join.
-    results: Vec<Option<std::thread::Result<T>>>,
-    /// Tasks the consumer has retired; producers may run at most `depth`
-    /// tasks ahead of this.
-    consumed: usize,
-    /// Set when the consumer is about to re-raise a producer panic, so
-    /// producers parked on the lookahead condvar wake up and exit instead
-    /// of waiting for a consumption that will never happen.
-    abort: bool,
-}
-
-/// Run `tasks` through a bounded two-stage pipeline: up to `depth` producer
-/// workers execute tasks concurrently while the **caller's thread** consumes
-/// each result strictly in task order, as soon as it is ready. Producers may
-/// run at most `depth` tasks ahead of the consumer, so at any moment the
-/// pipeline holds a bounded amount of unconsumed output — unlike
-/// [`run_ordered`], which buffers every result until all tasks finish.
-///
-/// This is the overlap primitive of the speculative-ingress block pipeline:
-/// task `N+1` is being produced (scored and repaired) while the consumer
-/// folds task `N`'s output into the shared stream — and because consumption
-/// happens in task order, the folded result is byte-identical to running the
-/// tasks sequentially. With `depth <= 1` or a single task, everything runs
-/// inline on the caller's thread — the sequential path by construction.
-pub fn pipeline_ordered<T, U, P, C>(depth: usize, tasks: Vec<P>, mut consume: C) -> Vec<U>
-where
-    T: Send,
-    P: FnOnce() -> T + Send,
-    C: FnMut(usize, T) -> U,
-{
-    let n = tasks.len();
-    let workers = depth.min(n);
-    if workers <= 1 {
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| consume(i, t()))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<P>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let state = Mutex::new(PipeState::<T> {
-        results: (0..n).map(|_| None).collect(),
-        consumed: 0,
-        abort: false,
-    });
-    let ready = Condvar::new(); // consumer waits here for results[i]
-    let space = Condvar::new(); // producers wait here for lookahead room
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // Bounded lookahead: task `i` may not start until the
-                // consumer has retired task `i - depth`.
-                {
-                    let mut st = state.lock().expect("pipeline state lock");
-                    while !st.abort && i >= st.consumed + depth {
-                        st = space.wait(st).expect("pipeline state lock");
-                    }
-                    if st.abort {
-                        break;
-                    }
-                }
-                let task = slots[i]
-                    .lock()
-                    .expect("task slot lock")
-                    .take()
-                    .expect("each task index is claimed exactly once");
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                let mut st = state.lock().expect("pipeline state lock");
-                st.results[i] = Some(result);
-                ready.notify_all();
-            });
-        }
-        // The consuming stage: strictly in task order, on the caller's
-        // thread, overlapping with production of later tasks.
-        for i in 0..n {
-            let result = {
-                let mut st = state.lock().expect("pipeline state lock");
-                loop {
-                    if let Some(r) = st.results[i].take() {
-                        st.consumed = i + 1;
-                        space.notify_all();
-                        break r;
-                    }
-                    st = ready.wait(st).expect("pipeline state lock");
-                }
-            };
-            match result {
-                Ok(v) => out.push(consume(i, v)),
-                Err(payload) => {
-                    let mut st = state.lock().expect("pipeline state lock");
-                    st.abort = true;
-                    space.notify_all();
-                    drop(st);
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-    });
-    out
 }
 
 /// Chunk `0..total` per [`chunk_ranges`] and map each chunk with `f`,
@@ -386,78 +274,6 @@ mod tests {
         let none: Vec<fn() -> u32> = Vec::new();
         assert!(run_ordered::<u32, _>(4, none).is_empty());
         assert_eq!(run_ordered(4, vec![|| 42u32]), vec![42]);
-    }
-
-    #[test]
-    fn pipeline_ordered_consumes_in_task_order() {
-        for depth in [1usize, 2, 3, 8] {
-            let tasks: Vec<_> = (0..17u64).map(|i| move || i * 7).collect();
-            let mut seen = Vec::new();
-            let out = pipeline_ordered(depth, tasks, |i, v| {
-                seen.push((i, v));
-                v + 1
-            });
-            let expect: Vec<u64> = (0..17).map(|i| i * 7 + 1).collect();
-            assert_eq!(out, expect, "depth={depth}");
-            let order: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
-            assert_eq!(order, (0..17).collect::<Vec<_>>(), "depth={depth}");
-        }
-    }
-
-    #[test]
-    fn pipeline_ordered_bounds_lookahead() {
-        // With depth 2, no task may *finish producing* more than 2 tasks
-        // ahead of the newest consumed one. Record the high-water mark of
-        // produced-minus-consumed and assert the bound.
-        use std::sync::atomic::AtomicUsize as A;
-        let consumed = A::new(0);
-        let violations = A::new(0);
-        let n = 20usize;
-        let tasks: Vec<_> = (0..n)
-            .map(|i| {
-                let consumed = &consumed;
-                let violations = &violations;
-                move || {
-                    let c = consumed.load(Ordering::SeqCst);
-                    // Task i starting requires i < consumed + depth; a small
-                    // race window is fine, the gap can never exceed depth.
-                    if i > c + 2 {
-                        violations.fetch_add(1, Ordering::SeqCst);
-                    }
-                    i
-                }
-            })
-            .collect();
-        pipeline_ordered(2, tasks, |i, v| {
-            assert_eq!(i, v);
-            consumed.store(i + 1, Ordering::SeqCst);
-        });
-        assert_eq!(
-            violations.load(Ordering::SeqCst),
-            0,
-            "lookahead exceeded depth"
-        );
-    }
-
-    #[test]
-    fn pipeline_ordered_handles_empty_and_single() {
-        let none: Vec<fn() -> u32> = Vec::new();
-        assert!(pipeline_ordered(4, none, |_, v: u32| v).is_empty());
-        assert_eq!(pipeline_ordered(4, vec![|| 42u32], |_, v| v), vec![42]);
-    }
-
-    #[test]
-    fn pipeline_ordered_propagates_panics() {
-        let result = std::panic::catch_unwind(|| {
-            let tasks: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-                Box::new(|| 1),
-                Box::new(|| panic!("boom")),
-                Box::new(|| 3),
-                Box::new(|| 4),
-            ];
-            pipeline_ordered(2, tasks, |_, v| v)
-        });
-        assert!(result.is_err(), "producer panic must reach the caller");
     }
 
     #[test]

@@ -4,42 +4,41 @@
 //! HDRF and Oblivious assign each edge by scoring it against state mutated
 //! by every previous edge — an inherently sequential loop that caps ingress
 //! at ~6M edges/s while the stateless hash families stream at 40M+. This
-//! module breaks that wall with *bounded speculation*:
+//! module bounds how stale that state may be instead: within a window, an
+//! edge whose endpoints no earlier edge of the window touched is scored
+//! against the window-start snapshot, which only a capacity check can
+//! invalidate.
 //!
 //! 1. **Window.** Each loader's edge block is cut into windows — fixed
 //!    `W`-edge windows for `--window W`, or adaptively sized ones for
 //!    `--window auto` (see [`WindowController`]). Either way the window
 //!    schedule is a pure function of the edge stream, never of the thread
 //!    count.
-//! 2. **Speculate.** `gp-par` workers score all window edges in parallel
-//!    against a read-only snapshot of the loader state as of the window
-//!    start (replica [`PartitionSet`]s, per-partition loads, degree
-//!    counters). Scoring runs in explicit 4-wide unrolled lanes with
-//!    branchless capacity selects over the bitset words (see
-//!    [`SCORE_LANES`]), into a per-worker [`ScoreScratch`] — no per-edge
-//!    allocation, no branches the vectorizer cannot lower to masks. Each
-//!    edge draws tie-breaks from its own [`Splitmix64`] seeded by the
-//!    *stream index*, so a score depends only on `(committed state, edge,
-//!    index)`, never on chunk boundaries.
-//! 3. **Repair.** A sequential pass walks the window in stream order and
-//!    commits each edge. A speculative choice is kept iff its score inputs
-//!    are unchanged: neither endpoint was touched earlier in the same
-//!    window (replica sets unchanged) and the chosen partition is still
-//!    under the live capacity cap. Otherwise the edge is re-scored — same
-//!    pure function, live sets/loads — so only conflicted edges pay the
-//!    sequential cost.
-//! 4. **Merge.** Strategies with degree state fold the committed window's
-//!    endpoint touches into their counters *after* the repair walk
+//! 2. **Walk.** One sequential pass walks the window in stream order,
+//!    scoring each edge once and committing it. An edge whose endpoints
+//!    were both untouched earlier in the window is scored against the
+//!    window-start snapshot (replica [`PartitionSet`]s, per-partition loads,
+//!    degree counters) — its replica sets are still the snapshot's, and the
+//!    kernel keeps a copy of the snapshot's loads. If that pick is at the
+//!    live capacity cap, or an endpoint was already touched, the edge is
+//!    scored against the live state instead. Scoring runs in explicit
+//!    4-wide unrolled lanes with branchless capacity selects over the
+//!    bitset words (see [`SCORE_LANES`]), into one reused [`ScoreScratch`] —
+//!    no per-edge allocation, no branches the vectorizer cannot lower to
+//!    masks. Each edge draws tie-breaks from its own [`Splitmix64`] seeded
+//!    by the *stream index*, so a score depends only on `(visible state,
+//!    edge, index)`.
+//! 3. **Merge.** Strategies with degree state fold the committed window's
+//!    endpoint touches into their counters *after* the walk
 //!    ([`WindowKernel::end_window`]) — degree counters are frozen for the
 //!    duration of a window by design, and elementwise integer addition is
-//!    insensitive to how the window was chunked.
+//!    insensitive to the order of the fold.
 //!
-//! Loader blocks themselves overlap through [`gp_par::pipeline_ordered`]
-//! (see [`partition_blocks`]): each block is a pure function of its own
-//! edge range — own kernel, own stamp set, own window schedule — so while
-//! block `N`'s repair walk commits, block `N+1`'s windows are already being
-//! scored on another worker. Results concatenate strictly in block order,
-//! so scheduling cannot change a single byte.
+//! Loader blocks are independent — each is a pure function of its own edge
+//! range, with its own kernel, stamp set and window schedule — so
+//! [`partition_blocks`] runs them concurrently on the ordered pool, up to
+//! `--threads` at a time, each writing its placements into its own slice of
+//! the stream-order result.
 //!
 //! ## Determinism and the quality-parity contract
 //!
@@ -50,15 +49,14 @@
 //! frozen, never which function scores: at `W = 1` the snapshot is the live
 //! state, so [`run_windowed`] at `W = 1` commits byte-for-byte what the
 //! sequential drive commits (tested below) — the drive just skips the
-//! stamp set, chunk dispatch and per-window buffers one edge cannot
-//! amortize.
+//! stamp set and per-window buffers one edge cannot amortize.
 //!
 //! The committed output is a pure function of `(graph, seed, partitions,
 //! loaders, window)`: window boundaries (fixed *or* adaptive — the
 //! controller only reads committed-edge counts), per-edge RNGs, the
-//! stream-order repair walk and the ordered degree merge are all
-//! independent of `--threads`, so any thread count yields byte-identical
-//! placements — `threads == 1` simply runs the speculation loop inline.
+//! stream-order walk and the deferred degree merge are all independent of
+//! `--threads`, so any thread count yields byte-identical placements —
+//! `threads == 1` simply runs the loader blocks one after another.
 //!
 //! `window >= 2` output is **not** byte-identical to `window <= 1`: degree
 //! counters are frozen per window (an edge's θ sees previous windows plus
@@ -81,23 +79,17 @@ use std::ops::Range;
 /// shrinks it on conflict storms. CLI spelling: `--window auto`.
 pub const WINDOW_AUTO: u32 = u32::MAX;
 
-/// How many loader blocks may be in flight at once on the block pipeline.
-/// Two stages — block `N` repairing/committing while block `N+1`
-/// speculates — is the whole point; more would multiply peak kernel state
-/// (each in-flight block owns a full replica/degree table) for no extra
-/// overlap of the sequential walks.
-const PIPELINE_DEPTH: usize = 2;
-
 /// Counters describing one windowed run (exported as `par.spec_*`
-/// telemetry): windows processed, speculative placements kept, placements
-/// re-scored by the repair pass, plus the adaptive controller's trajectory.
-#[derive(Debug, Clone, Copy, Default)]
+/// telemetry): windows processed, edges placed from the window-start
+/// snapshot, edges scored live, plus the adaptive controller's trajectory.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct SpecStats {
     /// Windows processed across all loader blocks.
     windows: u64,
-    /// Edges whose speculative placement was committed unchanged.
+    /// Edges committed at their window-start-snapshot placement.
     speculated: u64,
-    /// Edges re-scored by the sequential repair pass.
+    /// Edges scored against the live state: an endpoint was touched earlier
+    /// in the window, or the snapshot's pick was at the live capacity cap.
     repaired: u64,
     /// Largest window actually processed (equals the configured window for
     /// fixed-window runs, up to block truncation).
@@ -117,7 +109,7 @@ impl SpecStats {
         self.shrinks += other.shrinks;
     }
 
-    /// Fraction of scored edges that needed the sequential repair re-score.
+    /// Fraction of edges scored against the live state.
     fn repair_rate(&self) -> f64 {
         let scored = self.speculated + self.repaired;
         if scored == 0 {
@@ -131,16 +123,15 @@ impl SpecStats {
 /// Per-block window-size schedule. For a fixed `--window W` it always
 /// answers `W`. For `--window auto` it starts at [`Self::INITIAL`] and,
 /// after each window commits, doubles the window (up to [`Self::MAX`])
-/// while the window's repair rate stayed under [`Self::GROW_BELOW`], or
-/// halves it (down to [`Self::MIN`]) when the rate exceeded
-/// [`Self::SHRINK_ABOVE`] — a conflict storm, where speculation is mostly
-/// wasted work and big windows just grow the amount thrown away.
+/// while the window's live-scored share (its repair rate) stayed under
+/// [`Self::GROW_BELOW`], or halves it (down to [`Self::MIN`]) when the rate
+/// exceeded [`Self::SHRINK_ABOVE`] — a conflict storm, where few edges can
+/// use the snapshot and big windows only widen the frozen-degree deviation.
 ///
 /// The controller's only inputs are the committed window length and the
 /// repair count — both pure functions of the edge stream — so the schedule
 /// is bit-identical across thread counts, and each loader block runs its
-/// own controller from scratch, keeping blocks independent for the overlap
-/// pipeline.
+/// own controller from scratch, keeping blocks independent.
 struct WindowController {
     next: usize,
     adaptive: bool,
@@ -179,7 +170,7 @@ impl WindowController {
     }
 
     /// Feed back one committed window: `committed` edges, of which
-    /// `repaired` were re-scored. Adjusts the next window size (adaptive
+    /// `repaired` were scored live. Adjusts the next window size (adaptive
     /// mode only) and counts shrinks into `stats`.
     fn observe(&mut self, committed: usize, repaired: u64, stats: &mut SpecStats) {
         if !self.adaptive || committed == 0 {
@@ -198,10 +189,10 @@ impl WindowController {
     }
 }
 
-/// Reusable per-worker scoring scratch: the per-partition score buffer the
-/// 4-wide lanes fill and the pick scans read. One lives in each speculation
-/// chunk and one in the repair walk, reused across every edge they score —
-/// the score path itself allocates nothing.
+/// Reusable scoring scratch: the per-partition score buffer the 4-wide
+/// lanes fill and the pick scans read. One lives in each loader block's
+/// walk (and in each serving partitioner), reused across every edge it
+/// scores — the score path itself allocates nothing.
 pub(crate) struct ScoreScratch {
     scores: Vec<f64>,
 }
@@ -258,9 +249,9 @@ impl StampSet {
 
 /// The per-edge tie-break RNG of the windowed kernels: a fresh
 /// [`Splitmix64`] keyed by `(loader seed, stream index)`. Giving every edge
-/// its own stream is what lets speculation, repair, the sequential drive
-/// and the serving step score the same edge identically no matter which
-/// worker — or which pass — evaluates it.
+/// its own stream is what lets the windowed walk, the sequential drive and
+/// the serving step score the same edge identically, and lets a capacity
+/// fallback re-score an edge without the first score's draws leaking in.
 #[inline]
 pub(crate) fn edge_rng(seed: u64, global_idx: usize) -> Splitmix64 {
     Splitmix64::new(gp_core::hash_u64(global_idx as u64, seed))
@@ -340,8 +331,8 @@ pub(crate) fn least_loaded_in(
 }
 
 /// HDRF's Appendix-B score as a pure function of the visible state. The
-/// caller supplies the load aggregates (`max_load`/`min_load` — frozen per
-/// window on the speculation path, recomputed live on the repair path) and
+/// caller supplies the loads and their aggregates (`max_load`/`min_load` —
+/// the window-start snapshot's for a frozen score, live otherwise) and
 /// a [`ScoreScratch`] buffer; the fill loop runs in explicit
 /// [`SCORE_LANES`]-wide unrolled lanes whose bodies are branchless —
 /// membership is two shifts off the replica-bitset words, the capacity
@@ -466,32 +457,34 @@ pub(crate) fn oblivious_score(
 
 /// One stateful strategy's scoring rule, the only implementation of it: a
 /// per-loader [`GreedyState`] plus pure scoring functions over it
-/// (frozen-snapshot and live variants) and a deferred end-of-window degree
-/// merge. Batch ingress at every window and the serving-time assign step
-/// all reach the rule through this trait.
-pub(crate) trait WindowKernel: Sync {
+/// (window-start-snapshot and live variants) and a deferred end-of-window
+/// degree merge. Batch ingress at every window and the serving-time assign
+/// step all reach the rule through this trait.
+pub(crate) trait WindowKernel {
     /// The replica sets, loads and work tally the rule scores against; the
     /// drivers commit placements into it.
     fn greedy(&self) -> &GreedyState;
     fn greedy_mut(&mut self) -> &mut GreedyState;
 
-    /// Called once per window, before any speculation: cache whatever load
-    /// aggregates the frozen-state score reads (max/min load, capacity).
-    /// The committed state does not change between here and the repair
-    /// walk, so the cache equals a per-edge recomputation — it just lifts
-    /// two O(p) scans per edge out of the speculation hot loop.
+    /// Called once per window, before its first edge: snapshot the
+    /// per-partition loads and whatever load aggregates the frozen score
+    /// reads (max/min load, capacity). The snapshot lifts two O(p) scans per
+    /// edge out of the walk, and keeps a frozen score exact after earlier
+    /// edges of the window moved the live loads.
     fn begin_window(&mut self);
 
     /// Score edge `e` (stream index `idx`) against the window-start
-    /// snapshot. Must be a pure read: it is called concurrently by
-    /// speculation workers. May read aggregates cached by
-    /// [`Self::begin_window`].
+    /// snapshot: the loads and aggregates saved by [`Self::begin_window`],
+    /// with the live replica sets and degree counters. Only exact for an
+    /// edge whose endpoints no earlier edge of the window touched — their
+    /// replica sets are still the snapshot's, and degree counters move only
+    /// in [`Self::end_window`].
     fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId;
 
-    /// Score edge `e` against the live state (the repair re-score for
-    /// conflicted edges, and every edge of the window-1 drive). Same pure
-    /// function as [`Self::score_frozen`], but all aggregates are
-    /// recomputed from the live loads.
+    /// Score edge `e` against the live state (a windowed edge whose
+    /// endpoint was touched or whose frozen pick hit the capacity cap, and
+    /// every edge of the window-1 drive). Same pure function as
+    /// [`Self::score_frozen`], but loads and aggregates are the live ones.
     fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId;
 
     /// Fold the committed window's endpoint touches into deferred state
@@ -523,93 +516,73 @@ pub(crate) trait WindowKernel: Sync {
 }
 
 /// Drive one loader block one edge at a time — window 1 of the kernel,
-/// without the stamp set, chunk dispatch and per-window buffers of
-/// [`run_windowed`] — appending placements to `parts` in stream order.
+/// without the stamp set and per-window buffers of [`run_windowed`] —
+/// writing edge `block.start + j`'s placement to `out[j]`.
 fn run_sequential<K: WindowKernel>(
     graph: &dyn StreamingEdges,
     block: Range<usize>,
     kernel: &mut K,
-    parts: &mut Vec<PartitionId>,
+    out: &mut [PartitionId],
 ) {
     let mut scratch = ScoreScratch::new(kernel.greedy().load.len());
-    let mut idx = block.start;
+    let mut slots = out.iter_mut().zip(block.clone());
     for_each_edge(graph, block, |e| {
-        parts.push(kernel.step(e, idx, &mut scratch));
-        idx += 1;
+        let (slot, idx) = slots.next().expect("one slot per block edge");
+        *slot = kernel.step(e, idx, &mut scratch);
     });
 }
 
-/// Drive one loader block through the windowed speculate/repair/merge
-/// cycle, appending placements to `parts` in stream order. `ctx.window` is
-/// a fixed size or [`WINDOW_AUTO`].
+/// Drive one loader block through windows, writing edge `block.start + j`'s
+/// placement to `out[j]`. `ctx.window` is a fixed size or
+/// [`WINDOW_AUTO`]. Each window is one stream-order walk that scores every
+/// edge once — against the window-start snapshot when neither endpoint was
+/// touched earlier in the window and the pick is under the live capacity
+/// cap, live otherwise — then the deferred degree merge.
 fn run_windowed<K: WindowKernel>(
     graph: &dyn StreamingEdges,
     block: Range<usize>,
     ctx: &PartitionContext,
     kernel: &mut K,
-    parts: &mut Vec<PartitionId>,
+    out: &mut [PartitionId],
 ) -> SpecStats {
     debug_assert!(ctx.window >= 1, "a window holds at least one edge");
-    let partitions = kernel.greedy().load.len();
     let mut stats = SpecStats::default();
     let mut stamp = StampSet::new(graph.num_vertices() as usize);
     let mut ctl = WindowController::new(ctx.window);
     let slice = graph.as_edge_slice();
-    // Reused across windows: the spill buffer for non-memory sources (the
-    // in-memory fast path scores straight off the stream's slice) and the
-    // speculative-choice buffer the workers fill in place.
+    // The spill buffer for non-memory sources (the in-memory fast path
+    // walks the stream's slice), reused across windows.
     let mut buf: Vec<Edge> = Vec::new();
-    let mut spec: Vec<PartitionId> = Vec::new();
-    let mut repair_scratch = ScoreScratch::new(partitions);
+    let mut scratch = ScoreScratch::new(kernel.greedy().load.len());
     let mut start = block.start;
     while start < block.end {
         let end = (start + ctl.current()).min(block.end);
-        let wrange = start..end;
         let edges: &[Edge] = match slice {
-            Some(s) => &s[wrange.clone()],
+            Some(s) => &s[start..end],
             None => {
                 buf.clear();
-                for_each_edge(graph, wrange.clone(), |e| buf.push(e));
+                for_each_edge(graph, start..end, |e| buf.push(e));
                 &buf
             }
         };
-        // Phase 1+2: speculative scoring against the window-start snapshot.
-        // Choices land in stream order in the pre-sized `spec` buffer; each
-        // chunk carries its own scoring scratch, reused for every edge it
-        // scores.
         kernel.begin_window();
-        spec.clear();
-        spec.resize(edges.len(), PartitionId(0));
-        let k: &K = kernel;
-        gp_par::fill_chunks(&ctx.par, &mut spec, |_, r, out| {
-            let mut scratch = ScoreScratch::new(partitions);
-            for (slot, i) in out.iter_mut().zip(r) {
-                *slot = k.score_frozen(edges[i], wrange.start + i, &mut scratch);
-            }
-        });
-        // Phase 3: sequential conflict repair + commit, in stream order. An
-        // edge keeps its speculative placement iff its score inputs are
-        // intact: no earlier edge in this window touched either endpoint
-        // and the chosen partition is still under the live capacity cap.
         stamp.advance();
         let mut repaired = 0u64;
-        for (i, &provisional) in spec.iter().enumerate() {
-            let e = edges[i];
-            let clean = !stamp.contains(e.src)
-                && !stamp.contains(e.dst)
-                && !kernel.greedy().over_capacity(provisional);
-            let p = if clean {
-                provisional
-            } else {
+        for (i, &e) in edges.iter().enumerate() {
+            let idx = start + i;
+            let clean = !stamp.contains(e.src) && !stamp.contains(e.dst);
+            let frozen = clean
+                .then(|| kernel.score_frozen(e, idx, &mut scratch))
+                .filter(|&p| !kernel.greedy().over_capacity(p));
+            let p = frozen.unwrap_or_else(|| {
                 repaired += 1;
-                kernel.score_live(e, wrange.start + i, &mut repair_scratch)
-            };
+                kernel.score_live(e, idx, &mut scratch)
+            });
             kernel.greedy_mut().commit_priced(e, p);
             stamp.mark(e.src);
             stamp.mark(e.dst);
-            parts.push(p);
+            out[idx - block.start] = p;
         }
-        // Phase 4: deferred degree merge over the committed window.
         kernel.end_window(edges);
         let committed = edges.len();
         stats.windows += 1;
@@ -626,12 +599,10 @@ fn run_windowed<K: WindowKernel>(
 /// the whole of HDRF's and Oblivious's `partition`. Each block is a pure
 /// function of its own edge range — own kernel (from `make_kernel`), own
 /// window schedule — driven one edge at a time for `window <= 1` and
-/// through speculate/repair otherwise. Sequential blocks all run at once on
-/// the ordered pool; windowed blocks, whose parallelism lives inside each
-/// window, go through the bounded two-stage [`gp_par::pipeline_ordered`]
-/// (block `N+1` speculates while block `N`'s repair walk commits).
-/// Consumption order is block order either way, so no schedule or thread
-/// count changes a byte.
+/// window by window otherwise. Blocks run concurrently on the ordered
+/// pool, up to `--threads` at a time, each writing its placements into its
+/// own slice of the stream-order result, so no schedule or thread count
+/// changes a byte.
 pub(crate) fn partition_blocks<K, F>(
     name: &'static str,
     graph: &dyn StreamingEdges,
@@ -643,47 +614,41 @@ where
     F: Fn(usize) -> K + Sync,
 {
     let n = graph.num_vertices();
-    let run_block = |i: usize, block: Range<usize>| {
+    let run_block = |i: usize, block: Range<usize>, out: &mut [PartitionId]| {
         let mut kernel = make_kernel(i);
-        let mut parts = Vec::with_capacity(block.len());
         let mut stats = SpecStats::default();
         let mut bytes = 0;
         if ctx.window <= 1 {
-            run_sequential(graph, block, &mut kernel, &mut parts);
+            run_sequential(graph, block, &mut kernel, out);
         } else {
-            stats = run_windowed(graph, block, ctx, &mut kernel, &mut parts);
-            // The windowing machinery: the edge/choice buffer (16 + 4 bytes
-            // per buffered edge, sized by the largest window actually cut)
-            // and the per-vertex stamp table.
+            stats = run_windowed(graph, block, ctx, &mut kernel, out);
+            // The modelled windowing machinery, a simulated output: 20
+            // bytes per edge of the largest window actually cut (the edge
+            // and its pick) and the per-vertex stamp table.
             bytes = stats.max_window * 20 + n * 4;
         }
         bytes += kernel.state_bytes();
-        (parts, kernel.greedy().work, bytes, stats)
+        (kernel.greedy().work, bytes, stats)
     };
     let run_block = &run_block;
-    let tasks: Vec<_> = loader_ranges(graph.num_edges(), ctx.num_loaders)
+    let mut parts = vec![PartitionId(0); graph.num_edges()];
+    let mut rest = parts.as_mut_slice();
+    let mut tasks = Vec::new();
+    for (i, block) in loader_ranges(graph.num_edges(), ctx.num_loaders)
         .into_iter()
         .enumerate()
-        .map(|(i, block)| move || run_block(i, block))
-        .collect();
-    let mut parts = Vec::with_capacity(graph.num_edges());
+    {
+        let (out, tail) = rest.split_at_mut(block.len());
+        rest = tail;
+        tasks.push(move || run_block(i, block, out));
+    }
     let mut loader_work = Vec::with_capacity(tasks.len());
     let mut state_bytes = 0u64;
     let mut stats = SpecStats::default();
-    let mut consume =
-        |(block_parts, work, bytes, block_stats): (Vec<PartitionId>, f64, u64, SpecStats)| {
-            parts.extend(block_parts);
-            loader_work.push(work);
-            state_bytes = state_bytes.max(bytes);
-            stats.absorb(block_stats);
-        };
-    if ctx.window <= 1 {
-        gp_par::run_ordered(ctx.par.effective_threads(), tasks)
-            .into_iter()
-            .for_each(consume);
-    } else {
-        let depth = PIPELINE_DEPTH.min(ctx.par.effective_threads());
-        gp_par::pipeline_ordered(depth, tasks, |_, r| consume(r));
+    for (work, bytes, block_stats) in gp_par::run_ordered(ctx.par.effective_threads(), tasks) {
+        loader_work.push(work);
+        state_bytes = state_bytes.max(bytes);
+        stats.absorb(block_stats);
     }
     let outcome = PartitionOutcome {
         assignment: Assignment::from_edge_partitions_par(
@@ -769,7 +734,8 @@ mod tests {
             let blocks = loader_ranges(graph.num_edges(), loaders);
             for (i, block) in blocks.into_iter().enumerate() {
                 let (mut seq, mut win) = (make(i), make(i));
-                let (mut seq_parts, mut win_parts) = (Vec::new(), Vec::new());
+                let mut seq_parts = vec![PartitionId(0); block.len()];
+                let mut win_parts = seq_parts.clone();
                 run_sequential(graph, block.clone(), &mut seq, &mut seq_parts);
                 let stats = run_windowed(graph, block.clone(), &ctx, &mut win, &mut win_parts);
                 assert_eq!(stats.windows, block.len() as u64);
@@ -812,6 +778,247 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The speculate-all-then-repair drive [`run_windowed`] replaced, kept
+    /// as its reference: score every edge of a window against the
+    /// window-start snapshot first, then walk the window in stream order,
+    /// keeping a pick iff neither endpoint was touched earlier in the window
+    /// and the pick is under the live capacity cap, and re-scoring the edge
+    /// live otherwise.
+    fn speculate_then_repair<K: WindowKernel>(
+        graph: &EdgeList,
+        block: Range<usize>,
+        window: u32,
+        kernel: &mut K,
+        parts: &mut Vec<PartitionId>,
+    ) -> SpecStats {
+        let mut stats = SpecStats::default();
+        let mut stamp = StampSet::new(graph.num_vertices() as usize);
+        let mut ctl = WindowController::new(window);
+        let mut scratch = ScoreScratch::new(kernel.greedy().load.len());
+        let mut start = block.start;
+        while start < block.end {
+            let end = (start + ctl.current()).min(block.end);
+            let edges = &graph.edges()[start..end];
+            kernel.begin_window();
+            let spec: Vec<PartitionId> = (start..end)
+                .zip(edges)
+                .map(|(idx, &e)| kernel.score_frozen(e, idx, &mut scratch))
+                .collect();
+            stamp.advance();
+            let mut repaired = 0u64;
+            for ((idx, &e), &provisional) in (start..end).zip(edges).zip(&spec) {
+                let clean = !stamp.contains(e.src)
+                    && !stamp.contains(e.dst)
+                    && !kernel.greedy().over_capacity(provisional);
+                let p = if clean {
+                    provisional
+                } else {
+                    repaired += 1;
+                    kernel.score_live(e, idx, &mut scratch)
+                };
+                kernel.greedy_mut().commit_priced(e, p);
+                stamp.mark(e.src);
+                stamp.mark(e.dst);
+                parts.push(p);
+            }
+            kernel.end_window(edges);
+            stats.windows += 1;
+            stats.speculated += edges.len() as u64 - repaired;
+            stats.repaired += repaired;
+            stats.max_window = stats.max_window.max(edges.len() as u64);
+            ctl.observe(edges.len(), repaired, &mut stats);
+            start = end;
+        }
+        stats
+    }
+
+    /// A kernel wrapper that counts its frozen and live score calls.
+    struct Tally<K> {
+        inner: K,
+        frozen: std::cell::Cell<u64>,
+        live: std::cell::Cell<u64>,
+    }
+
+    impl<K> Tally<K> {
+        fn new(inner: K) -> Self {
+            Tally {
+                inner,
+                frozen: Default::default(),
+                live: Default::default(),
+            }
+        }
+
+        fn calls(&self) -> u64 {
+            self.frozen.get() + self.live.get()
+        }
+    }
+
+    impl<K: WindowKernel> WindowKernel for Tally<K> {
+        fn greedy(&self) -> &GreedyState {
+            self.inner.greedy()
+        }
+
+        fn greedy_mut(&mut self) -> &mut GreedyState {
+            self.inner.greedy_mut()
+        }
+
+        fn begin_window(&mut self) {
+            self.inner.begin_window();
+        }
+
+        fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
+            self.frozen.set(self.frozen.get() + 1);
+            self.inner.score_frozen(e, idx, scratch)
+        }
+
+        fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
+            self.live.set(self.live.get() + 1);
+            self.inner.score_live(e, idx, scratch)
+        }
+
+        fn end_window(&mut self, edges: &[Edge]) {
+            self.inner.end_window(edges);
+        }
+
+        fn state_bytes(&self) -> u64 {
+            self.inner.state_bytes()
+        }
+    }
+
+    /// The two stream shapes the windowed drives are checked on: a
+    /// source-sorted BA graph, where nearly every edge shares an endpoint
+    /// with an earlier edge of its window, and a shuffled ER stream, where
+    /// most edges stay clean and are scored from the snapshot's loads.
+    fn window_streams() -> [(&'static str, EdgeList); 2] {
+        let mut sorted = gp_gen::barabasi_albert(3_000, 6, 5).edges().to_vec();
+        sorted.sort_by_key(|e| (e.src, e.dst));
+        let mut shuffled = gp_gen::erdos_renyi(2_000, 16_000, 9).edges().to_vec();
+        let mut rng = Splitmix64::new(17);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        [
+            ("sorted BA", EdgeList::from_edges(sorted)),
+            ("shuffled ER", EdgeList::from_edges(shuffled)),
+        ]
+    }
+
+    /// Run both drives on every loader block of `graph` at `window` and
+    /// hand each block's two kernels, stats and score tallies to `check`.
+    fn drive_both<K: WindowKernel>(
+        graph: &EdgeList,
+        window: u32,
+        loaders: u32,
+        make: impl Fn(usize) -> K,
+        mut check: impl FnMut(Range<usize>, [(&Tally<K>, SpecStats); 2]),
+    ) {
+        let ctx = PartitionContext::new(9).with_window(window);
+        for (i, block) in loader_ranges(graph.num_edges(), loaders)
+            .into_iter()
+            .enumerate()
+        {
+            let (mut old, mut new) = (Tally::new(make(i)), Tally::new(make(i)));
+            let mut old_parts = Vec::new();
+            let mut new_parts = vec![PartitionId(0); block.len()];
+            let old_stats =
+                speculate_then_repair(graph, block.clone(), window, &mut old, &mut old_parts);
+            let new_stats = run_windowed(graph, block.clone(), &ctx, &mut new, &mut new_parts);
+            assert_eq!(old_parts, new_parts, "block {i}: placements");
+            check(block, [(&old, old_stats), (&new, new_stats)]);
+        }
+    }
+
+    /// Scoring each edge once commits exactly what scoring every edge
+    /// against the snapshot and then repairing commits: placements, stats,
+    /// loads, replica sets, degree counters, work and state bytes, for both
+    /// rules, fixed and adaptive windows, one loader and nine.
+    #[test]
+    fn one_walk_equals_speculate_then_repair() {
+        use crate::strategies::hdrf::HdrfWindowKernel;
+        use crate::strategies::oblivious::ObliviousWindowKernel;
+
+        fn same_greedy(a: &GreedyState, b: &GreedyState, what: &str) {
+            assert_eq!(a.work.to_bits(), b.work.to_bits(), "{what}: work");
+            assert_eq!(a.load, b.load, "{what}: loads");
+            assert_eq!(a.assigned, b.assigned, "{what}: assigned");
+            assert_eq!(a.a, b.a, "{what}: replica sets");
+        }
+
+        let mut clean = 0;
+        for (name, g) in &window_streams() {
+            let n = g.num_vertices();
+            for window in [2, 16, 4096, WINDOW_AUTO] {
+                for loaders in [1u32, 9] {
+                    let what = format!("{name} W={window} loaders={loaders}");
+                    let hdrf =
+                        |i: usize| HdrfWindowKernel::new(9, n, 11 ^ (0x4d5f + i as u64), 1.0);
+                    drive_both(g, window, loaders, hdrf, |_, [(old, a), (new, b)]| {
+                        assert_eq!(a, b, "{what}: HDRF stats");
+                        same_greedy(old.greedy(), new.greedy(), &what);
+                        assert_eq!(old.inner.partial_degree, new.inner.partial_degree);
+                        assert_eq!(old.state_bytes(), new.state_bytes(), "{what}");
+                        clean += b.speculated;
+                    });
+                    let obl = |i: usize| ObliviousWindowKernel::new(9, n, 11 ^ (0x0b11 + i as u64));
+                    drive_both(g, window, loaders, obl, |_, [(old, a), (new, b)]| {
+                        assert_eq!(a, b, "{what}: Oblivious stats");
+                        same_greedy(old.greedy(), new.greedy(), &what);
+                        assert_eq!(old.state_bytes(), new.state_bytes(), "{what}");
+                    });
+                }
+            }
+        }
+        assert!(clean > 100_000, "snapshot-scored edges exercised: {clean}");
+    }
+
+    /// The work the one walk removes, as a count: a windowed block makes
+    /// `edges + capacity fallbacks` score calls, where speculating first
+    /// made `edges + repaired`. Conflicts (an endpoint touched earlier in
+    /// the window) are counted independently of either drive.
+    #[test]
+    fn one_walk_scores_each_edge_once_plus_capacity_fallbacks() {
+        use crate::strategies::hdrf::HdrfWindowKernel;
+
+        let (mut old_calls, mut new_calls, mut fallbacks) = (0, 0, 0);
+        for (name, g) in &window_streams() {
+            let n = g.num_vertices();
+            for window in [2u32, 16, 4096] {
+                let hdrf = |i: usize| HdrfWindowKernel::new(9, n, 11 ^ (0x4d5f + i as u64), 1.0);
+                drive_both(g, window, 9, hdrf, |block, [(old, a), (new, b)]| {
+                    let edges = &g.edges()[block];
+                    let conflicts: u64 = edges
+                        .chunks(window as usize)
+                        .map(|w| {
+                            let mut seen = std::collections::HashSet::new();
+                            let mut hit = 0;
+                            for e in w {
+                                hit += u64::from(seen.contains(&e.src) || seen.contains(&e.dst));
+                                seen.extend([e.src, e.dst]);
+                            }
+                            hit
+                        })
+                        .sum();
+                    let edges = edges.len() as u64;
+                    assert_eq!(old.calls(), edges + a.repaired, "{name} W={window}");
+                    assert_eq!(new.frozen.get(), edges - conflicts, "{name} W={window}");
+                    assert_eq!(
+                        new.calls(),
+                        edges + b.repaired - conflicts,
+                        "{name} W={window}"
+                    );
+                    fallbacks += b.repaired - conflicts;
+                    old_calls += old.calls();
+                    new_calls += new.calls();
+                });
+            }
+        }
+        assert!(fallbacks > 0, "capacity fallbacks exercised: {fallbacks}");
+        assert!(
+            new_calls * 3 < old_calls * 2,
+            "one walk: {new_calls} calls vs {old_calls}, {fallbacks} fallbacks"
+        );
     }
 
     #[test]

@@ -55,9 +55,8 @@ impl Hdrf {
 /// per-edge RNGs. Degree counters are frozen for the duration of a window
 /// (each edge sees previous windows plus its own endpoint bump) and advance
 /// via the end-of-window merge; at window 1 that is Appendix B's
-/// increment-then-score order exactly. Load aggregates (max/min/capacity)
-/// are cached once per window: committed state is frozen during
-/// speculation, so the cache equals a per-edge recomputation.
+/// increment-then-score order exactly. The loads and their aggregates
+/// (max/min/capacity) are snapshotted once per window for the frozen score.
 pub(crate) struct HdrfWindowKernel {
     greedy: GreedyState,
     /// Partial degree counters δ (Appendix B), dense vertex-indexed — the
@@ -68,7 +67,9 @@ pub(crate) struct HdrfWindowKernel {
     touched: u64,
     lambda: f64,
     seed: u64,
-    /// `(max load, min load, capacity)` as of the window start.
+    /// Per-partition loads and `(max load, min load, capacity)` as of the
+    /// window start.
+    frozen_load: Vec<u64>,
     frozen: (f64, f64, u64),
 }
 
@@ -80,6 +81,7 @@ impl HdrfWindowKernel {
             touched: 0,
             lambda,
             seed,
+            frozen_load: Vec::new(),
             frozen: (0.0, 0.0, 0),
         }
     }
@@ -95,7 +97,8 @@ impl HdrfWindowKernel {
         (du / (du + dv), dv / (du + dv))
     }
 
-    /// The load aggregates the score reads: `(max load, min load, capacity)`.
+    /// The live load aggregates the score reads: `(max load, min load,
+    /// capacity)`.
     #[inline]
     fn aggregates(&self) -> (f64, f64, u64) {
         let loads = &self.greedy.load;
@@ -109,12 +112,13 @@ impl HdrfWindowKernel {
         &self,
         e: Edge,
         idx: usize,
+        loads: &[u64],
         (max_load, min_load, capacity): (f64, f64, u64),
         scratch: &mut ScoreScratch,
     ) -> PartitionId {
         let (theta_u, theta_v) = self.thetas(e);
         speculative::hdrf_score(
-            &self.greedy.load,
+            loads,
             capacity,
             self.greedy.replicas(e.src),
             self.greedy.replicas(e.dst),
@@ -139,24 +143,24 @@ impl WindowKernel for HdrfWindowKernel {
     }
 
     fn begin_window(&mut self) {
+        self.frozen_load.clone_from(&self.greedy.load);
         self.frozen = self.aggregates();
     }
 
     fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_with(e, idx, self.frozen, scratch)
+        self.score_with(e, idx, &self.frozen_load, self.frozen, scratch)
     }
 
-    // Two callers (the repair walk and `step`), so LLVM no longer inlines it
-    // by itself; the repair walk re-scores ~90% of a power-law window here.
+    // Two callers (the windowed walk and `step`), so LLVM no longer inlines
+    // it by itself; the walk scores ~94% of a power-law window here.
     #[inline]
     fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_with(e, idx, self.aggregates(), scratch)
+        self.score_with(e, idx, &self.greedy.load, self.aggregates(), scratch)
     }
 
     fn end_window(&mut self, edges: &[Edge]) {
         // Fold the committed window's endpoint touches into the degree
-        // counters: elementwise integer addition, insensitive to how the
-        // window was chunked.
+        // counters: elementwise integer addition, insensitive to order.
         for e in edges {
             for v in [e.src, e.dst] {
                 let d = &mut self.partial_degree[v.index()];

@@ -129,8 +129,8 @@ impl GreedyState {
 pub(crate) struct ObliviousWindowKernel {
     greedy: GreedyState,
     seed: u64,
-    /// Capacity cap as of the window start. The committed state is frozen
-    /// during speculation, so the cache equals a per-edge recomputation.
+    /// Per-partition loads and the capacity cap as of the window start.
+    frozen_load: Vec<u64>,
     frozen_capacity: u64,
 }
 
@@ -139,14 +139,15 @@ impl ObliviousWindowKernel {
         ObliviousWindowKernel {
             greedy: GreedyState::new(partitions, vertices),
             seed,
+            frozen_load: Vec::new(),
             frozen_capacity: 0,
         }
     }
 
     #[inline]
-    fn score_at(&self, e: Edge, idx: usize, capacity: u64) -> PartitionId {
+    fn score_at(&self, e: Edge, idx: usize, loads: &[u64], capacity: u64) -> PartitionId {
         speculative::oblivious_score(
-            &self.greedy.load,
+            loads,
             capacity,
             self.greedy.replicas(e.src),
             self.greedy.replicas(e.dst),
@@ -165,15 +166,16 @@ impl WindowKernel for ObliviousWindowKernel {
     }
 
     fn begin_window(&mut self) {
+        self.frozen_load.clone_from(&self.greedy.load);
         self.frozen_capacity = self.greedy.capacity();
     }
 
     fn score_frozen(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_at(e, idx, self.frozen_capacity)
+        self.score_at(e, idx, &self.frozen_load, self.frozen_capacity)
     }
 
     fn score_live(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_at(e, idx, self.greedy.capacity())
+        self.score_at(e, idx, &self.greedy.load, self.greedy.capacity())
     }
 }
 
