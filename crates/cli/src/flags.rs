@@ -170,17 +170,6 @@ impl Flags {
         self.number_where("threads", 1, |v| v <= 4096, "be between 0 and 4096")
     }
 
-    /// `--window`: 0 (default) and 1 both run the sequential stateful
-    /// kernels; >= 2 enables windowed speculative ingress; "auto" selects
-    /// the adaptive window controller.
-    pub fn window(&self) -> Result<u32, String> {
-        if self.value("window") == Some("auto") {
-            return Ok(gp_partition::WINDOW_AUTO);
-        }
-        let must = "be \"auto\" or between 0 and 16777216";
-        self.number_where("window", 0, |v| v <= 1 << 24, must)
-    }
-
     /// `--scale` (default 1.0), checked by [`Dataset::check_scale`].
     pub fn scale(&self) -> Result<f64, String> {
         Dataset::check_scale(self.number("scale", 1.0)?).map_err(|e| format!("--scale {e}"))

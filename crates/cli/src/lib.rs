@@ -163,7 +163,7 @@ USAGE:
   distgraph classify <graph.txt>
   distgraph generate <dataset> [--scale S | --edges E] [--seed N] [-o out.txt]
   distgraph partition <graph.txt|store.gps> --strategy <name> [--parts N]
-                      [--seed N] [--threads N] [--window W|auto] [-o parts.txt]
+                      [--seed N] [--threads N] [-o parts.txt]
   distgraph store build powerlaw|<dataset> -o store.gps [--edges E]
                   [--vertices V] [--scale S] [--seed N]
   distgraph store info <store.gps>
@@ -172,7 +172,7 @@ USAGE:
                       [--machines N] [--compute-ingress R] [--natural]
   distgraph run <graph.txt> --app pagerank|wcc|sssp --strategy <name>
                 [--parts N] [--system ...] [--partition-file parts.txt]
-                [--threads N] [--window W|auto]
+                [--threads N]
   distgraph serve <graph.txt|store.gps> [--strategy hdrf] [--cluster local-9]
                   [--parts N] [--horizon S] [--sessions N] [--churn-scale F]
                   [--rebalance-threshold F] [--rf-threshold F] [--seed N]
@@ -233,21 +233,12 @@ retransmit traffic and timeout stalls instead of losing messages.
 `--speculate` re-executes a straggling machine's partition on the
 least-loaded peer and takes the first finisher.
 
-`--threads N` runs ingress and superstep accounting on N worker threads
-(0 = all cores). Every report, assignment, and trace artifact is
-byte-identical at any thread count — parallelism only changes speed.
-
-`--window W` (partition/run) turns on windowed speculative ingress for the
-stateful strategies (hdrf, oblivious; the others refuse it): edges are cut
-into W-edge windows, workers score each window in parallel against a
-read-only snapshot, and a sequential repair pass re-scores only the edges
-whose inputs changed. W of 0 (default) or 1 runs the same kernel one edge
-at a time; W >= 2 trades byte-identity with that one-edge drive for speed
-while staying within 5% on replication factor and balance — and remains
-byte-identical across thread counts at a fixed W. `--window auto` sizes
-windows adaptively: they grow geometrically while the repair rate stays
-low and halve on conflict storms, with the schedule derived purely from
-committed-edge counts — still byte-identical at every thread count.
+`--threads N` (0 = all cores) runs on up to N worker threads: the
+stateless strategies' chunked edge assignment and the freeze of the
+placements into an assignment, HDRF's and Oblivious's loader blocks, and
+the sync engines' semantic pass. Pricing stays sequential. Every report,
+assignment, and trace artifact is byte-identical at any thread count —
+parallelism only changes speed.
 "
     )
 }
@@ -643,103 +634,9 @@ mod tests {
                 parts: 16,
                 seed: 7,
                 threads: 3,
-                window: 0,
                 out: Some("p.txt".into()),
             })
         );
-    }
-
-    #[test]
-    fn parse_and_run_windowed_partition() {
-        let cmd = parse_ok(&[
-            "partition",
-            "g.txt",
-            "--strategy",
-            "hdrf",
-            "--window",
-            "4096",
-        ]);
-        match &cmd {
-            Command::Partition(partition::Args { window, .. }) => assert_eq!(*window, 4096),
-            other => panic!("parsed {other:?}"),
-        }
-        let path = temp_graph_named("windowed");
-        let (code, text) = run_to_string(&Command::Partition(partition::Args {
-            path,
-            strategy: Strategy::Hdrf,
-            parts: 4,
-            seed: 1,
-            threads: 2,
-            window: 8,
-            out: None,
-        }));
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("replication factor"), "{text}");
-    }
-
-    #[test]
-    fn parse_and_run_auto_window_partition() {
-        let cmd = parse_ok(&[
-            "partition",
-            "g.txt",
-            "--strategy",
-            "hdrf",
-            "--window",
-            "auto",
-        ]);
-        match &cmd {
-            Command::Partition(partition::Args { window, .. }) => {
-                assert_eq!(*window, gp_partition::WINDOW_AUTO)
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        let path = temp_graph_named("autowindow");
-        let (code, text) = run_to_string(&Command::Partition(partition::Args {
-            path,
-            strategy: Strategy::Hdrf,
-            parts: 4,
-            seed: 1,
-            threads: 2,
-            window: gp_partition::WINDOW_AUTO,
-            out: None,
-        }));
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("replication factor"), "{text}");
-    }
-
-    #[test]
-    fn window_rejects_garbage_but_takes_auto() {
-        let err = super::parse(&[
-            "partition".into(),
-            "g.txt".into(),
-            "--strategy".into(),
-            "hdrf".into(),
-            "--window".into(),
-            "soon".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("bad --window"), "{err}");
-        let err = super::parse(&[
-            "partition".into(),
-            "g.txt".into(),
-            "--strategy".into(),
-            "hdrf".into(),
-            "--window".into(),
-            "999999999".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("auto"), "{err}");
-        // Only HDRF and Oblivious have a windowed path; the rest refuse.
-        let err = super::parse(&[
-            "partition".into(),
-            "g.txt".into(),
-            "--strategy".into(),
-            "grid".into(),
-            "--window".into(),
-            "16".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("hdrf|oblivious"), "{err}");
     }
 
     #[test]
@@ -935,7 +832,6 @@ mod tests {
             parts: 9,
             seed: 1,
             threads: 2,
-            window: 0,
             out: Some(pfile.clone()),
         }));
         assert_eq!(code, 0, "{text}");
@@ -949,7 +845,6 @@ mod tests {
             system: System::PowerGraph,
             partition_file: Some(pfile),
             threads: 1,
-            window: 0,
         }));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("WCC"), "{text}");
@@ -970,7 +865,6 @@ mod tests {
             parts: 16,
             seed: 1,
             threads: 1,
-            window: 0,
             out: Some(pfile.clone()),
         }));
         assert_eq!(code, 0, "{text}");
@@ -987,7 +881,6 @@ mod tests {
             system: System::PowerGraph,
             partition_file: Some(pfile.clone()),
             threads: 1,
-            window: 0,
         }));
         // `fail`'s code, like every other load error; not an abort.
         assert_eq!(code, 2, "{text}");
@@ -1008,7 +901,6 @@ mod tests {
                 system,
                 partition_file: None,
                 threads: 2, // exercise the parallel engine path
-                window: 0,
             }));
             assert_eq!(code, 0, "{system:?}: {text}");
             assert!(text.contains("PageRank"), "{system:?}: {text}");
@@ -1520,7 +1412,6 @@ mod tests {
             parts: 9,
             seed: 1,
             threads: 1,
-            window: 0,
             out: None,
         }));
         assert_eq!(code, 2);
@@ -1697,7 +1588,6 @@ mod tests {
             parts: 8,
             seed: 3,
             threads: 2,
-            window: 0,
             out: Some(streamed_out.clone()),
         }));
         assert_eq!(code, 0, "{text}");

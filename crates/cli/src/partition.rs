@@ -17,32 +17,22 @@ pub struct Args {
     /// Ingress worker threads (0 = all cores). Output is byte-identical
     /// at any value.
     pub threads: u32,
-    /// Speculative ingress window for HDRF and Oblivious (0/1 = the
-    /// kernel one edge at a time; >= 2 = the same kernel a window at a
-    /// time, quality-parity rather than byte-identity with window 0,
-    /// still byte-identical across thread counts;
-    /// `gp_partition::WINDOW_AUTO`, CLI "auto" = adaptive controller).
-    /// Every other strategy refuses a window of 2 or more.
-    pub window: u32,
     pub out: Option<String>,
 }
 
 impl Subcommand for Args {
     const NAME: &'static str = "partition";
-    const VALUES: &'static str = "strategy parts seed threads window out";
+    const VALUES: &'static str = "strategy parts seed threads out";
 
     fn parse(flags: &Flags) -> Result<Self, String> {
-        let args = Args {
+        Ok(Args {
             path: flags.path()?,
             strategy: flags.strategy_or(None)?,
             parts: flags.count_or("parts", 9)?,
             seed: flags.seed()?,
             threads: flags.threads()?,
-            window: flags.window()?,
             out: flags.value("out").map(str::to_string),
-        };
-        args.strategy.check_window(args.window)?;
-        Ok(args)
+        })
     }
 
     fn run(&self, out: &mut dyn Write) -> Result<(), Failure> {
@@ -51,8 +41,7 @@ impl Subcommand for Args {
         strategy.check_partition_count(parts)?;
         let ctx = PartitionContext::new(parts)
             .with_seed(self.seed)
-            .with_threads(self.threads)
-            .with_window(self.window);
+            .with_threads(self.threads);
         let outcome = strategy.build().partition(graph, &ctx);
         let report = IngressReport::from_outcome(strategy.label(), &outcome, parts);
         let mut t = Table::new(

@@ -22,19 +22,17 @@ pub struct Args {
     /// GraphX runs on Local-10, the GAS systems on Local-9.
     pub system: System,
     pub partition_file: Option<String>,
-    /// Worker threads for ingress and superstep accounting (0 = all
+    /// Worker threads for ingress and the engine's semantic pass (0 = all
     /// cores). Reports are byte-identical at any value.
     pub threads: u32,
-    /// Speculative ingress window (see `partition::Args::window`).
-    pub window: u32,
 }
 
 impl Subcommand for Args {
     const NAME: &'static str = "run";
-    const VALUES: &'static str = "app strategy parts seed system partition-file threads window";
+    const VALUES: &'static str = "app strategy parts seed system partition-file threads";
 
     fn parse(flags: &Flags) -> Result<Self, String> {
-        let args = Args {
+        Ok(Args {
             path: flags.path()?,
             app: flags.parsed("app")?.ok_or("missing --app")?,
             strategy: flags.strategy_or(None)?,
@@ -43,10 +41,7 @@ impl Subcommand for Args {
             system: flags.parsed("system")?.unwrap_or(System::PowerGraph),
             partition_file: flags.value("partition-file").map(str::to_string),
             threads: flags.threads()?,
-            window: flags.window()?,
-        };
-        args.strategy.check_window(args.window)?;
-        Ok(args)
+        })
     }
 
     fn run(&self, out: &mut dyn Write) -> Result<(), Failure> {
@@ -57,8 +52,7 @@ impl Subcommand for Args {
         } else {
             let ctx = PartitionContext::new(self.parts)
                 .with_seed(self.seed)
-                .with_threads(self.threads)
-                .with_window(self.window);
+                .with_threads(self.threads);
             self.strategy.build().partition(&graph, &ctx).assignment
         };
         let spec = match self.system {

@@ -52,6 +52,33 @@ fn mistyped_misplaced_and_repeated_flags_exit_two() {
 }
 
 #[test]
+fn window_is_an_unknown_flag() {
+    for (args, complaint) in [
+        (
+            &["partition", "g.txt", "--strategy", "hdrf", "--window", "16"][..],
+            "unknown flag --window for `partition`",
+        ),
+        (
+            &[
+                "run",
+                "g.txt",
+                "--app",
+                "wcc",
+                "--strategy",
+                "oblivious",
+                "--window",
+                "auto",
+            ],
+            "unknown flag --window for `run`",
+        ),
+    ] {
+        let (code, text) = distgraph(args);
+        assert_eq!(code, 2, "{args:?}: {text}");
+        assert!(text.contains(complaint), "{args:?}: {text}");
+    }
+}
+
+#[test]
 fn events_that_cannot_fire_exit_two_naming_the_rule() {
     for (args, rule) in [
         (

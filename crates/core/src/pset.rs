@@ -63,8 +63,8 @@ impl PartitionSet {
     }
 
     /// The underlying words, low bits first: bit `p % 64` of word `p / 64`
-    /// is partition `p`'s membership. Public so scoring kernels (speculative
-    /// HDRF ingress) can classify 64 partitions per AND/OR instead of
+    /// is partition `p`'s membership. Public so scoring kernels (HDRF
+    /// ingress) can classify 64 partitions per AND/OR instead of
     /// probing [`PartitionSet::contains`] one partition at a time.
     #[inline]
     pub fn words(&self) -> &[u64] {

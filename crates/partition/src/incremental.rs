@@ -15,8 +15,8 @@
 //! * **Stateful heuristics** (Oblivious, HDRF, Hybrid, H-Ginger) depend on
 //!   the order and sharding of the batch stream, which a live stream cannot
 //!   reproduce. Oblivious and HDRF run loader 0's
-//!   `WindowKernel` one edge at a time over the live stream — the very
-//!   step batch ingress runs at `window <= 1`, single shard — and are
+//!   `GreedyKernel` one edge at a time over the live stream — the very
+//!   step batch ingress runs, single shard — and are
 //!   *quality-parity* approximations: `is_exact()` is `false`, and the
 //!   serve-level tests gate replication factor and edge balance to within
 //!   5% of a batch re-partition instead of demanding byte equality.
@@ -27,11 +27,11 @@
 //! concern handled by the serving layer's refcounts, mirroring how deployed
 //! systems keep mirrors warm until a rebalance reclaims them.
 
-use crate::speculative::{ScoreScratch, WindowKernel};
+use crate::greedy::{GreedyKernel, ScoreScratch};
 use crate::strategies::hash::HashRule;
-use crate::strategies::hdrf::HdrfWindowKernel;
+use crate::strategies::hdrf::HdrfKernel;
 use crate::strategies::hybrid::{hybrid_edge, DEFAULT_THRESHOLD};
-use crate::strategies::oblivious::ObliviousWindowKernel;
+use crate::strategies::oblivious::ObliviousKernel;
 use crate::strategy::Strategy;
 use gp_core::{Edge, PartitionId};
 
@@ -101,14 +101,14 @@ impl IncrementalPartitioner for Stateless {
 }
 
 /// Incremental Oblivious / HDRF: loader 0's kernel fed by the live stream,
-/// one [`WindowKernel::step`] per insert.
+/// one [`GreedyKernel::step`] per insert.
 struct IncrementalGreedy<K> {
     name: &'static str,
     kernel: K,
     scratch: ScoreScratch,
 }
 
-impl<K: WindowKernel> IncrementalGreedy<K> {
+impl<K: GreedyKernel> IncrementalGreedy<K> {
     fn boxed(name: &'static str, kernel: K) -> Box<Self> {
         let scratch = ScoreScratch::new(kernel.greedy().load.len());
         Box::new(IncrementalGreedy {
@@ -119,7 +119,7 @@ impl<K: WindowKernel> IncrementalGreedy<K> {
     }
 }
 
-impl<K: WindowKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
+impl<K: GreedyKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -133,8 +133,7 @@ impl<K: WindowKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
     }
 
     fn warm(&mut self, e: Edge, p: PartitionId) {
-        self.kernel.greedy_mut().commit_priced(e, p);
-        self.kernel.end_window(std::slice::from_ref(&e));
+        self.kernel.commit(e, p);
     }
 
     fn is_exact(&self) -> bool {
@@ -207,11 +206,11 @@ impl Strategy {
             // derivation as batch loader 0) over the live stream.
             Strategy::Oblivious => IncrementalGreedy::boxed(
                 self.label(),
-                ObliviousWindowKernel::new(p, num_vertices, seed ^ 0x0b11),
+                ObliviousKernel::new(p, num_vertices, seed ^ 0x0b11),
             ),
             Strategy::Hdrf => IncrementalGreedy::boxed(
                 self.label(),
-                HdrfWindowKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0),
+                HdrfKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0),
             ),
             Strategy::Hybrid | Strategy::HybridGinger => Box::new(IncrementalHybrid {
                 name: self.label(),

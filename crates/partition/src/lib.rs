@@ -45,12 +45,12 @@
 //! ```
 
 pub mod assignment;
+mod greedy;
 pub mod incremental;
 pub mod ingress;
 mod local_edges;
 pub mod partitioner;
 pub mod persist;
-mod speculative;
 pub mod strategies;
 pub mod strategy;
 
@@ -58,8 +58,9 @@ pub use assignment::{Assignment, BalanceReport};
 pub use gp_par::ParConfig;
 pub use incremental::IncrementalPartitioner;
 pub use ingress::{IngressReport, IngressVolumes};
+#[doc(hidden)]
+pub use partitioner::WINDOW_AUTO;
 pub use partitioner::{PartitionContext, PartitionOutcome, Partitioner};
 pub use persist::{load_assignment, read_assignment, save_assignment, write_assignment};
-pub use speculative::WINDOW_AUTO;
 pub use strategies::sharded_degree_table;
 pub use strategy::{Strategy, System};

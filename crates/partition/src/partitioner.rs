@@ -56,21 +56,6 @@ pub struct PartitionContext {
     /// Results are byte-identical at any value — see the `gp-par`
     /// ordered-reduction rule.
     pub par: ParConfig,
-    /// Speculative-ingress window, in edges, for HDRF and Oblivious (every
-    /// other strategy ignores it). `0` (the default) and `1` drive the
-    /// greedy kernels one edge at a time. `window >= 2` scores them a
-    /// window at a time against a frozen snapshot
-    /// (`crate::speculative`): the output is a pure function of `(graph,
-    /// seed, partitions, loaders, window)` — still independent of
-    /// `par.threads` — but sits within a *quality-parity* envelope of the
-    /// one-edge drive (RF and balance within 5%) rather than being
-    /// byte-identical to it, because state is frozen per window.
-    /// [`gp_partition::WINDOW_AUTO`](crate::WINDOW_AUTO) (CLI: `--window
-    /// auto`) selects adaptive sizing: the window grows while the repair
-    /// rate stays low and shrinks on conflict storms, with the schedule
-    /// derived purely from committed-edge counts — so it too is
-    /// bit-identical at every thread count.
-    pub window: u32,
 }
 
 impl PartitionContext {
@@ -84,7 +69,6 @@ impl PartitionContext {
             seed: 42,
             telemetry: TelemetrySink::Disabled,
             par: ParConfig::default(),
-            window: 0,
         }
     }
 
@@ -116,14 +100,18 @@ impl PartitionContext {
         self
     }
 
-    /// Set the speculative-ingress window (edges per window; `0` = off,
-    /// i.e. one edge at a time; [`crate::WINDOW_AUTO`] = adaptive). See
-    /// [`Self::window`].
-    pub fn with_window(mut self, window: u32) -> Self {
-        self.window = window;
+    /// Ignores `window`: a name the `benchmark/` package still calls,
+    /// nothing else. Goes once the benchmark stops calling it.
+    #[doc(hidden)]
+    pub fn with_window(self, _window: u32) -> Self {
         self
     }
 }
+
+/// A window value the `benchmark/` package still passes; ignored, like
+/// every other, and used nowhere else.
+#[doc(hidden)]
+pub const WINDOW_AUTO: u32 = u32::MAX;
 
 /// What a partitioning run produces: the assignment plus ingress accounting.
 #[derive(Debug, Clone)]

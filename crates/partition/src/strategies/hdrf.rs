@@ -18,8 +18,8 @@
 //!
 //! Like Oblivious, distributed ingress gives each loader its own state.
 
+use crate::greedy::{self, edge_rng, GreedyKernel, ScoreScratch};
 use crate::partitioner::{PartitionContext, PartitionOutcome, Partitioner};
-use crate::speculative::{self, edge_rng, ScoreScratch, WindowKernel};
 use crate::strategies::oblivious::GreedyState;
 use gp_core::{Edge, PartitionId, StreamingEdges};
 
@@ -50,43 +50,35 @@ impl Hdrf {
     }
 }
 
-/// HDRF's [`WindowKernel`] — the one implementation of the Appendix-B rule,
-/// scored through the pure [`speculative::hdrf_score`] function with
-/// per-edge RNGs. Degree counters are frozen for the duration of a window
-/// (each edge sees previous windows plus its own endpoint bump) and advance
-/// via the end-of-window merge; at window 1 that is Appendix B's
-/// increment-then-score order exactly. The loads and their aggregates
-/// (max/min/capacity) are snapshotted once per window for the frozen score.
-pub(crate) struct HdrfWindowKernel {
+/// HDRF's [`GreedyKernel`] — the one implementation of the Appendix-B rule,
+/// scored through the pure [`greedy::hdrf_score`] function with per-edge
+/// RNGs. An edge's θ sees the counters of every earlier edge plus its own
+/// endpoint bump, and its commit then folds that bump in: Appendix B's
+/// increment-then-score order exactly.
+pub(crate) struct HdrfKernel {
     greedy: GreedyState,
     /// Partial degree counters δ (Appendix B), dense vertex-indexed — the
     /// ids are `0..n` already, so a flat table beats hashing on every edge.
-    pub(crate) partial_degree: Vec<u64>,
+    partial_degree: Vec<u64>,
     /// Vertices with a nonzero counter (memory accounting parity with the
     /// historical per-entry map accounting: 40 bytes per touched vertex).
     touched: u64,
     lambda: f64,
     seed: u64,
-    /// Per-partition loads and `(max load, min load, capacity)` as of the
-    /// window start.
-    frozen_load: Vec<u64>,
-    frozen: (f64, f64, u64),
 }
 
-impl HdrfWindowKernel {
+impl HdrfKernel {
     pub(crate) fn new(partitions: u32, vertices: u64, seed: u64, lambda: f64) -> Self {
-        HdrfWindowKernel {
+        HdrfKernel {
             greedy: GreedyState::new(partitions, vertices),
             partial_degree: vec![0; vertices as usize],
             touched: 0,
             lambda,
             seed,
-            frozen_load: Vec::new(),
-            frozen: (0.0, 0.0, 0),
         }
     }
 
-    /// θ uses the frozen counters plus this edge's own contribution
+    /// θ uses the committed counters plus this edge's own contribution
     /// (Appendix B: counters are incremented when the edge is processed,
     /// then used for θ). A self-loop bumps its single endpoint twice.
     #[inline]
@@ -96,30 +88,26 @@ impl HdrfWindowKernel {
         let dv = (self.partial_degree[e.dst.index()] + bump) as f64;
         (du / (du + dv), dv / (du + dv))
     }
+}
 
-    /// The live load aggregates the score reads: `(max load, min load,
-    /// capacity)`.
-    #[inline]
-    fn aggregates(&self) -> (f64, f64, u64) {
-        let loads = &self.greedy.load;
-        let max_load = *loads.iter().max().expect("partitions > 0") as f64;
-        let min_load = *loads.iter().min().expect("partitions > 0") as f64;
-        (max_load, min_load, self.greedy.capacity())
+impl GreedyKernel for HdrfKernel {
+    fn greedy(&self) -> &GreedyState {
+        &self.greedy
+    }
+
+    fn greedy_mut(&mut self) -> &mut GreedyState {
+        &mut self.greedy
     }
 
     #[inline]
-    fn score_with(
-        &self,
-        e: Edge,
-        idx: usize,
-        loads: &[u64],
-        (max_load, min_load, capacity): (f64, f64, u64),
-        scratch: &mut ScoreScratch,
-    ) -> PartitionId {
+    fn score(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
         let (theta_u, theta_v) = self.thetas(e);
-        speculative::hdrf_score(
+        let loads = &self.greedy.load;
+        let max_load = *loads.iter().max().expect("partitions > 0") as f64;
+        let min_load = *loads.iter().min().expect("partitions > 0") as f64;
+        greedy::hdrf_score(
             loads,
-            capacity,
+            self.greedy.capacity(),
             self.greedy.replicas(e.src),
             self.greedy.replicas(e.dst),
             theta_u,
@@ -131,44 +119,15 @@ impl HdrfWindowKernel {
             scratch.scores(),
         )
     }
-}
 
-impl WindowKernel for HdrfWindowKernel {
-    fn greedy(&self) -> &GreedyState {
-        &self.greedy
-    }
-
-    fn greedy_mut(&mut self) -> &mut GreedyState {
-        &mut self.greedy
-    }
-
-    fn begin_window(&mut self) {
-        self.frozen_load.clone_from(&self.greedy.load);
-        self.frozen = self.aggregates();
-    }
-
-    fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_with(e, idx, &self.frozen_load, self.frozen, scratch)
-    }
-
-    // Two callers (the windowed walk and `step`), so LLVM no longer inlines
-    // it by itself; the walk scores ~94% of a power-law window here.
-    #[inline]
-    fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_with(e, idx, &self.greedy.load, self.aggregates(), scratch)
-    }
-
-    fn end_window(&mut self, edges: &[Edge]) {
-        // Fold the committed window's endpoint touches into the degree
-        // counters: elementwise integer addition, insensitive to order.
-        for e in edges {
-            for v in [e.src, e.dst] {
-                let d = &mut self.partial_degree[v.index()];
-                if *d == 0 {
-                    self.touched += 1;
-                }
-                *d += 1;
+    fn commit(&mut self, e: Edge, p: PartitionId) {
+        self.greedy.commit_priced(e, p);
+        for v in [e.src, e.dst] {
+            let d = &mut self.partial_degree[v.index()];
+            if *d == 0 {
+                self.touched += 1;
             }
+            *d += 1;
         }
     }
 
@@ -200,8 +159,8 @@ impl Partitioner for Hdrf {
         // As with Oblivious, per-loader state is independent: block
         // boundaries and per-block seeds depend only on `num_loaders`.
         let lambda = self.lambda;
-        speculative::partition_blocks(self.name(), graph, ctx, |i| {
-            HdrfWindowKernel::new(
+        greedy::partition_blocks(self.name(), graph, ctx, |i| {
+            HdrfKernel::new(
                 ctx.num_partitions,
                 graph.num_vertices(),
                 ctx.seed ^ (0x4d5f + i as u64),
@@ -222,23 +181,16 @@ mod tests {
         PartitionContext::new(p).with_loaders(1)
     }
 
-    fn kernel(partitions: u32, vertices: u64, lambda: f64) -> HdrfWindowKernel {
-        HdrfWindowKernel::new(partitions, vertices, 1, lambda)
-    }
-
-    /// Commit `e -> p` the way every drive does: loads and replica sets,
-    /// then the deferred degree fold.
-    fn commit(k: &mut HdrfWindowKernel, e: Edge, p: PartitionId) {
-        k.greedy.commit_priced(e, p);
-        k.end_window(&[e]);
+    fn kernel(partitions: u32, vertices: u64, lambda: f64) -> HdrfKernel {
+        HdrfKernel::new(partitions, vertices, 1, lambda)
     }
 
     /// The plain scalar Appendix-B scorer — the body of the sequential
     /// `choose` this crate carried before the kernels were unified, with
     /// the tie-break stream passed in. Kept as the oracle for
-    /// [`speculative::hdrf_score`]: branchy per-partition loop, explicit
+    /// [`greedy::hdrf_score`]: branchy per-partition loop, explicit
     /// tie list, at-capacity partitions skipped rather than scored `-inf`.
-    fn oracle_choose(k: &HdrfWindowKernel, e: Edge, rng: &mut Splitmix64) -> PartitionId {
+    fn oracle_choose(k: &HdrfKernel, e: Edge, rng: &mut Splitmix64) -> PartitionId {
         // Counters are incremented when the edge is processed, then used.
         let degree = |v: gp_core::VertexId| {
             let own = [e.src, e.dst].iter().filter(|&&w| w == v).count() as u64;
@@ -309,7 +261,7 @@ mod tests {
                     let u = rng.next_below(N / 10);
                     let v = rng.next_below(N);
                     let e = Edge::new(u, if rng.next_below(10) == 0 { u } else { v });
-                    let got = k.score_live(e, i as usize, &mut scratch);
+                    let got = k.score(e, i as usize, &mut scratch);
                     let want = oracle_choose(&k, e, &mut edge_rng(k.seed, i as usize));
                     assert_eq!(got, want, "λ={lambda} p={partitions} edge {i} ({e:?})");
                     // Mostly follow the rule, sometimes scatter, so states
@@ -319,7 +271,7 @@ mod tests {
                     } else {
                         got
                     };
-                    commit(&mut k, e, p);
+                    k.commit(e, p);
                     spilled |= k.greedy.replicas(e.src).words().len() > 4;
                 }
                 assert_eq!(spilled, partitions == 300, "heap-spilled sets exercised");
@@ -332,14 +284,14 @@ mod tests {
     #[test]
     fn all_at_capacity_falls_back_to_least_loaded() {
         let mut k = kernel(5, 16, 1.0);
-        commit(&mut k, Edge::new(0u64, 1u64), PartitionId(3));
+        k.commit(Edge::new(0u64, 1u64), PartitionId(3));
         k.greedy.load = vec![9, 7, 8, 7, 9];
         k.greedy.assigned = 0; // capacity 4: everything is over it
         let mut scratch = ScoreScratch::new(5);
         let mut picks = std::collections::BTreeSet::new();
         for idx in 0..64 {
             let e = Edge::new(0u64, 1u64);
-            let got = k.score_live(e, idx, &mut scratch);
+            let got = k.score(e, idx, &mut scratch);
             assert_eq!(got, oracle_choose(&k, e, &mut edge_rng(k.seed, idx)));
             picks.insert(got.0);
         }
@@ -368,10 +320,10 @@ mod tests {
         let mut k = kernel(2, 128, 0.0); // no balance term
         k.greedy.balance_slack = 100.0; // nor a capacity cap: degrees decide
         for i in 10..30u64 {
-            commit(&mut k, Edge::new(0u64, i), PartitionId(0)); // hub u = 0 on p0
+            k.commit(Edge::new(0u64, i), PartitionId(0)); // hub u = 0 on p0
         }
-        commit(&mut k, Edge::new(99u64, 50u64), PartitionId(1)); // w = 99 on p1
-        let p = k.score_live(Edge::new(0u64, 99u64), 21, &mut ScoreScratch::new(2));
+        k.commit(Edge::new(99u64, 50u64), PartitionId(1)); // w = 99 on p1
+        let p = k.score(Edge::new(0u64, 99u64), 21, &mut ScoreScratch::new(2));
         assert_eq!(
             p,
             PartitionId(1),

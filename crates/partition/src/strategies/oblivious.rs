@@ -19,11 +19,11 @@
 //! heuristic. With `num_loaders == 1` you get the idealized centralized
 //! variant.
 
+use crate::greedy::{self, edge_rng, GreedyKernel, ScoreScratch};
 use crate::partitioner::{
     PartitionContext, PartitionOutcome, Partitioner, HEURISTIC_BASE, HEURISTIC_PER_CANDIDATE,
     PARSE_EDGE,
 };
-use crate::speculative::{self, edge_rng, ScoreScratch, WindowKernel};
 use gp_core::{Edge, PartitionId, PartitionSet, StreamingEdges, VertexId};
 
 /// Oblivious greedy vertex-cut partitioner.
@@ -75,12 +75,6 @@ impl GreedyState {
         (self.balance_slack * self.assigned as f64 / self.load.len() as f64) as u64 + 4
     }
 
-    /// True when `p` is at or over the capacity cap.
-    #[inline]
-    pub fn over_capacity(&self, p: PartitionId) -> bool {
-        self.load[p.index()] >= self.capacity()
-    }
-
     /// Partitions this loader has placed `v` on.
     #[inline]
     pub fn replicas(&self, v: VertexId) -> &PartitionSet {
@@ -122,41 +116,23 @@ impl GreedyState {
     }
 }
 
-/// Oblivious's [`WindowKernel`]: a per-loader [`GreedyState`] scored through
-/// the pure [`speculative::oblivious_score`] case analysis with per-edge
-/// RNGs. Oblivious has no degree state — windows only freeze the replica
-/// sets and loads it scores against.
-pub(crate) struct ObliviousWindowKernel {
+/// Oblivious's [`GreedyKernel`]: a per-loader [`GreedyState`] scored through
+/// the pure [`greedy::oblivious_score`] case analysis with per-edge RNGs.
+pub(crate) struct ObliviousKernel {
     greedy: GreedyState,
     seed: u64,
-    /// Per-partition loads and the capacity cap as of the window start.
-    frozen_load: Vec<u64>,
-    frozen_capacity: u64,
 }
 
-impl ObliviousWindowKernel {
+impl ObliviousKernel {
     pub(crate) fn new(partitions: u32, vertices: u64, seed: u64) -> Self {
-        ObliviousWindowKernel {
+        ObliviousKernel {
             greedy: GreedyState::new(partitions, vertices),
             seed,
-            frozen_load: Vec::new(),
-            frozen_capacity: 0,
         }
-    }
-
-    #[inline]
-    fn score_at(&self, e: Edge, idx: usize, loads: &[u64], capacity: u64) -> PartitionId {
-        speculative::oblivious_score(
-            loads,
-            capacity,
-            self.greedy.replicas(e.src),
-            self.greedy.replicas(e.dst),
-            &mut edge_rng(self.seed, idx),
-        )
     }
 }
 
-impl WindowKernel for ObliviousWindowKernel {
+impl GreedyKernel for ObliviousKernel {
     fn greedy(&self) -> &GreedyState {
         &self.greedy
     }
@@ -165,17 +141,14 @@ impl WindowKernel for ObliviousWindowKernel {
         &mut self.greedy
     }
 
-    fn begin_window(&mut self) {
-        self.frozen_load.clone_from(&self.greedy.load);
-        self.frozen_capacity = self.greedy.capacity();
-    }
-
-    fn score_frozen(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_at(e, idx, &self.frozen_load, self.frozen_capacity)
-    }
-
-    fn score_live(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_at(e, idx, &self.greedy.load, self.greedy.capacity())
+    fn score(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
+        greedy::oblivious_score(
+            &self.greedy.load,
+            self.greedy.capacity(),
+            self.greedy.replicas(e.src),
+            self.greedy.replicas(e.dst),
+            &mut edge_rng(self.seed, idx),
+        )
     }
 }
 
@@ -192,8 +165,8 @@ impl Partitioner for Oblivious {
         // Loaders are independent by design (each is "oblivious" to the
         // others): block boundaries and per-block seeds depend only on
         // `num_loaders`, never on the thread count.
-        speculative::partition_blocks(self.name(), graph, ctx, |i| {
-            ObliviousWindowKernel::new(
+        greedy::partition_blocks(self.name(), graph, ctx, |i| {
+            ObliviousKernel::new(
                 ctx.num_partitions,
                 graph.num_vertices(),
                 ctx.seed ^ (0x0b11 + i as u64),
@@ -215,12 +188,12 @@ mod tests {
         PartitionContext::new(p).with_loaders(1)
     }
 
-    fn kernel(partitions: u32, vertices: u64) -> ObliviousWindowKernel {
-        ObliviousWindowKernel::new(partitions, vertices, 1)
+    fn kernel(partitions: u32, vertices: u64) -> ObliviousKernel {
+        ObliviousKernel::new(partitions, vertices, 1)
     }
 
-    fn score(k: &ObliviousWindowKernel, e: Edge) -> PartitionId {
-        k.score_live(e, 0, &mut ScoreScratch::new(0))
+    fn score(k: &ObliviousKernel, e: Edge) -> PartitionId {
+        k.score(e, 0, &mut ScoreScratch::new(0))
     }
 
     /// Scalar least-loaded among `candidates` (ascending), one tie-break
@@ -242,7 +215,7 @@ mod tests {
     /// Appendix A's four-case analysis, written out plainly — the body of
     /// the sequential `oblivious_choose` this crate carried before the
     /// kernels were unified, with the tie-break stream passed in. Kept as
-    /// the oracle for [`speculative::oblivious_score`].
+    /// the oracle for [`greedy::oblivious_score`].
     fn oracle_choose(state: &GreedyState, e: Edge, rng: &mut Splitmix64) -> PartitionId {
         let all = 0..state.load.len() as u32;
         let (au, av) = (state.replicas(e.src), state.replicas(e.dst));
@@ -285,7 +258,7 @@ mod tests {
                 let u = rng.next_below(N / 10);
                 let v = rng.next_below(N);
                 let e = Edge::new(u, if rng.next_below(10) == 0 { u } else { v });
-                let got = k.score_live(e, i as usize, &mut scratch);
+                let got = k.score(e, i as usize, &mut scratch);
                 let want = oracle_choose(&k.greedy, e, &mut edge_rng(k.seed, i as usize));
                 assert_eq!(got, want, "p={partitions} edge {i} ({e:?})");
                 // Mostly follow the rule, sometimes scatter, so all four
@@ -313,7 +286,7 @@ mod tests {
         let mut picks = std::collections::BTreeSet::new();
         for idx in 0..64 {
             let e = Edge::new(0u64, 1u64);
-            let got = k.score_live(e, idx, &mut ScoreScratch::new(0));
+            let got = k.score(e, idx, &mut ScoreScratch::new(0));
             let want = oracle_choose(&k.greedy, e, &mut edge_rng(k.seed, idx));
             assert_eq!(got, want);
             picks.insert(got.0);

@@ -191,21 +191,6 @@ impl Strategy {
         }
     }
 
-    /// `Err` naming the strategy when `window` (see
-    /// [`PartitionContext::window`](crate::PartitionContext::window)) asks
-    /// for windowed ingress it does not have: only HDRF and Oblivious run
-    /// a window of two or more edges, or [`crate::WINDOW_AUTO`].
-    pub fn check_window(self, window: u32) -> Result<(), String> {
-        if window <= 1 || matches!(self, Strategy::Hdrf | Strategy::Oblivious) {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} has no windowed ingress: --window applies to hdrf|oblivious only",
-                self.label()
-            ))
-        }
-    }
-
     /// The Table 1.1 matrix: each system with its native strategies.
     pub fn catalog() -> Vec<(System, Vec<Strategy>)> {
         vec![
@@ -289,6 +274,15 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             Strategy::ALL.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), Strategy::ALL.len());
+    }
+
+    /// Serving names its partitioner by `label()` without building it, so
+    /// the built partitioner's `name()` must be that same string.
+    #[test]
+    fn built_partitioner_is_named_by_its_label() {
+        for s in Strategy::ALL {
+            assert_eq!(s.build().name(), s.label(), "{s:?}");
+        }
     }
 
     #[test]

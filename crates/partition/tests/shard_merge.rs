@@ -1,9 +1,8 @@
 //! Sharded degree-state merge equivalence.
 //!
-//! The windowed speculative ingress path replaces every sequential degree
-//! scan with [`gp_partition::sharded_degree_table`]: each `gp-par` worker
-//! counts its chunk into a private [`gp_core::DegreeTable`] shard, and the
-//! shards are merged in chunk order. This suite pins the contract that the
+//! Hybrid's and VEBO's degree pass is [`gp_partition::sharded_degree_table`]:
+//! each `gp-par` worker counts its chunk into a private
+//! [`gp_core::DegreeTable`] shard, and the shards are merged in chunk order. This suite pins the contract that the
 //! merged state is *exactly* the sequential [`EdgeList::degrees`] table —
 //! for every thread count and for the adversarial stream shapes that have
 //! historically broken sharded counters: duplicate edges (counts add, not

@@ -95,8 +95,7 @@ fn ingest(
         delta.add(e, p);
         incr.warm(e, p);
     }
-    let report =
-        IngressReport::from_outcome(cfg.strategy.build().name(), &outcome, ctx.num_loaders);
+    let report = IngressReport::from_outcome(cfg.strategy.label(), &outcome, ctx.num_loaders);
     let cost_s = CostRates.ingress_seconds(&report, &cfg.spec);
     (
         Resident {
@@ -120,7 +119,7 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
     let base_rf = res.delta.replication_factor();
     let base_imbalance = res.delta.edge_imbalance();
     let mut report = ServeReport {
-        strategy: cfg.strategy.build().name(),
+        strategy: cfg.strategy.label(),
         cluster: cfg.spec.name,
         num_partitions: cfg.num_partitions,
         seed: cfg.seed,

@@ -7,7 +7,6 @@
 use gp_core::{collect_edge_list, Edge, EdgeList, StreamingEdges, VertexId};
 use gp_store::{builder, GraphStore};
 use proptest::prelude::*;
-use proptest::strategy::Strategy as _;
 
 /// Arbitrary graph with isolated trailing vertices and duplicate edges.
 fn arb_graph() -> impl proptest::strategy::Strategy<Value = EdgeList> {
@@ -79,13 +78,13 @@ proptest! {
         let mut bytes = store_bytes(&graph);
         let byte = gp_store::HEADER_LEN + which % (bytes.len() - gp_store::HEADER_LEN);
         bytes[byte] ^= 0x40;
-        match GraphStore::open_bytes(bytes) {
-            // Header parse can't see payload damage; verify must.
-            Ok(store) => prop_assert!(
+        // An `Err` here is the structural check catching it; a header
+        // parse can't see payload damage, so on `Ok` verify must.
+        if let Ok(store) = GraphStore::open_bytes(bytes) {
+            prop_assert!(
                 store.verify().is_err(),
                 "flipped payload byte {} went undetected", byte
-            ),
-            Err(_) => {} // structural check already caught it
+            );
         }
     }
 

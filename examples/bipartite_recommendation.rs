@@ -49,7 +49,7 @@ fn main() {
         );
     };
 
-    bench("BiCut", Box::new(BiCut::default()));
+    bench("BiCut", Box::<BiCut>::default());
     for s in [
         Strategy::Hybrid,
         Strategy::Hdrf,

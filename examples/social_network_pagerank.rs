@@ -58,7 +58,7 @@ fn main() {
             compute_s,
             total
         );
-        if best.map_or(true, |(_, t)| total < t) {
+        if !best.is_some_and(|(_, t)| t <= total) {
             best = Some((strategy, total));
         }
     }
