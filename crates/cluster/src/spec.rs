@@ -85,10 +85,10 @@ impl ClusterSpec {
         }
     }
 
-    /// Compute threads PowerGraph uses: "two less than the number of cores"
-    /// (§5.3).
-    pub fn compute_threads(&self) -> u32 {
-        self.vcpus.saturating_sub(2).max(1)
+    /// Work units per second one machine retires on its compute threads;
+    /// PowerGraph uses "two less than the number of cores" (§5.3).
+    pub fn compute_rate(&self) -> f64 {
+        self.vcpus.saturating_sub(2).max(1) as f64 * self.work_units_per_s
     }
 
     /// Ingress parsing rate per loader: loading is parallel over machines
@@ -126,8 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn compute_threads_is_cores_minus_two() {
-        assert_eq!(ClusterSpec::local_9().compute_threads(), 14);
-        assert_eq!(ClusterSpec::ec2_16().compute_threads(), 6);
+    fn compute_rate_runs_on_cores_minus_two() {
+        let (l9, e16) = (ClusterSpec::local_9(), ClusterSpec::ec2_16());
+        assert_eq!(l9.compute_rate(), 14.0 * l9.work_units_per_s);
+        assert_eq!(e16.compute_rate(), 6.0 * e16.work_units_per_s);
     }
 }

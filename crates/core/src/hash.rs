@@ -70,52 +70,6 @@ pub fn hash_stream_edge(i: usize, e: crate::Edge) -> u64 {
     splitmix64(e.src.0.rotate_left(32) ^ e.dst.0 ^ position)
 }
 
-/// A tiny, fast, seedable PRNG (SplitMix64 stream) used where strategies need
-/// random tie-breaking (Oblivious, §A) without pulling in a full RNG.
-///
-/// ```
-/// use gp_core::Splitmix64;
-/// let mut a = Splitmix64::new(7);
-/// let mut b = Splitmix64::new(7);
-/// assert_eq!(a.next_u64(), b.next_u64()); // deterministic
-/// ```
-#[derive(Debug, Clone)]
-pub struct Splitmix64 {
-    state: u64,
-}
-
-impl Splitmix64 {
-    /// Create a stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Splitmix64 { state: seed }
-    }
-
-    /// Next 64-bit value in the stream.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..bound` (`bound > 0`).
-    #[inline]
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        // Multiply-shift rejection-free mapping; bias is negligible for the
-        // small bounds (machine counts) used here.
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,27 +119,6 @@ mod tests {
                 (c as f64 - expect).abs() / expect < 0.10,
                 "bucket count {c} vs {expect}"
             );
-        }
-    }
-
-    #[test]
-    fn prng_next_below_stays_in_bounds_and_covers_range() {
-        let mut rng = Splitmix64::new(3);
-        let mut seen = [false; 5];
-        for _ in 0..1000 {
-            let x = rng.next_below(5) as usize;
-            assert!(x < 5);
-            seen[x] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn prng_f64_in_unit_interval() {
-        let mut rng = Splitmix64::new(9);
-        for _ in 0..1000 {
-            let x = rng.next_f64();
-            assert!((0.0..1.0).contains(&x));
         }
     }
 }

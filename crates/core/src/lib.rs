@@ -2,8 +2,9 @@
 //!
 //! Foundation types shared by every other crate in the workspace: vertex and
 //! partition identifiers, edges, edge-list and CSR graph containers, degree
-//! tables, stable hashing, plain-text edge-list I/O (the on-disk format used
-//! by the paper's datasets, §4.2), and summary statistics.
+//! tables, stable hashing, seeded random streams, plain-text edge-list I/O
+//! (the on-disk format used by the paper's datasets, §4.2), and summary
+//! statistics.
 //!
 //! Everything here is deterministic: the hash functions are fixed-key
 //! SplitMix64-based mixers, so a given (graph, strategy, seed) triple always
@@ -30,17 +31,17 @@ pub mod hash;
 pub mod ids;
 pub mod io;
 pub mod pset;
+pub mod rng;
 pub mod source;
 pub mod stats;
 pub mod units;
 
 pub use error::CoreError;
 pub use graph::{CsrGraph, DegreeTable, Edge, EdgeList};
-pub use hash::{
-    hash_canonical_edge, hash_directed_edge, hash_stream_edge, hash_u64, hash_vertex, Splitmix64,
-};
+pub use hash::{hash_canonical_edge, hash_directed_edge, hash_stream_edge, hash_u64, hash_vertex};
 pub use ids::{PartitionId, VertexId};
 pub use pset::PartitionSet;
+pub use rng::{ChaCha12, Rng, Splitmix64, Xoshiro256};
 pub use source::{collect_edge_list, edge_digest, for_each_edge, EdgeStreamIter, StreamingEdges};
 pub use stats::GraphStats;
 

@@ -9,7 +9,7 @@
 //! from its printout.
 
 use gp_cluster::ClusterSpec;
-use gp_fault::FaultRng;
+use gp_core::{ChaCha12, Rng};
 
 /// One scheduled cluster-membership change.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,7 +130,7 @@ impl ElasticPlan {
         if rates.all_zero() {
             return plan;
         }
-        let mut rng = FaultRng::new(seed);
+        let mut rng = ChaCha12::new(seed);
         let mut alive = spec.machines;
         let (lo_b, hi_b) = rates.batch_range;
         for superstep in 0..horizon {

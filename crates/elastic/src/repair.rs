@@ -9,27 +9,18 @@
 //! supersteps remain (app), and how much replication the strategy creates
 //! (re-ingress is priced per image). [`RepairPolicy::CostBased`] makes the
 //! serve-style call: repartition iff projected savings exceed the priced
-//! cost, with a bias knob for operators who weight risk asymmetrically.
+//! cost.
 
 /// Policy deciding whether a scale-out re-places partitions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum RepairPolicy {
     /// Always replay the edge stream onto the new machine set.
     AlwaysRepartition,
     /// Never re-place; accept degraded balance on the old assignment.
     NeverRepartition,
-    /// Repartition iff `savings > bias × cost`. `bias = 1.0` is the
-    /// break-even rule; `bias > 1.0` demands a safety margin.
-    CostBased {
-        /// Multiplier the projected savings must clear.
-        bias: f64,
-    },
-}
-
-impl Default for RepairPolicy {
-    fn default() -> Self {
-        RepairPolicy::CostBased { bias: 1.0 }
-    }
+    /// Repartition iff the projected savings exceed the priced cost.
+    #[default]
+    CostBased,
 }
 
 impl RepairPolicy {
@@ -39,7 +30,7 @@ impl RepairPolicy {
         match *self {
             RepairPolicy::AlwaysRepartition => true,
             RepairPolicy::NeverRepartition => false,
-            RepairPolicy::CostBased { bias } => savings_s > bias * reingress_s,
+            RepairPolicy::CostBased => savings_s > reingress_s,
         }
     }
 
@@ -48,7 +39,7 @@ impl RepairPolicy {
         match self {
             RepairPolicy::AlwaysRepartition => "always",
             RepairPolicy::NeverRepartition => "never",
-            RepairPolicy::CostBased { .. } => "cost-based",
+            RepairPolicy::CostBased => "cost-based",
         }
     }
 }
@@ -69,9 +60,6 @@ mod tests {
         assert!(p.should_repartition(10.0, 5.0));
         assert!(!p.should_repartition(5.0, 10.0));
         assert!(!p.should_repartition(5.0, 5.0), "ties ride the old layout");
-        let cautious = RepairPolicy::CostBased { bias: 2.0 };
-        assert!(!cautious.should_repartition(10.0, 6.0));
-        assert!(cautious.should_repartition(13.0, 6.0));
     }
 
     #[test]

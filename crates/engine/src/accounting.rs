@@ -280,7 +280,7 @@ mod tests {
     use super::*;
     use crate::program::{ApplyInfo, InitInfo};
     use gp_cluster::ClusterSpec;
-    use gp_core::{CsrGraph, EdgeList, Splitmix64};
+    use gp_core::{CsrGraph, EdgeList, Rng, Splitmix64};
     use gp_partition::{PartitionContext, Strategy};
 
     /// Carries only what the cost model reads.

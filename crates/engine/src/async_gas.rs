@@ -19,7 +19,7 @@ use crate::gas::{gather_neighbors, init_vertices, mark_neighbors};
 use crate::program::{ApplyInfo, VertexProgram};
 use crate::report::EngineConfig;
 use crate::trace::{superstep_cap, SemanticTrace, Semantics};
-use gp_core::{EdgeList, Splitmix64, VertexId};
+use gp_core::{EdgeList, Rng, Splitmix64, VertexId};
 
 /// Fraction of the cluster's synchronous throughput the async engine
 /// achieves (lock contention, fine-grained scheduling).
@@ -36,8 +36,7 @@ const SCHEDULE_SEED: u64 = 0xA57C;
 /// traffic.
 pub(crate) fn lock_wall(config: &EngineConfig, tallies: &MachineTallies, active: usize) -> f64 {
     let machines = config.spec.machines as f64;
-    let compute_rate =
-        config.spec.compute_threads() as f64 * config.spec.work_units_per_s * EFFICIENCY;
+    let compute_rate = config.spec.compute_rate() * EFFICIENCY;
     active as f64 * LOCK_OVERHEAD_S / machines
         + tallies.work.iter().sum::<f64>() / compute_rate
         + tallies.in_bytes.iter().sum::<f64>() / (machines * config.spec.bandwidth_bytes_per_s)

@@ -47,7 +47,7 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
     let telemetry = &config.telemetry;
     let machines = config.spec.machines as usize;
     let bandwidth = config.spec.bandwidth_bytes_per_s;
-    let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
+    let compute_rate = config.spec.compute_rate();
 
     let mut seen: HashSet<u32> = HashSet::new();
     let mut clock = 0.0f64;

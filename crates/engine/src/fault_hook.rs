@@ -49,7 +49,7 @@ pub fn apply_fault_model(
     }
     let machines = config.spec.machines as usize;
     let bandwidth = config.spec.bandwidth_bytes_per_s;
-    let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
+    let compute_rate = config.spec.compute_rate();
     let snapshot = if policy.is_enabled() {
         snapshot_bytes_per_machine(&assignment.master_counts(), &config.spec)
     } else {

@@ -284,7 +284,7 @@ pub(crate) fn sync_trace<P: VertexProgram>(
 /// PowerGraph's and PowerLyra's superstep time: the slowest machine's work,
 /// the busiest machine's inbound traffic, and three minor-step barriers.
 pub(crate) fn barrier_wall(config: &EngineConfig, tallies: &MachineTallies) -> f64 {
-    let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
+    let compute_rate = config.spec.compute_rate();
     let barrier =
         3.0 * config.spec.latency_s * (config.spec.machines as f64).log2().ceil().max(1.0);
     tallies.work.iter().copied().fold(0.0, f64::max) / compute_rate

@@ -138,7 +138,7 @@ pub(crate) fn iteration_wall<'a>(
 ) -> impl FnMut(&mut MachineTallies, usize) -> f64 + 'a {
     let gc = memory.gc_multiplier(graph_bytes(assignment));
     let machines = config.spec.machines as f64;
-    let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
+    let compute_rate = config.spec.compute_rate();
     let per_iter_overhead =
         ITERATION_OVERHEAD_S + TASK_OVERHEAD_S * assignment.num_partitions() as f64 / machines;
     move |tallies: &mut MachineTallies, active: usize| {

@@ -325,7 +325,7 @@ impl ComputeReport {
     pub fn machine_cpu_percent(&self, config: &EngineConfig) -> Vec<f64> {
         let machines = config.spec.machines as usize;
         let mut busy = vec![0.0f64; machines];
-        let rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
+        let rate = config.spec.compute_rate();
         for s in &self.steps {
             for (m, &w) in s.machine_work.iter().enumerate() {
                 busy[m] += w / rate;

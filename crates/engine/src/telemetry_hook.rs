@@ -27,7 +27,7 @@ pub fn record_compute_telemetry(config: &EngineConfig, report: &ComputeReport) {
     if !telemetry.is_enabled() {
         return;
     }
-    let compute_rate = config.spec.compute_threads() as f64 * config.spec.work_units_per_s;
+    let compute_rate = config.spec.compute_rate();
     let bandwidth = config.spec.bandwidth_bytes_per_s;
     let mut clock = 0.0f64;
     for s in &report.steps {

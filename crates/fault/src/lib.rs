@@ -5,7 +5,7 @@
 //! simulated cluster with three pieces:
 //!
 //! * [`plan`] — deterministic fault schedules: a [`FaultPlan`] is drawn
-//!   from a seeded ChaCha stream ([`rng::FaultRng`]) and per-superstep
+//!   from a seeded ChaCha stream (`gp_core::ChaCha12`) and per-superstep
 //!   hazard rates, scheduling machine crashes, transient network
 //!   degradation, CPU stragglers and flaky links (message loss /
 //!   duplication / delay spikes, priced by `gp-net`'s reliable-delivery
@@ -29,11 +29,9 @@
 pub mod checkpoint;
 pub mod plan;
 pub mod recovery;
-pub mod rng;
 
 pub use checkpoint::{
     checkpoint_stall_seconds, snapshot_bytes_per_machine, CheckpointMode, CheckpointPolicy,
 };
 pub use plan::{FaultEvent, FaultKind, FaultPlan, FaultRates, FlakyLink};
 pub use recovery::{recovery_cost, RecoveryCost};
-pub use rng::FaultRng;

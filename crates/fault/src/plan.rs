@@ -1,13 +1,13 @@
 //! Fault plans: which machine misbehaves, how, and at which superstep.
 //!
 //! A [`FaultPlan`] is drawn *before* the run from a seeded ChaCha stream
-//! ([`crate::rng::FaultRng`]) and a set of per-superstep hazard rates
+//! ([`gp_core::ChaCha12`]) and a set of per-superstep hazard rates
 //! ([`FaultRates`]), then applied deterministically by the engines: the same
 //! plan against the same job always produces byte-identical reports. The
 //! seed is stored in the plan so a run can be reproduced from its printout.
 
-use crate::rng::FaultRng;
 use gp_cluster::ClusterSpec;
+use gp_core::{ChaCha12, Rng};
 
 /// What goes wrong.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,7 +167,7 @@ impl FaultPlan {
         if rates.all_zero() {
             return plan;
         }
-        let mut rng = FaultRng::new(seed);
+        let mut rng = ChaCha12::new(seed);
         let (lo_f, hi_f) = rates.slowdown_range;
         let (lo_d, hi_d) = rates.duration_range;
         for superstep in 0..horizon {

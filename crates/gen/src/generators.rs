@@ -8,9 +8,7 @@
 //! feeding them a randomly-shuffled stream would erase the road-network
 //! advantage the paper measures for them (§5.4.2).
 
-use gp_core::{Edge, EdgeList};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use gp_core::{Edge, EdgeList, Rng, Xoshiro256};
 
 /// Parameters for [`road_network`].
 #[derive(Debug, Clone)]
@@ -57,7 +55,7 @@ pub fn road_network(params: &RoadNetworkParams, seed: u64) -> EdgeList {
         params.width >= 2 && params.height >= 2,
         "grid must be at least 2x2"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let (w, h) = (params.width as u64, params.height as u64);
     let id = |x: u64, y: u64| -> u64 { y * w + x };
     let mut edges: Vec<Edge> = Vec::new();
@@ -69,10 +67,10 @@ pub fn road_network(params: &RoadNetworkParams, seed: u64) -> EdgeList {
     };
     for y in 0..h {
         for x in 0..w {
-            if x + 1 < w && rng.random::<f64>() < params.link_probability {
+            if x + 1 < w && rng.next_f64() < params.link_probability {
                 push_road(&mut edges, id(x, y), id(x + 1, y));
             }
-            if y + 1 < h && rng.random::<f64>() < params.link_probability {
+            if y + 1 < h && rng.next_f64() < params.link_probability {
                 push_road(&mut edges, id(x, y), id(x, y + 1));
             }
         }
@@ -80,8 +78,8 @@ pub fn road_network(params: &RoadNetworkParams, seed: u64) -> EdgeList {
     let shortcuts = (edges.len() as f64 * params.shortcut_fraction) as usize;
     let n = w * h;
     for _ in 0..shortcuts {
-        let a = rng.random_range(0..n);
-        let b = rng.random_range(0..n);
+        let a = rng.next_below(n);
+        let b = rng.next_below(n);
         if a != b {
             push_road(&mut edges, a, b);
         }
@@ -116,7 +114,7 @@ pub fn barabasi_albert_reciprocal(n: u64, m_attach: u32, reciprocity: f64, seed:
         n > m_attach as u64,
         "need more vertices than the attachment degree"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let m = m_attach as usize;
     // `targets[i]` appears once per degree unit — classic BA urn.
     let mut urn: Vec<u64> = Vec::with_capacity(2 * m * n as usize);
@@ -133,14 +131,14 @@ pub fn barabasi_albert_reciprocal(n: u64, m_attach: u32, reciprocity: f64, seed:
         let mut guard = 0;
         while chosen.len() < m && guard < 50 * m {
             guard += 1;
-            let pick = urn[rng.random_range(0..urn.len())];
+            let pick = urn[rng.next_below(urn.len() as u64) as usize];
             if pick != v && !chosen.contains(&pick) {
                 chosen.push(pick);
             }
         }
         for &t in &chosen {
             edges.push(Edge::new(v, t));
-            if reciprocity > 0.0 && rng.random::<f64>() < reciprocity {
+            if reciprocity > 0.0 && rng.next_f64() < reciprocity {
                 edges.push(Edge::new(t, v));
             }
             urn.push(v);
@@ -158,7 +156,7 @@ pub fn chung_lu(weights: &[f64], seed: u64) -> EdgeList {
     let n = weights.len() as u64;
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must have positive sum");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     // Efficient edge-skipping sampler over the weight-sorted order would be
     // O(m); for the modest sizes used in experiments an expected-edges
     // Bernoulli pass per vertex against a sampled candidate set suffices.
@@ -172,8 +170,8 @@ pub fn chung_lu(weights: &[f64], seed: u64) -> EdgeList {
             Some(*acc)
         })
         .collect();
-    let sample = |rng: &mut StdRng, cumulative: &[f64]| -> u64 {
-        let x = rng.random::<f64>() * total;
+    let sample = |rng: &mut Xoshiro256, cumulative: &[f64]| -> u64 {
+        let x = rng.next_f64() * total;
         match cumulative.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
             Ok(i) | Err(i) => (i as u64).min(n - 1),
         }
@@ -232,7 +230,7 @@ pub fn rmat(params: &RmatParams, seed: u64) -> EdgeList {
         (sum - 1.0).abs() < 1e-6,
         "quadrant probabilities must sum to 1, got {sum}"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let n = 1u64 << params.scale;
     let mut edges = Vec::with_capacity(params.edges);
     for _ in 0..params.edges {
@@ -241,13 +239,13 @@ pub fn rmat(params: &RmatParams, seed: u64) -> EdgeList {
         while x1 - x0 > 1 {
             // Mild parameter noise per level (as in the original R-MAT paper)
             // avoids exactly repeated quadrant structure.
-            let noise = 0.9 + 0.2 * rng.random::<f64>();
+            let noise = 0.9 + 0.2 * rng.next_f64();
             let a = params.a * noise;
             let b = params.b * (2.0 - noise);
             let c = params.c * (2.0 - noise);
             let d = params.d * noise;
             let total = a + b + c + d;
-            let r = rng.random::<f64>() * total;
+            let r = rng.next_f64() * total;
             let (mx, my) = ((x0 + x1) / 2, (y0 + y1) / 2);
             if r < a {
                 x1 = mx;
@@ -306,10 +304,10 @@ impl Default for WebGraphParams {
 ///   and beat the constrained hash strategies on web graphs (§5.4.2).
 pub fn web_graph(params: &WebGraphParams, seed: u64) -> EdgeList {
     assert!(params.domains >= 2, "need at least two domains");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     // Pareto(alpha) sampler via inverse transform, capped.
-    let pareto = |rng: &mut StdRng, min: f64, alpha: f64, cap: f64| -> f64 {
-        let u: f64 = rng.random::<f64>().max(1e-12);
+    let pareto = |rng: &mut Xoshiro256, min: f64, alpha: f64, cap: f64| -> f64 {
+        let u: f64 = rng.next_f64().max(1e-12);
         (min / u.powf(1.0 / alpha)).min(cap)
     };
     // Domain sizes: Pareto(1.7) with the requested mean.
@@ -338,19 +336,19 @@ pub fn web_graph(params: &WebGraphParams, seed: u64) -> EdgeList {
         for page in start..start + size {
             let out_deg = pareto(&mut rng, params.mean_out_degree / 2.2, 2.0, 250.0).round() as u64;
             for _ in 0..out_deg {
-                let intra = size > 1 && rng.random::<f64>() < params.intra_link_probability;
+                let intra = size > 1 && rng.next_f64() < params.intra_link_probability;
                 let target = if intra {
                     // Intra-domain links concentrate on the domain's front
                     // pages (index/nav structure), leaving deep pages with
                     // in-degree 0-2 — the full low-degree head of Fig 5.8.
-                    let r: f64 = rng.random();
+                    let r = rng.next_f64();
                     let t = start + ((r * r * r) * size as f64) as u64;
                     if t == page {
                         continue;
                     }
                     t
                 } else {
-                    let t = urn[rng.random_range(0..urn.len())];
+                    let t = urn[rng.next_below(urn.len() as u64) as usize];
                     if t == page {
                         continue;
                     }
@@ -401,7 +399,7 @@ pub fn bipartite(params: &BipartiteParams, seed: u64) -> EdgeList {
         params.users >= 1 && params.items >= 1,
         "both sides must be non-empty"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let n = params.users + params.items;
     // Zipf sampler over items via inverse-CDF on precomputed weights.
     let weights: Vec<f64> = (1..=params.items)
@@ -417,11 +415,11 @@ pub fn bipartite(params: &BipartiteParams, seed: u64) -> EdgeList {
         .collect();
     let mut edges: Vec<Edge> = Vec::new();
     for user in 0..params.users {
-        let u: f64 = rng.random::<f64>().max(1e-12);
+        let u: f64 = rng.next_f64().max(1e-12);
         let count = ((params.mean_edges_per_user / 2.0) / u.powf(0.5)).round() as u64;
         let count = count.clamp(1, params.items);
         for _ in 0..count {
-            let x = rng.random::<f64>() * total;
+            let x = rng.next_f64() * total;
             let idx = match cumulative.binary_search_by(|c| c.partial_cmp(&x).unwrap()) {
                 Ok(i) | Err(i) => (i as u64).min(params.items - 1),
             };
@@ -435,11 +433,11 @@ pub fn bipartite(params: &BipartiteParams, seed: u64) -> EdgeList {
 /// Generate a uniform Erdős–Rényi `G(n, m)` graph (baseline / tests).
 pub fn erdos_renyi(n: u64, m: usize, seed: u64) -> EdgeList {
     assert!(n >= 2, "need at least two vertices");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let mut edges = Vec::with_capacity(m);
     while edges.len() < m {
-        let u = rng.random_range(0..n);
-        let v = rng.random_range(0..n);
+        let u = rng.next_below(n);
+        let v = rng.next_below(n);
         if u != v {
             edges.push(Edge::new(u, v));
         }

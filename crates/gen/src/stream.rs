@@ -20,7 +20,7 @@
 //! Determinism: the per-vertex RNG is re-seeded from `(seed, v)`, so record
 //! `v` is reproducible regardless of how much of the stream was consumed.
 
-use gp_core::{Splitmix64, VertexId};
+use gp_core::{Rng, Splitmix64, VertexId};
 
 /// Parameters for [`PowerLawStream`].
 #[derive(Debug, Clone, Copy)]

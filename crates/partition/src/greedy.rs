@@ -25,7 +25,7 @@
 use crate::assignment::Assignment;
 use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome};
 use crate::strategies::oblivious::GreedyState;
-use gp_core::{for_each_edge, Edge, PartitionId, PartitionSet, Splitmix64, StreamingEdges};
+use gp_core::{for_each_edge, Edge, PartitionId, PartitionSet, Rng, Splitmix64, StreamingEdges};
 use std::ops::Range;
 
 /// Reusable scoring scratch: the per-partition score buffer the 4-wide

@@ -44,9 +44,6 @@ use gp_core::{Edge, PartitionId};
 /// Implementations are `Send` so a serving loop can live on a worker
 /// thread.
 pub trait IncrementalPartitioner: Send {
-    /// Short name matching the batch partitioner's figure label.
-    fn name(&self) -> &'static str;
-
     /// Place the `index`-th streamed edge. Stateful implementations also
     /// record the placement (load counters, replica bitsets) before
     /// returning.
@@ -82,15 +79,10 @@ pub trait IncrementalPartitioner: Send {
 
 /// A stateless hash strategy: its rule, the one batch ingress places by.
 struct Stateless {
-    name: &'static str,
     rule: HashRule,
 }
 
 impl IncrementalPartitioner for Stateless {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn assign(&mut self, _index: u64, e: Edge) -> PartitionId {
         self.rule.place(e)
     }
@@ -103,27 +95,18 @@ impl IncrementalPartitioner for Stateless {
 /// Incremental Oblivious / HDRF: loader 0's kernel fed by the live stream,
 /// one [`GreedyKernel::step`] per insert.
 struct IncrementalGreedy<K> {
-    name: &'static str,
     kernel: K,
     scratch: ScoreScratch,
 }
 
 impl<K: GreedyKernel> IncrementalGreedy<K> {
-    fn boxed(name: &'static str, kernel: K) -> Box<Self> {
+    fn boxed(kernel: K) -> Box<Self> {
         let scratch = ScoreScratch::new(kernel.greedy().load.len());
-        Box::new(IncrementalGreedy {
-            name,
-            kernel,
-            scratch,
-        })
+        Box::new(IncrementalGreedy { kernel, scratch })
     }
 }
 
 impl<K: GreedyKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn assign(&mut self, index: u64, e: Edge) -> PartitionId {
         self.kernel.step(e, index as usize, &mut self.scratch)
     }
@@ -152,17 +135,12 @@ impl<K: GreedyKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
 /// rule, so a destination flips from edge-cut to vertex-cut treatment the
 /// moment its live in-degree crosses the threshold.
 struct IncrementalHybrid {
-    name: &'static str,
     in_deg: Vec<u32>,
     seed: u64,
     p: u64,
 }
 
 impl IncrementalPartitioner for IncrementalHybrid {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn assign(&mut self, _index: u64, e: Edge) -> PartitionId {
         let slot = &mut self.in_deg[e.dst.index()];
         *slot += 1;
@@ -204,22 +182,18 @@ impl Strategy {
         match self {
             // Stateful heuristics run loader 0's kernel (same seed
             // derivation as batch loader 0) over the live stream.
-            Strategy::Oblivious => IncrementalGreedy::boxed(
-                self.label(),
-                ObliviousKernel::new(p, num_vertices, seed ^ 0x0b11),
-            ),
-            Strategy::Hdrf => IncrementalGreedy::boxed(
-                self.label(),
-                HdrfKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0),
-            ),
+            Strategy::Oblivious => {
+                IncrementalGreedy::boxed(ObliviousKernel::new(p, num_vertices, seed ^ 0x0b11))
+            }
+            Strategy::Hdrf => {
+                IncrementalGreedy::boxed(HdrfKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0))
+            }
             Strategy::Hybrid | Strategy::HybridGinger => Box::new(IncrementalHybrid {
-                name: self.label(),
                 in_deg: vec![0; num_vertices as usize],
                 seed,
                 p: p as u64,
             }),
             hash => Box::new(Stateless {
-                name: hash.label(),
                 rule: HashRule::new(hash, p, seed),
             }),
         }

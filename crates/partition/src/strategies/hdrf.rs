@@ -175,7 +175,7 @@ mod tests {
     use super::*;
     use crate::strategies::oblivious::Oblivious;
     use crate::Strategy;
-    use gp_core::Splitmix64;
+    use gp_core::{Rng, Splitmix64};
 
     fn centralized(p: u32) -> PartitionContext {
         PartitionContext::new(p).with_loaders(1)

@@ -178,7 +178,7 @@ impl Partitioner for Oblivious {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_core::Splitmix64;
+    use gp_core::{Rng, Splitmix64};
 
     fn ctx(p: u32) -> PartitionContext {
         PartitionContext::new(p)

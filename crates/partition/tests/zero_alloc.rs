@@ -49,11 +49,6 @@ fn grid_and_pds_assign_without_allocating() {
             std::hint::black_box(partitioner.assign(i, e));
         }
         let allocated = ALLOCATIONS.with(Cell::get) - before;
-        assert_eq!(
-            allocated,
-            0,
-            "{}: 10k assign calls allocated",
-            partitioner.name()
-        );
+        assert_eq!(allocated, 0, "{strategy:?}: 10k assign calls allocated");
     }
 }

@@ -10,8 +10,7 @@
 //! inputs always produce the byte-identical event sequence, which is what
 //! makes serve reports reproducible.
 
-use gp_core::{Edge, VertexId};
-use gp_fault::FaultRng;
+use gp_core::{ChaCha12, Edge, Rng, VertexId};
 
 /// One scheduled traffic event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,7 +124,7 @@ impl TrafficPlan {
                 // Same derivation style as the per-loader ingress seeds:
                 // the keystream constructor splitmixes, so nearby session
                 // seeds give unrelated streams.
-                let mut rng = FaultRng::new(seed ^ (0x5e55_0000 + session as u64));
+                let mut rng = ChaCha12::new(seed ^ (0x5e55_0000 + session as u64));
                 let mut t = 0.0f64;
                 let mut seq = 0u32;
                 loop {
@@ -160,7 +159,7 @@ impl TrafficPlan {
         }
     }
 
-    fn draw_kind(rng: &mut FaultRng, n: u64, rates: &TrafficRates) -> EventKind {
+    fn draw_kind(rng: &mut ChaCha12, n: u64, rates: &TrafficRates) -> EventKind {
         let roll = rng.next_f64() * rates.total();
         if roll < rates.inserts_per_s {
             let src = rng.next_below(n);

@@ -19,7 +19,7 @@
 
 use distgraph::apps::{PageRank, Wcc};
 use distgraph::cluster::ClusterSpec;
-use distgraph::core::{edge_digest, Edge, EdgeList, StreamingEdges, VertexId};
+use distgraph::core::{edge_digest, Edge, EdgeList, Rng, StreamingEdges, VertexId};
 use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::partition::strategies::{BiCut, Chunking, Vebo};
 use distgraph::partition::{write_assignment, PartitionContext, Partitioner, Strategy};
