@@ -27,8 +27,6 @@ pub struct Args {
     pub strategies: Vec<Strategy>,
     /// Uniform per-link packet-loss rate (0 = clean network).
     pub loss_rate: f64,
-    /// Launch speculative backup tasks against stragglers.
-    pub speculate: bool,
     /// Worker threads (0 = all cores); results byte-identical.
     pub threads: u32,
 }
@@ -37,7 +35,7 @@ impl Subcommand for Args {
     const NAME: &'static str = "fault";
     const VALUES: &'static str =
         "strategies cluster crash-at machine interval steps loss-rate scale seed threads";
-    const SWITCHES: &'static str = "async speculate";
+    const SWITCHES: &'static str = "async";
 
     fn parse(f: &Flags) -> Result<Self, String> {
         Ok(Args {
@@ -52,7 +50,6 @@ impl Subcommand for Args {
             steps: f.count_or("steps", 20)?,
             strategies: f.strategies_or("random,hybrid")?,
             loss_rate: f.loss_rate()?,
-            speculate: f.has("speculate"),
             threads: f.threads()?,
         })
     }
@@ -77,7 +74,7 @@ impl Subcommand for Args {
         let jobs = checked(self.strategies.iter().map(|&strategy| {
             clean_job(strategy)
                 .with_faults(plan.clone(), policy)
-                .with_comms(comms_config(self.loss_rate, self.speculate))
+                .with_comms(comms_config(self.loss_rate))
         }))?;
 
         let mut pipeline = Pipeline::new(self.scale, self.seed).with_threads(self.threads);
@@ -111,7 +108,6 @@ impl Subcommand for Args {
                 "Faulted (s)",
                 "Overhead",
                 "Retransmit",
-                "Spec saved (s)",
             ],
         );
         for job in &jobs {
@@ -133,7 +129,6 @@ impl Subcommand for Args {
                     faulted.compute_seconds / clean.compute_seconds.max(1e-12)
                 ),
                 fmt_bytes(faulted.retransmit_bytes),
-                format!("{:.2}", faulted.speculation_saved_seconds),
             ]);
         }
         writeln!(out, "{t}")?;

@@ -179,7 +179,7 @@ USAGE:
                   [--threads N]
   distgraph fault <dataset> [--strategies random,hybrid] [--cluster ec2-16]
                   [--crash-at 10] [--machine 0] [--interval 4] [--async]
-                  [--steps 20] [--loss-rate P] [--speculate]
+                  [--steps 20] [--loss-rate P]
                   [--scale S] [--seed N] [--threads N]
   distgraph elastic <dataset> [--strategies random,grid,hdrf]
                   [--cluster local-9] [--scale-out STEP:K]
@@ -190,8 +190,8 @@ USAGE:
   distgraph trace <dataset> [--strategy hdrf] [--app pagerank|pagerank10|wcc|
                   sssp|kcore|coloring] [--system powergraph|powerlyra|graphx]
                   [--cluster ec2-16] [--interval K] [--crash-at N --machine M]
-                  [--loss-rate P] [--speculate] [--scale S] [--seed N]
-                  [--threads N] [-o DIR]
+                  [--loss-rate P] [--scale S] [--seed N] [--threads N]
+                  [-o DIR]
 
 Graphs are plain-text edge lists (one `src dst` pair per line, # comments)
 or compressed `.gps` stores (see `store build`); `partition` streams `.gps`
@@ -230,8 +230,6 @@ fair-share with priced network interference. Same seed, same bytes.
 `--loss-rate P` makes every link drop a fraction P of its packets; reliable
 delivery retries with capped exponential backoff, so lossy links cost
 retransmit traffic and timeout stalls instead of losing messages.
-`--speculate` re-executes a straggling machine's partition on the
-least-loaded peer and takes the first finisher.
 
 `--threads N` (0 = all cores) runs on up to N worker threads: the
 stateless strategies' chunked edge assignment and the freeze of the
@@ -318,15 +316,15 @@ fn fault_plan(
     plan
 }
 
-/// Comms protocols implied by the CLI flags: a lossy network needs reliable
-/// delivery; speculation is opt-in either way.
-fn comms_config(loss_rate: f64, speculate: bool) -> CommsConfig {
-    let comms = if loss_rate > 0.0 {
+/// Comms protocols implied by `--loss-rate`: a lossy network needs reliable
+/// delivery. (The CLI schedules no slowdowns, so speculation would never
+/// launch a backup task.)
+fn comms_config(loss_rate: f64) -> CommsConfig {
+    if loss_rate > 0.0 {
         CommsConfig::reliable()
     } else {
         CommsConfig::disabled()
-    };
-    comms.with_speculation(speculate)
+    }
 }
 
 #[cfg(test)]
@@ -427,10 +425,10 @@ mod tests {
                 &["--horizon", "40"],
             ),
             (
-                &["fault", "uk-web", "--speculate"],
+                &["fault", "uk-web", "--async"],
                 (&["--stratgies", "random"], Some("--strategies")),
                 &["--fair"],
-                &["--speculate"],
+                &["--async"],
             ),
             (
                 &["elastic", "Twitter", "--tenants", "2"],
@@ -956,7 +954,6 @@ mod tests {
                 steps: 20,
                 strategies: vec![Strategy::Random, Strategy::Hybrid],
                 loss_rate: 0.0,
-                speculate: false,
                 threads: 1,
             })
         );
@@ -982,7 +979,6 @@ mod tests {
             "7",
             "--loss-rate",
             "0.05",
-            "--speculate",
             "--threads",
             "4",
         ]);
@@ -1000,7 +996,6 @@ mod tests {
                 steps: 8,
                 strategies: vec![Strategy::Grid, Strategy::Hdrf, Strategy::Oblivious],
                 loss_rate: 0.05,
-                speculate: true,
                 threads: 4,
             })
         );
@@ -1181,7 +1176,6 @@ mod tests {
             steps: 8,
             strategies: vec![Strategy::Random, Strategy::Hybrid],
             loss_rate: 0.0,
-            speculate: false,
             threads: 1,
         }));
         assert_eq!(code, 0, "{text}");
@@ -1216,7 +1210,6 @@ mod tests {
                 crash: None,
                 interval: 0,
                 loss_rate: 0.0,
-                speculate: false,
                 threads: 1,
                 out_dir: "trace-out".into(),
             })
@@ -1244,7 +1237,6 @@ mod tests {
             "7",
             "--loss-rate",
             "0.02",
-            "--speculate",
             "--threads",
             "0",
             "-o",
@@ -1263,7 +1255,6 @@ mod tests {
                 crash: Some((5, 2)),
                 interval: 3,
                 loss_rate: 0.02,
-                speculate: true,
                 threads: 0,
                 out_dir: "artifacts".into(),
             })
@@ -1291,7 +1282,6 @@ mod tests {
             crash: None,
             interval: 2,
             loss_rate: 0.0,
-            speculate: false,
             threads: 1,
             out_dir: dir.to_string_lossy().to_string(),
         }));
@@ -1324,7 +1314,6 @@ mod tests {
             steps: 8,
             strategies: vec![Strategy::Random],
             loss_rate: 0.1,
-            speculate: false,
             threads: 1,
         }));
         assert_eq!(code, 0, "{text}");
@@ -1334,7 +1323,6 @@ mod tests {
         let bytes_text = row
             .split_whitespace()
             .rev()
-            .skip(1)
             .take(2)
             .collect::<Vec<_>>()
             .into_iter()
@@ -1361,7 +1349,6 @@ mod tests {
             crash: None,
             interval: 0,
             loss_rate: 0.1,
-            speculate: true,
             threads: 1,
             out_dir: dir.to_string_lossy().to_string(),
         }));
@@ -1387,7 +1374,6 @@ mod tests {
             steps: 2,
             strategies: vec![Strategy::Random],
             loss_rate: 0.0,
-            speculate: false,
             threads: 1,
         }));
         assert_eq!(code, 2);

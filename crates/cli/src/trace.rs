@@ -26,8 +26,6 @@ pub struct Args {
     pub interval: u32,
     /// Uniform per-link packet-loss rate (0 = clean network).
     pub loss_rate: f64,
-    /// Launch speculative backup tasks against stragglers.
-    pub speculate: bool,
     /// Worker threads (0 = all cores); artifacts byte-identical apart
     /// from the extra `par.*` telemetry entries.
     pub threads: u32,
@@ -38,12 +36,16 @@ impl Subcommand for Args {
     const NAME: &'static str = "trace";
     const VALUES: &'static str = "strategy app system cluster interval crash-at machine \
                                   loss-rate scale seed threads out";
-    const SWITCHES: &'static str = "speculate";
 
     fn parse(f: &Flags) -> Result<Self, String> {
-        let crash = match f.value("crash-at") {
-            Some(_) => Some((f.count_or("crash-at", 10)?, f.number("machine", 0)?)),
-            None => None,
+        let crash = match (f.value("crash-at"), f.value("machine")) {
+            (Some(_), _) => Some((f.count_or("crash-at", 10)?, f.number("machine", 0)?)),
+            (None, Some(_)) => {
+                return Err(
+                    "--machine without --crash-at injects no crash; give --crash-at N too".into(),
+                )
+            }
+            (None, None) => None,
         };
         Ok(Args {
             dataset: f.dataset()?,
@@ -56,7 +58,6 @@ impl Subcommand for Args {
             crash,
             interval: f.number("interval", 0)?,
             loss_rate: f.loss_rate()?,
-            speculate: f.has("speculate"),
             threads: f.threads()?,
             out_dir: f.value("out").unwrap_or("trace-out").to_string(),
         })
@@ -71,7 +72,7 @@ impl Subcommand for Args {
         // Interval 0 is the disabled checkpoint policy.
         let job = Scenario::new(self.dataset, self.strategy, spec, engine, self.app)
             .with_faults(plan, CheckpointPolicy::every(self.interval))
-            .with_comms(comms_config(self.loss_rate, self.speculate));
+            .with_comms(comms_config(self.loss_rate));
         job.check()?;
         let sink = TelemetrySink::recording();
         let mut pipeline = Pipeline::new(self.scale, self.seed)

@@ -52,6 +52,16 @@ fn mistyped_misplaced_and_repeated_flags_exit_two() {
 }
 
 #[test]
+fn a_trace_machine_without_a_crash_exits_two() {
+    let (code, text) = distgraph(&["trace", "LiveJournal", "--machine", "3"]);
+    assert_eq!(code, 2, "{text}");
+    assert!(
+        text.contains("error: --machine without --crash-at injects no crash"),
+        "{text}"
+    );
+}
+
+#[test]
 fn window_is_an_unknown_flag() {
     for (args, complaint) in [
         (

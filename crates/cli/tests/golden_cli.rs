@@ -20,7 +20,7 @@ const INVOCATIONS: &[&str] = &[
     "run golden-lj.txt --app sssp --strategy random --parts 10 --system graphx",
     "run golden-lj.txt --app pagerank --strategy random --partition-file golden-parts.txt",
     "fault LiveJournal --scale 0.02 --seed 11 --cluster local-9 --crash-at 3 --machine 2 \
-     --interval 2 --steps 8 --strategies random,hybrid --loss-rate 0.05 --speculate --async",
+     --interval 2 --steps 8 --strategies random,hybrid --loss-rate 0.05 --async",
     "fault UK-web --scale 0.02",
     "fault road-net-CA --scale 0.02 --strategies grid,hdrf,oblivious --cluster local-10 \
      --interval 0 --crash-at 4 --steps 6 --threads 2",
@@ -33,7 +33,7 @@ const INVOCATIONS: &[&str] = &[
     "trace LiveJournal --scale 0.02 --strategy hdrf --app pagerank10 --cluster local-9 \
      --interval 2 -o golden-trace-pg",
     "trace road-net-CA --scale 0.02 --strategy grid --app kcore --system powerlyra \
-     --cluster local-9 --crash-at 5 --machine 2 --interval 3 --loss-rate 0.02 --speculate \
+     --cluster local-9 --crash-at 5 --machine 2 --interval 3 --loss-rate 0.02 \
      -o golden-trace-pl",
     "trace LiveJournal --scale 0.02 --strategy 2d --app wcc --system graphx \
      --cluster local-10 -o golden-trace-gx",

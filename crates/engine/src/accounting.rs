@@ -269,6 +269,8 @@ impl<'a> Accountant<'a> {
                 machine_in_bytes: t.in_bytes,
                 machine_out_bytes: t.out_bytes,
                 wall_seconds: wall,
+                replay: false,
+                events: Vec::new(),
             });
         }
         stats

@@ -1,9 +1,10 @@
 //! Applying the communication-layer protocols (gp-net) to a finished run.
 //!
 //! Runs after [`crate::fault_hook`] (which stretches walls and appends
-//! replays) and before [`crate::telemetry_hook`] (which narrates the final
-//! timeline), mirroring both: a post-processing pass over the superstep
-//! stream, bit-identical no-op when inactive.
+//! replays) and [`crate::elastic_hook`]: a post-processing pass over the
+//! superstep stream, bit-identical no-op when inactive. Each retry window
+//! and backup task is recorded as a `StepEvent` on its step, for the trace
+//! drawn after every pass.
 //!
 //! * **Reliable delivery** — each superstep's exchange is one ack window
 //!   per machine. A [`gp_fault::FaultKind::Flaky`] window on machine `m`
@@ -31,48 +32,31 @@
 //! *first* execution of a superstep only: replays happen after the flaky
 //! window or slowdown has passed.
 
-use crate::report::{spread_to_peers, ComputeReport, EngineConfig};
+use crate::report::{spread_to_peers, ComputeReport, EngineConfig, StepEvent};
 use gp_cluster::CostRates;
 use gp_net::{expected_retransmissions, expected_timeout_stall_s, plan_speculation};
-use gp_telemetry::{machine_span, span};
-use std::collections::HashSet;
 
-/// Rewrite `report` under `config`'s comms protocols. No-op when
-/// [`EngineConfig::comms_model_active`] is false.
+/// Rewrite `report` under `config`'s comms protocols. No-op unless one can
+/// act: retry only on scheduled flaky windows, speculation only on
+/// scheduled slowdowns.
 pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
-    if !config.comms_model_active() {
+    let (plan, comms) = (&config.fault_plan, &config.comms);
+    if !(comms.retry && plan.has_flaky() || comms.speculation && plan.has_slowdowns()) {
         return;
     }
-    let plan = &config.fault_plan;
-    let telemetry = &config.telemetry;
     let machines = config.spec.machines as usize;
     let bandwidth = config.spec.bandwidth_bytes_per_s;
     let compute_rate = config.spec.compute_rate();
 
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut clock = 0.0f64;
-    let mut retransmit_bytes = 0.0f64;
-    let mut timeout_seconds = 0.0f64;
-    let mut flaky_windows = 0u64;
-    let mut clones = 0u32;
-    let mut saved_seconds = 0.0f64;
-    let mut shipped_bytes = 0.0f64;
-
-    for step in report.steps.iter_mut() {
-        // Transient rule: replays re-execute after the window has passed.
-        if !seen.insert(step.superstep) {
-            clock += step.wall_seconds;
-            continue;
-        }
-
-        if config.comms.retry {
+    // Transient rule: replays re-execute after the window has passed.
+    for step in report.steps.iter_mut().filter(|s| !s.replay) {
+        if comms.retry {
             let mut extra_total = 0.0f64;
             let mut stall_max = 0.0f64;
             for m in 0..machines {
                 let Some(link) = plan.flaky_at(step.superstep, m as u32) else {
                     continue;
                 };
-                flaky_windows += 1;
                 let retrans = expected_retransmissions(link.loss_rate);
                 let inflate = (1.0 + retrans) * (1.0 + link.dup_rate) - 1.0;
                 let extra = step.machine_in_bytes[m] * inflate;
@@ -84,24 +68,20 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                 }
                 let stall = expected_timeout_stall_s(link.loss_rate) + link.delay_spike_s;
                 stall_max = stall_max.max(stall);
-                machine_span!(
-                    telemetry,
-                    "net",
-                    m as u32,
-                    clock,
-                    stall + extra / bandwidth,
-                    "retry"
-                );
+                step.events.push(StepEvent::Retry {
+                    machine: m as u32,
+                    dur_s: stall + extra / bandwidth,
+                });
             }
             if extra_total > 0.0 || stall_max > 0.0 {
                 step.wall_seconds +=
                     CostRates.network_seconds(extra_total, &config.spec) + stall_max;
-                retransmit_bytes += extra_total;
-                timeout_seconds += stall_max;
+                report.retransmit_bytes += extra_total;
+                report.retry_timeout_seconds += stall_max;
             }
         }
 
-        if config.comms.speculation && machines >= 2 {
+        if comms.speculation && machines >= 2 {
             let mut projected = vec![0.0f64; machines];
             let mut penalty = vec![0.0f64; machines];
             for m in 0..machines {
@@ -134,40 +114,14 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                         o.shipped_bytes,
                     );
                 }
-                clones += 1;
-                saved_seconds += o.saved_seconds;
-                shipped_bytes += o.shipped_bytes;
+                report.speculative_clones += 1;
+                report.speculation_saved_seconds += o.saved_seconds;
+                report.speculation_shipped_bytes += o.shipped_bytes;
                 let (slow, backup) = (o.slow_machine, o.backup_machine);
-                span!(
-                    telemetry,
-                    "net",
-                    clock,
-                    o.clone_seconds,
-                    "speculate.m{slow}->m{backup}"
-                );
+                step.events
+                    .push(StepEvent::Speculate(slow, backup, o.clone_seconds));
             }
         }
-
-        clock += step.wall_seconds;
-    }
-
-    report.retransmit_bytes += retransmit_bytes;
-    report.retry_timeout_seconds += timeout_seconds;
-    report.speculative_clones += clones;
-    report.speculation_saved_seconds += saved_seconds;
-    report.speculation_shipped_bytes += shipped_bytes;
-    if flaky_windows > 0 {
-        telemetry.counter_add("net.flaky_windows", flaky_windows);
-        telemetry.counter_add("net.retransmit_bytes", retransmit_bytes.round() as u64);
-        telemetry.gauge_set("net.timeout_stall_seconds", timeout_seconds);
-    }
-    if clones > 0 {
-        telemetry.counter_add("net.speculations", u64::from(clones));
-        telemetry.counter_add(
-            "net.speculation_shipped_bytes",
-            shipped_bytes.round() as u64,
-        );
-        telemetry.gauge_set("net.speculation_saved_seconds", saved_seconds);
     }
 }
 

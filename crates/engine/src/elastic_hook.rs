@@ -26,14 +26,14 @@
 //!
 //! Replayed supersteps never re-trigger events (first-execution rule,
 //! matching transient faults), and an empty plan leaves the report
-//! bit-for-bit untouched.
+//! bit-for-bit untouched. Each membership change is recorded as a
+//! `StepEvent` on its step, for the trace drawn after every pass.
 
-use crate::report::{spread_to_peers, ComputeReport, EngineConfig, SuperstepStats};
+use crate::fault_hook::replay_after_loss;
+use crate::report::{spread_to_peers, ComputeReport, EngineConfig, StepEvent, SuperstepStats};
 use gp_elastic::{evacuation_cost, reingress_seconds, ElasticKind};
 use gp_fault::recovery_cost;
 use gp_partition::Assignment;
-use gp_telemetry::span;
-use std::collections::HashSet;
 
 /// Rewrite `report` under `config`'s elastic plan. No-op when the plan is
 /// empty.
@@ -42,12 +42,11 @@ pub fn apply_elastic_model(
     config: &EngineConfig,
     assignment: &Assignment,
 ) {
-    if !config.elastic_model_active() {
+    if config.elastic.is_disabled() {
         return;
     }
     let plan = &config.elastic.plan;
     let spec = &config.spec;
-    let telemetry = &config.telemetry;
 
     let original = std::mem::take(&mut report.steps);
     let mut timeline: Vec<SuperstepStats> = Vec::with_capacity(original.len());
@@ -58,35 +57,26 @@ pub fn apply_elastic_model(
     let mut wall_scale = 1.0f64;
     // Effective machine count (the original fleet plus joins minus exits).
     let mut alive = spec.machines;
-    // Superstep labels already executed once: fault-hook replays in the
-    // input and our own appended replays never re-trigger events.
-    let mut seen: HashSet<u32> = HashSet::new();
-    // Earliest timeline index a forced recovery must replay from, advanced
-    // on the checkpoint cadence (the fault hook already charged the
-    // snapshot traffic; here the cadence only bounds replay depth).
-    let mut replay_from: usize = 0;
-    // First executions so far: the fault hook checkpoints after every
-    // `interval`-th original step and that step's replays, so its cadence
-    // counts original steps only.
-    let mut originals: usize = 0;
-    let mut elapsed = 0.0f64;
+    // Earliest timeline index a forced recovery must replay from: the step
+    // after the fault pass's last checkpoint (which already charged the
+    // snapshot traffic; here it only bounds replay depth).
+    let (mut replay_from, mut checkpointed) = (0usize, false);
 
     for (i, step) in original.iter().enumerate() {
-        let first_execution = seen.insert(step.superstep);
-        if first_execution {
-            // A checkpoint after the previous original step made everything
-            // before this one durable, replays appended here included.
-            if originals > 0 && config.checkpoint.due_after(originals - 1) {
-                replay_from = timeline.len();
-            }
-            originals += 1;
+        // A checkpoint after the previous step made everything before this
+        // one durable, replays appended here included.
+        if checkpointed {
+            replay_from = timeline.len();
         }
+        checkpointed = step
+            .events
+            .iter()
+            .any(|e| matches!(e, StepEvent::Checkpoint { .. }));
         let mut scaled = step.clone();
         scaled.wall_seconds *= wall_scale;
-        elapsed += scaled.wall_seconds;
         timeline.push(scaled);
         let cur = timeline.len() - 1;
-        if !first_execution {
+        if step.replay {
             continue;
         }
 
@@ -106,17 +96,16 @@ pub fn apply_elastic_model(
                         &wider,
                     );
                     let savings = remaining * (1.0 - alive as f64 / (alive + k) as f64);
-                    if config.elastic.repair.should_repartition(savings, cost) {
+                    let repartition = config.elastic.repair.should_repartition(savings, cost);
+                    if repartition {
                         report.reingress_seconds += cost;
                         wall_scale *= alive as f64 / (alive + k) as f64;
-                        span!(telemetry, "elastic", elapsed, cost, "scale_out.k{k}");
-                        telemetry.counter_add("elastic.repartitions", 1);
-                    } else {
-                        span!(telemetry, "elastic", elapsed, 0.0, "scale_out.k{k}");
-                        telemetry.counter_add("elastic.degraded_scale_outs", 1);
                     }
+                    let reingress_s = repartition.then_some(cost);
+                    timeline[cur]
+                        .events
+                        .push(StepEvent::ScaleOut { k, reingress_s });
                     alive += k;
-                    telemetry.counter_add("elastic.scale_outs", 1);
                 }
                 ElasticKind::Drain {
                     machine,
@@ -136,19 +125,16 @@ pub fn apply_elastic_model(
                     // unwarned strike).
                     let from = (cur + 1).saturating_sub(warning_steps as usize);
                     let window: f64 = timeline[from..=cur].iter().map(|s| s.wall_seconds).sum();
-                    let verb = match event.kind {
-                        ElasticKind::Drain { .. } => "drain",
-                        _ => "preempt",
-                    };
-                    span!(
-                        telemetry,
-                        "elastic",
-                        elapsed - window,
-                        window,
-                        "{verb}.m{machine}"
-                    );
                     let evac = evacuation_cost(assignment, machine, spec);
-                    if evac.transfer_seconds <= window {
+                    let graceful = evac.transfer_seconds <= window;
+                    timeline[cur].events.push(StepEvent::Departure {
+                        machine,
+                        drain: matches!(event.kind, ElasticKind::Drain { .. }),
+                        window_steps: cur + 1 - from,
+                        window_s: window,
+                        evacuation: graceful.then(|| evac.clone()),
+                    });
+                    if graceful {
                         // Graceful: the masters streamed out during the
                         // warning window; the departure step carries the
                         // traffic and a promotion barrier.
@@ -162,49 +148,15 @@ pub fn apply_elastic_model(
                             evac.moved_bytes,
                         );
                         last.wall_seconds += spec.latency_s;
-                        elapsed += spec.latency_s;
-                        span!(
-                            telemetry,
-                            "elastic",
-                            elapsed - window,
-                            evac.transfer_seconds,
-                            "evacuation.m{machine}"
-                        );
-                        telemetry.counter_add("elastic.evacuations", 1);
-                        telemetry.counter_add(
-                            "elastic.evacuated_bytes",
-                            evac.moved_bytes.round() as u64,
-                        );
                     } else {
                         // The notice came too late: the departure is a
-                        // crash. Pay the full re-fetch and replay since
-                        // the last durable point, exactly as the fault
-                        // hook prices an unwarned loss.
+                        // crash, priced exactly as the fault pass prices an
+                        // unwarned loss.
                         report.forced_recoveries += 1;
-                        let rc = recovery_cost(assignment, machine, spec);
-                        report.recovery_seconds += rc.transfer_seconds;
-                        span!(
-                            telemetry,
-                            "elastic",
-                            elapsed,
-                            rc.transfer_seconds,
-                            "forced_recovery.m{machine}"
-                        );
-                        telemetry.counter_add("elastic.forced_recoveries", 1);
-                        for j in replay_from..=cur {
-                            let mut replayed = timeline[j].clone();
-                            if j == replay_from {
-                                replayed.machine_in_bytes[machine as usize] += rc.refetch_bytes;
-                                spread_to_peers(
-                                    &mut replayed.machine_out_bytes,
-                                    machine as usize,
-                                    rc.refetch_bytes,
-                                );
-                            }
-                            report.supersteps_replayed += 1;
-                            elapsed += replayed.wall_seconds;
-                            timeline.push(replayed);
-                        }
+                        let cost = recovery_cost(assignment, machine, spec);
+                        let since = timeline[replay_from..=cur].to_vec();
+                        let lost = StepEvent::ForcedRecovery;
+                        replay_after_loss(report, &mut timeline, since, machine, cost, lost);
                     }
                     wall_scale *= alive as f64 / (alive - 1) as f64;
                     alive -= 1;

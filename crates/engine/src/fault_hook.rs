@@ -24,16 +24,17 @@
 //!
 //! When the plan is empty and checkpointing is disabled this function
 //! returns without touching the report — healthy runs are bit-for-bit
-//! identical to runs made before this module existed.
+//! identical to runs made before this module existed. Each checkpoint and
+//! crash is recorded as a `StepEvent` on its step; the trace is drawn from
+//! those events after every pass has run.
 //!
 //! One modeling simplification: transient faults (stragglers, degraded
 //! links) afflict only the *first* execution of a superstep; by the time a
 //! replay happens, the transient condition has passed.
 
-use crate::report::{spread_to_peers, ComputeReport, EngineConfig, SuperstepStats};
-use gp_fault::{checkpoint_stall_seconds, recovery_cost, snapshot_bytes_per_machine};
+use crate::report::{spread_to_peers, ComputeReport, EngineConfig, StepEvent, SuperstepStats};
+use gp_fault::{checkpoint_stall_seconds, recovery_cost, snapshot_bytes_per_machine, RecoveryCost};
 use gp_partition::Assignment;
-use gp_telemetry::span;
 
 /// Rewrite `report` under `config`'s fault plan and checkpoint policy.
 /// No-op when neither is active.
@@ -44,14 +45,15 @@ pub fn apply_fault_model(
 ) {
     let plan = &config.fault_plan;
     let policy = &config.checkpoint;
-    if !config.fault_model_active() {
+    if plan.is_empty() && !policy.is_enabled() {
         return;
     }
-    let machines = config.spec.machines as usize;
-    let bandwidth = config.spec.bandwidth_bytes_per_s;
-    let compute_rate = config.spec.compute_rate();
+    let spec = &config.spec;
+    let machines = spec.machines as usize;
+    let bandwidth = spec.bandwidth_bytes_per_s;
+    let compute_rate = spec.compute_rate();
     let snapshot = if policy.is_enabled() {
-        snapshot_bytes_per_machine(&assignment.master_counts(), &config.spec)
+        snapshot_bytes_per_machine(&assignment.master_counts(), spec)
     } else {
         Vec::new()
     };
@@ -66,53 +68,29 @@ pub fn apply_fault_model(
     // is covered by a durable checkpoint — or is superstep 0's initial
     // state, which ingress already made durable).
     let mut replay_from: usize = 0;
-    // Simulated clock over the rebuilt timeline, for checkpoint/recovery
-    // telemetry events (the superstep spans themselves are emitted later
-    // from the final report, on this same clock).
-    let telemetry = &config.telemetry;
-    let mut elapsed = 0.0f64;
-    let mut checkpoints = 0u32;
 
     for (i, step) in original.iter().enumerate() {
         timeline.push(slowed(step, config, compute_rate, bandwidth));
-        elapsed += timeline.last().expect("just pushed").wall_seconds;
 
-        // Crashes at this superstep (first execution only).
+        // Crashes at this superstep (first execution only). Replay
+        // everything since the last durable point, including the step the
+        // crash interrupted.
         while let Some(pos) = pending_crashes
             .iter()
             .position(|&(s, _)| s == step.superstep)
         {
             let (_, machine) = pending_crashes.swap_remove(pos);
-            let machine = machine.min(config.spec.machines - 1);
-            let rc = recovery_cost(assignment, machine, &config.spec);
-            report.recovery_seconds += rc.transfer_seconds;
-            // The re-fetch transfer streams in while replay begins, so its
-            // span overlaps the replayed supersteps that follow it.
-            span!(
-                telemetry,
-                "fault",
-                elapsed,
-                rc.transfer_seconds,
-                "recovery.m{machine}"
+            let machine = machine.min(spec.machines - 1);
+            let cost = recovery_cost(assignment, machine, spec);
+            let since = original[replay_from..=i].to_vec();
+            replay_after_loss(
+                report,
+                &mut timeline,
+                since,
+                machine,
+                cost,
+                StepEvent::Crash,
             );
-            telemetry.counter_add("fault.crashes", 1);
-            telemetry.counter_add("fault.refetch_bytes", rc.refetch_bytes.round() as u64);
-            // Replay everything since the last durable point, including the
-            // step the crash interrupted.
-            for (k, j) in (replay_from..=i).enumerate() {
-                let mut replayed = original[j].clone();
-                if k == 0 {
-                    // The re-fetched partitions stream into the replacement
-                    // machine while replay begins; the surviving peers
-                    // serve the data, splitting the outbound load evenly.
-                    let at = machine as usize % machines;
-                    replayed.machine_in_bytes[at] += rc.refetch_bytes;
-                    spread_to_peers(&mut replayed.machine_out_bytes, at, rc.refetch_bytes);
-                }
-                report.supersteps_replayed += 1;
-                elapsed += replayed.wall_seconds;
-                timeline.push(replayed);
-            }
         }
 
         // Checkpoint after the `interval`-th executed original step (a
@@ -124,23 +102,46 @@ pub fn apply_fault_model(
                 last.machine_in_bytes[(m + 1) % machines] += bytes;
                 last.machine_out_bytes[m] += bytes;
             }
-            let stall = checkpoint_stall_seconds(&snapshot, policy, &config.spec);
+            let stall = checkpoint_stall_seconds(&snapshot, policy, spec);
             last.wall_seconds += stall;
-            span!(
-                telemetry,
-                "fault",
-                elapsed,
-                stall,
-                "checkpoint.{checkpoints}"
-            );
-            telemetry.counter_add("fault.checkpoints", 1);
-            telemetry.counter_add("fault.checkpoint_bytes", snapshot_total.round() as u64);
-            checkpoints += 1;
-            elapsed += stall;
+            last.events.push(StepEvent::Checkpoint {
+                stall_s: stall,
+                bytes: snapshot_total,
+            });
             replay_from = i + 1;
         }
     }
     report.steps = timeline;
+}
+
+/// `machine` is lost at the end of the last step of `timeline`, before that
+/// step was durable: charge its re-fetch `cost` to `report`, mark the loss
+/// on that step with `event`, then append a replay of `since`, every step
+/// from the last durable point through the lost one. The re-fetched
+/// partitions stream into the replacement machine while replay begins,
+/// served evenly by the surviving peers.
+pub(crate) fn replay_after_loss(
+    report: &mut ComputeReport,
+    timeline: &mut Vec<SuperstepStats>,
+    since: Vec<SuperstepStats>,
+    machine: u32,
+    cost: RecoveryCost,
+    event: fn(u32, RecoveryCost) -> StepEvent,
+) {
+    report.recovery_seconds += cost.transfer_seconds;
+    report.supersteps_replayed += since.len() as u32;
+    let (at, refetch) = (machine as usize, cost.refetch_bytes);
+    let lost = timeline.last_mut().expect("a step was lost");
+    lost.events.push(event(machine, cost));
+    for (k, mut replayed) in since.into_iter().enumerate() {
+        if k == 0 {
+            replayed.machine_in_bytes[at] += refetch;
+            spread_to_peers(&mut replayed.machine_out_bytes, at, refetch);
+        }
+        replayed.replay = true;
+        replayed.events.clear();
+        timeline.push(replayed);
+    }
 }
 
 /// A copy of `step` with active straggler/degradation penalties added to
@@ -158,17 +159,12 @@ fn slowed(
     let mut out = step.clone();
     for m in 0..config.spec.machines {
         let (compute_factor, network_factor) = config.fault_plan.slowdown_at(step.superstep, m);
+        let m = m as usize;
         if compute_factor > 1.0 {
-            let share = out.machine_work.get(m as usize).copied().unwrap_or(0.0);
-            out.wall_seconds += (compute_factor - 1.0) * share / compute_rate;
+            out.wall_seconds += (compute_factor - 1.0) * step.machine_work[m] / compute_rate;
         }
         if network_factor > 1.0 {
-            let share = out.machine_in_bytes.get(m as usize).copied().unwrap_or(0.0)
-                + out
-                    .machine_out_bytes
-                    .get(m as usize)
-                    .copied()
-                    .unwrap_or(0.0);
+            let share = step.machine_in_bytes[m] + step.machine_out_bytes[m];
             out.wall_seconds += (network_factor - 1.0) * share / bandwidth;
         }
     }

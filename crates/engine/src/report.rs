@@ -1,8 +1,8 @@
 //! Engine configuration and compute-phase reporting.
 
 use gp_cluster::{ClusterSpec, CostRates};
-use gp_elastic::ElasticConfig;
-use gp_fault::{CheckpointPolicy, FaultPlan};
+use gp_elastic::{ElasticConfig, EvacuationCost};
+use gp_fault::{CheckpointPolicy, FaultPlan, RecoveryCost};
 use gp_net::CommsConfig;
 use gp_par::ParConfig;
 use gp_partition::Assignment;
@@ -113,32 +113,10 @@ impl EngineConfig {
         self.comms = comms;
         self
     }
-
-    /// True when this configuration can alter a report after the compute
-    /// loop (faults scheduled or checkpoints enabled).
-    pub fn fault_model_active(&self) -> bool {
-        !self.fault_plan.is_empty() || self.checkpoint.is_enabled()
-    }
-
-    /// True when the comms layer can alter a report: the retry protocol
-    /// only acts on scheduled flaky windows, and speculation only on
-    /// scheduled slowdowns. An enabled protocol over a clean plan — or a
-    /// flaky plan with everything disabled — is guaranteed inert.
-    pub fn comms_model_active(&self) -> bool {
-        (self.comms.retry && self.fault_plan.has_flaky())
-            || (self.comms.speculation && self.fault_plan.has_slowdowns())
-    }
-
-    /// True when the elastic model can alter a report: at least one
-    /// membership change is scheduled. An empty plan is guaranteed inert
-    /// regardless of the repair policy.
-    pub fn elastic_model_active(&self) -> bool {
-        !self.elastic.is_disabled()
-    }
 }
 
 /// Metrics for one synchronous superstep (or async epoch).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SuperstepStats {
     /// Superstep index (0-based).
     pub superstep: u32,
@@ -158,6 +136,12 @@ pub struct SuperstepStats {
     pub machine_out_bytes: Vec<f64>,
     /// Simulated wall-clock duration of the step.
     pub wall_seconds: f64,
+    /// A re-execution appended by a crash or forced recovery. Transient
+    /// faults, flaky windows and membership changes act on first
+    /// executions only.
+    pub(crate) replay: bool,
+    /// What the mid-job passes did on this step, in the order they did it.
+    pub(crate) events: Vec<StepEvent>,
 }
 
 impl SuperstepStats {
@@ -165,6 +149,54 @@ impl SuperstepStats {
     pub fn total_in_bytes(&self) -> f64 {
         self.machine_in_bytes.iter().sum()
     }
+}
+
+/// The metrics only: the pass bookkeeping (`replay`, `events`) stays out,
+/// so a report prints the same whichever passes produced it.
+impl std::fmt::Debug for SuperstepStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuperstepStats")
+            .field("superstep", &self.superstep)
+            .field("active_vertices", &self.active_vertices)
+            .field("gather_messages", &self.gather_messages)
+            .field("sync_messages", &self.sync_messages)
+            .field("machine_work", &self.machine_work)
+            .field("machine_in_bytes", &self.machine_in_bytes)
+            .field("machine_out_bytes", &self.machine_out_bytes)
+            .field("wall_seconds", &self.wall_seconds)
+            .finish()
+    }
+}
+
+/// Something a mid-job pass did on one step. The passes only record it;
+/// [`crate::telemetry_hook`] turns it into spans and counters once every
+/// pass has run, on the step's final boundaries.
+#[derive(Clone)]
+pub(crate) enum StepEvent {
+    /// A checkpoint of `bytes` whose `stall_s` ends the step.
+    Checkpoint { stall_s: f64, bytes: f64 },
+    /// A machine crashed at the step's end, where its re-fetch starts.
+    Crash(u32, RecoveryCost),
+    /// A departure warned too late to evacuate: a crash as far as pricing
+    /// goes.
+    ForcedRecovery(u32, RecoveryCost),
+    /// `k` machines joined at the step's end, re-partitioning onto them in
+    /// `reingress_s` when the repair policy chose to.
+    ScaleOut { k: u32, reingress_s: Option<f64> },
+    /// A machine drained or preempted after this step, warned `window_s`
+    /// over its last `window_steps` steps; `evacuation` when that sufficed.
+    Departure {
+        machine: u32,
+        drain: bool,
+        window_steps: usize,
+        window_s: f64,
+        evacuation: Option<EvacuationCost>,
+    },
+    /// A flaky receive window on `machine`, busy `dur_s` from the step's start.
+    Retry { machine: u32, dur_s: f64 },
+    /// `(slow, backup, clone_s)`: the slow machine's task cloned onto the
+    /// backup, running `clone_s` from the step's start.
+    Speculate(usize, usize, f64),
 }
 
 /// Add an even share of `bytes` to every machine's cell except `except`'s:
@@ -183,7 +215,7 @@ pub(crate) fn spread_to_peers(cells: &mut [f64], except: usize, bytes: f64) {
 }
 
 /// The compute-phase outcome of an engine run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ComputeReport {
     /// Application name.
     pub program: &'static str,
@@ -252,19 +284,7 @@ impl ComputeReport {
             engine,
             steps,
             converged,
-            checkpoint_bytes: 0.0,
-            recovery_seconds: 0.0,
-            supersteps_replayed: 0,
-            retransmit_bytes: 0.0,
-            retry_timeout_seconds: 0.0,
-            speculative_clones: 0,
-            speculation_saved_seconds: 0.0,
-            speculation_shipped_bytes: 0.0,
-            scale_events: 0,
-            evacuations: 0,
-            evacuated_bytes: 0.0,
-            forced_recoveries: 0,
-            reingress_seconds: 0.0,
+            ..ComputeReport::default()
         }
     }
 
@@ -370,6 +390,8 @@ mod tests {
             machine_in_bytes: bytes,
             machine_out_bytes: out,
             wall_seconds: wall,
+            replay: false,
+            events: Vec::new(),
         }
     }
 

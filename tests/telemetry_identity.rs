@@ -375,6 +375,98 @@ fn trace_covers_elastic_events() {
     assert!(sink.metrics_csv().contains("elastic.evacuations"));
 }
 
+/// LiveJournal at scale 0.1 on EC2-16, Grid, PageRank(10): machine 3
+/// crashes at superstep 6, state checkpoints every 4 steps, and every link
+/// drops 5 % of its packets under reliable delivery.
+fn lossy_crash_config(sink: TelemetrySink) -> EngineConfig {
+    let spec = ClusterSpec::ec2_16();
+    let mut plan = FaultPlan::uniform_flaky(0.05, spec.machines, 100);
+    plan.push(FaultEvent {
+        superstep: 6,
+        machine: 3,
+        kind: FaultKind::Crash,
+    });
+    EngineConfig::new(spec)
+        .with_fault_plan(plan)
+        .with_checkpoint(CheckpointPolicy::every(4))
+        .with_comms(CommsConfig::reliable())
+        .with_telemetry(sink)
+}
+
+#[test]
+fn mid_job_spans_sit_on_the_final_superstep_boundaries() {
+    // Every pass changes step walls after the ones before it, so a span is
+    // only where it belongs if it is timed from the final walls: a
+    // checkpoint ends with its step; a recovery, forced recovery or
+    // scale-out starts at its step's end; a departure and its evacuation
+    // start with the first step of the warning window; a retry window or
+    // backup task starts with its step.
+    use distgraph::elastic::{ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan};
+    use distgraph::engine::RepairPolicy;
+    let g = Dataset::LiveJournal.generate(0.1, 42);
+    let a = Strategy::Grid
+        .build()
+        .partition(&g, &PartitionContext::new(16))
+        .assignment;
+    let mut plan = ElasticPlan::scale_out_at(2, 4);
+    plan.push(ElasticEvent {
+        superstep: 8,
+        kind: ElasticKind::Preempt {
+            machine: 5,
+            warning_steps: 3,
+        },
+    });
+    let elastic = ElasticConfig::new(plan).with_repair(RepairPolicy::AlwaysRepartition);
+    let jobs = [
+        ("crash + loss", None),
+        ("crash + loss + scale-out + preemption", Some(elastic)),
+    ];
+    for (job, elastic) in jobs {
+        let sink = TelemetrySink::recording();
+        let mut config = lossy_crash_config(sink.clone());
+        if let Some(elastic) = &elastic {
+            config = config.with_elastic(elastic.clone());
+        }
+        let (_, report) = Engine::new(config, Model::Sync)
+            .run(&g, &a, &PageRank::fixed(10))
+            .unwrap();
+        let spans = sink.spans();
+        let steps = spans.iter().filter(|s| s.cat == "superstep");
+        let starts: Vec<f64> = steps.clone().map(|s| s.start_s).collect();
+        let ends: Vec<f64> = steps.map(|s| s.start_s + s.dur_s).collect();
+        let on = |bounds: &[f64], t: f64| bounds.iter().any(|b| (b - t).abs() < 1e-9);
+        let mut kinds = std::collections::BTreeSet::new();
+        for s in spans
+            .iter()
+            .filter(|s| ["fault", "elastic", "net"].contains(&s.cat))
+        {
+            let kind = s.name.split('.').next().expect("a span name");
+            let anchored = match kind {
+                "checkpoint" => on(&ends, s.start_s + s.dur_s),
+                "recovery" | "forced_recovery" | "scale_out" => on(&ends, s.start_s),
+                "preempt" | "drain" | "evacuation" | "retry" | "speculate" => {
+                    on(&starts, s.start_s)
+                }
+                other => panic!("{job}: unexpected mid-job span {other}"),
+            };
+            assert!(
+                anchored,
+                "{job}: {} at {:.6} s is off its superstep boundary",
+                s.name, s.start_s
+            );
+            kinds.insert(kind);
+        }
+        let mut expected = vec!["checkpoint", "recovery", "retry"];
+        if elastic.is_some() {
+            assert_eq!(report.evacuations, 1, "{job}: the warning must suffice");
+            expected.extend(["evacuation", "preempt", "scale_out"]);
+        }
+        for kind in expected {
+            assert!(kinds.contains(kind), "{job}: no {kind} span in {kinds:?}");
+        }
+    }
+}
+
 #[test]
 fn chrome_trace_matches_golden_file() {
     // A small hand-built trace pins the exporter's exact byte format:
