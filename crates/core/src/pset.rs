@@ -1,21 +1,13 @@
-//! [`PartitionSet`] — a compact set of partition ids.
+//! [`PartitionSet`] — a compact set of small ids.
 //!
-//! Replica sets are the hottest data structure at ingress: every edge
-//! inserts its partition into both endpoints' sets, and the parallel shard
-//! merge unions one set per vertex per shard. The paper's clusters top out
-//! at 121 partitions (§4.1), so the common case fits comfortably in a
-//! fixed-width inline bitset of 256 bits (`[u64; 4]`, no heap allocation);
-//! larger partition counts spill to a heap-backed bitset transparently.
-//!
-//! Operations the hot paths rely on:
+//! Coloring's gather accumulator: the colors of a vertex's neighbors. Most
+//! sets fit a fixed-width inline bitset of 256 bits (`[u64; 4]`, no heap
+//! allocation); larger ids spill to a heap-backed bitset transparently.
 //!
 //! - `insert` / `contains`: O(1) bit ops.
-//! - `len`: popcount over at most four words (inline arm).
-//! - `union_with`: word-wise OR — the shard-merge kernel, branchless per
-//!   word, insensitive to merge order (set union is what the sequential
-//!   build computes, so parallel merges stay byte-identical).
-//! - `iter`: ascending bit-scan, reproducing the sorted `Vec<u32>` order
-//!   the rest of the system observes.
+//! - `union_with`: word-wise OR, Coloring's `merge`.
+//! - `iter`: ascending bit-scan, which Coloring's `apply` reads for the
+//!   smallest free color.
 
 /// Number of inline words; bits `0..256` need no heap allocation.
 const INLINE_WORDS: usize = 4;
@@ -63,11 +55,9 @@ impl PartitionSet {
     }
 
     /// The underlying words, low bits first: bit `p % 64` of word `p / 64`
-    /// is partition `p`'s membership. Public so scoring kernels (HDRF
-    /// ingress) can classify 64 partitions per AND/OR instead of
-    /// probing [`PartitionSet::contains`] one partition at a time.
+    /// is `p`'s membership.
     #[inline]
-    pub fn words(&self) -> &[u64] {
+    fn words(&self) -> &[u64] {
         match &self.repr {
             Repr::Inline(w) => w,
             Repr::Spill(v) => v,
@@ -104,26 +94,6 @@ impl PartitionSet {
         }
     }
 
-    /// Remove `p`; returns `true` if it was present. The representation
-    /// never shrinks back from spill to inline — removal is the serving-time
-    /// refcount-decay path, where sets oscillate and re-inserts are likely.
-    #[inline]
-    pub fn remove(&mut self, p: u32) -> bool {
-        let (word, bit) = (p as usize / 64, p as usize % 64);
-        let mask = 1u64 << bit;
-        let w = match &mut self.repr {
-            Repr::Inline(w) if word < INLINE_WORDS => &mut w[word],
-            Repr::Inline(_) => return false,
-            Repr::Spill(v) => match v.get_mut(word) {
-                Some(w) => w,
-                None => return false,
-            },
-        };
-        let present = *w & mask != 0;
-        *w &= !mask;
-        present
-    }
-
     /// True if `p` is in the set.
     #[inline]
     pub fn contains(&self, p: u32) -> bool {
@@ -132,19 +102,7 @@ impl PartitionSet {
         word < w.len() && w[word] & (1 << bit) != 0
     }
 
-    /// Number of ids in the set (popcount).
-    #[inline]
-    pub fn len(&self) -> u32 {
-        self.words().iter().map(|w| w.count_ones()).sum()
-    }
-
-    /// True if no id is present.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words().iter().all(|&w| w == 0)
-    }
-
-    /// `self ∪= other` — word-wise OR, the parallel shard-merge kernel.
+    /// `self ∪= other` — word-wise OR.
     pub fn union_with(&mut self, other: &Self) {
         match (&mut self.repr, &other.repr) {
             (Repr::Inline(a), Repr::Inline(b)) => {
@@ -175,57 +133,6 @@ impl PartitionSet {
         }
     }
 
-    /// `self ∪ other` as a new set.
-    pub fn union(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        out.union_with(other);
-        out
-    }
-
-    /// `self ∩ other` as a new set (word-wise AND).
-    pub fn intersection(&self, other: &Self) -> Self {
-        match (&self.repr, &other.repr) {
-            (Repr::Inline(a), Repr::Inline(b)) => {
-                let mut w = [0u64; INLINE_WORDS];
-                for i in 0..INLINE_WORDS {
-                    w[i] = a[i] & b[i];
-                }
-                PartitionSet {
-                    repr: Repr::Inline(w),
-                }
-            }
-            _ => {
-                let (a, b) = (self.words(), other.words());
-                let n = a.len().min(b.len());
-                let mut w = [0u64; INLINE_WORDS];
-                if n <= INLINE_WORDS {
-                    for i in 0..n {
-                        w[i] = a[i] & b[i];
-                    }
-                    PartitionSet {
-                        repr: Repr::Inline(w),
-                    }
-                } else {
-                    let v: Vec<u64> = a[..n].iter().zip(&b[..n]).map(|(x, y)| x & y).collect();
-                    PartitionSet {
-                        repr: Repr::Spill(v),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Smallest id, if any.
-    #[inline]
-    pub fn first(&self) -> Option<u32> {
-        for (i, &w) in self.words().iter().enumerate() {
-            if w != 0 {
-                return Some((i * 64) as u32 + w.trailing_zeros());
-            }
-        }
-        None
-    }
-
     /// Ascending iterator over the ids (bit-scan, sorted order).
     #[inline]
     pub fn iter(&self) -> PartitionSetIter<'_> {
@@ -235,11 +142,6 @@ impl PartitionSet {
             word_idx: 0,
             current: words.first().copied().unwrap_or(0),
         }
-    }
-
-    /// The ids as a sorted `Vec` (testing / interop convenience).
-    pub fn to_vec(&self) -> Vec<u32> {
-        self.iter().collect()
     }
 }
 
@@ -260,14 +162,6 @@ impl FromIterator<u32> for PartitionSet {
             s.insert(p);
         }
         s
-    }
-}
-
-impl<'a> IntoIterator for &'a PartitionSet {
-    type Item = u32;
-    type IntoIter = PartitionSetIter<'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -302,13 +196,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn ids(s: &PartitionSet) -> Vec<u32> {
+        s.iter().collect()
+    }
+
     #[test]
     fn empty_set_basics() {
         let s = PartitionSet::new();
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
-        assert_eq!(s.first(), None);
         assert_eq!(s.iter().count(), 0);
+        assert!(!s.contains(0));
     }
 
     #[test]
@@ -322,82 +218,39 @@ mod tests {
     }
 
     #[test]
-    fn remove_reports_presence_and_clears_bits() {
-        let mut s = PartitionSet::new();
-        assert!(!s.remove(3), "removing from empty set is a no-op");
-        s.insert(3);
-        s.insert(300); // forces a spill
-        assert!(s.remove(3));
-        assert!(!s.contains(3));
-        assert!(!s.remove(3), "double remove reports absence");
-        assert!(s.remove(300));
-        assert!(s.is_empty());
-        assert!(!s.remove(10_000), "beyond-width remove is a no-op");
-        let mut inline = PartitionSet::singleton(5);
-        assert!(!inline.remove(999), "inline set ignores beyond-width ids");
-        assert!(inline.remove(5));
-        assert!(inline.is_empty());
-    }
-
-    #[test]
     fn iter_is_sorted_across_the_spill_boundary() {
         let mut s = PartitionSet::new();
         for p in [299, 0, 64, 255, 256, 130] {
             s.insert(p);
         }
-        assert_eq!(s.to_vec(), vec![0, 64, 130, 255, 256, 299]);
-        assert_eq!(s.len(), 6);
-        assert_eq!(s.first(), Some(0));
+        assert_eq!(ids(&s), vec![0, 64, 130, 255, 256, 299]);
     }
 
     #[test]
     fn union_or_kernel_equals_set_union() {
         let a: PartitionSet = [1u32, 5, 200].into_iter().collect();
         let b: PartitionSet = [5u32, 7, 290].into_iter().collect();
-        assert_eq!(a.union(&b).to_vec(), vec![1, 5, 7, 200, 290]);
         let mut c = a.clone();
         c.union_with(&b);
-        assert_eq!(c, a.union(&b));
+        assert_eq!(ids(&c), vec![1, 5, 7, 200, 290]);
         // Union with an empty set is the identity in both directions.
-        assert_eq!(a.union(&PartitionSet::new()), a);
-        assert_eq!(PartitionSet::new().union(&a), a);
+        let mut d = a.clone();
+        d.union_with(&PartitionSet::new());
+        assert_eq!(d, a);
+        let mut e = PartitionSet::new();
+        e.union_with(&a);
+        assert_eq!(e, a);
     }
 
     #[test]
-    fn intersection_across_representations() {
-        let inline: PartitionSet = [1u32, 5, 9].into_iter().collect();
-        let spill: PartitionSet = [5u32, 9, 280].into_iter().collect();
-        assert_eq!(inline.intersection(&spill).to_vec(), vec![5, 9]);
-        assert_eq!(spill.intersection(&inline).to_vec(), vec![5, 9]);
-        assert_eq!(
-            spill.intersection(&spill).to_vec(),
-            vec![5, 9, 280],
-            "self-intersection is identity"
-        );
-    }
-
-    #[test]
-    fn equality_is_by_content_not_representation() {
+    fn equality_is_by_content() {
         let mut spilled = PartitionSet::new();
         spilled.insert(3);
         spilled.insert(400); // spill...
-        let inline = PartitionSet::singleton(3);
-        // ...then compare against the inline set with the same low bits:
-        // spilled still holds 400, so they differ; a spilled set whose high
-        // bits are clear must equal its inline twin.
-        assert_ne!(spilled, inline);
-        let mut cleared = PartitionSet::new();
-        cleared.insert(400);
-        let spilled_three: PartitionSet = {
-            let mut s = cleared.clone();
-            s.insert(3);
-            s
-        };
-        assert_eq!(
-            spilled_three.intersection(&inline),
-            inline,
-            "AND result with clear high words equals the inline set"
-        );
+        assert_ne!(spilled, PartitionSet::singleton(3));
+        // ...and the same ids inserted the other way round, spilled at once.
+        let reordered: PartitionSet = [400u32, 3].into_iter().collect();
+        assert_eq!(spilled, reordered);
     }
 
     // ---- Satellite: model-based property tests against a sorted Vec<u32>
@@ -434,7 +287,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn model_agreement_insert_contains_iter_len(ops in arb_ops()) {
+        fn model_agreement_insert_contains_iter(ops in arb_ops()) {
             let mut set = PartitionSet::new();
             let mut model: Vec<u32> = Vec::new();
             for op in ops {
@@ -454,27 +307,22 @@ mod tests {
                         prop_assert_eq!(set.contains(p), model.binary_search(&p).is_ok());
                     }
                 }
-                prop_assert_eq!(set.len() as usize, model.len());
-                prop_assert_eq!(set.to_vec(), model.clone());
-                prop_assert_eq!(set.first(), model.first().copied());
+                prop_assert_eq!(ids(&set), model.clone());
             }
         }
 
         #[test]
-        fn model_agreement_union_and_intersection(
+        fn model_agreement_union(
             a in arb_id_set(0u32..300, 0..40),
             b in arb_id_set(0u32..300, 0..40),
         ) {
             let sa: PartitionSet = a.iter().copied().collect();
             let sb: PartitionSet = b.iter().copied().collect();
             let union_model: Vec<u32> = a.union(&b).copied().collect();
-            let inter_model: Vec<u32> = a.intersection(&b).copied().collect();
-            prop_assert_eq!(sa.union(&sb).to_vec(), union_model);
-            prop_assert_eq!(sa.intersection(&sb).to_vec(), inter_model);
-            // union_with agrees with union in both directions.
+            // union_with agrees with the model in both directions.
             let mut acc = sa.clone();
             acc.union_with(&sb);
-            prop_assert_eq!(&acc, &sa.union(&sb));
+            prop_assert_eq!(ids(&acc), union_model);
             let mut acc2 = sb.clone();
             acc2.union_with(&sa);
             prop_assert_eq!(&acc, &acc2);

@@ -8,14 +8,14 @@
 //! the replica sets computed here.
 //!
 //! Replica storage is two-phase for speed. During the build, per-vertex
-//! replica sets are [`PartitionSet`] inline bitsets — O(1) insert per edge
-//! endpoint and a word-wise-OR shard merge on the parallel path (set union
-//! is exactly what the sequential build computes, so chunking cannot change
-//! the result). After the build the sets are **frozen** into a CSR-flattened
-//! view (`rep_offsets` + `rep_flat`): one offsets array and one contiguous
-//! sorted-id array instead of one heap `Vec` per vertex. All read paths
-//! (`replicas`, slots, masters, RF, counts) serve from that view and the
-//! bitsets are dropped.
+//! replica sets are one flat table of `ceil(P/64)` bitset words per vertex —
+//! O(1) insert per edge endpoint and a one-OR-per-word shard merge on the
+//! parallel path (set union is exactly what the sequential build computes,
+//! so chunking cannot change the result). After the build the sets are
+//! **frozen** into a CSR-flattened view (`rep_offsets` + `rep_flat`): one
+//! offsets array and one contiguous sorted-id array instead of one heap
+//! `Vec` per vertex. All read paths (`replicas`, slots, masters, RF, counts)
+//! serve from that view and the bitsets are dropped.
 //!
 //! An assignment also remembers which edge stream it placed, as the
 //! stream's [`gp_core::edge_digest`], and builds its per-image local edge
@@ -23,9 +23,10 @@
 //! differs, so the cached counts can only ever describe their own graph.
 
 use crate::local_edges::count_local_edges;
+use crate::replica_words::{bits, ReplicaWords};
 use gp_core::{
-    for_each_edge, hash_stream_edge, hash_u64, Edge, EdgeList, PartitionId, PartitionSet,
-    StreamingEdges, VertexId,
+    for_each_edge, hash_stream_edge, hash_u64, Edge, EdgeList, PartitionId, StreamingEdges,
+    VertexId,
 };
 use gp_par::ParConfig;
 use std::sync::{Arc, OnceLock};
@@ -96,7 +97,7 @@ impl Assignment {
         );
         let n = graph.num_vertices() as usize;
         let build_shard = |range: std::ops::Range<usize>| {
-            let mut sets: Vec<PartitionSet> = vec![PartitionSet::new(); n];
+            let mut sets = ReplicaWords::new(graph.num_vertices(), num_partitions);
             let mut edge_counts = vec![0u64; num_partitions as usize];
             let mut digest = 0u64;
             let mut i = range.start;
@@ -106,8 +107,8 @@ impl Assignment {
                 i += 1;
                 debug_assert!(p.0 < num_partitions, "partition {p} out of range");
                 edge_counts[p.index()] += 1;
-                sets[e.src.index()].insert(p.0);
-                sets[e.dst.index()].insert(p.0);
+                sets.insert(e.src.index(), p.0);
+                sets.insert(e.dst.index(), p.0);
             });
             (sets, edge_counts, digest)
         };
@@ -116,7 +117,7 @@ impl Assignment {
                 gp_par::map_chunks(par, graph.num_edges(), |_, range| build_shard(range));
             // Pairwise reduction tree: each round merges shard 2k+1 into
             // shard 2k, all pairs in parallel on the ordered pool. The merge
-            // kernel is one word-wise OR per vertex plus an integer add per
+            // kernel is one OR per replica word plus an integer add per
             // partition and one for the digest — no allocation, no
             // per-element branching.
             while shards.len() > 1 {
@@ -130,9 +131,7 @@ impl Assignment {
                             for (total, c) in counts.iter_mut().zip(right_counts) {
                                 *total += c;
                             }
-                            for (set, shard_set) in sets.iter_mut().zip(&right_sets) {
-                                set.union_with(shard_set);
-                            }
+                            sets.union_with(&right_sets);
                             digest = digest.wrapping_add(right_digest);
                         }
                         (sets, counts, digest)
@@ -147,14 +146,16 @@ impl Assignment {
         };
         // Freeze the read side: one offsets array + one contiguous sorted-id
         // array, in place of a heap Vec per vertex.
-        let total_images: usize = replica_sets.iter().map(|s| s.len() as usize).sum();
         let mut rep_offsets = Vec::with_capacity(n + 1);
-        let mut rep_flat = Vec::with_capacity(total_images);
+        let mut rep_flat = Vec::with_capacity(replica_sets.total());
         rep_offsets.push(0u64);
-        for set in &replica_sets {
-            rep_flat.extend(set.iter());
+        for v in 0..n {
+            let row = replica_sets.row(v);
+            rep_flat.extend(bits(row.len(), |i| row[i]).map(|p| p as u32));
             rep_offsets.push(rep_flat.len() as u64);
         }
+        // Free the word table before the masters are allocated.
+        drop(replica_sets);
         // Master choice is a pure per-vertex hash over the frozen view, so
         // it chunks freely across workers.
         let masters: Vec<PartitionId> = gp_par::map_chunks(par, n, |_, range| {

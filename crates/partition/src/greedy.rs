@@ -1,17 +1,18 @@
 //! Stateful ingress for the greedy partitioners, HDRF and Oblivious.
 //!
 //! Both assign each edge by scoring it against state mutated by every
-//! previous edge of its loader — replica [`PartitionSet`]s, per-partition
+//! previous edge of its loader — flat replica-set words, per-partition
 //! loads and, for HDRF, partial-degree counters. Each rule is implemented
 //! once, as a [`GreedyKernel`]: a pure score over that state plus a commit.
 //! [`GreedyKernel::step`] (score, then commit) is both the batch ingress
 //! step and the serving-time assign step.
 //!
-//! Scoring runs in explicit 4-wide unrolled lanes with branchless capacity
-//! selects over the bitset words (see [`SCORE_LANES`]), into one reused
-//! [`ScoreScratch`] — no per-edge allocation, no branches the vectorizer
-//! cannot lower to masks. Each edge draws tie-breaks from its own
-//! [`Splitmix64`] seeded by the *stream index*.
+//! Scoring reads each endpoint's replica words in place and allocates
+//! nothing per edge: HDRF at `λ ≤ 1` scores only the partitions that can
+//! win, and its full scan runs in explicit 4-wide unrolled lanes with
+//! branchless capacity selects (see [`SCORE_LANES`]) into one reused
+//! [`ScoreScratch`]. Each edge draws tie-breaks from its own [`Splitmix64`]
+//! seeded by the *stream index*.
 //!
 //! The paper's systems get ingress parallelism from independent loaders,
 //! each oblivious to the others (§5.3). [`partition_blocks`] models exactly
@@ -24,8 +25,9 @@
 
 use crate::assignment::Assignment;
 use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome};
+use crate::replica_words::bits;
 use crate::strategies::oblivious::GreedyState;
-use gp_core::{for_each_edge, Edge, PartitionId, PartitionSet, Rng, Splitmix64, StreamingEdges};
+use gp_core::{for_each_edge, Edge, PartitionId, Rng, Splitmix64, StreamingEdges};
 use std::ops::Range;
 
 /// Reusable scoring scratch: the per-partition score buffer the 4-wide
@@ -68,110 +70,115 @@ pub(crate) fn edge_rng(seed: u64, global_idx: usize) -> Splitmix64 {
 pub(crate) const SCORE_LANES: usize = 4;
 
 /// Least-loaded partition over all partitions, ties broken uniformly with
-/// `rng` (one draw over ascending order). The min/tie reduction runs in
-/// [`SCORE_LANES`]-wide unrolled lanes; min and tie-count are
-/// order-insensitive, and the final pick scans ascending, so the result
-/// matches the scalar loop exactly.
+/// `rng` (one draw over ascending order).
 pub(crate) fn least_loaded_all(loads: &[u64], rng: &mut Splitmix64) -> PartitionId {
-    let mut lane_min = [u64::MAX; SCORE_LANES];
-    let chunks = loads.chunks_exact(SCORE_LANES);
-    let tail = chunks.remainder();
-    for c in chunks {
-        for k in 0..SCORE_LANES {
-            lane_min[k] = lane_min[k].min(c[k]);
-        }
-    }
-    let mut min = lane_min.into_iter().min().expect("lanes > 0");
-    for &l in tail {
-        min = min.min(l);
-    }
-    let mut tied = 0u64;
-    for &l in loads {
-        tied += u64::from(l == min);
-    }
-    let pick = rng.next_below(tied);
-    let mut seen = 0;
-    for (c, &l) in loads.iter().enumerate() {
-        if l == min {
-            if seen == pick {
-                return PartitionId(c as u32);
-            }
-            seen += 1;
-        }
-    }
-    unreachable!("pick < tied count")
+    least_loaded_in(loads, 0..loads.len(), rng)
 }
 
-/// Least-loaded partition among a non-empty candidate set, ties broken
-/// uniformly with `rng` over ascending bit order.
+/// Least-loaded partition among a non-empty candidate set, given as
+/// ascending ids, ties broken uniformly with `rng` over that order: one
+/// min/tie pass, one draw, one pick pass.
 pub(crate) fn least_loaded_in(
     loads: &[u64],
-    candidates: &PartitionSet,
+    candidates: impl Iterator<Item = usize> + Clone,
     rng: &mut Splitmix64,
 ) -> PartitionId {
-    let min = candidates
-        .iter()
-        .map(|c| loads[c as usize])
-        .min()
-        .expect("non-empty candidate set");
-    let tied = candidates
-        .iter()
-        .filter(|&c| loads[c as usize] == min)
-        .count() as u64;
-    let pick = rng.next_below(tied);
-    let mut seen = 0;
-    for c in candidates.iter() {
-        if loads[c as usize] == min {
-            if seen == pick {
-                return PartitionId(c);
-            }
-            seen += 1;
+    let (mut min, mut tied) = (u64::MAX, 0u64);
+    for c in candidates.clone() {
+        let l = loads[c];
+        if l < min {
+            (min, tied) = (l, 1);
+        } else if l == min {
+            tied += 1;
         }
     }
-    unreachable!("pick < tied count")
+    assert!(tied > 0, "non-empty candidate set");
+    let pick = rng.next_below(tied) as usize;
+    let c = candidates
+        .filter(|&c| loads[c] == min)
+        .nth(pick)
+        .expect("pick < tied count");
+    PartitionId(c as u32)
 }
 
-/// HDRF's Appendix-B score as a pure function of the visible state. The
-/// caller supplies the loads, their aggregates (`max_load`/`min_load`) and
-/// a [`ScoreScratch`] buffer; the fill loop runs in explicit
-/// [`SCORE_LANES`]-wide unrolled lanes whose bodies are branchless —
-/// membership is two shifts off the replica-bitset words, the capacity
-/// constraint is a select to `-inf` — and the best/tie scan walks the
-/// filled buffer in ascending partition order with the same `1e-12`
-/// epsilon. When every partition is at capacity (transient at tiny loads)
-/// it falls back to the least-loaded one, as Oblivious does.
+/// HDRF's tie scan over `(partition, score)` pairs in ascending partition
+/// order: the best score and the count within `1e-12` of it, then one draw
+/// picks among those. `None` (and no draw) when every score is `-inf`.
+/// `NaN <= eps` is false, so `-inf` entries never tie with a `-inf` best.
+fn pick_best(
+    scored: impl Iterator<Item = (usize, f64)> + Clone,
+    rng: &mut Splitmix64,
+) -> Option<PartitionId> {
+    let mut best_score = f64::NEG_INFINITY;
+    let mut tied = 0u64;
+    for (_, score) in scored.clone() {
+        if score > best_score + 1e-12 {
+            best_score = score;
+            tied = 1;
+        } else if (score - best_score).abs() <= 1e-12 {
+            tied += 1;
+        }
+    }
+    if tied == 0 {
+        return None;
+    }
+    let pick = rng.next_below(tied) as usize;
+    let (m, _) = scored
+        .filter(|&(_, score)| (score - best_score).abs() <= 1e-12)
+        .nth(pick)
+        .expect("pick < tied count");
+    Some(PartitionId(m as u32))
+}
+
+/// `λ·C_BAL(j)` of Appendix B for a partition holding `load` edges, when
+/// the loads span `min_load..=max_load`. HDRF caches it per partition.
+#[inline]
+pub(crate) fn balance_term(lambda: f64, load: u64, max_load: u64, min_load: u64) -> f64 {
+    const EPS: f64 = 1.0;
+    let (max_load, min_load) = (max_load as f64, min_load as f64);
+    lambda * ((max_load - load as f64) / (EPS + max_load - min_load))
+}
+
+/// HDRF's Appendix-B score as a pure function of the visible state: the
+/// loads, each partition's cached balance term `bal[j] = λ·C_BAL(j)` and
+/// both endpoints' replica words. Ties within `1e-12` break with `rng`,
+/// scanned in ascending partition order; at-capacity partitions score
+/// `-inf`, and when every partition is at capacity (transient at tiny
+/// loads) the least-loaded one wins, as in Oblivious.
+///
+/// With `members_first` only the members of `A(u) ∪ A(v)` under capacity
+/// are scored. The caller sets it when `λ ≤ 1`, where it is exact: a member
+/// scores its `g > 1` plus a balance term `≥ 0`, a non-member only its
+/// balance term `λ·(max−min)/(1+max−min) < 1`, so any eligible member beats
+/// every non-member by far more than the tie epsilon, and the scan over
+/// members alone sees the same leader and ties. When no member is eligible,
+/// or without `members_first`, every partition is scored: the fill runs in
+/// explicit [`SCORE_LANES`]-wide unrolled lanes whose bodies are branchless
+/// — membership is two shifts off the words, the capacity constraint a
+/// select to `-inf` — into the reused `scores` buffer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hdrf_score(
     loads: &[u64],
     capacity: u64,
-    au: &PartitionSet,
-    av: &PartitionSet,
+    au: &[u64],
+    av: &[u64],
     theta_u: f64,
     theta_v: f64,
-    lambda: f64,
-    max_load: f64,
-    min_load: f64,
+    members_first: bool,
+    bal: &[f64],
     rng: &mut Splitmix64,
     scores: &mut [f64],
 ) -> PartitionId {
     let p = loads.len();
     debug_assert_eq!(scores.len(), p);
-    const EPS: f64 = 1.0;
     let g_u = 1.0 + (1.0 - theta_u);
     let g_v = 1.0 + (1.0 - theta_v);
-    let uw = au.words();
-    let vw = av.words();
-    let bal_denom = EPS + max_load - min_load;
     // One lane: straight-line f64 arithmetic with a branchless select.
-    // Inline sets always carry 4 words; vertices never placed past
-    // partition 255 read membership 0 beyond them, as they must.
     let lane = |j: usize| -> f64 {
         let (wi, bit) = (j / 64, j % 64);
-        let in_u = (uw.get(wi).copied().unwrap_or(0) >> bit & 1) as f64;
-        let in_v = (vw.get(wi).copied().unwrap_or(0) >> bit & 1) as f64;
-        let c_rep = in_u * g_u + in_v * g_v;
-        let c_bal = (max_load - loads[j] as f64) / bal_denom;
-        let score = c_rep + lambda * c_bal;
+        let in_u = (au[wi] >> bit & 1) as f64;
+        let in_v = (av[wi] >> bit & 1) as f64;
+        let score = in_u * g_u + in_v * g_v + bal[j];
         // At-capacity partitions score -inf: they can never win the max
         // scan, and `(-inf) - best` is never within the tie epsilon.
         if loads[j] < capacity {
@@ -180,6 +187,12 @@ pub(crate) fn hdrf_score(
             f64::NEG_INFINITY
         }
     };
+    if members_first {
+        let members = bits(au.len(), |i| au[i] | av[i]).map(|j| (j, lane(j)));
+        if let Some(pick) = pick_best(members, rng) {
+            return pick;
+        }
+    }
     let mut j = 0;
     while j + SCORE_LANES <= p {
         let s0 = lane(j);
@@ -196,57 +209,29 @@ pub(crate) fn hdrf_score(
         scores[j] = lane(j);
         j += 1;
     }
-    // Best score and tie count over the filled buffer (ascending order).
-    // `NaN <= eps` is false, so an all-at-capacity buffer (best stays -inf)
-    // leaves `tied == 0`.
-    let mut best_score = f64::NEG_INFINITY;
-    let mut tied = 0u64;
-    for &score in scores.iter() {
-        if score > best_score + 1e-12 {
-            best_score = score;
-            tied = 1;
-        } else if (score - best_score).abs() <= 1e-12 {
-            tied += 1;
-        }
-    }
-    if tied == 0 {
-        return least_loaded_all(loads, rng);
-    }
-    let pick = rng.next_below(tied);
-    let mut seen = 0;
-    for (m, &score) in scores.iter().enumerate() {
-        if (score - best_score).abs() <= 1e-12 {
-            if seen == pick {
-                return PartitionId(m as u32);
-            }
-            seen += 1;
-        }
-    }
-    unreachable!("pick < tied count")
+    pick_best(scores.iter().copied().enumerate(), rng)
+        .unwrap_or_else(|| least_loaded_all(loads, rng))
 }
 
 /// Oblivious's Appendix-A case analysis as a pure function of the visible
-/// state. The intersection/union cases are word-wise AND/OR over the
-/// bitset words and the least-loaded fallbacks run the lane-unrolled min
-/// reduction.
+/// state, reading the endpoints' replica words in place: the intersection
+/// when it is non-empty, every partition when neither endpoint is placed,
+/// and otherwise the union — which is the placed endpoint's own set when
+/// only one is.
 pub(crate) fn oblivious_score(
     loads: &[u64],
     capacity: u64,
-    au: &PartitionSet,
-    av: &PartitionSet,
+    au: &[u64],
+    av: &[u64],
     rng: &mut Splitmix64,
 ) -> PartitionId {
-    let inter = au.intersection(av);
-    let choice = if !inter.is_empty() {
-        least_loaded_in(loads, &inter, rng)
-    } else if au.is_empty() && av.is_empty() {
+    let words = au.len();
+    let choice = if au.iter().zip(av).any(|(x, y)| x & y != 0) {
+        least_loaded_in(loads, bits(words, |i| au[i] & av[i]), rng)
+    } else if au.iter().chain(av).all(|&x| x == 0) {
         least_loaded_all(loads, rng)
-    } else if av.is_empty() {
-        least_loaded_in(loads, au, rng)
-    } else if au.is_empty() {
-        least_loaded_in(loads, av, rng)
     } else {
-        least_loaded_in(loads, &au.union(av), rng)
+        least_loaded_in(loads, bits(words, |i| au[i] | av[i]), rng)
     };
     if loads[choice.index()] >= capacity {
         least_loaded_all(loads, rng)
@@ -368,6 +353,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategies::oblivious::GreedyState;
 
     #[test]
     fn edge_rng_is_stable_per_index() {
@@ -379,9 +365,8 @@ mod tests {
     }
 
     #[test]
-    fn lane_unrolled_least_loaded_handles_all_lengths() {
-        // Lengths straddling the 4-lane boundary: the unrolled reduction
-        // must agree with a plain scalar argmin + same-tie pick.
+    fn least_loaded_all_handles_all_lengths() {
+        // A plain scalar argmin + same-tie pick must agree.
         for p in 1..=11usize {
             let loads: Vec<u64> = (0..p).map(|i| ((i * 7 + 3) % 5) as u64).collect();
             let got = least_loaded_all(&loads, &mut Splitmix64::new(1));
@@ -389,6 +374,69 @@ mod tests {
             let tied: Vec<usize> = (0..p).filter(|&i| loads[i] == min).collect();
             let pick = Splitmix64::new(1).next_below(tied.len() as u64) as usize;
             assert_eq!(got, PartitionId(tied[pick] as u32), "p={p}");
+        }
+    }
+
+    /// Members-first HDRF scoring picks what the dense scan picks, on random
+    /// committed states: λ ∈ {0, 0.25, 1}, 2, 9 and 300 partitions,
+    /// self-loops, and capacities that leave some members, or every
+    /// partition, at capacity.
+    #[test]
+    fn members_first_pick_equals_the_dense_pick() {
+        const N: u64 = 60;
+        for lambda in [0.0f64, 0.25, 1.0] {
+            for partitions in [2u32, 9, 300] {
+                let mut state = GreedyState::new(partitions, N);
+                let mut scores = vec![0.0; partitions as usize];
+                let mut rng = Splitmix64::new(u64::from(partitions) ^ lambda.to_bits());
+                let (mut by_members, mut dense) = (0, 0);
+                for i in 0..3_000usize {
+                    let u = rng.next_below(N / 10);
+                    let v = rng.next_below(N);
+                    let e = Edge::new(u, if rng.next_below(10) == 0 { u } else { v });
+                    let loads = &state.load;
+                    let max = *loads.iter().max().unwrap();
+                    let min = *loads.iter().min().unwrap();
+                    let bal: Vec<f64> = loads
+                        .iter()
+                        .map(|&l| balance_term(lambda, l, max, min))
+                        .collect();
+                    // From "every partition full" to "none full".
+                    let capacity = min + rng.next_below(max - min + 2);
+                    let theta_u = (rng.next_below(1_000) + 1) as f64 / 1_001.0;
+                    let (au, av) = (state.replicas(e.src), state.replicas(e.dst));
+                    let mut pick = |members_first| {
+                        hdrf_score(
+                            loads,
+                            capacity,
+                            au,
+                            av,
+                            theta_u,
+                            1.0 - theta_u,
+                            members_first,
+                            &bal,
+                            &mut edge_rng(7, i),
+                            &mut scores,
+                        )
+                    };
+                    let want = pick(false);
+                    assert_eq!(pick(true), want, "λ={lambda} p={partitions} edge {i}");
+                    let eligible_member =
+                        bits(au.len(), |w| au[w] | av[w]).any(|j| loads[j] < capacity);
+                    if eligible_member {
+                        by_members += 1;
+                    } else {
+                        dense += 1;
+                    }
+                    let p = if rng.next_below(3) == 0 {
+                        PartitionId(rng.next_below(u64::from(partitions)) as u32)
+                    } else {
+                        want
+                    };
+                    state.commit(e, p);
+                }
+                assert!(by_members > 100 && dense > 100, "{by_members} / {dense}");
+            }
         }
     }
 }

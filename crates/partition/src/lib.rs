@@ -51,6 +51,7 @@ pub mod ingress;
 mod local_edges;
 pub mod partitioner;
 pub mod persist;
+mod replica_words;
 pub mod strategies;
 pub mod strategy;
 

@@ -57,6 +57,14 @@ impl Hdrf {
 /// increment-then-score order exactly.
 pub(crate) struct HdrfKernel {
     greedy: GreedyState,
+    /// `bal[j] = λ·C_BAL(j)` for every partition, from the loads' extremes
+    /// below. A commit rewrites one entry unless it moved an extreme; a
+    /// retire rewrites them all.
+    bal: Vec<f64>,
+    max_load: u64,
+    min_load: u64,
+    /// Partitions whose load is `min_load`.
+    at_min: usize,
     /// Partial degree counters δ (Appendix B), dense vertex-indexed — the
     /// ids are `0..n` already, so a flat table beats hashing on every edge.
     partial_degree: Vec<u64>,
@@ -69,12 +77,29 @@ pub(crate) struct HdrfKernel {
 
 impl HdrfKernel {
     pub(crate) fn new(partitions: u32, vertices: u64, seed: u64, lambda: f64) -> Self {
-        HdrfKernel {
+        let mut kernel = HdrfKernel {
             greedy: GreedyState::new(partitions, vertices),
+            bal: vec![0.0; partitions as usize],
+            max_load: 0,
+            min_load: 0,
+            at_min: 0,
             partial_degree: vec![0; vertices as usize],
             touched: 0,
             lambda,
             seed,
+        };
+        kernel.refresh_balance();
+        kernel
+    }
+
+    /// Recompute the loads' extremes and every balance term.
+    fn refresh_balance(&mut self) {
+        let loads = &self.greedy.load;
+        self.max_load = *loads.iter().max().expect("partitions > 0");
+        self.min_load = *loads.iter().min().expect("partitions > 0");
+        self.at_min = loads.iter().filter(|&&l| l == self.min_load).count();
+        for (b, &l) in self.bal.iter_mut().zip(loads) {
+            *b = greedy::balance_term(self.lambda, l, self.max_load, self.min_load);
         }
     }
 
@@ -102,26 +127,32 @@ impl GreedyKernel for HdrfKernel {
     #[inline]
     fn score(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
         let (theta_u, theta_v) = self.thetas(e);
-        let loads = &self.greedy.load;
-        let max_load = *loads.iter().max().expect("partitions > 0") as f64;
-        let min_load = *loads.iter().min().expect("partitions > 0") as f64;
         greedy::hdrf_score(
-            loads,
+            &self.greedy.load,
             self.greedy.capacity(),
             self.greedy.replicas(e.src),
             self.greedy.replicas(e.dst),
             theta_u,
             theta_v,
-            self.lambda,
-            max_load,
-            min_load,
+            self.lambda <= 1.0,
+            &self.bal,
             &mut edge_rng(self.seed, idx),
             scratch.scores(),
         )
     }
 
     fn commit(&mut self, e: Edge, p: PartitionId) {
+        let old = self.greedy.load[p.index()];
         self.greedy.commit_priced(e, p);
+        if old == self.min_load {
+            self.at_min -= 1;
+        }
+        if old == self.max_load || self.at_min == 0 {
+            self.refresh_balance();
+        } else {
+            self.bal[p.index()] =
+                greedy::balance_term(self.lambda, old + 1, self.max_load, self.min_load);
+        }
         for v in [e.src, e.dst] {
             let d = &mut self.partial_degree[v.index()];
             if *d == 0 {
@@ -133,6 +164,7 @@ impl GreedyKernel for HdrfKernel {
 
     fn retire(&mut self, e: Edge, p: PartitionId) {
         self.greedy.retire(p);
+        self.refresh_balance();
         // Partial degrees shrink with the graph so θ keeps tracking the
         // live degree distribution.
         for v in [e.src, e.dst] {
@@ -173,6 +205,7 @@ impl Partitioner for Hdrf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica_words::tests::set;
     use crate::strategies::oblivious::Oblivious;
     use crate::Strategy;
     use gp_core::{Rng, Splitmix64};
@@ -199,7 +232,7 @@ mod tests {
         let (du, dv) = (degree(e.src), degree(e.dst));
         let theta_u = du / (du + dv);
         let theta_v = dv / (du + dv);
-        let (au, av) = (k.greedy.replicas(e.src), k.greedy.replicas(e.dst));
+        let (au, av) = (set(k.greedy.replicas(e.src)), set(k.greedy.replicas(e.dst)));
         let loads = &k.greedy.load;
         let max_load = *loads.iter().max().unwrap() as f64;
         let min_load = *loads.iter().min().unwrap() as f64;
@@ -211,12 +244,12 @@ mod tests {
             if loads[m as usize] >= capacity {
                 continue;
             }
-            let g_u = if au.contains(m) {
+            let g_u = if au.contains(&m) {
                 1.0 + (1.0 - theta_u)
             } else {
                 0.0
             };
-            let g_v = if av.contains(m) {
+            let g_v = if av.contains(&m) {
                 1.0 + (1.0 - theta_v)
             } else {
                 0.0
@@ -245,7 +278,7 @@ mod tests {
     /// Pick-for-pick agreement of the lane kernel with the scalar oracle on
     /// random committed states: λ ∈ {0, 1, 4}, self-loops in both the
     /// committed and the probed edges, and 300 partitions so hub replica
-    /// sets spill past the four inline bitset words.
+    /// sets reach ids past the first four words.
     #[test]
     fn lane_scorer_agrees_with_the_scalar_oracle() {
         const N: u64 = 60;
@@ -272,7 +305,7 @@ mod tests {
                         got
                     };
                     k.commit(e, p);
-                    spilled |= k.greedy.replicas(e.src).words().len() > 4;
+                    spilled |= k.greedy.replicas(e.src).iter().skip(4).any(|&w| w != 0);
                 }
                 assert_eq!(spilled, partitions == 300, "heap-spilled sets exercised");
             }
@@ -287,6 +320,7 @@ mod tests {
         k.commit(Edge::new(0u64, 1u64), PartitionId(3));
         k.greedy.load = vec![9, 7, 8, 7, 9];
         k.greedy.assigned = 0; // capacity 4: everything is over it
+        k.refresh_balance();
         let mut scratch = ScoreScratch::new(5);
         let mut picks = std::collections::BTreeSet::new();
         for idx in 0..64 {
@@ -300,6 +334,46 @@ mod tests {
             vec![1, 3],
             "only the two least-loaded partitions, and both of them"
         );
+    }
+
+    /// After any run of commits and retires, the balance cache and the
+    /// extremes it rests on equal a fresh recompute bit for bit.
+    #[test]
+    fn balance_cache_matches_a_fresh_recompute() {
+        const N: u64 = 40;
+        for lambda in [0.25f64, 1.0, 4.0] {
+            for partitions in [1u32, 2, 9, 300] {
+                let mut k = kernel(partitions, N, lambda);
+                let mut scratch = ScoreScratch::new(partitions as usize);
+                let mut rng = Splitmix64::new(u64::from(partitions) ^ lambda.to_bits());
+                let mut placed: Vec<(Edge, PartitionId)> = Vec::new();
+                for i in 0..3_000usize {
+                    if !placed.is_empty() && rng.next_below(4) == 0 {
+                        let at = rng.next_below(placed.len() as u64) as usize;
+                        let (e, p) = placed.swap_remove(at);
+                        k.retire(e, p);
+                    } else {
+                        let e = Edge::new(rng.next_below(N), rng.next_below(N));
+                        let p = if rng.next_below(2) == 0 {
+                            PartitionId(rng.next_below(u64::from(partitions)) as u32)
+                        } else {
+                            k.score(e, i, &mut scratch)
+                        };
+                        k.commit(e, p);
+                        placed.push((e, p));
+                    }
+                    let loads = &k.greedy.load;
+                    let max = *loads.iter().max().unwrap();
+                    let min = *loads.iter().min().unwrap();
+                    assert_eq!((k.max_load, k.min_load), (max, min), "step {i}");
+                    assert_eq!(k.at_min, loads.iter().filter(|&&l| l == min).count());
+                    for (j, (&b, &l)) in k.bal.iter().zip(loads).enumerate() {
+                        let fresh = greedy::balance_term(lambda, l, max, min);
+                        assert_eq!(b.to_bits(), fresh.to_bits(), "step {i}, partition {j}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@ use crate::partitioner::{
     PartitionContext, PartitionOutcome, Partitioner, HEURISTIC_BASE, HEURISTIC_PER_CANDIDATE,
     PARSE_EDGE,
 };
-use gp_core::{Edge, PartitionId, PartitionSet, StreamingEdges, VertexId};
+use crate::replica_words::{count, ReplicaWords};
+use gp_core::{Edge, PartitionId, StreamingEdges, VertexId};
 
 /// Oblivious greedy vertex-cut partitioner.
 #[derive(Debug, Default, Clone)]
@@ -33,13 +34,13 @@ pub struct Oblivious;
 /// Per-loader greedy state shared by Oblivious and HDRF: replica sets known
 /// to this loader and per-partition edge loads.
 ///
-/// Replica sets are a dense vertex-indexed table of [`PartitionSet`]
-/// bitsets (vertex ids are `0..n` by construction), so the per-edge hot
-/// path does two O(1) bit inserts and O(1) membership probes — no hashing,
-/// no per-vertex heap lists.
+/// Replica sets are one flat [`ReplicaWords`] table over the dense vertex
+/// ids `0..n`, so the per-edge hot path does two O(1) bit inserts and reads
+/// each endpoint's set as a word slice — no hashing, no per-vertex heap
+/// lists, and 8 B per vertex at up to 64 partitions.
 pub(crate) struct GreedyState {
-    /// `a[v]` = partitions this loader has placed `v` on.
-    pub a: Vec<PartitionSet>,
+    /// Partitions this loader has placed each vertex on.
+    a: ReplicaWords,
     /// Edges this loader has assigned to each partition.
     pub load: Vec<u64>,
     /// Simulated work units burned by this loader.
@@ -60,7 +61,7 @@ pub(crate) struct GreedyState {
 impl GreedyState {
     pub fn new(num_partitions: u32, num_vertices: u64) -> Self {
         GreedyState {
-            a: vec![PartitionSet::new(); num_vertices as usize],
+            a: ReplicaWords::new(num_vertices, num_partitions),
             load: vec![0; num_partitions as usize],
             work: 0.0,
             assigned: 0,
@@ -75,10 +76,10 @@ impl GreedyState {
         (self.balance_slack * self.assigned as f64 / self.load.len() as f64) as u64 + 4
     }
 
-    /// Partitions this loader has placed `v` on.
+    /// Partitions this loader has placed `v` on, as `ceil(P/64)` words.
     #[inline]
-    pub fn replicas(&self, v: VertexId) -> &PartitionSet {
-        &self.a[v.index()]
+    pub fn replicas(&self, v: VertexId) -> &[u64] {
+        self.a.row(v.index())
     }
 
     /// Record that edge `e` was placed on `p`.
@@ -86,9 +87,12 @@ impl GreedyState {
         self.load[p.index()] += 1;
         self.assigned += 1;
         for v in [e.src, e.dst] {
-            let set = &mut self.a[v.index()];
-            if set.insert(p.0) {
-                self.replica_bytes += if set.len() == 1 { 36 } else { 4 };
+            if self.a.insert(v.index(), p.0) {
+                self.replica_bytes += if count(self.a.row(v.index())) == 1 {
+                    36
+                } else {
+                    4
+                };
             }
         }
     }
@@ -98,7 +102,7 @@ impl GreedyState {
     /// heuristic cost, plus a candidate cost per replica of either endpoint
     /// (Appendix A).
     pub fn commit_priced(&mut self, e: Edge, p: PartitionId) {
-        let candidates = self.replicas(e.src).len() + self.replicas(e.dst).len();
+        let candidates = count(self.replicas(e.src)) + count(self.replicas(e.dst));
         self.work += PARSE_EDGE + HEURISTIC_BASE + HEURISTIC_PER_CANDIDATE * candidates as f64;
         self.commit(e, p);
     }
@@ -178,6 +182,7 @@ impl Partitioner for Oblivious {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica_words::tests::set;
     use gp_core::{Rng, Splitmix64};
 
     fn ctx(p: u32) -> PartitionContext {
@@ -218,23 +223,23 @@ mod tests {
     /// the oracle for [`greedy::oblivious_score`].
     fn oracle_choose(state: &GreedyState, e: Edge, rng: &mut Splitmix64) -> PartitionId {
         let all = 0..state.load.len() as u32;
-        let (au, av) = (state.replicas(e.src), state.replicas(e.dst));
-        let inter = au.intersection(av);
-        let choice = if !inter.is_empty() {
+        let (au, av) = (set(state.replicas(e.src)), set(state.replicas(e.dst)));
+        let mut inter = au.intersection(&av).copied().peekable();
+        let choice = if inter.peek().is_some() {
             // Case 1: replicas of both already co-located somewhere.
-            oracle_least_loaded(&state.load, inter.iter(), rng)
+            oracle_least_loaded(&state.load, inter, rng)
         } else if au.is_empty() && av.is_empty() {
             // Case 3: fresh edge.
             oracle_least_loaded(&state.load, all.clone(), rng)
         } else if av.is_empty() {
             // Case 2: only u placed.
-            oracle_least_loaded(&state.load, au.iter(), rng)
+            oracle_least_loaded(&state.load, au.iter().copied(), rng)
         } else if au.is_empty() {
             // Case 2 (symmetric): only v placed.
-            oracle_least_loaded(&state.load, av.iter(), rng)
+            oracle_least_loaded(&state.load, av.iter().copied(), rng)
         } else {
             // Case 4: both placed, disjoint — least loaded in the union.
-            oracle_least_loaded(&state.load, au.union(av).iter(), rng)
+            oracle_least_loaded(&state.load, au.union(&av).copied(), rng)
         };
         if state.load[choice.index()] >= state.capacity() {
             oracle_least_loaded(&state.load, all, rng)
@@ -245,7 +250,7 @@ mod tests {
 
     /// Pick-for-pick agreement of the kernel with the four-case oracle on
     /// random committed states, including self-loops and 300 partitions
-    /// (replica sets heap-spilled past the four inline words).
+    /// (replica ids past the first four words).
     #[test]
     fn kernel_agrees_with_the_four_case_oracle() {
         const N: u64 = 60;
@@ -269,7 +274,7 @@ mod tests {
                     got
                 };
                 k.greedy.commit_priced(e, p);
-                spilled |= k.greedy.replicas(e.src).words().len() > 4;
+                spilled |= k.greedy.replicas(e.src).iter().skip(4).any(|&w| w != 0);
             }
             assert_eq!(spilled, partitions == 300, "heap-spilled sets exercised");
         }

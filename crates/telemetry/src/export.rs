@@ -6,7 +6,7 @@
 //! byte-identical artifacts, which the golden tests rely on.
 
 use crate::recorder::Recorder;
-use crate::span::Track;
+use crate::span::{SpanEvent, Track};
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
@@ -53,15 +53,14 @@ pub fn chrome_trace_json(r: &Recorder) -> String {
             json_escape(&track.label())
         ));
     }
+    // A span's duration is its rounded end minus its rounded start, so a
+    // span ending where the next begins exports `ts + dur == next.ts`.
+    let dur = |s: &SpanEvent| micros(s.end_s()) - micros(s.start_s);
     // Stable order: by track, then start time, longest span first so
     // parents precede the children their interval contains.
     let mut spans: Vec<_> = r.spans().iter().collect();
     spans.sort_by(|a, b| {
-        (a.track.tid(), micros(a.start_s), micros(b.dur_s)).cmp(&(
-            b.track.tid(),
-            micros(b.start_s),
-            micros(a.dur_s),
-        ))
+        (a.track.tid(), micros(a.start_s), dur(b)).cmp(&(b.track.tid(), micros(b.start_s), dur(a)))
     });
     for s in spans {
         events.push(format!(
@@ -69,7 +68,7 @@ pub fn chrome_trace_json(r: &Recorder) -> String {
             json_escape(&s.name),
             json_escape(s.cat),
             micros(s.start_s),
-            micros(s.dur_s),
+            dur(s),
             s.track.tid()
         ));
     }
@@ -232,6 +231,38 @@ mod tests {
         assert!(json.contains(
             r#"{"name":"superstep.0","cat":"superstep","ph":"X","ts":1500000,"dur":500000,"pid":1,"tid":0}"#
         ));
+    }
+
+    /// A span that ends where the next one starts exports `ts + dur ==
+    /// next.ts`, even when its start and length each round the other way.
+    #[test]
+    fn a_span_ending_on_the_next_start_meets_it_in_integer_micros() {
+        let mut r = Recorder::default();
+        // 0.3 µs rounds down and 1.4 µs rounds down, but their sum rounds up.
+        r.record_span(
+            "fault",
+            "checkpoint.0".into(),
+            Track::Cluster,
+            0.3e-6,
+            1.4e-6,
+        );
+        let end = r.spans()[0].end_s();
+        r.record_span(
+            "superstep",
+            "superstep.1".into(),
+            Track::Cluster,
+            end,
+            1.0e-6,
+        );
+        let json = chrome_trace_json(&r);
+        let field = |name: &str, key: &str| -> i64 {
+            let event = json.lines().find(|l| l.contains(name)).unwrap();
+            let rest = &event[event.find(&format!("\"{key}\":")).unwrap() + key.len() + 3..];
+            rest[..rest.find(',').unwrap()].parse().unwrap()
+        };
+        let (ts, dur) = (field("checkpoint.0", "ts"), field("checkpoint.0", "dur"));
+        assert_eq!((ts, dur), (0, 2));
+        assert_eq!(ts + dur, field("superstep.1", "ts"));
     }
 
     #[test]
