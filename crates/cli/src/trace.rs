@@ -26,8 +26,8 @@ pub struct Args {
     pub interval: u32,
     /// Uniform per-link packet-loss rate (0 = clean network).
     pub loss_rate: f64,
-    /// Worker threads (0 = all cores); artifacts byte-identical apart
-    /// from the extra `par.*` telemetry entries.
+    /// Worker threads (0 = all cores); artifacts byte-identical at every
+    /// count.
     pub threads: u32,
     pub out_dir: String,
 }

@@ -219,7 +219,7 @@ pub(crate) fn sync_trace<P: VertexProgram>(
         if config.par.is_parallel() {
             // Ordered join: concatenate in chunk order, OR the bitmaps.
             let marks_len = out.marks.len();
-            let chunks = gp_par::map_chunks(&config.par, actives.len(), |_, range| {
+            let chunks = gp_par::map_chunks(&config.par, actives.len(), |range| {
                 let (mut updates, mut chunk) = (Vec::new(), PassOutput::new(marks_len));
                 pass(&actives[range], &mut updates, &mut chunk);
                 (updates, chunk)

@@ -124,12 +124,6 @@ pub fn record_compute_telemetry(config: &EngineConfig, report: &ComputeReport) {
         sink.histogram_record("superstep.in_bytes", &BYTES_BUCKETS, s.total_in_bytes());
     }
     sink.gauge_set("engine.compute_seconds", report.compute_seconds());
-    // par.* metrics only exist on parallel runs, so sequential traces are
-    // byte-identical to pre-parallelism ones; the identity tests filter
-    // them out with `csv_without_prefix(.., "par.")` when comparing.
-    if config.par.is_parallel() {
-        sink.gauge_set("par.threads", config.par.effective_threads() as f64);
-    }
     if report.supersteps_replayed > 0 {
         sink.counter_add(
             "fault.supersteps_replayed",

@@ -8,14 +8,13 @@
 //!
 //! * [`ParConfig`] — the `--threads N` knob (default `1` = sequential,
 //!   `0` = available parallelism).
-//! * [`chunk_ranges`] — deterministic work splitting: a pure function of
-//!   `(total, workers)`, never of runtime scheduling. Handles empty inputs,
-//!   `total < workers` and non-divisible remainders.
 //! * [`run_ordered`] — a bounded worker pool over `std::thread::scope`
 //!   that runs a task list and returns results **in task order**,
-//!   regardless of which worker finished first.
-//! * [`map_chunks`] — chunk an index range and map each chunk, results
-//!   concatenating in chunk order (= sequential stream order).
+//!   regardless of which worker finished first. At one worker it runs the
+//!   tasks inline: the only place that decides "sequential or not".
+//! * [`map_chunks`] / [`fill_chunks`] — split an index range into
+//!   deterministic chunks (a pure function of `(total, workers)`, never of
+//!   runtime scheduling) and run one task per chunk on that pool.
 //!
 //! ## The ordered-reduction rule
 //!
@@ -24,10 +23,7 @@
 //! is insensitive to where the chunk boundaries fall — concatenation of
 //! per-element maps, sorted-set union, and integer elementwise addition all
 //! qualify. Floating-point accumulation does **not** (f64 addition is not
-//! associative), so engines shard f64 cells by *owner* instead: each worker
-//! scans the full record stream in order but only adds into the cells it
-//! owns, giving every cell the exact per-cell addition sequence the
-//! sequential code produces.
+//! associative), so no f64 sum is ever split across chunks.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,7 +75,7 @@ impl ParConfig {
 /// Boundary behavior: `total == 0` yields no chunks; `total < workers`
 /// yields `total` single-element chunks; remainders go to the earliest
 /// chunks (first `total % workers` chunks are one element longer).
-pub fn chunk_ranges(total: usize, workers: usize) -> Vec<Range<usize>> {
+fn chunk_ranges(total: usize, workers: usize) -> Vec<Range<usize>> {
     if total == 0 {
         return Vec::new();
     }
@@ -144,36 +140,26 @@ where
         .collect()
 }
 
-/// Chunk `0..total` per [`chunk_ranges`] and map each chunk with `f`,
-/// returning per-chunk results in chunk order. `f` receives the chunk
-/// index and its range. The sequential path (`threads == 1`) calls `f`
-/// inline with a single chunk covering the whole range.
+/// Chunk `0..total` per `chunk_ranges` and map each chunk with `f` on
+/// the [`run_ordered`] pool, returning per-chunk results in chunk order. At
+/// one thread that is a single inline call over the whole range.
 pub fn map_chunks<T, F>(par: &ParConfig, total: usize, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
+    F: Fn(Range<usize>) -> T + Sync,
 {
     let workers = par.effective_threads();
-    let ranges = chunk_ranges(total, workers);
-    if workers <= 1 || ranges.len() <= 1 {
-        return ranges
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| f(i, r))
-            .collect();
-    }
-    let fref = &f;
-    let tasks: Vec<_> = ranges
+    let f = &f;
+    let tasks: Vec<_> = chunk_ranges(total, workers)
         .into_iter()
-        .enumerate()
-        .map(|(i, r)| move || fref(i, r))
+        .map(|r| move || f(r))
         .collect();
     run_ordered(workers, tasks)
 }
 
-/// Chunk `0..out.len()` per [`chunk_ranges`] and fill each chunk of `out`
-/// in place: `f` receives the chunk index, the index range it covers, and
-/// the mutable sub-slice for exactly that range. The slices are disjoint
+/// Chunk `0..out.len()` per `chunk_ranges` and fill each chunk of `out`
+/// in place: `f` receives the index range a chunk covers and the mutable
+/// sub-slice for exactly that range. The slices are disjoint
 /// (`split_at_mut`), so each output index is written by exactly one worker
 /// with a value that can only depend on the index — determinism needs no
 /// merge step at all. This is the zero-copy variant of [`map_chunks`] for
@@ -181,23 +167,16 @@ where
 pub fn fill_chunks<T, F>(par: &ParConfig, out: &mut [T], f: F)
 where
     T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
 {
     let workers = par.effective_threads();
-    let ranges = chunk_ranges(out.len(), workers);
-    if workers <= 1 || ranges.len() <= 1 {
-        for (i, r) in ranges.into_iter().enumerate() {
-            f(i, r.clone(), &mut out[r]);
-        }
-        return;
-    }
-    let fref = &f;
+    let f = &f;
     let mut rest = out;
-    let mut tasks = Vec::with_capacity(ranges.len());
-    for (i, r) in ranges.into_iter().enumerate() {
+    let mut tasks = Vec::new();
+    for r in chunk_ranges(rest.len(), workers) {
         let (slice, tail) = rest.split_at_mut(r.len());
         rest = tail;
-        tasks.push(move || fref(i, r, slice));
+        tasks.push(move || f(r, slice));
     }
     run_ordered(workers, tasks);
 }
@@ -282,17 +261,18 @@ mod tests {
         let seq: Vec<u64> = data.clone();
         for threads in [1u32, 2, 3, 7] {
             let par = ParConfig::new(threads);
-            let chunks = map_chunks(&par, data.len(), |_, r| data[r].to_vec());
+            let chunks = map_chunks(&par, data.len(), |r| data[r].to_vec());
             let flat: Vec<u64> = chunks.into_iter().flatten().collect();
             assert_eq!(flat, seq, "threads={threads}");
         }
     }
 
     #[test]
-    fn map_chunks_passes_chunk_index() {
-        let par = ParConfig::new(4);
-        let idx = map_chunks(&par, 16, |i, _| i);
-        assert_eq!(idx, vec![0, 1, 2, 3]);
+    fn map_chunks_runs_one_task_per_chunk_in_order() {
+        let idx = map_chunks(&ParConfig::new(4), 16, |r| r.start);
+        assert_eq!(idx, vec![0, 4, 8, 12]);
+        assert_eq!(map_chunks(&ParConfig::new(1), 16, |r| r), vec![0..16]);
+        assert!(map_chunks(&ParConfig::new(4), 0, |r| r).is_empty());
     }
 
     #[test]
@@ -301,7 +281,7 @@ mod tests {
             for total in [0usize, 1, 5, 100, 101] {
                 let par = ParConfig::new(threads);
                 let mut out = vec![0u64; total];
-                fill_chunks(&par, &mut out, |_, range, slice| {
+                fill_chunks(&par, &mut out, |range, slice| {
                     for (slot, i) in slice.iter_mut().zip(range) {
                         *slot = (i as u64) * 3 + 1;
                     }

@@ -112,38 +112,34 @@ impl Assignment {
             });
             (sets, edge_counts, digest)
         };
-        let (replica_sets, edge_counts, stream_digest) = if par.is_parallel() {
-            let mut shards =
-                gp_par::map_chunks(par, graph.num_edges(), |_, range| build_shard(range));
-            // Pairwise reduction tree: each round merges shard 2k+1 into
-            // shard 2k, all pairs in parallel on the ordered pool. The merge
-            // kernel is one OR per replica word plus an integer add per
-            // partition and one for the digest — no allocation, no
-            // per-element branching.
-            while shards.len() > 1 {
-                let mut iter = shards.into_iter();
-                let mut tasks = Vec::new();
-                while let Some(left) = iter.next() {
-                    let right = iter.next();
-                    tasks.push(move || {
-                        let (mut sets, mut counts, mut digest) = left;
-                        if let Some((right_sets, right_counts, right_digest)) = right {
-                            for (total, c) in counts.iter_mut().zip(right_counts) {
-                                *total += c;
-                            }
-                            sets.union_with(&right_sets);
-                            digest = digest.wrapping_add(right_digest);
+        let mut shards = gp_par::map_chunks(par, graph.num_edges(), build_shard);
+        // Pairwise reduction tree: each round merges shard 2k+1 into shard
+        // 2k, all pairs in parallel on the ordered pool. The merge kernel is
+        // one OR per replica word plus an integer add per partition and one
+        // for the digest — no allocation, no per-element branching. At one
+        // thread there is one shard and no round runs.
+        while shards.len() > 1 {
+            let mut iter = shards.into_iter();
+            let mut tasks = Vec::new();
+            while let Some(left) = iter.next() {
+                let right = iter.next();
+                tasks.push(move || {
+                    let (mut sets, mut counts, mut digest) = left;
+                    if let Some((right_sets, right_counts, right_digest)) = right {
+                        for (total, c) in counts.iter_mut().zip(right_counts) {
+                            *total += c;
                         }
-                        (sets, counts, digest)
-                    });
-                }
-                shards = gp_par::run_ordered(par.effective_threads(), tasks);
+                        sets.union_with(&right_sets);
+                        digest = digest.wrapping_add(right_digest);
+                    }
+                    (sets, counts, digest)
+                });
             }
-            // An empty edge stream yields no chunks; fall back to an empty shard.
-            shards.pop().unwrap_or_else(|| build_shard(0..0))
-        } else {
-            build_shard(0..graph.num_edges())
-        };
+            shards = gp_par::run_ordered(par.effective_threads(), tasks);
+        }
+        // An empty edge stream yields no chunks; fall back to an empty shard.
+        let (replica_sets, edge_counts, stream_digest) =
+            shards.pop().unwrap_or_else(|| build_shard(0..0));
         // Freeze the read side: one offsets array + one contiguous sorted-id
         // array, in place of a heap Vec per vertex.
         let mut rep_offsets = Vec::with_capacity(n + 1);
@@ -158,7 +154,7 @@ impl Assignment {
         drop(replica_sets);
         // Master choice is a pure per-vertex hash over the frozen view, so
         // it chunks freely across workers.
-        let masters: Vec<PartitionId> = gp_par::map_chunks(par, n, |_, range| {
+        let masters: Vec<PartitionId> = gp_par::map_chunks(par, n, |range| {
             range
                 .map(|v| {
                     let lo = rep_offsets[v] as usize;
@@ -447,7 +443,7 @@ pub fn assign_stateless_par(
     f: impl Fn(Edge) -> PartitionId + Sync,
 ) -> Assignment {
     let mut parts: Vec<PartitionId> = vec![PartitionId(0); graph.num_edges()];
-    gp_par::fill_chunks(par, &mut parts, |_, range, out| {
+    gp_par::fill_chunks(par, &mut parts, |range, out| {
         let mut slot = 0usize;
         for_each_edge(graph, range, |e| {
             out[slot] = f(e);

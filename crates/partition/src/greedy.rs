@@ -8,11 +8,10 @@
 //! step and the serving-time assign step.
 //!
 //! Scoring reads each endpoint's replica words in place and allocates
-//! nothing per edge: HDRF at `λ ≤ 1` scores only the partitions that can
-//! win, and its full scan runs in explicit 4-wide unrolled lanes with
-//! branchless capacity selects (see [`SCORE_LANES`]) into one reused
-//! [`ScoreScratch`]. Each edge draws tie-breaks from its own [`Splitmix64`]
-//! seeded by the *stream index*.
+//! nothing: HDRF at `λ ≤ 1` scores only the partitions that can win, and
+//! otherwise scans every partition's score twice, once for the leader and
+//! once for the tie pick. Each edge draws tie-breaks from its own
+//! [`Splitmix64`] seeded by the *stream index*.
 //!
 //! The paper's systems get ingress parallelism from independent loaders,
 //! each oblivious to the others (§5.3). [`partition_blocks`] models exactly
@@ -30,27 +29,6 @@ use crate::strategies::oblivious::GreedyState;
 use gp_core::{for_each_edge, Edge, PartitionId, Rng, Splitmix64, StreamingEdges};
 use std::ops::Range;
 
-/// Reusable scoring scratch: the per-partition score buffer the 4-wide
-/// lanes fill and the pick scans read. One lives in each loader block's
-/// drive (and in each serving partitioner), reused across every edge it
-/// scores — the score path itself allocates nothing.
-pub(crate) struct ScoreScratch {
-    scores: Vec<f64>,
-}
-
-impl ScoreScratch {
-    pub(crate) fn new(partitions: usize) -> Self {
-        ScoreScratch {
-            scores: vec![0.0; partitions],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn scores(&mut self) -> &mut [f64] {
-        &mut self.scores
-    }
-}
-
 /// The per-edge tie-break RNG of the greedy kernels: a fresh
 /// [`Splitmix64`] keyed by `(loader seed, stream index)`. Giving every edge
 /// its own stream makes a score depend only on `(state, edge, index)`, so
@@ -59,15 +37,6 @@ impl ScoreScratch {
 pub(crate) fn edge_rng(seed: u64, global_idx: usize) -> Splitmix64 {
     Splitmix64::new(gp_core::hash_u64(global_idx as u64, seed))
 }
-
-/// Lane width of the unrolled scoring loops. The lane bodies are pure
-/// f64 multiply/add plus a branchless capacity select, so on targets with
-/// 256-bit vectors (`target_feature = "avx2"`) LLVM lowers each 4-lane
-/// group to single `vmulpd`/`vaddpd`/`vblendvpd` instructions; elsewhere
-/// the identical code lowers to scalar ops — and because vector mul/add
-/// round exactly like their scalar IEEE-754 counterparts, both lowerings
-/// are bit-identical.
-pub(crate) const SCORE_LANES: usize = 4;
 
 /// Least-loaded partition over all partitions, ties broken uniformly with
 /// `rng` (one draw over ascending order).
@@ -152,10 +121,10 @@ pub(crate) fn balance_term(lambda: f64, load: u64, max_load: u64, min_load: u64)
 /// balance term `λ·(max−min)/(1+max−min) < 1`, so any eligible member beats
 /// every non-member by far more than the tie epsilon, and the scan over
 /// members alone sees the same leader and ties. When no member is eligible,
-/// or without `members_first`, every partition is scored: the fill runs in
-/// explicit [`SCORE_LANES`]-wide unrolled lanes whose bodies are branchless
-/// — membership is two shifts off the words, the capacity constraint a
-/// select to `-inf` — into the reused `scores` buffer.
+/// or without `members_first`, every partition is scored. A score is a pure
+/// function of its partition — membership is two shifts off the words, the
+/// capacity constraint a select to `-inf` — so the tie scan recomputes it
+/// rather than keeping a buffer.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hdrf_score(
     loads: &[u64],
@@ -167,14 +136,11 @@ pub(crate) fn hdrf_score(
     members_first: bool,
     bal: &[f64],
     rng: &mut Splitmix64,
-    scores: &mut [f64],
 ) -> PartitionId {
-    let p = loads.len();
-    debug_assert_eq!(scores.len(), p);
     let g_u = 1.0 + (1.0 - theta_u);
     let g_v = 1.0 + (1.0 - theta_v);
-    // One lane: straight-line f64 arithmetic with a branchless select.
-    let lane = |j: usize| -> f64 {
+    // Straight-line f64 arithmetic with a branchless select.
+    let score_of = |j: usize| -> f64 {
         let (wi, bit) = (j / 64, j % 64);
         let in_u = (au[wi] >> bit & 1) as f64;
         let in_v = (av[wi] >> bit & 1) as f64;
@@ -188,28 +154,12 @@ pub(crate) fn hdrf_score(
         }
     };
     if members_first {
-        let members = bits(au.len(), |i| au[i] | av[i]).map(|j| (j, lane(j)));
+        let members = bits(au.len(), |i| au[i] | av[i]).map(|j| (j, score_of(j)));
         if let Some(pick) = pick_best(members, rng) {
             return pick;
         }
     }
-    let mut j = 0;
-    while j + SCORE_LANES <= p {
-        let s0 = lane(j);
-        let s1 = lane(j + 1);
-        let s2 = lane(j + 2);
-        let s3 = lane(j + 3);
-        scores[j] = s0;
-        scores[j + 1] = s1;
-        scores[j + 2] = s2;
-        scores[j + 3] = s3;
-        j += SCORE_LANES;
-    }
-    while j < p {
-        scores[j] = lane(j);
-        j += 1;
-    }
-    pick_best(scores.iter().copied().enumerate(), rng)
+    pick_best((0..loads.len()).map(|j| (j, score_of(j))), rng)
         .unwrap_or_else(|| least_loaded_all(loads, rng))
 }
 
@@ -250,7 +200,7 @@ pub(crate) trait GreedyKernel {
     fn greedy_mut(&mut self) -> &mut GreedyState;
 
     /// Score edge `e` (stream index `idx`) against the current state.
-    fn score(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId;
+    fn score(&self, e: Edge, idx: usize) -> PartitionId;
 
     /// Record that `e` was placed on `p`: loads, replica sets and work, and
     /// whatever per-vertex state the rule keeps (HDRF's degree counters).
@@ -262,8 +212,8 @@ pub(crate) trait GreedyKernel {
     /// Score one edge and commit it: the ingress step and the serving
     /// assign step.
     #[inline]
-    fn step(&mut self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        let p = self.score(e, idx, scratch);
+    fn step(&mut self, e: Edge, idx: usize) -> PartitionId {
+        let p = self.score(e, idx);
         self.commit(e, p);
         p
     }
@@ -288,11 +238,10 @@ fn run_block<K: GreedyKernel>(
     kernel: &mut K,
     out: &mut [PartitionId],
 ) {
-    let mut scratch = ScoreScratch::new(kernel.greedy().load.len());
     let mut slots = out.iter_mut().zip(block.clone());
     for_each_edge(graph, block, |e| {
         let (slot, idx) = slots.next().expect("one slot per block edge");
-        *slot = kernel.step(e, idx, &mut scratch);
+        *slot = kernel.step(e, idx);
     });
 }
 
@@ -387,7 +336,6 @@ mod tests {
         for lambda in [0.0f64, 0.25, 1.0] {
             for partitions in [2u32, 9, 300] {
                 let mut state = GreedyState::new(partitions, N);
-                let mut scores = vec![0.0; partitions as usize];
                 let mut rng = Splitmix64::new(u64::from(partitions) ^ lambda.to_bits());
                 let (mut by_members, mut dense) = (0, 0);
                 for i in 0..3_000usize {
@@ -405,7 +353,7 @@ mod tests {
                     let capacity = min + rng.next_below(max - min + 2);
                     let theta_u = (rng.next_below(1_000) + 1) as f64 / 1_001.0;
                     let (au, av) = (state.replicas(e.src), state.replicas(e.dst));
-                    let mut pick = |members_first| {
+                    let pick = |members_first| {
                         hdrf_score(
                             loads,
                             capacity,
@@ -416,7 +364,6 @@ mod tests {
                             members_first,
                             &bal,
                             &mut edge_rng(7, i),
-                            &mut scores,
                         )
                     };
                     let want = pick(false);

@@ -9,17 +9,16 @@
 //! * **Stateless hash strategies** (Random, Assym-Rand, 1D, 1D-Target, 2D,
 //!   Grid, PDS) place each edge by the strategy's `HashRule`, the value the
 //!   batch partitioner places by too, so incremental placement is
-//!   byte-identical to batch by construction —
-//!   [`IncrementalPartitioner::is_exact`] returns `true` and the
-//!   equivalence is locked by tests here and by the churn-replay suite.
+//!   byte-identical to batch by construction — locked by tests here and
+//!   by the churn-replay suite.
 //! * **Stateful heuristics** (Oblivious, HDRF, Hybrid, H-Ginger) depend on
 //!   the order and sharding of the batch stream, which a live stream cannot
 //!   reproduce. Oblivious and HDRF run loader 0's
 //!   `GreedyKernel` one edge at a time over the live stream — the very
 //!   step batch ingress runs, single shard — and are
-//!   *quality-parity* approximations: `is_exact()` is `false`, and the
-//!   serve-level tests gate replication factor and edge balance to within
-//!   5% of a batch re-partition instead of demanding byte equality.
+//!   *quality-parity* approximations: the serve-level tests gate
+//!   replication factor and edge balance to within 5% of a batch
+//!   re-partition instead of demanding byte equality.
 //!
 //! Deletes call [`IncrementalPartitioner::retire`], which decays whatever
 //! running state the heuristic keeps (partition loads, degree counters).
@@ -27,7 +26,7 @@
 //! concern handled by the serving layer's refcounts, mirroring how deployed
 //! systems keep mirrors warm until a rebalance reclaims them.
 
-use crate::greedy::{GreedyKernel, ScoreScratch};
+use crate::greedy::GreedyKernel;
 use crate::strategies::hash::HashRule;
 use crate::strategies::hdrf::HdrfKernel;
 use crate::strategies::hybrid::{hybrid_edge, DEFAULT_THRESHOLD};
@@ -64,17 +63,6 @@ pub trait IncrementalPartitioner: Send {
     fn warm(&mut self, e: Edge, p: PartitionId) {
         let _ = (e, p);
     }
-
-    /// `true` if replaying a batch run's edge sequence through [`assign`]
-    /// reproduces the batch placements byte-for-byte.
-    ///
-    /// [`assign`]: IncrementalPartitioner::assign
-    fn is_exact(&self) -> bool;
-
-    /// Approximate bytes of incremental state held (0 for stateless).
-    fn state_bytes(&self) -> u64 {
-        0
-    }
 }
 
 /// A stateless hash strategy: its rule, the one batch ingress places by.
@@ -86,29 +74,17 @@ impl IncrementalPartitioner for Stateless {
     fn assign(&mut self, _index: u64, e: Edge) -> PartitionId {
         self.rule.place(e)
     }
-
-    fn is_exact(&self) -> bool {
-        true
-    }
 }
 
 /// Incremental Oblivious / HDRF: loader 0's kernel fed by the live stream,
 /// one [`GreedyKernel::step`] per insert.
 struct IncrementalGreedy<K> {
     kernel: K,
-    scratch: ScoreScratch,
-}
-
-impl<K: GreedyKernel> IncrementalGreedy<K> {
-    fn boxed(kernel: K) -> Box<Self> {
-        let scratch = ScoreScratch::new(kernel.greedy().load.len());
-        Box::new(IncrementalGreedy { kernel, scratch })
-    }
 }
 
 impl<K: GreedyKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
     fn assign(&mut self, index: u64, e: Edge) -> PartitionId {
-        self.kernel.step(e, index as usize, &mut self.scratch)
+        self.kernel.step(e, index as usize)
     }
 
     fn retire(&mut self, e: Edge, p: PartitionId) {
@@ -117,14 +93,6 @@ impl<K: GreedyKernel + Send> IncrementalPartitioner for IncrementalGreedy<K> {
 
     fn warm(&mut self, e: Edge, p: PartitionId) {
         self.kernel.commit(e, p);
-    }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
-    fn state_bytes(&self) -> u64 {
-        self.kernel.state_bytes()
     }
 }
 
@@ -155,14 +123,6 @@ impl IncrementalPartitioner for IncrementalHybrid {
     fn warm(&mut self, e: Edge, _p: PartitionId) {
         self.in_deg[e.dst.index()] += 1;
     }
-
-    fn is_exact(&self) -> bool {
-        false
-    }
-
-    fn state_bytes(&self) -> u64 {
-        4 * self.in_deg.len() as u64
-    }
 }
 
 impl Strategy {
@@ -182,12 +142,12 @@ impl Strategy {
         match self {
             // Stateful heuristics run loader 0's kernel (same seed
             // derivation as batch loader 0) over the live stream.
-            Strategy::Oblivious => {
-                IncrementalGreedy::boxed(ObliviousKernel::new(p, num_vertices, seed ^ 0x0b11))
-            }
-            Strategy::Hdrf => {
-                IncrementalGreedy::boxed(HdrfKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0))
-            }
+            Strategy::Oblivious => Box::new(IncrementalGreedy {
+                kernel: ObliviousKernel::new(p, num_vertices, seed ^ 0x0b11),
+            }),
+            Strategy::Hdrf => Box::new(IncrementalGreedy {
+                kernel: HdrfKernel::new(p, num_vertices, seed ^ 0x4d5f, 1.0),
+            }),
             Strategy::Hybrid | Strategy::HybridGinger => Box::new(IncrementalHybrid {
                 in_deg: vec![0; num_vertices as usize],
                 seed,
@@ -212,25 +172,33 @@ mod tests {
         gp_gen::barabasi_albert(2_000, 6, 3)
     }
 
+    /// The seven stateless hash strategies, whose incremental form places
+    /// by the batch rule.
+    const EXACT: [Strategy; 7] = [
+        Strategy::OneD,
+        Strategy::TwoD,
+        Strategy::AsymmetricRandom,
+        Strategy::Grid,
+        Strategy::Random,
+        Strategy::OneDTarget,
+        Strategy::Pds,
+    ];
+
     /// The exactness contract: replaying the batch stream through the
     /// incremental form reproduces batch placements byte-for-byte for every
-    /// strategy that claims `is_exact()`, at every partition count it
-    /// supports among square (1, 9, 16), non-square (2, 10) and PDS
-    /// (7, 13, 57) counts — Grid's and 2D's fold-back for non-square counts
-    /// is part of the shared rule.
+    /// hash strategy, at every partition count it supports among square
+    /// (1, 9, 16), non-square (2, 10) and PDS (7, 13, 57) counts — Grid's
+    /// and 2D's fold-back for non-square counts is part of the shared rule.
     #[test]
     fn exact_strategies_reproduce_batch_placements() {
         let g = graph();
         let mut checked = 0;
-        for s in Strategy::ALL {
+        for s in EXACT {
             for p in [1, 2, 7, 9, 10, 13, 16, 57] {
                 if !s.supports_partition_count(p) {
                     continue;
                 }
                 let mut inc = s.incremental(p, g.num_vertices(), SEED);
-                if !inc.is_exact() {
-                    continue;
-                }
                 let batch = s
                     .build()
                     .partition(&g, &PartitionContext::new(p).with_seed(SEED));
@@ -246,29 +214,6 @@ mod tests {
         }
         // Six strategies at all eight counts, PDS at its three.
         assert_eq!(checked, 6 * 8 + 3);
-    }
-
-    #[test]
-    fn exactness_flags_match_the_strategy_taxonomy() {
-        let exact: Vec<Strategy> = Strategy::ALL
-            .into_iter()
-            .filter(|s| {
-                let p = if *s == Strategy::Pds { 13 } else { 9 };
-                s.incremental(p, 100, SEED).is_exact()
-            })
-            .collect();
-        assert_eq!(
-            exact,
-            vec![
-                Strategy::OneD,
-                Strategy::TwoD,
-                Strategy::AsymmetricRandom,
-                Strategy::Grid,
-                Strategy::Random,
-                Strategy::OneDTarget,
-                Strategy::Pds,
-            ]
-        );
     }
 
     /// The stateful heuristics sequentially replayed match a single-loader
@@ -329,8 +274,6 @@ mod tests {
         for (i, e) in g.edges().iter().enumerate().take(500) {
             placed.push((*e, inc.assign(i as u64, *e)));
         }
-        let before = inc.state_bytes();
-        assert!(before > 0, "oblivious keeps state");
         for (e, p) in &placed {
             inc.retire(*e, *p);
         }

@@ -66,7 +66,7 @@ impl BiCut {
     /// order-independent, so the verdict never depends on the thread count.
     fn detect(graph: &dyn StreamingEdges, par: &ParConfig) -> FavoriteSide {
         let n = graph.num_vertices() as usize;
-        let shards = gp_par::map_chunks(par, graph.num_edges(), |_, range| {
+        let shards = gp_par::map_chunks(par, graph.num_edges(), |range| {
             let mut is_src = vec![false; n];
             let mut is_dst = vec![false; n];
             for_each_edge(graph, range, |e| {

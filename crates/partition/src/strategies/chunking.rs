@@ -33,7 +33,7 @@ impl Partitioner for Chunking {
     ) -> PartitionOutcome {
         let m = graph.num_edges();
         let p = ctx.num_partitions as usize;
-        let parts: Vec<PartitionId> = gp_par::map_chunks(&ctx.par, m, |_, range| {
+        let parts: Vec<PartitionId> = gp_par::map_chunks(&ctx.par, m, |range| {
             range
                 .map(|i| PartitionId(((i * p) / m.max(1)).min(p - 1) as u32))
                 .collect::<Vec<_>>()

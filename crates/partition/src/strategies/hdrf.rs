@@ -18,7 +18,7 @@
 //!
 //! Like Oblivious, distributed ingress gives each loader its own state.
 
-use crate::greedy::{self, edge_rng, GreedyKernel, ScoreScratch};
+use crate::greedy::{self, edge_rng, GreedyKernel};
 use crate::partitioner::{PartitionContext, PartitionOutcome, Partitioner};
 use crate::strategies::oblivious::GreedyState;
 use gp_core::{Edge, PartitionId, StreamingEdges};
@@ -125,7 +125,7 @@ impl GreedyKernel for HdrfKernel {
     }
 
     #[inline]
-    fn score(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
+    fn score(&self, e: Edge, idx: usize) -> PartitionId {
         let (theta_u, theta_v) = self.thetas(e);
         greedy::hdrf_score(
             &self.greedy.load,
@@ -137,7 +137,6 @@ impl GreedyKernel for HdrfKernel {
             self.lambda <= 1.0,
             &self.bal,
             &mut edge_rng(self.seed, idx),
-            scratch.scores(),
         )
     }
 
@@ -275,17 +274,16 @@ mod tests {
         PartitionId(tied[rng.next_below(tied.len() as u64) as usize])
     }
 
-    /// Pick-for-pick agreement of the lane kernel with the scalar oracle on
+    /// Pick-for-pick agreement of the kernel with the scalar oracle on
     /// random committed states: λ ∈ {0, 1, 4}, self-loops in both the
     /// committed and the probed edges, and 300 partitions so hub replica
     /// sets reach ids past the first four words.
     #[test]
-    fn lane_scorer_agrees_with_the_scalar_oracle() {
+    fn kernel_agrees_with_the_scalar_oracle() {
         const N: u64 = 60;
         for lambda in [0.0, 1.0, 4.0] {
             for partitions in [2u32, 9, 300] {
                 let mut k = kernel(partitions, N, lambda);
-                let mut scratch = ScoreScratch::new(partitions as usize);
                 let mut rng = Splitmix64::new(u64::from(partitions) ^ lambda.to_bits());
                 let mut spilled = false;
                 for i in 0..4_000u64 {
@@ -294,7 +292,7 @@ mod tests {
                     let u = rng.next_below(N / 10);
                     let v = rng.next_below(N);
                     let e = Edge::new(u, if rng.next_below(10) == 0 { u } else { v });
-                    let got = k.score(e, i as usize, &mut scratch);
+                    let got = k.score(e, i as usize);
                     let want = oracle_choose(&k, e, &mut edge_rng(k.seed, i as usize));
                     assert_eq!(got, want, "λ={lambda} p={partitions} edge {i} ({e:?})");
                     // Mostly follow the rule, sometimes scatter, so states
@@ -321,11 +319,10 @@ mod tests {
         k.greedy.load = vec![9, 7, 8, 7, 9];
         k.greedy.assigned = 0; // capacity 4: everything is over it
         k.refresh_balance();
-        let mut scratch = ScoreScratch::new(5);
         let mut picks = std::collections::BTreeSet::new();
         for idx in 0..64 {
             let e = Edge::new(0u64, 1u64);
-            let got = k.score(e, idx, &mut scratch);
+            let got = k.score(e, idx);
             assert_eq!(got, oracle_choose(&k, e, &mut edge_rng(k.seed, idx)));
             picks.insert(got.0);
         }
@@ -344,7 +341,6 @@ mod tests {
         for lambda in [0.25f64, 1.0, 4.0] {
             for partitions in [1u32, 2, 9, 300] {
                 let mut k = kernel(partitions, N, lambda);
-                let mut scratch = ScoreScratch::new(partitions as usize);
                 let mut rng = Splitmix64::new(u64::from(partitions) ^ lambda.to_bits());
                 let mut placed: Vec<(Edge, PartitionId)> = Vec::new();
                 for i in 0..3_000usize {
@@ -357,7 +353,7 @@ mod tests {
                         let p = if rng.next_below(2) == 0 {
                             PartitionId(rng.next_below(u64::from(partitions)) as u32)
                         } else {
-                            k.score(e, i, &mut scratch)
+                            k.score(e, i)
                         };
                         k.commit(e, p);
                         placed.push((e, p));
@@ -379,10 +375,9 @@ mod tests {
     #[test]
     fn repeated_edge_stays_put() {
         let mut k = kernel(4, 128, 1.0);
-        let mut scratch = ScoreScratch::new(4);
         let e = Edge::new(0u64, 1u64);
-        let p1 = k.step(e, 0, &mut scratch);
-        let p2 = k.step(e, 1, &mut scratch);
+        let p1 = k.step(e, 0);
+        let p2 = k.step(e, 1);
         assert_eq!(p1, p2, "co-located endpoints dominate the score");
     }
 
@@ -397,7 +392,7 @@ mod tests {
             k.commit(Edge::new(0u64, i), PartitionId(0)); // hub u = 0 on p0
         }
         k.commit(Edge::new(99u64, 50u64), PartitionId(1)); // w = 99 on p1
-        let p = k.score(Edge::new(0u64, 99u64), 21, &mut ScoreScratch::new(2));
+        let p = k.score(Edge::new(0u64, 99u64), 21);
         assert_eq!(
             p,
             PartitionId(1),

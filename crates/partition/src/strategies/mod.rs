@@ -43,7 +43,7 @@ pub(crate) fn stateless_loader_work(total_edges: usize, ctx: &PartitionContext) 
 /// VEBO's degree pass.
 pub fn sharded_degree_table(graph: &dyn StreamingEdges, par: &ParConfig) -> DegreeTable {
     let n = graph.num_vertices() as usize;
-    let mut shards = gp_par::map_chunks(par, graph.num_edges(), |_, range| {
+    let mut shards = gp_par::map_chunks(par, graph.num_edges(), |range| {
         let mut shard = DegreeTable::zeroed(n);
         for_each_edge(graph, range, |e| shard.record(e));
         shard
@@ -99,29 +99,6 @@ pub(crate) fn record_ingress_telemetry(
             &gp_telemetry::sink::WORK_BUCKETS,
             *w,
         );
-    }
-    // Real-parallelism observability. Only emitted when threads > 1, so a
-    // `--threads 1` trace stays byte-identical to the pre-parallel format;
-    // the `par` category / `par.` prefix let identity tests compare traces
-    // across thread counts modulo exactly these entries.
-    if ctx.par.is_parallel() {
-        let threads = ctx.par.effective_threads();
-        let chunks = gp_par::chunk_ranges(outcome.assignment.num_edges(), threads);
-        sink.gauge_set("par.threads", threads as f64);
-        sink.counter_add("par.ingress_chunks", chunks.len() as u64);
-        // One span per ingress worker on its machine lane; duration is the
-        // chunk's *simulated* parse+assign work (deterministic), not
-        // wall-clock, matching the simulated-seconds contract of the trace.
-        let per_edge = PARSE_EDGE + HASH_ASSIGN;
-        for (i, r) in chunks.iter().enumerate() {
-            sink.record_machine_span(
-                "par",
-                format!("par.ingress.worker{i}"),
-                i as u32,
-                0.0,
-                r.len() as f64 * per_edge * 1e-6,
-            );
-        }
     }
 }
 

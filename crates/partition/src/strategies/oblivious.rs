@@ -19,7 +19,7 @@
 //! heuristic. With `num_loaders == 1` you get the idealized centralized
 //! variant.
 
-use crate::greedy::{self, edge_rng, GreedyKernel, ScoreScratch};
+use crate::greedy::{self, edge_rng, GreedyKernel};
 use crate::partitioner::{
     PartitionContext, PartitionOutcome, Partitioner, HEURISTIC_BASE, HEURISTIC_PER_CANDIDATE,
     PARSE_EDGE,
@@ -145,7 +145,7 @@ impl GreedyKernel for ObliviousKernel {
         &mut self.greedy
     }
 
-    fn score(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
+    fn score(&self, e: Edge, idx: usize) -> PartitionId {
         greedy::oblivious_score(
             &self.greedy.load,
             self.greedy.capacity(),
@@ -198,11 +198,11 @@ mod tests {
     }
 
     fn score(k: &ObliviousKernel, e: Edge) -> PartitionId {
-        k.score(e, 0, &mut ScoreScratch::new(0))
+        k.score(e, 0)
     }
 
     /// Scalar least-loaded among `candidates` (ascending), one tie-break
-    /// draw — the oracle for the lane-unrolled / bit-scan reductions.
+    /// draw — the oracle for the bit-scan reductions.
     fn oracle_least_loaded(
         loads: &[u64],
         candidates: impl Iterator<Item = u32>,
@@ -256,14 +256,13 @@ mod tests {
         const N: u64 = 60;
         for partitions in [2u32, 9, 300] {
             let mut k = kernel(partitions, N);
-            let mut scratch = ScoreScratch::new(0);
             let mut rng = Splitmix64::new(u64::from(partitions));
             let mut spilled = false;
             for i in 0..4_000u64 {
                 let u = rng.next_below(N / 10);
                 let v = rng.next_below(N);
                 let e = Edge::new(u, if rng.next_below(10) == 0 { u } else { v });
-                let got = k.score(e, i as usize, &mut scratch);
+                let got = k.score(e, i as usize);
                 let want = oracle_choose(&k.greedy, e, &mut edge_rng(k.seed, i as usize));
                 assert_eq!(got, want, "p={partitions} edge {i} ({e:?})");
                 // Mostly follow the rule, sometimes scatter, so all four
@@ -291,7 +290,7 @@ mod tests {
         let mut picks = std::collections::BTreeSet::new();
         for idx in 0..64 {
             let e = Edge::new(0u64, 1u64);
-            let got = k.score(e, idx, &mut ScoreScratch::new(0));
+            let got = k.score(e, idx);
             let want = oracle_choose(&k.greedy, e, &mut edge_rng(k.seed, idx));
             assert_eq!(got, want);
             picks.insert(got.0);

@@ -78,44 +78,6 @@ pub fn chrome_trace_json(r: &Recorder) -> String {
     )
 }
 
-/// Drop every event of one category from a [`chrome_trace_json`] document,
-/// preserving the exporter's exact byte format otherwise. Used to compare
-/// traces *modulo* the `par` worker lanes, which legitimately differ
-/// between thread counts while everything else must stay byte-identical.
-pub fn trace_without_category(json: &str, cat: &str) -> String {
-    let needle = format!("\"cat\":\"{}\"", json_escape(cat));
-    let mut lines = json.lines();
-    let header = lines.next().unwrap_or("");
-    let mut events: Vec<&str> = Vec::new();
-    let mut footer = "";
-    for line in lines {
-        if line == "]}" {
-            footer = line;
-            continue;
-        }
-        let ev = line.strip_suffix(',').unwrap_or(line);
-        if !ev.contains(&needle) {
-            events.push(ev);
-        }
-    }
-    format!("{header}\n{}\n{footer}\n", events.join(",\n"))
-}
-
-/// Drop every row whose metric name starts with `prefix` from a
-/// [`metrics_csv`] document (header row kept). The `par.*` counterpart of
-/// [`trace_without_category`].
-pub fn csv_without_prefix(csv: &str, prefix: &str) -> String {
-    let mut out = String::new();
-    for (i, line) in csv.lines().enumerate() {
-        if i > 0 && line.split(',').nth(1).unwrap_or("").starts_with(prefix) {
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
-}
-
 /// Every metric as flat CSV with a `kind,name,field,value` header.
 /// Histograms expand to one row per bucket (`le_<bound>` fields, plus the
 /// `le_inf` overflow bucket, `sum` and `count`).
@@ -302,41 +264,6 @@ mod tests {
         assert!(text.contains("ingress"));
         assert!(text.contains("ingress.replicas_created"));
         assert!(text.contains("superstep.wall_seconds"));
-    }
-
-    #[test]
-    fn trace_without_category_strips_only_that_category() {
-        let mut r = Recorder::default();
-        r.record_span("ingress", "ingress.hdrf".into(), Track::Cluster, 0.0, 1.5);
-        r.record_span("par", "ingress.worker0".into(), Track::Machine(0), 0.0, 0.5);
-        r.record_span("par", "ingress.worker1".into(), Track::Machine(1), 0.0, 0.5);
-        let full = chrome_trace_json(&r);
-        let stripped = trace_without_category(&full, "par");
-        assert!(stripped.contains("ingress.hdrf"));
-        assert!(!stripped.contains("ingress.worker"));
-        // Stripping a category that never occurs is the identity.
-        assert_eq!(trace_without_category(&full, "nope"), full);
-        // The stripped document is still well-formed exporter output.
-        let mut bare = Recorder::default();
-        bare.record_span("ingress", "ingress.hdrf".into(), Track::Cluster, 0.0, 1.5);
-        // Machine tracks differ (par spans created machine lanes), so only
-        // compare the event lines shared by both documents.
-        assert!(stripped.ends_with("]}\n"));
-        assert!(chrome_trace_json(&bare).contains(r#""name":"ingress.hdrf""#));
-    }
-
-    #[test]
-    fn csv_without_prefix_drops_matching_rows() {
-        let mut r = Recorder::default();
-        r.metrics_mut().counter_add("ingress.passes", 1);
-        r.metrics_mut().counter_add("par.ingress_chunks", 4);
-        r.metrics_mut().gauge_set("par.threads", 4.0);
-        let full = metrics_csv(&r);
-        let stripped = csv_without_prefix(&full, "par.");
-        assert!(stripped.contains("ingress.passes"));
-        assert!(!stripped.contains("par."));
-        assert!(stripped.starts_with("kind,name,field,value\n"));
-        assert_eq!(csv_without_prefix(&full, "zzz."), full);
     }
 
     #[test]

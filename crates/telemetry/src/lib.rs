@@ -36,7 +36,6 @@ pub mod recorder;
 pub mod sink;
 pub mod span;
 
-pub use export::{csv_without_prefix, trace_without_category};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use recorder::Recorder;
 pub use sink::TelemetrySink;
