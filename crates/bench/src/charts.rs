@@ -17,25 +17,14 @@
 //! Tables that match no shape (decision trees, rankings) return `None`.
 
 use gp_cluster::{Chart, ChartKind, Series, Table};
+use gp_core::units::{parse_scaled, SizeUnit};
 
 /// Parse a cell like `"54.74 MiB"`, `"79.1"`, `"1.33x"` or `"12.5%"` into a
 /// plain number (bytes for byte units). Returns `None` for non-numeric cells
 /// (`"FAILED"`, labels).
 pub fn parse_value(cell: &str) -> Option<f64> {
-    let cell = cell.trim();
-    let mut parts = cell.split_whitespace();
-    let head = parts.next()?;
-    let head = head.trim_end_matches(['x', '%']);
-    let v: f64 = head.parse().ok()?;
-    let scale = match parts.next() {
-        Some("B") | None => 1.0,
-        Some("KiB") => 1024.0,
-        Some("MiB") => 1024.0 * 1024.0,
-        Some("GiB") => 1024.0 * 1024.0 * 1024.0,
-        Some("TiB") => 1024.0_f64.powi(4),
-        Some(_) => return None,
-    };
-    Some(v * scale)
+    let cell = cell.trim().trim_end_matches(['x', '%']);
+    parse_scaled(cell, SizeUnit::Binary).ok()
 }
 
 /// Build a chart from a table, if its shape is recognized.
@@ -205,13 +194,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_units_and_suffixes() {
+    fn parses_every_charted_cell_form() {
         assert_eq!(parse_value("79.1"), Some(79.1));
+        assert_eq!(parse_value(" 12 "), Some(12.0));
         assert_eq!(parse_value("2.00 KiB"), Some(2048.0));
         assert_eq!(parse_value("1.50 MiB"), Some(1.5 * 1024.0 * 1024.0));
+        assert_eq!(
+            parse_value("3.25 GiB"),
+            Some(3.25 * 1024.0 * 1024.0 * 1024.0)
+        );
         assert_eq!(parse_value("1.33x"), Some(1.33));
         assert_eq!(parse_value("45%"), Some(45.0));
+        assert_eq!(parse_value("12.5%"), Some(12.5));
         assert_eq!(parse_value("FAILED"), None);
+        assert_eq!(parse_value("HDRF"), None);
         assert_eq!(parse_value(""), None);
     }
 

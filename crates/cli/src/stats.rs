@@ -2,7 +2,7 @@
 
 use crate::{load_graph, Failure, Flags, Subcommand};
 use gp_core::GraphStats;
-use gp_gen::{classify, DegreeAnalysis};
+use gp_gen::analysis::{classify_analysis, DegreeAnalysis};
 use std::io::Write;
 
 /// Arguments of `stats`.
@@ -28,7 +28,7 @@ impl Subcommand for Args {
         writeln!(
             out,
             "degree class: {} (log-log slope {:.2}, low-degree residual {:.2})",
-            classify(&g),
+            classify_analysis(&analysis),
             analysis.slope,
             analysis.low_degree_residual
         )?;

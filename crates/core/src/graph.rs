@@ -30,20 +30,6 @@ impl Edge {
         }
     }
 
-    /// The edge with endpoints ordered `(min, max)` — the canonical
-    /// (direction-ignoring) form used by canonical hashing.
-    #[inline]
-    pub fn canonical(self) -> Self {
-        if self.src.0 <= self.dst.0 {
-            self
-        } else {
-            Edge {
-                src: self.dst,
-                dst: self.src,
-            }
-        }
-    }
-
     /// The reversed edge `dst -> src`.
     #[inline]
     pub fn reversed(self) -> Self {
@@ -163,24 +149,6 @@ impl EdgeList {
             in_deg[e.dst.index()] += 1;
         }
         DegreeTable { out_deg, in_deg }
-    }
-
-    /// Split the edge stream into `blocks` contiguous chunks, mirroring the
-    /// paper's setup where "all datasets were split into as many blocks as
-    /// there are machines in the cluster to allow parallel loading" (§5.3).
-    pub fn blocks(&self, blocks: usize) -> Vec<&[Edge]> {
-        assert!(blocks > 0, "need at least one block");
-        let m = self.edges.len();
-        let base = m / blocks;
-        let rem = m % blocks;
-        let mut out = Vec::with_capacity(blocks);
-        let mut start = 0;
-        for i in 0..blocks {
-            let len = base + usize::from(i < rem);
-            out.push(&self.edges[start..start + len]);
-            start += len;
-        }
-        out
     }
 }
 
@@ -423,12 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn edge_canonical_orders_endpoints() {
-        assert_eq!(Edge::new(5u64, 2u64).canonical(), Edge::new(2u64, 5u64));
-        assert_eq!(Edge::new(2u64, 5u64).canonical(), Edge::new(2u64, 5u64));
-    }
-
-    #[test]
     fn edge_reversed_swaps_endpoints() {
         assert_eq!(Edge::new(1u64, 2u64).reversed(), Edge::new(2u64, 1u64));
     }
@@ -489,21 +451,6 @@ mod tests {
         assert_eq!(d.in_degree(VertexId(3)), 2);
         assert_eq!(d.degree(VertexId(1)), 2);
         assert_eq!(d.max_degree(), 2);
-    }
-
-    #[test]
-    fn blocks_partition_the_stream_exactly() {
-        let g = EdgeList::from_pairs((0..10).map(|i| (i, i + 1)).collect());
-        let blocks = g.blocks(3);
-        assert_eq!(blocks.len(), 3);
-        let total: usize = blocks.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 10);
-        // Sizes differ by at most one.
-        let sizes: Vec<_> = blocks.iter().map(|b| b.len()).collect();
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-        // Concatenation reproduces the original stream order.
-        let rejoined: Vec<Edge> = blocks.concat();
-        assert_eq!(rejoined, g.edges());
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct GraphStats {
     /// that separates UK-web-like power-law graphs from heavy-tailed social
     /// networks in Fig 5.8).
     pub low_degree_fraction: f64,
-    /// Number of self-loop edges.
-    pub self_loops: u64,
 }
 
 impl GraphStats {
@@ -43,7 +41,6 @@ impl GraphStats {
                 low += 1;
             }
         }
-        let self_loops = graph.edges().iter().filter(|e| e.is_self_loop()).count() as u64;
         GraphStats {
             num_vertices: n,
             num_edges: m,
@@ -55,7 +52,6 @@ impl GraphStats {
                 2.0 * m as f64 / n as f64
             },
             low_degree_fraction: if n == 0 { 0.0 } else { low as f64 / n as f64 },
-            self_loops,
         }
     }
 }
@@ -91,13 +87,6 @@ mod tests {
         assert!((s.mean_degree - 8.0 / 5.0).abs() < 1e-12);
         // Leaves have degree 1, hub has degree 4 -> 4/5 low-degree.
         assert!((s.low_degree_fraction - 0.8).abs() < 1e-12);
-        assert_eq!(s.self_loops, 0);
-    }
-
-    #[test]
-    fn stats_counts_self_loops() {
-        let g = EdgeList::from_pairs(vec![(0, 0), (0, 1), (1, 1)]);
-        assert_eq!(GraphStats::compute(&g).self_loops, 2);
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl<'a> Accountant<'a> {
              per message is not exactly representable"
         );
         Accountant {
-            origin: Origin::of(config, program, semantics, graph),
+            origin: Origin::of(program, semantics, graph),
             assignment,
             local: assignment.local_edge_counts(graph),
             machine_of: (0..assignment.num_partitions())

@@ -47,11 +47,10 @@ pub(crate) fn lock_wall(config: &EngineConfig, tallies: &MachineTallies, active:
 /// committing current states. Returns the final states and the
 /// [`SemanticTrace`] of every round's updates.
 pub(crate) fn async_trace<P: VertexProgram>(
-    config: &EngineConfig,
     graph: &EdgeList,
     program: &P,
 ) -> (Vec<P::State>, SemanticTrace) {
-    let mut trace = SemanticTrace::new(config, program, Semantics::Asynchronous, graph);
+    let mut trace = SemanticTrace::new(program, Semantics::Asynchronous, graph);
     let csr = graph.csr();
     let n = csr.num_vertices() as usize;
     let (mut states, mut active) = init_vertices(program, csr);
@@ -61,7 +60,7 @@ pub(crate) fn async_trace<P: VertexProgram>(
 
     let mut order: Vec<usize> = Vec::new();
     let mut next_active = vec![false; n];
-    for round in 0..superstep_cap(config, program) {
+    for round in 0..superstep_cap(program) {
         order.clear();
         order.extend((0..n).filter(|&v| active[v]));
         if order.is_empty() {
@@ -103,7 +102,7 @@ pub(crate) fn async_trace<P: VertexProgram>(
             }
             // Initial scatter in round 0 mirrors the synchronous engines.
             let scatters = changed || round == 0;
-            if scatters && program.activates_on_change() {
+            if scatters {
                 mark_neighbors(csr, v, sdir, &mut next_active);
             }
             updates.push(Update::new(vi, false, changed, scatters));

@@ -118,7 +118,7 @@ impl Engine {
         program: &P,
     ) -> (Vec<P::State>, SemanticTrace) {
         match self.semantics() {
-            Semantics::Asynchronous => async_trace(&self.config, graph, program),
+            Semantics::Asynchronous => async_trace(graph, program),
             synchronous => sync_trace(&self.config, graph, program, synchronous),
         }
     }

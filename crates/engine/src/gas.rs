@@ -137,7 +137,7 @@ pub(crate) fn sync_trace<P: VertexProgram>(
     program: &P,
     semantics: Semantics,
 ) -> (Vec<P::State>, SemanticTrace) {
-    let mut trace = SemanticTrace::new(config, program, semantics, graph);
+    let mut trace = SemanticTrace::new(program, semantics, graph);
     let csr = graph.csr();
     let delta_caching = matches!(
         semantics,
@@ -149,10 +149,10 @@ pub(crate) fn sync_trace<P: VertexProgram>(
     let (mut states, mut active) = init_vertices(program, csr);
     let gdir = program.gather_direction();
     let sdir = program.scatter_direction();
-    let cap = superstep_cap(config, program);
+    let cap = superstep_cap(program);
     let always_active = program.always_active();
     // An always-active program's activations are never read.
-    let marks_neighbors = program.activates_on_change() && !always_active;
+    let marks_neighbors = !always_active;
 
     // Gather (delta) caching: `gather_cache[v]` holds v's last computed
     // accumulator; it stays valid until a gather-direction neighbor of v

@@ -80,7 +80,10 @@ pub trait VertexProgram: Sync {
     /// Direction gathered along.
     fn gather_direction(&self) -> Direction;
 
-    /// Direction scattered along.
+    /// Direction scattered along: a vertex whose state changed this
+    /// superstep (and every vertex in superstep 0) activates its neighbors
+    /// in this direction — the rule all five of the paper's applications
+    /// follow.
     fn scatter_direction(&self) -> Direction;
 
     /// "Natural applications are defined as applications which Gather from
@@ -144,13 +147,6 @@ pub trait VertexProgram: Sync {
         acc: Option<Self::Accum>,
         info: ApplyInfo,
     ) -> Self::State;
-
-    /// Whether a vertex whose state changed this superstep activates its
-    /// scatter-direction neighbors. Defaults to yes — the rule all five of
-    /// the paper's applications follow.
-    fn activates_on_change(&self) -> bool {
-        true
-    }
 
     /// Whether the vertex should remain active for the next superstep even
     /// without incoming activation (used by fixed-iteration PageRank where

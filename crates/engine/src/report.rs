@@ -15,8 +15,6 @@ use gp_telemetry::TelemetrySink;
 pub struct EngineConfig {
     /// The simulated cluster.
     pub spec: ClusterSpec,
-    /// Cap on supersteps (safety net on top of the program's own cap).
-    pub max_supersteps: u32,
     /// Enable PowerGraph's gather (delta) caching: a vertex whose gather
     /// neighborhood did not change since its last apply reuses its cached
     /// accumulator instead of re-gathering — skipping the gather work *and*
@@ -60,7 +58,6 @@ impl EngineConfig {
     pub fn new(spec: ClusterSpec) -> Self {
         EngineConfig {
             spec,
-            max_supersteps: 10_000,
             delta_caching: false,
             fault_plan: FaultPlan::none(),
             checkpoint: CheckpointPolicy::disabled(),

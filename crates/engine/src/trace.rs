@@ -11,7 +11,6 @@
 
 use crate::accounting::Update;
 use crate::program::VertexProgram;
-use crate::report::EngineConfig;
 use gp_core::EdgeList;
 use std::ops::Range;
 
@@ -31,9 +30,13 @@ pub enum Semantics {
     Asynchronous,
 }
 
-/// Supersteps a run of `program` under `config` may take.
-pub(crate) fn superstep_cap<P: VertexProgram>(config: &EngineConfig, program: &P) -> u32 {
-    program.max_supersteps().min(config.max_supersteps)
+/// The engine's ceiling on supersteps, on top of the program's own cap: a
+/// fixed-iteration PageRank asked for more still stops here.
+const MAX_SUPERSTEPS: u32 = 10_000;
+
+/// Supersteps a run of `program` may take.
+pub(crate) fn superstep_cap<P: VertexProgram>(program: &P) -> u32 {
+    program.max_supersteps().min(MAX_SUPERSTEPS)
 }
 
 /// Everything a trace depends on.
@@ -48,7 +51,6 @@ pub(crate) struct Origin {
 
 impl Origin {
     pub(crate) fn of<P: VertexProgram>(
-        config: &EngineConfig,
         program: &P,
         semantics: Semantics,
         graph: &EdgeList,
@@ -56,7 +58,7 @@ impl Origin {
         Origin {
             program: program.name(),
             semantics,
-            cap: superstep_cap(config, program),
+            cap: superstep_cap(program),
             graph: (graph.num_vertices(), graph.edge_digest()),
         }
     }
@@ -83,16 +85,14 @@ pub struct SemanticTrace {
 }
 
 impl SemanticTrace {
-    /// An empty trace of a pass of `program` under `config` and `semantics`
-    /// over `graph`.
+    /// An empty trace of a pass of `program` under `semantics` over `graph`.
     pub(crate) fn new<P: VertexProgram>(
-        config: &EngineConfig,
         program: &P,
         semantics: Semantics,
         graph: &EdgeList,
     ) -> Self {
         SemanticTrace {
-            origin: Origin::of(config, program, semantics, graph),
+            origin: Origin::of(program, semantics, graph),
             updates: Vec::new(),
             steps: Vec::new(),
             converged: false,
@@ -153,7 +153,7 @@ impl SemanticTrace {
 mod tests {
     use super::*;
     use crate::program::{ApplyInfo, Direction, InitInfo};
-    use crate::{Engine, Model};
+    use crate::{Engine, EngineConfig, Model};
     use gp_cluster::ClusterSpec;
     use gp_core::VertexId;
     use gp_partition::{PartitionContext, Strategy};

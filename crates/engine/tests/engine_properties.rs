@@ -150,11 +150,8 @@ fn a_second_run_reuses_the_graphs_adjacency_and_the_assignments_counts() {
 }
 
 /// Min-label propagation that recomputes everywhere every superstep; only
-/// even vertices start active. `scatters` is what `activates_on_change`
-/// reports — the activations are dead either way.
-struct Restless {
-    scatters: bool,
-}
+/// even vertices start active.
+struct Restless;
 
 impl VertexProgram for Restless {
     type State = u64;
@@ -183,9 +180,6 @@ impl VertexProgram for Restless {
     fn apply(&self, _: VertexId, old: &u64, acc: Option<u64>, _: ApplyInfo) -> u64 {
         acc.map_or(*old, |a| a.min(*old))
     }
-    fn activates_on_change(&self) -> bool {
-        self.scatters
-    }
     fn always_active(&self) -> bool {
         true
     }
@@ -195,30 +189,21 @@ impl VertexProgram for Restless {
 }
 
 #[test]
-fn always_active_programs_report_the_same_activity_with_or_without_scatter() {
+fn always_active_programs_stay_active_until_their_cap() {
     let (graph, assignment) = job(9);
     let n = graph.num_vertices();
     let mut expected = vec![n.div_ceil(2)];
     expected.resize(6, n);
     for threads in [1, 4] {
         let config = EngineConfig::new(ClusterSpec::local_9()).with_threads(threads);
-        let runs = [true, false].map(|scatters| {
-            let program = Restless { scatters };
-            [Model::Sync, Model::Hybrid, Model::GRAPHX].map(|model| {
-                Engine::new(config.clone(), model)
-                    .run(&graph, &assignment, &program)
-                    .expect("600 vertices fit")
-            })
-        });
-        for (with, without) in runs[0].iter().zip(&runs[1]) {
-            let active = |r: &gp_engine::ComputeReport| -> Vec<u64> {
-                r.steps.iter().map(|s| s.active_vertices).collect()
-            };
-            assert_eq!(active(&with.1), expected, "{}", with.1.engine);
-            assert_eq!(with.0, without.0);
-            assert_eq!(format!("{:?}", with.1), format!("{:?}", without.1));
+        for model in [Model::Sync, Model::Hybrid, Model::GRAPHX] {
+            let (_, report) = Engine::new(config.clone(), model)
+                .run(&graph, &assignment, &Restless)
+                .expect("600 vertices fit");
+            let active: Vec<u64> = report.steps.iter().map(|s| s.active_vertices).collect();
+            assert_eq!(active, expected, "{}", report.engine);
             assert!(
-                !with.1.converged,
+                !report.converged,
                 "an always-active program stops at its cap"
             );
         }

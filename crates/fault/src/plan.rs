@@ -123,14 +123,6 @@ impl FaultRates {
         }
     }
 
-    /// Rates with only flaky links enabled.
-    pub fn flaky(per_step: f64) -> Self {
-        FaultRates {
-            flaky_per_step: per_step,
-            ..Self::default()
-        }
-    }
-
     /// True when every hazard is zero (a draw yields an empty plan).
     pub fn all_zero(&self) -> bool {
         self.crash_per_step == 0.0
@@ -453,11 +445,15 @@ mod tests {
     #[test]
     fn flaky_rates_schedule_flaky_windows() {
         let spec = ClusterSpec::ec2_16();
-        let plan = FaultPlan::generate(11, &spec, 60, &FaultRates::flaky(0.05));
+        let rates = FaultRates {
+            flaky_per_step: 0.05,
+            ..Default::default()
+        };
+        let plan = FaultPlan::generate(11, &spec, 60, &rates);
         assert!(plan.has_flaky(), "flaky rates over 60x16 cells should fire");
         assert!(!plan.has_slowdowns());
         assert_eq!(plan.crashes().count(), 0);
-        let b = FaultPlan::generate(11, &spec, 60, &FaultRates::flaky(0.05));
+        let b = FaultPlan::generate(11, &spec, 60, &rates);
         assert_eq!(plan, b, "flaky draws must be deterministic per seed");
         for e in &plan.events {
             if let FaultKind::Flaky {

@@ -8,9 +8,7 @@
 //! suite runs in minutes; relative sizes roughly track the real datasets.
 
 use crate::analysis::GraphClass;
-use crate::generators::{
-    barabasi_albert_reciprocal, road_network, web_graph, RoadNetworkParams, WebGraphParams,
-};
+use crate::generators::{barabasi_albert_reciprocal, road_network, web_graph, RoadNetworkParams};
 use gp_core::EdgeList;
 
 /// The six datasets of Table 4.2.
@@ -186,7 +184,6 @@ impl Dataset {
                     height: side(215),
                     link_probability: 0.94,
                     shortcut_fraction: 0.01,
-                    bidirectional: true,
                 },
                 seed ^ 0x0ca0,
             ),
@@ -197,7 +194,6 @@ impl Dataset {
                     height: side(390),
                     link_probability: 0.96,
                     shortcut_fraction: 0.005,
-                    bidirectional: true,
                 },
                 seed ^ 0x05a0,
             ),
@@ -210,13 +206,7 @@ impl Dataset {
             Dataset::Twitter => barabasi_albert_reciprocal(s(80_000), 15, 0.22, seed ^ 0x7717),
             // ~120k vertices, ~1.2M edges; full power-law head plus the
             // host-locality real crawls have (see `web_graph`).
-            Dataset::UkWeb => web_graph(
-                &WebGraphParams {
-                    domains: s(3_000),
-                    ..Default::default()
-                },
-                seed ^ 0x0b0b,
-            ),
+            Dataset::UkWeb => web_graph(s(3_000), seed ^ 0x0b0b),
         }
     }
 }

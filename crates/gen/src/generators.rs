@@ -23,9 +23,6 @@ pub struct RoadNetworkParams {
     /// Number of long-range shortcut edges (highways) to add, as a fraction
     /// of lattice edges. Real road networks have a few.
     pub shortcut_fraction: f64,
-    /// Emit each undirected road in both directions (the SNAP road graphs are
-    /// symmetric).
-    pub bidirectional: bool,
 }
 
 impl Default for RoadNetworkParams {
@@ -35,14 +32,15 @@ impl Default for RoadNetworkParams {
             height: 200,
             link_probability: 0.94,
             shortcut_fraction: 0.01,
-            bidirectional: true,
         }
     }
 }
 
 /// Generate a road-network analogue: a 2-D lattice with missing links and a
 /// few long-range shortcuts. Low bounded degree (≤ 4 lattice neighbors plus
-/// rare shortcuts), high diameter — the signature of road-net-CA/USA.
+/// rare shortcuts), high diameter — the signature of road-net-CA/USA. Each
+/// undirected road is emitted in both directions, as the SNAP road graphs
+/// are symmetric.
 ///
 /// ```
 /// use gp_gen::{road_network, RoadNetworkParams};
@@ -61,9 +59,7 @@ pub fn road_network(params: &RoadNetworkParams, seed: u64) -> EdgeList {
     let mut edges: Vec<Edge> = Vec::new();
     let push_road = |edges: &mut Vec<Edge>, a: u64, b: u64| {
         edges.push(Edge::new(a, b));
-        if params.bidirectional {
-            edges.push(Edge::new(b, a));
-        }
+        edges.push(Edge::new(b, a));
     };
     for y in 0..h {
         for x in 0..w {
@@ -267,33 +263,15 @@ pub fn rmat(params: &RmatParams, seed: u64) -> EdgeList {
     EdgeList::with_vertex_count(edges, n).expect("R-MAT ids are in range")
 }
 
-/// Parameters for [`web_graph`].
-#[derive(Debug, Clone)]
-pub struct WebGraphParams {
-    /// Number of web domains (hosts). Pages of a domain get contiguous ids,
-    /// like the LAW/BV orderings of real crawls.
-    pub domains: u64,
-    /// Mean pages per domain (domain sizes are Pareto-distributed).
-    pub mean_pages: f64,
-    /// Probability an out-link stays inside its own domain. Real crawls are
-    /// dominated by intra-host navigation links (~75%+).
-    pub intra_link_probability: f64,
-    /// Mean out-links per page (per-page out-degrees are Pareto-distributed).
-    pub mean_out_degree: f64,
-}
+/// Mean pages per web domain (domain sizes are Pareto-distributed).
+const MEAN_PAGES: f64 = 40.0;
+/// Probability a web out-link stays inside its own domain. Real crawls are
+/// dominated by intra-host navigation links (~75%+).
+const INTRA_LINK_PROBABILITY: f64 = 0.75;
+/// Mean out-links per web page (per-page out-degrees are Pareto-distributed).
+const MEAN_OUT_DEGREE: f64 = 11.0;
 
-impl Default for WebGraphParams {
-    fn default() -> Self {
-        WebGraphParams {
-            domains: 3_000,
-            mean_pages: 40.0,
-            intra_link_probability: 0.75,
-            mean_out_degree: 11.0,
-        }
-    }
-}
-
-/// Generate a web-crawl analogue (the UK-web signature):
+/// Generate a web-crawl analogue of `domains` hosts (the UK-web signature):
 ///
 /// * **power-law in-degrees with a full low-degree head** — global links are
 ///   preferential-attachment, so hub pages collect huge in-degrees while
@@ -302,8 +280,11 @@ impl Default for WebGraphParams {
 ///   links stay intra-domain, which is exactly the structure that lets the
 ///   greedy streaming heuristics (Oblivious/HDRF) co-locate whole domains
 ///   and beat the constrained hash strategies on web graphs (§5.4.2).
-pub fn web_graph(params: &WebGraphParams, seed: u64) -> EdgeList {
-    assert!(params.domains >= 2, "need at least two domains");
+///
+/// Pages of a domain get contiguous ids, like the LAW/BV orderings of real
+/// crawls.
+pub fn web_graph(domains: u64, seed: u64) -> EdgeList {
+    assert!(domains >= 2, "need at least two domains");
     let mut rng = Xoshiro256::new(seed);
     // Pareto(alpha) sampler via inverse transform, capped.
     let pareto = |rng: &mut Xoshiro256, min: f64, alpha: f64, cap: f64| -> f64 {
@@ -311,13 +292,13 @@ pub fn web_graph(params: &WebGraphParams, seed: u64) -> EdgeList {
         (min / u.powf(1.0 / alpha)).min(cap)
     };
     // Domain sizes: Pareto(1.7) with the requested mean.
-    let raw: Vec<f64> = (0..params.domains)
+    let raw: Vec<f64> = (0..domains)
         .map(|_| pareto(&mut rng, 1.0, 1.7, 400.0))
         .collect();
     let raw_mean = raw.iter().sum::<f64>() / raw.len() as f64;
     let sizes: Vec<u64> = raw
         .iter()
-        .map(|r| ((r / raw_mean * params.mean_pages).round() as u64).max(1))
+        .map(|r| ((r / raw_mean * MEAN_PAGES).round() as u64).max(1))
         .collect();
     let starts: Vec<u64> = sizes
         .iter()
@@ -334,9 +315,9 @@ pub fn web_graph(params: &WebGraphParams, seed: u64) -> EdgeList {
     let mut edges: Vec<Edge> = Vec::new();
     for (&start, &size) in starts.iter().zip(&sizes) {
         for page in start..start + size {
-            let out_deg = pareto(&mut rng, params.mean_out_degree / 2.2, 2.0, 250.0).round() as u64;
+            let out_deg = pareto(&mut rng, MEAN_OUT_DEGREE / 2.2, 2.0, 250.0).round() as u64;
             for _ in 0..out_deg {
-                let intra = size > 1 && rng.next_f64() < params.intra_link_probability;
+                let intra = size > 1 && rng.next_f64() < INTRA_LINK_PROBABILITY;
                 let target = if intra {
                     // Intra-domain links concentrate on the domain's front
                     // pages (index/nav structure), leaving deep pages with
@@ -465,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn road_network_is_symmetric_when_bidirectional() {
+    fn road_network_is_symmetric() {
         let g = road_network(
             &RoadNetworkParams {
                 width: 12,
@@ -478,27 +459,6 @@ mod tests {
         for e in g.edges() {
             assert!(set.contains(&e.reversed()), "missing reverse of {e:?}");
         }
-    }
-
-    #[test]
-    fn road_network_unidirectional_halves_edges() {
-        let p = RoadNetworkParams {
-            width: 30,
-            height: 30,
-            bidirectional: false,
-            ..Default::default()
-        };
-        let uni = road_network(&p, 5);
-        let bi = road_network(
-            &RoadNetworkParams {
-                bidirectional: true,
-                ..p
-            },
-            5,
-        );
-        // Not exactly 2.0: the shortcut budget scales with lattice edge
-        // count, which is itself doubled in bidirectional mode.
-        assert!((bi.num_edges() as f64 / uni.num_edges() as f64 - 2.0).abs() < 0.05);
     }
 
     #[test]
@@ -548,7 +508,7 @@ mod tests {
     fn erdos_renyi_has_exact_edge_count_and_no_self_loops() {
         let g = erdos_renyi(1000, 5000, 17);
         assert_eq!(g.num_edges(), 5000);
-        assert_eq!(GraphStats::compute(&g).self_loops, 0);
+        assert!(!g.edges().iter().any(|e| e.is_self_loop()));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub use analysis::{classify, DegreeAnalysis, GraphClass};
 pub use datasets::{Dataset, DatasetSpec};
 pub use generators::{
     barabasi_albert, barabasi_albert_reciprocal, bipartite, chung_lu, erdos_renyi, rmat,
-    road_network, web_graph, BipartiteParams, RmatParams, RoadNetworkParams, WebGraphParams,
+    road_network, web_graph, BipartiteParams, RmatParams, RoadNetworkParams,
 };
 pub use store_build::{build_dataset_store, build_powerlaw_store};
 pub use stream::{PowerLawStream, PowerLawStreamParams};

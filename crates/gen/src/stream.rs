@@ -56,7 +56,6 @@ pub struct PowerLawStream {
     next_vertex: u64,
     /// `floor(E · F(next_vertex))` — carried so each step is one CDF eval.
     cum: u64,
-    edges_emitted: u64,
 }
 
 impl PowerLawStream {
@@ -77,7 +76,6 @@ impl PowerLawStream {
             seed,
             next_vertex: 0,
             cum: 0,
-            edges_emitted: 0,
         }
     }
 
@@ -89,11 +87,6 @@ impl PowerLawStream {
     /// Declared (exact) edge count.
     pub fn num_edges(&self) -> u64 {
         self.params.num_edges
-    }
-
-    /// Edges emitted so far (equals `num_edges` once the stream is drained).
-    pub fn edges_emitted(&self) -> u64 {
-        self.edges_emitted
     }
 
     /// `floor(E · F(x))` for the normalized rank CDF `F`.
@@ -121,7 +114,6 @@ impl PowerLawStream {
         };
         let degree = cum_next - self.cum;
         self.cum = cum_next;
-        self.edges_emitted += degree;
 
         targets.clear();
         let n = self.params.num_vertices;
@@ -169,7 +161,6 @@ mod tests {
                 total += buf.len() as u64;
             }
             assert_eq!(total, edges);
-            assert_eq!(s.edges_emitted(), edges);
         }
     }
 

@@ -144,9 +144,11 @@ pub trait Partitioner {
         -> PartitionOutcome;
 }
 
-/// Split `total` items into per-loader chunk lengths (mirrors
-/// `EdgeList::blocks`); used by strategies to attribute work to loaders and
-/// to bound each simulated loader's slice of the stream.
+/// Split `total` items into per-loader chunk lengths, as the paper splits
+/// "all datasets ... into as many blocks as there are machines in the
+/// cluster to allow parallel loading" (§5.3); used by strategies to
+/// attribute work to loaders and to bound each simulated loader's slice of
+/// the stream.
 pub fn loader_chunks(total: usize, loaders: u32) -> Vec<usize> {
     let l = loaders as usize;
     let base = total / l;

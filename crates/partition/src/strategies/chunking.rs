@@ -90,13 +90,7 @@ mod tests {
     fn out_edges_span_at_most_two_partitions() {
         // Sorted streams keep a vertex's out-edges contiguous, so a chunk
         // boundary can split them at most once.
-        let g = gp_gen::web_graph(
-            &gp_gen::WebGraphParams {
-                domains: 300,
-                ..Default::default()
-            },
-            2,
-        );
+        let g = gp_gen::web_graph(300, 2);
         let out = Chunking.partition(&g, &ctx(8));
         let mut spans = vec![std::collections::BTreeSet::new(); g.num_vertices() as usize];
         for (i, e) in g.edges().iter().enumerate() {

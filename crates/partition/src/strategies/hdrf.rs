@@ -387,12 +387,17 @@ mod tests {
         // joining them where u lives on p0 and w on p1: HDRF should prefer
         // keeping LOW-degree w intact (place on p1, replicating hub u).
         let mut k = kernel(2, 128, 0.0); // no balance term
-        k.greedy.balance_slack = 100.0; // nor a capacity cap: degrees decide
         for i in 10..30u64 {
             k.commit(Edge::new(0u64, i), PartitionId(0)); // hub u = 0 on p0
         }
         k.commit(Edge::new(99u64, 50u64), PartitionId(1)); // w = 99 on p1
-        let p = k.score(Edge::new(0u64, 99u64), 21);
+                                                           // Filler on fresh vertices evens the loads (20 each), so the
+                                                           // capacity cap binds on neither partition: degrees decide.
+        for j in 0..19u64 {
+            k.commit(Edge::new(60 + 2 * j, 61 + 2 * j), PartitionId(1));
+        }
+        assert!(k.greedy.load.iter().all(|&l| l < k.greedy.capacity()));
+        let p = k.score(Edge::new(0u64, 99u64), 40);
         assert_eq!(
             p,
             PartitionId(1),

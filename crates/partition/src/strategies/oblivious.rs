@@ -47,16 +47,17 @@ pub(crate) struct GreedyState {
     pub work: f64,
     /// Edges assigned so far (drives the capacity cap).
     pub assigned: u64,
-    /// Load-balance slack: a partition may exceed the running average by at
-    /// most this factor. PowerGraph's greedy ingress enforces the same kind
-    /// of capacity constraint ("partitions are balanced in order to avoid
-    /// overloading individual servers", §1).
-    pub balance_slack: f64,
     /// Running replica-state memory estimate, kept formula-compatible with
     /// the historical per-vertex-list accounting (32 bytes per touched
     /// vertex + 4 per replica entry) so ingress memory reports are stable.
     replica_bytes: u64,
 }
+
+/// Load-balance slack: a partition may exceed the running average by at
+/// most this factor. PowerGraph's greedy ingress enforces the same kind of
+/// capacity constraint ("partitions are balanced in order to avoid
+/// overloading individual servers", §1).
+const BALANCE_SLACK: f64 = 1.1;
 
 impl GreedyState {
     pub fn new(num_partitions: u32, num_vertices: u64) -> Self {
@@ -65,7 +66,6 @@ impl GreedyState {
             load: vec![0; num_partitions as usize],
             work: 0.0,
             assigned: 0,
-            balance_slack: 1.1,
             replica_bytes: 0,
         }
     }
@@ -73,7 +73,7 @@ impl GreedyState {
     /// Maximum edges a partition may currently hold.
     #[inline]
     pub fn capacity(&self) -> u64 {
-        (self.balance_slack * self.assigned as f64 / self.load.len() as f64) as u64 + 4
+        (BALANCE_SLACK * self.assigned as f64 / self.load.len() as f64) as u64 + 4
     }
 
     /// Partitions this loader has placed `v` on, as `ceil(P/64)` words.

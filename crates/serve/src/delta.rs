@@ -11,6 +11,7 @@
 
 use gp_core::{Edge, PartitionId, VertexId};
 use gp_partition::assignment::default_master_pick;
+use gp_partition::BalanceReport;
 
 /// Replica refcounts + edge loads, maintained under churn.
 #[derive(Debug, Clone)]
@@ -129,13 +130,7 @@ impl IncrementalAssignment {
     /// Max/mean live edge load (1.0 = perfectly balanced). Zero-edge states
     /// report 1.0.
     pub fn edge_imbalance(&self) -> f64 {
-        let total: u64 = self.edge_counts.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / self.edge_counts.len() as f64;
-        let max = *self.edge_counts.iter().max().expect("p > 0") as f64;
-        max / mean
+        BalanceReport::from_counts(&self.edge_counts).imbalance
     }
 
     /// Live edges per partition.

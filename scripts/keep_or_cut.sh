@@ -10,8 +10,13 @@
 # those defining it, so engines that each define a `run` and call their own
 # do not count as outside uses of each other. An item with no use at all
 # outside its own files' tests is printed bare; an item whose only outside
-# uses are tests is marked `(tests only)`. Name matching is by word, so a
-# dead `new` or `len` hides behind a live one.
+# uses are tests is marked `(tests only)`. A type or const counts as used
+# wherever its name appears as a word. A name defined only by `pub fn`
+# counts as used only where it is called or named as a value: `.name`,
+# `::name`, `name(` or `name::<`, or `name` alone as an argument or the
+# right side of `=` — so a fn named like a word of prose in a string or
+# usage text no longer hides behind it. A dead `new` or `len` still hides
+# behind a live method call of the same name.
 #
 # Run from the repository root; the expected output is
 # scripts/keep_or_cut.expected, and every line in it is a keeper named in
@@ -31,7 +36,11 @@ def='^\s*pub (const )?(fn|struct|enum|trait|type|const) '
 sources=$(find crates/*/src -name '*.rs' | sort)
 for name in $(grep -ohP "$def\K\w+" $sources | sort -u); do
   owners=$(grep -lP "$def$name\b" $sources | tr '\n' ' ')
-  grep -P "^\w+\t[^\t]+\t.*\b$name\b" "$corpus" |
+  use="\b$name\b"
+  if ! grep -qP '^\s*pub (struct|enum|trait|type|const) '"$name\b" $sources; then
+    use="(\.|::)$name\b|\b$name\s*(\(|::<)|[(,=]\s*$name\s*[,);]"
+  fi
+  grep -wF "$name" "$corpus" | grep -P "^\w+\t[^\t]+\t.*($use)" |
     grep -vP "\b(fn|struct|enum|trait|type|const|mod) $name\b" | cut -f1,2 | sort -u |
     awk -F'\t' -v name="$name" -v owners="$owners" '
       BEGIN { n = split(owners, o, " "); for (i = 1; i <= n; i++) own[o[i]] = 1 }

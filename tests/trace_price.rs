@@ -17,7 +17,8 @@ use distgraph::apps::{Coloring, KCore, PageRank, Sssp, Wcc};
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::{EdgeList, VertexId};
 use distgraph::engine::{
-    ComputeReport, Engine, EngineConfig, Model, SemanticTrace, Semantics, VertexProgram,
+    ApplyInfo, ComputeReport, Direction, Engine, EngineConfig, InitInfo, Model, SemanticTrace,
+    Semantics, VertexProgram,
 };
 use distgraph::gen::Dataset;
 use distgraph::partition::{Assignment, PartitionContext, Strategy};
@@ -88,11 +89,75 @@ fn same_as<T: PartialEq + Debug>(slot: &mut Option<T>, value: T, what: &str) {
     }
 }
 
-/// The engine configurations every check runs under, at most `cap`
-/// supersteps when one is given.
-fn variants(spec: &ClusterSpec, cap: Option<u32>) -> [(&'static str, EngineConfig); 3] {
-    let mut plain = EngineConfig::new(spec.clone());
-    plain.max_supersteps = cap.unwrap_or(plain.max_supersteps);
+/// `program` stopped after at most `cap` supersteps.
+struct Capped<P> {
+    program: P,
+    cap: u32,
+}
+
+impl<P: VertexProgram> VertexProgram for Capped<P> {
+    type State = P::State;
+    type Accum = P::Accum;
+    fn name(&self) -> &'static str {
+        self.program.name()
+    }
+    fn gather_direction(&self) -> Direction {
+        self.program.gather_direction()
+    }
+    fn scatter_direction(&self) -> Direction {
+        self.program.scatter_direction()
+    }
+    fn init(&self, v: VertexId, info: InitInfo) -> P::State {
+        self.program.init(v, info)
+    }
+    fn initially_active(&self, v: VertexId) -> bool {
+        self.program.initially_active(v)
+    }
+    fn gather(&self, v: VertexId, nbr: VertexId, state: &P::State, info: InitInfo) -> P::Accum {
+        self.program.gather(v, nbr, state, info)
+    }
+    fn merge(&self, a: P::Accum, b: P::Accum) -> P::Accum {
+        self.program.merge(a, b)
+    }
+    fn accumulate(
+        &self,
+        acc: &mut Option<P::Accum>,
+        v: VertexId,
+        nbr: VertexId,
+        state: &P::State,
+        info: InitInfo,
+    ) {
+        self.program.accumulate(acc, v, nbr, state, info)
+    }
+    fn apply(
+        &self,
+        v: VertexId,
+        old: &P::State,
+        acc: Option<P::Accum>,
+        info: ApplyInfo,
+    ) -> P::State {
+        self.program.apply(v, old, acc, info)
+    }
+    fn always_active(&self) -> bool {
+        self.program.always_active()
+    }
+    fn self_reactivates(&self, state: &P::State) -> bool {
+        self.program.self_reactivates(state)
+    }
+    fn accum_wire_bytes(&self) -> u64 {
+        self.program.accum_wire_bytes()
+    }
+    fn state_wire_bytes(&self) -> u64 {
+        self.program.state_wire_bytes()
+    }
+    fn max_supersteps(&self) -> u32 {
+        self.cap.min(self.program.max_supersteps())
+    }
+}
+
+/// The engine configurations every check runs under.
+fn variants(spec: &ClusterSpec) -> [(&'static str, EngineConfig); 3] {
+    let plain = EngineConfig::new(spec.clone());
     [
         ("plain", plain.clone()),
         ("delta caching", plain.clone().with_delta_caching(true)),
@@ -102,7 +167,7 @@ fn variants(spec: &ClusterSpec, cap: Option<u32>) -> [(&'static str, EngineConfi
 
 /// The three synchronous models on every placement of `graph` and
 /// configuration.
-fn check_sync<P>(graph: &EdgeList, placements: &[Placement], program: &P, cap: Option<u32>)
+fn check_sync<P>(graph: &EdgeList, placements: &[Placement], program: &P)
 where
     P: VertexProgram,
     P::State: Debug,
@@ -111,7 +176,7 @@ where
     // The trace of every run without a gather cache, and of every run with.
     let (mut plain, mut cached) = (None, None);
     for at in placements {
-        for (variant, config) in variants(&at.spec, cap) {
+        for (variant, config) in variants(&at.spec) {
             let what =
                 |engine: &Engine| format!("{name} on {:?}, {}, {variant}", engine.model, at.name);
             let caching = config.delta_caching;
@@ -142,14 +207,14 @@ where
 }
 
 /// The async model on every placement of `graph` and configuration.
-fn check_async<P>(graph: &EdgeList, placements: &[Placement], program: &P, cap: Option<u32>)
+fn check_async<P>(graph: &EdgeList, placements: &[Placement], program: &P)
 where
     P: VertexProgram,
     P::State: Debug,
 {
     let mut shared = None;
     for at in placements {
-        for (variant, config) in variants(&at.spec, cap) {
+        for (variant, config) in variants(&at.spec) {
             let what = format!("{} on Async, {}, {variant}", program.name(), at.name);
             let engine = Engine::new(config, Model::Async);
             same_as(&mut shared, engine.trace(graph, program), &what);
@@ -174,16 +239,20 @@ fn hub(graph: &EdgeList) -> VertexId {
 fn check_every_program(graph: &EdgeList) {
     let placements = placements(graph);
     let source = hub(graph);
-    check_sync(graph, &placements, &PageRank::fixed(5), None);
-    check_sync(graph, &placements, &PageRank::to_convergence(), None);
-    check_sync(graph, &placements, &Wcc, None);
-    check_sync(graph, &placements, &Sssp::undirected(source), None);
-    check_sync(graph, &placements, &Sssp::directed(source), None);
-    check_sync(graph, &placements, &KCore::new(3), None);
+    check_sync(graph, &placements, &PageRank::fixed(5));
+    check_sync(graph, &placements, &PageRank::to_convergence());
+    check_sync(graph, &placements, &Wcc);
+    check_sync(graph, &placements, &Sssp::undirected(source));
+    check_sync(graph, &placements, &Sssp::directed(source));
+    check_sync(graph, &placements, &KCore::new(3));
     // Synchronous Coloring livelocks (adjacent vertices recolor together)
     // until its own 1 000-superstep cap; 25 supersteps show the same loop.
-    check_sync(graph, &placements, &Coloring, Some(25));
-    check_async(graph, &placements, &Coloring, None);
+    let coloring = Capped {
+        program: Coloring,
+        cap: 25,
+    };
+    check_sync(graph, &placements, &coloring);
+    check_async(graph, &placements, &Coloring);
 }
 
 #[test]
@@ -205,11 +274,13 @@ fn traces_keep_how_a_capped_pass_ended() {
     // activates nothing.
     let path = EdgeList::from_pairs((0..30).map(|i| (i, i + 1)).collect());
     let placements = placements(&path);
-    let sssp = Sssp::directed(VertexId(0));
-    check_sync(&path, &placements, &sssp, Some(31));
+    let sssp = Capped {
+        program: Sssp::directed(VertexId(0)),
+        cap: 31,
+    };
+    check_sync(&path, &placements, &sssp);
     let at = &placements[0];
-    let mut config = EngineConfig::new(at.spec.clone());
-    config.max_supersteps = 31;
+    let config = EngineConfig::new(at.spec.clone());
     let [synced, pregeled] = [Model::Sync, Model::GRAPHX].map(|model| {
         let engine = Engine::new(config.clone(), model);
         engine.run(&path, &at.assignment, &sssp).expect("fits").1
@@ -219,7 +290,11 @@ fn traces_keep_how_a_capped_pass_ended() {
     // Coloring's last round recolors nothing, so nothing is left active.
     let engine = Engine::new(EngineConfig::new(at.spec.clone()), Model::Async);
     let (_, trace) = engine.trace(&path, &Coloring);
-    check_async(&path, &placements, &Coloring, Some(trace.supersteps()));
+    let coloring = Capped {
+        program: Coloring,
+        cap: trace.supersteps(),
+    };
+    check_async(&path, &placements, &coloring);
 }
 
 /// A graph and a placement of it to price a trace on.
