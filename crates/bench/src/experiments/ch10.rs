@@ -12,7 +12,7 @@ use crate::experiments::ch5::PG_STRATEGIES;
 use crate::experiments::{gb, secs};
 use crate::pipeline::{App, EngineKind, Pipeline, Scenario};
 use gp_cluster::{ClusterSpec, Table};
-use gp_fault::{recovery_cost, CheckpointPolicy, FaultPlan, FaultRates};
+use gp_fault::{recovery_cost, CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
 
@@ -119,7 +119,7 @@ pub fn ch10_interval(scale: f64, seed: u64) -> Vec<Table> {
         for (ri, &rate) in CRASH_RATES.iter().enumerate() {
             // Same seed for every interval: the crash schedule is held fixed
             // so the interval is the only variable.
-            let plan = FaultPlan::generate(seed, &spec, HORIZON, &FaultRates::crashes(rate));
+            let plan = FaultPlan::random_crashes(seed, &spec, HORIZON, rate);
             let policy = CheckpointPolicy::every(interval); // 0 disables
             let job = pipeline.run(&pagerank_job(strategy, HORIZON).with_faults(plan, policy));
             walls[ri].push(job.compute_seconds);

@@ -7,7 +7,7 @@ use gp_core::{EdgeList, VertexId};
 use gp_elastic::ElasticKind;
 use gp_engine::{
     base_memory_per_machine, CommsConfig, ComputeReport, ElasticConfig, Engine, EngineConfig,
-    Model, PregelOom, SemanticTrace, Semantics, VertexProgram,
+    Model, PregelOom, SemanticTrace, Semantics, VertexProgram, MAX_SUPERSTEPS,
 };
 use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
@@ -209,7 +209,7 @@ pub struct JobResult {
     pub supersteps_replayed: u32,
     /// Extra bytes resent by the reliable-delivery protocol (ch11).
     pub retransmit_bytes: f64,
-    /// Barrier time lost to retry timeouts and delay spikes (ch11).
+    /// Barrier time lost to retry timeouts (ch11).
     pub retry_timeout_seconds: f64,
     /// Speculative backup tasks launched against stragglers (ch11).
     pub speculative_clones: u32,
@@ -358,8 +358,9 @@ impl Scenario {
     }
 
     /// `Err` naming the first thing about the scenario that cannot happen:
-    /// a strategy that cannot cut the cluster's partition count, an event on
-    /// a machine the cluster does not have or at a superstep a fixed-length
+    /// a strategy that cannot cut the cluster's partition count, a
+    /// fixed-length job longer than the engines' [`MAX_SUPERSTEPS`], an
+    /// event on a machine the cluster does not have or at a superstep the
     /// job never reaches, a scale-out of nothing, a warning window that
     /// opens before superstep 0. Front ends call this on what a user typed;
     /// [`Pipeline::run`] does not, the engines simply never fire such events.
@@ -367,6 +368,13 @@ impl Scenario {
         let spec = &self.spec;
         self.strategy
             .check_partition_count(self.engine.partitions(spec))?;
+        if let App::PageRankFixed(n) = self.app {
+            if n > MAX_SUPERSTEPS {
+                return Err(format!(
+                    "PageRank({n}) runs past the engines' ceiling of {MAX_SUPERSTEPS} supersteps"
+                ));
+            }
+        }
         let on_cluster = |machine: u32| {
             if machine < spec.machines {
                 return Ok(());
@@ -381,6 +389,11 @@ impl Scenario {
                 "an event at superstep {step} never fires: PageRank({n}) ends after \
                  superstep {}",
                 n.saturating_sub(1)
+            )),
+            _ if step >= MAX_SUPERSTEPS => Err(format!(
+                "an event at superstep {step} never fires: the engines stop after \
+                 superstep {}",
+                MAX_SUPERSTEPS - 1
             )),
             _ => Ok(()),
         };

@@ -493,6 +493,41 @@ mod tests {
                 &[
                     "fault",
                     "LiveJournal",
+                    "--steps",
+                    "10050",
+                    "--crash-at",
+                    "10040",
+                    "--strategies",
+                    "random",
+                ],
+                "PageRank(10050) runs past the engines' ceiling of 10000 supersteps",
+            ),
+            (
+                &[
+                    "elastic",
+                    "LiveJournal",
+                    "--steps",
+                    "10001",
+                    "--scale-out",
+                    "3:2",
+                ],
+                "PageRank(10001) runs past the engines' ceiling",
+            ),
+            (
+                &[
+                    "trace",
+                    "LiveJournal",
+                    "--app",
+                    "wcc",
+                    "--crash-at",
+                    "10001",
+                ],
+                "superstep 10001 never fires: the engines stop after superstep 9999",
+            ),
+            (
+                &[
+                    "fault",
+                    "LiveJournal",
                     "--cluster",
                     "local-9",
                     "--machine",

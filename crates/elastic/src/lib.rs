@@ -4,7 +4,7 @@
 //! grow, shrink, and lose spot instances mid-job. This crate models those
 //! membership changes in the repo's deterministic-accounting style:
 //!
-//! * [`ElasticPlan`] — a seeded schedule of [`ElasticKind::ScaleOut`],
+//! * [`ElasticPlan`] — a hand-built schedule of [`ElasticKind::ScaleOut`],
 //!   [`ElasticKind::Drain`] and [`ElasticKind::Preempt`] events, applied
 //!   at superstep barriers by the engines' elastic hook (the elasticity
 //!   analogue of `gp_fault::FaultPlan`). Spot preemptions live only here:
@@ -25,8 +25,8 @@
 //!   (`gp_net::expected_retransmissions`, `expected_timeout_stall_s`).
 //!
 //! Everything here preserves the repo-wide contract: an empty plan leaves
-//! reports bit-identical to a run without the model, and the same seed
-//! always reproduces the same schedule, costs and tables.
+//! reports bit-identical to a run without the model, and the same plan
+//! always reproduces the same costs and tables.
 
 pub mod cost;
 pub mod plan;
@@ -34,7 +34,7 @@ pub mod repair;
 pub mod tenant;
 
 pub use cost::{evacuation_cost, reingress_seconds, EvacuationCost};
-pub use plan::{ElasticEvent, ElasticKind, ElasticPlan, ElasticRates};
+pub use plan::{ElasticEvent, ElasticKind, ElasticPlan};
 pub use repair::RepairPolicy;
 pub use tenant::{SchedulePolicy, TenantJob, TenantOutcome, TenantReport, TenantScheduler};
 

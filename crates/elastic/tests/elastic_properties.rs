@@ -1,23 +1,22 @@
 //! Property gates for the elastic model, in the same style as the gp-net
 //! zero-cost gates:
 //!
-//! 1. An empty `ElasticPlan` (hand-built or drawn at zero rates) leaves
-//!    every engine's report **byte-identical** to a run without the model.
+//! 1. An empty `ElasticPlan` leaves every engine's report
+//!    **byte-identical** to a run without the model.
 //! 2. Wall-clock is monotone in the preemption count: each additional
 //!    strike can only cost time.
 //! 3. When the warning window suffices, graceful evacuation never loses to
 //!    checkpoint recovery of the same departure.
-//! 4. The whole pipeline is byte-deterministic under a fixed seed.
+//! 4. The whole pipeline is byte-deterministic under any drawn plan.
 
 use gp_apps::Wcc;
 use gp_cluster::ClusterSpec;
 use gp_core::EdgeList;
-use gp_elastic::{
-    ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan, ElasticRates, RepairPolicy,
-};
+use gp_elastic::{ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan, RepairPolicy};
 use gp_engine::{ComputeReport, Engine, EngineConfig, Model};
 use gp_fault::CheckpointPolicy;
 use gp_partition::{Assignment, PartitionContext, Strategy};
+use proptest::prelude::*;
 
 /// A chain with shortcut edges: WCC takes ~30 supersteps, so events
 /// scheduled mid-run actually fire, and every partition carries work.
@@ -48,52 +47,18 @@ fn sync_job(config: EngineConfig) -> (Vec<u64>, ComputeReport) {
 fn empty_plan_is_bit_identical_across_all_engines() {
     let g = graph();
     let a = assignment(&g);
-    // Both flavors of "no events": the hand-built empty plan and a seeded
-    // draw at all-zero rates.
-    let zero_rate =
-        ElasticPlan::generate(99, &ClusterSpec::local_9(), 500, &ElasticRates::default());
-    for plan in [ElasticPlan::none(), zero_rate] {
-        let with = ElasticConfig::new(plan).with_repair(RepairPolicy::AlwaysRepartition);
-
-        let (s1, r1) = Engine::new(healthy(), Model::Sync)
+    let with = ElasticConfig::new(ElasticPlan::none()).with_repair(RepairPolicy::AlwaysRepartition);
+    for model in [Model::Sync, Model::Hybrid, Model::Async, Model::GRAPHX] {
+        let (s1, r1) = Engine::new(healthy(), model).run(&g, &a, &Wcc).unwrap();
+        let (s2, r2) = Engine::new(healthy().with_elastic(with.clone()), model)
             .run(&g, &a, &Wcc)
             .unwrap();
-        let (s2, r2) = Engine::new(healthy().with_elastic(with.clone()), Model::Sync)
-            .run(&g, &a, &Wcc)
-            .unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "sync-gas bit-for-bit");
-
-        let (s1, r1) = Engine::new(healthy(), Model::Hybrid)
-            .run(&g, &a, &Wcc)
-            .unwrap();
-        let (s2, r2) = Engine::new(healthy().with_elastic(with.clone()), Model::Hybrid)
-            .run(&g, &a, &Wcc)
-            .unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "hybrid bit-for-bit");
-
-        let (s1, r1) = Engine::new(healthy(), Model::Async)
-            .run(&g, &a, &Wcc)
-            .unwrap();
-        let (s2, r2) = Engine::new(healthy().with_elastic(with.clone()), Model::Async)
-            .run(&g, &a, &Wcc)
-            .unwrap();
-        assert_eq!(s1, s2);
+        assert_eq!(s1, s2, "{model:?}");
         assert_eq!(
             format!("{r1:?}"),
             format!("{r2:?}"),
-            "async-gas bit-for-bit"
+            "{model:?} bit-for-bit"
         );
-
-        let (s1, r1) = Engine::new(healthy(), Model::GRAPHX)
-            .run(&g, &a, &Wcc)
-            .expect("fits");
-        let (s2, r2) = Engine::new(healthy().with_elastic(with), Model::GRAPHX)
-            .run(&g, &a, &Wcc)
-            .expect("fits");
-        assert_eq!(s1, s2);
-        assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "pregel bit-for-bit");
     }
 }
 
@@ -165,20 +130,40 @@ fn sufficient_warning_never_loses_to_checkpoint_recovery() {
     }
 }
 
-#[test]
-fn elastic_pipeline_is_byte_deterministic_under_a_seed() {
-    let spec = ClusterSpec::local_9();
-    let rates = ElasticRates {
-        scale_out_per_step: 0.05,
-        drain_per_step: 0.03,
-        preempt_per_step: 0.08,
-        ..ElasticRates::default()
-    };
-    let run = |seed: u64| {
-        let plan = ElasticPlan::generate(seed, &spec, 30, &rates);
-        let (states, report) = sync_job(healthy().with_elastic(ElasticConfig::new(plan)));
-        format!("{states:?}/{report:?}")
-    };
-    assert_eq!(run(3), run(3), "same seed, same bytes");
-    assert_ne!(run(3), run(4), "different seed, different schedule");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn elastic_pipeline_is_byte_deterministic_under_a_drawn_plan(
+        // (superstep, kind, machine or batch, warning): kind 0 scales out by
+        // 1–3 machines, 1 drains and 2 preempts, warned up to 5 supersteps.
+        drawn in proptest::collection::vec((0u32..20, 0u8..3, 0u32..9, 0u32..6), 1..6),
+    ) {
+        let mut plan = ElasticPlan::none();
+        for &(superstep, kind, x, warning) in &drawn {
+            let warning_steps = warning.min(superstep);
+            let kind = match kind {
+                0 => ElasticKind::ScaleOut {
+                    machines_added: x % 3 + 1,
+                },
+                1 => ElasticKind::Drain {
+                    machine: x,
+                    warning_steps,
+                },
+                _ => ElasticKind::Preempt {
+                    machine: x,
+                    warning_steps,
+                },
+            };
+            plan.push(ElasticEvent { superstep, kind });
+        }
+        let run = |config: EngineConfig| {
+            let (states, report) = sync_job(config);
+            format!("{states:?}/{report:?}")
+        };
+        let with = || healthy().with_elastic(ElasticConfig::new(plan.clone()));
+        prop_assert_eq!(run(with()), run(with()), "same plan, same bytes");
+        // Every event lands inside the run, so each one is counted.
+        prop_assert_ne!(run(with()), run(healthy()), "a scheduled event shows");
+    }
 }

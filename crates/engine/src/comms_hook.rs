@@ -8,29 +8,26 @@
 //!
 //! * **Reliable delivery** — each superstep's exchange is one ack window
 //!   per machine. A [`gp_fault::FaultKind::Flaky`] window on machine `m`
-//!   afflicts `m`'s receive side: the expected retransmissions and
-//!   duplicate deliveries inflate `m`'s inbound bytes (the resent copies
-//!   leave the surviving senders' NICs, split evenly), the extra bytes are
-//!   priced through [`gp_cluster::CostRates::network_seconds`], and the
-//!   worst per-machine timeout backoff plus delay spike stalls the
-//!   barrier. A machine's *outbound* legs terminate at its peers' receive
-//!   windows and are priced there when those are flaky too. With retries
-//!   disabled, flaky windows are inert — the idealized network that
-//!   existed before this module delivered everything for free.
+//!   afflicts `m`'s receive side: the expected retransmissions inflate
+//!   `m`'s inbound bytes (the resent copies leave the surviving senders'
+//!   NICs, split evenly), the extra bytes are priced through
+//!   [`gp_cluster::CostRates::network_seconds`], and the worst
+//!   per-machine timeout backoff stalls the barrier. A machine's
+//!   *outbound* legs terminate at its peers' receive windows and are
+//!   priced there when those are flaky too. With retries disabled, flaky
+//!   windows are inert — the idealized network that existed before this
+//!   module delivered everything for free.
 //! * **Speculation** — per step, each machine's completion time is
-//!   projected from its work/traffic shares plus active fault penalties;
+//!   projected from its work/traffic shares plus its straggler penalty;
 //!   when the slowest projection crosses the straggler threshold,
 //!   [`gp_net::plan_speculation`] launches a backup task on the
-//!   least-loaded peer and the first finisher wins. Only the straggler's
-//!   *compute* penalty is recoverable — by the time the straggler is
-//!   detected (the median machine finishing), a degraded NIC's traffic has
-//!   already been paid for — which also makes the saving provably no
-//!   larger than what [`crate::fault_hook`] added, so a clean run can
-//!   never be undercut.
+//!   least-loaded peer and the first finisher wins. The saving is capped
+//!   by the straggler's compute penalty — provably no larger than what
+//!   [`crate::fault_hook`] added, so a clean run can never be undercut.
 //!
 //! Like the fault model's transient rule, both protocols act on the
 //! *first* execution of a superstep only: replays happen after the flaky
-//! window or slowdown has passed.
+//! window or straggler has passed.
 
 use crate::report::{spread_to_peers, ComputeReport, EngineConfig, StepEvent};
 use gp_cluster::CostRates;
@@ -38,7 +35,7 @@ use gp_net::{expected_retransmissions, expected_timeout_stall_s, plan_speculatio
 
 /// Rewrite `report` under `config`'s comms protocols. No-op unless one can
 /// act: retry only on scheduled flaky windows, speculation only on
-/// scheduled slowdowns.
+/// scheduled stragglers.
 pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
     let (plan, comms) = (&config.fault_plan, &config.comms);
     if !(comms.retry && plan.has_flaky() || comms.speculation && plan.has_slowdowns()) {
@@ -54,11 +51,12 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
             let mut extra_total = 0.0f64;
             let mut stall_max = 0.0f64;
             for m in 0..machines {
-                let Some(link) = plan.flaky_at(step.superstep, m as u32) else {
+                let Some(loss) = plan.flaky_at(step.superstep, m as u32) else {
                     continue;
                 };
-                let retrans = expected_retransmissions(link.loss_rate);
-                let inflate = (1.0 + retrans) * (1.0 + link.dup_rate) - 1.0;
+                // Kept as `(1 + E[R]) - 1`, not `E[R]`: its rounding is
+                // what the recorded reports priced.
+                let inflate = (1.0 + expected_retransmissions(loss)) - 1.0;
                 let extra = step.machine_in_bytes[m] * inflate;
                 if extra > 0.0 {
                     step.machine_in_bytes[m] += extra;
@@ -66,7 +64,7 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
                     spread_to_peers(&mut step.machine_out_bytes, m, extra);
                     extra_total += extra;
                 }
-                let stall = expected_timeout_stall_s(link.loss_rate) + link.delay_spike_s;
+                let stall = expected_timeout_stall_s(loss);
                 stall_max = stall_max.max(stall);
                 step.events.push(StepEvent::Retry {
                     machine: m as u32,
@@ -85,14 +83,11 @@ pub fn apply_comms_model(report: &mut ComputeReport, config: &EngineConfig) {
             let mut projected = vec![0.0f64; machines];
             let mut penalty = vec![0.0f64; machines];
             for m in 0..machines {
-                let (cf, nf) = plan.slowdown_at(step.superstep, m as u32);
+                let factor = plan.slowdown_at(step.superstep, m as u32);
                 let w = step.machine_work[m];
-                let inb = step.machine_in_bytes[m];
-                let outb = step.machine_out_bytes[m];
-                let compute_penalty = (cf - 1.0) * w / compute_rate;
-                let network_penalty = (nf - 1.0) * (inb + outb) / bandwidth;
+                let compute_penalty = (factor - 1.0) * w / compute_rate;
                 projected[m] =
-                    w / compute_rate + inb / bandwidth + compute_penalty + network_penalty;
+                    w / compute_rate + step.machine_in_bytes[m] / bandwidth + compute_penalty;
                 penalty[m] = compute_penalty;
             }
             if let Some(o) = plan_speculation(

@@ -174,7 +174,7 @@ mod tests {
     use crate::{Engine, Model};
     use gp_cluster::ClusterSpec;
     use gp_core::{EdgeList, VertexId};
-    use gp_elastic::{ElasticConfig, ElasticPlan, ElasticRates, RepairPolicy};
+    use gp_elastic::{ElasticConfig, ElasticEvent, ElasticPlan, RepairPolicy};
     use gp_partition::{PartitionContext, Strategy};
     use gp_telemetry::TelemetrySink;
 
@@ -239,15 +239,6 @@ mod tests {
             format!("{report_b:?}"),
             "bit-for-bit"
         );
-    }
-
-    #[test]
-    fn zero_rate_generated_plan_is_identity() {
-        let spec = ClusterSpec::local_9();
-        let plan = ElasticPlan::generate(77, &spec, 500, &ElasticRates::default());
-        let (_, a) = job(healthy());
-        let (_, b) = job(healthy().with_elastic(ElasticConfig::new(plan)));
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
@@ -389,7 +380,7 @@ mod tests {
     fn elastic_spans_and_counters_are_recorded() {
         let sink = TelemetrySink::recording();
         let mut plan = ElasticPlan::preempt_at(4, 2, 3);
-        plan.push(gp_elastic::ElasticEvent {
+        plan.push(ElasticEvent {
             superstep: 1,
             kind: ElasticKind::ScaleOut { machines_added: 9 },
         });
@@ -413,14 +404,60 @@ mod tests {
     }
 
     #[test]
+    fn a_cluster_never_departs_its_last_machine() {
+        // Both machines of a 2-machine cluster are preempted unwarned; the
+        // second departure would leave nothing to run on, so only the first
+        // fires.
+        let spec = ClusterSpec::local_9().with_machines(2);
+        let mut pairs: Vec<(u64, u64)> = (0..60).map(|i| (i, i + 1)).collect();
+        pairs.extend((0..30).map(|i| (i, i + 31)));
+        let g = EdgeList::from_pairs(pairs);
+        let a = Strategy::Random
+            .build()
+            .partition(&g, &PartitionContext::new(2))
+            .assignment;
+        let mut plan = ElasticPlan::preempt_at(3, 0, 0);
+        plan.push(ElasticEvent {
+            superstep: 5,
+            kind: ElasticKind::Preempt {
+                machine: 1,
+                warning_steps: 0,
+            },
+        });
+        let config = EngineConfig::new(spec).with_elastic(ElasticConfig::new(plan));
+        let (_, r) = Engine::new(config, Model::Sync)
+            .run(&g, &a, &MinLabel)
+            .unwrap();
+        let departures = r.steps.iter().flat_map(|s| &s.events);
+        let departures = departures
+            .filter(|e| matches!(e, StepEvent::Departure { .. }))
+            .count();
+        assert_eq!(departures, 1);
+        assert_eq!(r.forced_recoveries, 1);
+        assert_eq!(r.supersteps_replayed, 4, "replay 0..=3 only");
+    }
+
+    #[test]
     fn elastic_runs_are_deterministic() {
-        let spec = ClusterSpec::local_9();
-        let rates = ElasticRates {
-            scale_out_per_step: 0.1,
-            preempt_per_step: 0.1,
-            ..ElasticRates::default()
-        };
-        let plan = ElasticPlan::generate(5, &spec, 40, &rates);
+        let mut plan = ElasticPlan::scale_out_at(2, 3);
+        for (superstep, kind) in [
+            (
+                5,
+                ElasticKind::Preempt {
+                    machine: 4,
+                    warning_steps: 2,
+                },
+            ),
+            (
+                8,
+                ElasticKind::Drain {
+                    machine: 1,
+                    warning_steps: 1,
+                },
+            ),
+        ] {
+            plan.push(ElasticEvent { superstep, kind });
+        }
         let run = || job(healthy().with_elastic(ElasticConfig::new(plan.clone()))).1;
         assert_eq!(format!("{:?}", run()), format!("{:?}", run()));
     }

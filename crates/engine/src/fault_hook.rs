@@ -5,12 +5,9 @@
 //! can be priced as a post-processing pass over the superstep stream
 //! instead of being entangled with every engine's inner loop:
 //!
-//! * **Stragglers/degradation** stretch the barrier: the afflicted
-//!   machine's compute (or network) share of the step is multiplied by the
-//!   slowdown factor and the difference added to the step's wall time.
-//!   Degradation is *symmetric*: a throttled NIC slows both what the
-//!   machine receives and what it sends (its outbound bytes arrive late at
-//!   healthy peers), so the penalty covers inbound + outbound traffic.
+//! * **Stragglers** stretch the barrier: the afflicted machine's compute
+//!   share of the step is multiplied by the slowdown factor and the
+//!   difference added to the step's wall time.
 //! * **Checkpoints** fire after every `interval`-th executed superstep:
 //!   each machine snapshots the vertex state it masters to a peer
 //!   (`(m + 1) % machines`), which shows up as inbound bytes on the peer
@@ -28,7 +25,7 @@
 //! crash is recorded as a `StepEvent` on its step; the trace is drawn from
 //! those events after every pass has run.
 //!
-//! One modeling simplification: transient faults (stragglers, degraded
+//! One modeling simplification: transient faults (stragglers, flaky
 //! links) afflict only the *first* execution of a superstep; by the time a
 //! replay happens, the transient condition has passed.
 
@@ -50,7 +47,6 @@ pub fn apply_fault_model(
     }
     let spec = &config.spec;
     let machines = spec.machines as usize;
-    let bandwidth = spec.bandwidth_bytes_per_s;
     let compute_rate = spec.compute_rate();
     let snapshot = if policy.is_enabled() {
         snapshot_bytes_per_machine(&assignment.master_counts(), spec)
@@ -70,7 +66,7 @@ pub fn apply_fault_model(
     let mut replay_from: usize = 0;
 
     for (i, step) in original.iter().enumerate() {
-        timeline.push(slowed(step, config, compute_rate, bandwidth));
+        timeline.push(slowed(step, config, compute_rate));
 
         // Crashes at this superstep (first execution only). Replay
         // everything since the last durable point, including the step the
@@ -144,28 +140,14 @@ pub(crate) fn replay_after_loss(
     }
 }
 
-/// A copy of `step` with active straggler/degradation penalties added to
-/// its wall time, which they never reduce. A degraded NIC throttles
-/// symmetrically: both the bytes the machine receives and the bytes it
-/// sends cross the slow link, so the network penalty covers inbound +
-/// outbound traffic. (The pre-audit model charged inbound only, silently
-/// letting a degraded heavy *sender* off for free.)
-fn slowed(
-    step: &SuperstepStats,
-    config: &EngineConfig,
-    compute_rate: f64,
-    bandwidth: f64,
-) -> SuperstepStats {
+/// A copy of `step` with active straggler penalties added to its wall
+/// time, which they never reduce.
+fn slowed(step: &SuperstepStats, config: &EngineConfig, compute_rate: f64) -> SuperstepStats {
     let mut out = step.clone();
     for m in 0..config.spec.machines {
-        let (compute_factor, network_factor) = config.fault_plan.slowdown_at(step.superstep, m);
-        let m = m as usize;
-        if compute_factor > 1.0 {
-            out.wall_seconds += (compute_factor - 1.0) * step.machine_work[m] / compute_rate;
-        }
-        if network_factor > 1.0 {
-            let share = step.machine_in_bytes[m] + step.machine_out_bytes[m];
-            out.wall_seconds += (network_factor - 1.0) * share / bandwidth;
+        let factor = config.fault_plan.slowdown_at(step.superstep, m);
+        if factor > 1.0 {
+            out.wall_seconds += (factor - 1.0) * step.machine_work[m as usize] / compute_rate;
         }
     }
     debug_assert!(out.wall_seconds >= step.wall_seconds);
@@ -179,7 +161,7 @@ mod tests {
     use crate::{Engine, Model};
     use gp_cluster::ClusterSpec;
     use gp_core::{EdgeList, VertexId};
-    use gp_fault::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan, FaultRates};
+    use gp_fault::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
     use gp_partition::{PartitionContext, Strategy};
 
     struct MinLabel;
@@ -246,7 +228,7 @@ mod tests {
     #[test]
     fn zero_rate_generated_plan_is_identity() {
         let spec = ClusterSpec::local_9();
-        let plan = FaultPlan::generate(1234, &spec, 500, &FaultRates::default());
+        let plan = FaultPlan::random_crashes(1234, &spec, 500, 0.0);
         let (_, report_a) = job(healthy());
         let (_, report_b) = job(healthy().with_fault_plan(plan));
         assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
@@ -316,40 +298,30 @@ mod tests {
     }
 
     #[test]
-    fn degrade_throttles_inbound_and_outbound_symmetrically() {
-        // Regression pin for the symmetric-degradation audit: the penalty
-        // charged for a degraded NIC must be exactly
-        // `(factor - 1) * (in_bytes + out_bytes) / bandwidth` — the old
-        // model charged inbound only, so a degraded heavy *sender* was
-        // priced as if its NIC were healthy.
+    fn straggler_charges_exactly_its_slowed_work() {
+        // A straggler retiring work at 1/f of its rate adds exactly
+        // `(f - 1) * work / rate` to the barrier of each step it afflicts.
         let (_, base) = job(healthy());
         let s = &base.steps[1];
         let machine = (0..9)
-            .max_by(|&a, &b| {
-                let t = |m: usize| s.machine_in_bytes[m] + s.machine_out_bytes[m];
-                t(a).partial_cmp(&t(b)).unwrap()
-            })
+            .max_by(|&a, &b| s.machine_work[a].total_cmp(&s.machine_work[b]))
             .unwrap();
-        assert!(
-            s.machine_out_bytes[machine] > 0.0,
-            "need outbound traffic to observe the asymmetry"
-        );
+        assert!(s.machine_work[machine] > 0.0, "need work to slow down");
         let mut plan = FaultPlan::none();
         plan.push(FaultEvent {
             superstep: 1,
             machine: machine as u32,
-            kind: FaultKind::Degrade {
+            kind: FaultKind::Straggler {
                 factor: 3.0,
                 duration_steps: 1,
             },
         });
         let (_, slow) = job(healthy().with_fault_plan(plan));
-        let bw = ClusterSpec::local_9().bandwidth_bytes_per_s;
-        let expected =
-            (3.0 - 1.0) * (s.machine_in_bytes[machine] + s.machine_out_bytes[machine]) / bw;
+        let rate = ClusterSpec::local_9().compute_rate();
+        let expected = (3.0 - 1.0) * s.machine_work[machine] / rate;
         assert!(
             (slow.steps[1].wall_seconds - s.wall_seconds - expected).abs() < 1e-12,
-            "degrade penalty must cover inbound + outbound bytes: got {}, want {}",
+            "straggler penalty: got {}, want {}",
             slow.steps[1].wall_seconds - s.wall_seconds,
             expected
         );

@@ -70,4 +70,4 @@ pub use program::{ApplyInfo, Direction, InitInfo, VertexProgram};
 pub use report::{base_memory_per_machine, ComputeReport, EngineConfig, SuperstepStats};
 pub use shims::{AsyncGas, HybridGas, Pregel, PregelConfig, ReplicaTable, SyncGas};
 pub use telemetry_hook::record_compute_telemetry;
-pub use trace::{SemanticTrace, Semantics};
+pub use trace::{SemanticTrace, Semantics, MAX_SUPERSTEPS};

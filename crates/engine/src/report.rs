@@ -22,8 +22,8 @@ pub struct EngineConfig {
     /// Results are unchanged; only cost is. Off by default, as in the
     /// paper's experiments.
     pub delta_caching: bool,
-    /// Scheduled machine faults applied to this run (crashes, degraded
-    /// links, stragglers). Empty by default — no faults ever fire.
+    /// Scheduled machine faults applied to this run (crashes, stragglers,
+    /// flaky links). Empty by default — no faults ever fire.
     pub fault_plan: FaultPlan,
     /// Periodic checkpointing of vertex state. Disabled by default; when
     /// enabled, snapshot writes are charged as real network load and
@@ -129,7 +129,7 @@ pub struct SuperstepStats {
     pub machine_in_bytes: Vec<f64>,
     /// Outbound network bytes per machine this step (what each NIC sent;
     /// cluster-wide this mirrors the inbound total, but the per-machine
-    /// split differs and is what a symmetric link degradation throttles).
+    /// split differs).
     pub machine_out_bytes: Vec<f64>,
     /// Simulated wall-clock duration of the step.
     pub wall_seconds: f64,
@@ -232,12 +232,12 @@ pub struct ComputeReport {
     /// Supersteps re-executed after crashes (their stats appear again in
     /// `steps`, in execution order).
     pub supersteps_replayed: u32,
-    /// Extra bytes retransmitted (and duplicate-delivered) by the reliable
-    /// delivery protocol over flaky links (0 without flaky windows or with
-    /// retries disabled). Already folded into the steps' inbound bytes.
+    /// Extra bytes retransmitted by the reliable delivery protocol over
+    /// flaky links (0 without flaky windows or with retries disabled).
+    /// Already folded into the steps' inbound bytes.
     pub retransmit_bytes: f64,
-    /// Barrier time lost waiting out retransmission timeouts and delay
-    /// spikes, seconds. Already folded into the steps' wall times.
+    /// Barrier time lost waiting out retransmission timeouts, seconds.
+    /// Already folded into the steps' wall times.
     pub retry_timeout_seconds: f64,
     /// Backup tasks launched by speculative straggler mitigation.
     pub speculative_clones: u32,

@@ -32,7 +32,7 @@ pub enum Semantics {
 
 /// The engine's ceiling on supersteps, on top of the program's own cap: a
 /// fixed-iteration PageRank asked for more still stops here.
-const MAX_SUPERSTEPS: u32 = 10_000;
+pub const MAX_SUPERSTEPS: u32 = 10_000;
 
 /// Supersteps a run of `program` may take.
 pub(crate) fn superstep_cap<P: VertexProgram>(program: &P) -> u32 {

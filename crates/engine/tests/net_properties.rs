@@ -1,6 +1,7 @@
 //! Property tests for the unreliable-network model's safety invariants.
 //!
-//! For *any* generated fault plan and *any* engine, with any combination of
+//! For *any* drawn fault plan — random crashes plus drawn straggler and
+//! flaky windows — and *any* engine, with any combination of
 //! the comms protocols switched on:
 //!
 //! * the end-to-end wall clock never undercuts the superstep sum
@@ -13,7 +14,7 @@
 use gp_apps::PageRank;
 use gp_cluster::ClusterSpec;
 use gp_engine::{CommsConfig, ComputeReport, Engine, EngineConfig, Model};
-use gp_fault::{FaultPlan, FaultRates};
+use gp_fault::{FaultEvent, FaultKind, FaultPlan};
 use gp_partition::{Assignment, PartitionContext, Strategy};
 use proptest::prelude::*;
 
@@ -36,14 +37,31 @@ fn run_engine(which: u8, config: EngineConfig) -> ComputeReport {
         .1
 }
 
-fn hazard_rates(crash: f64, degrade: f64, straggle: f64, flaky: f64) -> FaultRates {
-    FaultRates {
-        crash_per_step: crash,
-        degrade_per_step: degrade,
-        straggler_per_step: straggle,
-        flaky_per_step: flaky,
-        ..FaultRates::default()
+/// The plan a case draws: crashes at `crash_rate` per machine-step from
+/// `seed`, plus one straggler (kind 0, factor 2–6) or flaky window (kind 1,
+/// loss 1–20 %) per `(superstep, machine, kind, per-mill, duration)` tuple.
+fn drawn_plan(seed: u64, crash_rate: f64, drawn: &[(u32, u32, u8, u32, u32)]) -> FaultPlan {
+    let spec = ClusterSpec::local_9();
+    let mut plan = FaultPlan::random_crashes(seed, &spec, 32, crash_rate);
+    for &(superstep, machine, kind, per_mill, duration_steps) in drawn {
+        let x = f64::from(per_mill) / 1000.0;
+        let kind = match kind {
+            0 => FaultKind::Straggler {
+                factor: 2.0 + 4.0 * x,
+                duration_steps,
+            },
+            _ => FaultKind::Flaky {
+                loss_rate: 0.01 + 0.19 * x,
+                duration_steps,
+            },
+        };
+        plan.push(FaultEvent {
+            superstep,
+            machine,
+            kind,
+        });
     }
+    plan
 }
 
 proptest! {
@@ -52,27 +70,15 @@ proptest! {
     #[test]
     fn comms_costs_are_finite_nonnegative_and_never_speed_up_the_cluster(
         seed in 0u64..1 << 48,
-        // The vendored proptest only draws integers: per-mill hazard rates
-        // and bit-flags map onto the float/bool parameters.
+        // The vendored proptest only draws integers: per-mill rates and
+        // bit-flags map onto the float/bool parameters.
         crash_pm in 0u32..30,
-        degrade_pm in 0u32..80,
-        straggle_pm in 0u32..80,
-        flaky_pm in 0u32..100,
+        drawn in proptest::collection::vec((0u32..8, 0u32..9, 0u8..2, 0u32..1000, 1u32..5), 0..12),
         which in 0u8..4,
         protocol_bits in 0u8..4,
     ) {
         let spec = ClusterSpec::local_9();
-        let plan = FaultPlan::generate(
-            seed,
-            &spec,
-            32,
-            &hazard_rates(
-                f64::from(crash_pm) / 1000.0,
-                f64::from(degrade_pm) / 1000.0,
-                f64::from(straggle_pm) / 1000.0,
-                f64::from(flaky_pm) / 1000.0,
-            ),
-        );
+        let plan = drawn_plan(seed, f64::from(crash_pm) / 1000.0, &drawn);
         let comms = CommsConfig {
             retry: protocol_bits & 1 != 0,
             speculation: protocol_bits & 2 != 0,

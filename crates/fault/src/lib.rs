@@ -4,13 +4,11 @@
 //! crate asks what happens when machines fail mid-job. It extends the
 //! simulated cluster with three pieces:
 //!
-//! * [`plan`] — deterministic fault schedules: a [`FaultPlan`] is drawn
-//!   from a seeded ChaCha stream (`gp_core::ChaCha12`) and per-superstep
-//!   hazard rates, scheduling machine crashes, transient network
-//!   degradation, CPU stragglers and flaky links (message loss /
-//!   duplication / delay spikes, priced by `gp-net`'s reliable-delivery
-//!   protocol). The seed lives in the plan, so every run is reproducible
-//!   bit-for-bit.
+//! * [`plan`] — deterministic fault schedules: a [`FaultPlan`] of machine
+//!   crashes, CPU stragglers and flaky links (message loss, priced by
+//!   `gp-net`'s reliable-delivery protocol), built by hand or drawn by
+//!   [`FaultPlan::random_crashes`] from a seeded ChaCha stream
+//!   (`gp_core::ChaCha12`), so every run is reproducible bit-for-bit.
 //! * [`checkpoint`] — [`CheckpointPolicy`] prices periodic snapshots as
 //!   real load: each machine persists the vertex state it masters to a peer
 //!   (HDFS-style), stalling the barrier (fully for sync snapshots,
@@ -33,5 +31,5 @@ pub mod recovery;
 pub use checkpoint::{
     checkpoint_stall_seconds, snapshot_bytes_per_machine, CheckpointMode, CheckpointPolicy,
 };
-pub use plan::{FaultEvent, FaultKind, FaultPlan, FaultRates, FlakyLink};
+pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use recovery::{recovery_cost, RecoveryCost};

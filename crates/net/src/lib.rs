@@ -1,7 +1,7 @@
 //! # gp-net — unreliable networks and the protocols that survive them
 //!
 //! The engines in `gp-engine` assume every superstep's exchange completes
-//! cleanly; real clusters drop, duplicate and delay messages. This crate
+//! cleanly; real clusters drop messages. This crate
 //! prices what a production messaging layer does about that, in the same
 //! deterministic-accounting style as the rest of the repo. Each protocol is
 //! one fixed calibration (constants beside the function that prices with
