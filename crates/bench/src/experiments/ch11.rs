@@ -133,6 +133,7 @@ pub fn ch11_speculation(scale: f64, seed: u64) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp_core::units::{parse_scaled, SizeUnit};
 
     #[test]
     fn wall_clock_is_monotone_in_loss_rate_for_every_strategy() {
@@ -170,7 +171,7 @@ mod tests {
             .iter()
             .map(|r| {
                 let rf: f64 = r[1].parse().unwrap();
-                let bytes = gp_cluster::table::parse_bytes(&r[retrans_col]).unwrap();
+                let bytes = parse_scaled(&r[retrans_col], SizeUnit::Binary).unwrap();
                 (rf, bytes)
             })
             .collect();

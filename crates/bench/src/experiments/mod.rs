@@ -1,8 +1,8 @@
 //! Experiment generators — one function per paper table/figure.
 //!
 //! Each function runs the relevant jobs through the [`Pipeline`] and returns
-//! [`Table`]s whose rows/series mirror what the paper reports. The
-//! `experiments` binary prints them; `EXPERIMENTS.md` records paper-vs-
+//! [`Table`]s whose rows/series mirror what the paper reports.
+//! `distgraph experiments` prints them; `EXPERIMENTS.md` records paper-vs-
 //! measured values.
 //!
 //! [`Pipeline`]: crate::Pipeline
@@ -20,9 +20,10 @@ pub mod ch7;
 pub mod ch8;
 pub mod ch9;
 
+use crate::pearson;
 use crate::pipeline::{App, EngineKind, JobResult, Pipeline, Scenario};
-use crate::{linear_fit, pearson};
 use gp_cluster::{ClusterSpec, Table};
+use gp_core::stats::linear_fit;
 use gp_gen::Dataset;
 use gp_partition::Strategy;
 

@@ -25,6 +25,7 @@
 //!     [--policy cost-based] [--tenants N] [--fair]
 //! distgraph trace <dataset> --strategy hdrf --app pagerank --cluster ec2-16 \
 //!     [--system powergraph] [--interval 4] [--crash-at 10 --machine 0] -o DIR
+//! distgraph experiments <id…|all|list> [-s S] [--seed N] [--csv DIR] [--svg DIR]
 //! ```
 //!
 //! Commands parse into [`Command`], execute against a writer, and return an
@@ -34,6 +35,7 @@
 
 pub mod classify;
 pub mod elastic;
+pub mod experiments;
 pub mod fault;
 pub mod flags;
 pub mod generate;
@@ -85,6 +87,9 @@ pub enum Command {
     /// Run one (dataset, strategy, app, cluster) cell with telemetry
     /// recording and write Chrome trace-event JSON plus metrics artifacts.
     Trace(trace::Args),
+    /// Regenerate the paper's tables and figures from the experiment
+    /// registry.
+    Experiments(experiments::Args),
     /// Print usage.
     Help,
 }
@@ -135,6 +140,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "fault" => Subcommand::from_args(rest).map(Command::Fault),
         "elastic" => Subcommand::from_args(rest).map(Command::Elastic),
         "trace" => Subcommand::from_args(rest).map(Command::Trace),
+        "experiments" => Subcommand::from_args(rest).map(Command::Experiments),
         other => Err(format!("unknown command {other:?} (try `distgraph help`)")),
     }
 }
@@ -192,6 +198,8 @@ USAGE:
                   [--cluster ec2-16] [--interval K] [--crash-at N --machine M]
                   [--loss-rate P] [--scale S] [--seed N] [--threads N]
                   [-o DIR]
+  distgraph experiments <id...|all|list> [-s S] [--seed N] [--csv DIR]
+                        [--svg DIR]
 
 Graphs are plain-text edge lists (one `src dst` pair per line, # comments)
 or compressed `.gps` stores (see `store build`); `partition` streams `.gps`
@@ -257,6 +265,7 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
         Command::Fault(args) => args.run(out),
         Command::Elastic(args) => args.run(out),
         Command::Trace(args) => args.run(out),
+        Command::Experiments(args) => args.run(out),
     };
     match done.map_err(|failure| failure.downcast::<std::io::Error>()) {
         Ok(()) => Ok(0),
@@ -332,6 +341,7 @@ mod tests {
     use super::*;
     use crate::flags::parse_size;
     use gp_bench::App;
+    use gp_core::units::{parse_scaled, SizeUnit};
     use gp_elastic::{ElasticEvent, ElasticKind, RepairPolicy};
     use gp_partition::{PartitionContext, System};
 
@@ -442,6 +452,12 @@ mod tests {
                 &["--steps", "5"],
                 &["--out", "elsewhere"],
             ),
+            (
+                &["experiments", "table4-1", "--seed", "3"],
+                (&["--csvv", "dir"], Some("--csv")),
+                &["--threads", "2"],
+                &["--seed", "4"],
+            ),
         ];
         for (valid, (typo, hint), foreign, repeat) in table {
             let command = match valid[0] {
@@ -478,6 +494,31 @@ mod tests {
         assert!(err.contains("--out given twice"), "{err}");
         let err = parse_strs(&["generate", "Twitter", "--seed"]).unwrap_err();
         assert!(err.contains("--seed needs a value"), "{err}");
+    }
+
+    #[test]
+    fn experiments_check_ids_and_expand_all_in_parse() {
+        let Command::Experiments(all) = parse_ok(&["experiments", "all", "-s", "0.5"]) else {
+            panic!("experiments parses to Command::Experiments");
+        };
+        let registered: Vec<&str> = gp_bench::experiments::registry()
+            .iter()
+            .map(|e| e.id)
+            .collect();
+        assert_eq!((all.ids, all.list, all.scale), (registered, false, 0.5));
+        let Command::Experiments(two) = parse_ok(&["experiments", "fig5-3", "table4-1"]) else {
+            panic!("experiments parses to Command::Experiments");
+        };
+        assert_eq!(two.ids, ["fig5-3", "table4-1"]);
+        assert_eq!((two.scale, two.seed, two.csv_dir), (1.0, 42, None));
+        let Command::Experiments(list) = parse_ok(&["experiments", "list"]) else {
+            panic!("experiments parses to Command::Experiments");
+        };
+        assert!(list.list && list.ids.is_empty());
+        let err = parse_strs(&["experiments", "-s", "0.1"]).unwrap_err();
+        assert!(err.contains("missing experiment ids"), "{err}");
+        let err = parse_strs(&["experiments", "all", "fig5-33"]).unwrap_err();
+        assert!(err.contains("unknown experiment \"fig5-33\""), "{err}");
     }
 
     /// Events that could never fire are refused by `Scenario::check`, not
@@ -1364,7 +1405,7 @@ mod tests {
             .rev()
             .collect::<Vec<_>>()
             .join(" ");
-        let bytes = gp_cluster::table::parse_bytes(&bytes_text).unwrap();
+        let bytes = parse_scaled(&bytes_text, SizeUnit::Binary).unwrap();
         assert!(bytes > 0.0, "{text}");
     }
 
@@ -1458,13 +1499,13 @@ mod tests {
         // Decimal counts and binary bytes disagree on the same text by
         // design: 10K items vs 10 KiB.
         assert_eq!(parse_size("10K"), Ok(10_000));
-        assert_eq!(gp_cluster::table::parse_bytes("10K"), Some(10_240.0));
+        assert_eq!(parse_scaled("10K", SizeUnit::Binary), Ok(10_240.0));
         // Byte-flavoured suffixes are a unit error for counts.
         assert!(parse_size("10KiB").is_err());
         assert!(parse_size("10MB").is_err());
         // The cluster's byte exports round-trip through the shared helper.
         let text = gp_cluster::table::fmt_bytes(1_500_000.0);
-        let bytes = gp_cluster::table::parse_bytes(&text).unwrap();
+        let bytes = parse_scaled(&text, SizeUnit::Binary).unwrap();
         assert!(
             (bytes - 1_500_000.0).abs() / 1_500_000.0 < 0.005,
             "{text} -> {bytes}"

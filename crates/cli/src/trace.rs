@@ -82,6 +82,15 @@ impl Subcommand for Args {
         if result.failed {
             return Err("job ran out of memory on the simulated cluster".into());
         }
+        // A crash always replays at least the step it hit, so none replayed
+        // means the job converged before the crash's superstep.
+        if let (Some((superstep, _)), 0) = (self.crash, result.supersteps_replayed) {
+            return Err(format!(
+                "the crash at superstep {superstep} never fired: the job ended after {} supersteps",
+                result.supersteps
+            )
+            .into());
+        }
         let dir = std::path::Path::new(&self.out_dir);
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("trace.json"), sink.chrome_trace_json())?;

@@ -129,3 +129,59 @@ fn partition_counts_pds_cannot_build_exit_two() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn experiments_refuse_scales_outside_the_generators_range() {
+    for scale in ["nan", "inf", "0", "1001"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_distgraph"))
+            .args(["experiments", "table4-2", "-s", scale])
+            .output()
+            .expect("spawn distgraph");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "-s {scale}: {stderr}");
+        assert!(
+            stderr.contains("error: --scale must be in (0, 1000]"),
+            "-s {scale}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "-s {scale}: {stderr}");
+        assert!(!stderr.contains(">> table4-2"), "-s {scale} ran: {stderr}");
+        assert!(out.stdout.is_empty(), "-s {scale} printed a table");
+    }
+}
+
+#[test]
+fn experiments_refuse_unknown_ids_and_flags_before_running_any() {
+    for (args, complaint) in [
+        (
+            &["experiments", "table4-1", "bogus", "-s", "0.02"][..],
+            "error: unknown experiment \"bogus\" (see `distgraph experiments list`)",
+        ),
+        (
+            &["experiments", "table4-1", "--sed", "3"],
+            "error: unknown flag --sed for `experiments` (did you mean --seed?)",
+        ),
+    ] {
+        let (code, text) = distgraph(args);
+        assert_eq!(code, 2, "{args:?}: {text}");
+        assert!(text.contains(complaint), "{args:?}: {text}");
+        assert!(!text.contains("Table 4.1"), "{args:?} printed a table");
+        assert!(!text.contains(">> table4-1"), "{args:?} ran: {text}");
+    }
+}
+
+#[test]
+fn a_trace_crash_after_the_job_converged_exits_two() {
+    let dir = std::env::temp_dir().join(format!("distgraph-late-crash-{}", std::process::id()));
+    let out = dir.to_str().expect("utf-8 temp path");
+    let args = ["trace", "LiveJournal", "--scale", "0.02", "--app", "wcc"];
+    let (code, text) = distgraph(&[&args[..], &["--crash-at", "500", "-o", out]].concat());
+    assert_eq!(code, 2, "{text}");
+    assert_eq!(
+        text,
+        "error: the crash at superstep 500 never fired: the job ended after 4 supersteps\n"
+    );
+    assert!(
+        !dir.exists(),
+        "no artifact is written for a crash that never fired"
+    );
+}

@@ -1,10 +1,12 @@
 //! Behaviour lock for the `distgraph` binary: the stdout and exit code of a
 //! fixed list of invocations must equal `tests/golden_cli.txt` byte for
 //! byte. The list covers every scenario subcommand (`fault`, `elastic`,
-//! `trace`, `run` on all three systems) and `help`, so a CLI refactor proves
-//! "same bytes" with one test. On a mismatch the actual transcript is left
-//! in the test's temp dir for a plain `diff` against the golden file.
+//! `trace`, `run` on all three systems), `experiments` and `help`, so a CLI
+//! refactor proves "same bytes" with one test. On a mismatch the actual
+//! transcript is left in the test's temp dir for a plain `diff` against the
+//! golden file.
 
+use gp_bench::experiments::registry;
 use std::path::Path;
 use std::process::Command;
 
@@ -45,6 +47,9 @@ const INVOCATIONS: &[&str] = &[
     "serve golden-serve.gps --strategy hdrf --horizon 30 --seed 7 --rebalance-threshold 1000 \
      --rf-threshold 1000",
     "serve golden-serve.gps --strategy 1d --horizon 30 --seed 7 --rebalance-threshold 1.02",
+    // The experiment front end; its table is also pinned, in-process, by
+    // `tests/golden_experiments.txt` (see the test below).
+    "experiments table4-2 -s 0.02",
 ];
 
 /// Lines whose value is the host's, not the program's: the peak-RSS note
@@ -97,4 +102,29 @@ fn fixed_invocations_print_the_pinned_bytes() {
             dump.display()
         );
     }
+}
+
+/// `distgraph experiments` prints each table the registry renders, then a
+/// blank line: the same bytes `tests/golden_experiments.txt` pins for the
+/// experiment at the same scale and seed.
+#[test]
+fn experiments_print_the_tables_the_experiment_golden_pins() {
+    let listing = include_str!("../../../tests/golden_experiments.txt");
+    let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+    let next = ids[ids.iter().position(|&id| id == "table4-2").unwrap() + 1];
+    let (_, section) = listing
+        .split_once("== table4-2 ==\n")
+        .expect("table4-2 pinned");
+    let (section, _) = section
+        .split_once(&format!("== {next} ==\n"))
+        .expect("table4-2 is not the last experiment");
+    let output = Command::new(env!("CARGO_BIN_EXE_distgraph"))
+        .args(["experiments", "table4-2", "-s", "0.02", "--seed", "42"])
+        .output()
+        .expect("spawn distgraph");
+    assert_eq!(output.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&output.stdout),
+        format!("{section}\n")
+    );
 }

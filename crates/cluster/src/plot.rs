@@ -256,7 +256,7 @@ impl Chart {
                         );
                     }
                     if self.trend_lines && s.points.len() >= 2 {
-                        let (a, b) = least_squares(&s.points);
+                        let (a, b) = gp_core::stats::linear_fit(&s.points);
                         let (fx0, fx1) = min_max(s.points.iter().map(|p| p.0));
                         let _ = write!(
                             svg,
@@ -302,20 +302,6 @@ fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
     } else {
         (lo, hi)
     }
-}
-
-fn least_squares(points: &[(f64, f64)]) -> (f64, f64) {
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return (sy / n, 0.0);
-    }
-    let b = (n * sxy - sx * sy) / denom;
-    ((sy - b * sx) / n, b)
 }
 
 fn palette(i: usize) -> &'static str {

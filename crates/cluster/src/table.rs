@@ -120,20 +120,10 @@ pub fn fmt_bytes(bytes: f64) -> String {
     format!("{v:.2} {}", UNITS[u])
 }
 
-/// Parse a byte-count string back into a byte count. Accepts both the
-/// spaced [`fmt_bytes`] forms (`"1.50 GiB"`) and compact short forms with a
-/// fractional value (`"1.5G"`, `"0.5M"`, `"512K"`, `"100"`, `"2TB"`).
-/// Returns `None` for unknown units or malformed numbers.
-///
-/// Byte quantities are *binary* (`K = KiB = 1024`); the CLI's decimal count
-/// parser is the same `gp_core::units` helper with `SizeUnit::Decimal`.
-pub fn parse_bytes(text: &str) -> Option<f64> {
-    gp_core::units::parse_scaled(text, gp_core::units::SizeUnit::Binary).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp_core::units::{parse_scaled, SizeUnit};
 
     #[test]
     fn table_renders_aligned_columns() {
@@ -171,50 +161,20 @@ mod tests {
     }
 
     #[test]
-    fn parse_bytes_round_trips_fmt_bytes() {
+    fn fmt_bytes_round_trips_through_the_binary_parser() {
         for v in [0.0, 512.0, 2048.0, 3.5 * 1024.0 * 1024.0 * 1024.0] {
-            let parsed = parse_bytes(&fmt_bytes(v)).unwrap();
+            let parsed = parse_scaled(&fmt_bytes(v), SizeUnit::Binary).unwrap();
             assert!((parsed - v).abs() <= v * 0.005 + 1e-9, "{v} -> {parsed}");
         }
-        assert_eq!(parse_bytes("12.00 QiB"), None);
-        assert_eq!(parse_bytes("garbage"), None);
-    }
-
-    #[test]
-    fn parse_bytes_accepts_fractional_short_forms() {
-        assert_eq!(parse_bytes("1.5G"), Some(1.5 * 1024.0 * 1024.0 * 1024.0));
-        assert_eq!(parse_bytes("0.5M"), Some(512.0 * 1024.0));
-        assert_eq!(parse_bytes("512K"), Some(512.0 * 1024.0));
-        assert_eq!(parse_bytes("100"), Some(100.0));
-        assert_eq!(parse_bytes("100B"), Some(100.0));
-        assert_eq!(parse_bytes("2TB"), Some(2.0 * 1024.0f64.powi(4)));
-        assert_eq!(parse_bytes(" 1.5g "), Some(1.5 * 1024.0f64.powi(3)));
-        assert_eq!(parse_bytes("1.5Q"), None);
-        assert_eq!(parse_bytes("G"), None);
-        assert_eq!(parse_bytes("1..5G"), None);
-    }
-
-    #[test]
-    fn parse_bytes_delegates_to_the_shared_units_helper() {
-        use gp_core::units::{parse_scaled, SizeUnit};
-        for text in ["1.5G", "0.5M", "512K", "100", "2TB", "1.50 GiB"] {
-            assert_eq!(
-                parse_bytes(text),
-                parse_scaled(text, SizeUnit::Binary).ok(),
-                "{text}"
-            );
-        }
-        // Cross-family check: the same suffix scales by 1000 for counts and
-        // by 1024 for bytes — one helper, two declared families.
-        assert_eq!(parse_scaled("10K", SizeUnit::Decimal).unwrap(), 10_000.0);
-        assert_eq!(parse_bytes("10K"), Some(10_240.0));
+        assert!(parse_scaled("12.00 QiB", SizeUnit::Binary).is_err());
+        assert!(parse_scaled("garbage", SizeUnit::Binary).is_err());
     }
 
     #[test]
     fn short_forms_round_trip_through_fmt_bytes() {
         for text in ["1.5G", "0.5M", "512K", "3T"] {
-            let v = parse_bytes(text).unwrap();
-            let reparsed = parse_bytes(&fmt_bytes(v)).unwrap();
+            let v = parse_scaled(text, SizeUnit::Binary).unwrap();
+            let reparsed = parse_scaled(&fmt_bytes(v), SizeUnit::Binary).unwrap();
             assert!(
                 (reparsed - v).abs() <= v * 0.005,
                 "{text}: {v} -> {reparsed}"

@@ -71,9 +71,52 @@ impl std::fmt::Display for GraphStats {
     }
 }
 
+/// Least-squares fit `y = a + b·x`; returns `(intercept, slope)`. Fewer
+/// than two points, or points that all share one `x`, fit a flat line
+/// through the mean `y` (0 when there are none). Draws the trend lines of
+/// Figs 5.3–5.5/6.1/6.2/8.3 and fits Fig 5.8's degree distributions.
+pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64) {
+    let n = points.len() as f64;
+    if points.len() < 2 {
+        return (points.first().map(|p| p.1).unwrap_or(0.0), 0.0);
+    }
+    let sx: f64 = points.iter().map(|p| p.0).sum();
+    let sy: f64 = points.iter().map(|p| p.1).sum();
+    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
+    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
+    let denom = n * sxx - sx * sx;
+    if denom.abs() < 1e-12 {
+        return (sy / n, 0.0);
+    }
+    let slope = (n * sxy - sx * sy) / denom;
+    ((sy - slope * sx) / n, slope)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn linear_fit_recovers_exact_lines() {
+        let rising: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 2.0 + 3.0 * i as f64)).collect();
+        let (a, b) = linear_fit(&rising);
+        assert!((a - 2.0).abs() < 1e-9);
+        assert!((b - 3.0).abs() < 1e-9);
+        let falling: Vec<(f64, f64)> = (1..10).map(|i| (i as f64, 3.0 - 2.0 * i as f64)).collect();
+        let (intercept, slope) = linear_fit(&falling);
+        assert!((slope + 2.0).abs() < 1e-9);
+        assert!((intercept - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn degenerate_fits_are_flat() {
+        assert_eq!(linear_fit(&[]), (0.0, 0.0));
+        assert_eq!(linear_fit(&[(1.0, 2.0)]), (2.0, 0.0));
+        // Vertical line.
+        let (a, b) = linear_fit(&[(2.0, 1.0), (2.0, 3.0)]);
+        assert_eq!(b, 0.0);
+        assert!((a - 2.0).abs() < 1e-9);
+    }
 
     #[test]
     fn stats_on_star_graph() {

@@ -3,8 +3,8 @@
 //! Two crates historically grew their own: the CLI parsed *decimal* counts
 //! (`10M` edges = 10·10⁶) and the cluster tables parsed *binary* byte
 //! quantities (`1.5G` = 1.5·1024³, round-tripping `fmt_bytes` output such as
-//! `"1.50 GiB"`). Both are now thin wrappers over [`parse_scaled`], which
-//! keeps the two multiplier families explicit instead of letting them drift:
+//! `"1.50 GiB"`). Both now call [`parse_scaled`], which keeps the two
+//! multiplier families explicit instead of letting them drift:
 //! a suffix always means the same thing for a given [`SizeUnit`], and the
 //! ambiguity ("does `1K` mean 1000 or 1024?") is resolved by the caller's
 //! declared family, never by the input text.
@@ -108,6 +108,13 @@ mod tests {
         );
         assert_eq!(parse_scaled("512KiB", SizeUnit::Binary), Ok(512.0 * 1024.0));
         assert_eq!(parse_scaled("100B", SizeUnit::Binary), Ok(100.0));
+        assert_eq!(parse_scaled("100", SizeUnit::Binary), Ok(100.0));
+        assert_eq!(parse_scaled("0.5M", SizeUnit::Binary), Ok(512.0 * 1024.0));
+        assert_eq!(parse_scaled("512K", SizeUnit::Binary), Ok(512.0 * 1024.0));
+        assert_eq!(
+            parse_scaled(" 1.5g ", SizeUnit::Binary),
+            Ok(1.5 * 1024f64.powi(3))
+        );
     }
 
     #[test]

@@ -81,9 +81,9 @@ pub fn apply_elastic_model(
         }
 
         for event in plan.events_at(step.superstep) {
-            report.scale_events += 1;
             match event.kind {
                 ElasticKind::ScaleOut { machines_added } => {
+                    report.scale_events += 1;
                     let k = machines_added.max(1);
                     let remaining: f64 = original[i + 1..]
                         .iter()
@@ -118,6 +118,7 @@ pub fn apply_elastic_model(
                     if alive <= 1 {
                         continue; // a cluster cannot scale to nothing
                     }
+                    report.scale_events += 1;
                     let machine = machine.min(spec.machines - 1);
                     // The notice arrived `warning_steps` barriers back, so
                     // the evacuation can stream during the walls of the
@@ -433,6 +434,7 @@ mod tests {
             .filter(|e| matches!(e, StepEvent::Departure { .. }))
             .count();
         assert_eq!(departures, 1);
+        assert_eq!(r.scale_events, 1, "the skipped departure is no event");
         assert_eq!(r.forced_recoveries, 1);
         assert_eq!(r.supersteps_replayed, 4, "replay 0..=3 only");
     }

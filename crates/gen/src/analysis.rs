@@ -73,7 +73,7 @@ impl DegreeAnalysis {
             .filter(|(_, &c)| c > 0)
             .map(|(d, &c)| ((d as f64).ln(), (c as f64).ln()))
             .collect();
-        let (slope, intercept) = least_squares(&points);
+        let (intercept, slope) = gp_core::stats::linear_fit(&points);
         // Observed vs predicted mass at degree 1..=2.
         let observed: f64 = histogram.iter().skip(1).take(2).map(|&c| c as f64).sum();
         let predicted: f64 = (1..=2u32)
@@ -135,24 +135,6 @@ pub fn classify_analysis(a: &DegreeAnalysis) -> GraphClass {
     } else {
         GraphClass::PowerLaw
     }
-}
-
-fn least_squares(points: &[(f64, f64)]) -> (f64, f64) {
-    let n = points.len() as f64;
-    if points.len() < 2 {
-        return (0.0, points.first().map(|p| p.1).unwrap_or(0.0));
-    }
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return (0.0, sy / n);
-    }
-    let slope = (n * sxy - sx * sy) / denom;
-    let intercept = (sy - slope * sx) / n;
-    (slope, intercept)
 }
 
 #[cfg(test)]
@@ -222,20 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn least_squares_recovers_exact_line() {
-        let pts: Vec<(f64, f64)> = (1..10).map(|i| (i as f64, 3.0 - 2.0 * i as f64)).collect();
-        let (slope, intercept) = least_squares(&pts);
-        assert!((slope + 2.0).abs() < 1e-9);
-        assert!((intercept - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degenerate_fits_do_not_panic() {
-        let (s, i) = least_squares(&[]);
-        assert_eq!((s, i), (0.0, 0.0));
-        let (s, _) = least_squares(&[(1.0, 2.0)]);
-        assert_eq!(s, 0.0);
-        // Empty graph analysis.
+    fn empty_graph_analysis_does_not_panic() {
         let a = DegreeAnalysis::of(&gp_core::EdgeList::default());
         assert_eq!(a.max_in_degree, 0);
     }

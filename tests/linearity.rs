@@ -45,7 +45,7 @@ fn check_linear(app: App, metric: impl Fn(&gp_bench::JobResult) -> f64, what: &s
         app.label()
     );
     // And increasing: the slope must be positive.
-    let (_, slope) = gp_bench::linear_fit(&points);
+    let (_, slope) = gp_core::stats::linear_fit(&points);
     assert!(slope > 0.0, "{what} must increase with RF");
 }
 
