@@ -9,9 +9,10 @@
 //!
 //! Scoring reads each endpoint's replica words in place and allocates
 //! nothing: HDRF at `λ ≤ 1` scores only the partitions that can win, and
-//! otherwise scans every partition's score twice, once for the leader and
-//! once for the tie pick. Each edge draws tie-breaks from its own
-//! [`Splitmix64`] seeded by the *stream index*.
+//! otherwise scores every partition once into a stack array that the leader
+//! and tie-pick passes both read (past 64 partitions the tie pick scores
+//! again). Each edge draws tie-breaks from its own [`Splitmix64`] seeded by
+//! the *stream index*.
 //!
 //! The paper's systems get ingress parallelism from independent loaders,
 //! each oblivious to the others (§5.3). [`partition_blocks`] models exactly
@@ -108,6 +109,10 @@ pub(crate) fn balance_term(lambda: f64, load: u64, max_load: u64, min_load: u64)
     lambda * ((max_load - load as f64) / (EPS + max_load - min_load))
 }
 
+/// Partition counts up to which HDRF's full scan keeps its scores on the
+/// stack (512 bytes) rather than computing each twice.
+const SCORE_SLOTS: usize = 64;
+
 /// HDRF's Appendix-B score as a pure function of the visible state: the
 /// loads, each partition's cached balance term `bal[j] = λ·C_BAL(j)` and
 /// both endpoints' replica words. Ties within `1e-12` break with `rng`,
@@ -121,10 +126,12 @@ pub(crate) fn balance_term(lambda: f64, load: u64, max_load: u64, min_load: u64)
 /// balance term `λ·(max−min)/(1+max−min) < 1`, so any eligible member beats
 /// every non-member by far more than the tie epsilon, and the scan over
 /// members alone sees the same leader and ties. When no member is eligible,
-/// or without `members_first`, every partition is scored. A score is a pure
-/// function of its partition — membership is two shifts off the words, the
-/// capacity constraint a select to `-inf` — so the tie scan recomputes it
-/// rather than keeping a buffer.
+/// or without `members_first`, every partition is scored once, into a stack
+/// array of [`SCORE_SLOTS`] scores that both tie-scan passes read. Past that
+/// many partitions the pick pass recomputes each score instead: a score is
+/// a pure function of its partition — membership is two shifts off the
+/// words, the capacity constraint a select to `-inf` — so the recomputed
+/// value is the stored one, bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hdrf_score(
     loads: &[u64],
@@ -159,8 +166,17 @@ pub(crate) fn hdrf_score(
             return pick;
         }
     }
-    pick_best((0..loads.len()).map(|j| (j, score_of(j))), rng)
-        .unwrap_or_else(|| least_loaded_all(loads, rng))
+    let n = loads.len();
+    let best = if n <= SCORE_SLOTS {
+        let mut scores = [f64::NEG_INFINITY; SCORE_SLOTS];
+        for (j, s) in scores[..n].iter_mut().enumerate() {
+            *s = score_of(j);
+        }
+        pick_best(scores[..n].iter().copied().enumerate(), rng)
+    } else {
+        pick_best((0..n).map(|j| (j, score_of(j))), rng)
+    };
+    best.unwrap_or_else(|| least_loaded_all(loads, rng))
 }
 
 /// Oblivious's Appendix-A case analysis as a pure function of the visible

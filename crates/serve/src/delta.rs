@@ -3,11 +3,13 @@
 //!
 //! The batch [`Assignment`](gp_partition::Assignment) derives replica sets
 //! from the full edge→partition map in one pass; a serving process instead
-//! maintains the same quantities edge-by-edge. Each vertex keeps a sorted
-//! `(partition, refcount)` list: an insert that touches a partition for the
-//! first time creates an image (mirror birth), a delete that drops a
-//! refcount to zero tears it down. Replication factor and edge balance —
-//! the drift signals — read off this state in O(p).
+//! maintains the same quantities edge-by-edge. Refcounts live in one flat
+//! `n × P` table of `u32`s, and beside it each vertex keeps a membership
+//! bitset of `⌈P/64⌉` words (gp-partition's replica-word layout): an insert
+//! that touches a partition for the first time sets a bit (mirror birth), a
+//! delete that drops a refcount to zero clears it. No update allocates.
+//! Replication factor and edge balance — the drift signals — read off this
+//! state in O(p).
 
 use gp_core::{Edge, PartitionId, VertexId};
 use gp_partition::assignment::default_master_pick;
@@ -18,8 +20,13 @@ use gp_partition::BalanceReport;
 pub struct IncrementalAssignment {
     num_partitions: u32,
     seed: u64,
-    /// Per-vertex sorted `(partition, edge refcount)` lists.
-    replicas: Vec<Vec<(u32, u32)>>,
+    /// Live edges pinning each image: `(v, p)` at `v * P + p`. A refcount
+    /// is at most `v`'s live edge count, which `LiveGraph` bounds by `u32`.
+    refs: Vec<u32>,
+    /// Membership bitsets, `width` words per vertex: bit `p % 64` of word
+    /// `v * width + p / 64` is set while `(v, p)`'s refcount is positive.
+    words: Vec<u64>,
+    width: usize,
     /// Live edges per partition.
     edge_counts: Vec<u64>,
     /// Total (vertex, partition) images with refcount > 0.
@@ -33,10 +40,13 @@ impl IncrementalAssignment {
     /// partitions. `seed` drives the master-pick policy and must match the
     /// batch seed.
     pub fn new(num_vertices: u64, num_partitions: u32, seed: u64) -> Self {
+        let width = (num_partitions as usize).div_ceil(64);
         IncrementalAssignment {
             num_partitions,
             seed,
-            replicas: vec![Vec::new(); num_vertices as usize],
+            refs: vec![0; num_vertices as usize * num_partitions as usize],
+            words: vec![0; num_vertices as usize * width],
+            width,
             edge_counts: vec![0; num_partitions as usize],
             total_images: 0,
             covered: 0,
@@ -73,49 +83,62 @@ impl IncrementalAssignment {
     }
 
     fn ref_inc(&mut self, v: VertexId, p: u32) {
-        let list = &mut self.replicas[v.index()];
-        match list.binary_search_by_key(&p, |&(part, _)| part) {
-            Ok(at) => list[at].1 += 1,
-            Err(at) => {
-                if list.is_empty() {
-                    self.covered += 1;
-                }
-                self.total_images += 1;
-                list.insert(at, (p, 1));
+        let r = &mut self.refs[v.index() * self.num_partitions as usize + p as usize];
+        *r += 1;
+        if *r == 1 {
+            let row = &mut self.words[v.index() * self.width..][..self.width];
+            if row.iter().all(|&w| w == 0) {
+                self.covered += 1;
             }
+            row[p as usize / 64] |= 1 << (p % 64);
+            self.total_images += 1;
         }
     }
 
     fn ref_dec(&mut self, v: VertexId, p: u32) {
-        let list = &mut self.replicas[v.index()];
-        let at = list
-            .binary_search_by_key(&p, |&(part, _)| part)
+        let r = &mut self.refs[v.index() * self.num_partitions as usize + p as usize];
+        *r = r
+            .checked_sub(1)
             .expect("removing an edge that was never added");
-        list[at].1 -= 1;
-        if list[at].1 == 0 {
-            list.remove(at);
+        if *r == 0 {
+            let row = &mut self.words[v.index() * self.width..][..self.width];
+            row[p as usize / 64] &= !(1 << (p % 64));
             self.total_images -= 1;
-            if list.is_empty() {
+            if row.iter().all(|&w| w == 0) {
                 self.covered -= 1;
             }
         }
     }
 
+    /// `v`'s membership words, low ids first.
+    fn row(&self, v: VertexId) -> &[u64] {
+        &self.words[v.index() * self.width..][..self.width]
+    }
+
+    /// Whether `v` has an image on `p`.
+    pub(crate) fn hosts(&self, v: VertexId, p: PartitionId) -> bool {
+        self.row(v)[p.index() / 64] >> (p.0 % 64) & 1 == 1
+    }
+
     /// Partitions hosting an image of `v`, ascending.
     pub fn replicas(&self, v: VertexId) -> impl Iterator<Item = u32> + '_ {
-        self.replicas[v.index()].iter().map(|&(p, _)| p)
+        self.row(v)
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| ones(w).map(move |b| 64 * i as u32 + b))
     }
 
     /// Master partition of `v` under the shared hash policy, or partition 0
     /// for a vertex with no images (nothing to read there anyway).
     pub fn master_of(&self, v: VertexId) -> PartitionId {
-        let list = &self.replicas[v.index()];
-        if list.is_empty() {
+        let len: u32 = self.row(v).iter().map(|w| w.count_ones()).sum();
+        if len == 0 {
             return PartitionId(0);
         }
-        // The per-vertex lists are sorted, so this is the same pick the
-        // batch Assignment makes over its sorted replica slices.
-        PartitionId(list[default_master_pick(v, self.seed, list.len())].0)
+        // The bits ascend, so the pick-th set bit is the entry the batch
+        // Assignment indexes in its sorted replica slice.
+        let pick = default_master_pick(v, self.seed, len as usize);
+        PartitionId(self.replicas(v).nth(pick).expect("pick < image count"))
     }
 
     /// Mean images per vertex with at least one image — the paper's
@@ -161,10 +184,23 @@ impl IncrementalAssignment {
     }
 }
 
+/// The set bits of one word, ascending.
+fn ones(mut w: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (w != 0).then(|| {
+            let b = w.trailing_zeros();
+            w &= w - 1;
+            b
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gp_partition::{Assignment, PartitionContext, Strategy};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn batch_and_delta(
         strategy: Strategy,
@@ -279,5 +315,129 @@ mod tests {
         assert_eq!(delta.total_images, 1);
         delta.remove(e, PartitionId(1));
         assert_eq!(delta.total_images, 0);
+    }
+
+    /// The table against a `(vertex, partition) → refcount` map: every
+    /// derived read agrees.
+    fn check_against_model(
+        delta: &IncrementalAssignment,
+        model: &BTreeMap<(u64, u32), u32>,
+        loads: &[u64],
+        vertices: u64,
+        seed: u64,
+    ) {
+        let covered = (0..vertices)
+            .filter(|&v| model.range((v, 0)..(v + 1, 0)).next().is_some())
+            .count();
+        let rf = if covered == 0 {
+            0.0
+        } else {
+            model.len() as f64 / covered as f64
+        };
+        assert_eq!(delta.replication_factor(), rf);
+        assert_eq!(delta.edge_counts(), loads);
+        let most = (0..loads.len()).rev().max_by_key(|&i| loads[i]).unwrap();
+        let least = (0..loads.len()).min_by_key(|&i| loads[i]).unwrap();
+        assert_eq!(delta.most_loaded(), PartitionId(most as u32));
+        assert_eq!(delta.least_loaded(), PartitionId(least as u32));
+        for v in 0..vertices {
+            let want: Vec<u32> = model
+                .range((v, 0)..(v + 1, 0))
+                .map(|(&(_, p), _)| p)
+                .collect();
+            let got: Vec<u32> = delta.replicas(VertexId(v)).collect();
+            assert_eq!(got, want, "replicas of {v}");
+            if !want.is_empty() {
+                let pick = default_master_pick(VertexId(v), seed, want.len());
+                assert_eq!(
+                    delta.master_of(VertexId(v)),
+                    PartitionId(want[pick]),
+                    "master of {v}"
+                );
+            }
+            for p in 0..delta.num_partitions() {
+                assert_eq!(
+                    delta.hosts(VertexId(v), PartitionId(p)),
+                    model.contains_key(&(v, p)),
+                    "({v}, p{p})"
+                );
+            }
+        }
+    }
+
+    /// Random add / remove / move streams, self-loops included, checked
+    /// after every step at partition counts on both sides of each word
+    /// boundary.
+    fn replay_against_model(partitions: u32, seed: u64, ops: &[(u8, u64, u64, u32, usize)]) {
+        const N: u64 = 12;
+        let mut delta = IncrementalAssignment::new(N, partitions, seed);
+        let mut model: BTreeMap<(u64, u32), u32> = BTreeMap::new();
+        let mut loads = vec![0u64; partitions as usize];
+        let mut placed: Vec<(Edge, PartitionId)> = Vec::new();
+        let place = |e: Edge,
+                     p: PartitionId,
+                     sign: i32,
+                     model: &mut BTreeMap<_, u32>,
+                     loads: &mut [u64]| {
+            if sign > 0 {
+                loads[p.index()] += 1;
+            } else {
+                loads[p.index()] -= 1;
+            }
+            let mut ends = vec![e.src.0];
+            if e.dst != e.src {
+                ends.push(e.dst.0);
+            }
+            for x in ends {
+                let r = model.entry((x, p.0)).or_default();
+                *r = r.checked_add_signed(sign).unwrap();
+                if *r == 0 {
+                    model.remove(&(x, p.0));
+                }
+            }
+        };
+        for &(op, u, v, p, pick) in ops {
+            let p = PartitionId(p % partitions);
+            match op {
+                0 if !placed.is_empty() => {
+                    let (e, from) = placed.swap_remove(pick % placed.len());
+                    delta.remove(e, from);
+                    place(e, from, -1, &mut model, &mut loads);
+                }
+                1 if !placed.is_empty() => {
+                    let at = pick % placed.len();
+                    let (e, from) = placed[at];
+                    delta.move_edge(e, from, p);
+                    place(e, from, -1, &mut model, &mut loads);
+                    place(e, p, 1, &mut model, &mut loads);
+                    placed[at].1 = p;
+                }
+                _ => {
+                    // Op 3 adds a self-loop; random pairs add some too.
+                    let e = Edge::new(u, if op == 3 { u } else { v });
+                    delta.add(e, p);
+                    place(e, p, 1, &mut model, &mut loads);
+                    placed.push((e, p));
+                }
+            }
+            check_against_model(&delta, &model, &loads, N, seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn table_matches_a_refcount_map(
+            seed in 0u64..1_000,
+            ops in proptest::collection::vec(
+                (0u8..4, 0u64..12, 0u64..12, 0u32..300, 0usize..1_000),
+                1..200,
+            ),
+        ) {
+            for partitions in [1u32, 9, 16, 64, 65, 300] {
+                replay_against_model(partitions, seed, &ops);
+            }
+        }
     }
 }

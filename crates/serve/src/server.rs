@@ -229,8 +229,8 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
                         // Count before the move mutates the replica sets:
                         // an endpoint already replicated on `to` needs no
                         // new mirror registration.
-                        new_mirrors += u64::from(!res.delta.replicas(e.src).any(|p| p == to.0));
-                        new_mirrors += u64::from(!res.delta.replicas(e.dst).any(|p| p == to.0));
+                        new_mirrors += u64::from(!res.delta.hosts(e.src, to));
+                        new_mirrors += u64::from(!res.delta.hosts(e.dst, to));
                         res.delta.move_edge(e, from, to);
                         res.incr.retire(e, from);
                         res.incr.warm(e, to);
@@ -283,6 +283,13 @@ pub fn serve(base: &dyn StreamingEdges, plan: &TrafficPlan, cfg: &ServeConfig) -
 /// breaking ties by edge index so the choice stays deterministic. The old
 /// policy — take the first `target` excess edges — is the all-zero-overlap
 /// degenerate case of this ranking.
+///
+/// The ranking is the `(Reverse(overlap), index)` sort order without the
+/// sort: the scan visits `from`'s edges in index order and files each into
+/// the bucket of its overlap (2, 1 or 0), so each bucket is already sorted,
+/// and their concatenation is the ranking. No bucket needs more than
+/// `target` entries, and once the overlap-2 bucket holds `target` the
+/// answer is fixed, so the scan stops there.
 fn overlap_ranked_moves(
     live: &LiveGraph,
     parts: &[PartitionId],
@@ -291,18 +298,22 @@ fn overlap_ranked_moves(
     to: PartitionId,
     target: usize,
 ) -> Vec<u32> {
-    let mut ranked: Vec<(std::cmp::Reverse<u32>, u32)> = live
-        .live_indices_on(parts, from)
-        .map(|idx| {
-            let e = live.edge(idx);
-            let overlap = u32::from(delta.replicas(e.src).any(|p| p == to.0))
-                + u32::from(delta.replicas(e.dst).any(|p| p == to.0));
-            (std::cmp::Reverse(overlap), idx)
-        })
-        .collect();
-    ranked.sort_unstable();
-    ranked.truncate(target);
-    ranked.into_iter().map(|(_, idx)| idx).collect()
+    let mut buckets: [Vec<u32>; 3] = Default::default();
+    for idx in live.live_indices_on(parts, from) {
+        if buckets[2].len() >= target {
+            break;
+        }
+        let e = live.edge(idx);
+        let overlap = usize::from(delta.hosts(e.src, to)) + usize::from(delta.hosts(e.dst, to));
+        if buckets[overlap].len() < target {
+            buckets[overlap].push(idx);
+        }
+    }
+    let [zero, one, mut moved] = buckets;
+    moved.extend(one);
+    moved.extend(zero);
+    moved.truncate(target);
+    moved
 }
 
 #[cfg(test)]
@@ -335,6 +346,103 @@ mod tests {
         // Everything-overlaps and nothing-overlaps degenerate to index order.
         let all = overlap_ranked_moves(&live, &parts, &delta, PartitionId(0), PartitionId(1), 9);
         assert_eq!(all, vec![1, 0, 2]);
+    }
+
+    /// The sort-based ranking the bucket pick replaced: rank every live
+    /// edge on `from` by `(Reverse(overlap), index)` and keep the first
+    /// `target`.
+    fn sorted_ranking(
+        live: &LiveGraph,
+        parts: &[PartitionId],
+        delta: &IncrementalAssignment,
+        from: PartitionId,
+        to: PartitionId,
+        target: usize,
+    ) -> Vec<u32> {
+        let mut ranked: Vec<(std::cmp::Reverse<u32>, u32)> = live
+            .live_indices_on(parts, from)
+            .map(|idx| {
+                let e = live.edge(idx);
+                let overlap = u32::from(delta.replicas(e.src).any(|p| p == to.0))
+                    + u32::from(delta.replicas(e.dst).any(|p| p == to.0));
+                (std::cmp::Reverse(overlap), idx)
+            })
+            .collect();
+        ranked.sort_unstable();
+        ranked.truncate(target);
+        ranked.into_iter().map(|(_, idx)| idx).collect()
+    }
+
+    /// On random live states (tombstones and self-loops included) the
+    /// bucket pick equals the sorted ranking for targets below, at and
+    /// above the overlap-2 count, and past `from`'s edge count.
+    #[test]
+    fn bucket_pick_equals_the_sorted_ranking() {
+        use gp_core::{Edge, Rng, Splitmix64};
+        const N: u64 = 40;
+        let mut rng = Splitmix64::new(11);
+        let mut early_stops = 0;
+        for _ in 0..60 {
+            let p = 2 + rng.next_below(8) as u32;
+            let edges: Vec<Edge> = (0..40 + rng.next_below(300))
+                .map(|_| {
+                    let u = rng.next_below(N);
+                    let v = if rng.next_below(10) == 0 {
+                        u
+                    } else {
+                        rng.next_below(N)
+                    };
+                    Edge::new(u, v)
+                })
+                .collect();
+            let el = EdgeList::with_vertex_count(edges, N).expect("ids in range");
+            let mut live = LiveGraph::from_source(&el);
+            let parts: Vec<PartitionId> = (0..live.num_total())
+                .map(|_| PartitionId(rng.next_below(u64::from(p)) as u32))
+                .collect();
+            for idx in 0..live.num_total() as u32 {
+                if rng.next_below(4) == 0 {
+                    live.delete(idx);
+                }
+            }
+            let mut delta = IncrementalAssignment::new(N, p, 3);
+            for idx in live.live_edges().1 {
+                delta.add(live.edge(idx), parts[idx as usize]);
+            }
+            for from in (0..p).map(PartitionId) {
+                for to in (0..p).map(PartitionId).filter(|&to| to != from) {
+                    let on_from = live.live_indices_on(&parts, from).count();
+                    let twos = live
+                        .live_indices_on(&parts, from)
+                        .filter(|&idx| {
+                            let e = live.edge(idx);
+                            delta.hosts(e.src, to) && delta.hosts(e.dst, to)
+                        })
+                        .count();
+                    if twos > 1 {
+                        early_stops += 1;
+                    }
+                    for target in [
+                        0,
+                        1,
+                        twos.saturating_sub(1),
+                        twos,
+                        twos + 1,
+                        on_from,
+                        on_from + 3,
+                    ] {
+                        assert_eq!(
+                            overlap_ranked_moves(&live, &parts, &delta, from, to, target),
+                            sorted_ranking(&live, &parts, &delta, from, to, target),
+                            "p{} -> p{} target {target}",
+                            from.0,
+                            to.0
+                        );
+                    }
+                }
+            }
+        }
+        assert!(early_stops > 100, "{early_stops} states stop early");
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! deterministic fact: a query-only plan twice as long allocates exactly as
 //! often.
 //!
-//! Churn is allowed to allocate (inserts grow the edge arrays and adjacency
-//! lists). `churn_allocations_per_thousand_events` prints what it costs,
-//! without asserting; run it with `--nocapture` to see the figures.
+//! Churn may allocate only where the graph grows: inserts extend the edge
+//! arrays and adjacency lists, while the replica refcounts are one table
+//! sized up front. `churn_allocations_per_thousand_events` bounds both
+//! rates; run it with `--nocapture` to see the figures.
 
-use gp_core::EdgeList;
+use gp_core::{Edge, EdgeList, PartitionId, Rng, Splitmix64};
 use gp_partition::Strategy;
-use gp_serve::{serve, DriftPolicy, ServeConfig, TrafficPlan, TrafficRates};
+use gp_serve::{serve, DriftPolicy, IncrementalAssignment, ServeConfig, TrafficPlan, TrafficRates};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -101,10 +102,56 @@ fn churn_allocations_per_thousand_events() {
         reads_per_s: 0.0,
         max_hops: 1,
     };
-    for (kind, rates) in [("inserts", only(100.0, 0.0)), ("deletes", only(0.0, 100.0))] {
+    // Inserts grow the edge arrays and adjacency lists; deletes only
+    // tombstone and unlink.
+    for (kind, rates, bound) in [
+        ("inserts", only(100.0, 0.0), 105.0),
+        ("deletes", only(0.0, 100.0), 0.0),
+    ] {
         let (short, short_events) = allocations(&g, &rates, HORIZON_S);
         let (long, long_events) = allocations(&g, &rates, 2.0 * HORIZON_S);
         let per_thousand = (long as f64 - short as f64) * 1e3 / (long_events - short_events) as f64;
         println!("{kind}: {per_thousand:.1} allocations per 1,000");
+        assert!(
+            per_thousand <= bound,
+            "{kind}: {per_thousand:.1} allocations per 1,000, bound {bound}"
+        );
     }
+}
+
+#[test]
+fn incremental_assignment_updates_allocate_nothing() {
+    const VERTICES: u64 = 2_000;
+    const PARTS: u64 = 9;
+    let mut delta = IncrementalAssignment::new(VERTICES, PARTS as u32, 7);
+    let mut placed: Vec<(Edge, PartitionId)> = Vec::with_capacity(10_000);
+    let mut rng = Splitmix64::new(3);
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..10_000 {
+        let part = PartitionId(rng.next_below(PARTS) as u32);
+        match rng.next_below(4) {
+            0 if !placed.is_empty() => {
+                let at = rng.next_below(placed.len() as u64) as usize;
+                let (e, p) = placed.swap_remove(at);
+                delta.remove(e, p);
+            }
+            1 if !placed.is_empty() => {
+                let at = rng.next_below(placed.len() as u64) as usize;
+                let (e, p) = placed[at];
+                delta.move_edge(e, p, part);
+                placed[at].1 = part;
+            }
+            _ => {
+                let e = Edge::new(rng.next_below(VERTICES), rng.next_below(VERTICES));
+                delta.add(e, part);
+                placed.push((e, part));
+            }
+        }
+    }
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    std::hint::black_box(delta.replication_factor());
+    assert_eq!(
+        allocations, 0,
+        "10,000 updates allocated {allocations} times"
+    );
 }
