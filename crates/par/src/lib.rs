@@ -159,15 +159,17 @@ where
 
 /// Chunk `0..out.len()` per `chunk_ranges` and fill each chunk of `out`
 /// in place: `f` receives the index range a chunk covers and the mutable
-/// sub-slice for exactly that range. The slices are disjoint
-/// (`split_at_mut`), so each output index is written by exactly one worker
-/// with a value that can only depend on the index — determinism needs no
-/// merge step at all. This is the zero-copy variant of [`map_chunks`] for
-/// element-wise transforms into a pre-allocated buffer.
-pub fn fill_chunks<T, F>(par: &ParConfig, out: &mut [T], f: F)
+/// sub-slice for exactly that range, and returns one value per chunk. The
+/// slices are disjoint (`split_at_mut`), so each output index is written by
+/// exactly one worker with a value that can only depend on the index; the
+/// per-chunk values come back in chunk order, as from [`map_chunks`]. This
+/// is the zero-copy variant of [`map_chunks`] for element-wise transforms
+/// into a pre-allocated buffer.
+pub fn fill_chunks<T, R, F>(par: &ParConfig, out: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
+    R: Send,
+    F: Fn(Range<usize>, &mut [T]) -> R + Sync,
 {
     let workers = par.effective_threads();
     let f = &f;
@@ -178,7 +180,7 @@ where
         rest = tail;
         tasks.push(move || f(r, slice));
     }
-    run_ordered(workers, tasks);
+    run_ordered(workers, tasks)
 }
 
 #[cfg(test)]
@@ -281,13 +283,17 @@ mod tests {
             for total in [0usize, 1, 5, 100, 101] {
                 let par = ParConfig::new(threads);
                 let mut out = vec![0u64; total];
-                fill_chunks(&par, &mut out, |range, slice| {
+                let starts = fill_chunks(&par, &mut out, |range, slice| {
+                    let start = range.start;
                     for (slot, i) in slice.iter_mut().zip(range) {
                         *slot = (i as u64) * 3 + 1;
                     }
+                    start
                 });
                 let expect: Vec<u64> = (0..total as u64).map(|i| i * 3 + 1).collect();
                 assert_eq!(out, expect, "threads={threads} total={total}");
+                let want: Vec<usize> = map_chunks(&par, total, |r| r.start);
+                assert_eq!(starts, want, "one value per chunk, in chunk order");
             }
         }
     }

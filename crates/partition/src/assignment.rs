@@ -8,14 +8,20 @@
 //! the replica sets computed here.
 //!
 //! Replica storage is two-phase for speed. During the build, per-vertex
-//! replica sets are one flat table of `ceil(P/64)` bitset words per vertex —
-//! O(1) insert per edge endpoint and a one-OR-per-word shard merge on the
+//! replica sets are one flat table of `ceil(P/64)` bitset words per vertex,
+//! held in a `Shard` with its edge counts and stream-digest terms — O(1)
+//! insert per edge endpoint and a one-OR-per-word shard merge on the
 //! parallel path (set union is exactly what the sequential build computes,
-//! so chunking cannot change the result). After the build the sets are
-//! **frozen** into a CSR-flattened view (`rep_offsets` + `rep_flat`): one
-//! offsets array and one contiguous sorted-id array instead of one heap
-//! `Vec` per vertex. All read paths (`replicas`, slots, masters, RF, counts)
-//! serve from that view and the bitsets are dropped.
+//! so chunking cannot change the result). The placement pass fills the
+//! shards: [`assign_stateless_par`] records each edge as it places it, and
+//! a greedy loader's own replica words and loads are its shard, folded into
+//! one accumulator as each loader finishes (at most one table per running
+//! loader beside it). `freeze` then merges the shards into a
+//! CSR-flattened view (`rep_offsets` + `rep_flat`): one offsets array and
+//! one contiguous sorted-id array instead of one heap `Vec` per vertex. All
+//! read paths (`replicas`, slots, masters, RF, counts) serve from that view
+//! and the bitsets are dropped. Only [`Assignment::from_edge_partitions`]
+//! reads a placement vector back to fill its shards.
 //!
 //! An assignment also remembers which edge stream it placed, as the
 //! stream's [`gp_core::edge_digest`], and builds its per-image local edge
@@ -73,16 +79,11 @@ impl Assignment {
         )
     }
 
-    /// Multi-threaded [`Assignment::from_edge_partitions`]: workers build
-    /// thread-local replica-bitset/edge-count/digest shards over disjoint
-    /// edge chunks, merged pairwise in a reduction tree whose operators
-    /// (word-wise OR, integer and wrapping addition) are associative,
-    /// commutative and insensitive to chunk boundaries — so the result is
-    /// byte-identical to the sequential build at any thread count, while
-    /// the merge itself runs in `log2(chunks)` parallel rounds instead of
-    /// one sequential left fold (the fold was eating the whole
-    /// stateless-ingress speedup: `chunks - 1` full O(n)-vertex merges on
-    /// one thread).
+    /// Multi-threaded [`Assignment::from_edge_partitions`]: workers stream
+    /// disjoint edge chunks into one `Shard` each, and `freeze` merges and
+    /// flattens them. This is the pass for placements made elsewhere
+    /// (partition files, Chunking); the strategies' own placement passes
+    /// fill their shards as they place.
     pub fn from_edge_partitions_par(
         graph: &dyn StreamingEdges,
         edge_partition: Vec<PartitionId>,
@@ -95,88 +96,16 @@ impl Assignment {
             graph.num_edges(),
             "one partition per edge"
         );
-        let n = graph.num_vertices() as usize;
-        let build_shard = |range: std::ops::Range<usize>| {
-            let mut sets = ReplicaWords::new(graph.num_vertices(), num_partitions);
-            let mut edge_counts = vec![0u64; num_partitions as usize];
-            let mut digest = 0u64;
+        let shards = gp_par::map_chunks(par, graph.num_edges(), |range| {
+            let mut shard = Shard::new(graph.num_vertices(), num_partitions);
             let mut i = range.start;
             for_each_edge(graph, range, |e| {
-                let p = edge_partition[i];
-                digest = digest.wrapping_add(hash_stream_edge(i, e));
+                shard.record(i, e, edge_partition[i]);
                 i += 1;
-                debug_assert!(p.0 < num_partitions, "partition {p} out of range");
-                edge_counts[p.index()] += 1;
-                sets.insert(e.src.index(), p.0);
-                sets.insert(e.dst.index(), p.0);
             });
-            (sets, edge_counts, digest)
-        };
-        let mut shards = gp_par::map_chunks(par, graph.num_edges(), build_shard);
-        // Pairwise reduction tree: each round merges shard 2k+1 into shard
-        // 2k, all pairs in parallel on the ordered pool. The merge kernel is
-        // one OR per replica word plus an integer add per partition and one
-        // for the digest — no allocation, no per-element branching. At one
-        // thread there is one shard and no round runs.
-        while shards.len() > 1 {
-            let mut iter = shards.into_iter();
-            let mut tasks = Vec::new();
-            while let Some(left) = iter.next() {
-                let right = iter.next();
-                tasks.push(move || {
-                    let (mut sets, mut counts, mut digest) = left;
-                    if let Some((right_sets, right_counts, right_digest)) = right {
-                        for (total, c) in counts.iter_mut().zip(right_counts) {
-                            *total += c;
-                        }
-                        sets.union_with(&right_sets);
-                        digest = digest.wrapping_add(right_digest);
-                    }
-                    (sets, counts, digest)
-                });
-            }
-            shards = gp_par::run_ordered(par.effective_threads(), tasks);
-        }
-        // An empty edge stream yields no chunks; fall back to an empty shard.
-        let (replica_sets, edge_counts, stream_digest) =
-            shards.pop().unwrap_or_else(|| build_shard(0..0));
-        // Freeze the read side: one offsets array + one contiguous sorted-id
-        // array, in place of a heap Vec per vertex.
-        let mut rep_offsets = Vec::with_capacity(n + 1);
-        let mut rep_flat = Vec::with_capacity(replica_sets.total());
-        rep_offsets.push(0u64);
-        for v in 0..n {
-            let row = replica_sets.row(v);
-            rep_flat.extend(bits(row.len(), |i| row[i]).map(|p| p as u32));
-            rep_offsets.push(rep_flat.len() as u64);
-        }
-        // Free the word table before the masters are allocated.
-        drop(replica_sets);
-        // Master choice is a pure per-vertex hash over the frozen view, so
-        // it chunks freely across workers.
-        let masters: Vec<PartitionId> = gp_par::map_chunks(par, n, |range| {
-            range
-                .map(|v| {
-                    let lo = rep_offsets[v] as usize;
-                    let hi = rep_offsets[v + 1] as usize;
-                    default_master(VertexId(v as u64), seed, &rep_flat[lo..hi])
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        Assignment {
-            num_partitions,
-            num_vertices: graph.num_vertices(),
-            edge_partition,
-            rep_offsets,
-            rep_flat,
-            masters,
-            edge_counts,
-            stream_digest,
-            local_edges: OnceLock::new(),
-        }
+            shard
+        });
+        freeze(graph, edge_partition, num_partitions, seed, par, shards)
     }
 
     /// Number of partitions.
@@ -409,6 +338,115 @@ impl BalanceReport {
     }
 }
 
+/// One chunk's share of an assignment build: the replica bits, the
+/// per-partition edge counts and the stream-digest terms of the edges it
+/// recorded. Shards merge by word-wise OR, integer addition and wrapping
+/// addition, all associative and commutative, so neither the chunking nor
+/// the merge order can change a byte of the frozen result.
+pub(crate) struct Shard {
+    pub(crate) sets: ReplicaWords,
+    pub(crate) edge_counts: Vec<u64>,
+    pub(crate) digest: u64,
+}
+
+impl Shard {
+    pub(crate) fn new(vertices: u64, partitions: u32) -> Self {
+        Shard {
+            sets: ReplicaWords::new(vertices, partitions),
+            edge_counts: vec![0; partitions as usize],
+            digest: 0,
+        }
+    }
+
+    /// Record stream edge `i`, `e`, placed on `p`.
+    #[inline]
+    pub(crate) fn record(&mut self, i: usize, e: Edge, p: PartitionId) {
+        self.digest = self.digest.wrapping_add(hash_stream_edge(i, e));
+        self.edge_counts[p.index()] += 1;
+        self.sets.insert(e.src.index(), p.0);
+        self.sets.insert(e.dst.index(), p.0);
+    }
+
+    /// Fold `other` in: one OR per replica word, an add per partition and
+    /// one for the digest — no allocation, no per-element branching.
+    pub(crate) fn merge(&mut self, other: &Shard) {
+        self.sets.union_with(&other.sets);
+        for (total, c) in self.edge_counts.iter_mut().zip(&other.edge_counts) {
+            *total += c;
+        }
+        self.digest = self.digest.wrapping_add(other.digest);
+    }
+}
+
+/// Merge `shards` and freeze the result. The merge is a pairwise reduction
+/// tree — each round merges shard `2k+1` into shard `2k`, all pairs in
+/// parallel on the ordered pool — so it runs in `log2(chunks)` rounds
+/// rather than one sequential left fold. The read side is then one offsets
+/// array plus one contiguous sorted-id array, in place of a heap `Vec` per
+/// vertex, with default masters hashed over it.
+pub(crate) fn freeze(
+    graph: &dyn StreamingEdges,
+    edge_partition: Vec<PartitionId>,
+    num_partitions: u32,
+    seed: u64,
+    par: &ParConfig,
+    mut shards: Vec<Shard>,
+) -> Assignment {
+    while shards.len() > 1 {
+        let mut iter = shards.into_iter();
+        let mut tasks = Vec::new();
+        while let Some(mut left) = iter.next() {
+            let right = iter.next();
+            tasks.push(move || {
+                if let Some(right) = right {
+                    left.merge(&right);
+                }
+                left
+            });
+        }
+        shards = gp_par::run_ordered(par.effective_threads(), tasks);
+    }
+    // An empty edge stream yields no chunks; fall back to an empty shard.
+    let empty = || Shard::new(graph.num_vertices(), num_partitions);
+    let total = shards.pop().unwrap_or_else(empty);
+    let (sets, n) = (total.sets, graph.num_vertices() as usize);
+    let mut rep_offsets = Vec::with_capacity(n + 1);
+    let mut rep_flat = Vec::with_capacity(sets.total());
+    rep_offsets.push(0u64);
+    for v in 0..n {
+        let row = sets.row(v);
+        rep_flat.extend(bits(row.len(), |i| row[i]).map(|p| p as u32));
+        rep_offsets.push(rep_flat.len() as u64);
+    }
+    // Free the word table before the masters are allocated.
+    drop(sets);
+    // Master choice is a pure per-vertex hash over the frozen view, so it
+    // chunks freely across workers.
+    let masters: Vec<PartitionId> = gp_par::map_chunks(par, n, |range| {
+        range
+            .map(|v| {
+                let lo = rep_offsets[v] as usize;
+                let hi = rep_offsets[v + 1] as usize;
+                default_master(VertexId(v as u64), seed, &rep_flat[lo..hi])
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    Assignment {
+        num_partitions,
+        num_vertices: graph.num_vertices(),
+        edge_partition,
+        rep_offsets,
+        rep_flat,
+        masters,
+        edge_counts: total.edge_counts,
+        stream_digest: total.digest,
+        local_edges: OnceLock::new(),
+    }
+}
+
 /// PowerGraph's default master policy (§5.1.1): a pseudo-random pick among
 /// the vertex's **sorted** replica list, keyed by vertex id and seed.
 ///
@@ -432,9 +470,10 @@ pub fn default_master_pick(v: VertexId, seed: u64, len: usize) -> usize {
 }
 
 /// Partition every edge with a pure function of the edge (the stateless
-/// hash strategies): each worker streams a disjoint edge chunk through the
-/// function; per-chunk results concatenate in chunk order, reproducing the
-/// sequential stream exactly.
+/// hash strategies) in one pass over the stream: each worker streams a
+/// disjoint edge chunk through the function, writing the placements into
+/// its slice of the stream-order result and recording each edge, as
+/// placed, into its chunk's `Shard` in the same loop.
 pub fn assign_stateless_par(
     graph: &dyn StreamingEdges,
     num_partitions: u32,
@@ -442,15 +481,18 @@ pub fn assign_stateless_par(
     par: &ParConfig,
     f: impl Fn(Edge) -> PartitionId + Sync,
 ) -> Assignment {
-    let mut parts: Vec<PartitionId> = vec![PartitionId(0); graph.num_edges()];
-    gp_par::fill_chunks(par, &mut parts, |range, out| {
-        let mut slot = 0usize;
+    let mut parts = vec![PartitionId(0); graph.num_edges()];
+    let shards = gp_par::fill_chunks(par, &mut parts, |range, out| {
+        let mut shard = Shard::new(graph.num_vertices(), num_partitions);
+        let mut slots = out.iter_mut().zip(range.clone());
         for_each_edge(graph, range, |e| {
-            out[slot] = f(e);
-            slot += 1;
+            let (slot, i) = slots.next().expect("one slot per chunk edge");
+            *slot = f(e);
+            shard.record(i, e, *slot);
         });
+        shard
     });
-    Assignment::from_edge_partitions_par(graph, parts, num_partitions, seed, par)
+    freeze(graph, parts, num_partitions, seed, par, shards)
 }
 
 #[cfg(test)]

@@ -8,11 +8,13 @@
 //! step and the serving-time assign step.
 //!
 //! Scoring reads each endpoint's replica words in place and allocates
-//! nothing: HDRF at `λ ≤ 1` scores only the partitions that can win, and
-//! otherwise scores every partition once into a stack array that the leader
-//! and tie-pick passes both read (past 64 partitions the tie pick scores
-//! again). Each edge draws tie-breaks from its own [`Splitmix64`] seeded by
-//! the *stream index*.
+//! nothing: HDRF at `λ ≤ 1` scores only the partitions that can win, each
+//! once into a stack array of `(id, score)` pairs, and otherwise scores
+//! every partition once into a stack array of scores; the leader and
+//! tie-pick passes both read the array (past 16 members or 64 partitions
+//! the tie pick scores again). Balance terms are computed at score time
+//! from the loads' extremes, which the kernel keeps. Each edge draws
+//! tie-breaks from its own [`Splitmix64`] seeded by the *stream index*.
 //!
 //! The paper's systems get ingress parallelism from independent loaders,
 //! each oblivious to the others (§5.3). [`partition_blocks`] models exactly
@@ -21,14 +23,17 @@
 //! to `--threads` at a time, each writing its placements into its own slice
 //! of the stream-order result. The output is a pure function of `(graph,
 //! seed, partitions, loaders)`; any thread count yields byte-identical
-//! placements.
+//! placements. A finished loader's replica words and loads, with the
+//! digest terms of its block, are its assignment shard, so the freeze
+//! needs no second pass over the stream.
 
-use crate::assignment::Assignment;
+use crate::assignment::{freeze, Shard};
 use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome};
 use crate::replica_words::bits;
 use crate::strategies::oblivious::GreedyState;
 use gp_core::{for_each_edge, Edge, PartitionId, Rng, Splitmix64, StreamingEdges};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// The per-edge tie-break RNG of the greedy kernels: a fresh
 /// [`Splitmix64`] keyed by `(loader seed, stream index)`. Giving every edge
@@ -101,7 +106,8 @@ fn pick_best(
 }
 
 /// `λ·C_BAL(j)` of Appendix B for a partition holding `load` edges, when
-/// the loads span `min_load..=max_load`. HDRF caches it per partition.
+/// the loads span `min_load..=max_load`. HDRF computes it for each
+/// partition it scores.
 #[inline]
 pub(crate) fn balance_term(lambda: f64, load: u64, max_load: u64, min_load: u64) -> f64 {
     const EPS: f64 = 1.0;
@@ -113,25 +119,32 @@ pub(crate) fn balance_term(lambda: f64, load: u64, max_load: u64, min_load: u64)
 /// stack (512 bytes) rather than computing each twice.
 const SCORE_SLOTS: usize = 64;
 
+/// Members of `A(u) ∪ A(v)` whose `(id, score)` pairs HDRF's members-first
+/// scan keeps on the stack (256 bytes); a larger union is scored twice.
+pub(crate) const MEMBER_SLOTS: usize = 16;
+
 /// HDRF's Appendix-B score as a pure function of the visible state: the
-/// loads, each partition's cached balance term `bal[j] = λ·C_BAL(j)` and
-/// both endpoints' replica words. Ties within `1e-12` break with `rng`,
-/// scanned in ascending partition order; at-capacity partitions score
-/// `-inf`, and when every partition is at capacity (transient at tiny
-/// loads) the least-loaded one wins, as in Oblivious.
+/// loads, their extremes `max_load` / `min_load` (which fix every
+/// partition's balance term `λ·C_BAL(j)`) and both endpoints' replica
+/// words. Ties within `1e-12` break with `rng`, scanned in ascending
+/// partition order; at-capacity partitions score `-inf`, and when every
+/// partition is at capacity (transient at tiny loads) the least-loaded one
+/// wins, as in Oblivious.
 ///
 /// With `members_first` only the members of `A(u) ∪ A(v)` under capacity
 /// are scored. The caller sets it when `λ ≤ 1`, where it is exact: a member
 /// scores its `g > 1` plus a balance term `≥ 0`, a non-member only its
 /// balance term `λ·(max−min)/(1+max−min) < 1`, so any eligible member beats
 /// every non-member by far more than the tie epsilon, and the scan over
-/// members alone sees the same leader and ties. When no member is eligible,
-/// or without `members_first`, every partition is scored once, into a stack
-/// array of [`SCORE_SLOTS`] scores that both tie-scan passes read. Past that
-/// many partitions the pick pass recomputes each score instead: a score is
-/// a pure function of its partition — membership is two shifts off the
-/// words, the capacity constraint a select to `-inf` — so the recomputed
-/// value is the stored one, bit for bit.
+/// members alone sees the same leader and ties. The members are scored
+/// once, into a stack array of [`MEMBER_SLOTS`] `(id, score)` pairs that
+/// both tie-scan passes read. When no member is eligible, or without
+/// `members_first`, every partition is scored once, into a stack array of
+/// [`SCORE_SLOTS`] scores. Past either array the pick pass recomputes each
+/// score instead: a score is a pure function of its partition — membership
+/// is two shifts off the words, the balance term one division, the
+/// capacity constraint a select to `-inf` — so the recomputed value is the
+/// stored one, bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hdrf_score(
     loads: &[u64],
@@ -141,7 +154,7 @@ pub(crate) fn hdrf_score(
     theta_u: f64,
     theta_v: f64,
     members_first: bool,
-    bal: &[f64],
+    (lambda, max_load, min_load): (f64, u64, u64),
     rng: &mut Splitmix64,
 ) -> PartitionId {
     let g_u = 1.0 + (1.0 - theta_u);
@@ -151,7 +164,7 @@ pub(crate) fn hdrf_score(
         let (wi, bit) = (j / 64, j % 64);
         let in_u = (au[wi] >> bit & 1) as f64;
         let in_v = (av[wi] >> bit & 1) as f64;
-        let score = in_u * g_u + in_v * g_v + bal[j];
+        let score = in_u * g_u + in_v * g_v + balance_term(lambda, loads[j], max_load, min_load);
         // At-capacity partitions score -inf: they can never win the max
         // scan, and `(-inf) - best` is never within the tie epsilon.
         if loads[j] < capacity {
@@ -161,8 +174,19 @@ pub(crate) fn hdrf_score(
         }
     };
     if members_first {
-        let members = bits(au.len(), |i| au[i] | av[i]).map(|j| (j, score_of(j)));
-        if let Some(pick) = pick_best(members, rng) {
+        let union = |i: usize| au[i] | av[i];
+        let members = bits(au.len(), union);
+        let len: usize = (0..au.len()).map(|i| union(i).count_ones() as usize).sum();
+        let pick = if len <= MEMBER_SLOTS {
+            let mut scored = [(0usize, 0.0f64); MEMBER_SLOTS];
+            for (slot, j) in scored.iter_mut().zip(members) {
+                *slot = (j, score_of(j));
+            }
+            pick_best(scored[..len].iter().copied(), rng)
+        } else {
+            pick_best(members.map(|j| (j, score_of(j))), rng)
+        };
+        if let Some(pick) = pick {
             return pick;
         }
     }
@@ -247,18 +271,21 @@ pub(crate) trait GreedyKernel {
 }
 
 /// Drive one loader block one edge at a time, writing edge `block.start +
-/// j`'s placement to `out[j]`.
+/// j`'s placement to `out[j]`; returns the block's stream-digest terms.
 fn run_block<K: GreedyKernel>(
     graph: &dyn StreamingEdges,
     block: Range<usize>,
     kernel: &mut K,
     out: &mut [PartitionId],
-) {
+) -> u64 {
+    let mut digest = 0u64;
     let mut slots = out.iter_mut().zip(block.clone());
     for_each_edge(graph, block, |e| {
         let (slot, idx) = slots.next().expect("one slot per block edge");
         *slot = kernel.step(e, idx);
+        digest = digest.wrapping_add(gp_core::hash_stream_edge(idx, e));
     });
+    digest
 }
 
 /// Run every loader block of a stateful strategy and freeze the outcome:
@@ -266,7 +293,11 @@ fn run_block<K: GreedyKernel>(
 /// kernel from `make_kernel(block index)`; blocks run concurrently on the
 /// ordered pool, up to `--threads` at a time, each writing its placements
 /// into its own slice of the stream-order result, so no thread count
-/// changes a byte.
+/// changes a byte. A loader's replica words and loads are exactly the
+/// shard its edges would record, so each finished loader folds them into
+/// one accumulator shard and drops them: the stream is read once, and at
+/// most one table per running loader is alive beside the accumulator. OR
+/// and addition commute, so the finish order moves no byte either.
 pub(crate) fn partition_blocks<K, F>(
     name: &'static str,
     graph: &dyn StreamingEdges,
@@ -278,6 +309,8 @@ where
     F: Fn(usize) -> K + Sync,
 {
     let make_kernel = &make_kernel;
+    // The accumulator: empty until the first loader finishes.
+    let total = &Mutex::new(Vec::<Shard>::with_capacity(1));
     let mut parts = vec![PartitionId(0); graph.num_edges()];
     let mut rest = parts.as_mut_slice();
     let mut tasks = Vec::new();
@@ -289,8 +322,15 @@ where
         rest = tail;
         tasks.push(move || {
             let mut kernel = make_kernel(i);
-            run_block(graph, block, &mut kernel, out);
-            (kernel.greedy().work, kernel.state_bytes())
+            let digest = run_block(graph, block, &mut kernel, out);
+            let stats = (kernel.greedy().work, kernel.state_bytes());
+            let shard = kernel.greedy_mut().take_shard(digest);
+            let mut total = total.lock().expect("accumulator lock");
+            match total.first_mut() {
+                Some(total) => total.merge(&shard),
+                None => total.push(shard),
+            }
+            stats
         });
     }
     let mut loader_work = Vec::with_capacity(tasks.len());
@@ -299,14 +339,9 @@ where
         loader_work.push(work);
         state_bytes = state_bytes.max(bytes);
     }
+    let shards = std::mem::take(&mut *total.lock().expect("accumulator lock"));
     let outcome = PartitionOutcome {
-        assignment: Assignment::from_edge_partitions_par(
-            graph,
-            parts,
-            ctx.num_partitions,
-            ctx.seed,
-            &ctx.par,
-        ),
+        assignment: freeze(graph, parts, ctx.num_partitions, ctx.seed, &ctx.par, shards),
         loader_work,
         passes: 1,
         state_bytes,
@@ -345,7 +380,8 @@ mod tests {
     /// Members-first HDRF scoring picks what the dense scan picks, on random
     /// committed states: λ ∈ {0, 0.25, 1}, 2, 9 and 300 partitions,
     /// self-loops, and capacities that leave some members, or every
-    /// partition, at capacity.
+    /// partition, at capacity. At 300 partitions the hubs' replica sets
+    /// outgrow the members array, so the rescoring path runs too.
     #[test]
     fn members_first_pick_equals_the_dense_pick() {
         const N: u64 = 60;
@@ -353,7 +389,7 @@ mod tests {
             for partitions in [2u32, 9, 300] {
                 let mut state = GreedyState::new(partitions, N);
                 let mut rng = Splitmix64::new(u64::from(partitions) ^ lambda.to_bits());
-                let (mut by_members, mut dense) = (0, 0);
+                let (mut by_members, mut dense, mut overflowed) = (0, 0, 0);
                 for i in 0..3_000usize {
                     let u = rng.next_below(N / 10);
                     let v = rng.next_below(N);
@@ -361,10 +397,6 @@ mod tests {
                     let loads = &state.load;
                     let max = *loads.iter().max().unwrap();
                     let min = *loads.iter().min().unwrap();
-                    let bal: Vec<f64> = loads
-                        .iter()
-                        .map(|&l| balance_term(lambda, l, max, min))
-                        .collect();
                     // From "every partition full" to "none full".
                     let capacity = min + rng.next_below(max - min + 2);
                     let theta_u = (rng.next_below(1_000) + 1) as f64 / 1_001.0;
@@ -378,14 +410,17 @@ mod tests {
                             theta_u,
                             1.0 - theta_u,
                             members_first,
-                            &bal,
+                            (lambda, max, min),
                             &mut edge_rng(7, i),
                         )
                     };
                     let want = pick(false);
                     assert_eq!(pick(true), want, "λ={lambda} p={partitions} edge {i}");
-                    let eligible_member =
-                        bits(au.len(), |w| au[w] | av[w]).any(|j| loads[j] < capacity);
+                    let members = bits(au.len(), |w| au[w] | av[w]);
+                    if members.clone().count() > MEMBER_SLOTS {
+                        overflowed += 1;
+                    }
+                    let eligible_member = members.clone().any(|j| loads[j] < capacity);
                     if eligible_member {
                         by_members += 1;
                     } else {
@@ -399,6 +434,11 @@ mod tests {
                     state.commit(e, p);
                 }
                 assert!(by_members > 100 && dense > 100, "{by_members} / {dense}");
+                assert_eq!(
+                    overflowed > 100,
+                    partitions == 300,
+                    "{overflowed} overflows"
+                );
             }
         }
     }

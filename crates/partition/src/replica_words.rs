@@ -9,6 +9,7 @@
 
 /// Replica bitsets of `vertices` vertices over `partitions` partitions: bit
 /// `p % 64` of word `v * width + p / 64` says `v` has an image on `p`.
+#[derive(Default)]
 pub(crate) struct ReplicaWords {
     words: Vec<u64>,
     width: usize,

@@ -57,13 +57,12 @@ impl Hdrf {
 /// increment-then-score order exactly.
 pub(crate) struct HdrfKernel {
     greedy: GreedyState,
-    /// `bal[j] = λ·C_BAL(j)` for every partition, from the loads' extremes
-    /// below. A commit rewrites one entry unless it moved an extreme; a
-    /// retire rewrites them all.
-    bal: Vec<f64>,
+    /// The loads' extremes, which fix every balance term, and how many
+    /// partitions sit at the minimum. A commit raises the max by one when
+    /// it moved it, and recomputes all three (O(P) integers) only when the
+    /// minimum empties; a retire recomputes them too.
     max_load: u64,
     min_load: u64,
-    /// Partitions whose load is `min_load`.
     at_min: usize,
     /// Partial degree counters δ (Appendix B), dense vertex-indexed — the
     /// ids are `0..n` already, so a flat table beats hashing on every edge.
@@ -79,7 +78,6 @@ impl HdrfKernel {
     pub(crate) fn new(partitions: u32, vertices: u64, seed: u64, lambda: f64) -> Self {
         let mut kernel = HdrfKernel {
             greedy: GreedyState::new(partitions, vertices),
-            bal: vec![0.0; partitions as usize],
             max_load: 0,
             min_load: 0,
             at_min: 0,
@@ -88,19 +86,16 @@ impl HdrfKernel {
             lambda,
             seed,
         };
-        kernel.refresh_balance();
+        kernel.refresh_extremes();
         kernel
     }
 
-    /// Recompute the loads' extremes and every balance term.
-    fn refresh_balance(&mut self) {
+    /// Recompute the loads' extremes.
+    fn refresh_extremes(&mut self) {
         let loads = &self.greedy.load;
         self.max_load = *loads.iter().max().expect("partitions > 0");
         self.min_load = *loads.iter().min().expect("partitions > 0");
         self.at_min = loads.iter().filter(|&&l| l == self.min_load).count();
-        for (b, &l) in self.bal.iter_mut().zip(loads) {
-            *b = greedy::balance_term(self.lambda, l, self.max_load, self.min_load);
-        }
     }
 
     /// θ uses the committed counters plus this edge's own contribution
@@ -135,7 +130,7 @@ impl GreedyKernel for HdrfKernel {
             theta_u,
             theta_v,
             self.lambda <= 1.0,
-            &self.bal,
+            (self.lambda, self.max_load, self.min_load),
             &mut edge_rng(self.seed, idx),
         )
     }
@@ -143,14 +138,14 @@ impl GreedyKernel for HdrfKernel {
     fn commit(&mut self, e: Edge, p: PartitionId) {
         let old = self.greedy.load[p.index()];
         self.greedy.commit_priced(e, p);
+        if old == self.max_load {
+            self.max_load += 1;
+        }
         if old == self.min_load {
             self.at_min -= 1;
-        }
-        if old == self.max_load || self.at_min == 0 {
-            self.refresh_balance();
-        } else {
-            self.bal[p.index()] =
-                greedy::balance_term(self.lambda, old + 1, self.max_load, self.min_load);
+            if self.at_min == 0 {
+                self.refresh_extremes();
+            }
         }
         for v in [e.src, e.dst] {
             let d = &mut self.partial_degree[v.index()];
@@ -163,7 +158,7 @@ impl GreedyKernel for HdrfKernel {
 
     fn retire(&mut self, e: Edge, p: PartitionId) {
         self.greedy.retire(p);
-        self.refresh_balance();
+        self.refresh_extremes();
         // Partial degrees shrink with the graph so θ keeps tracking the
         // live degree distribution.
         for v in [e.src, e.dst] {
@@ -318,7 +313,7 @@ mod tests {
         k.commit(Edge::new(0u64, 1u64), PartitionId(3));
         k.greedy.load = vec![9, 7, 8, 7, 9];
         k.greedy.assigned = 0; // capacity 4: everything is over it
-        k.refresh_balance();
+        k.refresh_extremes();
         let mut picks = std::collections::BTreeSet::new();
         for idx in 0..64 {
             let e = Edge::new(0u64, 1u64);
@@ -333,10 +328,10 @@ mod tests {
         );
     }
 
-    /// After any run of commits and retires, the balance cache and the
-    /// extremes it rests on equal a fresh recompute bit for bit.
+    /// After any run of commits and retires, the loads' extremes the
+    /// balance terms rest on equal a fresh recompute.
     #[test]
-    fn balance_cache_matches_a_fresh_recompute() {
+    fn extremes_match_a_fresh_recompute() {
         const N: u64 = 40;
         for lambda in [0.25f64, 1.0, 4.0] {
             for partitions in [1u32, 2, 9, 300] {
@@ -362,11 +357,8 @@ mod tests {
                     let max = *loads.iter().max().unwrap();
                     let min = *loads.iter().min().unwrap();
                     assert_eq!((k.max_load, k.min_load), (max, min), "step {i}");
-                    assert_eq!(k.at_min, loads.iter().filter(|&&l| l == min).count());
-                    for (j, (&b, &l)) in k.bal.iter().zip(loads).enumerate() {
-                        let fresh = greedy::balance_term(lambda, l, max, min);
-                        assert_eq!(b.to_bits(), fresh.to_bits(), "step {i}, partition {j}");
-                    }
+                    let at_min = loads.iter().filter(|&&l| l == min).count();
+                    assert_eq!(k.at_min, at_min, "step {i}");
                 }
             }
         }

@@ -19,6 +19,7 @@
 //! heuristic. With `num_loaders == 1` you get the idealized centralized
 //! variant.
 
+use crate::assignment::Shard;
 use crate::greedy::{self, edge_rng, GreedyKernel};
 use crate::partitioner::{
     PartitionContext, PartitionOutcome, Partitioner, HEURISTIC_BASE, HEURISTIC_PER_CANDIDATE,
@@ -117,6 +118,17 @@ impl GreedyState {
     /// Approximate bytes of loader state (for ingress memory accounting).
     pub fn state_bytes(&self) -> u64 {
         self.replica_bytes + 8 * self.load.len() as u64
+    }
+
+    /// Hand a finished batch loader's replica words and loads over as its
+    /// assignment shard: recording its edges would have built exactly these.
+    pub(crate) fn take_shard(&mut self, digest: u64) -> Shard {
+        let (sets, edge_counts) = (std::mem::take(&mut self.a), std::mem::take(&mut self.load));
+        Shard {
+            sets,
+            edge_counts,
+            digest,
+        }
     }
 }
 

@@ -137,8 +137,15 @@ impl IncrementalAssignment {
         }
         // The bits ascend, so the pick-th set bit is the entry the batch
         // Assignment indexes in its sorted replica slice.
-        let pick = default_master_pick(v, self.seed, len as usize);
-        PartitionId(self.replicas(v).nth(pick).expect("pick < image count"))
+        let mut pick = default_master_pick(v, self.seed, len as usize) as u32;
+        for (i, &w) in self.row(v).iter().enumerate() {
+            let here = w.count_ones();
+            if pick < here {
+                return PartitionId(64 * i as u32 + select(w, pick));
+            }
+            pick -= here;
+        }
+        unreachable!("pick < image count")
     }
 
     /// Mean images per vertex with at least one image — the paper's
@@ -184,6 +191,44 @@ impl IncrementalAssignment {
     }
 }
 
+/// `IN_BYTE[b][k]`: the position of byte `b`'s `k`-th set bit (8 past its
+/// last).
+const IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[8u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut k, mut bit) = (0, 0);
+        while bit < 8 {
+            if b >> bit & 1 == 1 {
+                table[b][k] = bit as u8;
+                k += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// The position of `w`'s `k`-th set bit, `k < w.count_ones()`, without a
+/// loop over the bits: per-byte popcounts, summed into prefix counts by one
+/// multiply, locate the byte, and [`IN_BYTE`] the bit within it.
+fn select(w: u64, k: u32) -> u32 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let s = w - (w >> 1 & 0x5555_5555_5555_5555);
+    let s = (s & 0x3333_3333_3333_3333) + (s >> 2 & 0x3333_3333_3333_3333);
+    let s = (s + (s >> 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    // Byte i of `prefix` counts the set bits of bytes 0..=i (at most 64).
+    let prefix = s.wrapping_mul(ONES);
+    // The top bit of byte i survives iff prefix_i > k; no byte borrows.
+    const HIGH: u64 = 0x80 * ONES;
+    let above = ((prefix | HIGH) - (u64::from(k) + 1) * ONES) & HIGH;
+    let byte = above.trailing_zeros() / 8;
+    let before = ((prefix << 8) >> (8 * byte) & 0xff) as u32;
+    let in_byte = (w >> (8 * byte) & 0xff) as usize;
+    8 * byte + u32::from(IN_BYTE[in_byte][(k - before) as usize])
+}
+
 /// The set bits of one word, ascending.
 fn ones(mut w: u64) -> impl Iterator<Item = u32> {
     std::iter::from_fn(move || {
@@ -198,6 +243,20 @@ fn ones(mut w: u64) -> impl Iterator<Item = u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn select_finds_the_kth_set_bit() {
+        use gp_core::Rng;
+        let mut rng = gp_core::Splitmix64::new(5);
+        let mut words = vec![1, u64::MAX, 1 << 63, 0x8000_0001_0000_0100];
+        words.extend((0..2_000).map(|_| rng.next_u64()));
+        words.extend((0..2_000).map(|i| rng.next_u64() >> (i % 64)));
+        for w in words.into_iter().filter(|&w| w != 0) {
+            for (k, want) in ones(w).enumerate() {
+                assert_eq!(select(w, k as u32), want, "{w:#x}, k = {k}");
+            }
+        }
+    }
     use gp_partition::{Assignment, PartitionContext, Strategy};
     use proptest::prelude::*;
     use std::collections::BTreeMap;

@@ -16,13 +16,19 @@
 //! concurrently on the ordered pool at `threads >= 2` and one after another
 //! at `threads = 1`, so the same comparison pins "block scheduling moves no
 //! byte".
+//!
+//! Every partitioner also builds its assignment in its placement pass, and
+//! one more property pins that single pass to the two-pass build over the
+//! same placements, in memory and streamed, at every thread count.
 
 use distgraph::apps::{PageRank, Wcc};
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::{edge_digest, Edge, EdgeList, Rng, StreamingEdges, VertexId};
 use distgraph::engine::{Engine, EngineConfig, Model};
 use distgraph::partition::strategies::{BiCut, Chunking, Vebo};
-use distgraph::partition::{write_assignment, PartitionContext, Partitioner, Strategy};
+use distgraph::partition::{
+    write_assignment, Assignment, ParConfig, PartitionContext, Partitioner, Strategy,
+};
 use proptest::prelude::*;
 // The partition::Strategy enum shadows proptest's Strategy trait; re-import
 // the trait anonymously for method syntax.
@@ -107,8 +113,57 @@ fn assignment_bytes(
     buf
 }
 
+/// One pass equals two. The stateless strategies record each edge into
+/// their chunk's shard as they place it, and each HDRF / Oblivious loader
+/// hands its own replica words, loads and digest terms to the freeze; the
+/// result must equal `Assignment::from_edge_partitions_par` over the same
+/// placements: replicas, edge counts, image total, stream digest, and the
+/// masters of every strategy that keeps the default ones (Hybrid, H-Ginger
+/// and VEBO put them at home, BiCut on the favorite side).
+fn assert_one_pass_equals_two(graph: &dyn StreamingEdges, seed: u64, threads: u32) {
+    for (name, mut partitioner, parts) in all_partitioners() {
+        let ctx = PartitionContext::new(parts)
+            .with_seed(seed)
+            .with_threads(threads);
+        let a = partitioner.partition(graph, &ctx).assignment;
+        let par = ParConfig::new(threads);
+        let b = Assignment::from_edge_partitions_par(
+            graph,
+            a.edge_partitions().to_vec(),
+            parts,
+            seed,
+            &par,
+        );
+        let at = format!("{name} at {threads} threads");
+        for v in (0..graph.num_vertices()).map(VertexId) {
+            assert_eq!(a.replicas(v), b.replicas(v), "{at}: replicas of {v}");
+        }
+        assert_eq!(a.edge_counts(), b.edge_counts(), "{at}: edge counts");
+        assert_eq!(a.total_images(), b.total_images(), "{at}: images");
+        assert_eq!(a.stream_digest(), b.stream_digest(), "{at}: digest");
+        if !["Hybrid", "H-Ginger", "VEBO", "BiCut"].contains(&name.as_str()) {
+            assert_eq!(a.masters(), b.masters(), "{at}: masters");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn single_pass_ingress_equals_the_two_pass_build(
+        graph in arb_graph(),
+        seed in 0u64..1000,
+    ) {
+        let mut bytes = std::io::Cursor::new(Vec::new());
+        distgraph::store::write_edge_list(&mut bytes, &graph).expect("build store");
+        let store = distgraph::store::GraphStore::open_bytes(bytes.into_inner())
+            .expect("reopen store");
+        for threads in [1u32, 2, 4] {
+            assert_one_pass_equals_two(&graph, seed, threads);
+            assert_one_pass_equals_two(&store, seed, threads);
+        }
+    }
 
     #[test]
     fn parallel_ingress_is_byte_identical_for_every_partitioner(
