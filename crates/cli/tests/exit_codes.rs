@@ -185,3 +185,17 @@ fn a_trace_crash_after_the_job_converged_exits_two() {
         "no artifact is written for a crash that never fired"
     );
 }
+
+#[test]
+fn a_malformed_non_ascii_line_exits_two_naming_the_line() {
+    let dir = std::env::temp_dir().join(format!("distgraph-non-ascii-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let graph = dir.join("euros.txt");
+    // Byte 60 of the 91-byte line falls inside its 20th euro sign.
+    std::fs::write(&graph, format!("0 1\na{}\n", "€".repeat(30))).expect("write graph");
+    let (code, text) = distgraph(&["stats", graph.to_str().expect("utf-8 temp path")]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, 2, "{text}");
+    assert!(text.contains("parse error at line 2"), "{text}");
+    assert!(!text.contains("panicked"), "{text}");
+}

@@ -61,7 +61,7 @@ pub struct EdgeList {
 }
 
 impl EdgeList {
-    fn new(edges: Vec<Edge>, num_vertices: u64) -> Self {
+    pub(crate) fn new(edges: Vec<Edge>, num_vertices: u64) -> Self {
         EdgeList {
             edges,
             num_vertices,
